@@ -126,27 +126,29 @@ class QuasiPeriodicityReport:
                    self.A_a_cycle, self.A_b_cycle)
 
 
+def _pairs(ph: PhasePoint):
+    """(j, k, q_j - q_k) for each unordered pair j < k, in row order."""
+    q = ph.q.tolist()
+    n = len(q)
+    return [(j, k, q[j] - q[k]) for j in range(n) for k in range(j + 1, n)]
+
+
 def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
     # interaction-free configurations have no pole structure to protect
     if cfg.g == 0 or ph.n == 1:
         return
     tau = cfg.tm.tau
-    for j in range(ph.n):
-        for k in range(j + 1, ph.n):
-            d = lattice_distance(ph.q[j] - ph.q[k], tau)
-            if d < POLE_EXCLUSION_RADIUS:
-                raise PoleProximityError(
-                    ph.q[j] - ph.q[k], f"q[{j}] - q[{k}]", d)
+    for j, k, d in _pairs(ph):
+        dist = lattice_distance(d, tau)
+        if dist < POLE_EXCLUSION_RADIUS:
+            raise PoleProximityError(d, f"q[{j}] - q[{k}]", dist)
 
 
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
     """Smallest reduced pairwise distance |q_j - q_k| mod the lattice."""
     tau = cfg.tm.tau
-    best = math.inf
-    for j in range(ph.n):
-        for k in range(j + 1, ph.n):
-            best = min(best, lattice_distance(ph.q[j] - ph.q[k], tau))
-    return best
+    return min((lattice_distance(d, tau) for _, _, d in _pairs(ph)),
+               default=math.inf)
 
 
 # ----------------------------------------------------------------------
@@ -162,22 +164,21 @@ def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
     if cfg.g == 0 or n == 1:
         return L
     ig = 1j * cfg.g
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                L[j, k] = ig * lame_x(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
+    # x(-d, z) is no parity image of x(d, z): one kernel call per entry
+    for j, k, d in _pairs(ph):
+        L[j, k] = ig * lame_x(d, z, cfg.tm, trunc)
+        L[k, j] = ig * lame_x(-d, z, cfg.tm, trunc)
     return L
 
 
 def _d_matrix(cfg: CMConfig, ph: PhasePoint,
               trunc: TruncationConfig) -> np.ndarray:
-    n = ph.n
-    diag = np.zeros(n, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                diag[j] += wp(ph.q[j] - ph.q[k], cfg.tm, trunc)
-    return np.diag(1j * cfg.g * diag)
+    diag = [0j] * ph.n
+    for j, k, d in _pairs(ph):
+        v = wp(d, cfg.tm, trunc)  # wp is even
+        diag[j] += v
+        diag[k] += v
+    return np.diag(1j * cfg.g * np.array(diag))
 
 
 def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
@@ -190,10 +191,9 @@ def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
         return np.zeros((n, n), dtype=complex)
     A = _d_matrix(cfg, ph, trunc)
     ig = 1j * cfg.g
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                A[j, k] = ig * lame_y(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
+    for j, k, d in _pairs(ph):
+        A[j, k] = ig * lame_y(d, z, cfg.tm, trunc)
+        A[k, j] = ig * lame_y(-d, z, cfg.tm, trunc)
     return A
 
 
@@ -240,10 +240,9 @@ def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex,
     for j in range(n):
         # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
         L[j, j] -= lame_x_dz(ph.q[j], z, cfg.tm, trunc) / gauge[j]
-        for k in range(n):
-            if j != k:
-                L[j, k] = (ig * lame_x(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
-                           * gauge[k] / gauge[j])
+    for j, k, d in _pairs(ph):
+        L[j, k] = ig * lame_x(d, z, cfg.tm, trunc) * gauge[k] / gauge[j]
+        L[k, j] = ig * lame_x(-d, z, cfg.tm, trunc) * gauge[j] / gauge[k]
     return L
 
 
@@ -280,10 +279,9 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex,
         dG = (lame_x_dtau(ph.q[j], z, cfg.tm, trunc)
               + lame_y(ph.q[j], z, cfg.tm, trunc) * qdot[j])
         A[j, j] += TWO_PI_I * dG / gauge[j]
-        for k in range(n):
-            if j != k:
-                A[j, k] = (ig * lame_y(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
-                           * gauge[k] / gauge[j])
+    for j, k, d in _pairs(ph):
+        A[j, k] = ig * lame_y(d, z, cfg.tm, trunc) * gauge[k] / gauge[j]
+        A[k, j] = ig * lame_y(-d, z, cfg.tm, trunc) * gauge[j] / gauge[k]
     return A
 
 
@@ -338,10 +336,10 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint,
     constant = np.diag(ph.p.astype(complex))
     ig = 1j * cfg.g
     if cfg.g != 0:
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    constant[j, k] = ig * rho(ph.q[j] - ph.q[k], cfg.tm, trunc)
+        for j, k, d in _pairs(ph):
+            c = ig * rho(d, cfg.tm, trunc)  # rho is odd
+            constant[j, k] = c
+            constant[k, j] = -c
     return LocalExpansion(residue=residue, constant=constant)
 
 
@@ -371,18 +369,19 @@ def residue_eigen(cfg: CMConfig) -> tuple[np.ndarray, np.ndarray]:
 # Hamiltonians and equations of motion
 # ----------------------------------------------------------------------
 
+def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint,
+                 trunc: TruncationConfig) -> complex:
+    """sum_{j < k} wp(q_j - q_k): half the ordered-pair sum, as wp is even."""
+    return sum((wp(d, cfg.tm, trunc) for _, _, d in _pairs(ph)), 0j)
+
+
 def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint,
                    trunc: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs."""
     _check_separations(cfg, ph)
     total = 0.5 * complex(np.sum(ph.p * ph.p))
     if cfg.g != 0:
-        pot = 0j
-        for j in range(ph.n):
-            for k in range(ph.n):
-                if j != k:
-                    pot += wp(ph.q[k] - ph.q[j], cfg.tm, trunc)
-        total += 0.5 * cfg.g * cfg.g * pot
+        total += cfg.g * cfg.g * _wp_pair_sum(cfg, ph, trunc)
     return total
 
 
@@ -399,12 +398,7 @@ def hamiltonian_root_system(cfg: CMConfig, ph: PhasePoint, mass_sq: complex,
     if mass_sq == 0:
         return total
     _check_separations(cfg, ph)
-    pot = 0j
-    for i in range(ph.n):
-        for j in range(ph.n):
-            if i != j:
-                pot += wp(ph.q[i] - ph.q[j], cfg.tm, trunc)
-    return total - complex(mass_sq) * pot
+    return total - 2.0 * complex(mass_sq) * _wp_pair_sum(cfg, ph, trunc)
 
 
 def eom(cfg: CMConfig, ph: PhasePoint,
@@ -417,30 +411,22 @@ def eom(cfg: CMConfig, ph: PhasePoint,
     """
     _check_separations(cfg, ph)
     dq = ph.p.copy()
-    dp = np.zeros(ph.n, dtype=complex)
-    if cfg.g != 0:
-        g2 = cfg.g * cfg.g
-        for j in range(ph.n):
-            for k in range(ph.n):
-                if j != k:
-                    dp[j] -= g2 * wp_dz(ph.q[j] - ph.q[k], cfg.tm, trunc)
-    return dq, dp
+    if cfg.g == 0:
+        return dq, np.zeros(ph.n, dtype=complex)
+    force = [0j] * ph.n
+    for j, k, d in _pairs(ph):
+        f = wp_dz(d, cfg.tm, trunc)  # wp' is odd
+        force[j] += f
+        force[k] -= f
+    return dq, -(cfg.g * cfg.g) * np.array(force)
 
 
 def hamiltonian_gradient(cfg: CMConfig, ph: PhasePoint,
                          trunc: TruncationConfig = DEFAULT_TRUNCATION
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(dH/dq, dH/dp) of hamiltonian_cm, analytically."""
-    _check_separations(cfg, ph)
-    dHdp = ph.p.copy()
-    dHdq = np.zeros(ph.n, dtype=complex)
-    if cfg.g != 0:
-        g2 = cfg.g * cfg.g
-        for j in range(ph.n):
-            for k in range(ph.n):
-                if j != k:
-                    dHdq[j] += g2 * wp_dz(ph.q[j] - ph.q[k], cfg.tm, trunc)
-    return dHdq, dHdp
+    """(dH/dq, dH/dp) of hamiltonian_cm: (-dp, dq) of the eom."""
+    dq, dp = eom(cfg, ph, trunc)
+    return -dp, dq
 
 
 # ----------------------------------------------------------------------
@@ -456,29 +442,24 @@ def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
     if cfg.g == 0 or n == 1:
         return out
     ig = 1j * cfg.g
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                out[j, k] = ig * lame_y_dz(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
+    for j, k, d in _pairs(ph):
+        out[j, k] = ig * lame_y_dz(d, z, cfg.tm, trunc)
+        out[k, j] = ig * lame_y_dz(-d, z, cfg.tm, trunc)
     return out
 
 
-def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, z: complex,
+def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray,
                     trunc: TruncationConfig) -> np.ndarray:
     """The (q, p)-motion part of dL/dtau: entries i g y_jk (qdot_j - qdot_k)
-    off the diagonal and pdot_j on it, with (qdot, pdot) = eom / 2 pi i."""
+    off the diagonal and pdot_j on it, with (qdot, pdot) = eom / 2 pi i.
+
+    A = lax_A_quasi at the same point already holds i g y_jk off the
+    diagonal, so no kernel is evaluated twice.
+    """
     dq, dp = eom(cfg, ph, trunc)
     qdot = dq / TWO_PI_I
-    pdot = dp / TWO_PI_I
-    n = ph.n
-    out = np.diag(pdot)
-    if cfg.g != 0:
-        ig = 1j * cfg.g
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    out[j, k] = (ig * lame_y(ph.q[j] - ph.q[k], z, cfg.tm, trunc)
-                                 * (qdot[j] - qdot[k]))
+    out = A * (qdot[:, None] - qdot[None, :])
+    out[np.diag_indices(ph.n)] = dp / TWO_PI_I
     return out
 
 
@@ -522,7 +503,7 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
     if gauge == "quasi_periodic":
         L = lax_L_quasi(cfg, ph, z, trunc)
         A = lax_A_quasi(cfg, ph, z, trunc)
-        implicit = _implicit_L_dot(cfg, ph, z, trunc)
+        implicit = _implicit_L_dot(cfg, ph, A, trunc)
         dAdz = _lax_A_dz_quasi(cfg, ph, z, trunc)
 
         def residual_at(h):

@@ -10,6 +10,37 @@ lattice and the exact quasi-periodicity prefactors are restored, so the
 series always runs in its fast-convergence regime.  All derivatives are
 term-wise analytic; finite differences live only in test oracles.
 
+Truncation is fixed a priori, once per modulus.  Let q = |nu| =
+exp(-pi Im tau) and let w be reduced, so |Im w| <= Im tau / 2.  Since
+|sin|, |cos| of (2k+1) pi w are at most exp((2k+1) pi |Im w|), the k-th
+term of the d-th derivative series is bounded by
+
+    2 q^{(k+1/2)^2} ((2k+1) pi)^d exp((2k+1) pi |Im w|)
+        <= E_d(w) (2k+1)^d q^{k^2},
+
+where E_d(w) = 2 q^{1/4} pi^d exp(pi |Im w|) is the envelope of the
+leading (k = 0) term and exp(2 k pi |Im w|) <= q^{-k} was used.  So for
+every d <= 3 and every reduced w the tail after K terms is at most
+E_d(w) R_K with R_K = sum_{k>=K} a_k, a_k = (2k+1)^3 q^{k^2}.  The ratio
+a_{k+1}/a_k = ((2k+3)/(2k+1))^3 q^{2k+1} =: r_k decreases in k, hence
+R_K <= a_K / (1 - r_K) once r_K < 1.  K is the smallest integer with
+a_K / (1 - r_K) <= rel_tol; it depends on tau and the TruncationConfig,
+never on the evaluation point (K = 4 at Im tau = 1, 13 at Im tau = 0.08
+for the default rel_tol = 1e-14).  If K would exceed max_terms a
+TruncationError is raised.
+
+The K coefficients 2 (-1)^k nu^{(k+1/2)^2} ((2k+1) pi)^d (d = 0..3),
+theta1'(0), theta1'''(0) and the Weierstrass constant form a table that is
+built lazily once per (modulus, TruncationConfig) and kept on the
+TorusModulus instance, so a modulus dropped by its caller takes its tables
+with it.  The three constants come from cancellation-free forms, with
+x = nu^2:
+
+    theta1'(0)   = 2 pi nu^{1/4} prod_{m>=1} (1 - x^m)^3,
+    theta1'''(0) = -pi^2 E2 theta1'(0),  E2 = 1 - 24 sum_{m>=1} m x^m / (1 - x^m),
+
+because the alternating series at z = 0 lose every digit as Im tau -> 0.
+
 Derived kernels:
 
     rho(z)   = theta1'(z) / theta1(z)              (odd, rho(z+tau) = rho(z) - 2 pi i)
@@ -42,10 +73,16 @@ POLE_EXCLUSION_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class TorusModulus:
-    """The lattice modulus tau in the upper half-plane, with cached nome."""
+    """The lattice modulus tau in the upper half-plane, with cached nome.
+
+    ``_tables`` holds the per-TruncationConfig series tables; it takes no
+    part in equality or hashing.
+    """
 
     tau: complex
     nome: complex = field(init=False)
+    _tables: dict = field(init=False, default_factory=dict, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -57,12 +94,14 @@ class TorusModulus:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Stagnation thresholds for series/product evaluation.
+    """Truncation targets for series/product evaluation.
 
-    ``rel_tol``: a term counts as stagnant once its magnitude drops below
-    ``rel_tol`` times the running partial sum, for two consecutive terms.
-    ``max_terms`` caps the loop; ``lattice_radius`` is the base half-width N
-    of the brute-force wp double sum.
+    ``rel_tol``: the theta series keeps the fewest terms whose a-priori tail
+    bound, relative to the leading term's envelope, is at most ``rel_tol``
+    (see the module docstring); the triple product stops once two
+    consecutive factors are within ``rel_tol`` of 1.  ``max_terms`` caps
+    both; ``lattice_radius`` is the base half-width N of the brute-force wp
+    double sum.
     """
 
     rel_tol: float = 1e-14
@@ -120,16 +159,17 @@ def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:
     return z - m - n * tau, m, n
 
 
+def _reduced_distance(w: complex, tau: complex) -> float:
+    """Distance from a reduced w to the nearest of the nine lattice points
+    i + j*tau, i, j in {-1, 0, 1}."""
+    t = tau
+    return min(abs(w), abs(w - 1), abs(w + 1), abs(w - t), abs(w + t),
+               abs(w - 1 - t), abs(w - 1 + t), abs(w + 1 - t), abs(w + 1 + t))
+
+
 def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the nearest point of Z + tau Z."""
-    w, _, _ = reduce_to_cell(z, tau)
-    best = abs(w)
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            if i == 0 and j == 0:
-                continue
-            best = min(best, abs(w - i - j * tau))
-    return best
+    return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
 
 
 def _check_pole(z: complex, tau: complex, name: str,
@@ -143,40 +183,105 @@ def _check_pole(z: complex, tau: complex, name: str,
 # Theta series
 # ----------------------------------------------------------------------
 
-def _theta_series_at(w: complex, tm: TorusModulus, cfg: TruncationConfig):
-    """Partial sums of theta1 and its first three z-derivatives at w.
+class _SeriesTable:
+    """The fixed-length theta1 series of one (modulus, TruncationConfig).
 
-    w must already be reduced; convergence then needs only |nome| < 1.
+    ``terms`` holds (a_k, c0_k, c1_k, c2_k, c3_k) for k < K with
+    a_k = (2k+1) pi and c_d = 2 (-1)^k nu^{(k+1/2)^2} a_k^d times the sign of
+    the d-th derivative of sin (+, +, -, -), so the d-th derivative series is
+    sum c_d sin(a w) for even d and sum c_d cos(a w) for odd d.
+    ``clear``: a reduced |w| in [POLE_EXCLUSION_RADIUS, clear] is at least
+    the exclusion radius away from all nine lattice candidates.
     """
-    nu = tm.nome
-    nu2 = nu * nu
-    coef = cmath.exp(0.25j * math.pi * tm.tau)  # nu^{1/4}
-    nu2_pow = complex(1.0)
 
-    s = [0j, 0j, 0j, 0j]
-    streak = 0
-    for k in range(cfg.max_terms):
-        a = (2 * k + 1) * math.pi
-        arg = a * w
-        sn = cmath.sin(arg)
-        cs = cmath.cos(arg)
-        terms = (
-            2.0 * coef * sn,
-            2.0 * coef * a * cs,
-            -2.0 * coef * a * a * sn,
-            -2.0 * coef * a * a * a * cs,
-        )
-        ok = True
-        for i in range(4):
-            s[i] += terms[i]
-            if abs(terms[i]) > cfg.rel_tol * max(abs(s[i]), 1e-300):
-                ok = False
-        streak = streak + 1 if ok else 0
-        if streak >= 2 and k >= 1:
-            return tuple(s)
-        nu2_pow *= nu2
-        coef = -coef * nu2_pow  # (-1)^{k+1} nu^{(k+3/2)^2} relative update
-    raise TruncationError("theta1 series did not stagnate", s[0])
+    __slots__ = ("terms", "dz0", "d3z0", "wp_const", "clear")
+
+    def __init__(self, tm: TorusModulus, cfg: TruncationConfig):
+        tau = tm.tau
+        q = abs(tm.nome)
+        q2 = q * q
+        q_odd = q          # q^{2k+1}
+        q_square = 1.0     # q^{k^2}
+        nu2 = tm.nome * tm.nome
+        coef = cmath.exp(0.25j * math.pi * tau)  # nu^{1/4}
+        nu2_pow = complex(1.0)
+        terms = []
+        for k in range(cfg.max_terms + 1):
+            # tail bound R_k <= a_k / (1 - r_k), see the module docstring
+            m = 2 * k + 1
+            r = ((m + 2) / m) ** 3 * q_odd
+            if r < 1.0 and m ** 3 * q_square <= cfg.rel_tol * (1.0 - r):
+                break
+            if k == cfg.max_terms:
+                raise TruncationError(
+                    f"theta1 series at tau = {tau} needs more than "
+                    f"max_terms = {cfg.max_terms} terms",
+                    sum(t[2] for t in terms))  # the theta1'(0) partial sum
+            a = m * math.pi
+            c0 = 2.0 * coef
+            c1 = c0 * a
+            c2 = -c1 * a
+            terms.append((a, c0, c1, c2, c2 * a))
+            q_square *= q_odd
+            q_odd *= q2
+            nu2_pow *= nu2
+            coef = -coef * nu2_pow  # (-1)^{k+1} nu^{(k+3/2)^2} relative update
+        self.terms = terms
+        # theta1'(0) and E2 from their product and Lambert forms (module
+        # docstring), x = nu^2, to double precision whatever rel_tol asks of
+        # the series: the E2 tail from factor m on is at most
+        # 24 m |x|^m / (1 - |x|)^3, and the product's is smaller.
+        prod, lambert = 1.0, 0j
+        x_pow, x_abs, m = nu2, q2, 1
+        bound = 1e-17 / 24.0 * (1.0 - q2) ** 3
+        while m * x_abs > bound:
+            f = 1.0 - x_pow
+            prod *= f
+            lambert += m * x_pow / f
+            x_pow *= nu2
+            x_abs *= q2
+            m += 1
+        self.dz0 = 2.0 * math.pi * cmath.exp(0.25j * math.pi * tau) * prod ** 3
+        self.wp_const = -math.pi ** 2 * (1.0 - 24.0 * lambert) / 3.0
+        self.d3z0 = 3.0 * self.wp_const * self.dz0
+        shortest = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
+        self.clear = shortest - 2.0 * POLE_EXCLUSION_RADIUS
+
+
+def _table(tm: TorusModulus, cfg: TruncationConfig) -> _SeriesTable:
+    """The series table of (tm, cfg), built on first use."""
+    tab = tm._tables.get(cfg)
+    if tab is None:
+        tab = tm._tables[cfg] = _SeriesTable(tm, cfg)
+    return tab
+
+
+def _reduce_checked(z: complex, tm: TorusModulus, tab: _SeriesTable,
+                    name: str) -> tuple[complex, int, int]:
+    """reduce_to_cell plus the pole check on the reduced point, which gives
+    the same verdict and distance as lattice_distance on z."""
+    w, m, n = reduce_to_cell(z, tm.tau)
+    if not (POLE_EXCLUSION_RADIUS <= abs(w) <= tab.clear):
+        d = _reduced_distance(w, tm.tau)
+        if d < POLE_EXCLUSION_RADIUS:
+            raise PoleProximityError(z, name, d)
+    return w, m, n
+
+
+def _theta_series_at(w: complex, tab: _SeriesTable):
+    """theta1 and its first three z-derivatives at a reduced w, summed over
+    the table's K terms."""
+    sin, cos = cmath.sin, cmath.cos
+    s0 = s1 = s2 = s3 = 0j
+    for a, c0, c1, c2, c3 in tab.terms:
+        x = a * w
+        sn = sin(x)
+        cs = cos(x)
+        s0 += c0 * sn
+        s1 += c1 * cs
+        s2 += c2 * sn
+        s3 += c3 * cs
+    return s0, s1, s2, s3
 
 
 def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
@@ -190,7 +295,7 @@ def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
     so derivatives transform binomially with mu = -2 pi i n.
     """
     w, m, n = reduce_to_cell(z, tm.tau)
-    s = _theta_series_at(w, tm, cfg)
+    s = _theta_series_at(w, _table(tm, cfg))
     if m == 0 and n == 0:
         return s
     parity = -1.0 if (m + n) % 2 else 1.0
@@ -203,57 +308,30 @@ def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
     return (F * t0, F * t1, F * t2, F * t3)
 
 
-def _theta_ratio_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
-    """(rho, theta1''/theta1, theta1'''/theta1) at z, prefactor-free.
+def _reduced_ratios(z: complex, tm: TorusModulus, cfg: TruncationConfig):
+    """(rho, theta1''/theta1, theta1'''/theta1) at the reduced w of z, plus
+    the B-cycle count n and the table; raises PoleProximityError near the
+    lattice.
 
-    The reduction prefactor cancels in these ratios, so with mu = -2 pi i n
-
-        rho(z)            = rho(w) + mu
-        theta1''/theta1   = B(w) + 2 mu rho(w) + mu^2
-        theta1'''/theta1  = T(w) + 3 mu B(w) + 3 mu^2 rho(w) + mu^3,
-
-    valid for any representable z (the reduced series never overflows).
+    Reduction shifts rho by mu = -2 pi i n and leaves every derivative of
+    rho unchanged, so rho(z) = rho(w) + mu while rho', wp and wp' need only
+    the reduced ratios (valid for any representable z: the reduced series
+    never overflows).
     """
-    w, _, n = reduce_to_cell(z, tm.tau)
-    s = _theta_series_at(w, tm, cfg)
-    r = s[1] / s[0]
-    B = s[2] / s[0]
-    T = s[3] / s[0]
-    if n == 0:
-        return r, B, T
-    mu = -TWO_PI_I * n
-    return (r + mu,
-            B + 2 * mu * r + mu * mu,
-            T + 3 * mu * B + 3 * mu * mu * r + mu * mu * mu)
+    tab = _table(tm, cfg)
+    w, _, n = _reduce_checked(z, tm, tab, "z")
+    s0, s1, s2, s3 = _theta_series_at(w, tab)
+    return s1 / s0, s2 / s0, s3 / s0, n, tab
 
 
-def _theta_log_prefactor(z: complex, tm: TorusModulus) -> tuple[complex, complex]:
-    """(w, log F) with theta1(z) = exp(log F) theta1(w) and w reduced.
+def _log_prefactor(w: complex, m: int, n: int, tau: complex) -> complex:
+    """log F with theta1(w + m + n tau) = exp(log F) theta1(w).
 
     log F = i pi (m + n) - i pi (n^2 tau + 2 n w); keeping it in log form
     lets ratios of theta values combine their prefactors additively before
     a single exponential is taken.
     """
-    w, m, n = reduce_to_cell(z, tm.tau)
-    return w, 1j * math.pi * ((m + n) - n * n * tm.tau - 2 * n * w)
-
-
-def _theta1_dz0(tm: TorusModulus, cfg: TruncationConfig) -> complex:
-    """theta1'(0) = 2 pi sum (-1)^k (2k+1) nu^{(k+1/2)^2}."""
-    nu2 = tm.nome * tm.nome
-    coef = cmath.exp(0.25j * math.pi * tm.tau)
-    nu2_pow = complex(1.0)
-    total = 0j
-    streak = 0
-    for k in range(cfg.max_terms):
-        term = 2.0 * math.pi * (2 * k + 1) * coef
-        total += term
-        streak = streak + 1 if abs(term) <= cfg.rel_tol * abs(total) else 0
-        if streak >= 2 and k >= 1:
-            return total
-        nu2_pow *= nu2
-        coef = -coef * nu2_pow
-    raise TruncationError("theta1'(0) series did not stagnate", total)
+    return 1j * math.pi * ((m + n) - n * n * tau - 2 * n * w)
 
 
 # ----------------------------------------------------------------------
@@ -274,22 +352,9 @@ def theta1_dz(z: complex, tm: TorusModulus,
 
 def theta1_d3z_at_0(tm: TorusModulus,
                     cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
-    """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}."""
-    nu2 = tm.nome * tm.nome
-    coef = cmath.exp(0.25j * math.pi * tm.tau)
-    nu2_pow = complex(1.0)
-    total = 0j
-    streak = 0
-    for k in range(cfg.max_terms):
-        a = (2 * k + 1) * math.pi
-        term = -2.0 * a * a * a * coef
-        total += term
-        streak = streak + 1 if abs(term) <= cfg.rel_tol * abs(total) else 0
-        if streak >= 2 and k >= 1:
-            return total
-        nu2_pow *= nu2
-        coef = -coef * nu2_pow
-    raise TruncationError("theta1'''(0) series did not stagnate", total)
+    """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
+    as -pi^2 E2 theta1'(0) (see the module docstring)."""
+    return _table(tm, cfg).d3z0
 
 
 def theta1_product(z: complex, tm: TorusModulus,
@@ -336,15 +401,14 @@ def theta1_product(z: complex, tm: TorusModulus,
 def rho(z: complex, tm: TorusModulus,
         cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """rho(z) = theta1'(z)/theta1(z)."""
-    _check_pole(z, tm.tau, "z")
-    return _theta_ratio_bundle(z, tm, cfg)[0]
+    r, _, _, n, _ = _reduced_ratios(z, tm, cfg)
+    return r - TWO_PI_I * n
 
 
 def rho_dz(z: complex, tm: TorusModulus,
            cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """rho'(z) = theta1''/theta1 - rho^2."""
-    _check_pole(z, tm.tau, "z")
-    r, B, _ = _theta_ratio_bundle(z, tm, cfg)
+    r, B, _, _, _ = _reduced_ratios(z, tm, cfg)
     return B - r * r
 
 
@@ -352,22 +416,20 @@ def weierstrass_constant(tm: TorusModulus,
                          cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """theta1'''(0) / (3 theta1'(0)): the constant making wp = -rho' + c
     free of a constant term in its Laurent expansion at 0."""
-    return theta1_d3z_at_0(tm, cfg) / (3.0 * _theta1_dz0(tm, cfg))
+    return _table(tm, cfg).wp_const
 
 
 def wp(z: complex, tm: TorusModulus,
        cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """Weierstrass wp(z, tau), theta fast path: -rho'(z) + theta1'''(0)/(3 theta1'(0))."""
-    _check_pole(z, tm.tau, "z")
-    r, B, _ = _theta_ratio_bundle(z, tm, cfg)
-    return r * r - B + weierstrass_constant(tm, cfg)
+    r, B, _, _, tab = _reduced_ratios(z, tm, cfg)
+    return r * r - B + tab.wp_const
 
 
 def wp_dz(z: complex, tm: TorusModulus,
           cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """wp'(z, tau) = -rho''(z), fully analytic."""
-    _check_pole(z, tm.tau, "z")
-    r, B, T = _theta_ratio_bundle(z, tm, cfg)
+    r, B, T, _, _ = _reduced_ratios(z, tm, cfg)
     return 3.0 * r * B - T - 2.0 * r * r * r
 
 
@@ -430,51 +492,59 @@ def wp_dz_general(z: complex, lat: GeneralLattice,
 # ----------------------------------------------------------------------
 
 def _lame_x_value(u: complex, z: complex, tm: TorusModulus,
-                  cfg: TruncationConfig) -> complex:
-    """x via reduced theta values, with the three reduction prefactors
-    combined additively in log form (their individual exponentials can
-    overflow at arguments where x itself is perfectly representable)."""
-    w_u, log_u = _theta_log_prefactor(u, tm)
-    w_z, log_z = _theta_log_prefactor(z, tm)
-    w_zu, log_zu = _theta_log_prefactor(z - u, tm)
-    s_u = _theta_series_at(w_u, tm, cfg)[0]
-    s_z = _theta_series_at(w_z, tm, cfg)[0]
-    s_zu = _theta_series_at(w_zu, tm, cfg)[0]
-    return (cmath.exp(log_zu - log_z - log_u) * s_zu
-            * _theta1_dz0(tm, cfg) / (s_z * s_u))
+                  cfg: TruncationConfig, check_zu: bool):
+    """x(u, z) and the series bundles at the reduced u, z and z - u.
+
+    Each point is reduced and pole-checked once, z - u first when
+    ``check_zu`` (x itself only divides by theta1(u) theta1(z)).  The three
+    reduction prefactors are combined additively in log form: their
+    individual exponentials can overflow at arguments where x itself is
+    perfectly representable.
+    """
+    tab = _table(tm, cfg)
+    zu = z - u
+    if check_zu:
+        w_zu, m_zu, n_zu = _reduce_checked(zu, tm, tab, "z - u")
+    w_u, m_u, n_u = _reduce_checked(u, tm, tab, "u")
+    w_z, m_z, n_z = _reduce_checked(z, tm, tab, "z")
+    if not check_zu:
+        w_zu, m_zu, n_zu = reduce_to_cell(zu, tm.tau)
+    s_u = _theta_series_at(w_u, tab)
+    s_z = _theta_series_at(w_z, tab)
+    s_zu = _theta_series_at(w_zu, tab)
+    tau = tm.tau
+    log_f = (_log_prefactor(w_zu, m_zu, n_zu, tau)
+             - _log_prefactor(w_z, m_z, n_z, tau)
+             - _log_prefactor(w_u, m_u, n_u, tau))
+    x = cmath.exp(log_f) * s_zu[0] * tab.dz0 / (s_z[0] * s_u[0])
+    return x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu)
 
 
 def _lame_core(u: complex, z: complex, tm: TorusModulus, cfg: TruncationConfig):
-    """Shared pieces for x(u,z) and everything derived from it.
+    """Shared pieces for everything derived from x(u, z).
 
-    Returns (x, rho_u, rho_zu, rho_z, rho_dz_zu) where zu := z - u.
-    Pole checks for u and z are done here; the z-u check is left to callers
-    that actually divide by theta1(z-u)-free quantities (rho at z-u).
+    Returns (x, rho_u, rho_zu, rho_z, rho_dz_zu) where zu := z - u, after
+    the pole checks on z - u, u and z (in that order).
     """
-    _check_pole(u, tm.tau, "u")
-    _check_pole(z, tm.tau, "z")
-    x = _lame_x_value(u, z, tm, cfg)
-    rho_u = _theta_ratio_bundle(u, tm, cfg)[0]
-    rho_z = _theta_ratio_bundle(z, tm, cfg)[0]
-    if lattice_distance(z - u, tm.tau) == 0.0:
-        raise PoleProximityError(z - u, "z - u", 0.0)
-    rho_zu, B_zu, _ = _theta_ratio_bundle(z - u, tm, cfg)
-    rho_dz_zu = B_zu - rho_zu * rho_zu
+    x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu) = _lame_x_value(u, z, tm, cfg,
+                                                            True)
+    rho_u = s_u[1] / s_u[0] - TWO_PI_I * n_u
+    rho_z = s_z[1] / s_z[0] - TWO_PI_I * n_z
+    r_zu = s_zu[1] / s_zu[0]
+    rho_zu = r_zu - TWO_PI_I * n_zu
+    rho_dz_zu = s_zu[2] / s_zu[0] - r_zu * r_zu
     return x, rho_u, rho_zu, rho_z, rho_dz_zu
 
 
 def lame_x(u: complex, z: complex, tm: TorusModulus,
            cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """x(u, z) = theta1(z-u) theta1'(0) / (theta1(z) theta1(u))."""
-    _check_pole(u, tm.tau, "u")
-    _check_pole(z, tm.tau, "z")
-    return _lame_x_value(u, z, tm, cfg)
+    return _lame_x_value(u, z, tm, cfg, False)[0]
 
 
 def lame_y(u: complex, z: complex, tm: TorusModulus,
            cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """y(u, z) = d/du x(u, z) = -x(u, z) (rho(u) + rho(z-u))."""
-    _check_pole(z - u, tm.tau, "z - u")
     x, rho_u, rho_zu, _, _ = _lame_core(u, z, tm, cfg)
     return -x * (rho_u + rho_zu)
 
@@ -482,7 +552,6 @@ def lame_y(u: complex, z: complex, tm: TorusModulus,
 def lame_x_dz(u: complex, z: complex, tm: TorusModulus,
               cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """d/dz x(u, z) = x(u, z) (rho(z-u) - rho(z))."""
-    _check_pole(z - u, tm.tau, "z - u")
     x, _, rho_zu, rho_z, _ = _lame_core(u, z, tm, cfg)
     return x * (rho_zu - rho_z)
 
@@ -496,7 +565,6 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus,
     with the mixed partial evaluated analytically:
         d^2x/dudz = y (rho(z-u) - rho(z)) - x rho'(z-u).
     """
-    _check_pole(z - u, tm.tau, "z - u")
     x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm, cfg)
     y = -x * (rho_u + rho_zu)
     mixed = y * (rho_zu - rho_z) - x * rho_dz_zu
@@ -506,7 +574,6 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus,
 def lame_y_dz(u: complex, z: complex, tm: TorusModulus,
               cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
     """d/dz y(u, z) = -x_dz (rho(u) + rho(z-u)) - x rho'(z-u)."""
-    _check_pole(z - u, tm.tau, "z - u")
     x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm, cfg)
     x_dz = x * (rho_zu - rho_z)
     return -x_dz * (rho_u + rho_zu) - x * rho_dz_zu

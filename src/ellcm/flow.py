@@ -408,9 +408,8 @@ def hamiltonian_vector_field(ph: PhasePoint, tau: complex, cfg: CMConfig,
                              trunc: TruncationConfig = DEFAULT_TRUNCATION
                              ) -> ExtendedTangent:
     """X_H = (dq_j = dH/dp_j, dp_j = -dH/dq_j, dtau = 2 pi i)."""
-    cfg = cfg.with_tau(tau)
-    dHdq, dHdp = hamiltonian_gradient(cfg, ph, trunc)
-    return ExtendedTangent(dq=dHdp, dp=-dHdq, dtau=TWO_PI_I)
+    dq, dp = eom(cfg.with_tau(tau), ph, trunc)
+    return ExtendedTangent(dq=dq, dp=dp, dtau=TWO_PI_I)
 
 
 def canonical_pairing(n: int) -> np.ndarray:

@@ -25,14 +25,13 @@ conventions and are inverse to each other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi
-from .elliptic import DEFAULT_TRUNCATION, TruncationConfig, lattice_distance
+from .elliptic import DEFAULT_TRUNCATION, TruncationConfig, lattice_distance, reduce_to_cell
 from .errors import PathError
 from .flow import Diagnostics, IntegratorConfig, integrate_isomonodromic, integrate_segment
 
@@ -80,7 +79,7 @@ def _segment_lattice_distance(a: complex, b: complex, tau: complex) -> float:
     dd = (d * d.conjugate()).real
     for i in range(steps + 1):
         z = a + (i / steps) * (b - a)
-        w, m, n = _reduce(z, tau)
+        _, m, n = reduce_to_cell(z, tau)
         for dm in (-1, 0, 1):
             for dn in (-1, 0, 1):
                 lam = (m + dm) + (n + dn) * tau
@@ -88,14 +87,6 @@ def _segment_lattice_distance(a: complex, b: complex, tau: complex) -> float:
                 t = min(1.0, max(0.0, t))
                 best = min(best, abs(a + t * d - lam))
     return best
-
-
-def _reduce(z: complex, tau: complex):
-    bcoord = z.imag / tau.imag
-    acoord = z.real - bcoord * tau.real
-    m = round(acoord)
-    n = round(bcoord)
-    return z - m - n * tau, m, n
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +108,12 @@ def default_base(tau: complex) -> complex:
 def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
               icfg: IntegratorConfig = IntegratorConfig(),
               trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
-    """Solve dPsi/dz = L(z) Psi along the polyline; Psi = identity at start."""
+    """Solve dPsi/dz = L(z) Psi along the polyline; Psi = identity at start.
+
+    Raises PathError when a segment comes back truncated (a pole or a
+    collapsed step inside the integrator) instead of returning a partial
+    Psi.
+    """
     tau = cfg.tm.tau
     path.validate(tau)
     n = cfg.n
@@ -133,6 +129,9 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
             return direction * (L @ y.reshape(n, n)).reshape(-1)
 
         y = integrate_segment(f, psi.reshape(-1), length, icfg, diag)
+        if diag.truncated:
+            raise PathError(f"transport truncated on segment [{a}, {b}]: "
+                            + diag.message)
         psi = y.reshape(n, n)
     return psi
 
@@ -227,15 +226,44 @@ def cubic_relation_residual(md: MonodromyData) -> float:
     return float(np.max(np.abs(word - md.M0)))
 
 
+def _has_perfect_matching(adj: np.ndarray) -> bool:
+    """Whether the bipartite graph with n x n adjacency adj matches every
+    row, by augmenting paths (Kuhn's algorithm, O(n^3))."""
+    n = len(adj)
+    owner = [-1] * n  # owner[j]: row matched to column j
+
+    def augment(i, seen):
+        for j in np.flatnonzero(adj[i]):
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
 def eigenvalue_set_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """min over matchings of max |lambda_i(A) - lambda_{sigma(i)}(B)|."""
+    """min over matchings sigma of max |lambda_i(A) - lambda_{sigma(i)}(B)|.
+
+    A bottleneck assignment: the answer is the smallest pairwise distance t
+    for which the pairs with |lambda_i - mu_j| <= t contain a perfect
+    matching.  The sorted distances are bisected, each threshold tested by
+    augmenting paths: O(n^3 log n) instead of n! permutations.
+    """
     ea = np.linalg.eigvals(A)
     eb = np.linalg.eigvals(B)
-    best = math.inf
-    for perm in itertools.permutations(range(len(eb))):
-        cand = max(abs(ea[i] - eb[p]) for i, p in enumerate(perm))
-        best = min(best, cand)
-    return float(best)
+    dist = np.array([[abs(a - b) for b in eb] for a in ea])
+    levels = np.unique(dist)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dist <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
 def spectral_distance(md_a: MonodromyData, md_b: MonodromyData) -> float:

@@ -286,6 +286,8 @@ def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3,
             if all(el.lattice_distance(q + w, tau) > 0.15
                    for w in pa.half_periods(tau)):
                 break
+        else:
+            raise RuntimeError("could not sample q clear of the half periods")
         p = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         state = pa.EllipticState(q, p, tau)
         fd_q = (pa.hamiltonian_manin(pa.EllipticState(q + h, p, tau), params)

@@ -298,6 +298,42 @@ class TestHamiltonians:
         assert hamiltonian_root_system(cfg, ph, 1.0) == pytest.approx(0.08)
 
 
+class TestPairOnceAssembly:
+    """Assembly that visits each unordered pair once (using the parity of
+    wp, wp' and rho) against the ordered-pair sums of the public kernels."""
+
+    CFG = CMConfig(5, 0.7 - 0.2j, TorusModulus(0.2 + 0.95j))
+    PH = PhasePoint([0.05 + 0.1j, 0.3 - 0.2j, 0.52 + 0.33j, 0.71 + 0.04j,
+                     0.9 - 0.35j],
+                    [0.2, -0.1 + 0.3j, 0.05 - 0.2j, -0.3, 0.15 + 0.1j])
+
+    def test_eom(self):
+        cfg, ph = self.CFG, self.PH
+        dq, dp = eom(cfg, ph)
+        for j in range(5):
+            f = sum(wp_dz(ph.q[j] - ph.q[k], cfg.tm)
+                    for k in range(5) if k != j)
+            assert abs(dp[j] + cfg.g ** 2 * f) < 1e-12 * max(1.0, abs(dp[j]))
+        assert np.array_equal(dq, ph.p)
+
+    def test_hamiltonian(self):
+        cfg, ph = self.CFG, self.PH
+        pot = sum(wp(ph.q[k] - ph.q[j], cfg.tm)
+                  for j in range(5) for k in range(5) if j != k)
+        expect = 0.5 * np.sum(ph.p ** 2) + 0.5 * cfg.g ** 2 * pot
+        got = hamiltonian_cm(cfg, ph)
+        assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
+
+    def test_lax_L(self):
+        cfg, ph = self.CFG, self.PH
+        L = lax_L_quasi(cfg, ph, Z0)
+        for j in range(5):
+            for k in range(5):
+                expect = (ph.p[j] if j == k else
+                          1j * cfg.g * lame_x(ph.q[j] - ph.q[k], Z0, cfg.tm))
+                assert abs(L[j, k] - expect) < 1e-12 * max(1.0, abs(expect))
+
+
 class TestEom:
     def test_free(self):
         cfg = CMConfig(3, 0.0, TM_I)

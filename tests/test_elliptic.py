@@ -17,6 +17,7 @@ from ellcm.elliptic import (
     theta1_d3z_at_0,
     theta1_dz,
     theta1_product,
+    weierstrass_constant,
     wp,
     wp_dz,
     wp_dz_general,
@@ -410,3 +411,120 @@ class TestLatticeDistance:
     def test_near_far_corner(self):
         d = lattice_distance(0.999 + 0.999j, 1j)
         assert d == pytest.approx(abs(0.999 + 0.999j - (1 + 1j)), rel=1e-10)
+
+
+class TestSeriesTable:
+    """The fixed-length series: one table per (modulus, TruncationConfig)."""
+
+    def test_tables_are_keyed_by_config(self):
+        tm = TorusModulus(0.02j)
+        theta1(0.3, tm)  # default config: builds and keeps its table
+        with pytest.raises(TruncationError) as err:
+            theta1(0.3, tm, TruncationConfig(rel_tol=1e-14, max_terms=8))
+        assert err.value.partial is not None
+        assert abs(theta1(0.3, tm) - theta1_direct(0.3, 0.02j)) < 1e-9
+
+    def test_table_takes_no_part_in_equality(self):
+        a, b = TorusModulus(0.3 + 0.9j), TorusModulus(0.3 + 0.9j)
+        wp(0.2, a)
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("tau", [0.03j, 0.08j + 0.01, 0.3 + 0.5j, 1j,
+                                     1.4 + 1.6j])
+    def test_constants_against_mpmath(self, tau):
+        # the product and Lambert forms keep theta1'(0), theta1'''(0) and
+        # the wp constant accurate where the alternating series at 0 cancel
+        mp = pytest.importorskip("mpmath")
+        from ellcm.elliptic import DEFAULT_TRUNCATION, _table
+        mp.mp.dps = 40
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        branch = mp.exp(1j * mp.pi * mp.mpc(tau) / 4) / mp.power(q, 0.25)
+        d1 = complex(branch * mp.pi * mp.jtheta(1, 0, q, 1))
+        d3 = complex(branch * mp.pi ** 3 * mp.jtheta(1, 0, q, 3))
+        tm = TorusModulus(tau)
+        assert abs(_table(tm, DEFAULT_TRUNCATION).dz0 - d1) < 1e-13 * abs(d1)
+        assert abs(theta1_d3z_at_0(tm) - d3) < 1e-13 * abs(d3)
+        c = d3 / (3 * d1)
+        assert abs(weierstrass_constant(tm) - c) < 1e-13 * abs(c)
+
+    @pytest.mark.parametrize("tau", [0.08j, 0.5 + 0.3j, 1j, -1.4 + 1.6j])
+    def test_a_priori_tail_bound(self, tau):
+        # the default table against a much longer one, on the cell boundary
+        # |Im w| = Im tau / 2 where the bound is tight: the difference is the
+        # tail, at most rel_tol times the leading-term envelope E_d(w)
+        from ellcm.elliptic import (DEFAULT_TRUNCATION, _table,
+                                    _theta_series_at)
+        tm = TorusModulus(tau)
+        long = _table(tm, TruncationConfig(rel_tol=1e-30))
+        short = _table(tm, DEFAULT_TRUNCATION)
+        assert len(short.terms) < len(long.terms)
+        q = abs(tm.nome)
+        for a in (-0.5, -0.2, 0.0, 0.35, 0.5):
+            for b in (-0.5, 0.5):
+                w = a + b * tau
+                envelope = 2 * q ** 0.25 * math.exp(math.pi * abs(w.imag))
+                for d, (s, t) in enumerate(zip(_theta_series_at(w, short),
+                                               _theta_series_at(w, long))):
+                    assert abs(s - t) <= 2e-14 * envelope * math.pi ** d
+
+
+class TestKernelsAgainstMpmath:
+    """All seven benchmarked kernels against a 30-digit mpmath reference at
+    seeded points: 0.08 <= Im tau <= 1.6, |Re tau| <= 1.5, z outside the
+    fundamental cell."""
+
+    @staticmethod
+    def _reference(tau, u, z):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        # mpmath takes the principal q^(1/4); ellcm uses exp(i pi tau / 4)
+        branch = mp.exp(1j * mp.pi * mp.mpc(tau) / 4) / mp.power(q, 0.25)
+
+        def d(x, k):
+            return mp.pi ** k * mp.jtheta(1, mp.pi * mp.mpc(x), q, k)
+
+        t = [d(z, k) for k in range(4)]
+        r, b, c = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+        zu = mp.mpc(z) - mp.mpc(u)
+        x = d(zu, 0) * d(0, 1) / (t[0] * d(u, 0))
+        return {
+            "theta1": branch * t[0],
+            "theta1_dz": branch * t[1],
+            "rho": r,
+            "wp": r * r - b + d(0, 3) / (3 * d(0, 1)),
+            "wp_dz": 3 * r * b - c - 2 * r ** 3,
+            "lame_x": x,
+            "lame_y": -x * (d(u, 1) / d(u, 0) + d(zu, 1) / d(zu, 0)),
+        }
+
+    def test_seeded_points(self):
+        kernels = {
+            "theta1": lambda u, z, tm: theta1(z, tm),
+            "theta1_dz": lambda u, z, tm: theta1_dz(z, tm),
+            "rho": lambda u, z, tm: rho(z, tm),
+            "wp": lambda u, z, tm: wp(z, tm),
+            "wp_dz": lambda u, z, tm: wp_dz(z, tm),
+            "lame_x": lambda u, z, tm: lame_x(u, z, tm),
+            "lame_y": lambda u, z, tm: lame_y(u, z, tm),
+        }
+        rng = SplitMix64(2024)
+        checked = 0
+        for i in range(10):
+            # Im tau stratified over [0.08, 1.6] so both ends are covered
+            im = 0.08 + 1.52 * (i + rng.uniform()) / 10
+            tau = complex(rng.uniform(-1.5, 1.5), im)
+            tm = TorusModulus(tau)
+            for _ in range(2):
+                z = rng.cell_point(tau) + 1 + tau * int(rng.uniform(-2, 3))
+                u = rng.cell_point(tau)
+                if lattice_distance(z - u, tau) < 0.05:
+                    continue
+                ref = self._reference(tau, u, z)
+                for name, fn in kernels.items():
+                    got = fn(u, z, tm)
+                    want = complex(ref[name])
+                    err = abs(got - want) / max(1.0, abs(got), abs(want))
+                    assert err < 1e-9, (name, tau, z, err)
+                    checked += 1
+        assert checked >= 100

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +79,26 @@ class TestTransport:
         with pytest.raises(IntegrationError):
             transport(CFG, PH, PathSpec((0.25 + 0.25j, 1.25 + 0.25j)),
                       IntegratorConfig(max_steps=3))
+
+    def test_truncated_segment_raises(self, monkeypatch):
+        # a pole met part-way along the path truncates the integrator; the
+        # partial Psi must not come back as if it were the transport
+        import ellcm.monodromy as mono
+        from ellcm.errors import PoleProximityError
+        real = mono.lax_L_quasi
+        calls = []
+
+        def failing(cfg, ph, z, trunc):
+            calls.append(z)
+            if len(calls) > 40:
+                raise PoleProximityError(z, "z", 0.0)
+            return real(cfg, ph, z, trunc)
+
+        monkeypatch.setattr(mono, "lax_L_quasi", failing)
+        with pytest.raises(PathError, match="truncated"):
+            transport(CFG, PH, PathSpec((0.25 + 0.25j, 1.25 + 0.25j)),
+                      TIGHT)
+        assert len(calls) > 40
 
     def test_concatenation_multiplicative(self):
         mid = 0.75 + 0.31j
@@ -220,3 +242,33 @@ class TestDefaultBase:
     def test_generic_position(self):
         base = default_base(1j)
         assert base == 0.25 + 0.25j
+
+
+class TestEigenvalueSetDistance:
+    @staticmethod
+    def _brute_force(A, B):
+        ea, eb = np.linalg.eigvals(A), np.linalg.eigvals(B)
+        return min(max(abs(ea[i] - eb[p]) for i, p in enumerate(perm))
+                   for perm in itertools.permutations(range(len(eb))))
+
+    def test_equals_brute_force(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            for _ in range(5):
+                A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                B = A + 0.5 * rng.normal(size=(n, n))
+                assert eigenvalue_set_distance(A, B) == self._brute_force(A, B)
+
+    def test_permuted_spectrum_is_zero(self):
+        D = np.diag([1.0, 2.0 + 1j, -3.0, 0.5j])
+        P = np.eye(4)[[2, 0, 3, 1]]
+        assert eigenvalue_set_distance(D, P @ D @ P.T) == 0.0
+
+    def test_polynomial_time(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        B = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        t0 = time.perf_counter()
+        d = eigenvalue_set_distance(A, B)
+        assert time.perf_counter() - t0 < 1.0
+        assert d > 0.0
