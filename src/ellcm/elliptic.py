@@ -162,9 +162,9 @@ def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:
 def _reduced_distance(w: complex, tau: complex) -> float:
     """Distance from a reduced w to the nearest of the nine lattice points
     i + j*tau, i, j in {-1, 0, 1}."""
-    t = tau
-    return min(abs(w), abs(w - 1), abs(w + 1), abs(w - t), abs(w + t),
-               abs(w - 1 - t), abs(w - 1 + t), abs(w + 1 - t), abs(w + 1 + t))
+    return min(abs(w), abs(w - 1), abs(w + 1), abs(w - tau), abs(w + tau),
+               abs(w - 1 - tau), abs(w - 1 + tau), abs(w + 1 - tau),
+               abs(w + 1 + tau))
 
 
 def lattice_distance(z: complex, tau: complex) -> float:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi
-from .elliptic import DEFAULT_TRUNCATION, TruncationConfig, lattice_distance, reduce_to_cell
+from .elliptic import (DEFAULT_TRUNCATION, TruncationConfig, lattice_distance,
+                       reduce_to_cell)
 from .errors import PathError
 from .flow import Diagnostics, IntegratorConfig, integrate_isomonodromic, integrate_segment
 
