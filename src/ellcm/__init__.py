@@ -15,10 +15,8 @@ plus seeded verification suites (verify) and a CLI (cli).
 __version__ = "0.1.0"
 
 from .elliptic import (
-    DEFAULT_TRUNCATION,
     GeneralLattice,
     TorusModulus,
-    TruncationConfig,
     lame_x,
     lame_x_dtau,
     lame_x_dz,
@@ -50,7 +48,6 @@ from .painleve import (
 )
 from .calogero import (
     CMConfig,
-    LaxMatrices,
     LocalExpansion,
     PhasePoint,
     eom,
@@ -61,7 +58,6 @@ from .calogero import (
     lax_A_quasi,
     lax_L_periodic,
     lax_L_quasi,
-    lax_pair_quasi,
     local_expansion,
     quasi_periodicity_check,
     residue_eigen,

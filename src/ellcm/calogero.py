@@ -28,10 +28,8 @@ from typing import Literal
 import numpy as np
 
 from .elliptic import (
-    DEFAULT_TRUNCATION,
     POLE_EXCLUSION_RADIUS,
     TorusModulus,
-    TruncationConfig,
     lame_x,
     lame_x_dtau,
     lame_x_dz,
@@ -97,14 +95,6 @@ class PhasePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class LaxMatrices:
-    L: np.ndarray
-    A: np.ndarray
-    z: complex
-    gauge: Gauge
-
-
-@dataclass(frozen=True, eq=False)
 class LocalExpansion:
     """Leading orders of L(z) = residue/z + constant + O(z) at the pole."""
 
@@ -155,8 +145,7 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 # Lax matrices, quasi-periodic gauge
 # ----------------------------------------------------------------------
 
-def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
-                trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """P + i g sum_{j != k} x(q_j - q_k, z) E_jk."""
     _check_separations(cfg, ph)
     n = ph.n
@@ -166,45 +155,33 @@ def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
     ig = 1j * cfg.g
     # x(-d, z) is no parity image of x(d, z): one kernel call per entry
     for j, k, d in _pairs(ph):
-        L[j, k] = ig * lame_x(d, z, cfg.tm, trunc)
-        L[k, j] = ig * lame_x(-d, z, cfg.tm, trunc)
+        L[j, k] = ig * lame_x(d, z, cfg.tm)
+        L[k, j] = ig * lame_x(-d, z, cfg.tm)
     return L
 
 
-def _d_matrix(cfg: CMConfig, ph: PhasePoint,
-              trunc: TruncationConfig) -> np.ndarray:
+def _d_matrix(cfg: CMConfig, ph: PhasePoint) -> np.ndarray:
     diag = [0j] * ph.n
     for j, k, d in _pairs(ph):
-        v = wp(d, cfg.tm, trunc)  # wp is even
+        v = wp(d, cfg.tm)  # wp is even
         diag[j] += v
         diag[k] += v
     return np.diag(1j * cfg.g * np.array(diag))
 
 
-def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
-                trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """D + i g sum_{j != k} y(q_j - q_k, z) E_jk with
     D = i g diag(sum_{k != j} wp(q_j - q_k))."""
     _check_separations(cfg, ph)
     n = ph.n
     if cfg.g == 0 or n == 1:
         return np.zeros((n, n), dtype=complex)
-    A = _d_matrix(cfg, ph, trunc)
+    A = _d_matrix(cfg, ph)
     ig = 1j * cfg.g
     for j, k, d in _pairs(ph):
-        A[j, k] = ig * lame_y(d, z, cfg.tm, trunc)
-        A[k, j] = ig * lame_y(-d, z, cfg.tm, trunc)
+        A[j, k] = ig * lame_y(d, z, cfg.tm)
+        A[k, j] = ig * lame_y(-d, z, cfg.tm)
     return A
-
-
-def lax_pair_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION) -> LaxMatrices:
-    return LaxMatrices(
-        L=lax_L_quasi(cfg, ph, z, trunc),
-        A=lax_A_quasi(cfg, ph, z, trunc),
-        z=complex(z),
-        gauge="quasi_periodic",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -212,12 +189,11 @@ def lax_pair_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
 # ----------------------------------------------------------------------
 
 def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex,
-               trunc: TruncationConfig = DEFAULT_TRUNCATION,
                zero_tol: float = 1e-8) -> np.ndarray:
     """diag(x(q_1, z), ..., x(q_n, z)); must be invertible to change gauge."""
     vals = np.zeros(ph.n, dtype=complex)
     for j in range(ph.n):
-        vals[j] = lame_x(ph.q[j], z, cfg.tm, trunc)
+        vals[j] = lame_x(ph.q[j], z, cfg.tm)
         if abs(vals[j]) < zero_tol:
             raise GaugeSingularityError(
                 f"x(q[{j}], z) = {vals[j]:.3e} vanishes within tolerance; "
@@ -225,29 +201,23 @@ def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex,
     return np.diag(vals)
 
 
-def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """G^{-1} L G - G^{-1} dG/dz, written out entrywise; doubly periodic in z."""
     _check_separations(cfg, ph)
     n = ph.n
     L = np.diag(ph.p.astype(complex))
-    gauge = [lame_x(ph.q[j], z, cfg.tm, trunc) for j in range(n)]
-    for j, gj in enumerate(gauge):
-        if abs(gj) < 1e-8:
-            raise GaugeSingularityError(
-                f"x(q[{j}], z) vanishes within tolerance")
+    gauge = gauge_lame(cfg, ph, z).diagonal().tolist()
     ig = 1j * cfg.g
     for j in range(n):
         # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
-        L[j, j] -= lame_x_dz(ph.q[j], z, cfg.tm, trunc) / gauge[j]
+        L[j, j] -= lame_x_dz(ph.q[j], z, cfg.tm) / gauge[j]
     for j, k, d in _pairs(ph):
-        L[j, k] = ig * lame_x(d, z, cfg.tm, trunc) * gauge[k] / gauge[j]
-        L[k, j] = ig * lame_x(-d, z, cfg.tm, trunc) * gauge[j] / gauge[k]
+        L[j, k] = ig * lame_x(d, z, cfg.tm) * gauge[k] / gauge[j]
+        L[k, j] = ig * lame_x(-d, z, cfg.tm) * gauge[j] / gauge[k]
     return L
 
 
-def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """G^{-1} A G + 2 pi i G^{-1} (dG/dtau), entrywise.
 
     dG/dtau is the total deformation derivative of the gauge: the entries
@@ -266,27 +236,22 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex,
     """
     _check_separations(cfg, ph)
     n = ph.n
-    A = _d_matrix(cfg, ph, trunc) if (cfg.g != 0 and n > 1) else np.zeros(
+    A = _d_matrix(cfg, ph) if (cfg.g != 0 and n > 1) else np.zeros(
         (n, n), dtype=complex)
-    gauge = [lame_x(ph.q[j], z, cfg.tm, trunc) for j in range(n)]
-    for j, gj in enumerate(gauge):
-        if abs(gj) < 1e-8:
-            raise GaugeSingularityError(
-                f"x(q[{j}], z) vanishes within tolerance")
+    gauge = gauge_lame(cfg, ph, z).diagonal().tolist()
     ig = 1j * cfg.g
     qdot = ph.p / TWO_PI_I
     for j in range(n):
-        dG = (lame_x_dtau(ph.q[j], z, cfg.tm, trunc)
-              + lame_y(ph.q[j], z, cfg.tm, trunc) * qdot[j])
+        dG = (lame_x_dtau(ph.q[j], z, cfg.tm)
+              + lame_y(ph.q[j], z, cfg.tm) * qdot[j])
         A[j, j] += TWO_PI_I * dG / gauge[j]
     for j, k, d in _pairs(ph):
-        A[j, k] = ig * lame_y(d, z, cfg.tm, trunc) * gauge[k] / gauge[j]
-        A[k, j] = ig * lame_y(-d, z, cfg.tm, trunc) * gauge[j] / gauge[k]
+        A[j, k] = ig * lame_y(d, z, cfg.tm) * gauge[k] / gauge[j]
+        A[k, j] = ig * lame_y(-d, z, cfg.tm) * gauge[j] / gauge[k]
     return A
 
 
-def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex,
-                            trunc: TruncationConfig = DEFAULT_TRUNCATION
+def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
                             ) -> QuasiPeriodicityReport:
     """Residuals of the four cycle relations of the quasi-periodic gauge:
 
@@ -296,12 +261,12 @@ def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex,
         A(z+tau) = E (A(z) + 2 pi i L(z)) E^{-1} - 2 pi i P
     """
     tau = cfg.tm.tau
-    L0 = lax_L_quasi(cfg, ph, z, trunc)
-    A0 = lax_A_quasi(cfg, ph, z, trunc)
-    L1 = lax_L_quasi(cfg, ph, z + 1, trunc)
-    A1 = lax_A_quasi(cfg, ph, z + 1, trunc)
-    Lt = lax_L_quasi(cfg, ph, z + tau, trunc)
-    At = lax_A_quasi(cfg, ph, z + tau, trunc)
+    L0 = lax_L_quasi(cfg, ph, z)
+    A0 = lax_A_quasi(cfg, ph, z)
+    L1 = lax_L_quasi(cfg, ph, z + 1)
+    A1 = lax_A_quasi(cfg, ph, z + 1)
+    Lt = lax_L_quasi(cfg, ph, z + tau)
+    At = lax_A_quasi(cfg, ph, z + tau)
     E = np.diag(np.exp(TWO_PI_I * ph.q))
     Einv = np.diag(np.exp(-TWO_PI_I * ph.q))
     P = np.diag(ph.p)
@@ -319,9 +284,7 @@ def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex,
 # Local expansion at the simple pole
 # ----------------------------------------------------------------------
 
-def local_expansion(cfg: CMConfig, ph: PhasePoint,
-                    trunc: TruncationConfig = DEFAULT_TRUNCATION
-                    ) -> LocalExpansion:
+def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     """L(z) = residue/z + constant + O(z) with
 
         residue  = -i g (ones - identity)
@@ -337,7 +300,7 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint,
     ig = 1j * cfg.g
     if cfg.g != 0:
         for j, k, d in _pairs(ph):
-            c = ig * rho(d, cfg.tm, trunc)  # rho is odd
+            c = ig * rho(d, cfg.tm)  # rho is odd
             constant[j, k] = c
             constant[k, j] = -c
     return LocalExpansion(residue=residue, constant=constant)
@@ -369,24 +332,21 @@ def residue_eigen(cfg: CMConfig) -> tuple[np.ndarray, np.ndarray]:
 # Hamiltonians and equations of motion
 # ----------------------------------------------------------------------
 
-def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint,
-                 trunc: TruncationConfig) -> complex:
+def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
     """sum_{j < k} wp(q_j - q_k): half the ordered-pair sum, as wp is even."""
-    return sum((wp(d, cfg.tm, trunc) for _, _, d in _pairs(ph)), 0j)
+    return sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
 
 
-def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs."""
     _check_separations(cfg, ph)
     total = 0.5 * complex(np.sum(ph.p * ph.p))
     if cfg.g != 0:
-        total += cfg.g * cfg.g * _wp_pair_sum(cfg, ph, trunc)
+        total += cfg.g * cfg.g * _wp_pair_sum(cfg, ph)
     return total
 
 
-def hamiltonian_root_system(cfg: CMConfig, ph: PhasePoint, mass_sq: complex,
-                            trunc: TruncationConfig = DEFAULT_TRUNCATION
+def hamiltonian_root_system(cfg: CMConfig, ph: PhasePoint, mass_sq: complex
                             ) -> complex:
     """sum p_j^2/2 - sum_{roots of A_{n-1}} mass_sq * wp(alpha . q).
 
@@ -398,12 +358,10 @@ def hamiltonian_root_system(cfg: CMConfig, ph: PhasePoint, mass_sq: complex,
     if mass_sq == 0:
         return total
     _check_separations(cfg, ph)
-    return total - 2.0 * complex(mass_sq) * _wp_pair_sum(cfg, ph, trunc)
+    return total - 2.0 * complex(mass_sq) * _wp_pair_sum(cfg, ph)
 
 
-def eom(cfg: CMConfig, ph: PhasePoint,
-        trunc: TruncationConfig = DEFAULT_TRUNCATION
-        ) -> tuple[np.ndarray, np.ndarray]:
+def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """(dq, dp) with dq_j = p_j, dp_j = -g^2 sum_{k != j} wp'(q_j - q_k).
 
     These are the 2 pi i d/dtau right-hand sides; divide by 2 pi i for the
@@ -415,17 +373,16 @@ def eom(cfg: CMConfig, ph: PhasePoint,
         return dq, np.zeros(ph.n, dtype=complex)
     force = [0j] * ph.n
     for j, k, d in _pairs(ph):
-        f = wp_dz(d, cfg.tm, trunc)  # wp' is odd
+        f = wp_dz(d, cfg.tm)  # wp' is odd
         force[j] += f
         force[k] -= f
     return dq, -(cfg.g * cfg.g) * np.array(force)
 
 
-def hamiltonian_gradient(cfg: CMConfig, ph: PhasePoint,
-                         trunc: TruncationConfig = DEFAULT_TRUNCATION
+def hamiltonian_gradient(cfg: CMConfig, ph: PhasePoint
                          ) -> tuple[np.ndarray, np.ndarray]:
     """(dH/dq, dH/dp) of hamiltonian_cm: (-dp, dq) of the eom."""
-    dq, dp = eom(cfg, ph, trunc)
+    dq, dp = eom(cfg, ph)
     return -dp, dq
 
 
@@ -433,8 +390,7 @@ def hamiltonian_gradient(cfg: CMConfig, ph: PhasePoint,
 # Zero curvature
 # ----------------------------------------------------------------------
 
-def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
-                    trunc: TruncationConfig) -> np.ndarray:
+def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """dA/dz in the quasi-periodic gauge: D is z-independent, so only the
     off-diagonal y entries differentiate (analytically)."""
     n = ph.n
@@ -443,31 +399,29 @@ def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex,
         return out
     ig = 1j * cfg.g
     for j, k, d in _pairs(ph):
-        out[j, k] = ig * lame_y_dz(d, z, cfg.tm, trunc)
-        out[k, j] = ig * lame_y_dz(-d, z, cfg.tm, trunc)
+        out[j, k] = ig * lame_y_dz(d, z, cfg.tm)
+        out[k, j] = ig * lame_y_dz(-d, z, cfg.tm)
     return out
 
 
-def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray,
-                    trunc: TruncationConfig) -> np.ndarray:
+def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray) -> np.ndarray:
     """The (q, p)-motion part of dL/dtau: entries i g y_jk (qdot_j - qdot_k)
     off the diagonal and pdot_j on it, with (qdot, pdot) = eom / 2 pi i.
 
     A = lax_A_quasi at the same point already holds i g y_jk off the
     diagonal, so no kernel is evaluated twice.
     """
-    dq, dp = eom(cfg, ph, trunc)
+    dq, dp = eom(cfg, ph)
     qdot = dq / TWO_PI_I
     out = A * (qdot[:, None] - qdot[None, :])
     out[np.diag_indices(ph.n)] = dp / TWO_PI_I
     return out
 
 
-def _rk4_microstep(cfg: CMConfig, ph: PhasePoint, h: complex,
-                   trunc: TruncationConfig) -> PhasePoint:
+def _rk4_microstep(cfg: CMConfig, ph: PhasePoint, h: complex) -> PhasePoint:
     """One RK4 step of the tau-flow, for total-derivative finite differences."""
     def f(q, p):
-        dq, dp = eom(cfg, PhasePoint(q, p), trunc)
+        dq, dp = eom(cfg, PhasePoint(q, p))
         return dq / TWO_PI_I, dp / TWO_PI_I
 
     q, p = ph.q, ph.p
@@ -482,7 +436,6 @@ def _rk4_microstep(cfg: CMConfig, ph: PhasePoint, h: complex,
 def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
                             fd_step: float = 1e-5,
                             gauge: Gauge = "quasi_periodic",
-                            trunc: TruncationConfig = DEFAULT_TRUNCATION,
                             full_output: bool = False):
     """Max entrywise magnitude of 2 pi i dL/dtau + dA/dz - [L, A].
 
@@ -501,29 +454,29 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
     tau = cfg.tm.tau
 
     if gauge == "quasi_periodic":
-        L = lax_L_quasi(cfg, ph, z, trunc)
-        A = lax_A_quasi(cfg, ph, z, trunc)
-        implicit = _implicit_L_dot(cfg, ph, A, trunc)
-        dAdz = _lax_A_dz_quasi(cfg, ph, z, trunc)
+        L = lax_L_quasi(cfg, ph, z)
+        A = lax_A_quasi(cfg, ph, z)
+        implicit = _implicit_L_dot(cfg, ph, A)
+        dAdz = _lax_A_dz_quasi(cfg, ph, z)
 
         def residual_at(h):
-            Lp = lax_L_quasi(cfg.with_tau(tau + h), ph, z, trunc)
-            Lm = lax_L_quasi(cfg.with_tau(tau - h), ph, z, trunc)
+            Lp = lax_L_quasi(cfg.with_tau(tau + h), ph, z)
+            Lm = lax_L_quasi(cfg.with_tau(tau - h), ph, z)
             explicit = (Lp - Lm) / (2.0 * h)
             R = TWO_PI_I * (explicit + implicit) + dAdz - (L @ A - A @ L)
             return R
     elif gauge == "periodic":
-        L = lax_L_periodic(cfg, ph, z, trunc)
-        A = lax_A_periodic(cfg, ph, z, trunc)
+        L = lax_L_periodic(cfg, ph, z)
+        A = lax_A_periodic(cfg, ph, z)
 
         def residual_at(h):
-            php = _rk4_microstep(cfg, ph, h, trunc)
-            phm = _rk4_microstep(cfg, ph, -h, trunc)
-            Lp = lax_L_periodic(cfg.with_tau(tau + h), php, z, trunc)
-            Lm = lax_L_periodic(cfg.with_tau(tau - h), phm, z, trunc)
+            php = _rk4_microstep(cfg, ph, h)
+            phm = _rk4_microstep(cfg, ph, -h)
+            Lp = lax_L_periodic(cfg.with_tau(tau + h), php, z)
+            Lm = lax_L_periodic(cfg.with_tau(tau - h), phm, z)
             total = (Lp - Lm) / (2.0 * h)
-            Ap = lax_A_periodic(cfg, ph, z + h, trunc)
-            Am = lax_A_periodic(cfg, ph, z - h, trunc)
+            Ap = lax_A_periodic(cfg, ph, z + h)
+            Am = lax_A_periodic(cfg, ph, z - h)
             dAdz = (Ap - Am) / (2.0 * h)
             return TWO_PI_I * total + dAdz - (L @ A - A @ L)
     else:

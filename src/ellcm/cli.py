@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .calogero import CMConfig, PhasePoint, hamiltonian_cm
 from .elliptic import (
-    DEFAULT_TRUNCATION,
+    REL_TOL,
     TorusModulus,
     lame_x,
     lame_y,
@@ -58,6 +58,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_INTEGRATION = 3
+
+#: Seed of `verify` when neither the command line nor a config file sets one.
+DEFAULT_SEED = 12345
 
 
 class UsageError(Exception):
@@ -107,17 +110,33 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def merge_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
-    """Fill unset options from the config file; reject unknown keys."""
+def merge_config(args: argparse.Namespace,
+                 actions: dict[str, argparse.Action]) -> None:
+    """Fill unset options from the config file; reject unknown keys.
+
+    Values go through the option's argparse ``type`` and ``choices``, as
+    they would on the command line.
+    """
     if not getattr(args, "config", None):
         return
     conf = load_config(args.config)
     for key, value in conf.items():
         dest = key.replace("-", "_")
-        if dest not in parser_keys:
+        action = actions.get(dest)
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        if getattr(args, dest, None) is not None:
+            continue
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(
+                    f"config key {key!r}: invalid value {value!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r}: {value!r} is not one of "
+                             + ", ".join(map(str, action.choices)))
+        setattr(args, dest, value)
 
 
 def write_out(text: str, out_path: str | None) -> None:
@@ -176,7 +195,7 @@ def cmd_eval(args) -> int:
             raise UsageError(f"--{name} is required for {args.function}")
         call.append(parse_complex(value))
     value = fn(*call, tm)
-    est = DEFAULT_TRUNCATION.rel_tol * max(1.0, abs(value))
+    est = REL_TOL * max(1.0, abs(value))
     header = ["schema", "function"]
     row = ["1", args.function]
     for name, v in zip(needs, call):
@@ -201,6 +220,8 @@ def cmd_eval(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
     try:
         results = run_suite(args.suite, seed=args.seed, count=args.count,
                             n=args.n)
@@ -495,7 +516,7 @@ def cmd_map(args) -> int:
 # parser and dispatch
 # ----------------------------------------------------------------------
 
-def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
+def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     parser = _Parser(prog="ellcm",
                      description="Elliptic Calogero-Moser flows, torus "
                                  "monodromy, and elliptic Painleve VI.")
@@ -505,7 +526,6 @@ def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
 
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
 
@@ -521,6 +541,7 @@ def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
     subparsers.append(p)
     common(p)
     p.add_argument("suite")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
 
@@ -573,9 +594,9 @@ def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
     common(p)
     p.add_argument("--q")
     p.add_argument("--tau")
-    keysets = {sp.prog.split()[-1]: {a.dest for a in sp._actions}
+    actions = {sp.prog.split()[-1]: {a.dest: a for a in sp._actions}
                for sp in subparsers}
-    return parser, keysets
+    return parser, actions
 
 
 COMMANDS = {
@@ -589,13 +610,13 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, keysets = build_parser()
+    parser, actions = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        merge_config(args, keysets[args.command])
+        merge_config(args, actions[args.command])
         if getattr(args, "format", None) is None:
             args.format = "json" if args.command == "monodromy" else "csv"
         return COMMANDS[args.command](args)

@@ -24,17 +24,16 @@ every d <= 3 and every reduced w the tail after K terms is at most
 E_d(w) R_K with R_K = sum_{k>=K} a_k, a_k = (2k+1)^3 q^{k^2}.  The ratio
 a_{k+1}/a_k = ((2k+3)/(2k+1))^3 q^{2k+1} =: r_k decreases in k, hence
 R_K <= a_K / (1 - r_K) once r_K < 1.  K is the smallest integer with
-a_K / (1 - r_K) <= rel_tol; it depends on tau and the TruncationConfig,
-never on the evaluation point (K = 4 at Im tau = 1, 13 at Im tau = 0.08
-for the default rel_tol = 1e-14).  If K would exceed max_terms a
-TruncationError is raised.
+a_K / (1 - r_K) <= REL_TOL = 1e-14; it depends on tau alone, never on the
+evaluation point (K = 4 at Im tau = 1, 13 at Im tau = 0.08).  If K would
+exceed MAX_TERMS = 200 (Im tau below about 4.1e-4) a TruncationError is
+raised.
 
 The K coefficients 2 (-1)^k nu^{(k+1/2)^2} ((2k+1) pi)^d (d = 0..3),
 theta1'(0), theta1'''(0) and the Weierstrass constant form a table that is
-built lazily once per (modulus, TruncationConfig) and kept on the
-TorusModulus instance, so a modulus dropped by its caller takes its tables
-with it.  The three constants come from cancellation-free forms, with
-x = nu^2:
+built lazily once per modulus and kept on the TorusModulus instance, so a
+modulus dropped by its caller takes its table with it.  The three
+constants come from cancellation-free forms, with x = nu^2:
 
     theta1'(0)   = 2 pi nu^{1/4} prod_{m>=1} (1 - x^m)^3,
     theta1'''(0) = -pi^2 E2 theta1'(0),  E2 = 1 - 24 sum_{m>=1} m x^m / (1 - x^m),
@@ -70,19 +69,26 @@ TWO_PI_I = 2j * math.pi
 #: raise PoleProximityError instead of blowing up silently.
 POLE_EXCLUSION_RADIUS = 1e-6
 
+#: Truncation target of the theta series: the fewest terms whose a-priori
+#: tail bound, relative to the leading term's envelope, is at most REL_TOL
+#: (see the module docstring).  The triple product stops once two
+#: consecutive factors are within REL_TOL of 1.  MAX_TERMS caps both.
+REL_TOL = 1e-14
+MAX_TERMS = 200
+
 
 @dataclass(frozen=True)
 class TorusModulus:
     """The lattice modulus tau in the upper half-plane, with cached nome.
 
-    ``_tables`` holds the per-TruncationConfig series tables; it takes no
+    ``_series`` holds the series table, built on first use; it takes no
     part in equality or hashing.
     """
 
     tau: complex
     nome: complex = field(init=False)
-    _tables: dict = field(init=False, default_factory=dict, compare=False,
-                          repr=False)
+    _series: _SeriesTable | None = field(init=False, default=None,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -90,34 +96,6 @@ class TorusModulus:
             raise ValueError(f"tau = {tau} must lie in the upper half-plane")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nome", cmath.exp(1j * math.pi * tau))
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation targets for series/product evaluation.
-
-    ``rel_tol``: the theta series keeps the fewest terms whose a-priori tail
-    bound, relative to the leading term's envelope, is at most ``rel_tol``
-    (see the module docstring); the triple product stops once two
-    consecutive factors are within ``rel_tol`` of 1.  ``max_terms`` caps
-    both; ``lattice_radius`` is the base half-width N of the brute-force wp
-    double sum.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 200
-    lattice_radius: int = 40
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-        if self.lattice_radius < 2:
-            raise ValueError("lattice_radius must be at least 2")
-
-
-DEFAULT_TRUNCATION = TruncationConfig()
 
 
 @dataclass(frozen=True)
@@ -184,7 +162,7 @@ def _check_pole(z: complex, tau: complex, name: str,
 # ----------------------------------------------------------------------
 
 class _SeriesTable:
-    """The fixed-length theta1 series of one (modulus, TruncationConfig).
+    """The fixed-length theta1 series of one modulus.
 
     ``terms`` holds (a_k, c0_k, c1_k, c2_k, c3_k) for k < K with
     a_k = (2k+1) pi and c_d = 2 (-1)^k nu^{(k+1/2)^2} a_k^d times the sign of
@@ -196,7 +174,7 @@ class _SeriesTable:
 
     __slots__ = ("terms", "dz0", "d3z0", "wp_const", "clear")
 
-    def __init__(self, tm: TorusModulus, cfg: TruncationConfig):
+    def __init__(self, tm: TorusModulus):
         tau = tm.tau
         q = abs(tm.nome)
         q2 = q * q
@@ -206,16 +184,16 @@ class _SeriesTable:
         coef = cmath.exp(0.25j * math.pi * tau)  # nu^{1/4}
         nu2_pow = complex(1.0)
         terms = []
-        for k in range(cfg.max_terms + 1):
+        for k in range(MAX_TERMS + 1):
             # tail bound R_k <= a_k / (1 - r_k), see the module docstring
             m = 2 * k + 1
             r = ((m + 2) / m) ** 3 * q_odd
-            if r < 1.0 and m ** 3 * q_square <= cfg.rel_tol * (1.0 - r):
+            if r < 1.0 and m ** 3 * q_square <= REL_TOL * (1.0 - r):
                 break
-            if k == cfg.max_terms:
+            if k == MAX_TERMS:
                 raise TruncationError(
                     f"theta1 series at tau = {tau} needs more than "
-                    f"max_terms = {cfg.max_terms} terms",
+                    f"{MAX_TERMS} terms",
                     sum(t[2] for t in terms))  # the theta1'(0) partial sum
             a = m * math.pi
             c0 = 2.0 * coef
@@ -228,9 +206,9 @@ class _SeriesTable:
             coef = -coef * nu2_pow  # (-1)^{k+1} nu^{(k+3/2)^2} relative update
         self.terms = terms
         # theta1'(0) and E2 from their product and Lambert forms (module
-        # docstring), x = nu^2, to double precision whatever rel_tol asks of
-        # the series: the E2 tail from factor m on is at most
-        # 24 m |x|^m / (1 - |x|)^3, and the product's is smaller.
+        # docstring), x = nu^2, to double precision: the E2 tail from factor
+        # m on is at most 24 m |x|^m / (1 - |x|)^3, and the product's is
+        # smaller.
         prod, lambert = 1.0, 0j
         x_pow, x_abs, m = nu2, q2, 1
         bound = 1e-17 / 24.0 * (1.0 - q2) ** 3
@@ -248,11 +226,12 @@ class _SeriesTable:
         self.clear = shortest - 2.0 * POLE_EXCLUSION_RADIUS
 
 
-def _table(tm: TorusModulus, cfg: TruncationConfig) -> _SeriesTable:
-    """The series table of (tm, cfg), built on first use."""
-    tab = tm._tables.get(cfg)
+def _table(tm: TorusModulus) -> _SeriesTable:
+    """The series table of tm, built on first use."""
+    tab = tm._series
     if tab is None:
-        tab = tm._tables[cfg] = _SeriesTable(tm, cfg)
+        tab = _SeriesTable(tm)
+        object.__setattr__(tm, "_series", tab)
     return tab
 
 
@@ -284,7 +263,7 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     return s0, s1, s2, s3
 
 
-def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
+def _theta_bundle(z: complex, tm: TorusModulus):
     """(theta1, theta1', theta1'', theta1''') at z, via reduction.
 
     With z = w + m + n*tau,
@@ -295,7 +274,7 @@ def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
     so derivatives transform binomially with mu = -2 pi i n.
     """
     w, m, n = reduce_to_cell(z, tm.tau)
-    s = _theta_series_at(w, _table(tm, cfg))
+    s = _theta_series_at(w, _table(tm))
     if m == 0 and n == 0:
         return s
     parity = -1.0 if (m + n) % 2 else 1.0
@@ -308,7 +287,7 @@ def _theta_bundle(z: complex, tm: TorusModulus, cfg: TruncationConfig):
     return (F * t0, F * t1, F * t2, F * t3)
 
 
-def _reduced_ratios(z: complex, tm: TorusModulus, cfg: TruncationConfig):
+def _reduced_ratios(z: complex, tm: TorusModulus):
     """(rho, theta1''/theta1, theta1'''/theta1) at the reduced w of z, plus
     the B-cycle count n and the table; raises PoleProximityError near the
     lattice.
@@ -318,7 +297,7 @@ def _reduced_ratios(z: complex, tm: TorusModulus, cfg: TruncationConfig):
     the reduced ratios (valid for any representable z: the reduced series
     never overflows).
     """
-    tab = _table(tm, cfg)
+    tab = _table(tm)
     w, _, n = _reduce_checked(z, tm, tab, "z")
     s0, s1, s2, s3 = _theta_series_at(w, tab)
     return s1 / s0, s2 / s0, s3 / s0, n, tab
@@ -338,27 +317,23 @@ def _log_prefactor(w: complex, m: int, n: int, tau: complex) -> complex:
 # Public theta operations
 # ----------------------------------------------------------------------
 
-def theta1(z: complex, tm: TorusModulus,
-           cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def theta1(z: complex, tm: TorusModulus) -> complex:
     """theta1(z), summed symmetrically (terms k and -k-1 are paired)."""
-    return _theta_bundle(z, tm, cfg)[0]
+    return _theta_bundle(z, tm)[0]
 
 
-def theta1_dz(z: complex, tm: TorusModulus,
-              cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def theta1_dz(z: complex, tm: TorusModulus) -> complex:
     """theta1'(z) by term-wise differentiation of the series."""
-    return _theta_bundle(z, tm, cfg)[1]
+    return _theta_bundle(z, tm)[1]
 
 
-def theta1_d3z_at_0(tm: TorusModulus,
-                    cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def theta1_d3z_at_0(tm: TorusModulus) -> complex:
     """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
     as -pi^2 E2 theta1'(0) (see the module docstring)."""
-    return _table(tm, cfg).d3z0
+    return _table(tm).d3z0
 
 
-def theta1_product(z: complex, tm: TorusModulus,
-                   cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def theta1_product(z: complex, tm: TorusModulus) -> complex:
     """theta1(z) via the triple-product form
 
         -2 nu^{1/4} cos(pi (z+1/2))
@@ -375,11 +350,11 @@ def theta1_product(z: complex, tm: TorusModulus,
     nu2_pow = complex(1.0)
     streak = 0
     converged = False
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         nu2_pow *= nu2
         factor = (1.0 - nu2_pow) * (1.0 + 2.0 * c2 * nu2_pow + nu2_pow * nu2_pow)
         prod *= factor
-        if abs(factor - 1.0) <= cfg.rel_tol:
+        if abs(factor - 1.0) <= REL_TOL:
             streak += 1
             if streak >= 2:
                 converged = True
@@ -398,44 +373,43 @@ def theta1_product(z: complex, tm: TorusModulus,
 # rho, wp and friends
 # ----------------------------------------------------------------------
 
-def rho(z: complex, tm: TorusModulus,
-        cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def rho(z: complex, tm: TorusModulus) -> complex:
     """rho(z) = theta1'(z)/theta1(z)."""
-    r, _, _, n, _ = _reduced_ratios(z, tm, cfg)
+    r, _, _, n, _ = _reduced_ratios(z, tm)
     return r - TWO_PI_I * n
 
 
-def rho_dz(z: complex, tm: TorusModulus,
-           cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def rho_dz(z: complex, tm: TorusModulus) -> complex:
     """rho'(z) = theta1''/theta1 - rho^2."""
-    r, B, _, _, _ = _reduced_ratios(z, tm, cfg)
+    r, B, _, _, _ = _reduced_ratios(z, tm)
     return B - r * r
 
 
-def weierstrass_constant(tm: TorusModulus,
-                         cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def weierstrass_constant(tm: TorusModulus) -> complex:
     """theta1'''(0) / (3 theta1'(0)): the constant making wp = -rho' + c
     free of a constant term in its Laurent expansion at 0."""
-    return _table(tm, cfg).wp_const
+    return _table(tm).wp_const
 
 
-def wp(z: complex, tm: TorusModulus,
-       cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def wp(z: complex, tm: TorusModulus) -> complex:
     """Weierstrass wp(z, tau), theta fast path: -rho'(z) + theta1'''(0)/(3 theta1'(0))."""
-    r, B, _, _, tab = _reduced_ratios(z, tm, cfg)
+    r, B, _, _, tab = _reduced_ratios(z, tm)
     return r * r - B + tab.wp_const
 
 
-def wp_dz(z: complex, tm: TorusModulus,
-          cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def wp_dz(z: complex, tm: TorusModulus) -> complex:
     """wp'(z, tau) = -rho''(z), fully analytic."""
-    r, B, T, _, _ = _reduced_ratios(z, tm, cfg)
+    r, B, T, _, _ = _reduced_ratios(z, tm)
     return 3.0 * r * B - T - 2.0 * r * r * r
 
 
 # ----------------------------------------------------------------------
 # Brute-force lattice-sum oracle
 # ----------------------------------------------------------------------
+
+#: Base half-width N of the brute-force wp double sum.
+LATTICE_RADIUS = 40
+
 
 def _wp_sum_raw(z: complex, tau: complex, radius: int) -> complex:
     """1/z^2 + sum over 0 < max(|m|,|n|) <= radius of the defining summand."""
@@ -447,8 +421,7 @@ def _wp_sum_raw(z: complex, tau: complex, radius: int) -> complex:
     return complex(1.0 / z**2 + terms.sum())
 
 
-def wp_lattice_oracle(z: complex, tm: TorusModulus,
-                      cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def wp_lattice_oracle(z: complex, tm: TorusModulus) -> complex:
     """wp by direct truncated double sum with Richardson extrapolation in 1/N.
 
     The square cutoff leaves a truncation error a/N^2 + b/N^3 + c/N^4 + ...;
@@ -456,8 +429,8 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus,
     O(N^-5).  Test oracle only: O((8N)^2) summands per call.
     """
     _check_pole(z, tm.tau, "z")
-    base = cfg.lattice_radius
-    radii = [base, 2 * base, 4 * base, 8 * base]
+    radii = [LATTICE_RADIUS, 2 * LATTICE_RADIUS, 4 * LATTICE_RADIUS,
+             8 * LATTICE_RADIUS]
     vals = np.array([_wp_sum_raw(z, tm.tau, r) for r in radii])
     # Solve S + a/N^2 + b/N^3 + c/N^4 = S_N for S.
     mat = np.array(
@@ -471,20 +444,18 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus,
 # General lattices by homogeneity
 # ----------------------------------------------------------------------
 
-def wp_general(z: complex, lat: GeneralLattice,
-               cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def wp_general(z: complex, lat: GeneralLattice) -> complex:
     """wp(z, Lambda) = omega1^{-2} wp(z/omega1, omega2/omega1)."""
     w1, w2 = lat.normalized()
     tm = TorusModulus(w2 / w1)
-    return wp(z / w1, tm, cfg) / (w1 * w1)
+    return wp(z / w1, tm) / (w1 * w1)
 
 
-def wp_dz_general(z: complex, lat: GeneralLattice,
-                  cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def wp_dz_general(z: complex, lat: GeneralLattice) -> complex:
     """wp'(z, Lambda) = omega1^{-3} wp'(z/omega1, omega2/omega1)."""
     w1, w2 = lat.normalized()
     tm = TorusModulus(w2 / w1)
-    return wp_dz(z / w1, tm, cfg) / (w1 * w1 * w1)
+    return wp_dz(z / w1, tm) / (w1 * w1 * w1)
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +463,7 @@ def wp_dz_general(z: complex, lat: GeneralLattice,
 # ----------------------------------------------------------------------
 
 def _lame_x_value(u: complex, z: complex, tm: TorusModulus,
-                  cfg: TruncationConfig, check_zu: bool):
+                  check_zu: bool):
     """x(u, z) and the series bundles at the reduced u, z and z - u.
 
     Each point is reduced and pole-checked once, z - u first when
@@ -501,7 +472,7 @@ def _lame_x_value(u: complex, z: complex, tm: TorusModulus,
     individual exponentials can overflow at arguments where x itself is
     perfectly representable.
     """
-    tab = _table(tm, cfg)
+    tab = _table(tm)
     zu = z - u
     if check_zu:
         w_zu, m_zu, n_zu = _reduce_checked(zu, tm, tab, "z - u")
@@ -520,14 +491,13 @@ def _lame_x_value(u: complex, z: complex, tm: TorusModulus,
     return x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu)
 
 
-def _lame_core(u: complex, z: complex, tm: TorusModulus, cfg: TruncationConfig):
+def _lame_core(u: complex, z: complex, tm: TorusModulus):
     """Shared pieces for everything derived from x(u, z).
 
     Returns (x, rho_u, rho_zu, rho_z, rho_dz_zu) where zu := z - u, after
     the pole checks on z - u, u and z (in that order).
     """
-    x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu) = _lame_x_value(u, z, tm, cfg,
-                                                            True)
+    x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu) = _lame_x_value(u, z, tm, True)
     rho_u = s_u[1] / s_u[0] - TWO_PI_I * n_u
     rho_z = s_z[1] / s_z[0] - TWO_PI_I * n_z
     r_zu = s_zu[1] / s_zu[0]
@@ -536,28 +506,24 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus, cfg: TruncationConfig):
     return x, rho_u, rho_zu, rho_z, rho_dz_zu
 
 
-def lame_x(u: complex, z: complex, tm: TorusModulus,
-           cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def lame_x(u: complex, z: complex, tm: TorusModulus) -> complex:
     """x(u, z) = theta1(z-u) theta1'(0) / (theta1(z) theta1(u))."""
-    return _lame_x_value(u, z, tm, cfg, False)[0]
+    return _lame_x_value(u, z, tm, False)[0]
 
 
-def lame_y(u: complex, z: complex, tm: TorusModulus,
-           cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def lame_y(u: complex, z: complex, tm: TorusModulus) -> complex:
     """y(u, z) = d/du x(u, z) = -x(u, z) (rho(u) + rho(z-u))."""
-    x, rho_u, rho_zu, _, _ = _lame_core(u, z, tm, cfg)
+    x, rho_u, rho_zu, _, _ = _lame_core(u, z, tm)
     return -x * (rho_u + rho_zu)
 
 
-def lame_x_dz(u: complex, z: complex, tm: TorusModulus,
-              cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def lame_x_dz(u: complex, z: complex, tm: TorusModulus) -> complex:
     """d/dz x(u, z) = x(u, z) (rho(z-u) - rho(z))."""
-    x, _, rho_zu, rho_z, _ = _lame_core(u, z, tm, cfg)
+    x, _, rho_zu, rho_z, _ = _lame_core(u, z, tm)
     return x * (rho_zu - rho_z)
 
 
-def lame_x_dtau(u: complex, z: complex, tm: TorusModulus,
-                cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
     """d/dtau x(u, z), via the mixed heat equation
 
         2 pi i dx/dtau + d^2 x / du dz = 0,
@@ -565,15 +531,14 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus,
     with the mixed partial evaluated analytically:
         d^2x/dudz = y (rho(z-u) - rho(z)) - x rho'(z-u).
     """
-    x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm, cfg)
+    x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm)
     y = -x * (rho_u + rho_zu)
     mixed = y * (rho_zu - rho_z) - x * rho_dz_zu
     return -mixed / TWO_PI_I
 
 
-def lame_y_dz(u: complex, z: complex, tm: TorusModulus,
-              cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def lame_y_dz(u: complex, z: complex, tm: TorusModulus) -> complex:
     """d/dz y(u, z) = -x_dz (rho(u) + rho(z-u)) - x rho'(z-u)."""
-    x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm, cfg)
+    x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm)
     x_dz = x * (rho_zu - rho_z)
     return -x_dz * (rho_u + rho_zu) - x * rho_dz_zu

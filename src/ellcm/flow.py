@@ -30,7 +30,6 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, eom, hamiltonian_cm, hamiltonian_gradient, min_separation
-from .elliptic import DEFAULT_TRUNCATION, TruncationConfig
 from .errors import IntegrationError, PathError, PoleProximityError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 
@@ -249,7 +248,6 @@ def _sample_positions(length: float, num: int) -> list[float]:
 def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
                           t_span: tuple[float, float],
                           icfg: IntegratorConfig = IntegratorConfig(),
-                          trunc: TruncationConfig = DEFAULT_TRUNCATION,
                           samples: int = 16) -> Trajectory:
     """Autonomous flow d(q, p)/dt = eom at frozen tau; conserves H."""
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -260,7 +258,7 @@ def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
     n = cfg.n
 
     def f(s, y):
-        dq, dp = eom(cfg, _unpack(y, n), trunc)
+        dq, dp = eom(cfg, _unpack(y, n))
         return direction * np.concatenate([dq, dp])
 
     def sep_fn(y):
@@ -285,7 +283,6 @@ def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
 def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
                             tau_path: tuple[complex, complex],
                             icfg: IntegratorConfig = IntegratorConfig(),
-                            trunc: TruncationConfig = DEFAULT_TRUNCATION,
                             samples: int = 16) -> Trajectory:
     """Non-autonomous tau-flow 2 pi i d(q, p)/dtau = eom along a straight
     segment in the upper half-plane."""
@@ -300,7 +297,7 @@ def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
 
     def f(s, y):
         tau = tau0 + direction * s
-        dq, dp = eom(cfg.with_tau(tau), _unpack(y, n), trunc)
+        dq, dp = eom(cfg.with_tau(tau), _unpack(y, n))
         return direction * np.concatenate([dq, dp]) / TWO_PI_I
 
     def sep_fn(y):
@@ -326,7 +323,6 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
                               tau_path: tuple[complex, complex],
                               icfg: IntegratorConfig = IntegratorConfig(),
                               lattice_scale: complex = 1.0,
-                              trunc: TruncationConfig = DEFAULT_TRUNCATION,
                               samples: int = 16) -> Trajectory:
     """The scalar flow 2 pi i q' = p, 2 pi i p' = sum_a alpha_a wp'(q+omega_a).
 
@@ -344,7 +340,7 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
     def f(s, y):
         tau = tau0 + direction * s
         dq, dp = scalar_painleve_rhs(y[0], y[1], tau, params,
-                                     lattice_scale, trunc)
+                                     lattice_scale)
         return direction * np.array([dq, dp])
 
     diag = Diagnostics()
@@ -368,8 +364,8 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
 # Extended symplectic 2-form
 # ----------------------------------------------------------------------
 
-def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint, fd_step: float = 1e-6,
-                     trunc: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint, fd_step: float = 1e-6
+                     ) -> complex:
     """dH/dtau at frozen (q, p), central differences with one Richardson step.
 
     The only FD-computed partial of the extended form; everything else is
@@ -378,8 +374,8 @@ def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint, fd_step: float = 1e-6,
     tau = cfg.tm.tau
 
     def diff(h):
-        hp = hamiltonian_cm(cfg.with_tau(tau + h), ph, trunc)
-        hm = hamiltonian_cm(cfg.with_tau(tau - h), ph, trunc)
+        hp = hamiltonian_cm(cfg.with_tau(tau + h), ph)
+        hm = hamiltonian_cm(cfg.with_tau(tau - h), ph)
         return (hp - hm) / (2.0 * h)
 
     d1 = diff(fd_step)
@@ -388,13 +384,12 @@ def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint, fd_step: float = 1e-6,
 
 
 def extended_two_form(ph: PhasePoint, tau: complex, u: ExtendedTangent,
-                      v: ExtendedTangent, cfg: CMConfig,
-                      trunc: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+                      v: ExtendedTangent, cfg: CMConfig) -> complex:
     """Omega_iso(u, v) = sum_j (dq^dp)(u,v) + (1/(2 pi i)) (dH^dtau)(u,v)."""
     cfg = cfg.with_tau(tau)
     fiber = complex(np.sum(u.dq * v.dp - u.dp * v.dq))
-    dHdq, dHdp = hamiltonian_gradient(cfg, ph, trunc)
-    dHdtau = hamiltonian_dtau(cfg, ph, trunc=trunc)
+    dHdq, dHdp = hamiltonian_gradient(cfg, ph)
+    dHdtau = hamiltonian_dtau(cfg, ph)
 
     def dH(w: ExtendedTangent) -> complex:
         return complex(np.sum(dHdq * w.dq) + np.sum(dHdp * w.dp)
@@ -404,11 +399,10 @@ def extended_two_form(ph: PhasePoint, tau: complex, u: ExtendedTangent,
     return fiber + wedge / TWO_PI_I
 
 
-def hamiltonian_vector_field(ph: PhasePoint, tau: complex, cfg: CMConfig,
-                             trunc: TruncationConfig = DEFAULT_TRUNCATION
+def hamiltonian_vector_field(ph: PhasePoint, tau: complex, cfg: CMConfig
                              ) -> ExtendedTangent:
     """X_H = (dq_j = dH/dp_j, dp_j = -dH/dq_j, dtau = 2 pi i)."""
-    dq, dp = eom(cfg.with_tau(tau), ph, trunc)
+    dq, dp = eom(cfg.with_tau(tau), ph)
     return ExtendedTangent(dq=dq, dp=dp, dtau=TWO_PI_I)
 
 
@@ -424,9 +418,7 @@ def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
                               tau_path: tuple[complex, complex],
                               icfg: IntegratorConfig = IntegratorConfig(
                                   rel_tol=1e-11, abs_tol=1e-13),
-                              fd_step: float = 1e-6,
-                              trunc: TruncationConfig = DEFAULT_TRUNCATION
-                              ) -> float:
+                              fd_step: float = 1e-6) -> float:
     """|| M^T Omega0 M - Omega0 ||_max for the fiber flow map Jacobian M.
 
     M is the 2n x 2n complex Jacobian of (q0, p0) -> (q(tau1), p(tau1)),
@@ -438,7 +430,7 @@ def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
 
     def flow_map(y0: np.ndarray) -> np.ndarray:
         traj = integrate_isomonodromic(cfg, _unpack(y0, n), tau_path, icfg,
-                                       trunc, samples=1)
+                                       samples=1)
         if traj.diagnostics.truncated:
             raise IntegrationError(
                 "flow map truncated under perturbation: " +

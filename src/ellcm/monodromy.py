@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi
-from .elliptic import (DEFAULT_TRUNCATION, TruncationConfig, lattice_distance,
-                       reduce_to_cell)
+from .elliptic import lattice_distance, reduce_to_cell
 from .errors import PathError
 from .flow import Diagnostics, IntegratorConfig, integrate_isomonodromic, integrate_segment
 
@@ -107,8 +106,7 @@ def default_base(tau: complex) -> complex:
 
 
 def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
-              icfg: IntegratorConfig = IntegratorConfig(),
-              trunc: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+              icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Solve dPsi/dz = L(z) Psi along the polyline; Psi = identity at start.
 
     Raises PathError when a segment comes back truncated (a pole or a
@@ -126,7 +124,7 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
 
         def f(s, y, a=a, direction=direction):
             z = a + direction * s
-            L = lax_L_quasi(cfg, ph, z, trunc)
+            L = lax_L_quasi(cfg, ph, z)
             return direction * (L @ y.reshape(n, n)).reshape(-1)
 
         y = integrate_segment(f, psi.reshape(-1), length, icfg, diag)
@@ -143,27 +141,23 @@ def _straight(a: complex, b: complex, clearance: float) -> PathSpec:
 
 def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
                 icfg: IntegratorConfig = IntegratorConfig(),
-                trunc: TruncationConfig = DEFAULT_TRUNCATION,
                 clearance: float = 1e-2) -> np.ndarray:
     """M1 = Psi(base + 1) with Psi(base) = identity (L is 1-periodic)."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    return transport(cfg, ph, _straight(base, base + 1.0, clearance),
-                     icfg, trunc)
+    return transport(cfg, ph, _straight(base, base + 1.0, clearance), icfg)
 
 
 def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
                 icfg: IntegratorConfig = IntegratorConfig(),
-                trunc: TruncationConfig = DEFAULT_TRUNCATION,
                 clearance: float = 1e-2) -> np.ndarray:
     """Mtau = exp(-2 pi i Q) Psi(base + tau), from the twist relation
     Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    psi = transport(cfg, ph, _straight(base, base + tau, clearance),
-                    icfg, trunc)
+    psi = transport(cfg, ph, _straight(base, base + tau, clearance), icfg)
     twist = np.diag(np.exp(-TWO_PI_I * ph.q))
     return twist @ psi
 
@@ -171,7 +165,6 @@ def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
 def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
                    base: complex | None = None,
                    icfg: IntegratorConfig = IntegratorConfig(),
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION,
                    segments: int = 32) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
     entered radially from the base point, reported in the base frame."""
@@ -193,21 +186,20 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
     # guard well below the radius.
     path = PathSpec(tuple(waypoints),
                     pole_clearance=min(0.5 * radius, 1e-2))
-    return transport(cfg, ph, path, icfg, trunc)
+    return transport(cfg, ph, path, icfg)
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
-                   base: complex | None = None, radius: float = 0.1,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION
+                   base: complex | None = None, radius: float = 0.1
                    ) -> MonodromyData:
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
     return MonodromyData(
-        M0=monodromy_pole(cfg, ph, radius, base, icfg, trunc),
-        M1=monodromy_A(cfg, ph, base, icfg, trunc),
-        Mtau=monodromy_B(cfg, ph, base, icfg, trunc),
+        M0=monodromy_pole(cfg, ph, radius, base, icfg),
+        M1=monodromy_A(cfg, ph, base, icfg),
+        Mtau=monodromy_B(cfg, ph, base, icfg),
         base_point=complex(base),
         Q=np.diag(ph.q),
     )

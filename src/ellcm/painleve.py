@@ -29,10 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import (
-    DEFAULT_TRUNCATION,
     GeneralLattice,
     TorusModulus,
-    TruncationConfig,
     wp,
     wp_dz,
     wp_dz_general,
@@ -102,8 +100,8 @@ def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
     return (0.0 + 0.0j, 0.5 + 0.0j, 0.5 + tau / 2.0, tau / 2.0)
 
 
-def elliptic_p6_rhs(q: complex, tau: complex, params: PainleveParams,
-                    cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def elliptic_p6_rhs(q: complex, tau: complex, params: PainleveParams
+                    ) -> complex:
     """sum_a alpha_a wp'(q + omega_a, tau); callers divide by (2 pi i)^2.
 
     Terms with alpha_a = 0 are skipped, so q may sit at -omega_a without a
@@ -115,12 +113,12 @@ def elliptic_p6_rhs(q: complex, tau: complex, params: PainleveParams,
     for a, w in zip(params.alpha, omegas):
         if a == 0:
             continue
-        total += a * wp_dz(q + w, tm, cfg)
+        total += a * wp_dz(q + w, tm)
     return total
 
 
-def hamiltonian_manin(state: EllipticState, params: PainleveParams,
-                      cfg: TruncationConfig = DEFAULT_TRUNCATION) -> complex:
+def hamiltonian_manin(state: EllipticState, params: PainleveParams
+                      ) -> complex:
     """p^2/2 - sum_a alpha_a wp(q + omega_a, tau)."""
     tm = TorusModulus(state.tau)
     omegas = half_periods(state.tau)
@@ -128,13 +126,12 @@ def hamiltonian_manin(state: EllipticState, params: PainleveParams,
     for a, w in zip(params.alpha, omegas):
         if a == 0:
             continue
-        total -= a * wp(state.q + w, tm, cfg)
+        total -= a * wp(state.q + w, tm)
     return total
 
 
 def scalar_painleve_rhs(q: complex, p: complex, tau: complex,
-                        params: PainleveParams, lattice_scale: complex = 1.0,
-                        cfg: TruncationConfig = DEFAULT_TRUNCATION):
+                        params: PainleveParams, lattice_scale: complex = 1.0):
     """Right-hand side of the tau-flow: (dq/dtau, dp/dtau).
 
     With lattice_scale = s the system lives on the lattice (s, tau) with
@@ -143,7 +140,7 @@ def scalar_painleve_rhs(q: complex, p: complex, tau: complex,
     """
     s = complex(lattice_scale)
     if s == 1.0:
-        force = elliptic_p6_rhs(q, tau, params, cfg)
+        force = elliptic_p6_rhs(q, tau, params)
     else:
         lat = GeneralLattice(s, tau)
         omegas = (0.0, s / 2.0, (s + tau) / 2.0, tau / 2.0)
@@ -151,26 +148,25 @@ def scalar_painleve_rhs(q: complex, p: complex, tau: complex,
         for a, w in zip(params.alpha, omegas):
             if a == 0:
                 continue
-            force += a * wp_dz_general(q + w, lat, cfg)
+            force += a * wp_dz_general(q + w, lat)
     return p / TWO_PI_I, force / TWO_PI_I
 
 
-def elliptic_to_rational(q: complex, tau: complex,
-                         cfg: TruncationConfig = DEFAULT_TRUNCATION
+def elliptic_to_rational(q: complex, tau: complex
                          ) -> tuple[complex, complex]:
     """Map (q, tau) to the rational-side coordinates (y, t)."""
     tm = TorusModulus(tau)
     _, w1, w2, w3 = half_periods(tau)
-    e1 = wp(w1, tm, cfg)
-    e2 = wp(w2, tm, cfg)
-    e3 = wp(w3, tm, cfg)
+    e1 = wp(w1, tm)
+    e2 = wp(w2, tm)
+    e3 = wp(w3, tm)
     den = e3 - e1
     scale = max(abs(e1), abs(e2), abs(e3), 1.0)
     if abs(den) < 1e-12 * scale:
         raise DegenerateLatticeError(
             f"wp(tau/2) - wp(1/2) vanishes at tau = {tau}"
         )
-    y = (wp(q, tm, cfg) - e1) / den
+    y = (wp(q, tm) - e1) / den
     t = (e2 - e1) / den
     return y, t
 

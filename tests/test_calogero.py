@@ -141,6 +141,13 @@ class TestGauge:
 
 
 class TestLaxPeriodic:
+    @pytest.mark.parametrize("lax", [lax_L_periodic, lax_A_periodic],
+                             ids=["L", "A"])
+    def test_singular_gauge_raises(self, lax):
+        # z - q_1 is a lattice point: x(q_1, z) vanishes, G is singular
+        with pytest.raises(GaugeSingularityError):
+            lax(CFG2, PH2, PH2.q[1] + 1 + 1j)
+
     def test_full_periodicity_L(self):
         cfg, ph = _random_cm(SplitMix64(31), 3, 1j)
         L0 = lax_L_periodic(cfg, ph, Z0)

@@ -74,6 +74,10 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in rows)
         assert all(float(r["residual"]) < 1e-9 for r in rows)
 
+    def test_seed_only_on_verify(self):
+        assert main(["eval", "wp", "--z", "0.3", "--tau", "1.0i",
+                     "--seed", "7"]) == 1
+
     def test_unknown_suite(self):
         assert main(["verify", "bogus"]) == 1
 
@@ -203,6 +207,37 @@ class TestConfigFile:
         assert run(["eval", "wp", "--config", str(conf), "--z", "0.4"],
                    out) == 0
         assert float(read_csv(out)[0]["z_re"]) == 0.4
+
+    def test_config_seed_reaches_suite(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 7\n")
+        out = tmp_path / "conf.json"
+        assert run(["verify", "lame-identities", "--config", str(conf),
+                    "--count", "5", "--format", "json"], out) == 0
+        assert json.loads(out.read_text())["seed"] == 7
+        flag = tmp_path / "flag.json"
+        assert run(["verify", "lame-identities", "--seed", "7",
+                    "--count", "5", "--format", "json"], flag) == 0
+        assert out.read_text() == flag.read_text()
+
+    def test_config_integers_are_converted(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("count = 5\nn = 2\n")
+        out = tmp_path / "conf.csv"
+        assert run(["verify", "quasi-periodicity", "--config", str(conf)],
+                   out) == 0
+        flag = tmp_path / "flag.csv"
+        assert run(["verify", "quasi-periodicity", "--count", "5",
+                    "--n", "2"], flag) == 0
+        assert out.read_text() == flag.read_text()
+
+    @pytest.mark.parametrize("line", ["count = five", "format = xml"])
+    def test_config_bad_value_is_usage_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert main(["verify", "lame-identities", "--config",
+                     str(conf)]) == 1
+        assert line.split()[0] in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

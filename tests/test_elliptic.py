@@ -6,7 +6,6 @@ import pytest
 from ellcm.elliptic import (
     GeneralLattice,
     TorusModulus,
-    TruncationConfig,
     lame_x,
     lame_x_dtau,
     lame_x_dz,
@@ -49,14 +48,6 @@ class TestTorusModulus:
         with pytest.raises(ValueError):
             TorusModulus(0.7)
 
-    def test_truncation_validation(self):
-        with pytest.raises(ValueError):
-            TruncationConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            TruncationConfig(max_terms=4)
-        with pytest.raises(ValueError):
-            TruncationConfig(lattice_radius=1)
-
 
 class TestTheta1:
     def test_zero_at_origin(self):
@@ -92,10 +83,9 @@ class TestTheta1:
         assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
     def test_truncation_failure_carries_partial(self):
-        cfg = TruncationConfig(rel_tol=1e-14, max_terms=8)
-        # nome close to 1: eight terms cannot reach stagnation
+        # nome close to 1: the tail bound needs more than MAX_TERMS terms
         with pytest.raises(TruncationError) as err:
-            theta1(0.3, TorusModulus(0.02j), cfg)
+            theta1(0.3, TorusModulus(1e-4j))
         assert err.value.partial is not None
 
     def test_external_convention_cross_check(self):
@@ -123,9 +113,8 @@ class TestTheta1Product:
         assert abs(theta1_product(1.4, tm) + theta1_product(0.4, tm)) < 1e-12
 
     def test_truncation_failure(self):
-        cfg = TruncationConfig(rel_tol=1e-14, max_terms=8)
         with pytest.raises(TruncationError) as err:
-            theta1_product(0.3, TorusModulus(0.02j), cfg)
+            theta1_product(0.3, TorusModulus(1e-4j))
         assert err.value.partial is not None
 
     def test_matches_series_at_random_points(self):
@@ -414,15 +403,7 @@ class TestLatticeDistance:
 
 
 class TestSeriesTable:
-    """The fixed-length series: one table per (modulus, TruncationConfig)."""
-
-    def test_tables_are_keyed_by_config(self):
-        tm = TorusModulus(0.02j)
-        theta1(0.3, tm)  # default config: builds and keeps its table
-        with pytest.raises(TruncationError) as err:
-            theta1(0.3, tm, TruncationConfig(rel_tol=1e-14, max_terms=8))
-        assert err.value.partial is not None
-        assert abs(theta1(0.3, tm) - theta1_direct(0.3, 0.02j)) < 1e-9
+    """The fixed-length series: one table per modulus."""
 
     def test_table_takes_no_part_in_equality(self):
         a, b = TorusModulus(0.3 + 0.9j), TorusModulus(0.3 + 0.9j)
@@ -435,37 +416,54 @@ class TestSeriesTable:
         # the product and Lambert forms keep theta1'(0), theta1'''(0) and
         # the wp constant accurate where the alternating series at 0 cancel
         mp = pytest.importorskip("mpmath")
-        from ellcm.elliptic import DEFAULT_TRUNCATION, _table
+        from ellcm.elliptic import _table
         mp.mp.dps = 40
         q = mp.exp(1j * mp.pi * mp.mpc(tau))
         branch = mp.exp(1j * mp.pi * mp.mpc(tau) / 4) / mp.power(q, 0.25)
         d1 = complex(branch * mp.pi * mp.jtheta(1, 0, q, 1))
         d3 = complex(branch * mp.pi ** 3 * mp.jtheta(1, 0, q, 3))
         tm = TorusModulus(tau)
-        assert abs(_table(tm, DEFAULT_TRUNCATION).dz0 - d1) < 1e-13 * abs(d1)
+        assert abs(_table(tm).dz0 - d1) < 1e-13 * abs(d1)
         assert abs(theta1_d3z_at_0(tm) - d3) < 1e-13 * abs(d3)
         c = d3 / (3 * d1)
         assert abs(weierstrass_constant(tm) - c) < 1e-13 * abs(c)
 
     @pytest.mark.parametrize("tau", [0.08j, 0.5 + 0.3j, 1j, -1.4 + 1.6j])
     def test_a_priori_tail_bound(self, tau):
-        # the default table against a much longer one, on the cell boundary
-        # |Im w| = Im tau / 2 where the bound is tight: the difference is the
-        # tail, at most rel_tol times the leading-term envelope E_d(w)
-        from ellcm.elliptic import (DEFAULT_TRUNCATION, _table,
-                                    _theta_series_at)
+        # the table's K terms against 30-digit mpmath, on the cell boundary
+        # |Im w| = Im tau / 2 where the bound is tight.  Summed exactly, the
+        # K-term series misses jtheta by its tail, at most REL_TOL times the
+        # leading-term envelope E_d(w); the double-precision sum adds only
+        # rounding, a few ulp of the sum of the term magnitudes (terms reach
+        # 44 E_d at Im tau = 0.08, so rounding alone can exceed 2e-14 E_d)
+        mp = pytest.importorskip("mpmath")
+        from ellcm.elliptic import _table, _theta_series_at
+        mp.mp.dps = 30
+        tau_mp = mp.mpc(tau)
+        q_mp = mp.exp(1j * mp.pi * tau_mp)
+        # mpmath takes the principal q^(1/4); ellcm uses exp(i pi tau / 4)
+        branch = mp.exp(1j * mp.pi * tau_mp / 4) / mp.power(q_mp, 0.25)
         tm = TorusModulus(tau)
-        long = _table(tm, TruncationConfig(rel_tol=1e-30))
-        short = _table(tm, DEFAULT_TRUNCATION)
-        assert len(short.terms) < len(long.terms)
+        tab = _table(tm)
         q = abs(tm.nome)
         for a in (-0.5, -0.2, 0.0, 0.35, 0.5):
             for b in (-0.5, 0.5):
                 w = a + b * tau
+                x = mp.pi * mp.mpc(w)
                 envelope = 2 * q ** 0.25 * math.exp(math.pi * abs(w.imag))
-                for d, (s, t) in enumerate(zip(_theta_series_at(w, short),
-                                               _theta_series_at(w, long))):
-                    assert abs(s - t) <= 2e-14 * envelope * math.pi ** d
+                for d, s in enumerate(_theta_series_at(w, tab)):
+                    # d-th derivative of term k: sin^(d)(y) = sin(y + d pi/2)
+                    terms = [2 * (-1) ** k
+                             * mp.exp(1j * mp.pi * tau_mp * (k + 0.5) ** 2)
+                             * ((2 * k + 1) * mp.pi) ** d
+                             * mp.sin((2 * k + 1) * x + d * mp.pi / 2)
+                             for k in range(len(tab.terms))]
+                    head = mp.fsum(terms)
+                    full = branch * mp.pi ** d * mp.jtheta(1, x, q_mp, d)
+                    tail = abs(complex(head - full))
+                    assert tail <= 2e-14 * envelope * math.pi ** d
+                    size = float(mp.fsum(abs(t) for t in terms))
+                    assert abs(s - complex(head)) <= 1e-15 * size
 
 
 class TestKernelsAgainstMpmath:

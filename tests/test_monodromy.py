@@ -88,11 +88,11 @@ class TestTransport:
         real = mono.lax_L_quasi
         calls = []
 
-        def failing(cfg, ph, z, trunc):
+        def failing(cfg, ph, z):
             calls.append(z)
             if len(calls) > 40:
                 raise PoleProximityError(z, "z", 0.0)
-            return real(cfg, ph, z, trunc)
+            return real(cfg, ph, z)
 
         monkeypatch.setattr(mono, "lax_L_quasi", failing)
         with pytest.raises(PathError, match="truncated"):
