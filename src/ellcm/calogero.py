@@ -37,6 +37,8 @@ from .elliptic import (
     lame_y_dz,
     lattice_distance,
     rho,
+    theta1_array,
+    theta1_dz_at_0,
     wp,
     wp_dz,
 )
@@ -157,6 +159,39 @@ def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     for j, k, d in _pairs(ph):
         L[j, k] = ig * lame_x(d, z, cfg.tm)
         L[k, j] = ig * lame_x(-d, z, cfg.tm)
+    return L
+
+
+def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
+    """lax_L_quasi at every node of the 1-D array z, shape (m, n, n).
+
+    theta1(q_j - q_k) is evaluated once per pair (theta1 is odd) and, per
+    node, theta1(z) once and theta1(z - d) once per entry; each entry
+    combines its three reduction prefactors before exponentiating, as
+    lame_x does.  A node within POLE_EXCLUSION_RADIUS of the lattice raises
+    PoleProximityError for argument "z".
+    """
+    _check_separations(cfg, ph)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    n = ph.n
+    L = np.zeros((z.size, n, n), dtype=complex)
+    L[:, np.arange(n), np.arange(n)] = ph.p
+    if cfg.g == 0 or n == 1:
+        return L
+    tm = cfg.tm
+    pairs = _pairs(ph)
+    rows = [j for j, _, _ in pairs] + [k for _, k, _ in pairs]
+    cols = [k for _, k, _ in pairs] + [j for j, _, _ in pairs]
+    d = np.array([dd for _, _, dd in pairs])
+    f_d, s_d = theta1_array(d, tm)
+    f_z, s_z = theta1_array(z, tm, "z")
+    d = np.concatenate([d, -d])
+    f_d = np.concatenate([f_d, f_d])
+    s_d = np.concatenate([s_d, -s_d])
+    f_zd, s_zd = theta1_array(z[:, None] - d, tm)
+    x = (np.exp(f_zd - f_z[:, None] - f_d) * s_zd * theta1_dz_at_0(tm)
+         / (s_z[:, None] * s_d))
+    L[:, rows, cols] = 1j * cfg.g * x
     return L
 
 

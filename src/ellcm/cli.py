@@ -398,6 +398,17 @@ def _matrix_pairs(M: np.ndarray) -> list[list[float]]:
     return [cjson(complex(v)) for v in M.reshape(-1)]  # row-major
 
 
+def _det_residuals(md, ph: PhasePoint, tau: complex) -> dict[str, float]:
+    """Relative residuals of the exact identities det M0 = 1,
+    det M1 = e^{sum p} and det Mtau = e^{-2 pi i sum q} e^{tau sum p}: a
+    free monitor of the transport error."""
+    sq, sp = complex(ph.q.sum()), complex(ph.p.sum())
+    expect = {"M0": 1.0, "M1": np.exp(sp),
+              "Mtau": np.exp(-2j * np.pi * sq) * np.exp(tau * sp)}
+    return {key: float(abs(np.linalg.det(getattr(md, key)) - e) / abs(e))
+            for key, e in expect.items()}
+
+
 def cmd_monodromy(args) -> int:
     n = _as_int(_required(args, "n"), "n")
     g = parse_complex(_required(args, "g"))
@@ -431,6 +442,7 @@ def cmd_monodromy(args) -> int:
             "Mtau": [cjson(v) for v in np.linalg.eigvals(md.Mtau)],
         },
         "cubic_residual": float(cubic_relation_residual(md)),
+        "det_residuals": _det_residuals(md, ph, tau),
     }
     if args.drift is not None:
         dtau = parse_complex(args.drift)
@@ -517,85 +529,82 @@ def cmd_map(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per command the actions of its options by dest (the
+    keys a config file may set)."""
     parser = _Parser(prog="ellcm",
                      description="Elliptic Calogero-Moser flows, torus "
                                  "monodromy, and elliptic Painleve VI.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    subparsers: list[argparse.ArgumentParser] = []
+    actions: dict[str, dict[str, argparse.Action]] = {}
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+    def command(name, help):
+        """Add a subcommand with the common flags; returns its add_argument,
+        which records every action it makes."""
+        p = sub.add_parser(name, help=help)
+        table = actions[name] = {}
 
-    p = sub.add_parser("eval", help="evaluate an elliptic kernel")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("function")
-    p.add_argument("--z")
-    p.add_argument("--u")
-    p.add_argument("--tau")
+        def arg(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            table[action.dest] = action
 
-    p = sub.add_parser("verify", help="run an invariant suite")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("suite")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+        arg("--config", help="flat key = value config file")
+        arg("--out", help="output path (default stdout)")
+        arg("--format", choices=("csv", "json"), default=None)
+        return arg
 
-    p = sub.add_parser("flow", help="integrate a flow and write a trajectory")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("kind",
-                   choices=("isospectral", "isomonodromic", "painleve-scalar"))
-    p.add_argument("--n")
-    p.add_argument("--g")
-    p.add_argument("--tau")
-    p.add_argument("--tau-end", dest="tau_end")
-    p.add_argument("--t-end", dest="t_end")
-    p.add_argument("--q")
-    p.add_argument("--p")
-    p.add_argument("--alpha")
-    p.add_argument("--traceless", action="store_true")
-    p.add_argument("--samples")
-    p.add_argument("--method", choices=("rk4_fixed", "rk45_adaptive"))
-    p.add_argument("--step")
-    p.add_argument("--rel-tol", dest="rel_tol")
-    p.add_argument("--abs-tol", dest="abs_tol")
+    arg = command("eval", "evaluate an elliptic kernel")
+    arg("function")
+    arg("--z")
+    arg("--u")
+    arg("--tau")
 
-    p = sub.add_parser("monodromy", help="compute the monodromy report")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("--n")
-    p.add_argument("--g")
-    p.add_argument("--tau")
-    p.add_argument("--q")
-    p.add_argument("--p")
-    p.add_argument("--radius")
-    p.add_argument("--drift", help="dtau for the isomonodromy drift block")
-    p.add_argument("--rel-tol", dest="rel_tol")
-    p.add_argument("--abs-tol", dest="abs_tol")
+    arg = command("verify", "run an invariant suite")
+    arg("suite")
+    arg("--seed", type=int, default=None)
+    arg("--count", type=int, default=None)
+    arg("--n", type=int, default=None)
 
-    p = sub.add_parser("symmetry", help="apply a symmetry transformation")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("transform", choices=("landin", "scaling", "s4-shift"))
-    p.add_argument("--alpha")
-    p.add_argument("--q")
-    p.add_argument("--p")
-    p.add_argument("--tau")
-    p.add_argument("--j")
-    p.add_argument("--a")
+    arg = command("flow", "integrate a flow and write a trajectory")
+    arg("kind", choices=("isospectral", "isomonodromic", "painleve-scalar"))
+    arg("--n")
+    arg("--g")
+    arg("--tau")
+    arg("--tau-end", dest="tau_end")
+    arg("--t-end", dest="t_end")
+    arg("--q")
+    arg("--p")
+    arg("--alpha")
+    arg("--traceless", action="store_true")
+    arg("--samples")
+    arg("--method", choices=("rk4_fixed", "rk45_adaptive"))
+    arg("--step")
+    arg("--rel-tol", dest="rel_tol")
+    arg("--abs-tol", dest="abs_tol")
 
-    p = sub.add_parser("map", help="elliptic to rational coordinates")
-    subparsers.append(p)
-    common(p)
-    p.add_argument("--q")
-    p.add_argument("--tau")
-    actions = {sp.prog.split()[-1]: {a.dest: a for a in sp._actions}
-               for sp in subparsers}
+    arg = command("monodromy", "compute the monodromy report")
+    arg("--n")
+    arg("--g")
+    arg("--tau")
+    arg("--q")
+    arg("--p")
+    arg("--radius")
+    arg("--drift", help="dtau for the isomonodromy drift block")
+    arg("--rel-tol", dest="rel_tol")
+    arg("--abs-tol", dest="abs_tol")
+
+    arg = command("symmetry", "apply a symmetry transformation")
+    arg("transform", choices=("landin", "scaling", "s4-shift"))
+    arg("--alpha")
+    arg("--q")
+    arg("--p")
+    arg("--tau")
+    arg("--j")
+    arg("--a")
+
+    arg = command("map", "elliptic to rational coordinates")
+    arg("--q")
+    arg("--tau")
     return parser, actions
 
 

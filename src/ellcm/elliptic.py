@@ -137,6 +137,17 @@ def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:
     return z - m - n * tau, m, n
 
 
+def reduce_to_cell_array(z, tau: complex
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """reduce_to_cell at every point of the array z; m and n come back as
+    float arrays of integers."""
+    z = np.asarray(z, dtype=complex)
+    b = z.imag / tau.imag
+    m = np.round(z.real - b * tau.real)
+    n = np.round(b)
+    return z - m - n * tau, m, n
+
+
 def _reduced_distance(w: complex, tau: complex) -> float:
     """Distance from a reduced w to the nearest of the nine lattice points
     i + j*tau, i, j in {-1, 0, 1}."""
@@ -327,10 +338,49 @@ def theta1_dz(z: complex, tm: TorusModulus) -> complex:
     return _theta_bundle(z, tm)[1]
 
 
+def theta1_dz_at_0(tm: TorusModulus) -> complex:
+    """theta1'(0) = 2 pi nu^{1/4} prod (1 - nu^{2m})^3 (module docstring)."""
+    return _table(tm).dz0
+
+
 def theta1_d3z_at_0(tm: TorusModulus) -> complex:
     """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
     as -pi^2 E2 theta1'(0) (see the module docstring)."""
     return _table(tm).d3z0
+
+
+def theta1_array(z, tm: TorusModulus, name: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """theta1 at every point of the array z, as (log F, s) with
+    theta1(z) = exp(log F) s.
+
+    s is the table's K-term series at the reduced point and log F the
+    reduction prefactor (`_log_prefactor`); they are returned apart so that
+    ratios of theta values can combine their prefactors before a single
+    exponential is taken.  With ``name``, each point is first checked
+    against the same nine lattice candidates and radius as the scalar
+    kernels, and the first point within POLE_EXCLUSION_RADIUS raises
+    PoleProximityError under that argument name.  For single points the
+    scalar kernels are faster.
+    """
+    z = np.asarray(z, dtype=complex)
+    tau = tm.tau
+    tab = _table(tm)
+    w, m, n = reduce_to_cell_array(z, tau)
+    if name is not None:
+        d = np.abs(w)
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                if i or j:
+                    d = np.minimum(d, np.abs(w - (i + j * tau)))
+        bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
+        if bad.size:
+            k = bad[0]
+            raise PoleProximityError(z.flat[k], name, d.flat[k])
+    a = np.array([t[0] for t in tab.terms])
+    c0 = np.array([t[1] for t in tab.terms])
+    s = np.sin(w[..., None] * a) @ c0
+    return _log_prefactor(w, m, n, tau), s
 
 
 def theta1_product(z: complex, tm: TorusModulus) -> complex:

@@ -117,17 +117,23 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
+def _combine(coeffs, k):
+    """sum of c * k_j over the nonzero c, added left to right from the
+    first such term."""
+    acc = None
+    for c, kj in zip(coeffs, k):
+        if c != 0.0:
+            acc = c * kj if acc is None else acc + c * kj
+    return acc
+
+
 def _dp_step(f, s, y, h):
     """One Dormand-Prince step; returns (y5, error_vector)."""
     k = [f(s, y)]
     for i in range(1, 7):
-        acc = np.zeros_like(y)
-        for j, a in enumerate(_DP_A[i]):
-            if a != 0.0:
-                acc = acc + a * k[j]
-        k.append(f(s + _DP_C[i] * h, y + h * acc))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
+        k.append(f(s + _DP_C[i] * h, y + h * _combine(_DP_A[i], k)))
+    y5 = y + h * _combine(_DP_B5, k)
+    y4 = y + h * _combine(_DP_B4, k)
     return y5, y5 - y4
 
 

@@ -30,12 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calogero import CMConfig, PhasePoint, lax_L_quasi
-from .elliptic import lattice_distance, reduce_to_cell
-from .errors import PathError
-from .flow import Diagnostics, IntegratorConfig, integrate_isomonodromic, integrate_segment
+from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
+from .elliptic import reduce_to_cell_array
+from .errors import IntegrationError, PathError, PoleProximityError
+from .flow import IntegratorConfig, integrate_isomonodromic
 
 TWO_PI_I = 2j * math.pi
+
+#: Magnus panels per segment at the first refinement level.
+PANELS = 4
+
+_SQRT15 = math.sqrt(15.0)
+#: Gauss-Legendre nodes of order 6 on [0, 1].
+_GL_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
+#: Taylor coefficients 1/j! of exp, j = 0..16, as rows of four (the
+#: cubic blocks of the Paterson-Stockmeyer scheme in `_expm`).
+_EXP_COEFFS = np.array([[1.0 / math.factorial(4 * i + r) if 4 * i + r <= 16
+                         else 0.0 for r in range(4)] for i in range(5)])
 
 
 @dataclass(frozen=True)
@@ -65,28 +76,20 @@ class PathSpec:
 
 
 def _segment_lattice_distance(a: complex, b: complex, tau: complex) -> float:
-    """Minimum distance from the segment [a, b] to the lattice."""
-    # Enough to check lattice points near the segment's bounding box.
-    best = math.inf
-    steps = max(8, int(4 * abs(b - a)))
-    for i in range(steps + 1):
-        t = i / steps
-        z = a + t * (b - a)
-        # distance from z to lattice, then refine with exact projection
-        best = min(best, lattice_distance(z, tau))
-    # Exact refinement: project nearby lattice points onto the segment.
+    """Minimum distance from the segment [a, b] to the lattice.
+
+    The nine lattice points around the cell of each of max(8, 4 |b - a|) + 1
+    evenly spaced samples are projected onto the segment; they include the
+    lattice point nearest to every sample.
+    """
     d = b - a
-    dd = (d * d.conjugate()).real
-    for i in range(steps + 1):
-        z = a + (i / steps) * (b - a)
-        _, m, n = reduce_to_cell(z, tau)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                lam = (m + dm) + (n + dn) * tau
-                t = ((lam - a) * d.conjugate()).real / dd
-                t = min(1.0, max(0.0, t))
-                best = min(best, abs(a + t * d - lam))
-    return best
+    steps = max(8, int(4 * abs(d)))
+    _, m, n = reduce_to_cell_array(a + d * np.arange(steps + 1) / steps, tau)
+    near = np.array([-1.0, 0.0, 1.0])
+    lam = ((m[:, None, None] + near[:, None])
+           + (n[:, None, None] + near) * tau).reshape(-1)
+    t = np.clip(((lam - a) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
+    return float(np.abs(a + t * d - lam).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,33 +108,115 @@ def default_base(tau: complex) -> complex:
     return (1.0 + tau) / 4.0
 
 
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of each matrix in the stack x, by scaling and squaring.
+
+    Each matrix is scaled by 2^-s to 1-norm at most 1/2, where the
+    degree-16 Taylor polynomial is exact to 4e-20 relative, and then
+    squared s times.  The polynomial is evaluated by Paterson-Stockmeyer,
+    as a polynomial in x^4 whose coefficients are cubics in x: seven
+    matrix products.
+    """
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)
+    x = x / np.ldexp(1.0, s)[:, None, None]
+    x2 = x @ x
+    powers = np.stack([np.broadcast_to(np.eye(x.shape[-1]), x.shape),
+                       x, x2, x2 @ x])
+    x4 = x2 @ x2
+    blocks = np.tensordot(_EXP_COEFFS, powers, axes=1)
+    e = blocks[-1]
+    for block in blocks[-2::-1]:
+        e = e @ x4 + block
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        e[sq] = e[sq] @ e[sq]
+    return e
+
+
+def _magnus(L: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(Omega) of each panel from L at its three Gauss-Legendre nodes,
+    L of shape (P, 3, n, n), panel steps h of shape (P,)."""
+    h = h[:, None, None]
+    A1, A2, A3 = L[:, 0], L[:, 1], L[:, 2]
+    a1 = h * A2
+    a2 = (_SQRT15 / 3.0) * h * (A3 - A1)
+    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    c1 = _commutator(a1, a2)
+    c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
+    omega = (a1 + a3 / 12.0
+             + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    return _expm(omega)
+
+
+def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
+                        b: np.ndarray, panels: int) -> np.ndarray:
+    """Magnus transport over each segment [a_i, b_i] cut into ``panels``
+    (a power of two) uniform panels; one L call for all nodes."""
+    n = cfg.n
+    h = (b - a) / panels
+    starts = a[:, None] + h[:, None] * np.arange(panels)
+    nodes = starts[..., None] + h[:, None, None] * _GL_NODES
+    try:
+        L = lax_L_quasi_batch(cfg, ph, nodes.reshape(-1))
+    except PoleProximityError as exc:
+        hit = np.flatnonzero((nodes == exc.point).any(axis=(1, 2)))
+        i = hit[0] if hit.size else 0
+        raise PathError(f"transport truncated on segment [{a[i]}, {b[i]}]: "
+                        f"{exc}") from exc
+    U = _magnus(L.reshape(-1, 3, n, n), np.repeat(h, panels))
+    U = U.reshape(len(a), panels, n, n)
+    while U.shape[1] > 1:  # tree product, later panels on the left
+        U = U[:, 1::2] @ U[:, 0::2]
+    return U[:, 0]
+
+
 def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
               icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Solve dPsi/dz = L(z) Psi along the polyline; Psi = identity at start.
 
-    Raises PathError when a segment comes back truncated (a pole or a
-    collapsed step inside the integrator) instead of returning a partial
-    Psi.
+    Every segment is transported with PANELS and 2 PANELS sixth-order
+    Magnus panels; segments whose two results differ by more than
+    abs_tol + rel_tol ||Psi_2N||_max (max norms) are refined by doubling,
+    together, and each accepted segment returns its finer result.  Only
+    rel_tol, abs_tol and max_steps (the budget of panels) are read from
+    icfg.  Raises IntegrationError past the budget, and PathError when a
+    node meets a pole or the bodies collide, instead of returning a
+    partial Psi.
     """
-    tau = cfg.tm.tau
-    path.validate(tau)
+    path.validate(cfg.tm.tau)
     n = cfg.n
+    w = np.array(path.waypoints)
+    a, b = w[:-1], w[1:]
+    spent = 0
+
+    def level(segs: np.ndarray, panels: int) -> np.ndarray:
+        nonlocal spent
+        spent += segs.size * panels
+        if spent > icfg.max_steps:
+            raise IntegrationError(
+                f"transport exceeded max_steps = {icfg.max_steps} panels")
+        return _segment_transports(cfg, ph, a[segs], b[segs], panels)
+
+    done = np.empty((a.size, n, n), dtype=complex)
+    active = np.arange(a.size)
+    panels = PANELS
+    coarse = level(active, panels)
+    while active.size:
+        panels *= 2
+        fine = level(active, panels)
+        err = np.abs(fine - coarse).max(axis=(1, 2))
+        tol = icfg.abs_tol + icfg.rel_tol * np.abs(fine).max(axis=(1, 2))
+        ok = err <= tol
+        done[active[ok]] = fine[ok]
+        active, coarse = active[~ok], fine[~ok]
     psi = np.eye(n, dtype=complex)
-    diag = Diagnostics()
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
-        length = abs(b - a)
-        direction = (b - a) / length
-
-        def f(s, y, a=a, direction=direction):
-            z = a + direction * s
-            L = lax_L_quasi(cfg, ph, z)
-            return direction * (L @ y.reshape(n, n)).reshape(-1)
-
-        y = integrate_segment(f, psi.reshape(-1), length, icfg, diag)
-        if diag.truncated:
-            raise PathError(f"transport truncated on segment [{a}, {b}]: "
-                            + diag.message)
-        psi = y.reshape(n, n)
+    for U in done:
+        psi = U @ psi
     return psi
 
 

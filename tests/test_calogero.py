@@ -14,12 +14,20 @@ from ellcm.calogero import (
     lax_A_quasi,
     lax_L_periodic,
     lax_L_quasi,
+    lax_L_quasi_batch,
     local_expansion,
     quasi_periodicity_check,
     residue_eigen,
     zero_curvature_residual,
 )
-from ellcm.elliptic import TorusModulus, lame_x, lame_y, wp, wp_dz
+from ellcm.elliptic import (
+    POLE_EXCLUSION_RADIUS,
+    TorusModulus,
+    lame_x,
+    lame_y,
+    wp,
+    wp_dz,
+)
 from ellcm.errors import GaugeSingularityError, PoleProximityError
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm
@@ -339,6 +347,54 @@ class TestPairOnceAssembly:
                 expect = (ph.p[j] if j == k else
                           1j * cfg.g * lame_x(ph.q[j] - ph.q[k], Z0, cfg.tm))
                 assert abs(L[j, k] - expect) < 1e-12 * max(1.0, abs(expect))
+
+
+class TestLaxQuasiBatch:
+    """The batched L against scalar lax_L_quasi, node by node."""
+
+    CASES = [
+        (CFG2, PH2),
+        (CFG3, PH3),
+        (TestPairOnceAssembly.CFG, TestPairOnceAssembly.PH),
+    ]
+
+    @pytest.mark.parametrize("case", range(3), ids=["n2", "n3", "n5"])
+    def test_matches_scalar(self, case):
+        cfg, ph = self.CASES[case]
+        tau = cfg.tm.tau
+        rng = np.random.default_rng(11 + case)
+        # inside the cell, and up to three periods outside it either way
+        w = rng.uniform(-0.5, 0.5, 60) + rng.uniform(-0.5, 0.5, 60) * tau
+        z = w + rng.integers(-3, 4, 60) + rng.integers(-3, 4, 60) * tau
+        z[:10] = w[:10]
+        batch = lax_L_quasi_batch(cfg, ph, z)
+        assert batch.shape == (60, ph.n, ph.n)
+        for i, zi in enumerate(z):
+            scalar = lax_L_quasi(cfg, ph, zi)
+            nz = scalar != 0
+            assert np.array_equal(batch[i][~nz], scalar[~nz])
+            rel = np.abs(batch[i][nz] - scalar[nz]) / np.abs(scalar[nz])
+            assert rel.max() <= 1e-13
+
+    def test_g_zero_and_n1_diagonal(self):
+        z = np.array([Z0, 0.0])  # no kernel is evaluated, not even at 0
+        L = lax_L_quasi_batch(CMConfig(2, 0.0, TM_I), PH2, z)
+        assert np.array_equal(L, np.array([np.diag(PH2.p)] * 2))
+        L = lax_L_quasi_batch(CMConfig(1, 0.7, TM_I), PhasePoint([0.2], [0.4]),
+                              z)
+        assert np.array_equal(L, np.full((2, 1, 1), 0.4 + 0j))
+
+    def test_node_at_pole_raises(self):
+        z = np.array([Z0, 1.0 + 1j + 0.5 * POLE_EXCLUSION_RADIUS, 0.3])
+        with pytest.raises(PoleProximityError) as info:
+            lax_L_quasi_batch(CFG3, PH3, z)
+        assert info.value.variable == "z"
+        assert info.value.point == z[1]
+
+    def test_collision_raises(self):
+        ph = PhasePoint([0.2, 1.2 + 1e-8], [0.1, -0.1])
+        with pytest.raises(PoleProximityError, match=r"q\[0\] - q\[1\]"):
+            lax_L_quasi_batch(CFG2, ph, np.array([Z0]))
 
 
 class TestEom:

@@ -191,6 +191,18 @@ class TestMonodromyCommand:
         assert len(payload["spectra"]["M0"]) == 2
 
 
+    def test_det_residuals(self, tmp_path):
+        # the README example; the three determinant identities are exact
+        out = tmp_path / "mono.json"
+        assert run(["monodromy", "--n", "2", "--g", "0.35", "--tau", "1.0i",
+                    "--q", "0.11+0.03i,0.52-0.07i", "--p", "0.31,-0.45",
+                    "--drift", "0.01"], out) == 0
+        payload = json.loads(out.read_text())
+        residuals = payload["det_residuals"]
+        assert set(residuals) == {"M0", "M1", "Mtau"}
+        assert all(0.0 <= r <= 1e-12 for r in residuals.values())
+        assert payload["schema"] == 1
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         conf = tmp_path / "run.conf"

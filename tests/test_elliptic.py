@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from ellcm.elliptic import (
+    POLE_EXCLUSION_RADIUS,
     GeneralLattice,
     TorusModulus,
     lame_x,
@@ -11,10 +13,14 @@ from ellcm.elliptic import (
     lame_x_dz,
     lame_y,
     lattice_distance,
+    reduce_to_cell,
+    reduce_to_cell_array,
     rho,
     theta1,
+    theta1_array,
     theta1_d3z_at_0,
     theta1_dz,
+    theta1_dz_at_0,
     theta1_product,
     weierstrass_constant,
     wp,
@@ -97,6 +103,50 @@ class TestTheta1:
             ref = complex(mp.jtheta(1, mp.pi * mp.mpc(z),
                                     mp.exp(1j * mp.pi * mp.mpc(tau))))
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+class TestTheta1Array:
+    TM = TorusModulus(0.3 + 0.8j)
+
+    def _points(self, seed, size=80):
+        rng = np.random.default_rng(seed)
+        tau = self.TM.tau
+        return (rng.uniform(-3, 3, size)
+                + rng.uniform(-2.5, 2.5, size) * tau)
+
+    def test_reduction_matches_scalar(self):
+        z = self._points(1)
+        w, m, n = reduce_to_cell_array(z, self.TM.tau)
+        for zi, wi, mi, ni in zip(z, w, m, n):
+            assert (wi, mi, ni) == reduce_to_cell(zi, self.TM.tau)
+
+    def test_matches_scalar(self):
+        z = self._points(2)
+        log_f, s = theta1_array(z, self.TM)
+        got = np.exp(log_f) * s
+        for zi, gi in zip(z, got):
+            expect = theta1(zi, self.TM)
+            assert abs(gi - expect) <= 1e-13 * abs(expect)
+
+    def test_shape_kept(self):
+        z = self._points(3).reshape(8, 10)
+        log_f, s = theta1_array(z, self.TM)
+        assert log_f.shape == s.shape == (8, 10)
+
+    def test_pole_check(self):
+        tau = self.TM.tau
+        z = np.array([0.2, -2.0 + tau + 0.5 * POLE_EXCLUSION_RADIUS, 0.4])
+        theta1_array(z, self.TM)  # theta1 itself has zeros, no poles
+        with pytest.raises(PoleProximityError) as info:
+            theta1_array(z, self.TM, "u")
+        assert info.value.variable == "u"
+        assert info.value.point == z[1]
+        assert info.value.distance == pytest.approx(
+            lattice_distance(z[1], tau))
+
+    def test_dz_at_0(self):
+        assert theta1_dz_at_0(self.TM) == pytest.approx(
+            theta1_dz(0.0, self.TM), rel=1e-14)
 
 
 class TestTheta1Product:

@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from ellcm.calogero import CMConfig, PhasePoint, local_expansion
+from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
 from ellcm.elliptic import TorusModulus
 from ellcm.errors import PathError
-from ellcm.flow import IntegratorConfig
+from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
+    PANELS,
     MonodromyData,
     PathSpec,
+    _segment_transports,
     cubic_relation_residual,
     default_base,
     eigenvalue_set_distance,
@@ -81,24 +83,24 @@ class TestTransport:
                       IntegratorConfig(max_steps=3))
 
     def test_truncated_segment_raises(self, monkeypatch):
-        # a pole met part-way along the path truncates the integrator; the
-        # partial Psi must not come back as if it were the transport
+        # a pole met at the second refinement level ends the transport; the
+        # coarse Psi must not come back as if it were the transport
         import ellcm.monodromy as mono
         from ellcm.errors import PoleProximityError
-        real = mono.lax_L_quasi
+        real = mono.lax_L_quasi_batch
         calls = []
 
         def failing(cfg, ph, z):
             calls.append(z)
-            if len(calls) > 40:
-                raise PoleProximityError(z, "z", 0.0)
+            if len(calls) > 1:
+                raise PoleProximityError(z[0], "z", 0.0)
             return real(cfg, ph, z)
 
-        monkeypatch.setattr(mono, "lax_L_quasi", failing)
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
         with pytest.raises(PathError, match="truncated"):
             transport(CFG, PH, PathSpec((0.25 + 0.25j, 1.25 + 0.25j)),
                       TIGHT)
-        assert len(calls) > 40
+        assert len(calls) == 2
 
     def test_concatenation_multiplicative(self):
         mid = 0.75 + 0.31j
@@ -107,6 +109,107 @@ class TestTransport:
         first = transport(CFG, PH, PathSpec((a, mid)), TIGHT)
         second = transport(CFG, PH, PathSpec((mid, b)), TIGHT)
         assert np.max(np.abs(second @ first - full)) < 1e-8
+
+
+def _dp5_transport(cfg, ph, waypoints, icfg):
+    """Psi at the end of each segment of the polyline, by Dormand-Prince
+    5(4) on dPsi/ds = (dz/ds) L(z) Psi: an independent oracle."""
+    n = cfg.n
+    psi = np.eye(n, dtype=complex)
+    out = []
+    for a, b in zip(waypoints, waypoints[1:]):
+        length = abs(b - a)
+        direction = (b - a) / length
+
+        def f(s, y, a=a, direction=direction):
+            L = lax_L_quasi(cfg, ph, a + direction * s)
+            return direction * (L @ y.reshape(n, n)).reshape(-1)
+
+        diag = Diagnostics()
+        psi = integrate_segment(f, psi.reshape(-1), length, icfg,
+                                diag).reshape(n, n)
+        assert not diag.truncated
+        out.append(psi)
+    return out
+
+
+def _polygon_loop(base, radius=0.1, sides=16):
+    """base -> a polygon of the given radius around z = 0 -> base."""
+    phase = np.angle(base)
+    circle = [radius * np.exp(1j * (phase + 2 * np.pi * k / sides))
+              for k in range(sides)]
+    return tuple([base] + circle + [circle[0], base])
+
+
+class TestMagnusTransport:
+    """The sixth-order Magnus transport: order, error bound, determinant."""
+
+    CFG3 = CMConfig(3, 0.3, TorusModulus(0.1 + 1j))
+    PH3 = PhasePoint([0.1, 0.45 + 0.2j, 0.75 - 0.1j],
+                     [0.2, -0.3 + 0.1j, 0.05])
+    ORACLE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("case", ["n2", "n3"])
+    def test_observed_order(self, case):
+        cfg, ph = (CFG, PH) if case == "n2" else (self.CFG3, self.PH3)
+        base = default_base(cfg.tm.tau)
+        a, b = np.array([base]), np.array([base + 1.0])
+        psi = [_segment_transports(cfg, ph, a, b, panels)[0]
+               for panels in (16, 32, 64)]
+        ratio = (np.max(np.abs(psi[0] - psi[1]))
+                 / np.max(np.abs(psi[1] - psi[2])))
+        assert math.log2(ratio) >= 5.5
+
+    @pytest.mark.parametrize("icfg", [TIGHT, IntegratorConfig()],
+                             ids=["tight", "default"])
+    @pytest.mark.parametrize("path", ["A", "B", "polyline", "loop"])
+    def test_error_is_bounded_by_tolerance(self, icfg, path):
+        tau = CFG.tm.tau
+        base = default_base(tau)
+        waypoints = {
+            "A": (base, base + 1.0),
+            "B": (base, base + tau),
+            "polyline": (0.25 + 0.25j, 0.75 + 0.31j, 1.1 + 0.6j,
+                         1.25 + 0.25j),
+            "loop": _polygon_loop(base),
+        }[path]
+        got = transport(CFG, PH, PathSpec(waypoints, pole_clearance=1e-2),
+                        icfg)
+        expect = _dp5_transport(CFG, PH, waypoints, self.ORACLE)[-1]
+        bound = 0.0
+        for a, b in zip(waypoints, waypoints[1:]):
+            seg = transport(CFG, PH, PathSpec((a, b), pole_clearance=1e-2),
+                            icfg)
+            bound += icfg.abs_tol + icfg.rel_tol * np.max(np.abs(seg))
+        assert np.max(np.abs(got - expect)) <= bound
+
+    @pytest.mark.parametrize("case", ["n2", "n3"])
+    def test_determinant_exact(self, case):
+        cfg, ph = (CFG, PH) if case == "n2" else (self.CFG3, self.PH3)
+        a, b = 0.25 + 0.25j, 0.9 + 0.55j
+        psi = transport(cfg, ph, PathSpec((a, b)), TIGHT)
+        expect = np.exp((b - a) * ph.p.sum())
+        assert abs(np.linalg.det(psi) - expect) <= 1e-13 * abs(expect)
+
+    def test_first_level_over_budget(self):
+        from ellcm.errors import IntegrationError
+        with pytest.raises(IntegrationError, match="max_steps"):
+            transport(CFG, PH, PathSpec((0.25 + 0.25j, 0.5 + 0.25j,
+                                         0.75 + 0.25j)),
+                      IntegratorConfig(max_steps=2 * PANELS - 1))
+
+    def test_pole_node_names_segment(self, monkeypatch):
+        # a node of the second segment meets a pole: the error names it
+        import ellcm.monodromy as mono
+        from ellcm.errors import PoleProximityError
+
+        def failing(cfg, ph, z):
+            raise PoleProximityError(z[3 * PANELS], "z", 0.0)
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
+        path = PathSpec((0.25 + 0.25j, 0.6 + 0.6j, 1.2 + 0.4j))
+        with pytest.raises(PathError, match=r"segment \[\(0\.6\+0\.6j\)"):
+            transport(CFG, PH, path, TIGHT)
 
 
 class TestCycleMonodromies:
