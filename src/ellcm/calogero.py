@@ -179,19 +179,18 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     if cfg.g == 0 or n == 1:
         return L
     tm = cfg.tm
-    pairs = _pairs(ph)
-    rows = [j for j, _, _ in pairs] + [k for _, k, _ in pairs]
-    cols = [k for _, k, _ in pairs] + [j for j, _, _ in pairs]
-    d = np.array([dd for _, _, dd in pairs])
+    j, k = np.triu_indices(n, 1)
+    d = ph.q[j] - ph.q[k]
     f_d, s_d = theta1_array(d, tm)
     f_z, s_z = theta1_array(z, tm, "z")
+    # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
     d = np.concatenate([d, -d])
     f_d = np.concatenate([f_d, f_d])
     s_d = np.concatenate([s_d, -s_d])
     f_zd, s_zd = theta1_array(z[:, None] - d, tm)
     x = (np.exp(f_zd - f_z[:, None] - f_d) * s_zd * theta1_dz_at_0(tm)
          / (s_z[:, None] * s_d))
-    L[:, rows, cols] = 1j * cfg.g * x
+    L[:, np.concatenate([j, k]), np.concatenate([k, j])] = 1j * cfg.g * x
     return L
 
 

@@ -368,11 +368,8 @@ def theta1_array(z, tm: TorusModulus, name: str | None = None
     tab = _table(tm)
     w, m, n = reduce_to_cell_array(z, tau)
     if name is not None:
-        d = np.abs(w)
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                if i or j:
-                    d = np.minimum(d, np.abs(w - (i + j * tau)))
+        nine = np.array([i + j * tau for i in (-1, 0, 1) for j in (-1, 0, 1)])
+        d = np.abs(w[..., None] - nine).min(axis=-1)
         bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
         if bad.size:
             k = bad[0]

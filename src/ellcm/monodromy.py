@@ -227,28 +227,23 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     n = cfg.n
     w = np.array(path.waypoints)
     a, b = w[:-1], w[1:]
-    spent = 0
-
-    def level(segs: np.ndarray, panels: int) -> np.ndarray:
-        nonlocal spent
-        spent += segs.size * panels
+    done = np.empty((a.size, n, n), dtype=complex)
+    active = np.arange(a.size)
+    panels, spent, coarse = PANELS, 0, None
+    while active.size:
+        spent += active.size * panels
         if spent > icfg.max_steps:
             raise IntegrationError(
                 f"transport exceeded max_steps = {icfg.max_steps} panels")
-        return _segment_transports(cfg, ph, a[segs], b[segs], panels)
-
-    done = np.empty((a.size, n, n), dtype=complex)
-    active = np.arange(a.size)
-    panels = PANELS
-    coarse = level(active, panels)
-    while active.size:
+        fine = _segment_transports(cfg, ph, a[active], b[active], panels)
+        if coarse is not None:
+            err = np.abs(fine - coarse).max(axis=(1, 2))
+            tol = icfg.abs_tol + icfg.rel_tol * np.abs(fine).max(axis=(1, 2))
+            ok = err <= tol
+            done[active[ok]] = fine[ok]
+            active, fine = active[~ok], fine[~ok]
+        coarse = fine
         panels *= 2
-        fine = level(active, panels)
-        err = np.abs(fine - coarse).max(axis=(1, 2))
-        tol = icfg.abs_tol + icfg.rel_tol * np.abs(fine).max(axis=(1, 2))
-        ok = err <= tol
-        done[active[ok]] = fine[ok]
-        active, coarse = active[~ok], fine[~ok]
     psi = np.eye(n, dtype=complex)
     for U in done:
         psi = U @ psi
