@@ -179,8 +179,8 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     if cfg.g == 0 or n == 1:
         return L
     tm = cfg.tm
-    j, k = np.triu_indices(n, 1)
-    d = ph.q[j] - ph.q[k]
+    j, k, d = zip(*_pairs(ph))
+    d = np.array(d)
     f_d, s_d = theta1_array(d, tm)
     f_z, s_z = theta1_array(z, tm, "z")
     # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
@@ -190,7 +190,7 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     f_zd, s_zd = theta1_array(z[:, None] - d, tm)
     x = (np.exp(f_zd - f_z[:, None] - f_d) * s_zd * theta1_dz_at_0(tm)
          / (s_z[:, None] * s_d))
-    L[:, np.concatenate([j, k]), np.concatenate([k, j])] = 1j * cfg.g * x
+    L[:, list(j + k), list(k + j)] = 1j * cfg.g * x
     return L
 
 

@@ -112,11 +112,10 @@ class TestTransport:
 
 
 def _dp5_transport(cfg, ph, waypoints, icfg):
-    """Psi at the end of each segment of the polyline, by Dormand-Prince
-    5(4) on dPsi/ds = (dz/ds) L(z) Psi: an independent oracle."""
+    """Psi at the end of the polyline, by Dormand-Prince 5(4) on
+    dPsi/ds = (dz/ds) L(z) Psi: an independent oracle."""
     n = cfg.n
     psi = np.eye(n, dtype=complex)
-    out = []
     for a, b in zip(waypoints, waypoints[1:]):
         length = abs(b - a)
         direction = (b - a) / length
@@ -129,8 +128,7 @@ def _dp5_transport(cfg, ph, waypoints, icfg):
         psi = integrate_segment(f, psi.reshape(-1), length, icfg,
                                 diag).reshape(n, n)
         assert not diag.truncated
-        out.append(psi)
-    return out
+    return psi
 
 
 def _polygon_loop(base, radius=0.1, sides=16):
@@ -175,7 +173,7 @@ class TestMagnusTransport:
         }[path]
         got = transport(CFG, PH, PathSpec(waypoints, pole_clearance=1e-2),
                         icfg)
-        expect = _dp5_transport(CFG, PH, waypoints, self.ORACLE)[-1]
+        expect = _dp5_transport(CFG, PH, waypoints, self.ORACLE)
         bound = 0.0
         for a, b in zip(waypoints, waypoints[1:]):
             seg = transport(CFG, PH, PathSpec((a, b), pole_clearance=1e-2),
