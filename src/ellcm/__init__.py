@@ -53,7 +53,6 @@ from .calogero import (
     eom,
     gauge_lame,
     hamiltonian_cm,
-    hamiltonian_root_system,
     lax_A_periodic,
     lax_A_quasi,
     lax_L_periodic,

@@ -380,21 +380,6 @@ def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     return total
 
 
-def hamiltonian_root_system(cfg: CMConfig, ph: PhasePoint, mass_sq: complex
-                            ) -> complex:
-    """sum p_j^2/2 - sum_{roots of A_{n-1}} mass_sq * wp(alpha . q).
-
-    Roots are q_i - q_j over ordered pairs i != j; with mass_sq = -g^2/2
-    this reproduces hamiltonian_cm.  (mass_sq is the squared mass parameter;
-    it is real for the su(n) instance with real coupling.)
-    """
-    total = 0.5 * complex(np.sum(ph.p * ph.p))
-    if mass_sq == 0:
-        return total
-    _check_separations(cfg, ph)
-    return total - 2.0 * complex(mass_sq) * _wp_pair_sum(cfg, ph)
-
-
 def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """(dq, dp) with dq_j = p_j, dp_j = -g^2 sum_{k != j} wp'(q_j - q_k).
 
@@ -411,13 +396,6 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         force[j] += f
         force[k] -= f
     return dq, -(cfg.g * cfg.g) * np.array(force)
-
-
-def hamiltonian_gradient(cfg: CMConfig, ph: PhasePoint
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(dH/dq, dH/dp) of hamiltonian_cm: (-dp, dq) of the eom."""
-    dq, dp = eom(cfg, ph)
-    return -dp, dq
 
 
 # ----------------------------------------------------------------------
@@ -450,21 +428,6 @@ def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray) -> np.ndarray:
     out = A * (qdot[:, None] - qdot[None, :])
     out[np.diag_indices(ph.n)] = dp / TWO_PI_I
     return out
-
-
-def _rk4_microstep(cfg: CMConfig, ph: PhasePoint, h: complex) -> PhasePoint:
-    """One RK4 step of the tau-flow, for total-derivative finite differences."""
-    def f(q, p):
-        dq, dp = eom(cfg, PhasePoint(q, p))
-        return dq / TWO_PI_I, dp / TWO_PI_I
-
-    q, p = ph.q, ph.p
-    k1q, k1p = f(q, p)
-    k2q, k2p = f(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-    k3q, k3p = f(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-    k4q, k4p = f(q + h * k3q, p + h * k3p)
-    return PhasePoint(q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
-                      p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
 def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
@@ -500,12 +463,20 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
             R = TWO_PI_I * (explicit + implicit) + dAdz - (L @ A - A @ L)
             return R
     elif gauge == "periodic":
+        from .flow import _pack, _rk4_step, _unpack  # flow imports calogero
         L = lax_L_periodic(cfg, ph, z)
         A = lax_A_periodic(cfg, ph, z)
 
+        def tau_flow(s, y):
+            return np.concatenate(eom(cfg, _unpack(y, ph.n))) / TWO_PI_I
+
+        def microstep(h):
+            """One RK4 step of the (q, p)-motion of the tau-flow."""
+            return _unpack(_rk4_step(tau_flow, 0.0, _pack(ph), h)[0], ph.n)
+
         def residual_at(h):
-            php = _rk4_microstep(cfg, ph, h)
-            phm = _rk4_microstep(cfg, ph, -h)
+            php = microstep(h)
+            phm = microstep(-h)
             Lp = lax_L_periodic(cfg.with_tau(tau + h), php, z)
             Lm = lax_L_periodic(cfg.with_tau(tau - h), phm, z)
             total = (Lp - Lm) / (2.0 * h)

@@ -248,15 +248,14 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _integrator_config(args) -> IntegratorConfig:
-    return IntegratorConfig(
-        abs_tol=_as_float(args.abs_tol, "abs-tol")
-        if args.abs_tol is not None else 1e-12,
-        rel_tol=_as_float(args.rel_tol, "rel-tol")
-        if args.rel_tol is not None else 1e-10,
-        initial_step=_as_float(args.step, "step")
-        if args.step is not None else 1e-2,
-        method=args.method or "rk45_adaptive",
-    )
+    """IntegratorConfig from the flags given; its own defaults otherwise."""
+    given = {field: _as_float(getattr(args, dest), dest.replace("_", "-"))
+             for field, dest in (("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"),
+                                 ("initial_step", "step"))
+             if getattr(args, dest) is not None}
+    if args.method is not None:
+        given["method"] = args.method
+    return IntegratorConfig(**given)
 
 
 def _trajectory_payload(traj: Trajectory, n: int, g: complex,

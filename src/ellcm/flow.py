@@ -1,15 +1,17 @@
 """Non-autonomous Hamiltonian integration and the extended 2-form machinery.
 
-Two time conventions:
+Three flows, each a Hamiltonian ODE along a straight segment of complex
+time, all run by one driver (`_integrate`):
 
   * isospectral: d/dt (q, p) = eom at frozen tau (autonomous, H conserved);
   * isomonodromic: 2 pi i d/dtau (q, p) = eom, tau entering the elliptic
-    kernels as well (non-autonomous, monodromy preserved instead).
+    kernels as well (non-autonomous, monodromy preserved instead);
+  * scalar elliptic Painleve VI: 2 pi i d/dtau (q, p) = (p, force(q, tau)).
 
-Complex "times" are integrated along straight segments parameterized by a
-real arc variable; the embedded Dormand-Prince 5(4) pair supplies the local
-error estimate for step control, and a classic fixed-step RK4 is available
-for convergence studies.
+The driver parameterizes the segment by a real arc variable and steps it
+with `integrate_segment`: the embedded Dormand-Prince 5(4) pair (Dormand &
+Prince 1980) supplies the local error estimate for step control, and a
+classic fixed-step RK4 is available for convergence studies.
 
 The extended phase space (q, p, tau) carries
 
@@ -29,7 +31,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .calogero import CMConfig, PhasePoint, eom, hamiltonian_cm, hamiltonian_gradient, min_separation
+from .calogero import CMConfig, PhasePoint, eom, hamiltonian_cm, min_separation
 from .errors import IntegrationError, PathError, PoleProximityError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 
@@ -138,11 +140,18 @@ def _dp_step(f, s, y, h):
 
 
 def _rk4_step(f, s, y, h):
+    """One classic RK4 step; returns (y_new, None): it has no error estimate."""
     k1 = f(s, y)
     k2 = f(s + h / 2, y + h / 2 * k1)
     k3 = f(s + h / 2, y + h / 2 * k2)
     k4 = f(s + h, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), None
+
+
+def _truncate(diag: Diagnostics, y: np.ndarray, message: str) -> np.ndarray:
+    diag.truncated = True
+    diag.message = message
+    return y
 
 
 def integrate_segment(f: Callable, y0: np.ndarray, length: float,
@@ -155,17 +164,18 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
 
     ``sample_at`` lists interior arc positions the stepper must hit exactly
     (``on_sample(s, y)`` fires there and at the endpoint).  ``separation``
-    maps a state to its smallest reduced pairwise distance; a proposed step
-    ending below COLLISION_REJECT is rejected and retried shorter, below
-    COLLISION_TRUNCATE the trajectory is truncated with the flag set on
+    maps a state to its smallest reduced pairwise distance; a step ending
+    below COLLISION_TRUNCATE truncates the trajectory with the flag set on
     ``diag`` (wp' ~ separation^-3 makes both stepping and error estimates
-    meaningless past that point).
+    meaningless past that point).  The adaptive method also rejects and
+    retries shorter a step ending below COLLISION_REJECT, and truncates
+    when its step collapses; RK4 takes every step at the fixed size.
     """
     y = np.asarray(y0, dtype=complex)
     s = 0.0
     targets = sorted(set(list(sample_at) + [length]))
     targets = [t for t in targets if t > 1e-15]
-    adaptive = icfg.method == "rk45_adaptive"
+    step = _dp_step if icfg.method == "rk45_adaptive" else _rk4_step
     h = min(icfg.initial_step, length)
     ti = 0
     while ti < len(targets):
@@ -174,57 +184,37 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
                 f"exceeded max_steps = {icfg.max_steps} at s = {s:.6g}")
         target = targets[ti]
         h_try = min(h, target - s)
-        if adaptive:
-            try:
-                y_new, err = _dp_step(f, s, y, h_try)
-            except PoleProximityError as exc:
-                diag.truncated = True
-                diag.message = f"collision at s = {s:.6g}: {exc}"
-                return y
+        try:
+            y_new, err = step(f, s, y, h_try)
+        except PoleProximityError as exc:
+            return _truncate(diag, y, f"collision at s = {s:.6g}: {exc}")
+        sep = separation(y_new) if separation is not None else math.inf
+        if sep < COLLISION_TRUNCATE:
+            return _truncate(diag, y, f"collision at s = {s:.6g}: "
+                                      f"min separation {sep:.3e}")
+        accept, collapsed, local_error = True, False, 0.0
+        if err is not None:
             scale = icfg.abs_tol + icfg.rel_tol * np.maximum(np.abs(y),
                                                              np.abs(y_new))
             ratio = float(np.max(np.abs(err) / scale))
-            sep = separation(y_new) if separation is not None else math.inf
-            if sep < COLLISION_TRUNCATE:
-                diag.truncated = True
-                diag.message = (f"collision at s = {s:.6g}: "
-                                f"min separation {sep:.3e}")
-                return y
-            if ratio <= 1.0 and sep >= COLLISION_REJECT:
-                diag.steps_accepted += 1
-                diag.max_local_error = max(diag.max_local_error,
-                                           float(np.max(np.abs(err))))
-                s += h_try
-                y = y_new
+            accept = ratio <= 1.0 and sep >= COLLISION_REJECT
+            if ratio <= 1.0 and not accept:
+                # error fine but separation entering the reject band
+                h = 0.5 * h_try
+            else:
                 h = h_try * (min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                              if ratio > 0 else 5.0)
-            elif ratio > 1.0:
-                diag.steps_rejected += 1
-                h = h_try * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-            else:
-                # error fine but separation entering the reject band
-                diag.steps_rejected += 1
-                h = 0.5 * h_try
-            if h < 1e-14 * max(length, 1.0):
-                diag.truncated = True
-                diag.message = f"step collapsed at s = {s:.6g}"
-                return y
-        else:
-            try:
-                y_new = _rk4_step(f, s, y, h_try)
-            except PoleProximityError as exc:
-                diag.truncated = True
-                diag.message = f"collision at s = {s:.6g}: {exc}"
-                return y
-            sep = separation(y_new) if separation is not None else math.inf
-            if sep < COLLISION_TRUNCATE:
-                diag.truncated = True
-                diag.message = (f"collision at s = {s:.6g}: "
-                                f"min separation {sep:.3e}")
-                return y
+            collapsed = h < 1e-14 * max(length, 1.0)
+            local_error = float(np.max(np.abs(err)))
+        if accept:
             diag.steps_accepted += 1
+            diag.max_local_error = max(diag.max_local_error, local_error)
             s += h_try
             y = y_new
+        else:
+            diag.steps_rejected += 1
+        if collapsed:
+            return _truncate(diag, y, f"step collapsed at s = {s:.6g}")
         if abs(s - target) < 1e-13 * max(1.0, length):
             s = target
             if on_sample is not None:
@@ -245,10 +235,51 @@ def _unpack(y: np.ndarray, n: int) -> PhasePoint:
     return PhasePoint(y[:n], y[n:])
 
 
-def _sample_positions(length: float, num: int) -> list[float]:
-    if num <= 1:
-        return []
-    return [length * i / num for i in range(1, num)]
+def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
+               icfg: IntegratorConfig, samples: int,
+               tau: complex | None = None,
+               guard: CMConfig | None = None) -> Trajectory:
+    """The flow from ph0 along the straight segment span = (start, end).
+
+    ``dy(time, dt, ph)`` is the increment of the packed state (q, p) at ph
+    for the time increment dt.  With ``tau`` the flow is a t-flow at that
+    frozen modulus; without it the time is tau itself, and the segment must
+    stay in the upper half-plane.  The trajectory records the start and the
+    ends of ``samples`` equal pieces of the span.  The pairwise separations
+    of the bodies of ``guard`` stop the integration near a collision.
+    """
+    start, end = span
+    if tau is None and (start.imag <= 0 or end.imag <= 0):
+        raise PathError(
+            f"tau path [{start}, {end}] leaves the upper half-plane")
+    length = abs(end - start)
+    if length == 0:
+        raise ValueError("empty tau path" if tau is None else "empty time span")
+    direction = (end - start) / length
+    n = ph0.n
+    kind = "isomonodromic_tau" if tau is None else "isospectral_t"
+    traj = Trajectory(kind, [complex(start)], [ph0],
+                      [start if tau is None else tau], Diagnostics())
+
+    def f(s, y):
+        return dy(start + direction * s, direction, _unpack(y, n))
+
+    def on_sample(s, y):
+        time = start + direction * s
+        traj.times.append(time)
+        traj.states.append(_unpack(y, n))
+        traj.tau_of_sample.append(time if tau is None else tau)
+
+    def separation(y):
+        return min_separation(guard, _unpack(y, n))
+
+    guarded = guard is not None and guard.g != 0 and n > 1
+    integrate_segment(f, _pack(ph0), length, icfg, traj.diagnostics,
+                      sample_at=[length * i / samples
+                                 for i in range(1, samples)],
+                      on_sample=on_sample,
+                      separation=separation if guarded else None)
+    return traj
 
 
 def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
@@ -256,34 +287,11 @@ def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
                           icfg: IntegratorConfig = IntegratorConfig(),
                           samples: int = 16) -> Trajectory:
     """Autonomous flow d(q, p)/dt = eom at frozen tau; conserves H."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    length = abs(t1 - t0)
-    if length == 0:
-        raise ValueError("empty time span")
-    direction = (t1 - t0) / length
-    n = cfg.n
+    def dy(t, dt, ph):
+        return dt * np.concatenate(eom(cfg, ph))
 
-    def f(s, y):
-        dq, dp = eom(cfg, _unpack(y, n))
-        return direction * np.concatenate([dq, dp])
-
-    def sep_fn(y):
-        return min_separation(cfg, _unpack(y, n))
-
-    diag = Diagnostics()
-    tau = cfg.tm.tau
-    traj = Trajectory("isospectral_t", [complex(t0)], [ph0], [tau], diag)
-
-    def on_sample(s, y):
-        traj.times.append(t0 + direction * s)
-        traj.states.append(_unpack(y, n))
-        traj.tau_of_sample.append(tau)
-
-    guard_fn = sep_fn if cfg.g != 0 and n > 1 else None
-    integrate_segment(f, _pack(ph0), length, icfg, diag,
-                      sample_at=_sample_positions(length, samples),
-                      on_sample=on_sample, separation=guard_fn)
-    return traj
+    return _integrate(dy, ph0, (float(t_span[0]), float(t_span[1])), icfg,
+                      samples, tau=cfg.tm.tau, guard=cfg)
 
 
 def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
@@ -292,37 +300,11 @@ def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
                             samples: int = 16) -> Trajectory:
     """Non-autonomous tau-flow 2 pi i d(q, p)/dtau = eom along a straight
     segment in the upper half-plane."""
-    tau0, tau1 = complex(tau_path[0]), complex(tau_path[1])
-    if tau0.imag <= 0 or tau1.imag <= 0:
-        raise PathError(f"tau path [{tau0}, {tau1}] leaves the upper half-plane")
-    length = abs(tau1 - tau0)
-    if length == 0:
-        raise ValueError("empty tau path")
-    direction = (tau1 - tau0) / length
-    n = cfg.n
+    def dy(tau, dtau, ph):
+        return dtau * np.concatenate(eom(cfg.with_tau(tau), ph)) / TWO_PI_I
 
-    def f(s, y):
-        tau = tau0 + direction * s
-        dq, dp = eom(cfg.with_tau(tau), _unpack(y, n))
-        return direction * np.concatenate([dq, dp]) / TWO_PI_I
-
-    def sep_fn(y):
-        return min_separation(cfg, _unpack(y, n))
-
-    diag = Diagnostics()
-    traj = Trajectory("isomonodromic_tau", [tau0], [ph0], [tau0], diag)
-
-    def on_sample(s, y):
-        tau = tau0 + direction * s
-        traj.times.append(tau)
-        traj.states.append(_unpack(y, n))
-        traj.tau_of_sample.append(tau)
-
-    guard_fn = sep_fn if cfg.g != 0 and n > 1 else None
-    integrate_segment(f, _pack(ph0), length, icfg, diag,
-                      sample_at=_sample_positions(length, samples),
-                      on_sample=on_sample, separation=guard_fn)
-    return traj
+    return _integrate(dy, ph0, (complex(tau_path[0]), complex(tau_path[1])),
+                      icfg, samples, guard=cfg)
 
 
 def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
@@ -335,35 +317,13 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
     lattice_scale feeds through to the general-lattice right-hand side used
     by the extended scaling symmetry tests.
     """
-    tau0, tau1 = complex(tau_path[0]), complex(tau_path[1])
-    if tau0.imag <= 0 or tau1.imag <= 0:
-        raise PathError(f"tau path [{tau0}, {tau1}] leaves the upper half-plane")
-    length = abs(tau1 - tau0)
-    if length == 0:
-        raise ValueError("empty tau path")
-    direction = (tau1 - tau0) / length
+    def dy(tau, dtau, ph):
+        return dtau * np.array(scalar_painleve_rhs(
+            ph.q[0], ph.p[0], tau, params, lattice_scale))
 
-    def f(s, y):
-        tau = tau0 + direction * s
-        dq, dp = scalar_painleve_rhs(y[0], y[1], tau, params,
-                                     lattice_scale)
-        return direction * np.array([dq, dp])
-
-    diag = Diagnostics()
-    traj = Trajectory("isomonodromic_tau", [tau0],
-                      [PhasePoint([state0.q], [state0.p])], [tau0], diag)
-
-    def on_sample(s, y):
-        tau = tau0 + direction * s
-        traj.times.append(tau)
-        traj.states.append(PhasePoint([y[0]], [y[1]]))
-        traj.tau_of_sample.append(tau)
-
-    integrate_segment(f, np.array([state0.q, state0.p], dtype=complex),
-                      length, icfg, diag,
-                      sample_at=_sample_positions(length, samples),
-                      on_sample=on_sample)
-    return traj
+    return _integrate(dy, PhasePoint([state0.q], [state0.p]),
+                      (complex(tau_path[0]), complex(tau_path[1])),
+                      icfg, samples)
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +354,11 @@ def extended_two_form(ph: PhasePoint, tau: complex, u: ExtendedTangent,
     """Omega_iso(u, v) = sum_j (dq^dp)(u,v) + (1/(2 pi i)) (dH^dtau)(u,v)."""
     cfg = cfg.with_tau(tau)
     fiber = complex(np.sum(u.dq * v.dp - u.dp * v.dq))
-    dHdq, dHdp = hamiltonian_gradient(cfg, ph)
+    dq, dp = eom(cfg, ph)  # (dH/dp, -dH/dq)
     dHdtau = hamiltonian_dtau(cfg, ph)
 
     def dH(w: ExtendedTangent) -> complex:
-        return complex(np.sum(dHdq * w.dq) + np.sum(dHdp * w.dp)
+        return complex(np.sum(-dp * w.dq) + np.sum(dq * w.dp)
                        + dHdtau * w.dtau)
 
     wedge = dH(u) * v.dtau - dH(v) * u.dtau

@@ -66,6 +66,7 @@ PANELS = 4
 #: Most panels whose nodes go into one L call (12288 nodes).
 _CHUNK = 4096
 
+_EPS = np.finfo(float).eps
 _SQRT15 = math.sqrt(15.0)
 #: Gauss-Legendre nodes of order 6 on [0, 1].
 _GL_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
@@ -219,9 +220,11 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     abs_tol + rel_tol ||Psi_2N||_max (max norms) are refined by doubling,
     together, and each accepted segment returns its finer result.  Only
     rel_tol, abs_tol and max_steps (the budget of panels) are read from
-    icfg.  Raises IntegrationError past the budget, and PathError when a
-    node meets a pole or the bodies collide, instead of returning a
-    partial Psi.
+    icfg.  Raises IntegrationError past the budget, or as soon as a
+    segment's difference stops shrinking while within 2N eps ||Psi_2N||_max
+    (rounding level: no refinement can meet the tolerance then), and
+    PathError when a node meets a pole or the bodies collide, instead of
+    returning a partial Psi.
     """
     path.validate(cfg.tm.tau)
     n = cfg.n
@@ -229,6 +232,7 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     a, b = w[:-1], w[1:]
     done = np.empty((a.size, n, n), dtype=complex)
     active = np.arange(a.size)
+    last = np.full(a.size, np.inf)  # the previous level's differences
     panels, spent, coarse = PANELS, 0, None
     while active.size:
         spent += active.size * panels
@@ -238,10 +242,19 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
         fine = _segment_transports(cfg, ph, a[active], b[active], panels)
         if coarse is not None:
             err = np.abs(fine - coarse).max(axis=(1, 2))
-            tol = icfg.abs_tol + icfg.rel_tol * np.abs(fine).max(axis=(1, 2))
+            norm = np.abs(fine).max(axis=(1, 2))
+            tol = icfg.abs_tol + icfg.rel_tol * norm
             ok = err <= tol
+            stuck = ~ok & (err >= last) & (err <= panels * _EPS * norm)
+            if stuck.any():
+                i = np.flatnonzero(stuck)[0]
+                raise IntegrationError(
+                    f"transport stagnated on segment [{a[active[i]]}, "
+                    f"{b[active[i]]}]: the difference {err[i]:.3e} at "
+                    f"{panels} panels stopped shrinking at rounding level, "
+                    f"above the tolerance {tol[i]:.3e}")
             done[active[ok]] = fine[ok]
-            active, fine = active[~ok], fine[~ok]
+            active, fine, last = active[~ok], fine[~ok], err[~ok]
         coarse = fine
         panels *= 2
     psi = np.eye(n, dtype=complex)
@@ -357,13 +370,14 @@ def eigenvalue_set_distance(A: np.ndarray, B: np.ndarray) -> float:
 
     A bottleneck assignment: the answer is the smallest pairwise distance t
     for which the pairs with |lambda_i - mu_j| <= t contain a perfect
-    matching.  The sorted distances are bisected, each threshold tested by
-    augmenting paths: O(n^3 log n) instead of n! permutations.
+    matching.  The sorted distances are bisected (repeated values do not
+    move the threshold found), each threshold tested by augmenting paths:
+    O(n^3 log n) instead of n! permutations.
     """
     ea = np.linalg.eigvals(A)
     eb = np.linalg.eigvals(B)
     dist = np.array([[abs(a - b) for b in eb] for a in ea])
-    levels = np.unique(dist)
+    levels = np.sort(dist, axis=None)
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -9,7 +9,6 @@ from ellcm.calogero import (
     eom,
     gauge_lame,
     hamiltonian_cm,
-    hamiltonian_root_system,
     lax_A_periodic,
     lax_A_quasi,
     lax_L_periodic,
@@ -301,16 +300,6 @@ class TestHamiltonians:
         ph_s = PhasePoint(PH3.q[perm], PH3.p[perm])
         assert abs(hamiltonian_cm(CFG3, PH3)
                    - hamiltonian_cm(CFG3, ph_s)) < 1e-12
-
-    def test_root_system_equality(self):
-        H1 = hamiltonian_cm(CFG3, PH3)
-        H2 = hamiltonian_root_system(CFG3, PH3, -CFG3.g**2 / 2)
-        assert abs(H1 - H2) <= 1e-10 * abs(H1)
-
-    def test_root_system_n1(self):
-        cfg = CMConfig(1, 0.7, TM_I)
-        ph = PhasePoint([0.2], [0.4])
-        assert hamiltonian_root_system(cfg, ph, 1.0) == pytest.approx(0.08)
 
 
 class TestPairOnceAssembly:

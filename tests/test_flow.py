@@ -7,6 +7,8 @@ from ellcm.calogero import CMConfig, PhasePoint, eom, hamiltonian_cm
 from ellcm.elliptic import TorusModulus, wp_dz
 from ellcm.errors import PathError
 from ellcm.flow import (
+    COLLISION_TRUNCATE,
+    Diagnostics,
     ExtendedTangent,
     IntegratorConfig,
     canonical_pairing,
@@ -16,6 +18,7 @@ from ellcm.flow import (
     integrate_isomonodromic,
     integrate_isospectral,
     integrate_scalar_painleve,
+    integrate_segment,
     symplectic_jacobian_check,
 )
 from ellcm.painleve import EllipticState, PainleveParams
@@ -90,6 +93,36 @@ class TestIsospectral:
         tr = integrate_isospectral(cfg, ph, (0.0, 1.0))
         assert tr.diagnostics.truncated
         assert tr.diagnostics.message != ""
+
+    def test_rk4_collision_truncates(self):
+        # the first fixed step of 0.01 brings the bodies together: it is
+        # not taken, nothing is rejected, and the message says why
+        cfg = CMConfig(2, 1e-6, TM_I)
+        ph = PhasePoint([0.499, 0.501], [0.1, -0.1])
+        tr = integrate_isospectral(
+            cfg, ph, (0.0, 1.0),
+            IntegratorConfig(method="rk4_fixed", initial_step=0.01))
+        d = tr.diagnostics
+        assert d.truncated and "collision at s = 0" in d.message
+        assert (d.steps_accepted, d.steps_rejected) == (0, 0)
+        assert d.max_local_error == 0.0
+        assert len(tr.states) == 1
+
+    def test_rk4_separation_truncates(self):
+        # the fifth fixed step ends 5e-7 from the guard's zero, within
+        # COLLISION_TRUNCATE: it is not taken, and none is rejected
+        diag = Diagnostics()
+        y = integrate_segment(lambda s, y: np.array([-1.0 + 0j]),
+                              np.array([0.05 + 5e-7 + 0j]), 1.0,
+                              IntegratorConfig(method="rk4_fixed",
+                                               initial_step=0.01),
+                              diag, separation=lambda y: abs(y[0]))
+        assert 5e-7 < COLLISION_TRUNCATE
+        assert diag.truncated
+        assert diag.message.startswith("collision at s = 0.04: "
+                                        "min separation 5.0")
+        assert diag.steps_accepted == 4 and diag.steps_rejected == 0
+        assert abs(y[0] - (0.01 + 5e-7)) < 1e-15
 
     def test_rk4_convergence_order(self):
         # measured against a tight-tolerance adaptive reference at g != 0
@@ -297,3 +330,46 @@ class TestSymplecticJacobian:
         u = np.array([1.0, 0.0, 0.0, 0.0])
         v = np.array([0.0, 0.0, 1.0, 0.0])
         assert (u @ omega @ v) == 1.0  # dq_0 ^ dp_0 pairing
+
+
+SCALAR_PARAMS = PainleveParams((0.1, -0.05, 0.07, 0.02))
+SCALAR_STATE = EllipticState(0.31 + 0.12j, 0.2, 1j)
+CM2 = CMConfig(2, 0.8, TM_I)
+PH2 = PhasePoint([0.12 + 0.03j, 0.55 - 0.06j], [0.3, -0.25])
+FLOWS = {
+    "isospectral": lambda span, **kw: integrate_isospectral(
+        CM2, PH2, span, **kw),
+    "isomonodromic": lambda span, **kw: integrate_isomonodromic(
+        CM2, PH2, span, **kw),
+    "painleve-scalar": lambda span, **kw: integrate_scalar_painleve(
+        SCALAR_STATE, SCALAR_PARAMS, span, **kw),
+}
+SPANS = {"isospectral": (0.0, 0.3), "isomonodromic": (1j, 1.1j + 0.05),
+         "painleve-scalar": (1j, 1.1j + 0.05)}
+
+
+class TestSharedDriver:
+    """What the one driver does for all three flows."""
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_empty_span(self, flow):
+        start = SPANS[flow][0]
+        with pytest.raises(ValueError, match="empty"):
+            FLOWS[flow]((start, start))
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_sample_count(self, flow, k):
+        tr = FLOWS[flow](SPANS[flow], samples=k)
+        assert len(tr.times) == len(tr.states) == len(tr.tau_of_sample) == k + 1
+        start, end = SPANS[flow]
+        expect = [start + (end - start) * i / k for i in range(k + 1)]
+        assert np.max(np.abs(np.array(tr.times) - expect)) < 1e-15
+        frozen = flow == "isospectral"
+        assert tr.tau_of_sample == ([CM2.tm.tau] * (k + 1) if frozen
+                                    else tr.times)
+
+    def test_scalar_path_leaves_upper_half_plane(self):
+        with pytest.raises(PathError, match="upper half-plane"):
+            integrate_scalar_painleve(SCALAR_STATE, SCALAR_PARAMS,
+                                      (1j, 0.2 - 0.05j))

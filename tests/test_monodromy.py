@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 
 from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
 from ellcm.elliptic import TorusModulus
-from ellcm.errors import PathError
+from ellcm.errors import IntegrationError, PathError
 from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     PANELS,
@@ -196,6 +200,23 @@ class TestMagnusTransport:
                                          0.75 + 0.25j)),
                       IntegratorConfig(max_steps=2 * PANELS - 1))
 
+    def test_tolerance_below_rounding_raises_early(self):
+        # the N/2N difference of this A-cycle stops shrinking near 1e-14,
+        # far above 1e-16 relative: the transport gives up at that level
+        # instead of doubling up to the panel budget
+        icfg = IntegratorConfig(rel_tol=1e-16, abs_tol=1e-18)
+        t0 = time.perf_counter()
+        with pytest.raises(IntegrationError, match="stagnated.*rounding"):
+            monodromy_A(self.CFG3, self.PH3, icfg=icfg)
+        assert time.perf_counter() - t0 < 0.3
+
+    def test_slow_convergence_is_not_stagnation(self):
+        # the radial legs of a radius-0.002 pole loop converge only at 8192
+        # panels, their difference falling at every level on the way
+        small = monodromy_pole(self.CFG3, self.PH3, 0.002, icfg=TIGHT)
+        large = monodromy_pole(self.CFG3, self.PH3, 0.1, icfg=TIGHT)
+        assert np.max(np.abs(small - large)) < 1e-10
+
     def test_pole_node_names_segment(self, monkeypatch):
         # a node of the second segment meets a pole: the error names it
         import ellcm.monodromy as mono
@@ -364,6 +385,21 @@ class TestEigenvalueSetDistance:
         D = np.diag([1.0, 2.0 + 1j, -3.0, 0.5j])
         P = np.eye(4)[[2, 0, 3, 1]]
         assert eigenvalue_set_distance(D, P @ D @ P.T) == 0.0
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma, about 12 ms on a process's first call
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(root / "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        code = ("import sys, numpy as np\n"
+                "from ellcm.monodromy import eigenvalue_set_distance\n"
+                "eigenvalue_set_distance(np.eye(3), np.diag([1.0, 2.0, 2.0]))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
 
     def test_polynomial_time(self):
         rng = np.random.default_rng(8)
