@@ -34,7 +34,7 @@ rhs = -cmath.exp(-1j * math.pi * (tau + 2 * z)) * theta1(z, tm)
 print(f"B-cycle factor check: |theta1(z+tau) + e^(-i pi (tau+2z)) theta1(z)|"
       f" = {abs(lhs - rhs):.2e}")
 
-# --- wp: theta fast path against the brute-force lattice sum ------------
+# --- wp: theta fast path against the lattice sum, rows in closed form ---
 z = 0.37 + 0.21j
 fast = wp(z, tm)
 slow = wp_lattice_oracle(z, tm)

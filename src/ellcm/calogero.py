@@ -29,6 +29,7 @@ import numpy as np
 
 from .elliptic import (
     POLE_EXCLUSION_RADIUS,
+    TWO_PI_I,
     TorusModulus,
     lame_x,
     lame_x_dtau,
@@ -43,8 +44,6 @@ from .elliptic import (
     wp_dz,
 )
 from .errors import GaugeSingularityError, PoleProximityError
-
-TWO_PI_I = 2j * math.pi
 
 Gauge = Literal["quasi_periodic", "periodic"]
 

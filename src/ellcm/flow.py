@@ -32,10 +32,9 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, eom, hamiltonian_cm, min_separation
+from .elliptic import TWO_PI_I
 from .errors import IntegrationError, PathError, PoleProximityError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
-
-TWO_PI_I = 2j * math.pi
 
 FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 
@@ -78,12 +77,6 @@ class Trajectory:
     states: list[PhasePoint]
     tau_of_sample: list[complex]
     diagnostics: Diagnostics
-
-    def q_array(self) -> np.ndarray:
-        return np.array([s.q for s in self.states])
-
-    def p_array(self) -> np.ndarray:
-        return np.array([s.p for s in self.states])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +156,14 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
     """Drive dy/ds = f(s, y) from s = 0 to s = length (real arc parameter).
 
     ``sample_at`` lists interior arc positions the stepper must hit exactly
-    (``on_sample(s, y)`` fires there and at the endpoint).  ``separation``
-    maps a state to its smallest reduced pairwise distance; a step ending
-    below COLLISION_TRUNCATE truncates the trajectory with the flag set on
-    ``diag`` (wp' ~ separation^-3 makes both stepping and error estimates
-    meaningless past that point).  The adaptive method also rejects and
-    retries shorter a step ending below COLLISION_REJECT, and truncates
-    when its step collapses; RK4 takes every step at the fixed size.
+    (``on_sample(s, y)`` fires there and at the endpoint).
+    ``separation(s, y)`` is the smallest reduced pairwise distance of the
+    state y at arc position s; a step ending below COLLISION_TRUNCATE
+    truncates the trajectory with the flag set on ``diag`` (wp' ~
+    separation^-3 makes both stepping and error estimates meaningless past
+    that point).  The adaptive method also rejects and retries shorter a
+    step ending below COLLISION_REJECT, and truncates when its step
+    collapses; RK4 takes every step at the fixed size.
     """
     y = np.asarray(y0, dtype=complex)
     s = 0.0
@@ -188,7 +182,8 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
             y_new, err = step(f, s, y, h_try)
         except PoleProximityError as exc:
             return _truncate(diag, y, f"collision at s = {s:.6g}: {exc}")
-        sep = separation(y_new) if separation is not None else math.inf
+        sep = (separation(s + h_try, y_new) if separation is not None
+               else math.inf)
         if sep < COLLISION_TRUNCATE:
             return _truncate(diag, y, f"collision at s = {s:.6g}: "
                                       f"min separation {sep:.3e}")
@@ -246,7 +241,8 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
     frozen modulus; without it the time is tau itself, and the segment must
     stay in the upper half-plane.  The trajectory records the start and the
     ends of ``samples`` equal pieces of the span.  The pairwise separations
-    of the bodies of ``guard`` stop the integration near a collision.
+    of the bodies of ``guard``, in the lattice of the modulus each step
+    reaches, stop the integration near a collision.
     """
     start, end = span
     if tau is None and (start.imag <= 0 or end.imag <= 0):
@@ -270,8 +266,9 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
         traj.states.append(_unpack(y, n))
         traj.tau_of_sample.append(time if tau is None else tau)
 
-    def separation(y):
-        return min_separation(guard, _unpack(y, n))
+    def separation(s, y):
+        at = guard if tau is not None else guard.with_tau(start + direction * s)
+        return min_separation(at, _unpack(y, n))
 
     guarded = guard is not None and guard.g != 0 and n > 1
     integrate_segment(f, _pack(ph0), length, icfg, traj.diagnostics,

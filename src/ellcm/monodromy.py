@@ -55,11 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
-from .elliptic import reduce_to_cell_array
+from .elliptic import TWO_PI_I, reduce_to_cell_array
 from .errors import IntegrationError, PathError, PoleProximityError
 from .flow import IntegratorConfig, integrate_isomonodromic
-
-TWO_PI_I = 2j * math.pi
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import (
+    TWO_PI_I,
     GeneralLattice,
     TorusModulus,
     wp,
@@ -36,8 +37,6 @@ from .elliptic import (
     wp_dz_general,
 )
 from .errors import DegenerateLatticeError, SingularConfigurationError
-
-TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from . import calogero as cm
 from . import flow as fl
 from . import monodromy as mo
 from . import painleve as pa
+from .elliptic import TWO_PI_I
 from .rng import SplitMix64
-
-TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -197,21 +196,16 @@ def _random_cm(rng: SplitMix64, n: int, tau: complex,
     from the lattice."""
     if g is None:
         g = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.2, 0.2))
+    cfg = cm.CMConfig(n, g, el.TorusModulus(tau))
     for _ in range(200):
         q = np.array([rng.uniform(0.05, 0.95) + (tau * rng.uniform(0.05, 0.6))
                       for _ in range(n)])
-        ok = True
-        for j in range(n):
-            for k in range(j + 1, n):
-                if el.lattice_distance(q[j] - q[k], tau) < min_sep:
-                    ok = False
-        if ok:
+        if cm.min_separation(cfg, cm.PhasePoint(q, np.zeros(n))) >= min_sep:
             break
     else:
         raise RuntimeError("could not sample separated configuration")
     p = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
                   for _ in range(n)])
-    cfg = cm.CMConfig(n, g, el.TorusModulus(tau))
     return cfg, cm.PhasePoint(q, p)
 
 

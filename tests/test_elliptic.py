@@ -277,6 +277,12 @@ class TestWp:
         z = 1e-3
         assert abs(z * z * wp_lattice_oracle(z, TM_I) - 1) < 1e-5
 
+    def test_oracle_far_from_real_axis(self):
+        # rows with |Im| beyond ~226 overflow sin; they must add 0, not nan
+        tm = TorusModulus(300j)
+        for z in (0.3, 0.3 + 100j, 0.1 - 140j):
+            assert abs(wp_lattice_oracle(z, tm) - wp(z, tm)) < 1e-13
+
 
 class TestWpDz:
     def test_odd(self):
@@ -576,3 +582,19 @@ class TestKernelsAgainstMpmath:
                     assert err < 1e-9, (name, tau, z, err)
                     checked += 1
         assert checked >= 100
+
+    @pytest.mark.parametrize("tau, count", [
+        (0.05j, 8), (0.02j, 8), (0.3 + 0.01j, 8), (0.45 + 0.03j, 8),
+        # more points at large Re tau, where rounding of n tau would show
+        (17.3 + 0.8j, 40)])
+    def test_lattice_oracle(self, tau, count):
+        # at small Im tau and large Re tau, in units of wp's natural scale
+        # |pi/tau|^2; z inside and outside the cell
+        scale = abs(math.pi / tau) ** 2
+        tm = TorusModulus(tau)
+        rng = SplitMix64(23)
+        for k in range(count):
+            z = rng.cell_point(tau) + (k % 8 - 3) * (1 + tau)
+            want = complex(self._reference(tau, 0.25, z)["wp"])
+            err = abs(wp_lattice_oracle(z, tm) - want) / scale
+            assert err <= 1e-11, (tau, z, err)

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ellcm.calogero import CMConfig, PhasePoint, eom, hamiltonian_cm
+from ellcm.calogero import (
+    CMConfig,
+    PhasePoint,
+    eom,
+    hamiltonian_cm,
+    min_separation,
+)
 from ellcm.elliptic import TorusModulus, wp_dz
 from ellcm.errors import PathError
 from ellcm.flow import (
+    COLLISION_REJECT,
     COLLISION_TRUNCATE,
     Diagnostics,
     ExtendedTangent,
@@ -116,7 +123,7 @@ class TestIsospectral:
                               np.array([0.05 + 5e-7 + 0j]), 1.0,
                               IntegratorConfig(method="rk4_fixed",
                                                initial_step=0.01),
-                              diag, separation=lambda y: abs(y[0]))
+                              diag, separation=lambda s, y: abs(y[0]))
         assert 5e-7 < COLLISION_TRUNCATE
         assert diag.truncated
         assert diag.message.startswith("collision at s = 0.04: "
@@ -168,6 +175,19 @@ class TestIsomonodromic:
                         [0.25, -0.15, -0.1])
         tr = integrate_isomonodromic(cfg, ph, (1j, 1j + 0.1), TIGHT)
         assert abs(tr.states[-1].p.sum() - ph.p.sum()) < 1e-10
+
+    def test_guard_measures_at_current_tau(self):
+        # the bodies are 0.36 apart in the lattice of tau0 but 5e-5 apart in
+        # the lattice of tau1 (q1 - q0 - tau1 = 5e-5); the guard must see
+        # the lattice each step reaches and stop the flow before tau1
+        tau0, tau1 = 1j, 0.8 + 1.3j
+        cfg = CMConfig(2, 1e-6, TorusModulus(tau0))
+        ph = PhasePoint([0.0, tau1 + 5e-5], [0.0, 0.0])
+        assert min_separation(cfg, ph) > 0.3
+        assert min_separation(cfg.with_tau(tau1), ph) < COLLISION_REJECT
+        tr = integrate_isomonodromic(cfg, ph, (tau0, tau1))
+        assert tr.diagnostics.truncated
+        assert len(tr.times) < 17  # the end sample is never reached
 
     def test_path_leaves_upper_half_plane(self):
         cfg = CMConfig(2, 0.5, TM_I)
