@@ -93,6 +93,7 @@ from .errors import (
     IntegrationError,
     PathError,
     PoleProximityError,
+    SeriesRangeError,
     SingularConfigurationError,
     TruncationError,
 )

@@ -17,10 +17,27 @@ The force argument order q_j - q_k (not q_k - q_j) is the one consistent
 with both -dH/dq_j of the Hamiltonian below and the zero-curvature
 equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation is
 the authoritative check and is driven to FD-level zero by this choice.
+
+Pair sums take one of two paths, chosen by the body count alone.  Below
+ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, the diagonal of lax_A_quasi,
+local_expansion, min_separation and the collision check loop over the
+pairs with one scalar kernel call each.  From ARRAY_PAIRS_FROM on they
+read `_pair_arrays`, which reduces all n(n-1)/2 separations to the cell
+at once, pole-checks them against the same nine lattice candidates and
+radius, and sums the theta series once over a (K x pairs) grid.  The
+array path costs a fixed ~40 us of numpy calls and then little per pair;
+the scalar path costs ~7 us per pair.  Measured on whole 16-step tau-flows
+at tau = 0.02+i (2-CPU x86 host with AVX-512, numpy 2.4), array over
+scalar time is 1.75 at n = 3, 1.22 at n = 4, 1.05 at n = 5, 0.83 at n = 6
+and 0.54 at n = 8; on t-flows at fixed tau it is 1.21 at n = 4 and 0.85 at
+n = 5.  The two paths agree to rounding: at Im tau = 0.08, where wp'
+cancels terms about 10^3 times its size, they differ by ~1e-12 relative,
+as each does from mpmath.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -31,21 +48,29 @@ from .elliptic import (
     POLE_EXCLUSION_RADIUS,
     TWO_PI_I,
     TorusModulus,
+    _reduced_distance_array,
+    _theta_ratios_array,
     lame_x,
     lame_x_dtau,
     lame_x_dz,
     lame_y,
     lame_y_dz,
     lattice_distance,
+    reduce_to_cell_array,
     rho,
     theta1_array,
     theta1_dz_at_0,
+    weierstrass_constant,
     wp,
     wp_dz,
 )
 from .errors import GaugeSingularityError, PoleProximityError
 
 Gauge = Literal["quasi_periodic", "periodic"]
+
+#: Body count from which the pair sums run on arrays (`_pair_arrays`), the
+#: measured crossover of the two paths (module docstring).
+ARRAY_PAIRS_FROM = 5
 
 
 @dataclass(frozen=True)
@@ -124,9 +149,63 @@ def _pairs(ph: PhasePoint):
     return [(j, k, q[j] - q[k]) for j in range(n) for k in range(j + 1, n)]
 
 
+def _pair_arrays(cfg: CMConfig, ph: PhasePoint, ratios: bool = True):
+    """Every unordered pair j < k at once, in the row order of _pairs.
+
+    Each q_j - q_k is reduced to the cell once and measured against the
+    nine lattice candidates of the scalar kernels.  Returns (j, k, dist),
+    or with ``ratios`` (j, k, r, B, T, nb): theta1'/theta1, theta1''/theta1
+    and theta1'''/theta1 at the reduced points, from one sum of the theta
+    series over all pairs, and the B-cycle counts of the reduction, so that
+    rho(q_j - q_k) = r - 2 pi i nb, wp = r^2 - B + c and
+    wp' = 3 r B - T - 2 r^3, as in the scalar kernels.  Before that sum the
+    first pair within POLE_EXCLUSION_RADIUS raises PoleProximityError as
+    _check_separations does.
+    """
+    tau = cfg.tm.tau
+    j, k = _pair_index(ph.n)
+    d = ph.q[j] - ph.q[k]
+    w, _, nb = reduce_to_cell_array(d, tau)
+    dist = _reduced_distance_array(w, tau)
+    if not ratios:
+        return j, k, dist
+    _raise_near(ph, j, k, dist)
+    return (j, k, *_theta_ratios_array(w, cfg.tm), nb)
+
+
+def _raise_near(ph: PhasePoint, j, k, dist) -> None:
+    """PoleProximityError for the first pair of _pair_arrays within
+    POLE_EXCLUSION_RADIUS, worded as by the scalar loop."""
+    near = np.flatnonzero(dist < POLE_EXCLUSION_RADIUS)
+    if near.size:
+        i = near[0]
+        raise PoleProximityError(complex(ph.q[j[i]] - ph.q[k[i]]),
+                                 f"q[{j[i]}] - q[{k[i]}]", float(dist[i]))
+
+
+@functools.cache
+def _pair_index(n: int):
+    """(j, k) of the unordered pairs j < k in row order, as index arrays."""
+    j, k = np.triu_indices(n, 1)
+    return j, k
+
+
+def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
+    """Row sums of the n x n matrix with upper at (j, k) and lower at
+    (k, j), taken as column sums of its transpose so that each row adds its
+    entries left to right, in the order of the scalar loops."""
+    out = np.zeros((n, n), dtype=complex)
+    out[k, j] = upper
+    out[j, k] = lower
+    return out.sum(axis=0)
+
+
 def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
     # interaction-free configurations have no pole structure to protect
     if cfg.g == 0 or ph.n == 1:
+        return
+    if ph.n >= ARRAY_PAIRS_FROM:
+        _raise_near(ph, *_pair_arrays(cfg, ph, ratios=False))
         return
     tau = cfg.tm.tau
     for j, k, d in _pairs(ph):
@@ -137,6 +216,8 @@ def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
 
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
     """Smallest reduced pairwise distance |q_j - q_k| mod the lattice."""
+    if ph.n >= ARRAY_PAIRS_FROM:
+        return float(_pair_arrays(cfg, ph, ratios=False)[2].min())
     tau = cfg.tm.tau
     return min((lattice_distance(d, tau) for _, _, d in _pairs(ph)),
                default=math.inf)
@@ -194,6 +275,11 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
 
 
 def _d_matrix(cfg: CMConfig, ph: PhasePoint) -> np.ndarray:
+    if ph.n >= ARRAY_PAIRS_FROM:
+        j, k, r, B, _, _ = _pair_arrays(cfg, ph)
+        v = r * r - B + weierstrass_constant(cfg.tm)
+        diag = _row_sums(ph.n, j, k, v, v)
+        return np.diag(1j * cfg.g * diag)
     diag = [0j] * ph.n
     for j, k, d in _pairs(ph):
         v = wp(d, cfg.tm)  # wp is even
@@ -326,12 +412,17 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     The off-diagonal constant carries +i g rho, from the expansion
     x(u, z) = -1/z + rho(u) + O(z).
     """
-    _check_separations(cfg, ph)
     n = ph.n
     residue = -1j * cfg.g * (np.ones((n, n), dtype=complex) - np.eye(n))
     constant = np.diag(ph.p.astype(complex))
     ig = 1j * cfg.g
-    if cfg.g != 0:
+    if cfg.g != 0 and n >= ARRAY_PAIRS_FROM:
+        j, k, r, _, _, nb = _pair_arrays(cfg, ph)
+        c = ig * (r - TWO_PI_I * nb)
+        constant[j, k] = c
+        constant[k, j] = -c
+    elif cfg.g != 0:
+        _check_separations(cfg, ph)
         for j, k, d in _pairs(ph):
             c = ig * rho(d, cfg.tm)  # rho is odd
             constant[j, k] = c
@@ -367,12 +458,15 @@ def residue_eigen(cfg: CMConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
     """sum_{j < k} wp(q_j - q_k): half the ordered-pair sum, as wp is even."""
+    if ph.n >= ARRAY_PAIRS_FROM:
+        _, _, r, B, _, _ = _pair_arrays(cfg, ph)
+        return complex(np.sum(r * r - B + weierstrass_constant(cfg.tm)))
+    _check_separations(cfg, ph)
     return sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
 
 
 def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs."""
-    _check_separations(cfg, ph)
     total = 0.5 * complex(np.sum(ph.p * ph.p))
     if cfg.g != 0:
         total += cfg.g * cfg.g * _wp_pair_sum(cfg, ph)
@@ -385,10 +479,15 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     These are the 2 pi i d/dtau right-hand sides; divide by 2 pi i for the
     tau-flow or use directly for the isospectral t-flow.
     """
-    _check_separations(cfg, ph)
     dq = ph.p.copy()
     if cfg.g == 0:
         return dq, np.zeros(ph.n, dtype=complex)
+    if ph.n >= ARRAY_PAIRS_FROM:
+        j, k, r, B, T, _ = _pair_arrays(cfg, ph)
+        f = 3.0 * r * B - T - 2.0 * r * r * r
+        force = _row_sums(ph.n, j, k, f, -f)
+        return dq, -(cfg.g * cfg.g) * force
+    _check_separations(cfg, ph)
     force = [0j] * ph.n
     for j, k, d in _pairs(ph):
         f = wp_dz(d, cfg.tm)  # wp' is odd
@@ -469,9 +568,12 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
         def tau_flow(s, y):
             return np.concatenate(eom(cfg, _unpack(y, ph.n))) / TWO_PI_I
 
+        y0 = _pack(ph)
+        k1 = tau_flow(0.0, y0)
+
         def microstep(h):
             """One RK4 step of the (q, p)-motion of the tau-flow."""
-            return _unpack(_rk4_step(tau_flow, 0.0, _pack(ph), h)[0], ph.n)
+            return _unpack(_rk4_step(tau_flow, 0.0, y0, h, k1)[0], ph.n)
 
         def residual_at(h):
             php = microstep(h)

@@ -59,11 +59,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLatticeError, PoleProximityError, TruncationError
+from .errors import (
+    DegenerateLatticeError,
+    PoleProximityError,
+    SeriesRangeError,
+    TruncationError,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -77,6 +83,9 @@ POLE_EXCLUSION_RADIUS = 1e-6
 #: consecutive factors are within REL_TOL of 1.  MAX_TERMS caps both.
 REL_TOL = 1e-14
 MAX_TERMS = 200
+
+#: |sin x| and |cos x| stay finite while |Im x| is below this.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,16 @@ def _reduced_distance(w: complex, tau: complex) -> float:
                abs(w + 1 + tau))
 
 
+#: Lattice coordinates (i, j) of the nine candidates i + j tau.
+_NINE_I, _NINE_J = np.array([(i, j) for i in (-1, 0, 1)
+                             for j in (-1, 0, 1)], dtype=float).T
+
+
+def _reduced_distance_array(w: np.ndarray, tau: complex) -> np.ndarray:
+    """_reduced_distance at every point of the array w."""
+    return np.abs(w[..., None] - (_NINE_I + _NINE_J * tau)).min(axis=-1)
+
+
 def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the nearest point of Z + tau Z."""
     return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
@@ -183,9 +202,16 @@ class _SeriesTable:
     sum c_d sin(a w) for even d and sum c_d cos(a w) for odd d.
     ``clear``: a reduced |w| in [POLE_EXCLUSION_RADIUS, clear] is at least
     the exclusion radius away from all nine lattice candidates.
+    ``arrays``: the coefficients as numpy arrays, built on first array use
+    (`_table_arrays`), so scalar-only callers never pay for them.
+
+    A leading coefficient 2 |nu|^{1/4} so small that the leading term at
+    the exclusion radius would be subnormal (Im tau above about 885) raises
+    SeriesRangeError: its digits, and with them every ratio of series
+    values, would be lost.
     """
 
-    __slots__ = ("terms", "dz0", "d3z0", "wp_const", "clear")
+    __slots__ = ("terms", "dz0", "d3z0", "wp_const", "clear", "arrays")
 
     def __init__(self, tm: TorusModulus):
         tau = tm.tau
@@ -195,6 +221,10 @@ class _SeriesTable:
         q_square = 1.0     # q^{k^2}
         nu2 = tm.nome * tm.nome
         coef = cmath.exp(0.25j * math.pi * tau)  # nu^{1/4}
+        if 2.0 * abs(coef) * POLE_EXCLUSION_RADIUS < sys.float_info.min:
+            raise SeriesRangeError(
+                f"theta1 series at tau = {tau} underflows: its leading "
+                f"coefficient is {2.0 * abs(coef):.3e}")
         nu2_pow = complex(1.0)
         terms = []
         for k in range(MAX_TERMS + 1):
@@ -237,6 +267,7 @@ class _SeriesTable:
         self.d3z0 = 3.0 * self.wp_const * self.dz0
         shortest = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
         self.clear = shortest - 2.0 * POLE_EXCLUSION_RADIUS
+        self.arrays = None
 
 
 def _table(tm: TorusModulus) -> _SeriesTable:
@@ -246,6 +277,16 @@ def _table(tm: TorusModulus) -> _SeriesTable:
         tab = _SeriesTable(tm)
         object.__setattr__(tm, "_series", tab)
     return tab
+
+
+def _table_arrays(tab: _SeriesTable):
+    """The table as arrays, built on first use: a, shape (K,), and the
+    coefficients of the sin and cos series, rows (c0, c2) and (c1, c3)."""
+    if tab.arrays is None:
+        t = np.array(tab.terms)
+        tab.arrays = (t[:, 0].real.copy(), t[:, 1::2].T.copy(),
+                      t[:, 2::2].T.copy())
+    return tab.arrays
 
 
 def _reduce_checked(z: complex, tm: TorusModulus, tab: _SeriesTable,
@@ -262,18 +303,45 @@ def _reduce_checked(z: complex, tm: TorusModulus, tab: _SeriesTable,
 
 def _theta_series_at(w: complex, tab: _SeriesTable):
     """theta1 and its first three z-derivatives at a reduced w, summed over
-    the table's K terms."""
+    the table's K terms.  A term past the double range (|Im w| beyond about
+    226 / (2k+1)) raises SeriesRangeError."""
     sin, cos = cmath.sin, cmath.cos
     s0 = s1 = s2 = s3 = 0j
-    for a, c0, c1, c2, c3 in tab.terms:
-        x = a * w
-        sn = sin(x)
-        cs = cos(x)
-        s0 += c0 * sn
-        s1 += c1 * cs
-        s2 += c2 * sn
-        s3 += c3 * cs
+    try:
+        for a, c0, c1, c2, c3 in tab.terms:
+            x = a * w
+            sn = sin(x)
+            cs = cos(x)
+            s0 += c0 * sn
+            s1 += c1 * cs
+            s2 += c2 * sn
+            s3 += c3 * cs
+    except OverflowError:
+        raise SeriesRangeError(
+            f"theta1 series overflows at the reduced point w = {w}") from None
     return s0, s1, s2, s3
+
+
+def _theta_ratios_array(w: np.ndarray, tm: TorusModulus):
+    """(theta1'/theta1, theta1''/theta1, theta1'''/theta1) at every point of
+    the 1-D array w, reduced and pole-checked by the caller: the series of
+    `_theta_series_at`, summed down the K axis of a (K x points) grid in
+    the scalar loop's order.  The sums are elementwise products, not a
+    complex matrix product: on some x86 hosts the complex BLAS kernel
+    leaves the wide vector registers dirty, which slows the complex libm
+    calls after it several-fold.  A point whose series overflows raises
+    the scalar path's SeriesRangeError, never inf or nan.
+    """
+    tab = _table(tm)
+    a, c_sin, c_cos = _table_arrays(tab)
+    # |sin|, |cos| of a w are at most exp(a |Im w|): only these points can
+    # overflow, and the scalar series raises for those that do
+    for i in np.flatnonzero(np.abs(w.imag) * a[-1] > _LOG_MAX):
+        _theta_series_at(complex(w[i]), tab)
+    x = a[:, None] * w
+    s0, s2 = (np.sin(x) * c_sin[:, :, None]).sum(axis=1)
+    s1, s3 = (np.cos(x) * c_cos[:, :, None]).sum(axis=1)
+    return s1 / s0, s2 / s0, s3 / s0
 
 
 def _theta_bundle(z: complex, tm: TorusModulus):
@@ -367,18 +435,15 @@ def theta1_array(z, tm: TorusModulus, name: str | None = None
     """
     z = np.asarray(z, dtype=complex)
     tau = tm.tau
-    tab = _table(tm)
+    a, c_sin, _ = _table_arrays(_table(tm))
     w, m, n = reduce_to_cell_array(z, tau)
     if name is not None:
-        nine = np.array([i + j * tau for i in (-1, 0, 1) for j in (-1, 0, 1)])
-        d = np.abs(w[..., None] - nine).min(axis=-1)
+        d = _reduced_distance_array(w, tau)
         bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
         if bad.size:
             k = bad[0]
             raise PoleProximityError(z.flat[k], name, d.flat[k])
-    a = np.array([t[0] for t in tab.terms])
-    c0 = np.array([t[1] for t in tab.terms])
-    s = np.sin(w[..., None] * a) @ c0
+    s = np.sin(w[..., None] * a) @ c_sin[0]
     return _log_prefactor(w, m, n, tau), s
 
 

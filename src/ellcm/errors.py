@@ -38,6 +38,11 @@ class TruncationError(EllcmError):
         super().__init__(f"{message} (last partial sum {partial})")
 
 
+class SeriesRangeError(EllcmError):
+    """The theta series leaves double precision: a term overflows, or the
+    leading coefficient is too small to keep its digits."""
+
+
 class DegenerateLatticeError(EllcmError):
     """Lattice generators are collinear, or a modulus denominator vanished."""
 

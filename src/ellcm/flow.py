@@ -11,7 +11,12 @@ time, all run by one driver (`_integrate`):
 The driver parameterizes the segment by a real arc variable and steps it
 with `integrate_segment`: the embedded Dormand-Prince 5(4) pair (Dormand &
 Prince 1980) supplies the local error estimate for step control, and a
-classic fixed-step RK4 is available for convergence studies.
+classic fixed-step RK4 is available for convergence studies.  The pair is
+first same as last: the seventh stage is the right-hand side at the
+accepted state, so it serves as the next step's first stage, a rejected
+step keeps its first stage, and a step costs six right-hand sides instead
+of seven.  Only snapping onto a sample, when it moves the arc position,
+costs one more.
 
 The extended phase space (q, p, tau) carries
 
@@ -122,23 +127,29 @@ def _combine(coeffs, k):
     return acc
 
 
-def _dp_step(f, s, y, h):
-    """One Dormand-Prince step; returns (y5, error_vector)."""
-    k = [f(s, y)]
+def _dp_step(f, s, y, h, k1):
+    """One Dormand-Prince step from k1 = f(s, y); returns (y5,
+    error_vector, f(s + h, y5)).
+
+    The last stage is evaluated at s + h and at the state the weights B5
+    give, which is y5 itself (first same as last), so it is the next
+    step's k1.
+    """
+    k = [k1]
     for i in range(1, 7):
         k.append(f(s + _DP_C[i] * h, y + h * _combine(_DP_A[i], k)))
     y5 = y + h * _combine(_DP_B5, k)
     y4 = y + h * _combine(_DP_B4, k)
-    return y5, y5 - y4
+    return y5, y5 - y4, k[6]
 
 
-def _rk4_step(f, s, y, h):
-    """One classic RK4 step; returns (y_new, None): it has no error estimate."""
-    k1 = f(s, y)
+def _rk4_step(f, s, y, h, k1):
+    """One classic RK4 step from k1 = f(s, y); returns (y_new, None, None):
+    it has no error estimate and no stage at the new state."""
     k2 = f(s + h / 2, y + h / 2 * k1)
     k3 = f(s + h / 2, y + h / 2 * k2)
     k4 = f(s + h, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), None
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), None, None
 
 
 def _truncate(diag: Diagnostics, y: np.ndarray, message: str) -> np.ndarray:
@@ -172,6 +183,7 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
     step = _dp_step if icfg.method == "rk45_adaptive" else _rk4_step
     h = min(icfg.initial_step, length)
     ti = 0
+    k1 = None  # f(s, y), when known
     while ti < len(targets):
         if diag.steps_accepted + diag.steps_rejected > icfg.max_steps:
             raise IntegrationError(
@@ -179,7 +191,9 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
         target = targets[ti]
         h_try = min(h, target - s)
         try:
-            y_new, err = step(f, s, y, h_try)
+            if k1 is None:
+                k1 = f(s, y)
+            y_new, err, k_new = step(f, s, y, h_try, k1)
         except PoleProximityError as exc:
             return _truncate(diag, y, f"collision at s = {s:.6g}: {exc}")
         sep = (separation(s + h_try, y_new) if separation is not None
@@ -206,11 +220,14 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
             diag.max_local_error = max(diag.max_local_error, local_error)
             s += h_try
             y = y_new
+            k1 = k_new
         else:
             diag.steps_rejected += 1
         if collapsed:
             return _truncate(diag, y, f"step collapsed at s = {s:.6g}")
         if abs(s - target) < 1e-13 * max(1.0, length):
+            if s != target:
+                k1 = None  # snapping moved s
             s = target
             if on_sample is not None:
                 on_sample(s, y)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ellcm import calogero
 from ellcm.calogero import (
     CMConfig,
     PhasePoint,
@@ -15,6 +17,7 @@ from ellcm.calogero import (
     lax_L_quasi,
     lax_L_quasi_batch,
     local_expansion,
+    min_separation,
     quasi_periodicity_check,
     residue_eigen,
     zero_curvature_residual,
@@ -24,10 +27,16 @@ from ellcm.elliptic import (
     TorusModulus,
     lame_x,
     lame_y,
+    reduce_to_cell,
+    rho,
     wp,
     wp_dz,
 )
-from ellcm.errors import GaugeSingularityError, PoleProximityError
+from ellcm.errors import (
+    GaugeSingularityError,
+    PoleProximityError,
+    SeriesRangeError,
+)
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm
 
@@ -450,3 +459,150 @@ class TestZeroCurvature:
             zero_curvature_residual(CFG2, PH2, Z0, fd_step=1e-12)
         with pytest.raises(ValueError):
             zero_curvature_residual(CFG2, PH2, Z0, fd_step=0.5)
+
+
+def _both_paths(monkeypatch, fn):
+    """fn() on the scalar pair loops and on the array pair path."""
+    monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", 10**9)
+    scalar = fn()
+    monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", 2)
+    return scalar, fn()
+
+
+def _rho_reduced(cfg, ph, power):
+    """|theta1'/theta1|^power at each reduced separation, as an n x n
+    matrix: the size of the terms that cancel in wp (power 2) and wp'
+    (power 3), and so the rounding scale of both paths."""
+    n, tau = ph.n, cfg.tm.tau
+    out = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                w = reduce_to_cell(ph.q[j] - ph.q[k], tau)[0]
+                out[j, k] = abs(rho(w, cfg.tm)) ** power
+    return out
+
+
+class TestPairArrays:
+    """The array pair path against the scalar pair loops it replaces from
+    ARRAY_PAIRS_FROM bodies on."""
+
+    #: (tau, relative tolerance).  At Im tau = 0.08 the theta series
+    #: itself cancels about 100-fold, so rho carries ~1e-14 relative
+    #: rounding on either path, which wp' amplifies; each path is then
+    #: ~4e-12 from mpmath, and they agree to ~1.4e-13 of the scale below.
+    TAUS = [(1j, 1e-13), (1.3 + 0.6j, 1e-13), (0.01 + 0.08j, 1e-12)]
+
+    @staticmethod
+    def case(n, tau, seed):
+        rng = np.random.default_rng(seed)
+        # heights beyond half a period, so that some pairs reduce across
+        # the B-cycle and rho picks up its 2 pi i shift
+        q = (rng.uniform(-2, 2, n)
+             + 1j * rng.uniform(-1.5, 1.5, n) * tau.imag)
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cfg = CMConfig(n, 0.7 + 0.1j, TorusModulus(tau))
+        ph = PhasePoint(q, p)
+        assert any(reduce_to_cell(d, tau)[2] != 0
+                   for d in np.subtract.outer(q, q).ravel())
+        return cfg, ph
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 16])
+    @pytest.mark.parametrize("tau", range(3), ids=["i", "1.3+0.6i",
+                                                   "0.01+0.08i"])
+    def test_matches_scalar(self, monkeypatch, n, tau):
+        """Each result within tol of its size plus the size of the terms
+        that cancel in it."""
+        tau, tol = self.TAUS[tau]
+        cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
+        g2 = abs(cfg.g) ** 2
+        r2, r3 = _rho_reduced(cfg, ph, 2), _rho_reduced(cfg, ph, 3)
+
+        (dq_s, dp_s), (dq_a, dp_a) = _both_paths(
+            monkeypatch, lambda: eom(cfg, ph))
+        assert np.array_equal(dq_s, dq_a)
+        scale = np.abs(dp_s) + g2 * r3.sum(axis=1)
+        assert np.all(np.abs(dp_a - dp_s) <= tol * scale)
+
+        h_s, h_a = _both_paths(monkeypatch, lambda: hamiltonian_cm(cfg, ph))
+        scale = abs(h_s) + np.sum(np.abs(ph.p) ** 2) + g2 * r2.sum()
+        assert abs(h_a - h_s) <= tol * scale
+
+        A_s, A_a = _both_paths(monkeypatch,
+                               lambda: lax_A_quasi(cfg, ph, Z0))
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(A_s[off], A_a[off])  # the same lame_y calls
+        scale = np.abs(A_s.diagonal()) + abs(cfg.g) * r2.sum(axis=1)
+        assert np.all(np.abs(A_a.diagonal() - A_s.diagonal())
+                      <= tol * scale)
+
+        c_s, c_a = _both_paths(
+            monkeypatch, lambda: local_expansion(cfg, ph).constant)
+        assert np.all(np.abs(c_a - c_s) <= tol * np.abs(c_s))
+
+        m_s, m_a = _both_paths(monkeypatch, lambda: min_separation(cfg, ph))
+        assert abs(m_a - m_s) <= 1e-13 * m_s
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_threshold(self, monkeypatch, offset):
+        """One body short of ARRAY_PAIRS_FROM the scalar kernels run, once
+        per pair; from it on, none of them."""
+        n = calogero.ARRAY_PAIRS_FROM + offset
+        cfg, ph = self.case(n, 1.3 + 0.6j, 7)
+        calls = []
+        for name in ("wp", "wp_dz", "rho", "lattice_distance"):
+            kernel = getattr(calogero, name)
+            monkeypatch.setattr(
+                calogero, name,
+                lambda *a, kernel=kernel, name=name: (calls.append(name),
+                                                      kernel(*a))[1])
+        eom(cfg, ph)
+        hamiltonian_cm(cfg, ph)
+        local_expansion(cfg, ph)
+        min_separation(cfg, ph)
+        pairs = n * (n - 1) // 2
+        expect = ({"wp_dz": pairs, "wp": pairs, "rho": pairs,
+                   "lattice_distance": 4 * pairs} if offset < 0 else {})
+        assert {k: calls.count(k) for k in set(calls)} == expect
+
+    def test_collision_same_as_scalar(self, monkeypatch):
+        """At n = 8 the first near pair in row order raises, with the scalar
+        loop's pair, argument name and distance."""
+        tau = 1.3 + 0.6j
+        q = np.array([0.05, 0.2 + 0.1j, 0.35, 0.5 - 0.1j, 0.62, 0.74 + 0.2j,
+                      0.86, 0.95 - 0.2j])
+        q[6] = q[2] + 1 + tau + 3e-7j  # near pair (2, 6), across the lattice
+        q[7] = q[3] - 4e-7             # near pair (3, 7), later in row order
+        cfg = CMConfig(8, 0.6, TorusModulus(tau))
+        ph = PhasePoint(q, np.zeros(8))
+        for fn in (lambda: eom(cfg, ph), lambda: hamiltonian_cm(cfg, ph),
+                   lambda: local_expansion(cfg, ph),
+                   lambda: lax_L_quasi(cfg, ph, Z0)):
+            errors = []
+            for thr in (10**9, 2):
+                monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+                with pytest.raises(PoleProximityError) as info:
+                    fn()
+                errors.append(info.value)
+            scalar, array = errors
+            assert array.variable == scalar.variable == "q[2] - q[6]"
+            assert array.point == scalar.point
+            assert array.distance == scalar.distance
+            assert str(array) == str(scalar)
+
+    def test_series_overflow_same_as_scalar(self, monkeypatch):
+        """A separation whose series leaves the double range raises the
+        scalar path's SeriesRangeError on the array path too, without a
+        floating-point warning and never returning inf or nan."""
+        cfg = CMConfig(5, 0.5, TorusModulus(500j))
+        ph = PhasePoint([0.0, 0.1, 0.3 + 230j, 0.5, 0.7], np.zeros(5))
+        messages = []
+        for thr in (10**9, 2):
+            monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SeriesRangeError) as info:
+                    eom(cfg, ph)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "overflows" in messages[0]

@@ -49,6 +49,12 @@ class TestEval:
         assert main(["eval", "wp", "--z", "1+1i", "--tau", "1.0i"]) == 2
         assert "lattice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau, word", [("500i", "overflows"),
+                                           ("1000i", "underflows")])
+    def test_series_range_exit_code(self, capsys, tau, word):
+        assert main(["eval", "wp", "--z", "0.3+230i", "--tau", tau]) == 2
+        assert word in capsys.readouterr().err
+
     def test_unknown_function(self):
         assert main(["eval", "nope", "--z", "1", "--tau", "1.0i"]) == 1
 

@@ -32,6 +32,7 @@ from ellcm.elliptic import (
 from ellcm.errors import (
     DegenerateLatticeError,
     PoleProximityError,
+    SeriesRangeError,
     TruncationError,
 )
 from ellcm.rng import SplitMix64
@@ -520,6 +521,28 @@ class TestSeriesTable:
                     assert tail <= 2e-14 * envelope * math.pi ** d
                     size = float(mp.fsum(abs(t) for t in terms))
                     assert abs(s - complex(head)) <= 1e-15 * size
+
+
+    def test_overflow_raises(self):
+        # at Im tau = 500 the reduced |Im w| reaches 250; sin(pi w) leaves
+        # the double range past about 226
+        tm = TorusModulus(500j)
+        z = 0.3 + 220j
+        assert abs(wp(z, tm) - wp_lattice_oracle(z, tm)) < 1e-13
+        for fn in (wp, wp_dz, rho, theta1):
+            with pytest.raises(SeriesRangeError, match="overflows"):
+                fn(0.3 + 230j, tm)
+
+    def test_underflow_raises(self):
+        # 2 |nu|^(1/4) times the exclusion radius turns subnormal past
+        # Im tau of about 885: the series ratios lose their digits (wp is
+        # 0.2% off at 940i) and divide by zero past about 950
+        tm = TorusModulus(880j)
+        z = 0.3 + 0.1j
+        assert abs(wp(z, tm) - wp_lattice_oracle(z, tm)) < 1e-12
+        for tau in (940j, 1000j):
+            with pytest.raises(SeriesRangeError, match="underflows"):
+                wp(z, TorusModulus(tau))
 
 
 class TestKernelsAgainstMpmath:

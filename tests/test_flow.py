@@ -393,3 +393,33 @@ class TestSharedDriver:
         with pytest.raises(PathError, match="upper half-plane"):
             integrate_scalar_painleve(SCALAR_STATE, SCALAR_PARAMS,
                                       (1j, 0.2 - 0.05j))
+
+
+class TestFirstSameAsLast:
+    """A DP5(4) step reuses the last stage of the step before as its first:
+    six right-hand sides per step, one at the start, and one more wherever
+    snapping to a sample moves the arc position."""
+
+    def test_rhs_count(self):
+        length, samples = 1.3, 7
+        sample_at = [length * i / samples for i in range(1, samples)]
+        calls = []
+
+        def f(s, y):
+            calls.append(s)
+            return np.array([1j * y[0] * (1 + 0.5 * np.sin(3 * s)),
+                             -y[1] * y[0]])
+
+        diag = Diagnostics()
+        integrate_segment(f, np.array([1.0 + 0j, 0.5]), length,
+                          IntegratorConfig(initial_step=0.5, rel_tol=1e-9,
+                                           abs_tol=1e-12),
+                          diag, sample_at=sample_at)
+        assert diag.steps_rejected > 0
+        # a re-snap evaluates at the sample itself, right after the last
+        # stage landed within the snapping tolerance of it
+        snap = 1e-13 * max(1.0, length)
+        resnaps = sum(1 for a, b in zip(calls, calls[1:])
+                      if b in sample_at and 0 < abs(b - a) < snap)
+        steps = diag.steps_accepted + diag.steps_rejected
+        assert len(calls) == 6 * steps + 1 + resnaps
