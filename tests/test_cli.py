@@ -154,6 +154,27 @@ class TestFlow:
         assert len(sample["q"]) == 2 and len(sample["q"][0]) == 2
         assert "steps_accepted" in payload["diagnostics"]
 
+    def test_isomonodromic_n8_matches_scalar_pairs(self, tmp_path,
+                                                  monkeypatch):
+        """An n = 8 tau-flow end to end on the array pair path: not
+        truncated, its H column as on the scalar pair loops."""
+        from ellcm import calogero
+        argv = ["flow", "isomonodromic", "--n", "8", "--g", "0.5",
+                "--tau", "1.0i", "--tau-end", "0.02+1.05i",
+                "--q", "0,0.13+0.02i,0.25-0.01i,0.37+0.03i,0.5,0.62-0.02i,"
+                       "0.75+0.01i,0.88",
+                "--p", "0.3,-0.25,0.2,-0.3,0.28,-0.22,0.3,-0.31"]
+        hs = []
+        for thr, name in ((calogero.ARRAY_PAIRS_FROM, "a.csv"),
+                          (10**9, "s.csv")):
+            monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+            assert run(argv, tmp_path / name) == 0
+            rows = read_csv(tmp_path / name)
+            assert len(rows) == 17
+            hs.append(np.array([complex(float(r["H_re"]), float(r["H_im"]))
+                                for r in rows]))
+        assert np.max(np.abs(hs[0] - hs[1]) / np.abs(hs[1])) <= 1e-12
+
     def test_truncated_flow_partial_file(self, tmp_path, capsys):
         # a collision-stalled configuration: partial file plus exit 3
         out = tmp_path / "partial.csv"
