@@ -5,8 +5,13 @@ Quasi-periodic gauge (entries built from the Lame kernel x and y = du x):
     L[j,j] = p_j                      L[j,k] = i g x(q_j - q_k, z)
     A[j,j] = i g sum_{k!=j} wp(q_j - q_k)   A[j,k] = i g y(q_j - q_k, z)
 
-Periodic gauge: conjugate by G = diag(x(q_1, z), ..., x(q_n, z)) and
-subtract the connection terms G^{-1} dG (in z for L, in tau for A).
+Periodic gauge: the quasi-periodic pair conjugated by
+G = diag(x(q_1, z), ..., x(q_n, z)), plus a connection diagonal,
+
+    L~ = G^{-1} L G - G^{-1} dG/dz,    A~ = G^{-1} A G + 2 pi i G^{-1} dG/dtau,
+
+so lax_L_periodic and lax_A_periodic take every pair entry from
+lax_L_quasi and lax_A_quasi and compute only the diagonal term of each body.
 
 Equations of motion (the tau-flow right-hand sides, i.e. 2 pi i dq/dtau
 and 2 pi i dp/dtau):
@@ -227,19 +232,23 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 # Lax matrices, quasi-periodic gauge
 # ----------------------------------------------------------------------
 
+def _off_diagonal(M: np.ndarray, cfg: CMConfig, ph: PhasePoint, z: complex,
+                  kernel) -> np.ndarray:
+    """M with i g kernel(q_j - q_k, z) written at every (j, k), j != k."""
+    if cfg.g == 0:
+        return M
+    ig = 1j * cfg.g
+    # kernel(-d, z) is no parity image of kernel(d, z): one call per entry
+    for j, k, d in _pairs(ph):
+        M[j, k] = ig * kernel(d, z, cfg.tm)
+        M[k, j] = ig * kernel(-d, z, cfg.tm)
+    return M
+
+
 def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """P + i g sum_{j != k} x(q_j - q_k, z) E_jk."""
     _check_separations(cfg, ph)
-    n = ph.n
-    L = np.diag(ph.p.astype(complex))
-    if cfg.g == 0 or n == 1:
-        return L
-    ig = 1j * cfg.g
-    # x(-d, z) is no parity image of x(d, z): one kernel call per entry
-    for j, k, d in _pairs(ph):
-        L[j, k] = ig * lame_x(d, z, cfg.tm)
-        L[k, j] = ig * lame_x(-d, z, cfg.tm)
-    return L
+    return _off_diagonal(np.diag(ph.p.astype(complex)), cfg, ph, z, lame_x)
 
 
 def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
@@ -259,8 +268,8 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     if cfg.g == 0 or n == 1:
         return L
     tm = cfg.tm
-    j, k, d = zip(*_pairs(ph))
-    d = np.array(d)
+    j, k = _pair_index(n)
+    d = ph.q[j] - ph.q[k]
     f_d, s_d = theta1_array(d, tm)
     f_z, s_z = theta1_array(z, tm, "z")
     # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
@@ -270,7 +279,7 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     f_zd, s_zd = theta1_array(z[:, None] - d, tm)
     x = (np.exp(f_zd - f_z[:, None] - f_d) * s_zd * theta1_dz_at_0(tm)
          / (s_z[:, None] * s_d))
-    L[:, list(j + k), list(k + j)] = 1j * cfg.g * x
+    L[:, np.concatenate([j, k]), np.concatenate([k, j])] = 1j * cfg.g * x
     return L
 
 
@@ -295,12 +304,7 @@ def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     n = ph.n
     if cfg.g == 0 or n == 1:
         return np.zeros((n, n), dtype=complex)
-    A = _d_matrix(cfg, ph)
-    ig = 1j * cfg.g
-    for j, k, d in _pairs(ph):
-        A[j, k] = ig * lame_y(d, z, cfg.tm)
-        A[k, j] = ig * lame_y(-d, z, cfg.tm)
-    return A
+    return _off_diagonal(_d_matrix(cfg, ph), cfg, ph, z, lame_y)
 
 
 # ----------------------------------------------------------------------
@@ -320,24 +324,26 @@ def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex,
     return np.diag(vals)
 
 
+def _conjugate(M: np.ndarray, gauge: np.ndarray,
+               connection) -> np.ndarray:
+    """G^{-1} M G plus diag(connection), G = diag(gauge): M_jk g_k / g_j off
+    the diagonal and M_jj + connection_j on it."""
+    out = M * gauge / gauge[:, None]
+    out[np.diag_indices(gauge.size)] = M.diagonal() + connection
+    return out
+
+
 def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """G^{-1} L G - G^{-1} dG/dz, written out entrywise; doubly periodic in z."""
-    _check_separations(cfg, ph)
-    n = ph.n
-    L = np.diag(ph.p.astype(complex))
-    gauge = gauge_lame(cfg, ph, z).diagonal().tolist()
-    ig = 1j * cfg.g
-    for j in range(n):
-        # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
-        L[j, j] -= lame_x_dz(ph.q[j], z, cfg.tm) / gauge[j]
-    for j, k, d in _pairs(ph):
-        L[j, k] = ig * lame_x(d, z, cfg.tm) * gauge[k] / gauge[j]
-        L[k, j] = ig * lame_x(-d, z, cfg.tm) * gauge[j] / gauge[k]
-    return L
+    """G^{-1} L G - G^{-1} dG/dz with L = lax_L_quasi; doubly periodic in z."""
+    L = lax_L_quasi(cfg, ph, z)
+    gauge = gauge_lame(cfg, ph, z).diagonal()
+    # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
+    return _conjugate(L, gauge, [-lame_x_dz(q, z, cfg.tm) / g
+                                 for q, g in zip(ph.q, gauge)])
 
 
 def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """G^{-1} A G + 2 pi i G^{-1} (dG/dtau), entrywise.
+    """G^{-1} A G + 2 pi i G^{-1} (dG/dtau) with A = lax_A_quasi.
 
     dG/dtau is the total deformation derivative of the gauge: the entries
     x(q_j(tau), z; tau) move both explicitly in tau and through
@@ -353,21 +359,12 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     connection up to  A(z+tau) = A(z) + 2 pi i L(z)  with L the periodic
     Lax matrix (full B-periodicity does not hold).
     """
-    _check_separations(cfg, ph)
-    n = ph.n
-    A = _d_matrix(cfg, ph) if (cfg.g != 0 and n > 1) else np.zeros(
-        (n, n), dtype=complex)
-    gauge = gauge_lame(cfg, ph, z).diagonal().tolist()
-    ig = 1j * cfg.g
+    A = lax_A_quasi(cfg, ph, z)
+    gauge = gauge_lame(cfg, ph, z).diagonal()
     qdot = ph.p / TWO_PI_I
-    for j in range(n):
-        dG = (lame_x_dtau(ph.q[j], z, cfg.tm)
-              + lame_y(ph.q[j], z, cfg.tm) * qdot[j])
-        A[j, j] += TWO_PI_I * dG / gauge[j]
-    for j, k, d in _pairs(ph):
-        A[j, k] = ig * lame_y(d, z, cfg.tm) * gauge[k] / gauge[j]
-        A[k, j] = ig * lame_y(-d, z, cfg.tm) * gauge[j] / gauge[k]
-    return A
+    return _conjugate(A, gauge, [
+        TWO_PI_I * (lame_x_dtau(q, z, cfg.tm) + lame_y(q, z, cfg.tm) * v) / g
+        for q, v, g in zip(ph.q, qdot, gauge)])
 
 
 def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
@@ -503,15 +500,8 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
 def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """dA/dz in the quasi-periodic gauge: D is z-independent, so only the
     off-diagonal y entries differentiate (analytically)."""
-    n = ph.n
-    out = np.zeros((n, n), dtype=complex)
-    if cfg.g == 0 or n == 1:
-        return out
-    ig = 1j * cfg.g
-    for j, k, d in _pairs(ph):
-        out[j, k] = ig * lame_y_dz(d, z, cfg.tm)
-        out[k, j] = ig * lame_y_dz(-d, z, cfg.tm)
-    return out
+    return _off_diagonal(np.zeros((ph.n, ph.n), dtype=complex), cfg, ph, z,
+                         lame_y_dz)
 
 
 def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray) -> np.ndarray:

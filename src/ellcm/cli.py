@@ -537,8 +537,9 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     sub = parser.add_subparsers(dest="command")
     actions: dict[str, dict[str, argparse.Action]] = {}
 
-    def command(name, help):
-        """Add a subcommand with the common flags; returns its add_argument,
+    def command(name, help, formats=True):
+        """Add a subcommand with the common flags, and --format for the
+        commands that write both CSV and JSON; returns its add_argument,
         which records every action it makes."""
         p = sub.add_parser(name, help=help)
         table = actions[name] = {}
@@ -549,7 +550,8 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
 
         arg("--config", help="flat key = value config file")
         arg("--out", help="output path (default stdout)")
-        arg("--format", choices=("csv", "json"), default=None)
+        if formats:
+            arg("--format", choices=("csv", "json"), default=None)
         return arg
 
     arg = command("eval", "evaluate an elliptic kernel")
@@ -581,7 +583,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     arg("--rel-tol", dest="rel_tol")
     arg("--abs-tol", dest="abs_tol")
 
-    arg = command("monodromy", "compute the monodromy report")
+    arg = command("monodromy", "compute the monodromy report", formats=False)
     arg("--n")
     arg("--g")
     arg("--tau")
@@ -592,7 +594,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     arg("--rel-tol", dest="rel_tol")
     arg("--abs-tol", dest="abs_tol")
 
-    arg = command("symmetry", "apply a symmetry transformation")
+    arg = command("symmetry", "apply a symmetry transformation", formats=False)
     arg("transform", choices=("landin", "scaling", "s4-shift"))
     arg("--alpha")
     arg("--q")
@@ -625,8 +627,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return EXIT_USAGE
         merge_config(args, actions[args.command])
-        if getattr(args, "format", None) is None:
-            args.format = "json" if args.command == "monodromy" else "csv"
         return COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

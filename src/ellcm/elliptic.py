@@ -40,6 +40,12 @@ constants come from cancellation-free forms, with x = nu^2:
 
 because the alternating series at z = 0 lose every digit as Im tau -> 0.
 
+Arrays of points go through one range-checked sum of the same K terms,
+`_sin_sums`, by elementwise products: on an x86 host with AVX-512 (numpy
+2.4, its bundled OpenBLAS) a complex matrix product leaves the upper vector
+register state dirty, and complex libm calls after it (cmath.sin, np.sin)
+run 8-20 times slower until a later numpy call clears that state.
+
 Derived kernels:
 
     rho(z)   = theta1'(z) / theta1(z)              (odd, rho(z+tau) = rho(z) - 2 pi i)
@@ -322,50 +328,51 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     return s0, s1, s2, s3
 
 
+def _sin_sums(w: np.ndarray, tab: _SeriesTable, rows: int):
+    """x = a_k w on the (K x points) grid of the 1-D array w, reduced by
+    the caller, and the first ``rows`` sin series of `_theta_series_at`
+    (theta1, then theta1'') there, summed down the K axis in the scalar
+    loop's order with no matrix product (module docstring).  A point whose
+    series overflows raises the scalar path's SeriesRangeError, never inf
+    or nan."""
+    a, c_sin, _ = _table_arrays(tab)
+    x = a[:, None] * w
+    # |sin|, |cos| of a w are at most exp(a |Im w|): only points past the
+    # double range in the last row can overflow, and the scalar series
+    # raises for those that do
+    for i in np.flatnonzero(np.abs(x[-1].imag) > _LOG_MAX):
+        _theta_series_at(complex(w[i]), tab)
+    return x, (np.sin(x) * c_sin[:rows, :, None]).sum(axis=1)
+
+
 def _theta_ratios_array(w: np.ndarray, tm: TorusModulus):
     """(theta1'/theta1, theta1''/theta1, theta1'''/theta1) at every point of
-    the 1-D array w, reduced and pole-checked by the caller: the series of
-    `_theta_series_at`, summed down the K axis of a (K x points) grid in
-    the scalar loop's order.  The sums are elementwise products, not a
-    complex matrix product: on some x86 hosts the complex BLAS kernel
-    leaves the wide vector registers dirty, which slows the complex libm
-    calls after it several-fold.  A point whose series overflows raises
-    the scalar path's SeriesRangeError, never inf or nan.
-    """
+    the 1-D array w, reduced and pole-checked by the caller: the two sin
+    series of `_sin_sums` and the two cos series, summed the same way."""
     tab = _table(tm)
-    a, c_sin, c_cos = _table_arrays(tab)
-    # |sin|, |cos| of a w are at most exp(a |Im w|): only these points can
-    # overflow, and the scalar series raises for those that do
-    for i in np.flatnonzero(np.abs(w.imag) * a[-1] > _LOG_MAX):
-        _theta_series_at(complex(w[i]), tab)
-    x = a[:, None] * w
-    s0, s2 = (np.sin(x) * c_sin[:, :, None]).sum(axis=1)
-    s1, s3 = (np.cos(x) * c_cos[:, :, None]).sum(axis=1)
+    x, (s0, s2) = _sin_sums(w, tab, 2)
+    s1, s3 = (np.cos(x) * _table_arrays(tab)[2][:, :, None]).sum(axis=1)
     return s1 / s0, s2 / s0, s3 / s0
 
 
 def _theta_bundle(z: complex, tm: TorusModulus):
-    """(theta1, theta1', theta1'', theta1''') at z, via reduction.
+    """(theta1, theta1') at z, via reduction.
 
     With z = w + m + n*tau,
 
         theta1(z) = F(w) theta1(w),
         F(w) = (-1)^{m+n} exp(-i pi (n^2 tau + 2 n w)),
 
-    so derivatives transform binomially with mu = -2 pi i n.
+    so theta1'(z) = F(w) (theta1'(w) + mu theta1(w)) with mu = -2 pi i n.
     """
     w, m, n = reduce_to_cell(z, tm.tau)
-    s = _theta_series_at(w, _table(tm))
+    s0, s1, _, _ = _theta_series_at(w, _table(tm))
     if m == 0 and n == 0:
-        return s
+        return s0, s1
     parity = -1.0 if (m + n) % 2 else 1.0
     F = parity * cmath.exp(-1j * math.pi * (n * n * tm.tau + 2 * n * w))
     mu = -TWO_PI_I * n
-    t0 = s[0]
-    t1 = s[1] + mu * s[0]
-    t2 = s[2] + 2 * mu * s[1] + mu * mu * s[0]
-    t3 = s[3] + 3 * mu * s[2] + 3 * mu * mu * s[1] + mu * mu * mu * s[0]
-    return (F * t0, F * t1, F * t2, F * t3)
+    return F * s0, F * (s1 + mu * s0)
 
 
 def _reduced_ratios(z: complex, tm: TorusModulus):
@@ -430,12 +437,12 @@ def theta1_array(z, tm: TorusModulus, name: str | None = None
     exponential is taken.  With ``name``, each point is first checked
     against the same nine lattice candidates and radius as the scalar
     kernels, and the first point within POLE_EXCLUSION_RADIUS raises
-    PoleProximityError under that argument name.  For single points the
-    scalar kernels are faster.
+    PoleProximityError under that argument name.  Where the series
+    overflows, s raises SeriesRangeError as theta1 does (`_sin_sums`).  For
+    single points the scalar kernels are faster.
     """
     z = np.asarray(z, dtype=complex)
     tau = tm.tau
-    a, c_sin, _ = _table_arrays(_table(tm))
     w, m, n = reduce_to_cell_array(z, tau)
     if name is not None:
         d = _reduced_distance_array(w, tau)
@@ -443,7 +450,7 @@ def theta1_array(z, tm: TorusModulus, name: str | None = None
         if bad.size:
             k = bad[0]
             raise PoleProximityError(z.flat[k], name, d.flat[k])
-    s = np.sin(w[..., None] * a) @ c_sin[0]
+    s = _sin_sums(w.ravel(), _table(tm), 1)[1][0].reshape(w.shape)
     return _log_prefactor(w, m, n, tau), s
 
 
@@ -491,12 +498,6 @@ def rho(z: complex, tm: TorusModulus) -> complex:
     """rho(z) = theta1'(z)/theta1(z)."""
     r, _, _, n, _ = _reduced_ratios(z, tm)
     return r - TWO_PI_I * n
-
-
-def rho_dz(z: complex, tm: TorusModulus) -> complex:
-    """rho'(z) = theta1''/theta1 - rho^2."""
-    r, B, _, _, _ = _reduced_ratios(z, tm)
-    return B - r * r
 
 
 def weierstrass_constant(tm: TorusModulus) -> complex:

@@ -394,6 +394,19 @@ class TestLaxQuasiBatch:
         with pytest.raises(PoleProximityError, match=r"q\[0\] - q\[1\]"):
             lax_L_quasi_batch(CFG2, ph, np.array([Z0]))
 
+    def test_series_overflow_raises(self):
+        """A node whose series leaves the double range raises the scalar
+        kernels' SeriesRangeError, without a floating-point warning and
+        never returning nan."""
+        cfg = CMConfig(2, 0.5, TorusModulus(500j))
+        ph = PhasePoint([0.0, 0.5], [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesRangeError) as info:
+                lax_L_quasi_batch(cfg, ph, np.array([0.3 + 230j, 0.2]))
+        assert str(info.value) == (
+            "theta1 series overflows at the reduced point w = (0.3+230j)")
+
 
 class TestEom:
     def test_free(self):

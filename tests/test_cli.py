@@ -338,3 +338,23 @@ class TestUsage:
 
     def test_bad_flag(self):
         assert main(["eval", "wp", "--zzz", "1"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["symmetry", "landin", "--alpha", "0.1,0.2,0.2,0.1"],
+        ["monodromy", "--n", "2", "--g", "0", "--tau", "1.0i",
+         "--q", "0.1,0.5", "--p", "0,0"],
+    ], ids=["symmetry", "monodromy"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_format_only_where_read(self, tmp_path, capsys, command, via):
+        """symmetry always writes CSV and monodromy JSON: --format, which
+        they would ignore, is a usage error there, as is its config key."""
+        if via == "flag":
+            extra = ["--format", "json"]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("format = json\n")
+            extra = ["--config", str(conf)]
+        out = tmp_path / "out"
+        assert run(command + extra, out) == 1
+        assert not out.exists()
+        assert "format" in capsys.readouterr().err

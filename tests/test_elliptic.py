@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ class TestTheta1Array:
         assert info.value.point == z[1]
         assert info.value.distance == pytest.approx(
             lattice_distance(z[1], tau))
+
+    def test_series_overflow_raises(self):
+        """A point whose reduced series leaves the double range raises the
+        scalar theta1's SeriesRangeError, without a floating-point warning
+        and never returning nan."""
+        tm = TorusModulus(500j)
+        with pytest.raises(SeriesRangeError) as scalar:
+            theta1(0.3 + 230j, tm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesRangeError) as array:
+                theta1_array([0.3 + 230j, 0.1], tm)
+        assert str(array.value) == str(scalar.value) == (
+            "theta1 series overflows at the reduced point w = (0.3+230j)")
 
     def test_dz_at_0(self):
         assert theta1_dz_at_0(self.TM) == pytest.approx(

@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Compare the ellcm command line of this checkout with that of another tree.
+#
+#   tools/cli_cmp.sh PARENT_TREE
+#
+# PARENT_TREE is any source tree of ellcm, for example the parent commit
+# unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.  The script
+# runs the CLI commands of README.md and every verify suite at its default
+# arguments once per tree, each with that tree's src/ on PYTHONPATH and in an
+# empty working directory, and compares stdout, stderr and the exit code
+# byte for byte.  It prints one line per command and exits 0 when every
+# command agrees, 1 when one differs (the outputs are then kept and their
+# directory is printed) and 2 on a usage error.
+set -u
+
+here=$(cd "$(dirname "$0")/.." && pwd)
+if [ $# -ne 1 ] || [ ! -d "$1/src/ellcm" ]; then
+    echo "usage: $0 PARENT_TREE (a source tree holding src/ellcm)" >&2
+    exit 2
+fi
+there=$(cd "$1" && pwd)
+
+commands=()
+while IFS= read -r line; do
+    commands+=("${line#ellcm }")
+done < <(sed -n '/^## CLI/,/^Common flags/p' "$here/README.md" | grep '^ellcm ')
+for suite in $(PYTHONPATH="$here/src" python3 -c \
+        'from ellcm.verify import SUITES; print(*SUITES)'); do
+    commands+=("verify $suite")
+done
+
+work=$(mktemp -d)
+differ=0
+for i in "${!commands[@]}"; do
+    read -ra argv <<< "${commands[$i]}"
+    for side in parent change; do
+        tree=$there
+        [ "$side" = change ] && tree=$here
+        mkdir -p "$work/$i/$side/cwd"
+        (cd "$work/$i/$side/cwd" \
+            && PYTHONPATH="$tree/src" python3 -m ellcm.cli "${argv[@]}" \
+                > ../stdout 2> ../stderr
+         echo $? > ../exit)
+    done
+    streams=""
+    for f in stdout stderr exit; do
+        cmp -s "$work/$i/parent/$f" "$work/$i/change/$f" \
+            || streams="$streams $f"
+    done
+    if [ -z "$streams" ]; then
+        echo "same     ellcm ${commands[$i]}"
+    else
+        echo "DIFFERS  ellcm ${commands[$i]}  (${streams# }; $work/$i)"
+        differ=$((differ + 1))
+    fi
+done
+
+echo "$((${#commands[@]} - differ)) of ${#commands[@]} commands identical"
+if [ "$differ" -eq 0 ]; then
+    rm -rf "$work"
+    exit 0
+fi
+echo "outputs kept in $work"
+exit 1
