@@ -53,7 +53,11 @@ from .elliptic import (
     POLE_EXCLUSION_RADIUS,
     TWO_PI_I,
     TorusModulus,
+    _check_poles_array,
+    _log_prefactor,
     _reduced_distance_array,
+    _sin_sums,
+    _table,
     _theta_ratios_array,
     lame_x,
     lame_x_dtau,
@@ -63,7 +67,6 @@ from .elliptic import (
     lattice_distance,
     reduce_to_cell_array,
     rho,
-    theta1_array,
     theta1_dz_at_0,
     weierstrass_constant,
     wp,
@@ -255,10 +258,11 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     """lax_L_quasi at every node of the 1-D array z, shape (m, n, n).
 
     theta1(q_j - q_k) is evaluated once per pair (theta1 is odd) and, per
-    node, theta1(z) once and theta1(z - d) once per entry; each entry
-    combines its three reduction prefactors before exponentiating, as
-    lame_x does.  A node within POLE_EXCLUSION_RADIUS of the lattice raises
-    PoleProximityError for argument "z".
+    node, theta1(z) once and theta1(z - d) once per entry, all from one
+    reduction and one series sum (`_sin_sums`); each entry combines its
+    three reduction prefactors before exponentiating, as lame_x does.
+    A node within POLE_EXCLUSION_RADIUS of the lattice raises
+    PoleProximityError for argument "z" before any series is summed.
     """
     _check_separations(cfg, ph)
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -270,14 +274,18 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     tm = cfg.tm
     j, k = _pair_index(n)
     d = ph.q[j] - ph.q[k]
-    f_d, s_d = theta1_array(d, tm)
-    f_z, s_z = theta1_array(z, tm, "z")
     # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
-    d = np.concatenate([d, -d])
+    zd = z[:, None] - np.concatenate([d, -d])
+    w, m, nb = reduce_to_cell_array(np.concatenate([z, d, zd.ravel()]),
+                                    tm.tau)
+    _check_poles_array(z, w[:z.size], tm.tau, "z")
+    cut = [z.size, z.size + d.size]
+    f_z, f_d, f_zd = np.split(_log_prefactor(w, m, nb, tm.tau), cut)
+    s_z, s_d, s_zd = np.split(_sin_sums(w, _table(tm), 1)[1][0], cut)
     f_d = np.concatenate([f_d, f_d])
     s_d = np.concatenate([s_d, -s_d])
-    f_zd, s_zd = theta1_array(z[:, None] - d, tm)
-    x = (np.exp(f_zd - f_z[:, None] - f_d) * s_zd * theta1_dz_at_0(tm)
+    x = (np.exp(f_zd.reshape(zd.shape) - f_z[:, None] - f_d)
+         * s_zd.reshape(zd.shape) * theta1_dz_at_0(tm)
          / (s_z[:, None] * s_d))
     L[:, np.concatenate([j, k]), np.concatenate([k, j])] = 1j * cfg.g * x
     return L

@@ -42,7 +42,7 @@ from .flow import (
     integrate_isospectral,
     integrate_scalar_painleve,
 )
-from .monodromy import cubic_relation_residual, isomonodromy_drift, monodromy_data
+from .monodromy import _drift, cubic_relation_residual, monodromy_data
 from .painleve import (
     EllipticState,
     PainleveParams,
@@ -447,8 +447,7 @@ def cmd_monodromy(args) -> int:
         dtau = parse_complex(args.drift)
         report["drift"] = {
             "dtau": cjson(dtau),
-            "spectral_drift": float(isomonodromy_drift(cfg, ph, tau, dtau,
-                                                       icfg)),
+            "spectral_drift": float(_drift(cfg, ph, dtau, icfg, md, radius)),
         }
     write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

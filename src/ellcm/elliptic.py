@@ -195,6 +195,17 @@ def _check_pole(z: complex, tau: complex, name: str,
         raise PoleProximityError(z, name, d)
 
 
+def _check_poles_array(z: np.ndarray, w: np.ndarray, tau: complex,
+                       name: str) -> None:
+    """PoleProximityError for the first point of z whose reduced w lies
+    within POLE_EXCLUSION_RADIUS of the nine lattice candidates."""
+    d = _reduced_distance_array(w, tau)
+    bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
+    if bad.size:
+        k = bad[0]
+        raise PoleProximityError(z.flat[k], name, d.flat[k])
+
+
 # ----------------------------------------------------------------------
 # Theta series
 # ----------------------------------------------------------------------
@@ -445,11 +456,7 @@ def theta1_array(z, tm: TorusModulus, name: str | None = None
     tau = tm.tau
     w, m, n = reduce_to_cell_array(z, tau)
     if name is not None:
-        d = _reduced_distance_array(w, tau)
-        bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
-        if bad.size:
-            k = bad[0]
-            raise PoleProximityError(z.flat[k], name, d.flat[k])
+        _check_poles_array(z, w, tau, name)
     s = _sin_sums(w.ravel(), _table(tm), 1)[1][0].reshape(w.shape)
     return _log_prefactor(w, m, n, tau), s
 

@@ -33,9 +33,9 @@ the three Gauss-Legendre nodes, giving A1, A2, A3, and
 
 the panel propagator exp(Omega) comes from scaling and squaring, and the
 panels are multiplied as a tree, later panels on the left.  L depends on z
-alone, so every node is known in advance: the nodes of all segments of a
-path go into one `lax_L_quasi_batch` call per refinement level.  N starts
-at PANELS = 4; every segment is transported with N and 2N panels and is
+alone, so every node is known in advance: the nodes of all open segments
+go into one `lax_L_quasi_batch` call per refinement level.  N starts at
+PANELS = 4; every segment is transported with N and 2N panels and is
 accepted when ||Psi_2N - Psi_N||_max <= abs_tol + rel_tol ||Psi_2N||_max.
 The segments that fail are doubled again, together.  An accepted segment
 keeps Psi_2N, whose error is about 1/63 of that difference for a
@@ -45,6 +45,14 @@ tr Omega = h sum p exactly and det Psi = exp((b - a) sum p) up to
 rounding; the identities det M0 = 1, det M1 = exp(sum p) and
 det Mtau = exp(-2 pi i sum q) exp(tau sum p) are therefore a free monitor
 of the transport.
+
+`monodromy_data` runs one refinement loop for all three cycles (pole
+loop, A, B): a triple costs as many L calls, Magnus batches and tree
+products as its deepest cycle has levels, for example 6 where three
+separate loops take 5 + 6 + 6.  Each segment is refined, accepted and
+tested for stagnation as if its path were alone, so the triple equals the
+three separate transports exactly, and max_steps is a budget of panels
+for each path separately.
 """
 
 from __future__ import annotations
@@ -92,29 +100,41 @@ class PathSpec:
 
     def validate(self, tau: complex) -> None:
         """Check every segment keeps its clearance from Z + tau Z."""
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            d = _segment_lattice_distance(a, b, tau)
-            if d < self.pole_clearance:
-                raise PathError(
-                    f"segment [{a}, {b}] passes within {d:.3e} of a "
-                    f"lattice point (clearance {self.pole_clearance})")
+        w = np.array(self.waypoints)
+        d = _segment_lattice_distances(w[:-1], w[1:], tau)
+        bad = np.flatnonzero(d < self.pole_clearance)
+        if bad.size:
+            i = bad[0]
+            raise PathError(
+                f"segment [{self.waypoints[i]}, {self.waypoints[i + 1]}] "
+                f"passes within {d[i]:.3e} of a lattice point "
+                f"(clearance {self.pole_clearance})")
 
 
-def _segment_lattice_distance(a: complex, b: complex, tau: complex) -> float:
-    """Minimum distance from the segment [a, b] to the lattice.
+def _segment_lattice_distances(a: np.ndarray, b: np.ndarray,
+                               tau: complex) -> np.ndarray:
+    """Minimum distance from each segment [a_i, b_i] to the lattice.
 
     The nine lattice points around the cell of each of max(8, 4 |b - a|) + 1
-    evenly spaced samples are projected onto the segment; they include the
-    lattice point nearest to every sample.
+    evenly spaced samples of a segment are projected onto that segment;
+    they include the lattice point nearest to every sample.  The samples of
+    all segments go through one array pass.
     """
     d = b - a
-    steps = max(8, int(4 * abs(d)))
-    _, m, n = reduce_to_cell_array(a + d * np.arange(steps + 1) / steps, tau)
+    # rounded as abs() of a Python complex, where np.abs can differ by an ulp
+    length = np.hypot(d.real, d.imag)
+    steps = np.maximum(8, (4 * length).astype(int))
+    first = np.cumsum(steps + 1) - (steps + 1)  # each segment's first sample
+    seg = np.repeat(np.arange(a.size), steps + 1)
+    a, d, k = a[seg], d[seg], np.arange(seg.size) - first[seg]
+    _, m, n = reduce_to_cell_array(a + d * k / steps[seg], tau)
     near = np.array([-1.0, 0.0, 1.0])
     lam = ((m[:, None, None] + near[:, None])
-           + (n[:, None, None] + near) * tau).reshape(-1)
-    t = np.clip(((lam - a) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
-    return float(np.abs(a + t * d - lam).min())
+           + (n[:, None, None] + near) * tau).reshape(seg.size, 9)
+    a, d = a[:, None], d[:, None]
+    t = np.clip(((lam - a) * d.conjugate()).real / length[seg, None] ** 2,
+                0.0, 1.0)
+    return np.minimum.reduceat(np.abs(a + t * d - lam).min(axis=1), first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,17 +244,36 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     PathError when a node meets a pole or the bodies collide, instead of
     returning a partial Psi.
     """
-    path.validate(cfg.tm.tau)
+    return _transport_paths(cfg, ph, (path,), icfg)[0]
+
+
+def _transport_paths(cfg: CMConfig, ph: PhasePoint,
+                     paths: tuple[PathSpec, ...],
+                     icfg: IntegratorConfig) -> list[np.ndarray]:
+    """`transport` along each of the paths, in one refinement loop.
+
+    The segments of all paths are refined together: each level transports
+    every segment still open, of whichever path, in one
+    `_segment_transports` call.  A segment's result, its acceptance and its
+    stagnation test do not depend on the other segments, so each Psi is
+    the one `transport` gives for its path alone; max_steps budgets the
+    panels of each path separately.
+    """
+    for path in paths:
+        path.validate(cfg.tm.tau)
     n = cfg.n
-    w = np.array(path.waypoints)
-    a, b = w[:-1], w[1:]
+    w = [np.array(path.waypoints) for path in paths]
+    a = np.concatenate([x[:-1] for x in w])
+    b = np.concatenate([x[1:] for x in w])
+    owner = np.repeat(np.arange(len(paths)), [x.size - 1 for x in w])
     done = np.empty((a.size, n, n), dtype=complex)
     active = np.arange(a.size)
     last = np.full(a.size, np.inf)  # the previous level's differences
-    panels, spent, coarse = PANELS, 0, None
+    spent = np.zeros(len(paths), dtype=int)  # panels per path
+    panels, coarse = PANELS, None
     while active.size:
-        spent += active.size * panels
-        if spent > icfg.max_steps:
+        spent += panels * np.bincount(owner[active], minlength=len(paths))
+        if spent.max() > icfg.max_steps:
             raise IntegrationError(
                 f"transport exceeded max_steps = {icfg.max_steps} panels")
         fine = _segment_transports(cfg, ph, a[active], b[active], panels)
@@ -255,14 +294,41 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
             active, fine, last = active[~ok], fine[~ok], err[~ok]
         coarse = fine
         panels *= 2
-    psi = np.eye(n, dtype=complex)
-    for U in done:
-        psi = U @ psi
-    return psi
+    psis = []
+    for p in range(len(paths)):
+        psi = np.eye(n, dtype=complex)
+        for U in done[owner == p]:
+            psi = U @ psi
+        psis.append(psi)
+    return psis
 
 
 def _straight(a: complex, b: complex, clearance: float) -> PathSpec:
     return PathSpec((a, b), pole_clearance=clearance)
+
+
+def _twisted(ph: PhasePoint, psi: np.ndarray) -> np.ndarray:
+    """Mtau = exp(-2 pi i Q) Psi(base + tau) from the B-cycle transport."""
+    return np.diag(np.exp(-TWO_PI_I * ph.q)) @ psi
+
+
+def _pole_loop(base: complex, radius: float, segments: int) -> PathSpec:
+    """base -> a positively oriented polygon of the given radius around
+    z = 0, entered radially -> base."""
+    if not (1e-3 < radius < 0.3):
+        raise ValueError(f"radius {radius} outside (1e-3, 0.3)")
+    if segments < 16:
+        raise ValueError("at least 16 segments required")
+    entry = radius * base / abs(base)
+    phase0 = math.atan2(entry.imag, entry.real)
+    circle = [radius * complex(math.cos(phase0 + 2 * math.pi * k / segments),
+                               math.sin(phase0 + 2 * math.pi * k / segments))
+              for k in range(segments + 1)]
+    circle[-1] = entry  # close the polygon exactly
+    waypoints = [base] + circle + [base]
+    # Clearance along the loop is bounded by the polygon's chord sag; use a
+    # guard well below the radius.
+    return PathSpec(tuple(waypoints), pole_clearance=min(0.5 * radius, 1e-2))
 
 
 def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
@@ -284,8 +350,7 @@ def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
     if base is None:
         base = default_base(tau)
     psi = transport(cfg, ph, _straight(base, base + tau, clearance), icfg)
-    twist = np.diag(np.exp(-TWO_PI_I * ph.q))
-    return twist @ psi
+    return _twisted(ph, psi)
 
 
 def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
@@ -294,41 +359,26 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
                    segments: int = 32) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
     entered radially from the base point, reported in the base frame."""
-    if not (1e-3 < radius < 0.3):
-        raise ValueError(f"radius {radius} outside (1e-3, 0.3)")
-    if segments < 16:
-        raise ValueError("at least 16 segments required")
-    tau = cfg.tm.tau
     if base is None:
-        base = default_base(tau)
-    entry = radius * base / abs(base)
-    phase0 = math.atan2(entry.imag, entry.real)
-    circle = [radius * complex(math.cos(phase0 + 2 * math.pi * k / segments),
-                               math.sin(phase0 + 2 * math.pi * k / segments))
-              for k in range(segments + 1)]
-    circle[-1] = entry  # close the polygon exactly
-    waypoints = [base] + circle + [base]
-    # Clearance along the loop is bounded by the polygon's chord sag; use a
-    # guard well below the radius.
-    path = PathSpec(tuple(waypoints),
-                    pole_clearance=min(0.5 * radius, 1e-2))
-    return transport(cfg, ph, path, icfg)
+        base = default_base(cfg.tm.tau)
+    return transport(cfg, ph, _pole_loop(base, radius, segments), icfg)
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
                    base: complex | None = None, radius: float = 0.1
                    ) -> MonodromyData:
+    """monodromy_pole, monodromy_A and monodromy_B at their default
+    segments and clearances, transported in one refinement loop."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    return MonodromyData(
-        M0=monodromy_pole(cfg, ph, radius, base, icfg),
-        M1=monodromy_A(cfg, ph, base, icfg),
-        Mtau=monodromy_B(cfg, ph, base, icfg),
-        base_point=complex(base),
-        Q=np.diag(ph.q),
-    )
+    M0, M1, psi_b = _transport_paths(
+        cfg, ph, (_pole_loop(base, radius, 32),
+                  _straight(base, base + 1.0, 1e-2),
+                  _straight(base, base + tau, 1e-2)), icfg)
+    return MonodromyData(M0=M0, M1=M1, Mtau=_twisted(ph, psi_b),
+                         base_point=complex(base), Q=np.diag(ph.q))
 
 
 def cubic_relation_residual(md: MonodromyData) -> float:
@@ -406,17 +456,27 @@ def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
     point motion does not pollute the comparison).  The exact flow keeps
     the drift at transport-error level.
     """
+    return _drift(cfg.with_tau(tau0), ph0, dtau, icfg)
+
+
+def _drift(cfg0: CMConfig, ph0: PhasePoint, dtau: complex,
+           icfg: IntegratorConfig, md0: MonodromyData | None = None,
+           radius: float = 0.1) -> float:
+    """isomonodromy_drift from tau0 = cfg0.tm.tau, reusing md0, the
+    monodromy_data of (cfg0, ph0, icfg) at the default base and the pole
+    loop radius, when the caller already holds it."""
     if abs(dtau) > 1e-2 + 1e-15:
         raise ValueError("|dtau| must be at most 1e-2 for the drift probe")
-    cfg0 = cfg.with_tau(tau0)
-    md0 = monodromy_data(cfg0, ph0, icfg)
+    if md0 is None:
+        md0 = monodromy_data(cfg0, ph0, icfg, radius=radius)
+    tau0 = cfg0.tm.tau
     traj = integrate_isomonodromic(cfg0, ph0, (tau0, tau0 + dtau), icfg,
                                    samples=1)
     if traj.diagnostics.truncated:
         raise PathError("isomonodromic flow truncated: "
                         + traj.diagnostics.message)
-    cfg1 = cfg.with_tau(tau0 + dtau)
-    md1 = monodromy_data(cfg1, traj.states[-1], icfg)
+    md1 = monodromy_data(cfg0.with_tau(tau0 + dtau), traj.states[-1], icfg,
+                         radius=radius)
     return spectral_distance(md0, md1)
 
 

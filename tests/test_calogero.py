@@ -389,6 +389,41 @@ class TestLaxQuasiBatch:
         assert info.value.variable == "z"
         assert info.value.point == z[1]
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("tau", [1j, 0.1 + 1j, -0.3 + 0.7j])
+    def test_matches_stacked_scalar_at_random_nodes(self, n, tau):
+        cfg, ph = _random_cm(SplitMix64(n + 31), n, tau, min_sep=0.2)
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-2, 2, 40) + rng.uniform(-2, 2, 40) * tau
+        batch = lax_L_quasi_batch(cfg, ph, z)
+        stacked = np.stack([lax_L_quasi(cfg, ph, zi) for zi in z])
+        err = np.abs(batch - stacked).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(stacked).max(axis=(1, 2)))
+
+    def test_one_series_sum_and_only_nodes_pole_checked(self, monkeypatch):
+        # theta1(z - d) vanishes where z - d is a lattice point: a zero of
+        # the entry, not a pole, so only the nodes z are pole-checked
+        real = calogero._sin_sums
+        sums = []
+
+        def counting(w, tab, rows):
+            sums.append(w.size)
+            return real(w, tab, rows)
+
+        monkeypatch.setattr(calogero, "_sin_sums", counting)
+        d = PH3.q[0] - PH3.q[1]
+        z = np.array([Z0, d + 1.0 + TM_I.tau, 0.3])
+        L = lax_L_quasi_batch(CFG3, PH3, z)
+        assert sums == [3 + 3 + 3 * 6]  # the nodes, the pairs, z - d
+        assert abs(L[1, 0, 1]) < 1e-12
+        assert np.abs(L[1] - lax_L_quasi(CFG3, PH3, z[1])).max() < 1e-12
+        z[1] = 1.0 + 1j + 0.5 * POLE_EXCLUSION_RADIUS
+        with pytest.raises(PoleProximityError) as info:
+            lax_L_quasi_batch(CFG3, PH3, z)
+        assert info.value.variable == "z"
+        assert info.value.point == z[1]
+        assert len(sums) == 1  # raised before any series was summed
+
     def test_collision_raises(self):
         ph = PhasePoint([0.2, 1.2 + 1e-8], [0.1, -0.1])
         with pytest.raises(PoleProximityError, match=r"q\[0\] - q\[1\]"):

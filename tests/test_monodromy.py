@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -10,13 +11,15 @@ import numpy as np
 import pytest
 
 from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
-from ellcm.elliptic import TorusModulus
-from ellcm.errors import IntegrationError, PathError
+from ellcm.elliptic import TorusModulus, reduce_to_cell_array
+from ellcm.errors import IntegrationError, PathError, PoleProximityError
 from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     PANELS,
     MonodromyData,
     PathSpec,
+    _drift,
+    _segment_lattice_distances,
     _segment_transports,
     cubic_relation_residual,
     default_base,
@@ -409,3 +412,186 @@ class TestEigenvalueSetDistance:
         d = eigenvalue_set_distance(A, B)
         assert time.perf_counter() - t0 < 1.0
         assert d > 0.0
+
+
+def _segment_distance_oracle(a, b, tau):
+    """The clearance of one segment [a, b], sampled as PathSpec.validate
+    samples it, one segment at a time."""
+    d = b - a
+    steps = max(8, int(4 * abs(d)))
+    _, m, n = reduce_to_cell_array(a + d * np.arange(steps + 1) / steps, tau)
+    near = np.array([-1.0, 0.0, 1.0])
+    lam = ((m[:, None, None] + near[:, None])
+           + (n[:, None, None] + near) * tau).reshape(-1)
+    t = np.clip(((lam - a) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
+    return float(np.abs(a + t * d - lam).min())
+
+
+def _random_polylines(seed):
+    """(waypoints, tau) for seeded random polylines of 2-40 waypoints."""
+    rng = np.random.default_rng(seed)
+    for tau in (1j, 0.1 + 1j, -0.4 + 0.6j, 0.25 + 2.5j):
+        for _ in range(20):
+            k = int(rng.integers(2, 41))
+            yield rng.uniform(-3, 3, k) + 1j * rng.uniform(-3, 3, k), tau
+
+
+class TestPathValidation:
+    """All segments of a path are measured in one array pass."""
+
+    def test_distances_match_per_segment_formula(self):
+        for w, tau in _random_polylines(2024):
+            got = _segment_lattice_distances(w[:-1], w[1:], tau)
+            expect = [_segment_distance_oracle(complex(a), complex(b), tau)
+                      for a, b in zip(w[:-1], w[1:])]
+            assert got.shape == (w.size - 1,)
+            assert np.max(np.abs(got - expect)) <= 1e-15
+
+    def test_first_failing_segment_is_reported(self):
+        # the third and the fifth segment pass too close to a lattice point
+        path = PathSpec((0.25 + 0.25j, 0.4 + 0.3j, -0.5 + 0.001j,
+                         0.5 + 0.001j, 0.7 + 0.2j, 1.0 + 1.003j),
+                        pole_clearance=1e-2)
+        with pytest.raises(PathError) as info:
+            path.validate(1j)
+        assert str(info.value) == (
+            "segment [(-0.5+0.001j), (0.5+0.001j)] passes within 1.000e-03 "
+            "of a lattice point (clearance 0.01)")
+
+    def test_first_failing_segment_on_random_polylines(self):
+        failed = 0
+        for w, tau in _random_polylines(77):
+            path = PathSpec(tuple(w), pole_clearance=0.08)
+            dist = [_segment_distance_oracle(complex(a), complex(b), tau)
+                    for a, b in zip(w[:-1], w[1:])]
+            bad = [i for i, d in enumerate(dist) if d < 0.08]
+            if not bad:
+                path.validate(tau)
+                continue
+            i = bad[0]
+            with pytest.raises(PathError) as info:
+                path.validate(tau)
+            assert str(info.value) == (
+                f"segment [{complex(w[i])}, {complex(w[i + 1])}] passes "
+                f"within {dist[i]:.3e} of a lattice point (clearance 0.08)")
+            failed += 1
+        assert 10 < failed < 80  # both outcomes are exercised
+
+
+class TestMergedTransport:
+    """monodromy_data transports its three cycles in one refinement loop."""
+
+    CFG3 = TestMagnusTransport.CFG3
+    PH3 = TestMagnusTransport.PH3
+    PATHS = (monodromy_pole, monodromy_A, monodromy_B)
+
+    def _case(self, case):
+        return (CFG, PH) if case == "n2" else (self.CFG3, self.PH3)
+
+    @pytest.mark.parametrize("case", ["n2", "n3"])
+    def test_default_arguments_equal_separate_calls(self, case):
+        cfg, ph = self._case(case)
+        md = monodromy_data(cfg, ph)
+        assert np.array_equal(md.M0, monodromy_pole(cfg, ph))
+        assert np.array_equal(md.M1, monodromy_A(cfg, ph))
+        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph))
+        assert md.base_point == default_base(cfg.tm.tau)
+        assert np.array_equal(md.Q, np.diag(ph.q))
+
+    @pytest.mark.parametrize("case", ["n2", "n3"])
+    @pytest.mark.parametrize("radius, base", [(0.05, None),
+                                              (0.1, 0.31 + 0.18j)],
+                             ids=["radius", "base"])
+    def test_equals_separate_calls(self, case, radius, base):
+        cfg, ph = self._case(case)
+        md = monodromy_data(cfg, ph, TIGHT, base=base, radius=radius)
+        assert np.array_equal(md.M0, monodromy_pole(cfg, ph, radius, base,
+                                                    TIGHT))
+        assert np.array_equal(md.M1, monodromy_A(cfg, ph, base, TIGHT))
+        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph, base, TIGHT))
+        if base is not None:
+            assert md.base_point == base
+
+    def test_one_L_call_per_level(self, monkeypatch):
+        import ellcm.monodromy as mono
+        real = mono.lax_L_quasi_batch
+        calls = []
+
+        def counting(cfg, ph, z):
+            calls.append(z.size)
+            return real(cfg, ph, z)
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", counting)
+        levels = []
+        for cycle in self.PATHS:
+            calls.clear()
+            cycle(self.CFG3, self.PH3, icfg=TIGHT)
+            levels.append(len(calls))
+        calls.clear()
+        monodromy_data(self.CFG3, self.PH3, TIGHT)
+        assert len(calls) == max(levels) < sum(levels)
+
+    def test_max_steps_is_a_budget_per_path(self, monkeypatch):
+        import ellcm.monodromy as mono
+        real = mono._segment_transports
+        spent = []
+
+        def counting(cfg, ph, a, b, panels):
+            spent[-1] += a.size * panels
+            return real(cfg, ph, a, b, panels)
+
+        monkeypatch.setattr(mono, "_segment_transports", counting)
+        for cycle in self.PATHS:
+            spent.append(0)
+            cycle(self.CFG3, self.PH3, icfg=TIGHT)
+        monkeypatch.undo()
+        budget = max(spent)
+        assert budget < sum(spent)
+        fits = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
+                                max_steps=budget)
+        md = monodromy_data(self.CFG3, self.PH3, fits)
+        assert np.array_equal(md.M1, monodromy_A(self.CFG3, self.PH3,
+                                                 icfg=TIGHT))
+        short = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
+                                 max_steps=budget - 1)
+        with pytest.raises(IntegrationError, match="max_steps"):
+            monodromy_data(self.CFG3, self.PH3, short)
+
+    @pytest.mark.parametrize("cycle", ["A", "B"])
+    def test_pole_node_names_segment_of_its_path(self, cycle, monkeypatch):
+        # the first level holds the 34 segments of the pole loop, then the
+        # A cycle's one segment, then the B cycle's: a node of the chosen
+        # cycle meets a pole
+        import ellcm.monodromy as mono
+        first = 3 * PANELS * (34 if cycle == "A" else 35)
+
+        def failing(cfg, ph, z):
+            raise PoleProximityError(z[first], "z", 0.0)
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
+        base = default_base(CFG.tm.tau)
+        end = base + (1.0 if cycle == "A" else CFG.tm.tau)
+        with pytest.raises(PathError, match="truncated on segment "
+                           + re.escape(f"[{base}, {end}]")):
+            monodromy_data(CFG, PH, TIGHT)
+
+
+class TestDriftReuse:
+    def test_held_triple_gives_the_same_drift(self, monkeypatch):
+        import ellcm.monodromy as mono
+        md = monodromy_data(CFG, PH, TIGHT)
+        expect = isomonodromy_drift(CFG, PH, 1j, 1e-2, TIGHT)
+        real = mono.monodromy_data
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mono, "monodromy_data", counting)
+        assert _drift(CFG, PH, 1e-2, TIGHT, md) == expect
+        assert len(calls) == 1  # only the triple at tau0 + dtau
+
+    def test_dtau_bound_before_any_transport(self):
+        with pytest.raises(ValueError):
+            _drift(CFG, PH, 0.5, TIGHT)
