@@ -54,10 +54,7 @@ from .elliptic import (
     TWO_PI_I,
     TorusModulus,
     _check_poles_array,
-    _log_prefactor,
     _reduced_distance_array,
-    _sin_sums,
-    _table,
     _theta_ratios_array,
     lame_x,
     lame_x_dtau,
@@ -67,6 +64,7 @@ from .elliptic import (
     lattice_distance,
     reduce_to_cell_array,
     rho,
+    theta1_array,
     theta1_dz_at_0,
     weierstrass_constant,
     wp,
@@ -258,11 +256,11 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     """lax_L_quasi at every node of the 1-D array z, shape (m, n, n).
 
     theta1(q_j - q_k) is evaluated once per pair (theta1 is odd) and, per
-    node, theta1(z) once and theta1(z - d) once per entry, all from one
-    reduction and one series sum (`_sin_sums`); each entry combines its
-    three reduction prefactors before exponentiating, as lame_x does.
-    A node within POLE_EXCLUSION_RADIUS of the lattice raises
-    PoleProximityError for argument "z" before any series is summed.
+    node, theta1(z) once and theta1(z - d) once per entry, all in one
+    `theta1_array` call; each entry combines its three reduction
+    prefactors before exponentiating, as lame_x does.  A node within
+    POLE_EXCLUSION_RADIUS of the lattice raises PoleProximityError for
+    argument "z" before any series is summed.
     """
     _check_separations(cfg, ph)
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -272,16 +270,17 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     if cfg.g == 0 or n == 1:
         return L
     tm = cfg.tm
+    # only the nodes are pole-checked: z - d at a lattice point is a zero
+    # of the entry, not a pole
+    _check_poles_array(z, reduce_to_cell_array(z, tm.tau)[0], tm.tau, "z")
     j, k = _pair_index(n)
     d = ph.q[j] - ph.q[k]
     # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
     zd = z[:, None] - np.concatenate([d, -d])
-    w, m, nb = reduce_to_cell_array(np.concatenate([z, d, zd.ravel()]),
-                                    tm.tau)
-    _check_poles_array(z, w[:z.size], tm.tau, "z")
+    f, s = theta1_array(np.concatenate([z, d, zd.ravel()]), tm)
     cut = [z.size, z.size + d.size]
-    f_z, f_d, f_zd = np.split(_log_prefactor(w, m, nb, tm.tau), cut)
-    s_z, s_d, s_zd = np.split(_sin_sums(w, _table(tm), 1)[1][0], cut)
+    f_z, f_d, f_zd = np.split(f, cut)
+    s_z, s_d, s_zd = np.split(s, cut)
     f_d = np.concatenate([f_d, f_d])
     s_d = np.concatenate([s_d, -s_d])
     x = (np.exp(f_zd.reshape(zd.shape) - f_z[:, None] - f_d)

@@ -258,6 +258,14 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     stagnation test do not depend on the other segments, so each Psi is
     the one `transport` gives for its path alone; max_steps budgets the
     panels of each path separately.
+
+    Errors therefore come in level order, not path order: every path is
+    validated before any transport, and then each level raises, in this
+    order, for a path past its budget, for a node at a pole or a collision
+    (PathError naming the first such segment), and for the first
+    stagnating segment, in path order within each test.  A later path that
+    fails at a shallower level wins over an earlier path that would fail
+    deeper.
     """
     for path in paths:
         path.validate(cfg.tm.tau)
@@ -456,19 +464,23 @@ def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
     point motion does not pollute the comparison).  The exact flow keeps
     the drift at transport-error level.
     """
-    return _drift(cfg.with_tau(tau0), ph0, dtau, icfg)
+    _check_drift_step(dtau)
+    cfg0 = cfg.with_tau(tau0)
+    return _drift(cfg0, ph0, dtau, icfg, monodromy_data(cfg0, ph0, icfg))
+
+
+def _check_drift_step(dtau: complex) -> None:
+    if abs(dtau) > 1e-2 + 1e-15:
+        raise ValueError("|dtau| must be at most 1e-2 for the drift probe")
 
 
 def _drift(cfg0: CMConfig, ph0: PhasePoint, dtau: complex,
-           icfg: IntegratorConfig, md0: MonodromyData | None = None,
+           icfg: IntegratorConfig, md0: MonodromyData,
            radius: float = 0.1) -> float:
-    """isomonodromy_drift from tau0 = cfg0.tm.tau, reusing md0, the
+    """isomonodromy_drift from tau0 = cfg0.tm.tau, given md0, the
     monodromy_data of (cfg0, ph0, icfg) at the default base and the pole
-    loop radius, when the caller already holds it."""
-    if abs(dtau) > 1e-2 + 1e-15:
-        raise ValueError("|dtau| must be at most 1e-2 for the drift probe")
-    if md0 is None:
-        md0 = monodromy_data(cfg0, ph0, icfg, radius=radius)
+    loop radius; the triple at tau0 + dtau is taken at that radius too."""
+    _check_drift_step(dtau)
     tau0 = cfg0.tm.tau
     traj = integrate_isomonodromic(cfg0, ph0, (tau0, tau0 + dtau), icfg,
                                    samples=1)

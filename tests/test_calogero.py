@@ -400,17 +400,17 @@ class TestLaxQuasiBatch:
         err = np.abs(batch - stacked).max(axis=(1, 2))
         assert np.all(err <= 1e-14 * np.abs(stacked).max(axis=(1, 2)))
 
-    def test_one_series_sum_and_only_nodes_pole_checked(self, monkeypatch):
+    def test_one_theta_sum_and_only_nodes_pole_checked(self, monkeypatch):
         # theta1(z - d) vanishes where z - d is a lattice point: a zero of
         # the entry, not a pole, so only the nodes z are pole-checked
-        real = calogero._sin_sums
+        real = calogero.theta1_array
         sums = []
 
-        def counting(w, tab, rows):
-            sums.append(w.size)
-            return real(w, tab, rows)
+        def counting(z, tm, name=None):
+            sums.append(z.size)
+            return real(z, tm, name)
 
-        monkeypatch.setattr(calogero, "_sin_sums", counting)
+        monkeypatch.setattr(calogero, "theta1_array", counting)
         d = PH3.q[0] - PH3.q[1]
         z = np.array([Z0, d + 1.0 + TM_I.tau, 0.3])
         L = lax_L_quasi_batch(CFG3, PH3, z)

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from ellcm.calogero import CMConfig, PhasePoint
 from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
+from ellcm.flow import IntegratorConfig
+from ellcm.monodromy import _drift, monodromy_data
 from ellcm.painleve import elliptic_to_rational
 
 
@@ -217,6 +220,19 @@ class TestMonodromyCommand:
         assert payload["drift"]["spectral_drift"] < 1e-5
         assert len(payload["spectra"]["M0"]) == 2
 
+    def test_drift_uses_the_report_radius(self, tmp_path):
+        # the drift compares pole loops of the report's radius at both ends
+        out = tmp_path / "mono.json"
+        assert run(["monodromy", "--n", "2", "--g", "0.35", "--tau", "1.0i",
+                    "--q", "0.11+0.03i,0.52-0.07i", "--p", "0.31,-0.45",
+                    "--radius", "0.05", "--drift", "0.01"], out) == 0
+        payload = json.loads(out.read_text())
+        cfg = CMConfig(2, 0.35, TorusModulus(1j))
+        ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
+        icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        md = monodromy_data(cfg, ph, icfg, radius=0.05)
+        assert payload["drift"]["spectral_drift"] == _drift(
+            cfg, ph, 0.01, icfg, md, 0.05)
 
     def test_det_residuals(self, tmp_path):
         # the README example; the three determinant identities are exact

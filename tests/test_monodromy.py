@@ -575,6 +575,31 @@ class TestMergedTransport:
                            + re.escape(f"[{base}, {end}]")):
             monodromy_data(CFG, PH, TIGHT)
 
+    @pytest.mark.parametrize("max_steps, error", [
+        (200, PathError), (135, IntegrationError)], ids=["pole", "budget"])
+    def test_errors_come_in_level_order(self, max_steps, error,
+                                        monkeypatch):
+        # the pole loop alone runs past 200 panels on its second level,
+        # and its first level takes 34 * PANELS = 136 panels; a node of the
+        # B cycle meets a pole on the first level, before the pole loop's
+        # budget runs out, but after each level's budget check
+        import ellcm.monodromy as mono
+        icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
+                                max_steps=max_steps)
+        with pytest.raises(IntegrationError, match="max_steps"):
+            monodromy_pole(CFG, PH, icfg=icfg)
+        first = 3 * PANELS * 35
+
+        def failing(cfg, ph, z):
+            raise PoleProximityError(z[first], "z", 0.0)
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
+        base = default_base(CFG.tm.tau)
+        match = ("max_steps" if error is IntegrationError else
+                 re.escape(f"[{base}, {base + CFG.tm.tau}]"))
+        with pytest.raises(error, match=match):
+            monodromy_data(CFG, PH, icfg)
+
 
 class TestDriftReuse:
     def test_held_triple_gives_the_same_drift(self, monkeypatch):
@@ -592,6 +617,16 @@ class TestDriftReuse:
         assert _drift(CFG, PH, 1e-2, TIGHT, md) == expect
         assert len(calls) == 1  # only the triple at tau0 + dtau
 
-    def test_dtau_bound_before_any_transport(self):
-        with pytest.raises(ValueError):
-            _drift(CFG, PH, 0.5, TIGHT)
+    def test_dtau_bound_before_any_transport(self, monkeypatch):
+        import ellcm.monodromy as mono
+        md = monodromy_data(CFG, PH, TIGHT)
+
+        def failing(*args, **kwargs):
+            raise AssertionError("transported before the dtau check")
+
+        monkeypatch.setattr(mono, "_transport_paths", failing)
+        monkeypatch.setattr(mono, "integrate_isomonodromic", failing)
+        with pytest.raises(ValueError, match="dtau"):
+            isomonodromy_drift(CFG, PH, 1j, 0.5, TIGHT)
+        with pytest.raises(ValueError, match="dtau"):
+            _drift(CFG, PH, 0.5, TIGHT, md)
