@@ -8,10 +8,11 @@ Quasi-periodic gauge (entries built from the Lame kernel x and y = du x):
 Periodic gauge: the quasi-periodic pair conjugated by
 G = diag(x(q_1, z), ..., x(q_n, z)), plus a connection diagonal,
 
-    L~ = G^{-1} L G - G^{-1} dG/dz,    A~ = G^{-1} A G + 2 pi i G^{-1} dG/dtau,
+    L~ = G^{-1} L G - G^{-1} dG/dz,    A~ = G^{-1} A G + 2 pi i G^{-1} dG/dtau.
 
-so lax_L_periodic and lax_A_periodic take every pair entry from
-lax_L_quasi and lax_A_quasi and compute only the diagonal term of each body.
+Every entry of L, A, dA/dz, G and the connection comes from one
+`elliptic.lame_array` evaluation per matrix: at u = q_j - q_k off the
+diagonal (wp(u) = c - rho'(u) on it), at u = q_j for the gauge.
 
 Equations of motion (the tau-flow right-hand sides, i.e. 2 pi i dq/dtau
 and 2 pi i dp/dtau):
@@ -24,20 +25,19 @@ equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation is
 the authoritative check and is driven to FD-level zero by this choice.
 
 Pair sums take one of two paths, chosen by the body count alone.  Below
-ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, the diagonal of lax_A_quasi,
-local_expansion, min_separation and the collision check loop over the
-pairs with one scalar kernel call each.  From ARRAY_PAIRS_FROM on they
-read `_pair_arrays`, which reduces all n(n-1)/2 separations to the cell
-at once, pole-checks them against the same nine lattice candidates and
-radius, and sums the theta series once over a (K x pairs) grid.  The
-array path costs a fixed ~40 us of numpy calls and then little per pair;
-the scalar path costs ~7 us per pair.  Measured on whole 16-step tau-flows
-at tau = 0.02+i (2-CPU x86 host with AVX-512, numpy 2.4), array over
-scalar time is 1.75 at n = 3, 1.22 at n = 4, 1.05 at n = 5, 0.83 at n = 6
-and 0.54 at n = 8; on t-flows at fixed tau it is 1.21 at n = 4 and 0.85 at
-n = 5.  The two paths agree to rounding: at Im tau = 0.08, where wp'
-cancels terms about 10^3 times its size, they differ by ~1e-12 relative,
-as each does from mpmath.
+ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, local_expansion,
+min_separation and the collision check loop over the pairs with one scalar
+kernel call each.  From ARRAY_PAIRS_FROM on they read `_pair_arrays`,
+which reduces all n(n-1)/2 separations to the cell at once, pole-checks
+them against the same nine lattice candidates and radius, and sums the
+theta series once over a (K x pairs) grid: a fixed ~40 us of numpy calls,
+against ~7 us per pair for the scalar path.  Measured on whole 16-step
+tau-flows at tau = 0.02+i (2-CPU x86 host with AVX-512, numpy 2.4), array
+over scalar time is 1.75 at n = 3, 1.22 at n = 4, 1.05 at n = 5, 0.83 at
+n = 6 and 0.54 at n = 8; on t-flows at fixed tau it is 1.21 at n = 4 and
+0.85 at n = 5.  The two paths agree to rounding: at Im tau = 0.08, where
+wp' cancels terms about 10^3 times its size, they differ by ~1e-12
+relative, as each does from mpmath.
 """
 
 from __future__ import annotations
@@ -53,19 +53,12 @@ from .elliptic import (
     POLE_EXCLUSION_RADIUS,
     TWO_PI_I,
     TorusModulus,
-    _check_poles_array,
     _reduced_distance_array,
     _theta_ratios_array,
-    lame_x,
-    lame_x_dtau,
-    lame_x_dz,
-    lame_y,
-    lame_y_dz,
+    lame_array,
     lattice_distance,
     reduce_to_cell_array,
     rho,
-    theta1_array,
-    theta1_dz_at_0,
     weierstrass_constant,
     wp,
     wp_dz,
@@ -77,6 +70,9 @@ Gauge = Literal["quasi_periodic", "periodic"]
 #: Body count from which the pair sums run on arrays (`_pair_arrays`), the
 #: measured crossover of the two paths (module docstring).
 ARRAY_PAIRS_FROM = 5
+
+#: |x(q_j, z)| below this makes the Lame gauge singular (`gauge_lame`).
+GAUGE_ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -196,6 +192,13 @@ def _pair_index(n: int):
     return j, k
 
 
+@functools.cache
+def _entry_index(n: int):
+    """(rows, cols) of (j, k), then (k, j), for each pair j < k in order."""
+    j, k = _pair_index(n)
+    return np.stack([j, k], 1).ravel(), np.stack([k, j], 1).ravel()
+
+
 def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
     """Row sums of the n x n matrix with upper at (j, k) and lower at
     (k, j), taken as column sums of its transpose so that each row adds its
@@ -233,35 +236,16 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 # Lax matrices, quasi-periodic gauge
 # ----------------------------------------------------------------------
 
-def _off_diagonal(M: np.ndarray, cfg: CMConfig, ph: PhasePoint, z: complex,
-                  kernel) -> np.ndarray:
-    """M with i g kernel(q_j - q_k, z) written at every (j, k), j != k."""
-    if cfg.g == 0:
-        return M
-    ig = 1j * cfg.g
-    # kernel(-d, z) is no parity image of kernel(d, z): one call per entry
-    for j, k, d in _pairs(ph):
-        M[j, k] = ig * kernel(d, z, cfg.tm)
-        M[k, j] = ig * kernel(-d, z, cfg.tm)
-    return M
-
-
 def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """P + i g sum_{j != k} x(q_j - q_k, z) E_jk."""
-    _check_separations(cfg, ph)
-    return _off_diagonal(np.diag(ph.p.astype(complex)), cfg, ph, z, lame_x)
+    return lax_L_quasi_batch(cfg, ph, [z])[0]
 
 
 def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
-    """lax_L_quasi at every node of the 1-D array z, shape (m, n, n).
-
-    theta1(q_j - q_k) is evaluated once per pair (theta1 is odd) and, per
-    node, theta1(z) once and theta1(z - d) once per entry, all in one
-    `theta1_array` call; each entry combines its three reduction
-    prefactors before exponentiating, as lame_x does.  A node within
-    POLE_EXCLUSION_RADIUS of the lattice raises PoleProximityError for
-    argument "z" before any series is summed.
-    """
+    """lax_L_quasi at every node of the 1-D array z, shape (m, n, n), from
+    one `lame_array` evaluation.  As by lame_x, z - u at a lattice point is
+    a zero of the entry, not a pole: a node within POLE_EXCLUSION_RADIUS of
+    the lattice raises PoleProximityError for "z" before any series sum."""
     _check_separations(cfg, ph)
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = ph.n
@@ -269,65 +253,63 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
     L[:, np.arange(n), np.arange(n)] = ph.p
     if cfg.g == 0 or n == 1:
         return L
-    tm = cfg.tm
-    # only the nodes are pole-checked: z - d at a lattice point is a zero
-    # of the entry, not a pole
-    _check_poles_array(z, reduce_to_cell_array(z, tm.tau)[0], tm.tau, "z")
-    j, k = _pair_index(n)
-    d = ph.q[j] - ph.q[k]
-    # entry (j, k) takes d and entry (k, j) takes -d, theta1(-d) = -theta1(d)
-    zd = z[:, None] - np.concatenate([d, -d])
-    f, s = theta1_array(np.concatenate([z, d, zd.ravel()]), tm)
-    cut = [z.size, z.size + d.size]
-    f_z, f_d, f_zd = np.split(f, cut)
-    s_z, s_d, s_zd = np.split(s, cut)
-    f_d = np.concatenate([f_d, f_d])
-    s_d = np.concatenate([s_d, -s_d])
-    x = (np.exp(f_zd.reshape(zd.shape) - f_z[:, None] - f_d)
-         * s_zd.reshape(zd.shape) * theta1_dz_at_0(tm)
-         / (s_z[:, None] * s_d))
-    L[:, np.concatenate([j, k]), np.concatenate([k, j])] = 1j * cfg.g * x
+    rows, cols = _entry_index(n)
+    L[:, rows, cols] = 1j * cfg.g * lame_array(z, ph.q[rows] - ph.q[cols],
+                                               cfg.tm)
     return L
 
 
-def _d_matrix(cfg: CMConfig, ph: PhasePoint) -> np.ndarray:
-    if ph.n >= ARRAY_PAIRS_FROM:
-        j, k, r, B, _, _ = _pair_arrays(cfg, ph)
-        v = r * r - B + weierstrass_constant(cfg.tm)
-        diag = _row_sums(ph.n, j, k, v, v)
-        return np.diag(1j * cfg.g * diag)
-    diag = [0j] * ph.n
-    for j, k, d in _pairs(ph):
-        v = wp(d, cfg.tm)  # wp is even
-        diag[j] += v
-        diag[k] += v
-    return np.diag(1j * cfg.g * np.array(diag))
+def _lame_at(cfg: CMConfig, z: complex, u: np.ndarray):
+    """lame_array with its ratios at the one node z, as arrays over u."""
+    return [v[0] for v in lame_array([z], u, cfg.tm, True)]
 
 
 def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """D + i g sum_{j != k} y(q_j - q_k, z) E_jk with
     D = i g diag(sum_{k != j} wp(q_j - q_k))."""
+    return _lax_A_quasi_dz(cfg, ph, z)[0]
+
+
+def _lax_A_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
+    """(lax_A_quasi, dA/dz) from one `lame_array` evaluation, z - u, u and
+    z pole-checked in that order as by lame_y.  wp(u) = c - rho'(u), and D
+    is z-independent, so only y = -x (rho(u) + rho(z-u)) differentiates:
+
+        dy/dz = -x (rho(z-u) - rho(z)) (rho(u) + rho(z-u)) - x rho'(z-u).
+    """
     _check_separations(cfg, ph)
     n = ph.n
+    A, dA = np.zeros((2, n, n), dtype=complex)
     if cfg.g == 0 or n == 1:
-        return np.zeros((n, n), dtype=complex)
-    return _off_diagonal(_d_matrix(cfg, ph), cfg, ph, z, lame_y)
+        return A, dA
+    rows, cols = _entry_index(n)
+    x, rho_u, rho_zu, rho_z, rho_dz_zu, rho_dz_u = _lame_at(
+        cfg, z, ph.q[rows] - ph.q[cols])
+    ig = 1j * cfg.g
+    wp_u = weierstrass_constant(cfg.tm) - rho_dz_u
+    A[np.diag_indices(n)] = ig * _row_sums(n, *_pair_index(n), wp_u[::2],
+                                           wp_u[1::2])
+    A[rows, cols] = ig * (-x * (rho_u + rho_zu))
+    dA[rows, cols] = ig * (-x * (rho_zu - rho_z) * (rho_u + rho_zu)
+                           - x * rho_dz_zu)
+    return A, dA
 
 
 # ----------------------------------------------------------------------
 # Periodic gauge
 # ----------------------------------------------------------------------
 
-def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex,
-               zero_tol: float = 1e-8) -> np.ndarray:
-    """diag(x(q_1, z), ..., x(q_n, z)); must be invertible to change gauge."""
-    vals = np.zeros(ph.n, dtype=complex)
-    for j in range(ph.n):
-        vals[j] = lame_x(ph.q[j], z, cfg.tm)
-        if abs(vals[j]) < zero_tol:
-            raise GaugeSingularityError(
-                f"x(q[{j}], z) = {vals[j]:.3e} vanishes within tolerance; "
-                "the Lame gauge is singular at this spectral point")
+def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
+    """diag(x(q_1, z), ..., x(q_n, z)) from one `lame_array` evaluation at
+    u = q_j; must be invertible to change gauge.  The first body whose
+    |x(q_j, z)| is below GAUGE_ZERO_TOL raises GaugeSingularityError."""
+    vals = lame_array([z], ph.q, cfg.tm)[0]
+    small = np.flatnonzero(np.abs(vals) < GAUGE_ZERO_TOL)
+    if small.size:
+        j = small[0]
+        raise GaugeSingularityError(
+            f"x(q[{j}], z) = {vals[j]:.3e} vanishes within tolerance; "
+            "the Lame gauge is singular at this spectral point")
     return np.diag(vals)
 
 
@@ -343,10 +325,10 @@ def _conjugate(M: np.ndarray, gauge: np.ndarray,
 def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """G^{-1} L G - G^{-1} dG/dz with L = lax_L_quasi; doubly periodic in z."""
     L = lax_L_quasi(cfg, ph, z)
-    gauge = gauge_lame(cfg, ph, z).diagonal()
+    gauge = gauge_lame(cfg, ph, z).diagonal()  # checked before z - q_j
+    _, _, rho_zq, rho_z, _, _ = _lame_at(cfg, z, ph.q)
     # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
-    return _conjugate(L, gauge, [-lame_x_dz(q, z, cfg.tm) / g
-                                 for q, g in zip(ph.q, gauge)])
+    return _conjugate(L, gauge, rho_z - rho_zq)
 
 
 def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
@@ -356,7 +338,11 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     x(q_j(tau), z; tau) move both explicitly in tau and through
     q_j' = p_j / (2 pi i), so
 
-        (dG/dtau)_jj = d_tau x(q_j, z) + y(q_j, z) p_j / (2 pi i).
+        (dG/dtau)_jj = d_tau x(q_j, z) + y(q_j, z) p_j / (2 pi i),
+
+and by the heat equation of lame_x_dtau the connection 2 pi i (dG/dtau)_jj
+/ x(q_j, z) is rho'(z - q_j) + (y/x) (p_j - rho(z - q_j) + rho(z)), with
+y/x = -(rho(q_j) + rho(z - q_j)).
 
     This (sign and total derivative) is the combination under which the
     periodic-gauge pair satisfies the zero-curvature equation; with the
@@ -367,11 +353,10 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     Lax matrix (full B-periodicity does not hold).
     """
     A = lax_A_quasi(cfg, ph, z)
-    gauge = gauge_lame(cfg, ph, z).diagonal()
-    qdot = ph.p / TWO_PI_I
-    return _conjugate(A, gauge, [
-        TWO_PI_I * (lame_x_dtau(q, z, cfg.tm) + lame_y(q, z, cfg.tm) * v) / g
-        for q, v, g in zip(ph.q, qdot, gauge)])
+    gauge = gauge_lame(cfg, ph, z).diagonal()  # checked before z - q_j
+    _, rho_q, rho_zq, rho_z, rho_dz_zq, _ = _lame_at(cfg, z, ph.q)
+    y_x = -(rho_q + rho_zq)
+    return _conjugate(A, gauge, rho_dz_zq + y_x * (ph.p - rho_zq + rho_z))
 
 
 def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
@@ -384,17 +369,14 @@ def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
         A(z+tau) = E (A(z) + 2 pi i L(z)) E^{-1} - 2 pi i P
     """
     tau = cfg.tm.tau
-    L0 = lax_L_quasi(cfg, ph, z)
+    L0, L1, Lt = lax_L_quasi_batch(cfg, ph, [z, z + 1, z + tau])
     A0 = lax_A_quasi(cfg, ph, z)
-    L1 = lax_L_quasi(cfg, ph, z + 1)
     A1 = lax_A_quasi(cfg, ph, z + 1)
-    Lt = lax_L_quasi(cfg, ph, z + tau)
     At = lax_A_quasi(cfg, ph, z + tau)
-    E = np.diag(np.exp(TWO_PI_I * ph.q))
-    Einv = np.diag(np.exp(-TWO_PI_I * ph.q))
-    P = np.diag(ph.p)
-    res_L_b = Lt - E @ L0 @ Einv
-    res_A_b = At - (E @ (A0 + TWO_PI_I * L0) @ Einv - TWO_PI_I * P)
+    # E M E^{-1} is M conjugated by diag(exp(-2 pi i q))
+    e_inv = np.exp(-TWO_PI_I * ph.q)
+    res_L_b = Lt - _conjugate(L0, e_inv, 0.0)
+    res_A_b = At - _conjugate(A0 + TWO_PI_I * L0, e_inv, -TWO_PI_I * ph.p)
     return QuasiPeriodicityReport(
         L_a_cycle=float(np.max(np.abs(L1 - L0))),
         L_b_cycle=float(np.max(np.abs(res_L_b))),
@@ -504,13 +486,6 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
 # Zero curvature
 # ----------------------------------------------------------------------
 
-def _lax_A_dz_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """dA/dz in the quasi-periodic gauge: D is z-independent, so only the
-    off-diagonal y entries differentiate (analytically)."""
-    return _off_diagonal(np.zeros((ph.n, ph.n), dtype=complex), cfg, ph, z,
-                         lame_y_dz)
-
-
 def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray) -> np.ndarray:
     """The (q, p)-motion part of dL/dtau: entries i g y_jk (qdot_j - qdot_k)
     off the diagonal and pdot_j on it, with (qdot, pdot) = eom / 2 pi i.
@@ -547,9 +522,8 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
 
     if gauge == "quasi_periodic":
         L = lax_L_quasi(cfg, ph, z)
-        A = lax_A_quasi(cfg, ph, z)
+        A, dAdz = _lax_A_quasi_dz(cfg, ph, z)
         implicit = _implicit_L_dot(cfg, ph, A)
-        dAdz = _lax_A_dz_quasi(cfg, ph, z)
 
         def residual_at(h):
             Lp = lax_L_quasi(cfg.with_tau(tau + h), ph, z)

@@ -41,10 +41,13 @@ constants come from cancellation-free forms, with x = nu^2:
 because the alternating series at z = 0 lose every digit as Im tau -> 0.
 
 Arrays of points go through one range-checked sum of the same K terms,
-`_sin_sums`, by elementwise products: on an x86 host with AVX-512 (numpy
+`_series_sums`, by elementwise products: on an x86 host with AVX-512 (numpy
 2.4, its bundled OpenBLAS) a complex matrix product leaves the upper vector
 register state dirty, and complex libm calls after it (cmath.sin, np.sin)
-run 8-20 times slower until a later numpy call clears that state.
+run 8-20 times slower until a later numpy call clears that state.  It
+serves the pair ratios of the n-body sums and `lame_array`, which gives
+x(u, z) and its rho ratios over a grid of nodes z and arguments u in one
+pass: every Lax matrix entry is built from it.
 
 Derived kernels:
 
@@ -188,10 +191,9 @@ def lattice_distance(z: complex, tau: complex) -> float:
     return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
 
 
-def _check_pole(z: complex, tau: complex, name: str,
-                radius: float = POLE_EXCLUSION_RADIUS) -> None:
+def _check_pole(z: complex, tau: complex, name: str) -> None:
     d = lattice_distance(z, tau)
-    if d < radius:
+    if d < POLE_EXCLUSION_RADIUS:
         raise PoleProximityError(z, name, d)
 
 
@@ -339,30 +341,35 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     return s0, s1, s2, s3
 
 
-def _sin_sums(w: np.ndarray, tab: _SeriesTable, rows: int):
-    """x = a_k w on the (K x points) grid of the 1-D array w, reduced by
-    the caller, and the first ``rows`` sin series of `_theta_series_at`
-    (theta1, then theta1'') there, summed down the K axis in the scalar
-    loop's order with no matrix product (module docstring).  A point whose
-    series overflows raises the scalar path's SeriesRangeError, never inf
-    or nan."""
-    a, c_sin, _ = _table_arrays(tab)
+def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
+    """The first ``rows`` of the series of `_theta_series_at` (theta1,
+    theta1', theta1'', theta1''') at the reduced points of the 1-D array w,
+    shape (rows, w.size), added down the K axis in the scalar loop's order.
+    numpy keeps that order on a grid of two or more columns, not on one: a
+    lone point is summed as two copies, so no value depends on the other
+    points of the call.  A point whose series overflows raises the scalar
+    path's SeriesRangeError, never inf or nan."""
+    a, c_sin, c_cos = _table_arrays(tab)
+    size = w.size
+    if size == 1:
+        w = np.repeat(w, 2)
     x = a[:, None] * w
     # |sin|, |cos| of a w are at most exp(a |Im w|): only points past the
     # double range in the last row can overflow, and the scalar series
     # raises for those that do
     for i in np.flatnonzero(np.abs(x[-1].imag) > _LOG_MAX):
         _theta_series_at(complex(w[i]), tab)
-    return x, (np.sin(x) * c_sin[:rows, :, None]).sum(axis=1)
+    out = np.empty((rows, size), dtype=complex)
+    out[::2] = (np.sin(x) * c_sin[:(rows + 1) // 2, :, None]).sum(1)[:, :size]
+    if rows > 1:
+        out[1::2] = (np.cos(x) * c_cos[:rows // 2, :, None]).sum(1)[:, :size]
+    return out
 
 
 def _theta_ratios_array(w: np.ndarray, tm: TorusModulus):
     """(theta1'/theta1, theta1''/theta1, theta1'''/theta1) at every point of
-    the 1-D array w, reduced and pole-checked by the caller: the two sin
-    series of `_sin_sums` and the two cos series, summed the same way."""
-    tab = _table(tm)
-    x, (s0, s2) = _sin_sums(w, tab, 2)
-    s1, s3 = (np.cos(x) * _table_arrays(tab)[2][:, :, None]).sum(axis=1)
+    the 1-D array w, reduced and pole-checked by the caller."""
+    s0, s1, s2, s3 = _series_sums(w, _table(tm), 4)
     return s1 / s0, s2 / s0, s3 / s0
 
 
@@ -435,30 +442,6 @@ def theta1_d3z_at_0(tm: TorusModulus) -> complex:
     """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
     as -pi^2 E2 theta1'(0) (see the module docstring)."""
     return _table(tm).d3z0
-
-
-def theta1_array(z, tm: TorusModulus, name: str | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """theta1 at every point of the array z, as (log F, s) with
-    theta1(z) = exp(log F) s.
-
-    s is the table's K-term series at the reduced point and log F the
-    reduction prefactor (`_log_prefactor`); they are returned apart so that
-    ratios of theta values can combine their prefactors before a single
-    exponential is taken.  With ``name``, each point is first checked
-    against the same nine lattice candidates and radius as the scalar
-    kernels, and the first point within POLE_EXCLUSION_RADIUS raises
-    PoleProximityError under that argument name.  Where the series
-    overflows, s raises SeriesRangeError as theta1 does (`_sin_sums`).  For
-    single points the scalar kernels are faster.
-    """
-    z = np.asarray(z, dtype=complex)
-    tau = tm.tau
-    w, m, n = reduce_to_cell_array(z, tau)
-    if name is not None:
-        _check_poles_array(z, w, tau, name)
-    s = _sin_sums(w.ravel(), _table(tm), 1)[1][0].reshape(w.shape)
-    return _log_prefactor(w, m, n, tau), s
 
 
 def theta1_product(z: complex, tm: TorusModulus) -> complex:
@@ -582,53 +565,42 @@ def wp_dz_general(z: complex, lat: GeneralLattice) -> complex:
 # Lame functions
 # ----------------------------------------------------------------------
 
-def _lame_x_value(u: complex, z: complex, tm: TorusModulus,
-                  check_zu: bool):
-    """x(u, z) and the series bundles at the reduced u, z and z - u.
+def _lame_core(u: complex, z: complex, tm: TorusModulus,
+               ratios: bool = True):
+    """x(u, z); with ``ratios``, (x, rho(u), rho(z - u), rho(z),
+    rho'(z - u)).
 
-    Each point is reduced and pole-checked once, z - u first when
-    ``check_zu`` (x itself only divides by theta1(u) theta1(z)).  The three
+    Each point is reduced and pole-checked once: z - u (only with
+    ``ratios``: x itself vanishes there), then u, then z.  The three
     reduction prefactors are combined additively in log form: their
     individual exponentials can overflow at arguments where x itself is
     perfectly representable.
     """
-    tab = _table(tm)
+    tab, tau = _table(tm), tm.tau
     zu = z - u
-    if check_zu:
+    if ratios:
         w_zu, m_zu, n_zu = _reduce_checked(zu, tm, tab, "z - u")
     w_u, m_u, n_u = _reduce_checked(u, tm, tab, "u")
     w_z, m_z, n_z = _reduce_checked(z, tm, tab, "z")
-    if not check_zu:
-        w_zu, m_zu, n_zu = reduce_to_cell(zu, tm.tau)
+    if not ratios:
+        w_zu, m_zu, n_zu = reduce_to_cell(zu, tau)
     s_u = _theta_series_at(w_u, tab)
     s_z = _theta_series_at(w_z, tab)
     s_zu = _theta_series_at(w_zu, tab)
-    tau = tm.tau
     log_f = (_log_prefactor(w_zu, m_zu, n_zu, tau)
              - _log_prefactor(w_z, m_z, n_z, tau)
              - _log_prefactor(w_u, m_u, n_u, tau))
     x = cmath.exp(log_f) * s_zu[0] * tab.dz0 / (s_z[0] * s_u[0])
-    return x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu)
-
-
-def _lame_core(u: complex, z: complex, tm: TorusModulus):
-    """Shared pieces for everything derived from x(u, z).
-
-    Returns (x, rho_u, rho_zu, rho_z, rho_dz_zu) where zu := z - u, after
-    the pole checks on z - u, u and z (in that order).
-    """
-    x, (s_u, n_u), (s_z, n_z), (s_zu, n_zu) = _lame_x_value(u, z, tm, True)
-    rho_u = s_u[1] / s_u[0] - TWO_PI_I * n_u
-    rho_z = s_z[1] / s_z[0] - TWO_PI_I * n_z
+    if not ratios:
+        return x
     r_zu = s_zu[1] / s_zu[0]
-    rho_zu = r_zu - TWO_PI_I * n_zu
-    rho_dz_zu = s_zu[2] / s_zu[0] - r_zu * r_zu
-    return x, rho_u, rho_zu, rho_z, rho_dz_zu
+    return (x, s_u[1] / s_u[0] - TWO_PI_I * n_u, r_zu - TWO_PI_I * n_zu,
+            s_z[1] / s_z[0] - TWO_PI_I * n_z, s_zu[2] / s_zu[0] - r_zu * r_zu)
 
 
 def lame_x(u: complex, z: complex, tm: TorusModulus) -> complex:
     """x(u, z) = theta1(z-u) theta1'(0) / (theta1(z) theta1(u))."""
-    return _lame_x_value(u, z, tm, False)[0]
+    return _lame_core(u, z, tm, False)
 
 
 def lame_y(u: complex, z: complex, tm: TorusModulus) -> complex:
@@ -657,8 +629,37 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
     return -mixed / TWO_PI_I
 
 
-def lame_y_dz(u: complex, z: complex, tm: TorusModulus) -> complex:
-    """d/dz y(u, z) = -x_dz (rho(u) + rho(z-u)) - x rho'(z-u)."""
-    x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm)
-    x_dz = x * (rho_zu - rho_z)
-    return -x_dz * (rho_u + rho_zu) - x * rho_dz_zu
+def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
+    """x(u, z) at every node of the 1-D array z and argument of the 1-D
+    array u, shape (z.size, u.size); with ``ratios``, (x, rho(u),
+    rho(z - u), rho(z), rho'(z - u)) as `_lame_core` returns them and then
+    rho'(u), each shaped to broadcast against x.
+
+    z, u and z - u are reduced together and summed in one `_series_sums`
+    pass, the theta1' and theta1'' rows only with ``ratios``; each entry
+    combines its three log prefactors before one exponential, as lame_x
+    does.  First come the scalar kernels' pole checks, in their order:
+    z - u (only with ``ratios``: x vanishes there), u, z.  The first point
+    within POLE_EXCLUSION_RADIUS raises PoleProximityError under that name.
+    """
+    z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
+    zu = z[:, None] - u
+    tau, tab = tm.tau, _table(tm)
+    a, b = z.size, z.size + u.size  # points [a:b] are u, [b:] are z - u
+    w, m, n = reduce_to_cell_array(np.concatenate([z, u, zu.ravel()]), tau)
+    aw = np.abs(w)  # the short cut of `_reduce_checked`
+    if not ((aw >= POLE_EXCLUSION_RADIUS) & (aw <= tab.clear)).all():
+        if ratios:
+            _check_poles_array(zu.ravel(), w[b:], tau, "z - u")
+        _check_poles_array(u, w[a:b], tau, "u")
+        _check_poles_array(z, w[:a], tau, "z")
+    s, *d = _series_sums(w, tab, 3 if ratios else 1)
+    f = _log_prefactor(w, m, n, tau)
+    x = (np.exp(f[b:].reshape(zu.shape) - f[:a, None] - f[a:b])
+         * s[b:].reshape(zu.shape) * tab.dz0 / (s[:a, None] * s[a:b]))
+    if not ratios:
+        return x
+    r = d[0] / s
+    rho, rho_dz = r - TWO_PI_I * n, d[1] / s - r * r
+    return (x, rho[None, a:b], rho[b:].reshape(zu.shape), rho[:a, None],
+            rho_dz[b:].reshape(zu.shape), rho_dz[None, a:b])

@@ -19,6 +19,7 @@ from . import flow as fl
 from . import monodromy as mo
 from . import painleve as pa
 from .elliptic import TWO_PI_I
+from .errors import EllcmError
 from .rng import SplitMix64
 
 
@@ -192,8 +193,9 @@ def suite_quasi_periodicity(seed: int = 12345, count: int = 50, n: int = 2,
 def _random_cm(rng: SplitMix64, n: int, tau: complex,
                g: complex | None = None,
                min_sep: float = 0.2) -> tuple[cm.CMConfig, cm.PhasePoint]:
-    """A generic CM configuration with pairwise separations bounded away
-    from the lattice."""
+    """A generic CM configuration with pairwise separations at least
+    min_sep: the first of 200 uniform draws that has them, or else a
+    jittered grid (`_jittered_grid`)."""
     if g is None:
         g = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.2, 0.2))
     cfg = cm.CMConfig(n, g, el.TorusModulus(tau))
@@ -203,10 +205,32 @@ def _random_cm(rng: SplitMix64, n: int, tau: complex,
         if cm.min_separation(cfg, cm.PhasePoint(q, np.zeros(n))) >= min_sep:
             break
     else:
-        raise RuntimeError("could not sample separated configuration")
+        q = _jittered_grid(rng, cfg, min_sep)
     p = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
                   for _ in range(n)])
     return cfg, cm.PhasePoint(q, p)
+
+
+def _jittered_grid(rng: SplitMix64, cfg: cm.CMConfig, min_sep: float):
+    """n bodies filling the rows of the cols x ceil(n / cols) grid of the
+    cell whose smallest separation s is largest, each moved by rng less
+    than (s - min_sep) / 3, so that every pair stays min_sep apart.
+    EllcmError, naming n and min_sep, where no grid reaches min_sep."""
+    n, tau = cfg.n, cfg.tm.tau
+    i = np.arange(n)
+
+    def sep(q):
+        return cm.min_separation(cfg, cm.PhasePoint(q, np.zeros(n)))
+
+    q = max(((i % c + 0.5) / c + (i // c + 0.5) / -(-n // c) * tau
+             for c in range(1, n + 1)), key=sep)
+    radius = (sep(q) - min_sep) / 3.0
+    q = q + [radius * rng.uniform() * np.exp(TWO_PI_I * rng.uniform())
+             for _ in range(n)]
+    if radius < 0.0 or sep(q) < min_sep:
+        raise EllcmError(f"cannot place {n} bodies at least {min_sep} apart "
+                         f"on the torus of tau = {tau}")
+    return q
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ellcm import calogero
+from ellcm import calogero, elliptic
 from ellcm.calogero import (
     CMConfig,
     PhasePoint,
@@ -25,10 +25,14 @@ from ellcm.calogero import (
 from ellcm.elliptic import (
     POLE_EXCLUSION_RADIUS,
     TorusModulus,
+    lame_array,
     lame_x,
+    lame_x_dtau,
+    lame_x_dz,
     lame_y,
     reduce_to_cell,
     rho,
+    weierstrass_constant,
     wp,
     wp_dz,
 )
@@ -403,26 +407,27 @@ class TestLaxQuasiBatch:
     def test_one_theta_sum_and_only_nodes_pole_checked(self, monkeypatch):
         # theta1(z - d) vanishes where z - d is a lattice point: a zero of
         # the entry, not a pole, so only the nodes z are pole-checked
-        real = calogero.theta1_array
+        real = elliptic._series_sums
         sums = []
 
-        def counting(z, tm, name=None):
-            sums.append(z.size)
-            return real(z, tm, name)
+        def counting(w, tab, *rows):
+            sums.append(w.size)
+            return real(w, tab, *rows)
 
-        monkeypatch.setattr(calogero, "theta1_array", counting)
+        monkeypatch.setattr(elliptic, "_series_sums", counting)
         d = PH3.q[0] - PH3.q[1]
         z = np.array([Z0, d + 1.0 + TM_I.tau, 0.3])
         L = lax_L_quasi_batch(CFG3, PH3, z)
-        assert sums == [3 + 3 + 3 * 6]  # the nodes, the pairs, z - d
+        assert sums == [3 + 6 + 3 * 6]  # the nodes, the entries' u, z - u
         assert abs(L[1, 0, 1]) < 1e-12
         assert np.abs(L[1] - lax_L_quasi(CFG3, PH3, z[1])).max() < 1e-12
         z[1] = 1.0 + 1j + 0.5 * POLE_EXCLUSION_RADIUS
+        sums.clear()
         with pytest.raises(PoleProximityError) as info:
             lax_L_quasi_batch(CFG3, PH3, z)
         assert info.value.variable == "z"
         assert info.value.point == z[1]
-        assert len(sums) == 1  # raised before any series was summed
+        assert sums == []  # raised before any series was summed
 
     def test_collision_raises(self):
         ph = PhasePoint([0.2, 1.2 + 1e-8], [0.1, -0.1])
@@ -579,7 +584,7 @@ class TestPairArrays:
         A_s, A_a = _both_paths(monkeypatch,
                                lambda: lax_A_quasi(cfg, ph, Z0))
         off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(A_s[off], A_a[off])  # the same lame_y calls
+        assert np.array_equal(A_s[off], A_a[off])  # one lame_array call
         scale = np.abs(A_s.diagonal()) + abs(cfg.g) * r2.sum(axis=1)
         assert np.all(np.abs(A_a.diagonal() - A_s.diagonal())
                       <= tol * scale)
@@ -654,3 +659,165 @@ class TestPairArrays:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "overflows" in messages[0]
+
+
+def _scalar_lax(cfg, ph, z):
+    """L, A, dA/dz, L~ and A~ at one node, entry by entry from the scalar
+    kernels, each with the size of the terms that cancel in its entries:
+    those of wp on the diagonal of A and A~ (as for the pair path), and in
+    dA/dz those of rho'(z - u), taken as c - wp(z - u)."""
+    n, tm, ig = ph.n, cfg.tm, 1j * cfg.g
+    c = weierstrass_constant(tm)
+    L = np.diag(ph.p).astype(complex)
+    A = np.zeros((n, n), dtype=complex)
+    dA = np.zeros((n, n), dtype=complex)
+    dA_scale = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                u = ph.q[j] - ph.q[k]
+                x = lame_x(u, z, tm)
+                L[j, k] = ig * x
+                A[j, k] = ig * lame_y(u, z, tm)
+                A[j, j] += ig * wp(u, tm)
+                # d/dz y = -x_dz (rho(u) + rho(z - u)) - x rho'(z - u)
+                x_dz, rho_u, rho_zu = (lame_x_dz(u, z, tm), rho(u, tm),
+                                       rho(z - u, tm))
+                dA[j, k] = ig * (-x_dz * (rho_u + rho_zu)
+                                 - x * (c - wp(z - u, tm)))
+                dA_scale[j, k] = abs(cfg.g) * (
+                    abs(x_dz) * (abs(rho_u) + abs(rho_zu))
+                    + abs(x) * (abs(c) + abs(wp(z - u, tm))))
+    G = np.array([lame_x(q, z, tm) for q in ph.q])
+    Lp = L * G / G[:, None]
+    Ap = A * G / G[:, None]
+    for j, q in enumerate(ph.q):
+        Lp[j, j] = ph.p[j] - lame_x_dz(q, z, tm) / G[j]
+        Ap[j, j] = A[j, j] + TWO_PI_I * (
+            lame_x_dtau(q, z, tm) + lame_y(q, z, tm) * ph.p[j] / TWO_PI_I
+        ) / G[j]
+    wp_scale = np.diag(abs(cfg.g) * _rho_reduced(cfg, ph, 2).sum(axis=1))
+    return {"L": (L, 0.0), "A": (A, wp_scale), "dA": (dA, dA_scale),
+            "Lp": (Lp, 0.0), "Ap": (Ap, wp_scale)}
+
+
+class TestLaxEntries:
+    """Every Lax matrix entry of both gauges against the scalar kernels:
+    one lame_array evaluation builds them all."""
+
+    @staticmethod
+    def nodes(tau, seed, count=4):
+        """Nodes inside the cell and up to three periods outside it."""
+        rng = np.random.default_rng(seed)
+        w = (rng.uniform(-0.5, 0.5, count)
+             + rng.uniform(-0.5, 0.5, count) * tau)
+        shift = rng.integers(-3, 4, count) + rng.integers(-3, 4, count) * tau
+        shift[0] = 0
+        return w + shift
+
+    @staticmethod
+    def built(cfg, ph, z, periodic=True):
+        A, dA = calogero._lax_A_quasi_dz(cfg, ph, z)
+        out = {"L": lax_L_quasi(cfg, ph, z), "A": A, "dA": dA}
+        if periodic:
+            out.update(Lp=lax_L_periodic(cfg, ph, z),
+                       Ap=lax_A_periodic(cfg, ph, z))
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("tau", range(3), ids=["i", "1.3+0.6i",
+                                                   "0.01+0.08i"])
+    def test_matches_scalar(self, n, tau):
+        tau, tol = TestPairArrays.TAUS[tau]
+        cfg, ph = TestPairArrays.case(n, tau,
+                                      100 * n + int(100 * tau.imag) + 1)
+        periodic = 0
+        for z in self.nodes(tau, n):
+            expect = _scalar_lax(cfg, ph, z)
+            # far from the cell some x(q_j, z) fall below the gauge's
+            # absolute tolerance: there the periodic gauge must raise
+            gauge = np.array([lame_x(q, z, cfg.tm) for q in ph.q])
+            regular = np.abs(gauge).min() >= calogero.GAUGE_ZERO_TOL
+            if not regular:
+                for fn in (lax_L_periodic, lax_A_periodic):
+                    with pytest.raises(GaugeSingularityError):
+                        fn(cfg, ph, z)
+            periodic += regular
+            got = self.built(cfg, ph, z, regular)
+            got["L batch"] = lax_L_quasi_batch(cfg, ph, [z, 0.1 + tau])[0]
+            got["A public"] = lax_A_quasi(cfg, ph, z)
+            for name, value in got.items():
+                ref, scale = expect[name.split()[0]]
+                assert np.all(np.abs(value - ref)
+                              <= tol * (np.abs(ref) + scale)), name
+        assert periodic >= 2
+
+    def test_pole_of_a_entry(self):
+        """At z = q_0 - q_1 mod the lattice, x(q_0 - q_1, z) vanishes: L
+        has a zero entry there, while y and dy/dz have a pole at z - u."""
+        ph = PH3
+        z = ph.q[0] - ph.q[1] + 1.0 - 2.0 * TM_I.tau
+        L = lax_L_quasi(CFG3, ph, z)
+        assert abs(L[0, 1]) < 1e-14
+        for fn in (lax_A_quasi, calogero._lax_A_quasi_dz):
+            with pytest.raises(PoleProximityError) as info:
+                fn(CFG3, ph, z)
+            assert info.value.variable == "z - u"
+            assert info.value.point == z - (ph.q[0] - ph.q[1])
+            with pytest.raises(PoleProximityError) as scalar:
+                lame_y(ph.q[0] - ph.q[1], z, TM_I)
+            assert str(info.value) == str(scalar.value)
+
+    def test_node_at_pole(self):
+        z = 2.0 - TM_I.tau + 0.5 * POLE_EXCLUSION_RADIUS
+        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_A_quasi_dz,
+                   lax_L_periodic, lax_A_periodic):
+            with pytest.raises(PoleProximityError) as info:
+                fn(CFG3, PH3, z)
+            assert info.value.variable == "z"
+            assert info.value.point == z
+
+    def test_collision_names_pair(self):
+        ph = PhasePoint([0.2, 0.45 + 0.2j, 1.2 + 1j + 1e-8], [0.1, 0, -0.1])
+        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_A_quasi_dz,
+                   lax_L_periodic, lax_A_periodic):
+            with pytest.raises(PoleProximityError) as info:
+                fn(CFG3, ph, Z0)
+            assert info.value.variable == "q[0] - q[2]"
+
+    def test_gauge_names_first_singular_body(self):
+        z = PH3.q[1] - 1.0 + 2.0 * TM_I.tau
+        for fn in (gauge_lame, lax_L_periodic, lax_A_periodic):
+            with pytest.raises(GaugeSingularityError, match=r"x\(q\[1\], z\)"):
+                fn(CFG3, PH3, z)
+
+    def test_g_zero_and_n1(self):
+        """No pair kernel runs: L = P and A = dA/dz = 0; the periodic gauge
+        keeps its connection diagonal."""
+        for cfg, ph in ((CMConfig(3, 0.0, TM_I), PH3),
+                        (CMConfig(1, 0.7, TM_I), PhasePoint([0.23], [0.4]))):
+            n = ph.n
+            zero = np.zeros((n, n))
+            assert np.array_equal(lax_L_quasi(cfg, ph, Z0), np.diag(ph.p))
+            A, dA = calogero._lax_A_quasi_dz(cfg, ph, Z0)
+            assert np.array_equal(A, zero) and np.array_equal(dA, zero)
+            expect = _scalar_lax(cfg, ph, Z0)
+            for name, got in self.built(cfg, ph, Z0).items():
+                ref, scale = expect[name]
+                assert np.all(np.abs(got - ref) <= 1e-13 * (np.abs(ref)
+                                                            + scale)), name
+
+    def test_one_node_as_in_a_batch(self):
+        """A node's entries do not depend on the other nodes of its call."""
+        cfg, ph = TestPairArrays.case(5, 1.3 + 0.6j, 3)
+        z = self.nodes(cfg.tm.tau, 5, count=40)
+        batch = lax_L_quasi_batch(cfg, ph, z)
+        u = np.subtract.outer(ph.q, ph.q)[~np.eye(5, dtype=bool)]
+        many = lame_array(z, u, cfg.tm, True)
+        shape = (z.size, u.size)
+        for i in (0, 17, 39):
+            assert np.array_equal(lax_L_quasi(cfg, ph, z[i]), batch[i])
+            one = lame_array(z[i:i + 1], u, cfg.tm, True)
+            for a, b in zip(one, many):
+                assert np.array_equal(np.broadcast_to(a, (1, u.size))[0],
+                                      np.broadcast_to(b, shape)[i])

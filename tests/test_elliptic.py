@@ -9,6 +9,7 @@ from ellcm.elliptic import (
     POLE_EXCLUSION_RADIUS,
     GeneralLattice,
     TorusModulus,
+    lame_array,
     lame_x,
     lame_x_dtau,
     lame_x_dz,
@@ -18,7 +19,6 @@ from ellcm.elliptic import (
     reduce_to_cell_array,
     rho,
     theta1,
-    theta1_array,
     theta1_d3z_at_0,
     theta1_dz,
     theta1_dz_at_0,
@@ -30,6 +30,7 @@ from ellcm.elliptic import (
     wp_general,
     wp_lattice_oracle,
 )
+from ellcm.elliptic import _series_sums, _table
 from ellcm.errors import (
     DegenerateLatticeError,
     PoleProximityError,
@@ -108,6 +109,8 @@ class TestTheta1:
 
 
 class TestTheta1Array:
+    """The array theta1 sum, through its reader lame_array."""
+
     TM = TorusModulus(0.3 + 0.8j)
 
     def _points(self, seed, size=80):
@@ -124,27 +127,69 @@ class TestTheta1Array:
 
     def test_matches_scalar(self):
         z = self._points(2)
-        log_f, s = theta1_array(z, self.TM)
-        got = np.exp(log_f) * s
-        for zi, gi in zip(z, got):
-            expect = theta1(zi, self.TM)
-            assert abs(gi - expect) <= 1e-13 * abs(expect)
+        u = self._points(12, size=3)
+        x, rho_u, rho_zu, rho_z, rho_dz_zu, rho_dz_u = lame_array(
+            z, u, self.TM, True)
+        assert np.array_equal(lame_array(z, u, self.TM), x)
+        for i, zi in enumerate(z):
+            for k, uk in enumerate(u):
+                expect = lame_x(uk, zi, self.TM)
+                assert abs(x[i, k] - expect) <= 1e-13 * abs(expect)
+                y = -x[i, k] * (rho_u[0, k] + rho_zu[i, k])
+                expect = lame_y(uk, zi, self.TM)
+                assert abs(y - expect) <= 1e-13 * abs(expect)
+                expect = rho(zi - uk, self.TM)
+                assert abs(rho_zu[i, k] - expect) <= 1e-13 * abs(expect)
+                expect = weierstrass_constant(self.TM) - wp(zi - uk, self.TM)
+                assert abs(rho_dz_zu[i, k] - expect) <= 1e-13 * abs(expect)
+            assert abs(rho_z[i, 0] - rho(zi, self.TM)) <= 1e-13 * abs(
+                rho(zi, self.TM))
+        for k, uk in enumerate(u):
+            expect = wp(uk, self.TM)
+            got = weierstrass_constant(self.TM) - rho_dz_u[0, k]
+            assert abs(got - expect) <= 1e-13 * abs(expect)
 
     def test_shape_kept(self):
-        z = self._points(3).reshape(8, 10)
-        log_f, s = theta1_array(z, self.TM)
-        assert log_f.shape == s.shape == (8, 10)
+        z, u = self._points(3, size=8), self._points(4, size=10)
+        x, *ratios = lame_array(z, u, self.TM, True)
+        assert x.shape == (8, 10)
+        assert [r.shape for r in ratios] == [(1, 10), (8, 10), (8, 1),
+                                             (8, 10), (1, 10)]
 
     def test_pole_check(self):
+        """The scalar kernels' names and order: z - u (only where the
+        ratios are asked for), then u, then z."""
         tau = self.TM.tau
-        z = np.array([0.2, -2.0 + tau + 0.5 * POLE_EXCLUSION_RADIUS, 0.4])
-        theta1_array(z, self.TM)  # theta1 itself has zeros, no poles
-        with pytest.raises(PoleProximityError) as info:
-            theta1_array(z, self.TM, "u")
-        assert info.value.variable == "u"
-        assert info.value.point == z[1]
-        assert info.value.distance == pytest.approx(
-            lattice_distance(z[1], tau))
+        near = -2.0 + tau + 0.5 * POLE_EXCLUSION_RADIUS
+        other = 1.0 + 2.0 * tau - 0.5 * POLE_EXCLUSION_RADIUS
+        zero = 0.4 - near  # z - u is near the lattice at z = 0.4
+        z = np.array([0.2, 0.4])
+        for args, name, point in (
+                (([0.2, near], [0.1, 0.15]), "z", near),
+                ((z, [0.1, other]), "u", other),
+                (([0.2, near], [0.1, other]), "u", other),
+                ((z, [0.1, zero]), "z - u", 0.4 - zero),
+                ((z, [other, zero]), "z - u", 0.4 - zero)):
+            with pytest.raises(PoleProximityError) as info:
+                lame_array(*args, self.TM, True)
+            assert info.value.variable == name
+            assert info.value.point == point
+            assert info.value.distance == pytest.approx(
+                lattice_distance(point, tau))
+        # x(u, z) vanishes at z - u on the lattice: not a pole of x
+        x = lame_array(z, [0.1, zero], self.TM)
+        assert abs(x[1, 1]) < 1e-5
+
+    def test_one_point_as_in_a_batch(self):
+        """Each point's sums do not depend on the other points of the call,
+        a lone point included."""
+        tab = _table(TM_I)
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-0.5, 0.5, 2000) + 1j * rng.uniform(-0.5, 0.5, 2000)
+        sums = _series_sums(w, tab, 4)
+        for i in range(w.size):
+            one = _series_sums(w[i:i + 1], tab, 4)
+            assert np.array_equal(one[:, 0], sums[:, i])
 
     def test_series_overflow_raises(self):
         """A point whose reduced series leaves the double range raises the
@@ -156,7 +201,7 @@ class TestTheta1Array:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeriesRangeError) as array:
-                theta1_array([0.3 + 230j, 0.1], tm)
+                lame_array([0.3 + 230j, 0.1], [0.2], tm)
         assert str(array.value) == str(scalar.value) == (
             "theta1 series overflows at the reduced point w = (0.3+230j)")
 

@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
 
+from ellcm import verify
+from ellcm.calogero import min_separation
+from ellcm.cli import main
+from ellcm.errors import EllcmError
 from ellcm.rng import SplitMix64
-from ellcm.verify import suite_hamilton_consistency
+from ellcm.verify import _random_cm, suite_hamilton_consistency
 
 
 def test_manin_sampler_gives_up_loudly(monkeypatch):
@@ -16,3 +21,34 @@ def test_manin_sampler_gives_up_loudly(monkeypatch):
 def test_suite_passes_at_default_seed():
     rows = suite_hamilton_consistency(count=2)
     assert len(rows) == 6 and all(r.passed for r in rows)
+
+
+def test_sampler_falls_back_to_a_jittered_grid(monkeypatch):
+    """Where 200 uniform draws cannot place the bodies, a seeded jittered
+    grid does, min_sep apart."""
+    grids = []
+    real = verify._jittered_grid
+    monkeypatch.setattr(verify, "_jittered_grid",
+                        lambda *a: grids.append(a[1].n) or real(*a))
+    cfg, ph = _random_cm(SplitMix64(3), 6, 0.2 + 0.9j, min_sep=0.3)
+    assert grids == [6]
+    assert min_separation(cfg, ph) >= 0.3
+    _, again = _random_cm(SplitMix64(3), 6, 0.2 + 0.9j, min_sep=0.3)
+    assert np.array_equal(ph.q, again.q) and np.array_equal(ph.p, again.p)
+
+
+def test_sampler_gives_up_with_a_structured_error():
+    with pytest.raises(EllcmError, match="12 bodies at least 0.3 apart"):
+        _random_cm(SplitMix64(1), 12, 1j, min_sep=0.3)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("argv", [["zero-curvature"],
+                                  ["symplectic-jacobian", "--count", "1"],
+                                  ["monodromy"]],
+                         ids=["zero-curvature", "symplectic-jacobian",
+                              "monodromy"])
+def test_lax_suites_sample_five_and_six_bodies(capsys, argv, n):
+    """A sample the suite cannot draw is an evaluation error (exit 2),
+    never an uncaught exception."""
+    assert main(["verify", argv[0], "--n", str(n), *argv[1:]]) in (0, 2)

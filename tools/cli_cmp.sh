@@ -5,9 +5,10 @@
 #
 # PARENT_TREE is any source tree of ellcm, for example the parent commit
 # unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.  The script
-# runs the CLI commands of README.md and every verify suite at its default
-# arguments once per tree, each with that tree's src/ on PYTHONPATH and in an
-# empty working directory, and compares stdout, stderr and the exit code
+# runs the CLI commands of README.md, every verify suite at its default
+# arguments and the quasi-periodicity and zero-curvature suites at 5 bodies
+# once per tree, each with that tree's src/ on PYTHONPATH and in an empty
+# working directory, and compares stdout, stderr and the exit code
 # byte for byte.  It prints one line per command and exits 0 when every
 # command agrees, 1 when one differs (the outputs are then kept and their
 # directory is printed) and 2 on a usage error.
@@ -28,6 +29,9 @@ for suite in $(PYTHONPATH="$here/src" python3 -c \
         'from ellcm.verify import SUITES; print(*SUITES)'); do
     commands+=("verify $suite")
 done
+# the Lax pair from ARRAY_PAIRS_FROM = 5 bodies, where the pair sums run on
+# arrays
+commands+=("verify quasi-periodicity --n 5" "verify zero-curvature --n 5")
 
 work=$(mktemp -d)
 differ=0
