@@ -47,7 +47,7 @@ print(f"periodic gauge: |L(z+tau) - L(z)| = "
 
 # --- zero curvature: the equations of motion are exactly the ones the
 # --- compatibility of (L, A) demands -------------------------------------
-res = zero_curvature_residual(cfg, ph, z, fd_step=1e-5)
+res = zero_curvature_residual(cfg, ph, z)
 print(f"zero-curvature residual 2 pi i dL/dtau + dA/dz - [L, A]: {res:.2e}")
 
 # --- isospectral flow conserves H ----------------------------------------

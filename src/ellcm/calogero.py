@@ -21,8 +21,8 @@ and 2 pi i dp/dtau):
 
 The force argument order q_j - q_k (not q_k - q_j) is the one consistent
 with both -dH/dq_j of the Hamiltonian below and the zero-curvature
-equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation is
-the authoritative check and is driven to FD-level zero by this choice.
+equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation
+is the authoritative check and vanishes to rounding by this choice.
 
 Pair sums take one of two paths, chosen by the body count alone.  Below
 ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, local_expansion,
@@ -70,9 +70,6 @@ Gauge = Literal["quasi_periodic", "periodic"]
 #: Body count from which the pair sums run on arrays (`_pair_arrays`), the
 #: measured crossover of the two paths (module docstring).
 ARRAY_PAIRS_FROM = 5
-
-#: |x(q_j, z)| below this makes the Lame gauge singular (`gauge_lame`).
-GAUGE_ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -260,39 +257,44 @@ def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
 
 
 def _lame_at(cfg: CMConfig, z: complex, u: np.ndarray):
-    """lame_array with its ratios at the one node z, as arrays over u."""
-    return [v[0] for v in lame_array([z], u, cfg.tm, True)]
+    """lame_array with its ratios at the one node z, as arrays over u: x and
+    the lists rho, rho', rho'' of values at u, z - u and z."""
+    x, *ratios = lame_array([z], u, cfg.tm, True)
+    return x[0], *([v[0] for v in at] for at in ratios)
 
 
 def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """D + i g sum_{j != k} y(q_j - q_k, z) E_jk with
     D = i g diag(sum_{k != j} wp(q_j - q_k))."""
-    return _lax_A_quasi_dz(cfg, ph, z)[0]
+    return _lax_quasi_dz(cfg, ph, z)[1]
 
 
-def _lax_A_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
-    """(lax_A_quasi, dA/dz) from one `lame_array` evaluation, z - u, u and
-    z pole-checked in that order as by lame_y.  wp(u) = c - rho'(u), and D
-    is z-independent, so only y = -x (rho(u) + rho(z-u)) differentiates:
+def _lax_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
+    """(lax_L_quasi, lax_A_quasi, dA/dz) from one `lame_array` evaluation,
+    z - u, u and z pole-checked in that order as by lame_y.  wp(u) =
+    c - rho'(u), and D is z-independent, so only y = -x (rho(u) + rho(z-u))
+    differentiates:
 
         dy/dz = -x (rho(z-u) - rho(z)) (rho(u) + rho(z-u)) - x rho'(z-u).
     """
     _check_separations(cfg, ph)
     n = ph.n
-    A, dA = np.zeros((2, n, n), dtype=complex)
+    L, A, dA = np.zeros((3, n, n), dtype=complex)
+    L[np.diag_indices(n)] = ph.p
     if cfg.g == 0 or n == 1:
-        return A, dA
+        return L, A, dA
     rows, cols = _entry_index(n)
-    x, rho_u, rho_zu, rho_z, rho_dz_zu, rho_dz_u = _lame_at(
+    x, (rho_u, rho_zu, rho_z), (rho_dz_u, rho_dz_zu, _), _ = _lame_at(
         cfg, z, ph.q[rows] - ph.q[cols])
     ig = 1j * cfg.g
     wp_u = weierstrass_constant(cfg.tm) - rho_dz_u
     A[np.diag_indices(n)] = ig * _row_sums(n, *_pair_index(n), wp_u[::2],
                                            wp_u[1::2])
+    L[rows, cols] = ig * x
     A[rows, cols] = ig * (-x * (rho_u + rho_zu))
     dA[rows, cols] = ig * (-x * (rho_zu - rho_z) * (rho_u + rho_zu)
                            - x * rho_dz_zu)
-    return A, dA
+    return L, A, dA
 
 
 # ----------------------------------------------------------------------
@@ -300,17 +302,8 @@ def _lax_A_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
 # ----------------------------------------------------------------------
 
 def gauge_lame(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """diag(x(q_1, z), ..., x(q_n, z)) from one `lame_array` evaluation at
-    u = q_j; must be invertible to change gauge.  The first body whose
-    |x(q_j, z)| is below GAUGE_ZERO_TOL raises GaugeSingularityError."""
-    vals = lame_array([z], ph.q, cfg.tm)[0]
-    small = np.flatnonzero(np.abs(vals) < GAUGE_ZERO_TOL)
-    if small.size:
-        j = small[0]
-        raise GaugeSingularityError(
-            f"x(q[{j}], z) = {vals[j]:.3e} vanishes within tolerance; "
-            "the Lame gauge is singular at this spectral point")
-    return np.diag(vals)
+    """G = diag(x(q_1, z), ..., x(q_n, z)), as `_connections` builds it."""
+    return np.diag(_connections(cfg, ph, z)[0])
 
 
 def _conjugate(M: np.ndarray, gauge: np.ndarray,
@@ -322,13 +315,34 @@ def _conjugate(M: np.ndarray, gauge: np.ndarray,
     return out
 
 
+def _connections(cfg: CMConfig, ph: PhasePoint, z: complex):
+    """(g, ell, kappa, y/x, rho, rho', rho'') from one `lame_array`
+    evaluation at u = q_j: G's diagonal, the connections ell = -d_z g / g
+    of L~ and kappa of A~ (lax_A_periodic), y/x, and the lists of `_lame_at`
+    at q_j, z - q_j and z.
+
+    G must be invertible to change gauge, and x(q_j, z) vanishes where
+    z - q_j is a lattice point: before any sum, the first body with z - q_j
+    reduced within POLE_EXCLUSION_RADIUS of the lattice raises
+    GaugeSingularityError (|x| is no measure: it scales by
+    |exp(2 pi i q_j)| per B-period of z).
+    """
+    for j, q in enumerate(ph.q):
+        dist = lattice_distance(z - q, cfg.tm.tau)
+        if dist < POLE_EXCLUSION_RADIUS:
+            raise GaugeSingularityError(
+                f"x(q[{j}], z) vanishes: z - q[{j}] is {dist:.3e} from the "
+                "lattice; the Lame gauge is singular at this spectral point")
+    gauge, rho, rho_dz, rho_d2z = _lame_at(cfg, z, ph.q)
+    y_x = -(rho[0] + rho[1])
+    ell = rho[2] - rho[1]
+    kappa = rho_dz[1] + y_x * (ph.p + ell)
+    return gauge, ell, kappa, y_x, rho, rho_dz, rho_d2z
+
+
 def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
     """G^{-1} L G - G^{-1} dG/dz with L = lax_L_quasi; doubly periodic in z."""
-    L = lax_L_quasi(cfg, ph, z)
-    gauge = gauge_lame(cfg, ph, z).diagonal()  # checked before z - q_j
-    _, _, rho_zq, rho_z, _, _ = _lame_at(cfg, z, ph.q)
-    # -d_z x(q_j, z)/x(q_j, z) = -(rho(z - q_j) - rho(z))
-    return _conjugate(L, gauge, rho_z - rho_zq)
+    return _conjugate(lax_L_quasi(cfg, ph, z), *_connections(cfg, ph, z)[:2])
 
 
 def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
@@ -340,9 +354,9 @@ def lax_A_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
 
         (dG/dtau)_jj = d_tau x(q_j, z) + y(q_j, z) p_j / (2 pi i),
 
-and by the heat equation of lame_x_dtau the connection 2 pi i (dG/dtau)_jj
-/ x(q_j, z) is rho'(z - q_j) + (y/x) (p_j - rho(z - q_j) + rho(z)), with
-y/x = -(rho(q_j) + rho(z - q_j)).
+    and by the heat equation of lame_x_dtau the connection kappa_j =
+    2 pi i (dG/dtau)_jj / x(q_j, z) is rho'(z - q_j) + (y/x) (p_j + ell_j),
+    with ell_j = rho(z) - rho(z - q_j) and y/x = -(rho(q_j) + rho(z - q_j)).
 
     This (sign and total derivative) is the combination under which the
     periodic-gauge pair satisfies the zero-curvature equation; with the
@@ -353,10 +367,8 @@ y/x = -(rho(q_j) + rho(z - q_j)).
     Lax matrix (full B-periodicity does not hold).
     """
     A = lax_A_quasi(cfg, ph, z)
-    gauge = gauge_lame(cfg, ph, z).diagonal()  # checked before z - q_j
-    _, rho_q, rho_zq, rho_z, rho_dz_zq, _ = _lame_at(cfg, z, ph.q)
-    y_x = -(rho_q + rho_zq)
-    return _conjugate(A, gauge, rho_dz_zq + y_x * (ph.p - rho_zq + rho_z))
+    gauge, _, kappa, *_ = _connections(cfg, ph, z)
+    return _conjugate(A, gauge, kappa)
 
 
 def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
@@ -451,6 +463,23 @@ def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
     return sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
 
 
+def _wp_dtau_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
+    """sum_{j < k} d_tau wp(q_j - q_k) at fixed q (flow.hamiltonian_dtau),
+    from `_pair_arrays` at every n."""
+    if ph.n == 1:
+        return 0j
+    _, _, r, B, T, nb = _pair_arrays(cfg, ph)
+    tau, c = cfg.tm.tau, weierstrass_constant(cfg.tm)
+    g2 = 2.0 * sum(wp(h, cfg.tm) ** 2 for h in (0.5, tau / 2, (1 + tau) / 2))
+    wp_u = r * r - B + c
+    wp_dz2 = 6.0 * wp_u * wp_u - g2 / 2.0
+    # c_tau with E2 = -3 c / pi^2 and E4 = 3 g2 / (4 pi^4)
+    c_tau = -1j * (12.0 * c * c - g2) / (24.0 * math.pi)
+    rho_wp_dz = (r - TWO_PI_I * nb) * (3.0 * r * B - T - 2.0 * r * r * r)
+    return complex(np.sum(c_tau - (2.0 * (c - wp_u) ** 2 - wp_dz2
+                                   - 2.0 * rho_wp_dz) / (2.0 * TWO_PI_I)))
+
+
 def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs."""
     total = 0.5 * complex(np.sum(ph.p * ph.p))
@@ -486,84 +515,41 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
 # Zero curvature
 # ----------------------------------------------------------------------
 
-def _implicit_L_dot(cfg: CMConfig, ph: PhasePoint, A: np.ndarray) -> np.ndarray:
-    """The (q, p)-motion part of dL/dtau: entries i g y_jk (qdot_j - qdot_k)
-    off the diagonal and pdot_j on it, with (qdot, pdot) = eom / 2 pi i.
-
-    A = lax_A_quasi at the same point already holds i g y_jk off the
-    diagonal, so no kernel is evaluated twice.
-    """
-    dq, dp = eom(cfg, ph)
-    qdot = dq / TWO_PI_I
-    out = A * (qdot[:, None] - qdot[None, :])
-    out[np.diag_indices(ph.n)] = dp / TWO_PI_I
-    return out
-
-
 def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
-                            fd_step: float = 1e-5,
-                            gauge: Gauge = "quasi_periodic",
-                            full_output: bool = False):
-    """Max entrywise magnitude of 2 pi i dL/dtau + dA/dz - [L, A].
+                            gauge: Gauge = "quasi_periodic") -> float:
+    """Max entrywise magnitude of 2 pi i dL/dtau + dA/dz - [L, A], every
+    derivative in closed form.
 
-    In the quasi-periodic gauge the explicit tau-dependence of L is finite
-    differenced at frozen (q, p) (two-step Richardson over fd_step and
-    fd_step/2), the implicit (q, p) motion enters analytically through the
-    equations of motion, and dA/dz is analytic.  In the periodic gauge the
-    total dL/dtau is finite differenced along RK4 microsteps of the flow
-    and dA/dz is finite differenced as well.
+    dL/dtau is total along the tau-flow 2 pi i d(q, p)/dtau = eom = (dq, dp).
+    Off the diagonal L also moves with tau itself, and by the heat equation
+    of lame_x_dtau, 2 pi i d_tau x = -d_u d_z x = -d_z y, there
+    2 pi i d_tau L = -dA/dz (on the diagonal dA/dz = 0):
 
-    Returns the residual; with full_output=True returns
-    (residual, fd_error_estimate).
+        2 pi i dL_jk/dtau = A_jk (dq_j - dq_k) - dA_jk/dz,    dp_j for j = k.
+
+    Periodic gauge: with s_jk = g_k / g_j, the connections ell and kappa of
+    `_connections` and Ldot = dL/dtau above,
+
+        dL~_jk/dtau = s_jk (Ldot_jk + L_jk (kappa_k - kappa_j) / 2 pi i),
+        dA~_jk/dz   = s_jk (dA_jk/dz + A_jk (ell_j - ell_k)),
+
+    and dp_j/dtau + d ell_j/dtau, d kappa_j/dz on the diagonal, by
+    4 pi i d_tau rho = rho'' + 2 rho rho' at the unreduced rho.
     """
-    if not (1e-9 <= fd_step <= 1e-2):
-        raise ValueError("fd_step outside the validated range [1e-9, 1e-2]")
-    tau = cfg.tm.tau
-
-    if gauge == "quasi_periodic":
-        L = lax_L_quasi(cfg, ph, z)
-        A, dAdz = _lax_A_quasi_dz(cfg, ph, z)
-        implicit = _implicit_L_dot(cfg, ph, A)
-
-        def residual_at(h):
-            Lp = lax_L_quasi(cfg.with_tau(tau + h), ph, z)
-            Lm = lax_L_quasi(cfg.with_tau(tau - h), ph, z)
-            explicit = (Lp - Lm) / (2.0 * h)
-            R = TWO_PI_I * (explicit + implicit) + dAdz - (L @ A - A @ L)
-            return R
-    elif gauge == "periodic":
-        from .flow import _pack, _rk4_step, _unpack  # flow imports calogero
-        L = lax_L_periodic(cfg, ph, z)
-        A = lax_A_periodic(cfg, ph, z)
-
-        def tau_flow(s, y):
-            return np.concatenate(eom(cfg, _unpack(y, ph.n))) / TWO_PI_I
-
-        y0 = _pack(ph)
-        k1 = tau_flow(0.0, y0)
-
-        def microstep(h):
-            """One RK4 step of the (q, p)-motion of the tau-flow."""
-            return _unpack(_rk4_step(tau_flow, 0.0, y0, h, k1)[0], ph.n)
-
-        def residual_at(h):
-            php = microstep(h)
-            phm = microstep(-h)
-            Lp = lax_L_periodic(cfg.with_tau(tau + h), php, z)
-            Lm = lax_L_periodic(cfg.with_tau(tau - h), phm, z)
-            total = (Lp - Lm) / (2.0 * h)
-            Ap = lax_A_periodic(cfg, ph, z + h)
-            Am = lax_A_periodic(cfg, ph, z - h)
-            dAdz = (Ap - Am) / (2.0 * h)
-            return TWO_PI_I * total + dAdz - (L @ A - A @ L)
-    else:
+    if gauge not in ("quasi_periodic", "periodic"):
         raise ValueError(f"unknown gauge {gauge!r}")
-
-    R1 = residual_at(fd_step)
-    R2 = residual_at(fd_step / 2.0)
-    refined = (4.0 * R2 - R1) / 3.0
-    residual = float(np.max(np.abs(refined)))
-    fd_error = float(np.max(np.abs(R2 - R1)) / 3.0)
-    if full_output:
-        return residual, fd_error
-    return residual
+    L, A, dA = _lax_quasi_dz(cfg, ph, z)
+    dq, dp = eom(cfg, ph)
+    L_dot = A * (dq[:, None] - dq) - dA  # 2 pi i dL/dtau
+    L_dot[np.diag_indices(ph.n)] = dp
+    if gauge == "periodic":
+        g, ell, kappa, y_x, rho, rho1, rho2 = _connections(cfg, ph, z)
+        # 4 pi i d_tau rho at z - q_j and z
+        heat = [rho2[i] + 2.0 * rho[i] * rho1[i] for i in (1, 2)]
+        L_dot = _conjugate(L_dot + L * (kappa - kappa[:, None]), g,
+                           (heat[1] - heat[0]) / 2.0 + rho1[1] * ph.p)
+        dA = _conjugate(dA + A * (ell[:, None] - ell), g,
+                        rho2[1] - rho1[1] * (ph.p + ell)
+                        + y_x * (rho1[2] - rho1[1]))
+        L, A = _conjugate(L, g, ell), _conjugate(A, g, kappa)
+    return float(np.max(np.abs(L_dot + dA - (L @ A - A @ L))))

@@ -8,7 +8,8 @@ Everything is generated by the odd theta function
 whose terms decay like nu^{k^2}.  Arguments are first reduced modulo the
 lattice and the exact quasi-periodicity prefactors are restored, so the
 series always runs in its fast-convergence regime.  All derivatives are
-term-wise analytic; finite differences live only in test oracles.
+term-wise analytic, in tau by the heat equation 4 pi i d theta1/dtau =
+theta1''; finite differences serve only as independent oracles.
 
 Truncation is fixed a priori, once per modulus.  Let q = |nu| =
 exp(-pi Im tau) and let w be reduced, so |Im w| <= Im tau / 2.  Since
@@ -631,12 +632,12 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
 
 def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     """x(u, z) at every node of the 1-D array z and argument of the 1-D
-    array u, shape (z.size, u.size); with ``ratios``, (x, rho(u),
-    rho(z - u), rho(z), rho'(z - u)) as `_lame_core` returns them and then
-    rho'(u), each shaped to broadcast against x.
+    array u, shape (z.size, u.size); with ``ratios``, (x, rho, rho', rho''),
+    the last three each a list of their values at u, z - u and z (rho
+    unreduced, as `_lame_core` gives it), shaped to broadcast against x.
 
     z, u and z - u are reduced together and summed in one `_series_sums`
-    pass, the theta1' and theta1'' rows only with ``ratios``; each entry
+    pass, the rows of theta1' to theta1''' only with ``ratios``; each entry
     combines its three log prefactors before one exponential, as lame_x
     does.  First come the scalar kernels' pole checks, in their order:
     z - u (only with ``ratios``: x vanishes there), u, z.  The first point
@@ -653,13 +654,13 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
             _check_poles_array(zu.ravel(), w[b:], tau, "z - u")
         _check_poles_array(u, w[a:b], tau, "u")
         _check_poles_array(z, w[:a], tau, "z")
-    s, *d = _series_sums(w, tab, 3 if ratios else 1)
+    s, *d = _series_sums(w, tab, 4 if ratios else 1)
     f = _log_prefactor(w, m, n, tau)
     x = (np.exp(f[b:].reshape(zu.shape) - f[:a, None] - f[a:b])
          * s[b:].reshape(zu.shape) * tab.dz0 / (s[:a, None] * s[a:b]))
     if not ratios:
         return x
-    r = d[0] / s
-    rho, rho_dz = r - TWO_PI_I * n, d[1] / s - r * r
-    return (x, rho[None, a:b], rho[b:].reshape(zu.shape), rho[:a, None],
-            rho_dz[b:].reshape(zu.shape), rho_dz[None, a:b])
+    r, B, T = (v / s for v in d)
+    return x, *([v[None, a:b], v[b:].reshape(zu.shape), v[:a, None]]
+                for v in (r - TWO_PI_I * n, B - r * r,
+                          T - 3.0 * r * B + 2.0 * r ** 3))

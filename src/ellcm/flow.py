@@ -36,7 +36,13 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .calogero import CMConfig, PhasePoint, eom, hamiltonian_cm, min_separation
+from .calogero import (
+    CMConfig,
+    PhasePoint,
+    _wp_dtau_pair_sum,
+    eom,
+    min_separation,
+)
 from .elliptic import TWO_PI_I
 from .errors import IntegrationError, PathError, PoleProximityError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
@@ -47,6 +53,9 @@ FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 # separation^-3, so both FD and step control degrade below these).
 COLLISION_REJECT = 1e-4
 COLLISION_TRUNCATE = 1e-6
+
+#: Step of the central differences of `symplectic_jacobian_check`.
+JACOBIAN_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -344,23 +353,20 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
 # Extended symplectic 2-form
 # ----------------------------------------------------------------------
 
-def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint, fd_step: float = 1e-6
-                     ) -> complex:
-    """dH/dtau at frozen (q, p), central differences with one Richardson step.
+def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint) -> complex:
+    """dH/dtau at frozen (q, p) in closed form, g^2 sum_{j < k} d_tau wp(u)
+    at u = q_j - q_k, where by the heat equation 4 pi i d_tau rho = rho''
+    + 2 rho rho' (rho unreduced), wp = c - rho' and wp'' = 6 wp^2 - g2/2,
 
-    The only FD-computed partial of the extended form; everything else is
-    analytic.
+        d_tau wp = c_tau - (2 (c - wp)^2 - wp'' - 2 rho wp') / (4 pi i),
+
+    g2 = 2 (e1^2 + e2^2 + e3^2) from wp at the half-periods, and the
+    constant c = -pi^2 E2 / 3 moves by c_tau = -(pi^2 / 3) 2 pi i
+    (E2^2 - E4) / 12 (Ramanujan's dE2/dtau), E4 = 3 g2 / (4 pi^4).
     """
-    tau = cfg.tm.tau
-
-    def diff(h):
-        hp = hamiltonian_cm(cfg.with_tau(tau + h), ph)
-        hm = hamiltonian_cm(cfg.with_tau(tau - h), ph)
-        return (hp - hm) / (2.0 * h)
-
-    d1 = diff(fd_step)
-    d2 = diff(fd_step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    if cfg.g == 0:
+        return 0j
+    return cfg.g * cfg.g * _wp_dtau_pair_sum(cfg, ph)
 
 
 def extended_two_form(ph: PhasePoint, tau: complex, u: ExtendedTangent,
@@ -397,14 +403,14 @@ def canonical_pairing(n: int) -> np.ndarray:
 def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
                               tau_path: tuple[complex, complex],
                               icfg: IntegratorConfig = IntegratorConfig(
-                                  rel_tol=1e-11, abs_tol=1e-13),
-                              fd_step: float = 1e-6) -> float:
+                                  rel_tol=1e-11, abs_tol=1e-13)) -> float:
     """|| M^T Omega0 M - Omega0 ||_max for the fiber flow map Jacobian M.
 
     M is the 2n x 2n complex Jacobian of (q0, p0) -> (q(tau1), p(tau1)),
-    by central differences with step fd_step (the flow map is holomorphic,
-    so real-step differences give the complex derivative).  Closedness of
-    the extended form shows up as symplecticity of this parallel transport.
+    by central differences with step JACOBIAN_FD_STEP, an oracle independent
+    of the flow's own derivatives (the flow map is holomorphic, so real-step
+    differences give the complex derivative).  Closedness of the extended
+    form shows up as symplecticity of this parallel transport.
     """
     n = cfg.n
 
@@ -423,8 +429,8 @@ def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
     for j in range(dim):
         yp = y0.copy()
         ym = y0.copy()
-        yp[j] += fd_step
-        ym[j] -= fd_step
-        M[:, j] = (flow_map(yp) - flow_map(ym)) / (2.0 * fd_step)
+        yp[j] += JACOBIAN_FD_STEP
+        ym[j] -= JACOBIAN_FD_STEP
+        M[:, j] = (flow_map(yp) - flow_map(ym)) / (2.0 * JACOBIAN_FD_STEP)
     omega0 = canonical_pairing(n)
     return float(np.max(np.abs(M.T @ omega0 @ M - omega0)))

@@ -69,6 +69,9 @@ from .flow import IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4
+#: Default segments of the pole loop and clearance of the A and B cycles.
+POLE_LOOP_SEGMENTS = 32
+CYCLE_CLEARANCE = 1e-2
 #: Most panels whose nodes go into one L call (12288 nodes).
 _CHUNK = 4096
 
@@ -341,7 +344,7 @@ def _pole_loop(base: complex, radius: float, segments: int) -> PathSpec:
 
 def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
                 icfg: IntegratorConfig = IntegratorConfig(),
-                clearance: float = 1e-2) -> np.ndarray:
+                clearance: float = CYCLE_CLEARANCE) -> np.ndarray:
     """M1 = Psi(base + 1) with Psi(base) = identity (L is 1-periodic)."""
     tau = cfg.tm.tau
     if base is None:
@@ -351,7 +354,7 @@ def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
 
 def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
                 icfg: IntegratorConfig = IntegratorConfig(),
-                clearance: float = 1e-2) -> np.ndarray:
+                clearance: float = CYCLE_CLEARANCE) -> np.ndarray:
     """Mtau = exp(-2 pi i Q) Psi(base + tau), from the twist relation
     Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
     tau = cfg.tm.tau
@@ -364,7 +367,7 @@ def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
 def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
                    base: complex | None = None,
                    icfg: IntegratorConfig = IntegratorConfig(),
-                   segments: int = 32) -> np.ndarray:
+                   segments: int = POLE_LOOP_SEGMENTS) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
     entered radially from the base point, reported in the base frame."""
     if base is None:
@@ -382,9 +385,9 @@ def monodromy_data(cfg: CMConfig, ph: PhasePoint,
     if base is None:
         base = default_base(tau)
     M0, M1, psi_b = _transport_paths(
-        cfg, ph, (_pole_loop(base, radius, 32),
-                  _straight(base, base + 1.0, 1e-2),
-                  _straight(base, base + tau, 1e-2)), icfg)
+        cfg, ph, (_pole_loop(base, radius, POLE_LOOP_SEGMENTS),
+                  _straight(base, base + 1.0, CYCLE_CLEARANCE),
+                  _straight(base, base + tau, CYCLE_CLEARANCE)), icfg)
     return MonodromyData(M0=M0, M1=M1, Mtau=_twisted(ph, psi_b),
                          base_point=complex(base), Q=np.diag(ph.q))
 

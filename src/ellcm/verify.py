@@ -238,24 +238,25 @@ def _jittered_grid(rng: SplitMix64, cfg: cm.CMConfig, min_sep: float):
 # ----------------------------------------------------------------------
 
 ZC_TOL = 1e-6
-ZC_FD_STEP = 1e-5
 
 
-def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2,
-                         **_) -> list[CheckResult]:
-    """2 pi i dL/dtau + dA/dz - [L, A] at `count` generic points for each
-    of n and n+1 bodies."""
-    out = []
+def zero_curvature_samples(seed: int = 12345, count: int = 20, n: int = 2):
+    """(name, cfg, ph, z) of the zero-curvature suite: `count` // 2 generic
+    points for each of n and n+1 bodies."""
     for bodies in (n, n + 1):
         rng = SplitMix64(seed + bodies)
         for i in range(count // 2):
             tau = rng.tau()
             cfg, ph = _random_cm(rng, bodies, tau)
-            z = rng.cell_point(tau)
-            res = cm.zero_curvature_residual(cfg, ph, z, ZC_FD_STEP)
-            out.append(CheckResult("zero-curvature",
-                                   f"n{bodies}[{i}]", res, ZC_TOL))
-    return out
+            yield f"n{bodies}[{i}]", cfg, ph, rng.cell_point(tau)
+
+
+def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2,
+                         **_) -> list[CheckResult]:
+    """2 pi i dL/dtau + dA/dz - [L, A] at the `zero_curvature_samples`."""
+    return [CheckResult("zero-curvature", name,
+                        cm.zero_curvature_residual(cfg, ph, z), ZC_TOL)
+            for name, cfg, ph, z in zero_curvature_samples(seed, count, n)]
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +400,7 @@ def suite_symplectic_jacobian(seed: int = 12345, count: int = 2, n: int = 2,
         tau0 = complex(rng.uniform(-0.1, 0.1), rng.uniform(0.9, 1.1))
         cfg, ph = _random_cm(rng, n, tau0, min_sep=0.3)
         res = fl.symplectic_jacobian_check(cfg, ph, (tau0, tau0 + 0.05),
-                                           icfg, fd_step=1e-6)
+                                           icfg)
         out.append(CheckResult("symplectic-jacobian", f"n{n}[{i}]",
                                res, SYMPLECTIC_TOL))
     return out

@@ -270,8 +270,7 @@ def test_symplectic_jacobian():
     ph = PhasePoint([0.15 + 0.1j, 0.55 - 0.08j], [0.2, -0.35 + 0.1j])
     res = symplectic_jacobian_check(cfg, ph, (1j, 1j + 0.05),
                                     IntegratorConfig(rel_tol=1e-11,
-                                                     abs_tol=1e-13),
-                                    fd_step=1e-6)
+                                                     abs_tol=1e-13))
     report("symplectic Jacobian ||M^T W M - W||, n=2", res, 1e-5)
 
 

@@ -42,7 +42,7 @@ from ellcm.errors import (
     SeriesRangeError,
 )
 from ellcm.rng import SplitMix64
-from ellcm.verify import _random_cm
+from ellcm.verify import _random_cm, zero_curvature_samples
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
@@ -489,29 +489,35 @@ class TestZeroCurvature:
         assert zero_curvature_residual(cfg, PH2, Z0) < 1e-14
 
     def test_generic_n2(self):
-        res = zero_curvature_residual(CFG2, PH2, Z0, 1e-5)
+        res = zero_curvature_residual(CFG2, PH2, Z0)
         assert res < 1e-6
 
     def test_generic_n3(self):
-        res = zero_curvature_residual(CFG3, PH3, 0.21 - 0.33j, 1e-5)
+        res = zero_curvature_residual(CFG3, PH3, 0.21 - 0.33j)
         assert res < 1e-6
 
     def test_periodic_gauge(self):
         res_q = zero_curvature_residual(CFG2, PH2, Z0)
         res_p = zero_curvature_residual(CFG2, PH2, Z0, gauge="periodic")
         assert res_p < 1e-6
-        # both gauges vanish to FD accuracy at the same point
+        # both gauges vanish to rounding at the same point
         assert res_q < 1e-6
 
-    def test_fd_error_report(self):
-        res, est = zero_curvature_residual(CFG2, PH2, Z0, full_output=True)
-        assert est >= 0.0 and res < 1e-6
+    @pytest.mark.parametrize("gauge", ["quasi_periodic", "periodic"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_closed_form_at_suite_samples(self, n, gauge):
+        """Every tau-derivative is in closed form, so the residual is
+        rounding at every default sample of the zero-curvature suite (n and
+        n + 1 bodies), where a finite difference in tau left up to 1.1e-6."""
+        samples = list(zero_curvature_samples(n=n))
+        assert len(samples) == 20
+        for name, cfg, ph, z in samples:
+            res = zero_curvature_residual(cfg, ph, z, gauge=gauge)
+            assert res <= 1e-10, name
 
-    def test_step_guard(self):
-        with pytest.raises(ValueError):
-            zero_curvature_residual(CFG2, PH2, Z0, fd_step=1e-12)
-        with pytest.raises(ValueError):
-            zero_curvature_residual(CFG2, PH2, Z0, fd_step=0.5)
+    def test_unknown_gauge(self):
+        with pytest.raises(ValueError, match="unknown gauge"):
+            zero_curvature_residual(CFG2, PH2, Z0, gauge="twisted")
 
 
 def _both_paths(monkeypatch, fn):
@@ -701,6 +707,11 @@ def _scalar_lax(cfg, ph, z):
             "Lp": (Lp, 0.0), "Ap": (Ap, wp_scale)}
 
 
+def _flat(values):
+    """lame_array's x and ratios, each list of ratios flattened."""
+    return [values[0], *(v for at in values[1:] for v in at)]
+
+
 class TestLaxEntries:
     """Every Lax matrix entry of both gauges against the scalar kernels:
     one lame_array evaluation builds them all."""
@@ -716,13 +727,11 @@ class TestLaxEntries:
         return w + shift
 
     @staticmethod
-    def built(cfg, ph, z, periodic=True):
-        A, dA = calogero._lax_A_quasi_dz(cfg, ph, z)
-        out = {"L": lax_L_quasi(cfg, ph, z), "A": A, "dA": dA}
-        if periodic:
-            out.update(Lp=lax_L_periodic(cfg, ph, z),
-                       Ap=lax_A_periodic(cfg, ph, z))
-        return out
+    def built(cfg, ph, z):
+        L, A, dA = calogero._lax_quasi_dz(cfg, ph, z)
+        return {"L": lax_L_quasi(cfg, ph, z), "L with A": L, "A": A,
+                "dA": dA, "Lp": lax_L_periodic(cfg, ph, z),
+                "Ap": lax_A_periodic(cfg, ph, z)}
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("tau", range(3), ids=["i", "1.3+0.6i",
@@ -731,26 +740,30 @@ class TestLaxEntries:
         tau, tol = TestPairArrays.TAUS[tau]
         cfg, ph = TestPairArrays.case(n, tau,
                                       100 * n + int(100 * tau.imag) + 1)
-        periodic = 0
         for z in self.nodes(tau, n):
             expect = _scalar_lax(cfg, ph, z)
-            # far from the cell some x(q_j, z) fall below the gauge's
-            # absolute tolerance: there the periodic gauge must raise
-            gauge = np.array([lame_x(q, z, cfg.tm) for q in ph.q])
-            regular = np.abs(gauge).min() >= calogero.GAUGE_ZERO_TOL
-            if not regular:
-                for fn in (lax_L_periodic, lax_A_periodic):
-                    with pytest.raises(GaugeSingularityError):
-                        fn(cfg, ph, z)
-            periodic += regular
-            got = self.built(cfg, ph, z, regular)
+            got = self.built(cfg, ph, z)
             got["L batch"] = lax_L_quasi_batch(cfg, ph, [z, 0.1 + tau])[0]
             got["A public"] = lax_A_quasi(cfg, ph, z)
             for name, value in got.items():
                 ref, scale = expect[name.split()[0]]
                 assert np.all(np.abs(value - ref)
                               <= tol * (np.abs(ref) + scale)), name
-        assert periodic >= 2
+
+    def test_regular_gauge_far_from_the_cell(self):
+        """Three B-periods out |x(q_3, z)| is 6.7e-9 while z - q_3 is 0.32
+        from the lattice: the gauge is regular there, L~ is doubly periodic
+        and A~(w + m + n tau) = A~(w) + 2 pi i n L~(w)."""
+        cfg, ph = TestPairArrays.case(5, 1j, 600)
+        z = self.nodes(1j, 5)[3]
+        w, _, n = reduce_to_cell(z, 1j)
+        assert n == -2 and abs(lame_x(ph.q[3], z, cfg.tm)) < 1e-8
+        L, L0 = (lax_L_periodic(cfg, ph, v) for v in (z, w))
+        A, A0 = (lax_A_periodic(cfg, ph, v) for v in (z, w))
+        assert np.max(np.abs(L - L0)) < 1e-13 * np.max(np.abs(L0))
+        assert (np.max(np.abs(A - A0 - TWO_PI_I * n * L0))
+                < 1e-13 * np.max(np.abs(A)))
+        assert zero_curvature_residual(cfg, ph, z, gauge="periodic") < 1e-10
 
     def test_pole_of_a_entry(self):
         """At z = q_0 - q_1 mod the lattice, x(q_0 - q_1, z) vanishes: L
@@ -759,7 +772,7 @@ class TestLaxEntries:
         z = ph.q[0] - ph.q[1] + 1.0 - 2.0 * TM_I.tau
         L = lax_L_quasi(CFG3, ph, z)
         assert abs(L[0, 1]) < 1e-14
-        for fn in (lax_A_quasi, calogero._lax_A_quasi_dz):
+        for fn in (lax_A_quasi, calogero._lax_quasi_dz):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, ph, z)
             assert info.value.variable == "z - u"
@@ -770,7 +783,7 @@ class TestLaxEntries:
 
     def test_node_at_pole(self):
         z = 2.0 - TM_I.tau + 0.5 * POLE_EXCLUSION_RADIUS
-        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_A_quasi_dz,
+        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_quasi_dz,
                    lax_L_periodic, lax_A_periodic):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, PH3, z)
@@ -779,7 +792,7 @@ class TestLaxEntries:
 
     def test_collision_names_pair(self):
         ph = PhasePoint([0.2, 0.45 + 0.2j, 1.2 + 1j + 1e-8], [0.1, 0, -0.1])
-        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_A_quasi_dz,
+        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_quasi_dz,
                    lax_L_periodic, lax_A_periodic):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, ph, Z0)
@@ -799,11 +812,11 @@ class TestLaxEntries:
             n = ph.n
             zero = np.zeros((n, n))
             assert np.array_equal(lax_L_quasi(cfg, ph, Z0), np.diag(ph.p))
-            A, dA = calogero._lax_A_quasi_dz(cfg, ph, Z0)
+            _, A, dA = calogero._lax_quasi_dz(cfg, ph, Z0)
             assert np.array_equal(A, zero) and np.array_equal(dA, zero)
             expect = _scalar_lax(cfg, ph, Z0)
             for name, got in self.built(cfg, ph, Z0).items():
-                ref, scale = expect[name]
+                ref, scale = expect[name.split()[0]]
                 assert np.all(np.abs(got - ref) <= 1e-13 * (np.abs(ref)
                                                             + scale)), name
 
@@ -818,6 +831,6 @@ class TestLaxEntries:
         for i in (0, 17, 39):
             assert np.array_equal(lax_L_quasi(cfg, ph, z[i]), batch[i])
             one = lame_array(z[i:i + 1], u, cfg.tm, True)
-            for a, b in zip(one, many):
+            for a, b in zip(_flat(one), _flat(many)):
                 assert np.array_equal(np.broadcast_to(a, (1, u.size))[0],
                                       np.broadcast_to(b, shape)[i])

@@ -6,10 +6,10 @@
 # PARENT_TREE is any source tree of ellcm, for example the parent commit
 # unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.  The script
 # runs the CLI commands of README.md, every verify suite at its default
-# arguments and the quasi-periodicity and zero-curvature suites at 5 bodies
-# once per tree, each with that tree's src/ on PYTHONPATH and in an empty
-# working directory, and compares stdout, stderr and the exit code
-# byte for byte.  It prints one line per command and exits 0 when every
+# arguments, the quasi-periodicity and zero-curvature suites at 5 bodies and
+# the zero-curvature suite at 8 bodies once per tree, each with that tree's
+# src/ on PYTHONPATH and in an empty working directory, and compares stdout,
+# stderr and the exit code byte for byte.  It prints one line per command and exits 0 when every
 # command agrees, 1 when one differs (the outputs are then kept and their
 # directory is printed) and 2 on a usage error.
 set -u
@@ -30,8 +30,9 @@ for suite in $(PYTHONPATH="$here/src" python3 -c \
     commands+=("verify $suite")
 done
 # the Lax pair from ARRAY_PAIRS_FROM = 5 bodies, where the pair sums run on
-# arrays
-commands+=("verify quasi-periodicity --n 5" "verify zero-curvature --n 5")
+# arrays, and at 8 and 9 bodies, where its entries reach ~1e3
+commands+=("verify quasi-periodicity --n 5" "verify zero-curvature --n 5"
+           "verify zero-curvature --n 8")
 
 work=$(mktemp -d)
 differ=0
