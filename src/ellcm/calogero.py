@@ -25,13 +25,14 @@ equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation
 is the authoritative check and vanishes to rounding by this choice.
 
 Pair sums take one of two paths, chosen by the body count alone.  Below
-ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, local_expansion,
-min_separation and the collision check loop over the pairs with one scalar
-kernel call each.  From ARRAY_PAIRS_FROM on they read `_pair_arrays`,
-which reduces all n(n-1)/2 separations to the cell at once, pole-checks
-them against the same nine lattice candidates and radius, and sums the
-theta series once over a (K x pairs) grid: a fixed ~40 us of numpy calls,
-against ~7 us per pair for the scalar path.  Measured on whole 16-step
+ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, min_separation and the
+collision check loop over the pairs with one scalar kernel call each.  From
+ARRAY_PAIRS_FROM on they read `_pair_arrays`, which reduces all n(n-1)/2
+separations to the cell at once, pole-checks them against the same nine
+lattice candidates and radius, and sums the theta series once over a
+(K x pairs) grid: a fixed ~40 us of numpy calls, against ~7 us per pair
+for the scalar path.  local_expansion and `_wp_dtau_pair_sum` read
+`_pair_arrays` at every n.  Measured on whole 16-step
 tau-flows at tau = 0.02+i (2-CPU x86 host with AVX-512, numpy 2.4), array
 over scalar time is 1.75 at n = 3, 1.22 at n = 4, 1.05 at n = 5, 0.83 at
 n = 6 and 0.54 at n = 8; on t-flows at fixed tau it is 1.21 at n = 4 and
@@ -58,7 +59,6 @@ from .elliptic import (
     lame_array,
     lattice_distance,
     reduce_to_cell_array,
-    rho,
     weierstrass_constant,
     wp,
     wp_dz,
@@ -413,18 +413,11 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     n = ph.n
     residue = -1j * cfg.g * (np.ones((n, n), dtype=complex) - np.eye(n))
     constant = np.diag(ph.p.astype(complex))
-    ig = 1j * cfg.g
-    if cfg.g != 0 and n >= ARRAY_PAIRS_FROM:
+    if cfg.g != 0:
         j, k, r, _, _, nb = _pair_arrays(cfg, ph)
-        c = ig * (r - TWO_PI_I * nb)
+        c = 1j * cfg.g * (r - TWO_PI_I * nb)
         constant[j, k] = c
-        constant[k, j] = -c
-    elif cfg.g != 0:
-        _check_separations(cfg, ph)
-        for j, k, d in _pairs(ph):
-            c = ig * rho(d, cfg.tm)  # rho is odd
-            constant[j, k] = c
-            constant[k, j] = -c
+        constant[k, j] = -c  # rho is odd
     return LocalExpansion(residue=residue, constant=constant)
 
 

@@ -80,14 +80,11 @@ def fmt(x: float) -> str:
 
 def parse_complex(text: str) -> complex:
     s = str(text).strip().replace(" ", "").replace("i", "j")
-    if s in ("j", "+j"):
-        s = "1j"
-    elif s == "-j":
-        s = "-1j"
     try:
         return complex(s)
     except ValueError as exc:
-        raise UsageError(f"cannot parse complex number {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"cannot parse complex number {text!r}") from exc
 
 
 def parse_complex_list(text: str) -> list[complex]:
@@ -115,7 +112,8 @@ def merge_config(args: argparse.Namespace,
     """Fill unset options from the config file; reject unknown keys.
 
     Values go through the option's argparse ``type`` and ``choices``, as
-    they would on the command line.
+    they would on the command line.  A switch such as --traceless takes
+    ``true`` or ``false``.
     """
     if not getattr(args, "config", None):
         return
@@ -127,10 +125,15 @@ def merge_config(args: argparse.Namespace,
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, dest, None) is not None:
             continue
-        if action.type is not None:
+        if action.nargs == 0:
+            if value not in ("true", "false"):
+                raise UsageError(
+                    f"config key {key!r}: {value!r} is not one of true, false")
+            value = value == "true"
+        elif action.type is not None:
             try:
                 value = action.type(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(
                     f"config key {key!r}: invalid value {value!r}") from exc
         if action.choices is not None and value not in action.choices:
@@ -139,18 +142,21 @@ def merge_config(args: argparse.Namespace,
         setattr(args, dest, value)
 
 
-def write_out(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+def write_out(args, table: tuple[list[str], list[list[str]]] | None = None,
+              payload: dict | None = None) -> None:
+    """Write a command's result to --out, or to stdout without it: the
+    table (header, rows) as CSV or the payload as JSON.  A command that
+    gives both writes the one --format names, CSV by default."""
+    if table is None or (payload is not None and args.format == "json"):
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        header, rows = table
+        text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def csv_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(r) for r in rows]
-    return "\n".join(lines) + "\n"
 
 
 def cpair(z: complex) -> list[str]:
@@ -180,20 +186,10 @@ EVAL_FUNCTIONS = {
 
 
 def cmd_eval(args) -> int:
-    if args.function not in EVAL_FUNCTIONS:
-        raise UsageError(f"unknown function {args.function!r}; choose from "
-                         + ", ".join(sorted(EVAL_FUNCTIONS)))
     fn, needs = EVAL_FUNCTIONS[args.function]
-    if args.tau is None:
-        raise UsageError("--tau is required")
-    tau = parse_complex(args.tau)
+    tau = _required(args, "tau")
     tm = TorusModulus(tau)
-    call = []
-    for name in needs:
-        value = getattr(args, name)
-        if value is None:
-            raise UsageError(f"--{name} is required for {args.function}")
-        call.append(parse_complex(value))
+    call = [_required(args, name) for name in needs]
     value = fn(*call, tm)
     est = REL_TOL * max(1.0, abs(value))
     header = ["schema", "function"]
@@ -203,15 +199,11 @@ def cmd_eval(args) -> int:
         row += cpair(v)
     header += ["tau_re", "tau_im", "value_re", "value_im", "error_estimate"]
     row += cpair(tau) + cpair(value) + [fmt(est)]
-    if args.format == "json":
-        payload = {"schema": 1, "function": args.function,
-                   "inputs": {name: cjson(v) for name, v in zip(needs, call)},
-                   "tau": cjson(tau), "value": cjson(value),
-                   "error_estimate": float(est)}
-        write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                  args.out)
-    else:
-        write_out(csv_table(header, [row]), args.out)
+    payload = {"schema": 1, "function": args.function,
+               "inputs": {name: cjson(v) for name, v in zip(needs, call)},
+               "tau": cjson(tau), "value": cjson(value),
+               "error_estimate": float(est)}
+    write_out(args, (header, [row]), payload)
     return EXIT_OK
 
 
@@ -226,20 +218,16 @@ def cmd_verify(args) -> int:
         results = run_suite(args.suite, seed=args.seed, count=args.count,
                             n=args.n)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
     rows = [["1", r.suite, r.name, fmt(r.residual), fmt(r.tol),
              "pass" if r.passed else "FAIL"] for r in results]
     header = ["schema", "suite", "check", "residual", "tol", "status"]
-    if args.format == "json":
-        payload = {"schema": 1, "suite": args.suite, "seed": args.seed,
-                   "checks": [{"name": r.name, "residual": float(r.residual),
-                               "tol": float(r.tol), "passed": r.passed}
-                              for r in results],
-                   "all_passed": all(r.passed for r in results)}
-        write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                  args.out)
-    else:
-        write_out(csv_table(header, rows), args.out)
+    payload = {"schema": 1, "suite": args.suite, "seed": args.seed,
+               "checks": [{"name": r.name, "residual": float(r.residual),
+                           "tol": float(r.tol), "passed": r.passed}
+                          for r in results],
+               "all_passed": all(r.passed for r in results)}
+    write_out(args, (header, rows), payload)
     return EXIT_OK if all(r.passed for r in results) else EXIT_INTEGRATION
 
 
@@ -249,12 +237,12 @@ def cmd_verify(args) -> int:
 
 def _integrator_config(args) -> IntegratorConfig:
     """IntegratorConfig from the flags given; its own defaults otherwise."""
-    given = {field: _as_float(getattr(args, dest), dest.replace("_", "-"))
-             for field, dest in (("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"),
-                                 ("initial_step", "step"))
+    given = {field: getattr(args, dest)
+             for field, dest in (("abs_tol", "abs_tol"),
+                                 ("rel_tol", "rel_tol"),
+                                 ("initial_step", "step"),
+                                 ("method", "method"))
              if getattr(args, dest) is not None}
-    if args.method is not None:
-        given["method"] = args.method
     return IntegratorConfig(**given)
 
 
@@ -288,8 +276,8 @@ def _trajectory_payload(traj: Trajectory, n: int, g: complex,
     }
 
 
-def _trajectory_csv(traj: Trajectory, n: int,
-                    hamiltonians: list[complex]) -> str:
+def _trajectory_table(traj: Trajectory, n: int, hamiltonians: list[complex]
+                      ) -> tuple[list[str], list[list[str]]]:
     header = ["schema", "time_re", "time_im", "tau_re", "tau_im"]
     for j in range(n):
         header += [f"q{j}_re", f"q{j}_im"]
@@ -309,59 +297,46 @@ def _trajectory_csv(traj: Trajectory, n: int,
         row += [str(d.steps_accepted), str(d.steps_rejected),
                 fmt(d.max_local_error)]
         rows.append(row)
-    return csv_table(header, rows)
+    return header, rows
 
 
 def cmd_flow(args) -> int:
     icfg = _integrator_config(args)
-    samples = _as_int(args.samples, "samples") if args.samples is not None else 16
+    samples = 16 if args.samples is None else args.samples
     if args.kind == "painleve-scalar":
-        if args.alpha is None:
-            raise UsageError("painleve-scalar needs --alpha a0,a1,a2,a3")
-        alpha = parse_complex_list(args.alpha)
-        if len(alpha) != 4:
-            raise UsageError("--alpha needs exactly four entries")
-        params = PainleveParams(tuple(alpha))
-        tau0 = parse_complex(_required(args, "tau"))
-        tau1 = parse_complex(_required(args, "tau_end"))
-        q0 = parse_complex(_required(args, "q"))
-        p0 = parse_complex(_required(args, "p"))
-        traj = integrate_scalar_painleve(EllipticState(q0, p0, tau0), params,
-                                         (tau0, tau1), icfg, samples=samples)
+        params = _alpha(args)
+        tau0 = _required(args, "tau")
+        tau1 = _required(args, "tau_end")
+        q = _required(args, "q")
+        p = _required(args, "p")
+        if len(q) != 1 or len(p) != 1:
+            raise UsageError("--q and --p must each have one entry for "
+                             "painleve-scalar")
+        traj = integrate_scalar_painleve(EllipticState(q[0], p[0], tau0),
+                                         params, (tau0, tau1), icfg,
+                                         samples=samples)
         hams = [hamiltonian_manin(
             EllipticState(traj.states[i].q[0], traj.states[i].p[0],
                           traj.tau_of_sample[i]), params)
             for i in range(len(traj.times))]
-        n, g = 1, 0.0
+        n, g = 1, 0j
     else:
-        n = _as_int(_required(args, "n"), "n")
-        g = parse_complex(_required(args, "g"))
-        tau0 = parse_complex(_required(args, "tau"))
-        q = parse_complex_list(_required(args, "q"))
-        p = parse_complex_list(_required(args, "p"))
-        if len(q) != n or len(p) != n:
-            raise UsageError(f"--q and --p must each have {n} entries")
-        cfg = CMConfig(n, g, TorusModulus(tau0))
+        cfg, q, p = _nbody(args)
         ph = PhasePoint(q, p, traceless=bool(args.traceless))
         if args.kind == "isospectral":
-            t_end = _as_float(_required(args, "t_end"), "t-end")
+            t_end = _required(args, "t_end")
             traj = integrate_isospectral(cfg, ph, (0.0, t_end), icfg,
                                          samples=samples)
-        elif args.kind == "isomonodromic":
-            tau1 = parse_complex(_required(args, "tau_end"))
-            traj = integrate_isomonodromic(cfg, ph, (tau0, tau1), icfg,
-                                           samples=samples)
         else:
-            raise UsageError(f"unknown flow kind {args.kind!r}")
+            tau1 = _required(args, "tau_end")
+            traj = integrate_isomonodromic(cfg, ph, (cfg.tm.tau, tau1), icfg,
+                                           samples=samples)
         hams = [hamiltonian_cm(cfg.with_tau(traj.tau_of_sample[i]),
                                traj.states[i])
                 for i in range(len(traj.times))]
-    if args.format == "json":
-        text = json.dumps(_trajectory_payload(traj, n, complex(g), hams),
-                          indent=2, sort_keys=True) + "\n"
-    else:
-        text = _trajectory_csv(traj, n, hams)
-    write_out(text, args.out)
+        n, g = cfg.n, cfg.g
+    write_out(args, _trajectory_table(traj, n, hams),
+              _trajectory_payload(traj, n, g, hams))
     if traj.diagnostics.truncated:
         sys.stderr.write("flow truncated: " + traj.diagnostics.message + "\n")
         return EXIT_INTEGRATION
@@ -375,18 +350,25 @@ def _required(args, name: str):
     return value
 
 
-def _as_int(text, name: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{name} expects an integer, got {text!r}") from exc
+def _nbody(args) -> tuple[CMConfig, list[complex], list[complex]]:
+    """The n-body inputs of flow and monodromy: the configuration from
+    --n, --g and --tau, and the n entries of each of --q and --p."""
+    n = _required(args, "n")
+    g = _required(args, "g")
+    tau = _required(args, "tau")
+    q = _required(args, "q")
+    p = _required(args, "p")
+    if len(q) != n or len(p) != n:
+        raise UsageError(f"--q and --p must each have {n} entries")
+    return CMConfig(n, g, TorusModulus(tau)), q, p
 
 
-def _as_float(text, name: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{name} expects a number, got {text!r}") from exc
+def _alpha(args) -> PainleveParams:
+    """The Painleve parameters from the four entries of --alpha."""
+    alpha = _required(args, "alpha")
+    if len(alpha) != 4:
+        raise UsageError("--alpha needs exactly four entries")
+    return PainleveParams(tuple(alpha))
 
 
 # ----------------------------------------------------------------------
@@ -409,27 +391,19 @@ def _det_residuals(md, ph: PhasePoint, tau: complex) -> dict[str, float]:
 
 
 def cmd_monodromy(args) -> int:
-    n = _as_int(_required(args, "n"), "n")
-    g = parse_complex(_required(args, "g"))
-    tau = parse_complex(_required(args, "tau"))
-    q = parse_complex_list(_required(args, "q"))
-    p = parse_complex_list(_required(args, "p"))
-    if len(q) != n or len(p) != n:
-        raise UsageError(f"--q and --p must each have {n} entries")
-    cfg = CMConfig(n, g, TorusModulus(tau))
+    cfg, q, p = _nbody(args)
+    tau = cfg.tm.tau
     ph = PhasePoint(q, p)
     icfg = IntegratorConfig(
-        rel_tol=_as_float(args.rel_tol, "rel-tol")
-        if args.rel_tol is not None else 1e-11,
-        abs_tol=_as_float(args.abs_tol, "abs-tol")
-        if args.abs_tol is not None else 1e-13,
+        rel_tol=1e-11 if args.rel_tol is None else args.rel_tol,
+        abs_tol=1e-13 if args.abs_tol is None else args.abs_tol,
     )
-    radius = _as_float(args.radius, "radius") if args.radius is not None else 0.1
+    radius = 0.1 if args.radius is None else args.radius
     md = monodromy_data(cfg, ph, icfg, radius=radius)
     report = {
         "schema": 1,
-        "n": n,
-        "g": cjson(g),
+        "n": cfg.n,
+        "g": cjson(cfg.g),
         "tau": cjson(tau),
         "base_point": cjson(md.base_point),
         "M0": _matrix_pairs(md.M0),
@@ -444,12 +418,12 @@ def cmd_monodromy(args) -> int:
         "det_residuals": _det_residuals(md, ph, tau),
     }
     if args.drift is not None:
-        dtau = parse_complex(args.drift)
         report["drift"] = {
-            "dtau": cjson(dtau),
-            "spectral_drift": float(_drift(cfg, ph, dtau, icfg, md, radius)),
+            "dtau": cjson(args.drift),
+            "spectral_drift": float(_drift(cfg, ph, args.drift, icfg, md,
+                                           radius)),
         }
-    write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    write_out(args, payload=report)
     return EXIT_OK
 
 
@@ -457,68 +431,51 @@ def cmd_monodromy(args) -> int:
 # symmetry and map
 # ----------------------------------------------------------------------
 
+ALPHA_HEADER = sum(([f"alpha{i}_re", f"alpha{i}_im"] for i in range(4)), [])
+
+
 def cmd_symmetry(args) -> int:
     if args.transform == "landin":
-        alpha = parse_complex_list(_required(args, "alpha"))
-        if len(alpha) != 4:
-            raise UsageError("--alpha needs four entries")
-        new_params, ok = landin_transform(PainleveParams(tuple(alpha)))
-        header = ["schema", "transform", "applicable"] + sum(
-            ([f"alpha{i}_re", f"alpha{i}_im"] for i in range(4)), [])
+        new_params, ok = landin_transform(_alpha(args))
+        header = ["schema", "transform", "applicable"] + ALPHA_HEADER
         vals = new_params.alpha if ok else (0j, 0j, 0j, 0j)
         row = ["1", "landin", "true" if ok else "false"] + sum(
             (cpair(v) for v in vals), [])
-        write_out(csv_table(header, [row]), args.out)
-        return EXIT_OK
-    if args.transform == "scaling":
-        alpha = parse_complex_list(_required(args, "alpha"))
-        if len(alpha) != 4:
-            raise UsageError("--alpha needs four entries")
-        j = parse_complex(_required(args, "j"))
-        state = EllipticState(parse_complex(_required(args, "q")),
-                              parse_complex(_required(args, "p")),
-                              parse_complex(_required(args, "tau")))
-        new_state, new_params = scaling_symmetry(
-            state, PainleveParams(tuple(alpha)), j)
+    elif args.transform == "scaling":
+        params = _alpha(args)
+        j = _required(args, "j")
+        state = EllipticState(_required(args, "q"), _required(args, "p"),
+                              _required(args, "tau"))
+        new_state, new_params = scaling_symmetry(state, params, j)
         header = (["schema", "transform", "q_re", "q_im", "p_re", "p_im",
-                   "tau_re", "tau_im"]
-                  + sum(([f"alpha{i}_re", f"alpha{i}_im"]
-                         for i in range(4)), []))
+                   "tau_re", "tau_im"] + ALPHA_HEADER)
         row = (["1", "scaling"] + cpair(new_state.q) + cpair(new_state.p)
                + cpair(new_state.tau)
                + sum((cpair(v) for v in new_params.alpha), []))
-        write_out(csv_table(header, [row]), args.out)
-        return EXIT_OK
-    if args.transform == "s4-shift":
-        q = parse_complex(_required(args, "q"))
-        tau = parse_complex(_required(args, "tau"))
-        if args.a is None:
-            raise UsageError("--a (half-period index 0..3) is required")
+    else:
+        q = _required(args, "q")
+        tau = _required(args, "tau")
+        a = _required(args, "a")
         try:
-            shifted = s4_shift(q, tau, _as_int(args.a, "a"))
+            shifted = s4_shift(q, tau, a)
         except IndexError as exc:
             raise UsageError(str(exc)) from exc
         header = ["schema", "transform", "a", "q_re", "q_im"]
-        row = ["1", "s4-shift", str(_as_int(args.a, "a"))] + cpair(shifted)
-        write_out(csv_table(header, [row]), args.out)
-        return EXIT_OK
-    raise UsageError(f"unknown transform {args.transform!r}")
+        row = ["1", "s4-shift", str(a)] + cpair(shifted)
+    write_out(args, (header, [row]))
+    return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    q = parse_complex(_required(args, "q"))
-    tau = parse_complex(_required(args, "tau"))
+    q = _required(args, "q")
+    tau = _required(args, "tau")
     y, t = elliptic_to_rational(q, tau)
     header = ["schema", "q_re", "q_im", "tau_re", "tau_im",
               "y_re", "y_im", "t_re", "t_im"]
     row = ["1"] + cpair(q) + cpair(tau) + cpair(y) + cpair(t)
-    if args.format == "json":
-        payload = {"schema": 1, "q": cjson(q), "tau": cjson(tau),
-                   "y": cjson(y), "t": cjson(t)}
-        write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                  args.out)
-    else:
-        write_out(csv_table(header, [row]), args.out)
+    payload = {"schema": 1, "q": cjson(q), "tau": cjson(tau),
+               "y": cjson(y), "t": cjson(t)}
+    write_out(args, (header, [row]), payload)
     return EXIT_OK
 
 
@@ -554,10 +511,10 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
         return arg
 
     arg = command("eval", "evaluate an elliptic kernel")
-    arg("function")
-    arg("--z")
-    arg("--u")
-    arg("--tau")
+    arg("function", choices=sorted(EVAL_FUNCTIONS), metavar="function")
+    arg("--z", type=parse_complex)
+    arg("--u", type=parse_complex)
+    arg("--tau", type=parse_complex)
 
     arg = command("verify", "run an invariant suite")
     arg("suite")
@@ -567,44 +524,45 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
 
     arg = command("flow", "integrate a flow and write a trajectory")
     arg("kind", choices=("isospectral", "isomonodromic", "painleve-scalar"))
-    arg("--n")
-    arg("--g")
-    arg("--tau")
-    arg("--tau-end", dest="tau_end")
-    arg("--t-end", dest="t_end")
-    arg("--q")
-    arg("--p")
-    arg("--alpha")
-    arg("--traceless", action="store_true")
-    arg("--samples")
+    arg("--n", type=int)
+    arg("--g", type=parse_complex)
+    arg("--tau", type=parse_complex)
+    arg("--tau-end", dest="tau_end", type=parse_complex)
+    arg("--t-end", dest="t_end", type=float)
+    arg("--q", type=parse_complex_list)
+    arg("--p", type=parse_complex_list)
+    arg("--alpha", type=parse_complex_list)
+    arg("--traceless", action="store_true", default=None)
+    arg("--samples", type=int)
     arg("--method", choices=("rk4_fixed", "rk45_adaptive"))
-    arg("--step")
-    arg("--rel-tol", dest="rel_tol")
-    arg("--abs-tol", dest="abs_tol")
+    arg("--step", type=float)
+    arg("--rel-tol", dest="rel_tol", type=float)
+    arg("--abs-tol", dest="abs_tol", type=float)
 
     arg = command("monodromy", "compute the monodromy report", formats=False)
-    arg("--n")
-    arg("--g")
-    arg("--tau")
-    arg("--q")
-    arg("--p")
-    arg("--radius")
-    arg("--drift", help="dtau for the isomonodromy drift block")
-    arg("--rel-tol", dest="rel_tol")
-    arg("--abs-tol", dest="abs_tol")
+    arg("--n", type=int)
+    arg("--g", type=parse_complex)
+    arg("--tau", type=parse_complex)
+    arg("--q", type=parse_complex_list)
+    arg("--p", type=parse_complex_list)
+    arg("--radius", type=float)
+    arg("--drift", type=parse_complex,
+        help="dtau for the isomonodromy drift block")
+    arg("--rel-tol", dest="rel_tol", type=float)
+    arg("--abs-tol", dest="abs_tol", type=float)
 
     arg = command("symmetry", "apply a symmetry transformation", formats=False)
     arg("transform", choices=("landin", "scaling", "s4-shift"))
-    arg("--alpha")
-    arg("--q")
-    arg("--p")
-    arg("--tau")
-    arg("--j")
-    arg("--a")
+    arg("--alpha", type=parse_complex_list)
+    arg("--q", type=parse_complex)
+    arg("--p", type=parse_complex)
+    arg("--tau", type=parse_complex)
+    arg("--j", type=parse_complex)
+    arg("--a", type=int)
 
     arg = command("map", "elliptic to rational coordinates")
-    arg("--q")
-    arg("--tau")
+    arg("--q", type=parse_complex)
+    arg("--tau", type=parse_complex)
     return parser, actions
 
 

@@ -69,7 +69,7 @@ from .flow import IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4
-#: Default segments of the pole loop and clearance of the A and B cycles.
+#: Segments of the pole loop and clearance of the A and B cycles.
 POLE_LOOP_SEGMENTS = 32
 CYCLE_CLEARANCE = 1e-2
 #: Most panels whose nodes go into one L call (12288 nodes).
@@ -314,8 +314,8 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     return psis
 
 
-def _straight(a: complex, b: complex, clearance: float) -> PathSpec:
-    return PathSpec((a, b), pole_clearance=clearance)
+def _straight(a: complex, b: complex) -> PathSpec:
+    return PathSpec((a, b), pole_clearance=CYCLE_CLEARANCE)
 
 
 def _twisted(ph: PhasePoint, psi: np.ndarray) -> np.ndarray:
@@ -323,18 +323,17 @@ def _twisted(ph: PhasePoint, psi: np.ndarray) -> np.ndarray:
     return np.diag(np.exp(-TWO_PI_I * ph.q)) @ psi
 
 
-def _pole_loop(base: complex, radius: float, segments: int) -> PathSpec:
-    """base -> a positively oriented polygon of the given radius around
-    z = 0, entered radially -> base."""
+def _pole_loop(base: complex, radius: float) -> PathSpec:
+    """base -> a positively oriented polygon of POLE_LOOP_SEGMENTS sides and
+    the given radius around z = 0, entered radially -> base."""
     if not (1e-3 < radius < 0.3):
         raise ValueError(f"radius {radius} outside (1e-3, 0.3)")
-    if segments < 16:
-        raise ValueError("at least 16 segments required")
     entry = radius * base / abs(base)
     phase0 = math.atan2(entry.imag, entry.real)
-    circle = [radius * complex(math.cos(phase0 + 2 * math.pi * k / segments),
-                               math.sin(phase0 + 2 * math.pi * k / segments))
-              for k in range(segments + 1)]
+    step = 2 * math.pi / POLE_LOOP_SEGMENTS
+    circle = [radius * complex(math.cos(phase0 + step * k),
+                               math.sin(phase0 + step * k))
+              for k in range(POLE_LOOP_SEGMENTS + 1)]
     circle[-1] = entry  # close the polygon exactly
     waypoints = [base] + circle + [base]
     # Clearance along the loop is bounded by the polygon's chord sag; use a
@@ -343,51 +342,47 @@ def _pole_loop(base: complex, radius: float, segments: int) -> PathSpec:
 
 
 def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
-                icfg: IntegratorConfig = IntegratorConfig(),
-                clearance: float = CYCLE_CLEARANCE) -> np.ndarray:
+                icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """M1 = Psi(base + 1) with Psi(base) = identity (L is 1-periodic)."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    return transport(cfg, ph, _straight(base, base + 1.0, clearance), icfg)
+    return transport(cfg, ph, _straight(base, base + 1.0), icfg)
 
 
 def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
-                icfg: IntegratorConfig = IntegratorConfig(),
-                clearance: float = CYCLE_CLEARANCE) -> np.ndarray:
+                icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Mtau = exp(-2 pi i Q) Psi(base + tau), from the twist relation
     Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    psi = transport(cfg, ph, _straight(base, base + tau, clearance), icfg)
+    psi = transport(cfg, ph, _straight(base, base + tau), icfg)
     return _twisted(ph, psi)
 
 
 def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
                    base: complex | None = None,
-                   icfg: IntegratorConfig = IntegratorConfig(),
-                   segments: int = POLE_LOOP_SEGMENTS) -> np.ndarray:
+                   icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
     entered radially from the base point, reported in the base frame."""
     if base is None:
         base = default_base(cfg.tm.tau)
-    return transport(cfg, ph, _pole_loop(base, radius, segments), icfg)
+    return transport(cfg, ph, _pole_loop(base, radius), icfg)
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
                    base: complex | None = None, radius: float = 0.1
                    ) -> MonodromyData:
-    """monodromy_pole, monodromy_A and monodromy_B at their default
-    segments and clearances, transported in one refinement loop."""
+    """monodromy_pole, monodromy_A and monodromy_B, transported in one
+    refinement loop."""
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
     M0, M1, psi_b = _transport_paths(
-        cfg, ph, (_pole_loop(base, radius, POLE_LOOP_SEGMENTS),
-                  _straight(base, base + 1.0, CYCLE_CLEARANCE),
-                  _straight(base, base + tau, CYCLE_CLEARANCE)), icfg)
+        cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
+                  _straight(base, base + tau)), icfg)
     return MonodromyData(M0=M0, M1=M1, Mtau=_twisted(ph, psi_b),
                          base_point=complex(base), Q=np.diag(ph.q))
 

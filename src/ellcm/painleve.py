@@ -34,7 +34,6 @@ from .elliptic import (
     TorusModulus,
     wp,
     wp_dz,
-    wp_dz_general,
 )
 from .errors import DegenerateLatticeError, SingularConfigurationError
 
@@ -106,13 +105,28 @@ def elliptic_p6_rhs(q: complex, tau: complex, params: PainleveParams
     Terms with alpha_a = 0 are skipped, so q may sit at -omega_a without a
     pole error when that term is absent.
     """
-    tm = TorusModulus(tau)
-    omegas = half_periods(tau)
+    return _p6_force(q, tau, params, 1.0)
+
+
+def _p6_force(q: complex, tau: complex, params: PainleveParams,
+              s: complex) -> complex:
+    """sum_a alpha_a wp'(q + omega_a) on the lattice (s, tau), whose
+    half-periods are (0, s/2, s/2 + tau/2, tau/2), skipping alpha_a = 0.
+
+    By homogeneity, wp'(z; w1, w2) = wp'(z/w1, w2/w1)/w1^3 for the
+    generators (w1, w2) ordered as GeneralLattice.normalized orders them, so
+    every term is evaluated on the one modulus w2/w1.  At s = 1 that is
+    (1, tau): no term is rescaled.
+    """
+    s = complex(s)
+    w1, w2 = GeneralLattice(s, tau).normalized()
+    tm = TorusModulus(w2 / w1)
+    omegas = (0.0, s / 2.0, s / 2.0 + tau / 2.0, tau / 2.0)
     total = 0j
     for a, w in zip(params.alpha, omegas):
         if a == 0:
             continue
-        total += a * wp_dz(q + w, tm)
+        total += a * wp_dz((q + w) / w1, tm) / (w1 * w1 * w1)
     return total
 
 
@@ -137,17 +151,7 @@ def scalar_painleve_rhs(q: complex, p: complex, tau: complex,
     half-periods (0, s/2, (s+tau)/2, tau/2); s = 1 is the standard torus.
     The scaled variant is what the extended scaling symmetry maps onto.
     """
-    s = complex(lattice_scale)
-    if s == 1.0:
-        force = elliptic_p6_rhs(q, tau, params)
-    else:
-        lat = GeneralLattice(s, tau)
-        omegas = (0.0, s / 2.0, (s + tau) / 2.0, tau / 2.0)
-        force = 0j
-        for a, w in zip(params.alpha, omegas):
-            if a == 0:
-                continue
-            force += a * wp_dz_general(q + w, lat)
+    force = _p6_force(q, tau, params, lattice_scale)
     return p / TWO_PI_I, force / TWO_PI_I
 
 

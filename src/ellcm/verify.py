@@ -8,6 +8,7 @@ tests both run these, so the tolerances live here, next to the checks.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ def _rel(lhs: complex, rhs: complex) -> float:
 LAME_TOL = 1e-9
 
 
-def suite_lame_identities(seed: int = 12345, count: int = 100,
-                          **_) -> list[CheckResult]:
+def suite_lame_identities(seed: int = 12345, count: int = 100
+                         ) -> list[CheckResult]:
     """The three x/y identities at `count` random (u, v, z, tau)."""
     rng = SplitMix64(seed)
     out = []
@@ -88,8 +89,8 @@ HEAT_TOL = 1e-5
 HEAT_STEP = 1e-4
 
 
-def suite_theta_heat(seed: int = 12345, count: int = 50,
-                     **_) -> list[CheckResult]:
+def suite_theta_heat(seed: int = 12345, count: int = 50
+                    ) -> list[CheckResult]:
     """4 pi i d_tau theta1 = d^2_z theta1 and the mixed equation for x,
     both sides by central finite differences with step 1e-4."""
     rng = SplitMix64(seed)
@@ -132,8 +133,8 @@ WP_ORACLE_TOL = 1e-8
 LANDIN_TOL = 1e-9
 
 
-def suite_quasi_periodicity(seed: int = 12345, count: int = 50, n: int = 2,
-                            **_) -> list[CheckResult]:
+def suite_quasi_periodicity(seed: int = 12345, count: int = 50, n: int = 2
+                           ) -> list[CheckResult]:
     """theta1/x quasi-periodicity, wp fast path vs lattice oracle, Landin
     and homogeneity for wp, wp', and the four (L, A) cycle relations."""
     rng = SplitMix64(seed)
@@ -251,8 +252,8 @@ def zero_curvature_samples(seed: int = 12345, count: int = 20, n: int = 2):
             yield f"n{bodies}[{i}]", cfg, ph, rng.cell_point(tau)
 
 
-def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2,
-                         **_) -> list[CheckResult]:
+def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2
+                        ) -> list[CheckResult]:
     """2 pi i dL/dtau + dA/dz - [L, A] at the `zero_curvature_samples`."""
     return [CheckResult("zero-curvature", name,
                         cm.zero_curvature_residual(cfg, ph, z), ZC_TOL)
@@ -266,8 +267,8 @@ def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2,
 HAMILTON_TOL = 1e-6
 
 
-def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3,
-                               **_) -> list[CheckResult]:
+def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3
+                              ) -> list[CheckResult]:
     """eom vs finite-difference gradients of the Hamiltonian, for both the
     n-body system and the scalar Manin system."""
     rng = SplitMix64(seed)
@@ -330,8 +331,8 @@ def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3,
 SYMMETRY_TOL = 1e-6
 
 
-def suite_symmetry_maps(seed: int = 12345, count: int = 3,
-                        **_) -> list[CheckResult]:
+def suite_symmetry_maps(seed: int = 12345, count: int = 3
+                       ) -> list[CheckResult]:
     """Two-trajectory comparisons for the Landin and scaling solution maps,
     plus exact lattice-shift invariance of the flow right-hand side."""
     rng = SplitMix64(seed)
@@ -391,8 +392,8 @@ def suite_symmetry_maps(seed: int = 12345, count: int = 3,
 SYMPLECTIC_TOL = 1e-5
 
 
-def suite_symplectic_jacobian(seed: int = 12345, count: int = 2, n: int = 2,
-                              **_) -> list[CheckResult]:
+def suite_symplectic_jacobian(seed: int = 12345, count: int = 2, n: int = 2
+                             ) -> list[CheckResult]:
     rng = SplitMix64(seed)
     icfg = fl.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     out = []
@@ -415,8 +416,8 @@ DRIFT_TOL = 1e-5
 CONTROL_FACTOR = 10.0
 
 
-def suite_monodromy(seed: int = 12345, count: int = 1, n: int = 2,
-                    **_) -> list[CheckResult]:
+def suite_monodromy(seed: int = 12345, count: int = 1, n: int = 2
+                   ) -> list[CheckResult]:
     """Cubic relation residual, isomonodromy drift, and the negative
     control (a non-isomonodromic perturbation must move the spectra)."""
     rng = SplitMix64(seed)
@@ -455,6 +456,11 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 12345, count: int | None = None,
               n: int | None = None) -> list[CheckResult]:
+    """Run the suite `name`; count and n, where given, replace its defaults.
+
+    Raises KeyError for an unknown suite, and for an n given to a suite
+    whose signature has none.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        + ", ".join(sorted(SUITES)))
@@ -462,5 +468,7 @@ def run_suite(name: str, seed: int = 12345, count: int | None = None,
     if count is not None:
         kwargs["count"] = count
     if n is not None:
+        if "n" not in inspect.signature(SUITES[name]).parameters:
+            raise KeyError(f"suite {name!r} takes no n")
         kwargs["n"] = n
     return SUITES[name](**kwargs)

@@ -595,8 +595,14 @@ class TestPairArrays:
         assert np.all(np.abs(A_a.diagonal() - A_s.diagonal())
                       <= tol * scale)
 
-        c_s, c_a = _both_paths(
-            monkeypatch, lambda: local_expansion(cfg, ph).constant)
+        # local_expansion reads the array path at every n; the scalar
+        # reference is i g rho(q_j - q_k) off the diagonal
+        c_s = np.diag(ph.p.astype(complex))
+        for j in range(n):
+            for k in range(n):
+                if j != k:
+                    c_s[j, k] = 1j * cfg.g * rho(ph.q[j] - ph.q[k], cfg.tm)
+        c_a = local_expansion(cfg, ph).constant
         assert np.all(np.abs(c_a - c_s) <= tol * np.abs(c_s))
 
         m_s, m_a = _both_paths(monkeypatch, lambda: min_separation(cfg, ph))
@@ -604,12 +610,13 @@ class TestPairArrays:
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_threshold(self, monkeypatch, offset):
-        """One body short of ARRAY_PAIRS_FROM the scalar kernels run, once
-        per pair; from it on, none of them."""
+        """One body short of ARRAY_PAIRS_FROM the scalar kernels of eom,
+        H and min_separation run, once per pair; from it on, none of them.
+        local_expansion takes the array path at every n."""
         n = calogero.ARRAY_PAIRS_FROM + offset
         cfg, ph = self.case(n, 1.3 + 0.6j, 7)
         calls = []
-        for name in ("wp", "wp_dz", "rho", "lattice_distance"):
+        for name in ("wp", "wp_dz", "lattice_distance"):
             kernel = getattr(calogero, name)
             monkeypatch.setattr(
                 calogero, name,
@@ -620,8 +627,8 @@ class TestPairArrays:
         local_expansion(cfg, ph)
         min_separation(cfg, ph)
         pairs = n * (n - 1) // 2
-        expect = ({"wp_dz": pairs, "wp": pairs, "rho": pairs,
-                   "lattice_distance": 4 * pairs} if offset < 0 else {})
+        expect = ({"wp_dz": pairs, "wp": pairs,
+                   "lattice_distance": 3 * pairs} if offset < 0 else {})
         assert {k: calls.count(k) for k in set(calls)} == expect
 
     def test_collision_same_as_scalar(self, monkeypatch):

@@ -23,6 +23,27 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def given(tmp_path, via, key, value):
+    """The arguments that set ``key``: the flag, or a config file."""
+    if via == "flag":
+        return [f"--{key}", value]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {value}\n")
+    return ["--config", str(conf)]
+
+
+def without(argv, flag):
+    """argv with the flag and its value taken out."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+#: An isospectral flow whose momenta have a nonzero sum.
+UNPROJECTED = ["flow", "isospectral", "--n", "2", "--g", "1", "--tau", "1.0i",
+               "--q", "0.1,0.55", "--p", "0.2,0.4", "--t-end", "0.1",
+               "--samples", "1"]
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("1.0i") == 1j
@@ -294,6 +315,28 @@ class TestConfigFile:
                      str(conf)]) == 1
         assert line.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, flag, projected", [
+        ("true", False, True), ("false", True, True), ("false", False, False),
+    ], ids=["config-true", "flag-wins", "config-false"])
+    def test_config_switch(self, tmp_path, value, flag, projected):
+        """traceless = true projects the momenta as --traceless does, and
+        the flag wins over the config file."""
+        argv = UNPROJECTED + given(tmp_path, "config", "traceless", value)
+        out = tmp_path / "conf.csv"
+        assert run(argv + ["--traceless"] * flag, out) == 0
+        ref = tmp_path / "ref.csv"
+        assert run(UNPROJECTED + ["--traceless"] * projected, ref) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        p0 = float(read_csv(out)[0]["p0_re"])
+        assert p0 == (pytest.approx(-0.1) if projected else 0.2)
+
+    def test_config_switch_takes_true_or_false(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = UNPROJECTED + given(tmp_path, "config", "traceless", "banana")
+        assert run(argv, out) == 1
+        assert not out.exists()
+        assert "config key 'traceless'" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("bogus = 1\n")
@@ -364,13 +407,59 @@ class TestUsage:
     def test_format_only_where_read(self, tmp_path, capsys, command, via):
         """symmetry always writes CSV and monodromy JSON: --format, which
         they would ignore, is a usage error there, as is its config key."""
-        if via == "flag":
-            extra = ["--format", "json"]
-        else:
-            conf = tmp_path / "run.conf"
-            conf.write_text("format = json\n")
-            extra = ["--config", str(conf)]
         out = tmp_path / "out"
-        assert run(command + extra, out) == 1
+        assert run(command + given(tmp_path, via, "format", "json"), out) == 1
         assert not out.exists()
         assert "format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["lame-identities", "theta-heat",
+                                       "symmetry-maps"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_n_only_where_read(self, tmp_path, capsys, suite, via):
+        """--n, which these suites would ignore, is a usage error there, as
+        is its config key."""
+        out = tmp_path / "out"
+        argv = ["verify", suite, "--count", "1"] + given(tmp_path, via, "n",
+                                                         "7")
+        assert run(argv, out) == 1
+        assert not out.exists()
+        assert f"suite {suite!r} takes no n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        (without(UNPROJECTED, "--samples"), "samples", "1.5"),
+        (["monodromy", "--n", "2", "--g", "0", "--tau", "1.0i",
+          "--q", "0.1,0.5", "--p", "0,0"], "radius", "abc"),
+        (["eval", "wp", "--z", "0.3"], "tau", "1.0q"),
+        (without(UNPROJECTED, "--q"), "q", "0.1,x"),
+    ], ids=["samples", "radius", "tau", "q"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_malformed_value(self, tmp_path, capsys, command, key, value,
+                             via):
+        """A value its option's converter rejects is a usage error that
+        names the option, by flag and by config, and writes no file."""
+        out = tmp_path / "out"
+        assert run(command + given(tmp_path, via, key, value), out) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert (f"argument --{key}: " if via == "flag"
+                else f"config key {key!r}: ") in err
+
+    @pytest.mark.parametrize("command, message", [
+        (UNPROJECTED + ["--q", "0.1"], "--q and --p must each have 2"),
+        (["monodromy", "--n", "2", "--g", "0", "--tau", "1.0i",
+          "--q", "0.1,0.5", "--p", "0,0,0"], "--q and --p must each have 2"),
+        (["symmetry", "landin", "--alpha", "0.1,0.2,0.2"],
+         "--alpha needs exactly four"),
+        (["flow", "painleve-scalar", "--alpha", "0.1,0,0", "--tau", "1.0i",
+          "--tau-end", "1.2i", "--q", "0.3", "--p", "0.4"],
+         "--alpha needs exactly four"),
+        (["flow", "painleve-scalar", "--alpha", "0.1,0,0,0", "--tau", "1.0i",
+          "--tau-end", "1.2i", "--q", "0.1,0.2", "--p", "0.4"],
+         "--q and --p must each have one"),
+    ], ids=["flow-q", "monodromy-p", "landin-alpha", "painleve-alpha",
+            "painleve-q"])
+    def test_wrong_entry_count(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out"
+        assert run(command, out) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ellcm.elliptic import TorusModulus, wp_dz
+from ellcm.elliptic import GeneralLattice, TorusModulus, wp_dz, wp_dz_general
 from ellcm.errors import SingularConfigurationError
 from ellcm.painleve import (
     EllipticState,
@@ -15,6 +15,7 @@ from ellcm.painleve import (
     landin_transform,
     rational_p6_residual,
     s4_shift,
+    scalar_painleve_rhs,
     scaling_symmetry,
 )
 from ellcm.rng import SplitMix64
@@ -68,6 +69,27 @@ class TestEllipticP6Rhs:
         # q = -omega_1 is a pole of the alpha_1 term only
         params = PainleveParams((0.3, 0, 0, 0))
         elliptic_p6_rhs(-0.5 + 0.31j + 0.5, 1j, params)  # no raise
+
+    @pytest.mark.parametrize("s", [2 + 0.1j, 0.5 - 0.3j, -1.0, 3j])
+    def test_scaled_lattice_per_term(self, s):
+        """On the lattice (s, tau) the force matches wp' of that lattice
+        taken term by term through wp_dz_general; s = -1 and 3i reorder
+        the generators."""
+        params = PainleveParams((0.1, -0.2j, 0, 0.4 + 0.1j))
+        omegas = (0, s / 2, (s + 0.2 + 1.1j) / 2, (0.2 + 1.1j) / 2)
+        for q in (0.21 + 0.1j, -0.4 + 0.35j, 0.05 - 0.6j):
+            terms = [a * wp_dz_general(q + w, GeneralLattice(s, 0.2 + 1.1j))
+                     for a, w in zip(params.alpha, omegas) if a != 0]
+            dq, dp = scalar_painleve_rhs(q, 0.3, 0.2 + 1.1j, params, s)
+            assert dq == 0.3 / TWO_PI_I
+            assert (abs(dp * TWO_PI_I - sum(terms))
+                    <= 1e-14 * sum(abs(t) for t in terms))
+
+    def test_unit_lattice_is_elliptic_p6_rhs(self):
+        params = PainleveParams((0.1, -0.2j, 0, 0.4 + 0.1j))
+        q, tau = 0.21 + 0.1j, 0.2 + 1.1j
+        assert (scalar_painleve_rhs(q, 0.3, tau, params)[1]
+                == elliptic_p6_rhs(q, tau, params) / TWO_PI_I)
 
 
 class TestHamiltonianManin:

@@ -6,12 +6,14 @@
 # PARENT_TREE is any source tree of ellcm, for example the parent commit
 # unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.  The script
 # runs the CLI commands of README.md, every verify suite at its default
-# arguments, the quasi-periodicity and zero-curvature suites at 5 bodies and
-# the zero-curvature suite at 8 bodies once per tree, each with that tree's
-# src/ on PYTHONPATH and in an empty working directory, and compares stdout,
-# stderr and the exit code byte for byte.  It prints one line per command and exits 0 when every
-# command agrees, 1 when one differs (the outputs are then kept and their
-# directory is printed) and 2 on a usage error.
+# arguments, the quasi-periodicity and zero-curvature suites at 5 bodies,
+# the zero-curvature suite at 8 bodies, the JSON output of eval, verify, flow
+# and map, and the flows and the symmetry README.md does not show, once per
+# tree, each with that tree's src/ on PYTHONPATH and in an empty working
+# directory, and compares stdout, stderr and the exit code byte for byte.
+# It prints one line per command and exits 0 when every command agrees, 1
+# when one differs (the outputs are then kept and their directory is
+# printed) and 2 on a usage error.
 set -u
 
 here=$(cd "$(dirname "$0")/.." && pwd)
@@ -33,6 +35,15 @@ done
 # arrays, and at 8 and 9 bodies, where its entries reach ~1e3
 commands+=("verify quasi-periodicity --n 5" "verify zero-curvature --n 5"
            "verify zero-curvature --n 8")
+# the JSON branch of the writer
+commands+=("eval wp --z 0.3 --tau 1.0i --format json"
+           "verify lame-identities --count 5 --format json"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0 --format json"
+           "map --q 0.25+0.1i --tau 0.9i --format json")
+# a tau-flow, projected momenta and a half-period shift
+commands+=("flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 0.05+1.0i --q 0.1,0.55 --p 0.2,-0.2"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,0.4 --t-end 0.1 --samples 1 --traceless"
+           "symmetry s4-shift --q 0.3 --tau 1.0i --a 3")
 
 work=$(mktemp -d)
 differ=0
