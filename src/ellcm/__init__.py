@@ -96,4 +96,5 @@ from .errors import (
     SeriesRangeError,
     SingularConfigurationError,
     TruncationError,
+    UsageError,
 )

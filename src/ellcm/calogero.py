@@ -27,18 +27,17 @@ is the authoritative check and vanishes to rounding by this choice.
 Pair sums take one of two paths, chosen by the body count alone.  Below
 ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, min_separation and the
 collision check loop over the pairs with one scalar kernel call each.  From
-ARRAY_PAIRS_FROM on they read `_pair_arrays`, which reduces all n(n-1)/2
-separations to the cell at once, pole-checks them against the same nine
-lattice candidates and radius, and sums the theta series once over a
-(K x pairs) grid: a fixed ~40 us of numpy calls, against ~7 us per pair
-for the scalar path.  local_expansion and `_wp_dtau_pair_sum` read
-`_pair_arrays` at every n.  Measured on whole 16-step
-tau-flows at tau = 0.02+i (2-CPU x86 host with AVX-512, numpy 2.4), array
-over scalar time is 1.75 at n = 3, 1.22 at n = 4, 1.05 at n = 5, 0.83 at
-n = 6 and 0.54 at n = 8; on t-flows at fixed tau it is 1.21 at n = 4 and
-0.85 at n = 5.  The two paths agree to rounding: at Im tau = 0.08, where
-wp' cancels terms about 10^3 times its size, they differ by ~1e-12
-relative, as each does from mpmath.
+ARRAY_PAIRS_FROM on they read `_pair_arrays`: rho, rho' and rho'' at all
+n(n-1)/2 separations from one `elliptic._rho_array` pass, the evaluation
+`lame_array` makes for the Lax entries, so wp = c - rho' and wp' = -rho'':
+a fixed ~40 us of numpy calls, against ~7 us per pair for the scalar path.
+local_expansion and `_wp_dtau_pair_sum` read `_pair_arrays` at every n.
+Measured on whole 16-step tau-flows at tau = 0.02+i (2-CPU x86 host with
+AVX-512, numpy 2.4), array over scalar time is 1.75 at n = 3, 1.22 at
+n = 4, 1.05 at n = 5, 0.83 at n = 6 and 0.54 at n = 8; on t-flows at fixed
+tau it is 1.21 at n = 4 and 0.85 at n = 5.  The two paths agree to
+rounding: at Im tau = 0.08, where wp' cancels terms about 10^3 times its
+size, they differ by ~1e-12 relative, as each does from mpmath.
 """
 
 from __future__ import annotations
@@ -54,11 +53,11 @@ from .elliptic import (
     POLE_EXCLUSION_RADIUS,
     TWO_PI_I,
     TorusModulus,
-    _reduced_distance_array,
-    _theta_ratios_array,
+    _lattice_distance_array,
+    _reduce_checked_array,
+    _rho_array,
     lame_array,
     lattice_distance,
-    reduce_to_cell_array,
     weierstrass_constant,
     wp,
     wp_dz,
@@ -148,45 +147,25 @@ def _pairs(ph: PhasePoint):
     return [(j, k, q[j] - q[k]) for j in range(n) for k in range(j + 1, n)]
 
 
-def _pair_arrays(cfg: CMConfig, ph: PhasePoint, ratios: bool = True):
-    """Every unordered pair j < k at once, in the row order of _pairs.
-
-    Each q_j - q_k is reduced to the cell once and measured against the
-    nine lattice candidates of the scalar kernels.  Returns (j, k, dist),
-    or with ``ratios`` (j, k, r, B, T, nb): theta1'/theta1, theta1''/theta1
-    and theta1'''/theta1 at the reduced points, from one sum of the theta
-    series over all pairs, and the B-cycle counts of the reduction, so that
-    rho(q_j - q_k) = r - 2 pi i nb, wp = r^2 - B + c and
-    wp' = 3 r B - T - 2 r^3, as in the scalar kernels.  Before that sum the
-    first pair within POLE_EXCLUSION_RADIUS raises PoleProximityError as
-    _check_separations does.
-    """
-    tau = cfg.tm.tau
+def _separations(ph: PhasePoint):
+    """(j, k, q_j - q_k) of _pairs as arrays, and the name of pair i in a
+    pole error, worded as by the scalar loop."""
     j, k = _pair_index(ph.n)
-    d = ph.q[j] - ph.q[k]
-    w, _, nb = reduce_to_cell_array(d, tau)
-    dist = _reduced_distance_array(w, tau)
-    if not ratios:
-        return j, k, dist
-    _raise_near(ph, j, k, dist)
-    return (j, k, *_theta_ratios_array(w, cfg.tm), nb)
+    return j, k, ph.q[j] - ph.q[k], lambda i: f"q[{j[i]}] - q[{k[i]}]"
 
 
-def _raise_near(ph: PhasePoint, j, k, dist) -> None:
-    """PoleProximityError for the first pair of _pair_arrays within
-    POLE_EXCLUSION_RADIUS, worded as by the scalar loop."""
-    near = np.flatnonzero(dist < POLE_EXCLUSION_RADIUS)
-    if near.size:
-        i = near[0]
-        raise PoleProximityError(complex(ph.q[j[i]] - ph.q[k[i]]),
-                                 f"q[{j[i]}] - q[{k[i]}]", float(dist[i]))
+def _pair_arrays(cfg: CMConfig, ph: PhasePoint):
+    """(j, k, rho, rho', rho'') at u = q_j - q_k for all pairs of _pairs at
+    once; a pair within POLE_EXCLUSION_RADIUS raises PoleProximityError
+    first, as in _check_separations."""
+    j, k, d, name = _separations(ph)
+    return (j, k, *_rho_array(d, cfg.tm, name))
 
 
 @functools.cache
 def _pair_index(n: int):
     """(j, k) of the unordered pairs j < k in row order, as index arrays."""
-    j, k = np.triu_indices(n, 1)
-    return j, k
+    return np.triu_indices(n, 1)
 
 
 @functools.cache
@@ -211,7 +190,8 @@ def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
     if cfg.g == 0 or ph.n == 1:
         return
     if ph.n >= ARRAY_PAIRS_FROM:
-        _raise_near(ph, *_pair_arrays(cfg, ph, ratios=False))
+        _, _, d, name = _separations(ph)
+        _reduce_checked_array(d, cfg.tm, name)
         return
     tau = cfg.tm.tau
     for j, k, d in _pairs(ph):
@@ -223,7 +203,8 @@ def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
     """Smallest reduced pairwise distance |q_j - q_k| mod the lattice."""
     if ph.n >= ARRAY_PAIRS_FROM:
-        return float(_pair_arrays(cfg, ph, ratios=False)[2].min())
+        return float(_lattice_distance_array(_separations(ph)[2],
+                                             cfg.tm.tau).min())
     tau = cfg.tm.tau
     return min((lattice_distance(d, tau) for _, _, d in _pairs(ph)),
                default=math.inf)
@@ -414,8 +395,8 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     residue = -1j * cfg.g * (np.ones((n, n), dtype=complex) - np.eye(n))
     constant = np.diag(ph.p.astype(complex))
     if cfg.g != 0:
-        j, k, r, _, _, nb = _pair_arrays(cfg, ph)
-        c = 1j * cfg.g * (r - TWO_PI_I * nb)
+        j, k, rho, _, _ = _pair_arrays(cfg, ph)
+        c = 1j * cfg.g * rho
         constant[j, k] = c
         constant[k, j] = -c  # rho is odd
     return LocalExpansion(residue=residue, constant=constant)
@@ -447,38 +428,35 @@ def residue_eigen(cfg: CMConfig) -> tuple[np.ndarray, np.ndarray]:
 # Hamiltonians and equations of motion
 # ----------------------------------------------------------------------
 
-def _wp_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
-    """sum_{j < k} wp(q_j - q_k): half the ordered-pair sum, as wp is even."""
-    if ph.n >= ARRAY_PAIRS_FROM:
-        _, _, r, B, _, _ = _pair_arrays(cfg, ph)
-        return complex(np.sum(r * r - B + weierstrass_constant(cfg.tm)))
-    _check_separations(cfg, ph)
-    return sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
-
-
 def _wp_dtau_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
     """sum_{j < k} d_tau wp(q_j - q_k) at fixed q (flow.hamiltonian_dtau),
     from `_pair_arrays` at every n."""
     if ph.n == 1:
         return 0j
-    _, _, r, B, T, nb = _pair_arrays(cfg, ph)
+    _, _, rho, rho_dz, rho_d2z = _pair_arrays(cfg, ph)
     tau, c = cfg.tm.tau, weierstrass_constant(cfg.tm)
     g2 = 2.0 * sum(wp(h, cfg.tm) ** 2 for h in (0.5, tau / 2, (1 + tau) / 2))
-    wp_u = r * r - B + c
+    wp_u = c - rho_dz
     wp_dz2 = 6.0 * wp_u * wp_u - g2 / 2.0
     # c_tau with E2 = -3 c / pi^2 and E4 = 3 g2 / (4 pi^4)
     c_tau = -1j * (12.0 * c * c - g2) / (24.0 * math.pi)
-    rho_wp_dz = (r - TWO_PI_I * nb) * (3.0 * r * B - T - 2.0 * r * r * r)
+    rho_wp_dz = rho * -rho_d2z
     return complex(np.sum(c_tau - (2.0 * (c - wp_u) ** 2 - wp_dz2
                                    - 2.0 * rho_wp_dz) / (2.0 * TWO_PI_I)))
 
 
 def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
-    """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs."""
+    """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs:
+    g^2 times the sum over j < k, as wp is even."""
     total = 0.5 * complex(np.sum(ph.p * ph.p))
-    if cfg.g != 0:
-        total += cfg.g * cfg.g * _wp_pair_sum(cfg, ph)
-    return total
+    if cfg.g == 0:
+        return total
+    if ph.n >= ARRAY_PAIRS_FROM:
+        pairs = np.sum(weierstrass_constant(cfg.tm) - _pair_arrays(cfg, ph)[3])
+    else:
+        _check_separations(cfg, ph)
+        pairs = sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
+    return total + cfg.g * cfg.g * complex(pairs)
 
 
 def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -491,9 +469,8 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     if cfg.g == 0:
         return dq, np.zeros(ph.n, dtype=complex)
     if ph.n >= ARRAY_PAIRS_FROM:
-        j, k, r, B, T, _ = _pair_arrays(cfg, ph)
-        f = 3.0 * r * B - T - 2.0 * r * r * r
-        force = _row_sums(ph.n, j, k, f, -f)
+        j, k, _, _, rho_d2z = _pair_arrays(cfg, ph)
+        force = _row_sums(ph.n, j, k, -rho_d2z, rho_d2z)  # wp' = -rho''
         return dq, -(cfg.g * cfg.g) * force
     _check_separations(cfg, ph)
     force = [0j] * ph.n

@@ -1,7 +1,8 @@
 """Command-line surface: evaluate kernels, run verification suites,
 integrate flows, compute monodromy, and apply symmetry maps.
 
-Exit codes: 0 success, 1 usage error, 2 evaluation/pole error,
+Exit codes: 0 success, 1 usage error (errors.UsageError, also raised by the
+library for a value outside its stated range), 2 evaluation/pole error,
 3 integration/validation error (including failed verification suites).
 
 All numbers are written with 17 significant digits so parsing the output
@@ -34,7 +35,7 @@ from .elliptic import (
     wp_dz,
     wp_lattice_oracle,
 )
-from .errors import EllcmError, IntegrationError, PathError
+from .errors import EllcmError, IntegrationError, PathError, UsageError
 from .flow import (
     IntegratorConfig,
     Trajectory,
@@ -42,7 +43,12 @@ from .flow import (
     integrate_isospectral,
     integrate_scalar_painleve,
 )
-from .monodromy import _drift, cubic_relation_residual, monodromy_data
+from .monodromy import (
+    check_drift_step,
+    cubic_relation_residual,
+    isomonodromy_drift,
+    monodromy_data,
+)
 from .painleve import (
     EllipticState,
     PainleveParams,
@@ -61,10 +67,6 @@ EXIT_INTEGRATION = 3
 
 #: Seed of `verify` when neither the command line nor a config file sets one.
 DEFAULT_SEED = 12345
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,6 +401,8 @@ def cmd_monodromy(args) -> int:
         abs_tol=1e-13 if args.abs_tol is None else args.abs_tol,
     )
     radius = 0.1 if args.radius is None else args.radius
+    if args.drift is not None:
+        check_drift_step(args.drift)
     md = monodromy_data(cfg, ph, icfg, radius=radius)
     report = {
         "schema": 1,
@@ -420,8 +424,8 @@ def cmd_monodromy(args) -> int:
     if args.drift is not None:
         report["drift"] = {
             "dtau": cjson(args.drift),
-            "spectral_drift": float(_drift(cfg, ph, args.drift, icfg, md,
-                                           radius)),
+            "spectral_drift": float(isomonodromy_drift(
+                cfg, ph, tau, args.drift, icfg, md, radius)),
         }
     write_out(args, payload=report)
     return EXIT_OK

@@ -45,10 +45,12 @@ Arrays of points go through one range-checked sum of the same K terms,
 `_series_sums`, by elementwise products: on an x86 host with AVX-512 (numpy
 2.4, its bundled OpenBLAS) a complex matrix product leaves the upper vector
 register state dirty, and complex libm calls after it (cmath.sin, np.sin)
-run 8-20 times slower until a later numpy call clears that state.  It
-serves the pair ratios of the n-body sums and `lame_array`, which gives
-x(u, z) and its rho ratios over a grid of nodes z and arguments u in one
-pass: every Lax matrix entry is built from it.
+run 8-20 times slower until a later numpy call clears that state.  The
+points are first reduced and pole-checked (`_reduce_checked_array`), and
+`_rho_ratios` turns the sums into rho, rho' and rho''.  That pass serves
+the n-body pair sums (`_rho_array`) and `lame_array`, which gives x(u, z)
+and the same ratios over a grid of nodes z and arguments u: every Lax
+matrix entry is built from it.
 
 Derived kernels:
 
@@ -192,21 +194,9 @@ def lattice_distance(z: complex, tau: complex) -> float:
     return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
 
 
-def _check_pole(z: complex, tau: complex, name: str) -> None:
-    d = lattice_distance(z, tau)
-    if d < POLE_EXCLUSION_RADIUS:
-        raise PoleProximityError(z, name, d)
-
-
-def _check_poles_array(z: np.ndarray, w: np.ndarray, tau: complex,
-                       name: str) -> None:
-    """PoleProximityError for the first point of z whose reduced w lies
-    within POLE_EXCLUSION_RADIUS of the nine lattice candidates."""
-    d = _reduced_distance_array(w, tau)
-    bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
-    if bad.size:
-        k = bad[0]
-        raise PoleProximityError(z.flat[k], name, d.flat[k])
+def _lattice_distance_array(z, tau: complex) -> np.ndarray:
+    """lattice_distance at every point of the array z."""
+    return _reduced_distance_array(reduce_to_cell_array(z, tau)[0], tau)
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +357,38 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
     return out
 
 
-def _theta_ratios_array(w: np.ndarray, tm: TorusModulus):
-    """(theta1'/theta1, theta1''/theta1, theta1'''/theta1) at every point of
-    the 1-D array w, reduced and pole-checked by the caller."""
-    s0, s1, s2, s3 = _series_sums(w, _table(tm), 4)
-    return s1 / s0, s2 / s0, s3 / s0
+def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
+                          start: int = 0):
+    """`_reduce_checked` at every point of the 1-D array z: (w, m, n, table).
+    The first point i within POLE_EXCLUSION_RADIUS of the lattice, in array
+    order from ``start`` on and then from 0, raises PoleProximityError under
+    name(i), unless that is None (a point exempt from the check)."""
+    tab = _table(tm)
+    w, m, n = reduce_to_cell_array(z, tm.tau)
+    aw = np.abs(w)
+    if not ((aw >= POLE_EXCLUSION_RADIUS) & (aw <= tab.clear)).all():
+        d = _reduced_distance_array(w, tm.tau)
+        bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
+        for i in np.roll(bad, -np.searchsorted(bad, start)):
+            label = name(i)
+            if label is not None:
+                raise PoleProximityError(complex(z[i]), label, float(d[i]))
+    return w, m, n, tab
+
+
+def _rho_ratios(s: np.ndarray, n: np.ndarray):
+    """(rho, rho', rho'') from the four `_series_sums` rows at points reduced
+    across n B-cycles, cubed as r r r like the scalar kernels: numpy's
+    complex r**3 differs from it in the last bit."""
+    r, B, T = (v / s[0] for v in s[1:])
+    return r - TWO_PI_I * n, B - r * r, T - 3.0 * r * B + 2.0 * r * r * r
+
+
+def _rho_array(z: np.ndarray, tm: TorusModulus, name):
+    """(rho, rho', rho'') at every point of the 1-D array z, pole-checked
+    under name: wp = c - rho' and wp' = -rho''."""
+    w, _, n, tab = _reduce_checked_array(z, tm, name)
+    return _rho_ratios(_series_sums(w, tab, 4), n)
 
 
 def _theta_bundle(z: complex, tm: TorusModulus):
@@ -535,7 +552,9 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus) -> complex:
     which is exact and keeps the lattice.  Shares no code with the theta
     series.
     """
-    _check_pole(z, tm.tau, "z")
+    d = lattice_distance(z, tm.tau)
+    if d < POLE_EXCLUSION_RADIUS:
+        raise PoleProximityError(z, "z", d)
     tau = tm.tau - round(tm.tau.real)
     w = reduce_to_cell(z, tau)[0]
     big_n = int(40 / (2 * math.pi * tau.imag)) + 2
@@ -636,7 +655,7 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     the last three each a list of their values at u, z - u and z (rho
     unreduced, as `_lame_core` gives it), shaped to broadcast against x.
 
-    z, u and z - u are reduced together and summed in one `_series_sums`
+    u, z and z - u are reduced together and summed in one `_series_sums`
     pass, the rows of theta1' to theta1''' only with ``ratios``; each entry
     combines its three log prefactors before one exponential, as lame_x
     does.  First come the scalar kernels' pole checks, in their order:
@@ -645,22 +664,16 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     """
     z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
     zu = z[:, None] - u
-    tau, tab = tm.tau, _table(tm)
-    a, b = z.size, z.size + u.size  # points [a:b] are u, [b:] are z - u
-    w, m, n = reduce_to_cell_array(np.concatenate([z, u, zu.ravel()]), tau)
-    aw = np.abs(w)  # the short cut of `_reduce_checked`
-    if not ((aw >= POLE_EXCLUSION_RADIUS) & (aw <= tab.clear)).all():
-        if ratios:
-            _check_poles_array(zu.ravel(), w[b:], tau, "z - u")
-        _check_poles_array(u, w[a:b], tau, "u")
-        _check_poles_array(z, w[:a], tau, "z")
-    s, *d = _series_sums(w, tab, 4 if ratios else 1)
-    f = _log_prefactor(w, m, n, tau)
-    x = (np.exp(f[b:].reshape(zu.shape) - f[:a, None] - f[a:b])
-         * s[b:].reshape(zu.shape) * tab.dz0 / (s[:a, None] * s[a:b]))
+    a, b = u.size, u.size + z.size  # points [:a] are u, [a:b] z, [b:] z - u
+    names = ("u", "z", "z - u" if ratios else None)
+    w, m, n, tab = _reduce_checked_array(
+        np.concatenate([u, z, zu.ravel()]), tm,
+        lambda i: names[int(i >= a) + int(i >= b)], start=b)
+    s = _series_sums(w, tab, 4 if ratios else 1)
+    f = _log_prefactor(w, m, n, tm.tau)
+    x = (np.exp(f[b:].reshape(zu.shape) - f[a:b, None] - f[:a])
+         * s[0, b:].reshape(zu.shape) * tab.dz0 / (s[0, a:b, None] * s[0, :a]))
     if not ratios:
         return x
-    r, B, T = (v / s for v in d)
-    return x, *([v[None, a:b], v[b:].reshape(zu.shape), v[:a, None]]
-                for v in (r - TWO_PI_I * n, B - r * r,
-                          T - 3.0 * r * B + 2.0 * r ** 3))
+    return x, *([v[None, :a], v[b:].reshape(zu.shape), v[a:b, None]]
+                for v in _rho_ratios(s, n))

@@ -27,6 +27,10 @@ class PoleProximityError(EllcmError):
         )
 
 
+class UsageError(EllcmError, ValueError):
+    """A value outside its stated range, or a malformed command line."""
+
+
 class TruncationError(EllcmError):
     """A series or product failed to stagnate within ``max_terms``.
 

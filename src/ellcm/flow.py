@@ -44,7 +44,7 @@ from .calogero import (
     min_separation,
 )
 from .elliptic import TWO_PI_I
-from .errors import IntegrationError, PathError, PoleProximityError
+from .errors import IntegrationError, PathError, PoleProximityError, UsageError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 
 FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
@@ -68,11 +68,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+            raise UsageError("tolerances must be positive")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise UsageError("max_steps must be at least 1")
         if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+            raise UsageError("initial_step must be positive")
 
 
 @dataclass
@@ -270,6 +270,8 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
     of the bodies of ``guard``, in the lattice of the modulus each step
     reaches, stop the integration near a collision.
     """
+    if samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
     start, end = span
     if tau is None and (start.imag <= 0 or end.imag <= 0):
         raise PathError(

@@ -64,7 +64,7 @@ import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
 from .elliptic import TWO_PI_I, reduce_to_cell_array
-from .errors import IntegrationError, PathError, PoleProximityError
+from .errors import IntegrationError, PathError, PoleProximityError, UsageError
 from .flow import IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
@@ -327,7 +327,7 @@ def _pole_loop(base: complex, radius: float) -> PathSpec:
     """base -> a positively oriented polygon of POLE_LOOP_SEGMENTS sides and
     the given radius around z = 0, entered radially -> base."""
     if not (1e-3 < radius < 0.3):
-        raise ValueError(f"radius {radius} outside (1e-3, 0.3)")
+        raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
     entry = radius * base / abs(base)
     phase0 = math.atan2(entry.imag, entry.real)
     step = 2 * math.pi / POLE_LOOP_SEGMENTS
@@ -451,41 +451,36 @@ def spectral_distance(md_a: MonodromyData, md_b: MonodromyData) -> float:
     )
 
 
+def check_drift_step(dtau: complex) -> None:
+    """UsageError unless |dtau| <= 1e-2, the steps of the drift probe."""
+    if abs(dtau) > 1e-2 + 1e-15:
+        raise UsageError("|dtau| must be at most 1e-2 for the drift probe")
+
+
 def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
                        dtau: complex,
                        icfg: IntegratorConfig = IntegratorConfig(
-                           rel_tol=1e-11, abs_tol=1e-13)) -> float:
+                           rel_tol=1e-11, abs_tol=1e-13),
+                       md0: MonodromyData | None = None,
+                       radius: float = 0.1) -> float:
     """Spectral drift of (M0, M1, Mtau) across one isomonodromic step.
 
     Integrates the tau-flow from tau0 to tau0 + dtau and compares the
     monodromy spectra at both ends (spectra are frame-independent, so base
     point motion does not pollute the comparison).  The exact flow keeps
-    the drift at transport-error level.
+    the drift at transport-error level.  Both triples are taken at the
+    default base and pole loop radius; the one at tau0 is md0 if given.
     """
-    _check_drift_step(dtau)
+    check_drift_step(dtau)
     cfg0 = cfg.with_tau(tau0)
-    return _drift(cfg0, ph0, dtau, icfg, monodromy_data(cfg0, ph0, icfg))
-
-
-def _check_drift_step(dtau: complex) -> None:
-    if abs(dtau) > 1e-2 + 1e-15:
-        raise ValueError("|dtau| must be at most 1e-2 for the drift probe")
-
-
-def _drift(cfg0: CMConfig, ph0: PhasePoint, dtau: complex,
-           icfg: IntegratorConfig, md0: MonodromyData,
-           radius: float = 0.1) -> float:
-    """isomonodromy_drift from tau0 = cfg0.tm.tau, given md0, the
-    monodromy_data of (cfg0, ph0, icfg) at the default base and the pole
-    loop radius; the triple at tau0 + dtau is taken at that radius too."""
-    _check_drift_step(dtau)
-    tau0 = cfg0.tm.tau
+    if md0 is None:
+        md0 = monodromy_data(cfg0, ph0, icfg, radius=radius)
     traj = integrate_isomonodromic(cfg0, ph0, (tau0, tau0 + dtau), icfg,
                                    samples=1)
     if traj.diagnostics.truncated:
         raise PathError("isomonodromic flow truncated: "
                         + traj.diagnostics.message)
-    md1 = monodromy_data(cfg0.with_tau(tau0 + dtau), traj.states[-1], icfg,
+    md1 = monodromy_data(cfg.with_tau(tau0 + dtau), traj.states[-1], icfg,
                          radius=radius)
     return spectral_distance(md0, md1)
 

@@ -20,7 +20,7 @@ from . import flow as fl
 from . import monodromy as mo
 from . import painleve as pa
 from .elliptic import TWO_PI_I
-from .errors import EllcmError
+from .errors import EllcmError, UsageError
 from .rng import SplitMix64
 
 
@@ -429,7 +429,7 @@ def suite_monodromy(seed: int = 12345, count: int = 1, n: int = 2
         md = mo.monodromy_data(cfg, ph, icfg)
         out.append(CheckResult("monodromy", f"cubic[{i}]",
                                mo.cubic_relation_residual(md), CUBIC_TOL))
-        drift = mo._drift(cfg, ph, 1e-2, icfg, md)
+        drift = mo.isomonodromy_drift(cfg, ph, tau, 1e-2, icfg, md)
         out.append(CheckResult("monodromy", f"drift[{i}]", drift, DRIFT_TOL))
         perturbed = cm.PhasePoint(ph.q, ph.p + 0.01)
         control = mo.spectral_distance(md, mo.monodromy_data(cfg, perturbed,
@@ -459,11 +459,14 @@ def run_suite(name: str, seed: int = 12345, count: int | None = None,
     """Run the suite `name`; count and n, where given, replace its defaults.
 
     Raises KeyError for an unknown suite, and for an n given to a suite
-    whose signature has none.
+    whose signature has none; UsageError for a count or n below 1.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        + ", ".join(sorted(SUITES)))
+    for key, value in (("count", count), ("n", n)):
+        if value is not None and value < 1:
+            raise UsageError(f"{key} must be at least 1, got {value}")
     kwargs = {"seed": seed}
     if count is not None:
         kwargs["count"] = count

@@ -550,7 +550,12 @@ class TestPairArrays:
     #: itself cancels about 100-fold, so rho carries ~1e-14 relative
     #: rounding on either path, which wp' amplifies; each path is then
     #: ~4e-12 from mpmath, and they agree to ~1.4e-13 of the scale below.
-    TAUS = [(1j, 1e-13), (1.3 + 0.6j, 1e-13), (0.01 + 0.08j, 1e-12)]
+    #: At 0.5+0.3i the cell is so skewed that separations near its corners
+    #: reduce beyond the table's ``clear``, so the pole check measures the
+    #: distances instead of taking its short cut.
+    TAUS = [(1j, 1e-13), (1.3 + 0.6j, 1e-13), (0.01 + 0.08j, 1e-12),
+            (0.5 + 0.3j, 1e-13)]
+    TAU_IDS = ["i", "1.3+0.6i", "0.01+0.08i", "0.5+0.3i"]
 
     @staticmethod
     def case(n, tau, seed):
@@ -566,14 +571,22 @@ class TestPairArrays:
                    for d in np.subtract.outer(q, q).ravel())
         return cfg, ph
 
+    @staticmethod
+    def beyond_clear(cfg, ph):
+        """Whether some separation reduces beyond the table's clear."""
+        d = np.subtract.outer(ph.q, ph.q)[np.triu_indices(ph.n, 1)]
+        w = elliptic.reduce_to_cell_array(d, cfg.tm.tau)[0]
+        return bool((np.abs(w) > elliptic._table(cfg.tm).clear).any())
+
     @pytest.mark.parametrize("n", [4, 5, 8, 16])
-    @pytest.mark.parametrize("tau", range(3), ids=["i", "1.3+0.6i",
-                                                   "0.01+0.08i"])
+    @pytest.mark.parametrize("tau", range(4), ids=TAU_IDS)
     def test_matches_scalar(self, monkeypatch, n, tau):
         """Each result within tol of its size plus the size of the terms
         that cancel in it."""
         tau, tol = self.TAUS[tau]
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
+        if tau == 0.5 + 0.3j and n >= calogero.ARRAY_PAIRS_FROM:
+            assert self.beyond_clear(cfg, ph)
         g2 = abs(cfg.g) ** 2
         r2, r3 = _rho_reduced(cfg, ph, 2), _rho_reduced(cfg, ph, 3)
 
@@ -608,6 +621,22 @@ class TestPairArrays:
         m_s, m_a = _both_paths(monkeypatch, lambda: min_separation(cfg, ph))
         assert abs(m_a - m_s) <= 1e-13 * m_s
 
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    @pytest.mark.parametrize("tau", range(4), ids=TAU_IDS)
+    def test_one_evaluation_with_lame_array(self, n, tau):
+        """The pair sums and the Lax entries read one elliptic evaluation:
+        rho, rho' and rho'' of the pair path at u = q_j - q_k are
+        lame_array's at u, bit for bit, also where the pole check measures
+        the distances (0.5+0.3i)."""
+        tau, _ = self.TAUS[tau]
+        cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
+        if tau == 0.5 + 0.3j:
+            assert self.beyond_clear(cfg, ph)
+        j, k, *pair = calogero._pair_arrays(cfg, ph)
+        _, *at = lame_array([Z0], ph.q[j] - ph.q[k], cfg.tm, True)
+        for got, (at_u, _, _) in zip(pair, at):
+            assert np.array_equal(got, at_u[0])
+
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_threshold(self, monkeypatch, offset):
         """One body short of ARRAY_PAIRS_FROM the scalar kernels of eom,
@@ -633,28 +662,41 @@ class TestPairArrays:
 
     def test_collision_same_as_scalar(self, monkeypatch):
         """At n = 8 the first near pair in row order raises, with the scalar
-        loop's pair, argument name and distance."""
-        tau = 1.3 + 0.6j
-        q = np.array([0.05, 0.2 + 0.1j, 0.35, 0.5 - 0.1j, 0.62, 0.74 + 0.2j,
-                      0.86, 0.95 - 0.2j])
-        q[6] = q[2] + 1 + tau + 3e-7j  # near pair (2, 6), across the lattice
-        q[7] = q[3] - 4e-7             # near pair (3, 7), later in row order
-        cfg = CMConfig(8, 0.6, TorusModulus(tau))
-        ph = PhasePoint(q, np.zeros(8))
-        for fn in (lambda: eom(cfg, ph), lambda: hamiltonian_cm(cfg, ph),
-                   lambda: local_expansion(cfg, ph),
-                   lambda: lax_L_quasi(cfg, ph, Z0)):
-            errors = []
-            for thr in (10**9, 2):
-                monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
-                with pytest.raises(PoleProximityError) as info:
-                    fn()
-                errors.append(info.value)
-            scalar, array = errors
-            assert array.variable == scalar.variable == "q[2] - q[6]"
-            assert array.point == scalar.point
-            assert array.distance == scalar.distance
-            assert str(array) == str(scalar)
+        loop's pair, argument name and distance.  At 0.5+0.3i the pair
+        (0, 1) reduces near a corner of the cell, beyond the table's
+        clear: it evaluates, and the near pair still raises."""
+        for tau in (1.3 + 0.6j, 0.5 + 0.3j):
+            q = np.array([0.05, 0.2 + 0.1j, 0.35, 0.5 - 0.1j, 0.62,
+                          0.74 + 0.2j, 0.86, 0.95 - 0.2j])
+            if tau == 0.5 + 0.3j:
+                q[1] = q[0] + 0.48 + 0.48 * tau
+            cfg = CMConfig(8, 0.6, TorusModulus(tau))
+            ph = PhasePoint(q, np.zeros(8))
+            if tau == 0.5 + 0.3j:
+                assert self.beyond_clear(cfg, ph)
+                for thr in (10**9, 2):
+                    monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+                    eom(cfg, ph)
+                    lax_L_quasi(cfg, ph, Z0)
+            # near pair (2, 6), across the lattice, and (3, 7), later in
+            # row order
+            q[6] = q[2] + 1 + tau + 3e-7j
+            q[7] = q[3] - 4e-7
+            ph = PhasePoint(q, np.zeros(8))
+            for fn in (lambda: eom(cfg, ph), lambda: hamiltonian_cm(cfg, ph),
+                       lambda: local_expansion(cfg, ph),
+                       lambda: lax_L_quasi(cfg, ph, Z0)):
+                errors = []
+                for thr in (10**9, 2):
+                    monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+                    with pytest.raises(PoleProximityError) as info:
+                        fn()
+                    errors.append(info.value)
+                scalar, array = errors
+                assert array.variable == scalar.variable == "q[2] - q[6]"
+                assert array.point == scalar.point
+                assert array.distance == scalar.distance
+                assert str(array) == str(scalar)
 
     def test_series_overflow_same_as_scalar(self, monkeypatch):
         """A separation whose series leaves the double range raises the

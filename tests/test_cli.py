@@ -8,7 +8,7 @@ from ellcm.calogero import CMConfig, PhasePoint
 from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
 from ellcm.flow import IntegratorConfig
-from ellcm.monodromy import _drift, monodromy_data
+from ellcm.monodromy import isomonodromy_drift, monodromy_data
 from ellcm.painleve import elliptic_to_rational
 
 
@@ -37,6 +37,10 @@ def without(argv, flag):
     i = argv.index(flag)
     return argv[:i] + argv[i + 2:]
 
+
+#: The README's monodromy report without --drift.
+MONODROMY = ["monodromy", "--n", "2", "--g", "0.35", "--tau", "1.0i",
+             "--q", "0.11+0.03i,0.52-0.07i", "--p", "0.31,-0.45"]
 
 #: An isospectral flow whose momenta have a nonzero sum.
 UNPROJECTED = ["flow", "isospectral", "--n", "2", "--g", "1", "--tau", "1.0i",
@@ -252,8 +256,8 @@ class TestMonodromyCommand:
         ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
         icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         md = monodromy_data(cfg, ph, icfg, radius=0.05)
-        assert payload["drift"]["spectral_drift"] == _drift(
-            cfg, ph, 0.01, icfg, md, 0.05)
+        assert payload["drift"]["spectral_drift"] == isomonodromy_drift(
+            cfg, ph, 1j, 0.01, icfg, md, 0.05)
 
     def test_det_residuals(self, tmp_path):
         # the README example; the three determinant identities are exact
@@ -443,6 +447,53 @@ class TestUsage:
         err = capsys.readouterr().err
         assert (f"argument --{key}: " if via == "flag"
                 else f"config key {key!r}: ") in err
+
+    @pytest.mark.parametrize("command, key", [
+        (["verify", "lame-identities"], "count"),
+        (["verify", "zero-curvature"], "n"),
+        (without(UNPROJECTED, "--samples"), "samples"),
+        (["flow", "painleve-scalar", "--alpha", "0.1,0,0,0", "--tau", "1.0i",
+          "--tau-end", "1.2i", "--q", "0.3", "--p", "0.4"], "samples"),
+    ], ids=["count", "n", "samples", "painleve-samples"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_count_below_one(self, tmp_path, capsys, command, key, value,
+                             via):
+        """A count below 1 is a usage error, by flag and by config, and
+        writes no file: the library raises UsageError for it."""
+        out = tmp_path / "out"
+        assert run(command + given(tmp_path, via, key, value), out) == 1
+        assert not out.exists()
+        assert (f"usage error: {key} must be at least 1, got {value}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        (UNPROJECTED, "rel-tol", "0", "tolerances must be positive"),
+        (UNPROJECTED, "abs-tol", "-1.5", "tolerances must be positive"),
+        (UNPROJECTED, "step", "0", "initial_step must be positive"),
+        (MONODROMY, "rel-tol", "-1", "tolerances must be positive"),
+        (MONODROMY, "radius", "0.3", "radius 0.3 outside (1e-3, 0.3)"),
+        (MONODROMY, "radius", "1e-3", "radius 0.001 outside (1e-3, 0.3)"),
+        (MONODROMY, "drift", "0.5", "|dtau| must be at most 1e-2"),
+        (MONODROMY, "drift", "0.008+0.008i", "|dtau| must be at most 1e-2"),
+    ], ids=["flow-rel-tol", "flow-abs-tol", "flow-step", "rel-tol",
+            "radius-high", "radius-low", "drift", "drift-complex"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_of_range(self, tmp_path, capsys, monkeypatch, command, key,
+                          value, message, via):
+        """A value outside the range the library checks is a usage error
+        with the library's message, raised before any transport, and
+        writes no file."""
+        import ellcm.monodromy as mono
+
+        def failing(*args, **kwargs):
+            raise AssertionError("transported before the range check")
+
+        monkeypatch.setattr(mono, "_transport_paths", failing)
+        out = tmp_path / "out"
+        assert run(command + given(tmp_path, via, key, value), out) == 1
+        assert not out.exists()
+        assert f"usage error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, message", [
         (UNPROJECTED + ["--q", "0.1"], "--q and --p must each have 2"),

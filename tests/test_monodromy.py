@@ -12,13 +12,17 @@ import pytest
 
 from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
 from ellcm.elliptic import TorusModulus, reduce_to_cell_array
-from ellcm.errors import IntegrationError, PathError, PoleProximityError
+from ellcm.errors import (
+    IntegrationError,
+    PathError,
+    PoleProximityError,
+    UsageError,
+)
 from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     PANELS,
     MonodromyData,
     PathSpec,
-    _drift,
     _segment_lattice_distances,
     _segment_transports,
     cubic_relation_residual,
@@ -614,7 +618,7 @@ class TestDriftReuse:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(mono, "monodromy_data", counting)
-        assert _drift(CFG, PH, 1e-2, TIGHT, md) == expect
+        assert isomonodromy_drift(CFG, PH, 1j, 1e-2, TIGHT, md) == expect
         assert len(calls) == 1  # only the triple at tau0 + dtau
 
     def test_dtau_bound_before_any_transport(self, monkeypatch):
@@ -626,7 +630,6 @@ class TestDriftReuse:
 
         monkeypatch.setattr(mono, "_transport_paths", failing)
         monkeypatch.setattr(mono, "integrate_isomonodromic", failing)
-        with pytest.raises(ValueError, match="dtau"):
-            isomonodromy_drift(CFG, PH, 1j, 0.5, TIGHT)
-        with pytest.raises(ValueError, match="dtau"):
-            _drift(CFG, PH, 0.5, TIGHT, md)
+        for held in (None, md):
+            with pytest.raises(UsageError, match="dtau"):
+                isomonodromy_drift(CFG, PH, 1j, 0.5, TIGHT, held)
