@@ -95,6 +95,5 @@ from .errors import (
     PoleProximityError,
     SeriesRangeError,
     SingularConfigurationError,
-    TruncationError,
     UsageError,
 )

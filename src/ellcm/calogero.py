@@ -27,9 +27,10 @@ is the authoritative check and vanishes to rounding by this choice.
 Pair sums take one of two paths, chosen by the body count alone.  Below
 ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, min_separation and the
 collision check loop over the pairs with one scalar kernel call each.  From
-ARRAY_PAIRS_FROM on they read `_pair_arrays`: rho, rho' and rho'' at all
+ARRAY_PAIRS_FROM on they read `_pair_arrays`: rho, rho' or rho'' at all
 n(n-1)/2 separations from one `elliptic._rho_array` pass, the evaluation
-`lame_array` makes for the Lax entries, so wp = c - rho' and wp' = -rho'':
+`lame_array` makes for the Lax entries, so wp = c - rho' and wp' = -rho''
+(each sum forms only the ratio it reads, from the series rows it needs):
 a fixed ~40 us of numpy calls, against ~7 us per pair for the scalar path.
 local_expansion and `_wp_dtau_pair_sum` read `_pair_arrays` at every n.
 Measured on whole 16-step tau-flows at tau = 0.02+i (2-CPU x86 host with
@@ -154,12 +155,14 @@ def _separations(ph: PhasePoint):
     return j, k, ph.q[j] - ph.q[k], lambda i: f"q[{j[i]}] - q[{k[i]}]"
 
 
-def _pair_arrays(cfg: CMConfig, ph: PhasePoint):
-    """(j, k, rho, rho', rho'') at u = q_j - q_k for all pairs of _pairs at
-    once; a pair within POLE_EXCLUSION_RADIUS raises PoleProximityError
-    first, as in _check_separations."""
+def _pair_arrays(cfg: CMConfig, ph: PhasePoint, orders=(0, 1, 2)):
+    """(j, k, ...) with [rho, rho', rho''][d] for each d in ``orders`` at
+    u = q_j - q_k for all pairs of _pairs at once.  Only the theta series
+    rows they need are summed: rho needs 2, rho' 3 and rho'' 4.  A pair
+    within POLE_EXCLUSION_RADIUS raises PoleProximityError first, as in
+    _check_separations."""
     j, k, d, name = _separations(ph)
-    return (j, k, *_rho_array(d, cfg.tm, name))
+    return (j, k, *_rho_array(d, cfg.tm, name, orders))
 
 
 @functools.cache
@@ -395,7 +398,7 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     residue = -1j * cfg.g * (np.ones((n, n), dtype=complex) - np.eye(n))
     constant = np.diag(ph.p.astype(complex))
     if cfg.g != 0:
-        j, k, rho, _, _ = _pair_arrays(cfg, ph)
+        j, k, rho = _pair_arrays(cfg, ph, (0,))
         c = 1j * cfg.g * rho
         constant[j, k] = c
         constant[k, j] = -c  # rho is odd
@@ -452,7 +455,8 @@ def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     if cfg.g == 0:
         return total
     if ph.n >= ARRAY_PAIRS_FROM:
-        pairs = np.sum(weierstrass_constant(cfg.tm) - _pair_arrays(cfg, ph)[3])
+        pairs = np.sum(weierstrass_constant(cfg.tm)
+                       - _pair_arrays(cfg, ph, (1,))[2])
     else:
         _check_separations(cfg, ph)
         pairs = sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
@@ -469,7 +473,7 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     if cfg.g == 0:
         return dq, np.zeros(ph.n, dtype=complex)
     if ph.n >= ARRAY_PAIRS_FROM:
-        j, k, _, _, rho_d2z = _pair_arrays(cfg, ph)
+        j, k, rho_d2z = _pair_arrays(cfg, ph, (2,))
         force = _row_sums(ph.n, j, k, -rho_d2z, rho_d2z)  # wp' = -rho''
         return dq, -(cfg.g * cfg.g) * force
     _check_separations(cfg, ph)

@@ -2,14 +2,69 @@
 
 Everything is generated by the odd theta function
 
-    theta1(z) = 2 * sum_{k>=0} (-1)^k nu^{(k+1/2)^2} sin((2k+1) pi z),
-    nu = exp(i pi tau),  Im tau > 0,
+    theta1(z | tau) = 2 * sum_{k>=0} (-1)^k nu^{(k+1/2)^2} sin((2k+1) pi z),
+    nu = exp(i pi tau),  nu^{1/4} = exp(i pi tau / 4),  Im tau > 0,
 
-whose terms decay like nu^{k^2}.  Arguments are first reduced modulo the
-lattice and the exact quasi-periodicity prefactors are restored, so the
-series always runs in its fast-convergence regime.  All derivatives are
-term-wise analytic, in tau by the heat equation 4 pi i d theta1/dtau =
-theta1''; finite differences serve only as independent oracles.
+whose terms decay like nu^{k^2}.  All derivatives are term-wise analytic,
+in tau by the heat equation 4 pi i d theta1/dtau = theta1''; finite
+differences serve only as independent oracles.
+
+Modular reduction.  The series is never summed at tau itself when a
+modulus gamma tau, gamma = (a b; c d) in SL(2, Z), needs fewer terms.  Two
+laws generate the reduction:
+
+    T:  theta1(z | tau + 1) = e^{i pi/4} theta1(z | tau),
+
+since nu^{(k+1/2)^2} gains e^{i pi (k^2 + k + 1/4)} = e^{i pi/4} (k^2 + k is
+even), and Jacobi's imaginary transformation (DLMF 20.7.30, with z in units
+of the period 1 and the principal square root),
+
+    S:  theta1(z / tau | -1/tau) = -i (-i tau)^{1/2} e^{i pi z^2/tau} theta1(z | tau).
+
+`_modular_image` reduces tau to the fundamental domain |Re tau'| <= 1/2,
+|tau'| >= 1 by T^k shifts and S steps.  With w = c tau + d, induction on the
+steps gives
+
+    theta1(z | tau) = C e^{-i pi c z^2 / w} theta1(z / w | tau'),   (*)
+    C = epsilon^{-1} w^{-1/2},  epsilon^8 = 1:
+
+a T^k step leaves (c, d) and w alone and multiplies C by e^{i pi k/4}; an S
+step at tau1 = gamma tau turns (c, d) into (a, b), so w into
+a tau + b = tau1 w, multiplies C by i (-i tau1)^{-1/2}, and adds its Gaussian
+-i pi z^2 / (w^2 tau1) to -i pi c z^2/w, which gives -i pi a z^2/(a tau + b)
+because ad - bc = 1.  C is composed numerically and then fixed as the
+eighth root epsilon times the principal w^{-1/2}.  The log derivative of
+(*), and its limit z -> 0, give the laws every kernel is restored by:
+
+    rho(z | tau)    = rho(z/w | tau') / w - 2 pi i c z / w,
+    rho'(z | tau)   = rho'(z/w | tau') / w^2 - 2 pi i c / w,
+    rho''(z | tau)  = rho''(z/w | tau') / w^3,
+    theta1'(0 | tau) = C theta1'(0 | tau') / w,
+    c(tau)          = c(tau') / w^2 - 2 pi i c / w   (E2 is quasi-modular),
+
+where c(tau) = theta1'''(0)/(3 theta1'(0)) is the Weierstrass constant below,
+so wp and wp' are homogeneous, wp(z | tau) = wp(z/w | tau') / w^2 and
+wp'(z | tau) = wp'(z/w | tau') / w^3.  In the Lame kernel the constants C
+cancel and the Gaussians combine by (z - u)^2 - z^2 - u^2 = -2 u z:
+
+    x(u, z | tau) = w^{-1} e^{2 pi i c u z / w} x(u/w, z/w | tau').
+
+gamma is the identity unless tau' needs fewer terms than tau (below); then
+w = 1, C = 1 and c = 0, so every law above adds exact zeros.
+
+Reduction of the point.  A point is reduced in the lattice of tau, in its
+basis (w, w tau'): z/w = v + m + n tau' with v reduced at tau', so
+z = p + M + N tau with p = w v, M = m d + n b and N = m c + n a.  The
+quasi-periodicity of the lattice,
+
+    theta1(p + M + N tau | tau) = (-1)^{M+N} e^{-i pi (N^2 tau + 2 N p)} theta1(p | tau),
+
+is applied first, and (*) then maps the small p to v = p / w, so the
+Gaussian e^{-i pi c p v} stays of order one.  All these factors are kept in
+log form (`_log_factor`) and combined additively before one exponential is
+taken.  Pole checks stay in the lattice of tau: a reduced v clear of the
+nine lattice points w (i + j tau') needs no check, and otherwise the
+distance is that of `lattice_distance`, reported under the caller's name.
 
 Truncation is fixed a priori, once per modulus.  Let q = |nu| =
 exp(-pi Im tau) and let w be reduced, so |Im w| <= Im tau / 2.  Since
@@ -26,15 +81,18 @@ E_d(w) R_K with R_K = sum_{k>=K} a_k, a_k = (2k+1)^3 q^{k^2}.  The ratio
 a_{k+1}/a_k = ((2k+3)/(2k+1))^3 q^{2k+1} =: r_k decreases in k, hence
 R_K <= a_K / (1 - r_K) once r_K < 1.  K is the smallest integer with
 a_K / (1 - r_K) <= REL_TOL = 1e-14; it depends on tau alone, never on the
-evaluation point (K = 4 at Im tau = 1, 13 at Im tau = 0.08).  If K would
-exceed MAX_TERMS = 200 (Im tau below about 4.1e-4) a TruncationError is
-raised.
+evaluation point (K = 4 for Im tau in [0.7725, 1.3466), 13 at Im tau = 0.08,
+27 at 0.02).  In the fundamental domain Im tau' >= sqrt(3)/2, so
+q <= e^{-pi sqrt(3)/2} ~ 0.066 and K <= 4 at every modulus.  Near tau = i
+the reduction gains nothing (Im tau' <= 1/Im tau < 1.347 there), so
+gamma = 1 and the sums, and every output, are those of the unreduced
+series.
 
-The K coefficients 2 (-1)^k nu^{(k+1/2)^2} ((2k+1) pi)^d (d = 0..3),
-theta1'(0), theta1'''(0) and the Weierstrass constant form a table that is
-built lazily once per modulus and kept on the TorusModulus instance, so a
-modulus dropped by its caller takes its table with it.  The three
-constants come from cancellation-free forms, with x = nu^2:
+The K coefficients 2 (-1)^k nu'^{(k+1/2)^2} ((2k+1) pi)^d (d = 0..3) at
+tau' form a table that is built lazily once per modulus and kept on the
+TorusModulus instance, so a modulus dropped by its caller takes its table
+with it.  theta1'(0), theta1'''(0) and the Weierstrass constant are built
+on their first read, from cancellation-free forms at tau', with x = nu'^2:
 
     theta1'(0)   = 2 pi nu^{1/4} prod_{m>=1} (1 - x^m)^3,
     theta1'''(0) = -pi^2 E2 theta1'(0),  E2 = 1 - 24 sum_{m>=1} m x^m / (1 - x^m),
@@ -80,21 +138,19 @@ from .errors import (
     DegenerateLatticeError,
     PoleProximityError,
     SeriesRangeError,
-    TruncationError,
 )
 
 TWO_PI_I = 2j * math.pi
+_I_PI = 1j * math.pi
 
 #: Evaluations closer than this (in reduced coordinates) to a lattice point
 #: raise PoleProximityError instead of blowing up silently.
 POLE_EXCLUSION_RADIUS = 1e-6
 
-#: Truncation target of the theta series: the fewest terms whose a-priori
-#: tail bound, relative to the leading term's envelope, is at most REL_TOL
-#: (see the module docstring).  The triple product stops once two
-#: consecutive factors are within REL_TOL of 1.  MAX_TERMS caps both.
+#: Truncation target of the theta series and of the triple product: the
+#: fewest terms whose a-priori tail bound, relative to the leading term's
+#: envelope, is at most REL_TOL (see the module docstring).
 REL_TOL = 1e-14
-MAX_TERMS = 200
 
 #: |sin x| and |cos x| stay finite while |Im x| is below this.
 _LOG_MAX = math.log(sys.float_info.max)
@@ -203,81 +259,153 @@ def _lattice_distance_array(z, tau: complex) -> np.ndarray:
 # Theta series
 # ----------------------------------------------------------------------
 
-class _SeriesTable:
-    """The fixed-length theta1 series of one modulus.
+def _tail_ok(q: float, k: int) -> bool:
+    """Whether k terms meet the tail bound a_k / (1 - r_k) <= REL_TOL at
+    |nu| = q (module docstring); once true, true for every larger k."""
+    m = 2 * k + 1
+    r = ((m + 2) / m) ** 3 * q ** m
+    return r < 1.0 and m ** 3 * q ** (k * k) <= REL_TOL * (1.0 - r)
 
-    ``terms`` holds (a_k, c0_k, c1_k, c2_k, c3_k) for k < K with
-    a_k = (2k+1) pi and c_d = 2 (-1)^k nu^{(k+1/2)^2} a_k^d times the sign of
-    the d-th derivative of sin (+, +, -, -), so the d-th derivative series is
-    sum c_d sin(a w) for even d and sum c_d cos(a w) for odd d.
-    ``clear``: a reduced |w| in [POLE_EXCLUSION_RADIUS, clear] is at least
-    the exclusion radius away from all nine lattice candidates.
+
+def _im_for_terms(k: int) -> float:
+    """The smallest Im tau at which k terms meet the tail bound, by
+    bisection to double precision."""
+    lo, hi = 0.01, 100.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _tail_ok(math.exp(-math.pi * mid), k):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+#: The Im tau from which 1, 2, 3 and 4 terms suffice: 4 on [0.7725, 1.3466).
+_TERMS_FROM = tuple(_im_for_terms(k) for k in (1, 2, 3, 4))
+
+
+def _term_count(im: float) -> int:
+    """K at Im tau = im, and 5 for every K above 4 (Im tau below 0.7725)."""
+    t1, t2, t3, t4 = _TERMS_FROM
+    return 1 + (im < t1) + (im < t2) + (im < t3) + (im < t4)
+
+
+def _affine(k: int, x: float, l: int) -> float:
+    """k x + l for integers k, l, correctly rounded (exact in integers)."""
+    num, den = x.as_integer_ratio()
+    return (k * num + l * den) / den
+
+
+def _modular_image(tau: complex):
+    """(gamma, log C0) with gamma = (a, b, c, d) taking tau to the
+    fundamental domain by T^k shifts and S steps, and C0 the product of
+    their factors in (*) of the module docstring, composed in log form."""
+    a, b, c, d = 1, 0, 0, 1
+    t, log_c = tau, 0j
+    while True:
+        k = round(t.real)
+        if k:
+            t -= k
+            a, b = a - k * c, b - k * d
+            log_c += 0.25j * math.pi * k
+        if abs(t) >= 1.0:
+            return (a, b, c, d), log_c
+        log_c += 0.5j * math.pi - 0.5 * cmath.log(-1j * t)
+        a, b, c, d = -c, -d, a, b
+        t = -1.0 / t
+
+
+class _SeriesTable:
+    """The theta1 series of one modulus tau, summed at tau' = gamma tau.
+
+    ``gamma`` = (a, b, c, d); ``w`` = c tau + d and ``w_inv``, ``w_inv2``,
+    ``w_inv3`` its inverse powers; ``log_c`` = log C of the module
+    docstring's (*); ``shift`` = 2 pi i c and ``gauss`` = -i pi c.
+    ``terms`` holds (a_k, c0_k, c1_k, c2_k, c3_k) for k < K at tau' with
+    a_k = (2k+1) pi and c_d = 2 (-1)^k nu'^{(k+1/2)^2} a_k^d times the sign
+    of the d-th derivative of sin (+, +, -, -), so the d-th derivative series
+    is sum c_d sin(a v) for even d and sum c_d cos(a v) for odd d.
+    ``near``, ``clear``: a reduced |v| at tau' in [near, clear] is at least
+    ``near`` = POLE_EXCLUSION_RADIUS / |w| away from all nine lattice
+    candidates w (i + j tau') of the lattice of tau, in units of tau'.
     ``arrays``: the coefficients as numpy arrays, built on first array use
     (`_table_arrays`), so scalar-only callers never pay for them.
+    ``consts``: e^lift theta1'(0 | tau') / w and the Weierstrass constant
+    at tau', built on first read (`_constants`).
 
-    A leading coefficient 2 |nu|^{1/4} so small that the leading term at
-    the exclusion radius would be subnormal (Im tau above about 885) raises
-    SeriesRangeError: its digits, and with them every ratio of series
-    values, would be lost.
+    ``lift``: the coefficients, and theta1'(0) of `_constants`, carry the
+    factor e^lift, and ``log_c`` = log C - lift takes it out again.  It
+    lifts |nu'|^{1/4} = e^{-pi Im tau'/4} to e^{-_LOG_MAX/2}, never higher
+    than |nu|^{1/4} of tau itself, so it is 0 unless Im tau' > 452.  The
+    sums at reduced points then stay between e^{-_LOG_MAX/2} and
+    e^{_LOG_MAX/2} wherever the terms do not overflow (|Im v| <= 226), and
+    a product of two of them in the Lame kernel stays finite.  Without it
+    the leading term at tau' = 1e4 i, reached from tau = 1e-4 i, would be
+    e^{-2500 pi}.  A kept modulus (lift = 0) with a leading coefficient
+    2 |nu|^{1/4} so small that the leading term at the exclusion radius
+    would be subnormal (Im tau above about 885) raises SeriesRangeError:
+    its digits, and with them every ratio of series values, would be lost.
     """
 
-    __slots__ = ("terms", "dz0", "d3z0", "wp_const", "clear", "arrays")
+    __slots__ = ("tau", "tau_r", "nome_r", "gamma", "w", "w_inv", "w_inv2",
+                 "w_inv3", "log_c", "lift", "shift", "gauss", "terms", "near",
+                 "clear", "arrays", "consts")
 
     def __init__(self, tm: TorusModulus):
         tau = tm.tau
-        q = abs(tm.nome)
-        q2 = q * q
-        q_odd = q          # q^{2k+1}
-        q_square = 1.0     # q^{k^2}
-        nu2 = tm.nome * tm.nome
-        coef = cmath.exp(0.25j * math.pi * tau)  # nu^{1/4}
+        gamma, log_c = _modular_image(tau)
+        a, b, c, d = gamma
+        w = c * tau + d
+        terms = _term_count(tau.imag)
+        reduced = _term_count(tau.imag / abs(w) ** 2)  # at Im tau'
+        if reduced >= terms:
+            # the reduction saves no term: keep tau as it is
+            gamma, w, tau_r, nome_r = (1, 0, 0, 1), 1 + 0j, tau, tm.nome
+            log_c = 0j
+        else:
+            terms = reduced
+            # c tau + d and a tau + b to the last bit: their real parts
+            # cancel to |w| ~ Im tau, and an error in tau' would grow with
+            # every B-period a point is reduced by
+            w = complex(_affine(c, tau.real, d), c * tau.imag)
+            tau_r = complex(_affine(a, tau.real, b), a * tau.imag) / w
+            nome_r = cmath.exp(1j * math.pi * tau_r)
+            # C sqrt(w) is an eighth root of unity, e^{i pi j/4}
+            j = round((log_c + 0.5 * cmath.log(w)).imag * 4.0 / math.pi) % 8
+            log_c = 0.25j * math.pi * j - 0.5 * cmath.log(w)
+        self.tau, self.tau_r, self.nome_r, self.gamma, self.w = (
+            tau, tau_r, nome_r, gamma, w)
+        self.w_inv = 1.0 / w
+        self.w_inv2 = self.w_inv * self.w_inv
+        self.w_inv3 = self.w_inv2 * self.w_inv
+        # e^lift |nu'|^{1/4} >= e^{-_LOG_MAX/2}, lifted no higher than
+        # |nu|^{1/4} of tau itself
+        self.lift = max(0.0, min(0.25 * math.pi * (tau_r.imag - tau.imag),
+                                 0.25 * math.pi * tau_r.imag - 0.5 * _LOG_MAX))
+        self.log_c = log_c - self.lift
+        self.shift = TWO_PI_I * gamma[2]
+        self.gauss = -1j * math.pi * gamma[2]
+        # e^lift nu'^{1/4}
+        coef = cmath.exp(0.25j * math.pi * tau_r + self.lift)
         if 2.0 * abs(coef) * POLE_EXCLUSION_RADIUS < sys.float_info.min:
             raise SeriesRangeError(
-                f"theta1 series at tau = {tau} underflows: its leading "
+                f"theta1 series at tau = {tau_r} underflows: its leading "
                 f"coefficient is {2.0 * abs(coef):.3e}")
+        nu2 = nome_r * nome_r
         nu2_pow = complex(1.0)
-        terms = []
-        for k in range(MAX_TERMS + 1):
-            # tail bound R_k <= a_k / (1 - r_k), see the module docstring
-            m = 2 * k + 1
-            r = ((m + 2) / m) ** 3 * q_odd
-            if r < 1.0 and m ** 3 * q_square <= REL_TOL * (1.0 - r):
-                break
-            if k == MAX_TERMS:
-                raise TruncationError(
-                    f"theta1 series at tau = {tau} needs more than "
-                    f"{MAX_TERMS} terms",
-                    sum(t[2] for t in terms))  # the theta1'(0) partial sum
-            a = m * math.pi
+        self.terms = []
+        for k in range(terms):
+            a_k = (2 * k + 1) * math.pi
             c0 = 2.0 * coef
-            c1 = c0 * a
-            c2 = -c1 * a
-            terms.append((a, c0, c1, c2, c2 * a))
-            q_square *= q_odd
-            q_odd *= q2
+            c1 = c0 * a_k
+            c2 = -c1 * a_k
+            self.terms.append((a_k, c0, c1, c2, c2 * a_k))
             nu2_pow *= nu2
             coef = -coef * nu2_pow  # (-1)^{k+1} nu^{(k+3/2)^2} relative update
-        self.terms = terms
-        # theta1'(0) and E2 from their product and Lambert forms (module
-        # docstring), x = nu^2, to double precision: the E2 tail from factor
-        # m on is at most 24 m |x|^m / (1 - |x|)^3, and the product's is
-        # smaller.
-        prod, lambert = 1.0, 0j
-        x_pow, x_abs, m = nu2, q2, 1
-        bound = 1e-17 / 24.0 * (1.0 - q2) ** 3
-        while m * x_abs > bound:
-            f = 1.0 - x_pow
-            prod *= f
-            lambert += m * x_pow / f
-            x_pow *= nu2
-            x_abs *= q2
-            m += 1
-        self.dz0 = 2.0 * math.pi * cmath.exp(0.25j * math.pi * tau) * prod ** 3
-        self.wp_const = -math.pi ** 2 * (1.0 - 24.0 * lambert) / 3.0
-        self.d3z0 = 3.0 * self.wp_const * self.dz0
-        shortest = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
-        self.clear = shortest - 2.0 * POLE_EXCLUSION_RADIUS
+        shortest = min(1.0, abs(tau_r), abs(tau_r - 1), abs(tau_r + 1))
+        self.near = POLE_EXCLUSION_RADIUS / abs(w)
+        self.clear = shortest - 2.0 * self.near
         self.arrays = None
+        self.consts = None
 
 
 def _table(tm: TorusModulus) -> _SeriesTable:
@@ -299,16 +427,88 @@ def _table_arrays(tab: _SeriesTable):
     return tab.arrays
 
 
-def _reduce_checked(z: complex, tm: TorusModulus, tab: _SeriesTable,
-                    name: str) -> tuple[complex, int, int]:
-    """reduce_to_cell plus the pole check on the reduced point, which gives
-    the same verdict and distance as lattice_distance on z."""
-    w, m, n = reduce_to_cell(z, tm.tau)
-    if not (POLE_EXCLUSION_RADIUS <= abs(w) <= tab.clear):
-        d = _reduced_distance(w, tm.tau)
+def _constants(tab: _SeriesTable):
+    """(e^lift theta1'(0 | tau') / w, the Weierstrass constant at tau'),
+    built on first read from the product and Lambert forms of the module
+    docstring, x = nu'^2, to double precision: the E2 tail from factor m
+    on is at most 24 m |x|^m / (1 - |x|)^3, and the product's is
+    smaller."""
+    if tab.consts is None:
+        nu2 = tab.nome_r * tab.nome_r
+        q2 = abs(nu2)
+        prod, lambert = 1.0, 0j
+        x_pow, x_abs, m = nu2, q2, 1
+        bound = 1e-17 / 24.0 * (1.0 - q2) ** 3
+        while m * x_abs > bound:
+            f = 1.0 - x_pow
+            prod *= f
+            lambert += m * x_pow / f
+            x_pow *= nu2
+            x_abs *= q2
+            m += 1
+        nu4 = cmath.exp(0.25j * math.pi * tab.tau_r + tab.lift)
+        dz0 = 2.0 * math.pi * nu4 * prod ** 3
+        tab.consts = (dz0 * tab.w_inv,
+                      -math.pi ** 2 * (1.0 - 24.0 * lambert) / 3.0)
+    return tab.consts
+
+
+def _wp_const(tab: _SeriesTable) -> complex:
+    """The Weierstrass constant at tau: c(tau') / w^2 - 2 pi i c / w."""
+    return _constants(tab)[1] * tab.w_inv2 - tab.shift * tab.w_inv
+
+
+def _dz0(tab: _SeriesTable) -> complex:
+    """theta1'(0 | tau) = C theta1'(0 | tau') / w."""
+    return cmath.exp(tab.log_c) * _constants(tab)[0]
+
+
+def _reduce_checked(z: complex, tab: _SeriesTable, name: str):
+    """(v, m, n, z / w) with z / w = v + m + n tau' and v reduced at tau'
+    (module docstring).  A z within POLE_EXCLUSION_RADIUS of the lattice of
+    tau raises PoleProximityError under name, with that distance."""
+    zw = z * tab.w_inv
+    v, m, n = reduce_to_cell(zw, tab.tau_r)
+    if not (tab.near <= abs(v) <= tab.clear):
+        d = lattice_distance(z, tab.tau)
         if d < POLE_EXCLUSION_RADIUS:
             raise PoleProximityError(z, name, d)
-    return w, m, n
+    return v, m, n, zw
+
+
+def _log_factor(v, m, n, tab: _SeriesTable):
+    """log of theta1(z | tau) / (C theta1(v | tau')) at z / w = v + m + n tau',
+    for scalars or arrays: the quasi-periodicity of the lattice of tau at
+    z = p + M + N tau, p = w v (module docstring),
+
+        log F = i pi (M + N) - i pi (N^2 tau + 2 N p),
+
+    then the Gaussian -i pi c p v of (*).  In log form, ratios of theta
+    values combine their factors additively before one exponential."""
+    a, b, c, d = tab.gamma
+    p = v * tab.w
+    big_n = m * c + n * a
+    return (_I_PI * ((m * d + n * b + big_n) - big_n * big_n * tab.tau
+                     - 2 * big_n * p)
+            + tab.gauss * p * v)
+
+
+def _theta_factor(v, m, n, tab: _SeriesTable) -> complex:
+    """theta1(z | tau) / theta1(v | tau'): C exp(`_log_factor`), with the
+    sign (-1)^{M+N} taken outside the exponential.  A factor past the
+    double range raises SeriesRangeError."""
+    a, b, c, d = tab.gamma
+    p = v * tab.w
+    big_n = m * c + n * a
+    big_m = m * d + n * b
+    try:
+        return (-1.0 if (big_m + big_n) % 2 else 1.0) * cmath.exp(
+            -_I_PI * (big_n * big_n * tab.tau + 2 * big_n * p)
+            + tab.gauss * p * v + tab.log_c)
+    except OverflowError:
+        raise SeriesRangeError(
+            f"theta1 at tau = {tab.tau} leaves the double range at "
+            f"z = {p + big_m + big_n * tab.tau}") from None
 
 
 def _theta_series_at(w: complex, tab: _SeriesTable):
@@ -359,82 +559,86 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
 
 def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
                           start: int = 0):
-    """`_reduce_checked` at every point of the 1-D array z: (w, m, n, table).
-    The first point i within POLE_EXCLUSION_RADIUS of the lattice, in array
-    order from ``start`` on and then from 0, raises PoleProximityError under
-    name(i), unless that is None (a point exempt from the check)."""
+    """`_reduce_checked` at every point of the 1-D array z: (v, m, n, z / w,
+    table).  The first point i within POLE_EXCLUSION_RADIUS of the lattice,
+    in array order from ``start`` on and then from 0, raises
+    PoleProximityError under name(i), unless that is None (a point exempt
+    from the check)."""
     tab = _table(tm)
-    w, m, n = reduce_to_cell_array(z, tm.tau)
-    aw = np.abs(w)
-    if not ((aw >= POLE_EXCLUSION_RADIUS) & (aw <= tab.clear)).all():
-        d = _reduced_distance_array(w, tm.tau)
+    zw = z * tab.w_inv
+    v, m, n = reduce_to_cell_array(zw, tab.tau_r)
+    av = np.abs(v)
+    if not ((av >= tab.near) & (av <= tab.clear)).all():
+        d = _lattice_distance_array(z, tm.tau)
         bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
         for i in np.roll(bad, -np.searchsorted(bad, start)):
             label = name(i)
             if label is not None:
                 raise PoleProximityError(complex(z[i]), label, float(d[i]))
-    return w, m, n, tab
+    return v, m, n, zw, tab
 
 
-def _rho_ratios(s: np.ndarray, n: np.ndarray):
-    """(rho, rho', rho'') from the four `_series_sums` rows at points reduced
-    across n B-cycles, cubed as r r r like the scalar kernels: numpy's
-    complex r**3 differs from it in the last bit."""
-    r, B, T = (v / s[0] for v in s[1:])
-    return r - TWO_PI_I * n, B - r * r, T - 3.0 * r * B + 2.0 * r * r * r
+def _rho_law(r, n, zw, tab: _SeriesTable):
+    """rho(z | tau) from r = rho(v | tau') at z / w = v + m + n tau':
+    (r - 2 pi i n) / w - 2 pi i c z / w.  Scalars or arrays alike."""
+    return (r - TWO_PI_I * n) * tab.w_inv - tab.shift * zw
 
 
-def _rho_array(z: np.ndarray, tm: TorusModulus, name):
-    """(rho, rho', rho'') at every point of the 1-D array z, pole-checked
-    under name: wp = c - rho' and wp' = -rho''."""
-    w, _, n, tab = _reduce_checked_array(z, tm, name)
-    return _rho_ratios(_series_sums(w, tab, 4), n)
+def _rho_dz_law(r, B, tab: _SeriesTable):
+    """rho'(z | tau) from r = rho(v | tau') and B = theta1''/theta1 at
+    v: (B - r^2) / w^2 - 2 pi i c / w."""
+    return (B - r * r) * tab.w_inv2 - tab.shift * tab.w_inv
+
+
+def _rho_ratios(s: np.ndarray, n, zw, tab: _SeriesTable,
+                orders=(0, 1, 2)) -> list:
+    """[rho, rho', rho''][d] for each d in ``orders``, at tau, from the
+    rows of `_series_sums` (max(orders) + 2 of them) at the points v of
+    z / w = v + m + n tau', by the laws of the module docstring; cubed as
+    r r r like the scalar kernels: numpy's complex r**3 differs from it in
+    the last bit.  Scalars or arrays alike."""
+    r = s[1] / s[0]
+    out = []
+    if 0 in orders:
+        out.append(_rho_law(r, n, zw, tab))
+    if 1 in orders or 2 in orders:
+        B = s[2] / s[0]
+    if 1 in orders:
+        out.append(_rho_dz_law(r, B, tab))
+    if 2 in orders:
+        T = s[3] / s[0]
+        out.append((T - 3.0 * r * B + 2.0 * r * r * r) * tab.w_inv3)
+    return out
+
+
+def _rho_array(z: np.ndarray, tm: TorusModulus, name, orders=(0, 1, 2)):
+    """`_rho_ratios` at every point of the 1-D array z, pole-checked under
+    name, summing only the series rows they need: wp = c - rho' and
+    wp' = -rho''."""
+    v, _, n, zw, tab = _reduce_checked_array(z, tm, name)
+    return _rho_ratios(_series_sums(v, tab, max(orders) + 2), n, zw, tab,
+                       orders)
 
 
 def _theta_bundle(z: complex, tm: TorusModulus):
-    """(theta1, theta1') at z, via reduction.
-
-    With z = w + m + n*tau,
-
-        theta1(z) = F(w) theta1(w),
-        F(w) = (-1)^{m+n} exp(-i pi (n^2 tau + 2 n w)),
-
-    so theta1'(z) = F(w) (theta1'(w) + mu theta1(w)) with mu = -2 pi i n.
-    """
-    w, m, n = reduce_to_cell(z, tm.tau)
-    s0, s1, _, _ = _theta_series_at(w, _table(tm))
-    if m == 0 and n == 0:
-        return s0, s1
-    parity = -1.0 if (m + n) % 2 else 1.0
-    F = parity * cmath.exp(-1j * math.pi * (n * n * tm.tau + 2 * n * w))
-    mu = -TWO_PI_I * n
-    return F * s0, F * (s1 + mu * s0)
+    """(theta1, theta1') at z: theta1(v | tau') times `_theta_factor`, and
+    theta1' = theta1 rho."""
+    tab = _table(tm)
+    zw = z * tab.w_inv
+    v, m, n = reduce_to_cell(zw, tab.tau_r)
+    s0, s1, _, _ = _theta_series_at(v, tab)
+    f = _theta_factor(v, m, n, tab)
+    mu = -TWO_PI_I * n * tab.w_inv - tab.shift * zw
+    return f * s0, f * (s1 * tab.w_inv + mu * s0)
 
 
 def _reduced_ratios(z: complex, tm: TorusModulus):
-    """(rho, theta1''/theta1, theta1'''/theta1) at the reduced w of z, plus
-    the B-cycle count n and the table; raises PoleProximityError near the
-    lattice.
-
-    Reduction shifts rho by mu = -2 pi i n and leaves every derivative of
-    rho unchanged, so rho(z) = rho(w) + mu while rho', wp and wp' need only
-    the reduced ratios (valid for any representable z: the reduced series
-    never overflows).
-    """
+    """The series sums at the reduced v of z (`_reduce_checked`, pole
+    check under "z"), with n, z / w and the table: `_rho_ratios` turns them
+    into rho, rho' and rho''."""
     tab = _table(tm)
-    w, _, n = _reduce_checked(z, tm, tab, "z")
-    s0, s1, s2, s3 = _theta_series_at(w, tab)
-    return s1 / s0, s2 / s0, s3 / s0, n, tab
-
-
-def _log_prefactor(w: complex, m: int, n: int, tau: complex) -> complex:
-    """log F with theta1(w + m + n tau) = exp(log F) theta1(w).
-
-    log F = i pi (m + n) - i pi (n^2 tau + 2 n w); keeping it in log form
-    lets ratios of theta values combine their prefactors additively before
-    a single exponential is taken.
-    """
-    return 1j * math.pi * ((m + n) - n * n * tau - 2 * n * w)
+    v, _, n, zw = _reduce_checked(z, tab, "z")
+    return _theta_series_at(v, tab), n, zw, tab
 
 
 # ----------------------------------------------------------------------
@@ -453,13 +657,25 @@ def theta1_dz(z: complex, tm: TorusModulus) -> complex:
 
 def theta1_dz_at_0(tm: TorusModulus) -> complex:
     """theta1'(0) = 2 pi nu^{1/4} prod (1 - nu^{2m})^3 (module docstring)."""
-    return _table(tm).dz0
+    return _dz0(_table(tm))
 
 
 def theta1_d3z_at_0(tm: TorusModulus) -> complex:
     """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
     as -pi^2 E2 theta1'(0) (see the module docstring)."""
-    return _table(tm).d3z0
+    tab = _table(tm)
+    return 3.0 * _wp_const(tab) * _dz0(tab)
+
+
+def _factor_count(q: float) -> int:
+    """The factors of the triple product at |nu| = q: past factor M each
+    differs from 1 by at most 6 q^{2m-1} at a reduced point (|cos| of
+    2 pi (v + 1/2) is at most 1/q there), and the tail's sum
+    6 q^{2M+1} / (1 - q^2) is at most REL_TOL."""
+    m = 1
+    while 6.0 * q ** (2 * m + 1) > REL_TOL * (1.0 - q * q):
+        m += 1
+    return m
 
 
 def theta1_product(z: complex, tm: TorusModulus) -> complex:
@@ -468,34 +684,21 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
         -2 nu^{1/4} cos(pi (z+1/2))
             prod_m (1 - nu^{2m}) (1 + 2 cos(2 pi (z+1/2)) nu^{2m} + nu^{4m}),
 
-    reduced and prefactored exactly like the series path.
+    at tau' with `_factor_count` factors, reduced and prefactored exactly
+    like the series path.
     """
-    w, m, n = reduce_to_cell(z, tm.tau)
-    nu = tm.nome
-    nu2 = nu * nu
-    c1 = cmath.cos(math.pi * (w + 0.5))
-    c2 = cmath.cos(2 * math.pi * (w + 0.5))
-    prod = -2.0 * cmath.exp(0.25j * math.pi * tm.tau) * c1
+    tab = _table(tm)
+    v, m, n = reduce_to_cell(z * tab.w_inv, tab.tau_r)
+    nu2 = tab.nome_r * tab.nome_r
+    c1 = cmath.cos(math.pi * (v + 0.5))
+    c2 = cmath.cos(2 * math.pi * (v + 0.5))
+    prod = -2.0 * cmath.exp(0.25j * math.pi * tab.tau_r + tab.lift) * c1
     nu2_pow = complex(1.0)
-    streak = 0
-    converged = False
-    for k in range(1, MAX_TERMS + 1):
+    for _ in range(_factor_count(abs(tab.nome_r))):
         nu2_pow *= nu2
-        factor = (1.0 - nu2_pow) * (1.0 + 2.0 * c2 * nu2_pow + nu2_pow * nu2_pow)
-        prod *= factor
-        if abs(factor - 1.0) <= REL_TOL:
-            streak += 1
-            if streak >= 2:
-                converged = True
-                break
-        else:
-            streak = 0
-    if not converged:
-        raise TruncationError("theta1 product did not stagnate", prod)
-    if m == 0 and n == 0:
-        return prod
-    parity = -1.0 if (m + n) % 2 else 1.0
-    return parity * cmath.exp(-1j * math.pi * (n * n * tm.tau + 2 * n * w)) * prod
+        prod *= ((1.0 - nu2_pow)
+                 * (1.0 + 2.0 * c2 * nu2_pow + nu2_pow * nu2_pow))
+    return _theta_factor(v, m, n, tab) * prod
 
 
 # ----------------------------------------------------------------------
@@ -504,26 +707,28 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
 
 def rho(z: complex, tm: TorusModulus) -> complex:
     """rho(z) = theta1'(z)/theta1(z)."""
-    r, _, _, n, _ = _reduced_ratios(z, tm)
-    return r - TWO_PI_I * n
+    (s0, s1, _, _), n, zw, tab = _reduced_ratios(z, tm)
+    return _rho_law(s1 / s0, n, zw, tab)
 
 
 def weierstrass_constant(tm: TorusModulus) -> complex:
     """theta1'''(0) / (3 theta1'(0)): the constant making wp = -rho' + c
     free of a constant term in its Laurent expansion at 0."""
-    return _table(tm).wp_const
+    return _wp_const(_table(tm))
 
 
 def wp(z: complex, tm: TorusModulus) -> complex:
     """Weierstrass wp(z, tau), theta fast path: -rho'(z) + theta1'''(0)/(3 theta1'(0))."""
-    r, B, _, _, tab = _reduced_ratios(z, tm)
-    return r * r - B + tab.wp_const
+    (s0, s1, s2, _), _, _, tab = _reduced_ratios(z, tm)
+    r, B = s1 / s0, s2 / s0
+    return (r * r - B + _constants(tab)[1]) * tab.w_inv2
 
 
 def wp_dz(z: complex, tm: TorusModulus) -> complex:
     """wp'(z, tau) = -rho''(z), fully analytic."""
-    r, B, T, _, _ = _reduced_ratios(z, tm)
-    return 3.0 * r * B - T - 2.0 * r * r * r
+    (s0, s1, s2, s3), _, _, tab = _reduced_ratios(z, tm)
+    r, B, T = s1 / s0, s2 / s0, s3 / s0
+    return (3.0 * r * B - T - 2.0 * r * r * r) * tab.w_inv3
 
 
 # ----------------------------------------------------------------------
@@ -592,30 +797,33 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus,
 
     Each point is reduced and pole-checked once: z - u (only with
     ``ratios``: x itself vanishes there), then u, then z.  The three
-    reduction prefactors are combined additively in log form: their
-    individual exponentials can overflow at arguments where x itself is
-    perfectly representable.
+    log factors are combined additively: their individual exponentials can
+    overflow at arguments where x itself is perfectly representable.
     """
-    tab, tau = _table(tm), tm.tau
+    tab = _table(tm)
     zu = z - u
     if ratios:
-        w_zu, m_zu, n_zu = _reduce_checked(zu, tm, tab, "z - u")
-    w_u, m_u, n_u = _reduce_checked(u, tm, tab, "u")
-    w_z, m_z, n_z = _reduce_checked(z, tm, tab, "z")
+        at_zu = _reduce_checked(zu, tab, "z - u")
+    at_u = _reduce_checked(u, tab, "u")
+    at_z = _reduce_checked(z, tab, "z")
     if not ratios:
-        w_zu, m_zu, n_zu = reduce_to_cell(zu, tau)
-    s_u = _theta_series_at(w_u, tab)
-    s_z = _theta_series_at(w_z, tab)
-    s_zu = _theta_series_at(w_zu, tab)
-    log_f = (_log_prefactor(w_zu, m_zu, n_zu, tau)
-             - _log_prefactor(w_z, m_z, n_z, tau)
-             - _log_prefactor(w_u, m_u, n_u, tau))
-    x = cmath.exp(log_f) * s_zu[0] * tab.dz0 / (s_z[0] * s_u[0])
+        zw = zu * tab.w_inv
+        at_zu = (*reduce_to_cell(zw, tab.tau_r), zw)
+    s_u = _theta_series_at(at_u[0], tab)
+    s_z = _theta_series_at(at_z[0], tab)
+    s_zu = _theta_series_at(at_zu[0], tab)
+    log_f = (_log_factor(at_zu[0], at_zu[1], at_zu[2], tab)
+             - _log_factor(at_z[0], at_z[1], at_z[2], tab)
+             - _log_factor(at_u[0], at_u[1], at_u[2], tab))
+    x = (cmath.exp(log_f) * s_zu[0] * _constants(tab)[0]
+         / (s_z[0] * s_u[0]))
     if not ratios:
         return x
     r_zu = s_zu[1] / s_zu[0]
-    return (x, s_u[1] / s_u[0] - TWO_PI_I * n_u, r_zu - TWO_PI_I * n_zu,
-            s_z[1] / s_z[0] - TWO_PI_I * n_z, s_zu[2] / s_zu[0] - r_zu * r_zu)
+    return (x, _rho_law(s_u[1] / s_u[0], at_u[2], at_u[3], tab),
+            _rho_law(r_zu, at_zu[2], at_zu[3], tab),
+            _rho_law(s_z[1] / s_z[0], at_z[2], at_z[3], tab),
+            _rho_dz_law(r_zu, s_zu[2] / s_zu[0], tab))
 
 
 def lame_x(u: complex, z: complex, tm: TorusModulus) -> complex:
@@ -666,14 +874,15 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     zu = z[:, None] - u
     a, b = u.size, u.size + z.size  # points [:a] are u, [a:b] z, [b:] z - u
     names = ("u", "z", "z - u" if ratios else None)
-    w, m, n, tab = _reduce_checked_array(
+    v, m, n, zw, tab = _reduce_checked_array(
         np.concatenate([u, z, zu.ravel()]), tm,
         lambda i: names[int(i >= a) + int(i >= b)], start=b)
-    s = _series_sums(w, tab, 4 if ratios else 1)
-    f = _log_prefactor(w, m, n, tm.tau)
+    s = _series_sums(v, tab, 4 if ratios else 1)
+    f = _log_factor(v, m, n, tab)
     x = (np.exp(f[b:].reshape(zu.shape) - f[a:b, None] - f[:a])
-         * s[0, b:].reshape(zu.shape) * tab.dz0 / (s[0, a:b, None] * s[0, :a]))
+         * s[0, b:].reshape(zu.shape) * _constants(tab)[0]
+         / (s[0, a:b, None] * s[0, :a]))
     if not ratios:
         return x
-    return x, *([v[None, :a], v[b:].reshape(zu.shape), v[a:b, None]]
-                for v in _rho_ratios(s, n))
+    return x, *([r[None, :a], r[b:].reshape(zu.shape), r[a:b, None]]
+                for r in _rho_ratios(s, n, zw, tab))

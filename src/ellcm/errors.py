@@ -31,17 +31,6 @@ class UsageError(EllcmError, ValueError):
     """A value outside its stated range, or a malformed command line."""
 
 
-class TruncationError(EllcmError):
-    """A series or product failed to stagnate within ``max_terms``.
-
-    Carries the last partial sum in ``partial``.
-    """
-
-    def __init__(self, message, partial):
-        self.partial = partial
-        super().__init__(f"{message} (last partial sum {partial})")
-
-
 class SeriesRangeError(EllcmError):
     """The theta series leaves double precision: a term overflows, or the
     leading coefficient is too small to keep its digits."""

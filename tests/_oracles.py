@@ -65,3 +65,48 @@ def wp_direct_general(z, omega1, omega2, radius=120):
     lam = m * omega1 + n * omega2
     lam = lam[(m != 0) | (n != 0)]
     return complex(1.0 / z**2 + np.sum(1.0 / (z + lam) ** 2 - 1.0 / lam**2))
+
+
+def theta1_poisson(z, tau, orders=4):
+    """theta1 and its first orders - 1 z-derivatives in mpmath, from the
+    defining sum after Poisson summation over n:
+
+        theta1(z | tau) = -(-i tau)^{-1/2} sum_k (-1)^k exp(-i pi (z + 1/2 - k)^2 / tau),
+
+    principal root.  Its terms fall off like exp(-pi Im(-1/tau) k^2), so at
+    small Im tau a few of them give every digit, where the q-series of
+    mpmath's jtheta cancels from terms of order one.  Each Gaussian term g
+    is differentiated in closed form: with a = -2 pi i (x - k) / tau and
+    b = -2 pi i / tau, g' = a g, g'' = (a^2 + b) g, g''' = (a^3 + 3 a b) g.
+    Sets mpmath to 40 digits, for the caller's arithmetic on the values
+    too."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    x, tau = mp.mpc(z) + 0.5, mp.mpc(tau)
+    b = -2j * mp.pi / tau
+    centre = int(mp.nint(mp.re(x)))
+    out = [mp.mpc(0)] * orders
+    for k in range(centre - 40, centre + 41):
+        g = (-1) ** k * mp.exp(-1j * mp.pi * (x - k) ** 2 / tau)
+        a = b * (x - k)
+        for d, f in enumerate((1, a, a * a + b, a ** 3 + 3 * a * b)[:orders]):
+            out[d] += f * g
+    c = -mp.power(-1j * tau, -0.5)
+    return [c * v for v in out]
+
+
+def theta1_mp(z, tau, orders=4):
+    """theta1 and its first orders - 1 z-derivatives in 40-digit mpmath:
+    theta1_poisson below Im tau = 0.3, mpmath's jtheta above, where the
+    q-series converges fast and the Poisson sum slowly at large |tau|."""
+    import mpmath as mp
+
+    if tau.imag < 0.3:
+        return theta1_poisson(z, tau, orders)
+    mp.mp.dps = 40
+    q = mp.exp(1j * mp.pi * mp.mpc(tau))
+    # mpmath takes the principal q^(1/4); ellcm uses exp(i pi tau / 4)
+    branch = mp.exp(1j * mp.pi * mp.mpc(tau) / 4) / mp.power(q, 0.25)
+    return [branch * mp.pi ** d * mp.jtheta(1, mp.pi * mp.mpc(z), q, d)
+            for d in range(orders)]

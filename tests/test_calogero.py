@@ -44,6 +44,8 @@ from ellcm.errors import (
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm, zero_curvature_samples
 
+from _oracles import theta1_mp
+
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
 
@@ -554,8 +556,13 @@ class TestPairArrays:
     #: reduce beyond the table's ``clear``, so the pole check measures the
     #: distances instead of taking its short cut.
     TAUS = [(1j, 1e-13), (1.3 + 0.6j, 1e-13), (0.01 + 0.08j, 1e-12),
-            (0.5 + 0.3j, 1e-13)]
-    TAU_IDS = ["i", "1.3+0.6i", "0.01+0.08i", "0.5+0.3i"]
+            (0.5 + 0.3j, 1e-13), (1.45 + 0.8j, 1e-13)]
+    TAU_IDS = ["i", "1.3+0.6i", "0.01+0.08i", "0.5+0.3i", "1.45+0.8i"]
+    #: A skewed modulus the series keeps as it is (gamma = 1), where some
+    #: separations reduce past the table's clear and the pole check measures
+    #: their distances.  In the frame of a reduced modulus, such as
+    #: 0.5 + 0.3i, no reduced point lies past clear.
+    SKEWED = 1.45 + 0.8j
 
     @staticmethod
     def case(n, tau, seed):
@@ -573,19 +580,21 @@ class TestPairArrays:
 
     @staticmethod
     def beyond_clear(cfg, ph):
-        """Whether some separation reduces beyond the table's clear."""
+        """Whether some separation reduces beyond the table's clear, at the
+        table's modulus tau' = gamma tau."""
         d = np.subtract.outer(ph.q, ph.q)[np.triu_indices(ph.n, 1)]
-        w = elliptic.reduce_to_cell_array(d, cfg.tm.tau)[0]
-        return bool((np.abs(w) > elliptic._table(cfg.tm).clear).any())
+        tab = elliptic._table(cfg.tm)
+        w = elliptic.reduce_to_cell_array(d * tab.w_inv, tab.tau_r)[0]
+        return bool((np.abs(w) > tab.clear).any())
 
     @pytest.mark.parametrize("n", [4, 5, 8, 16])
-    @pytest.mark.parametrize("tau", range(4), ids=TAU_IDS)
+    @pytest.mark.parametrize("tau", range(5), ids=TAU_IDS)
     def test_matches_scalar(self, monkeypatch, n, tau):
         """Each result within tol of its size plus the size of the terms
         that cancel in it."""
         tau, tol = self.TAUS[tau]
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
-        if tau == 0.5 + 0.3j and n >= calogero.ARRAY_PAIRS_FROM:
+        if tau == self.SKEWED and n >= calogero.ARRAY_PAIRS_FROM:
             assert self.beyond_clear(cfg, ph)
         g2 = abs(cfg.g) ** 2
         r2, r3 = _rho_reduced(cfg, ph, 2), _rho_reduced(cfg, ph, 3)
@@ -621,16 +630,57 @@ class TestPairArrays:
         m_s, m_a = _both_paths(monkeypatch, lambda: min_separation(cfg, ph))
         assert abs(m_a - m_s) <= 1e-13 * m_s
 
+    @pytest.mark.parametrize("tau", range(5), ids=TAU_IDS)
+    def test_fewer_rows_same_bits(self, tau):
+        """H sums 3 series rows and forms rho' alone, local_expansion 2
+        rows and rho alone, eom rho'' alone: each bit for bit the value
+        formed from all four rows."""
+        tau, _ = self.TAUS[tau]
+        cfg, ph = self.case(8, tau, 31)
+        j, k, rho_all, rho_dz_all, rho_d2z_all = calogero._pair_arrays(cfg,
+                                                                       ph)
+        h = 0.5 * complex(np.sum(ph.p * ph.p)) + cfg.g * cfg.g * complex(
+            np.sum(weierstrass_constant(cfg.tm) - rho_dz_all))
+        assert hamiltonian_cm(cfg, ph) == h
+        c = local_expansion(cfg, ph).constant
+        assert np.array_equal(c[j, k], 1j * cfg.g * rho_all)
+        force = calogero._row_sums(ph.n, j, k, -rho_d2z_all, rho_d2z_all)
+        assert np.array_equal(eom(cfg, ph)[1], -(cfg.g * cfg.g) * force)
+
+    @pytest.mark.parametrize("tau", [0.02j, 0.01j, 0.003j, 0.45 + 0.03j,
+                                     17.3 + 0.8j])
+    def test_eom_against_mpmath(self, tau):
+        """eom at n = 4 (scalar pair loop) and n = 5 (array pair path) at
+        moduli whose series runs at tau' = gamma tau, against wp' of the
+        40-digit mpmath theta1, each pair within 1e-12 of its size or of
+        wp's scale |pi/tau|^3."""
+        pytest.importorskip("mpmath")
+        scale = abs(math.pi / tau) ** 3
+        for n in (4, 5):
+            cfg, ph = self.case(n, tau, 100 * n + 7)
+            dq, dp = eom(cfg, ph)
+            assert np.array_equal(dq, ph.p)
+            want, size = np.zeros(n, dtype=complex), np.zeros(n)
+            for j in range(n):
+                for k in range(n):
+                    if j != k:
+                        t = theta1_mp(ph.q[j] - ph.q[k], tau)
+                        r, b, c = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+                        f = complex(3 * r * b - c - 2 * r ** 3)
+                        want[j] -= cfg.g ** 2 * f
+                        size[j] += abs(cfg.g) ** 2 * max(abs(f), scale)
+            assert np.all(np.abs(dp - want) <= 1e-12 * size)
+
     @pytest.mark.parametrize("n", [5, 8, 16])
-    @pytest.mark.parametrize("tau", range(4), ids=TAU_IDS)
+    @pytest.mark.parametrize("tau", range(5), ids=TAU_IDS)
     def test_one_evaluation_with_lame_array(self, n, tau):
         """The pair sums and the Lax entries read one elliptic evaluation:
         rho, rho' and rho'' of the pair path at u = q_j - q_k are
         lame_array's at u, bit for bit, also where the pole check measures
-        the distances (0.5+0.3i)."""
+        the distances (SKEWED) and at reduced moduli."""
         tau, _ = self.TAUS[tau]
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
-        if tau == 0.5 + 0.3j:
+        if tau == self.SKEWED:
             assert self.beyond_clear(cfg, ph)
         j, k, *pair = calogero._pair_arrays(cfg, ph)
         _, *at = lame_array([Z0], ph.q[j] - ph.q[k], cfg.tm, True)
@@ -662,17 +712,19 @@ class TestPairArrays:
 
     def test_collision_same_as_scalar(self, monkeypatch):
         """At n = 8 the first near pair in row order raises, with the scalar
-        loop's pair, argument name and distance.  At 0.5+0.3i the pair
+        loop's pair, argument name and distance.  At SKEWED the pair
         (0, 1) reduces near a corner of the cell, beyond the table's
-        clear: it evaluates, and the near pair still raises."""
-        for tau in (1.3 + 0.6j, 0.5 + 0.3j):
+        clear: it evaluates, and the near pair still raises.  At 0.5+0.3i
+        the series runs at a reduced modulus, and the distances are still
+        those of the lattice of tau."""
+        for tau in (1.3 + 0.6j, self.SKEWED, 0.5 + 0.3j):
             q = np.array([0.05, 0.2 + 0.1j, 0.35, 0.5 - 0.1j, 0.62,
                           0.74 + 0.2j, 0.86, 0.95 - 0.2j])
-            if tau == 0.5 + 0.3j:
+            if tau != 1.3 + 0.6j:
                 q[1] = q[0] + 0.48 + 0.48 * tau
             cfg = CMConfig(8, 0.6, TorusModulus(tau))
             ph = PhasePoint(q, np.zeros(8))
-            if tau == 0.5 + 0.3j:
+            if tau == self.SKEWED:
                 assert self.beyond_clear(cfg, ph)
                 for thr in (10**9, 2):
                     monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)

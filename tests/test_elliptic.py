@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -35,11 +36,17 @@ from ellcm.errors import (
     DegenerateLatticeError,
     PoleProximityError,
     SeriesRangeError,
-    TruncationError,
 )
 from ellcm.rng import SplitMix64
 
-from _oracles import fd6_richardson, fd_central, fd_third_at_0, theta1_direct
+from _oracles import (
+    fd6_richardson,
+    fd_central,
+    fd_third_at_0,
+    theta1_direct,
+    theta1_mp,
+    theta1_poisson,
+)
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
@@ -91,11 +98,33 @@ class TestTheta1:
         rhs = -cmath.exp(-1j * math.pi * (1j + 2 * z)) * theta1(z, TM_I)
         assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
-    def test_truncation_failure_carries_partial(self):
-        # nome close to 1: the tail bound needs more than MAX_TERMS terms
-        with pytest.raises(TruncationError) as err:
-            theta1(0.3, TorusModulus(1e-4j))
-        assert err.value.partial is not None
+    def test_accuracy_at_tiny_tau(self):
+        # tau = 1e-4 i is summed at tau' = 1e4 i, one term, its coefficient
+        # e^{-2500 pi} lifted out of the subnormal range.  theta1 is near
+        # |tau|^{-1/2} = 100 on the ridge (Re z - 1/2)^2 = (Im z)^2, about
+        # 4900 B-periods out; rho, wp and wp' near the imaginary axis.
+        # Against the Poisson-summed series in 40-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        tau = 1e-4j
+        tm = TorusModulus(tau)
+        for z in (0.01 + 0.49j, 0.005 + 0.495j, 2.005 + 0.495j - 3 * tau):
+            t0, t1 = (complex(v) for v in theta1_poisson(z, tau, 2))
+            assert abs(theta1(z, tm) - t0) <= 1e-10 * abs(t0)
+            assert abs(theta1_dz(z, tm) - t1) <= 1e-10 * abs(t1)
+        scale = abs(math.pi / tau)
+        for z in (0.003 + 2e-5j, -0.012 + 4e-5j, 1.004 - 3e-5j):
+            t0, t1, t2, t3 = theta1_poisson(z, tau)
+            r, b, c = t1 / t0, t2 / t0, t3 / t0
+            assert abs(rho(z, tm) - complex(r)) <= 1e-12 * scale
+            assert abs(wp_dz(z, tm) - complex(3 * r * b - c - 2 * r ** 3)
+                       ) <= 1e-12 * scale ** 3
+            assert abs(wp(z, tm) - wp_lattice_oracle(z, tm)) <= (
+                1e-12 * scale ** 2)
+        # where the reduced series leaves the double range: a structured
+        # error, never a wrong number
+        with pytest.raises(SeriesRangeError):
+            theta1(0.3, tm)
 
     def test_external_convention_cross_check(self):
         # paper-normalized theta1(z) equals the classical odd theta with
@@ -187,14 +216,28 @@ class TestTheta1Array:
 
     def test_one_point_as_in_a_batch(self):
         """Each point's sums do not depend on the other points of the call,
-        a lone point included."""
-        tab = _table(TM_I)
-        rng = np.random.default_rng(5)
-        w = rng.uniform(-0.5, 0.5, 2000) + 1j * rng.uniform(-0.5, 0.5, 2000)
-        sums = _series_sums(w, tab, 4)
-        for i in range(w.size):
-            one = _series_sums(w[i:i + 1], tab, 4)
-            assert np.array_equal(one[:, 0], sums[:, i])
+        a lone point included, also at a modulus the series sums at
+        tau' = gamma tau (0.45+0.03i, three terms at tau'), where a lone
+        node of lame_array equals the same node of a batch."""
+        for tau in (1j, 0.45 + 0.03j):
+            tm = TorusModulus(tau)
+            tab = _table(tm)
+            assert (tab.gamma == (1, 0, 0, 1)) == (tau == 1j)
+            rng = np.random.default_rng(5)
+            z = rng.uniform(-3, 3, 2000) + rng.uniform(-3, 3, 2000) * tau
+            w = reduce_to_cell_array(z * tab.w_inv, tab.tau_r)[0]
+            sums = _series_sums(w, tab, 4)
+            for i in range(w.size):
+                one = _series_sums(w[i:i + 1], tab, 4)
+                assert np.array_equal(one[:, 0], sums[:, i])
+            u = [0.1 + 0.2 * tau, 0.3]
+            x, *ratios = lame_array(z, u, tm, True)
+            for i in range(0, z.size, 97):
+                one, *at = lame_array(z[i:i + 1], u, tm, True)
+                assert np.array_equal(one[0], x[i])
+                for got, want in zip(at, ratios):
+                    assert np.array_equal(got[1][0], want[1][i])
+                    assert np.array_equal(got[2][0], want[2][i])
 
     def test_series_overflow_raises(self):
         """A point whose reduced series leaves the double range raises the
@@ -228,10 +271,16 @@ class TestTheta1Product:
         tm = TorusModulus(2j)
         assert abs(theta1_product(1.4, tm) + theta1_product(0.4, tm)) < 1e-12
 
-    def test_truncation_failure(self):
-        with pytest.raises(TruncationError) as err:
-            theta1_product(0.3, TorusModulus(1e-4j))
-        assert err.value.partial is not None
+    def test_accuracy_at_tiny_tau(self):
+        # at tau' = 1e4 i the product has one factor; theta1 on the ridge
+        # of TestTheta1.test_accuracy_at_tiny_tau, against the
+        # Poisson-summed series in 40-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        tm = TorusModulus(1e-4j)
+        for z in (0.01 + 0.49j, 0.005 + 0.495j, -0.998 + 0.502j):
+            want = complex(theta1_poisson(z, 1e-4j, 1)[0])
+            assert abs(theta1_product(z, tm) - want) <= 1e-10 * abs(want)
 
     def test_matches_series_at_random_points(self):
         rng = SplitMix64(5)
@@ -545,37 +594,43 @@ class TestSeriesTable:
         d1 = complex(branch * mp.pi * mp.jtheta(1, 0, q, 1))
         d3 = complex(branch * mp.pi ** 3 * mp.jtheta(1, 0, q, 3))
         tm = TorusModulus(tau)
-        assert abs(_table(tm).dz0 - d1) < 1e-13 * abs(d1)
+        assert abs(theta1_dz_at_0(tm) - d1) < 1e-13 * abs(d1)
         assert abs(theta1_d3z_at_0(tm) - d3) < 1e-13 * abs(d3)
         c = d3 / (3 * d1)
         assert abs(weierstrass_constant(tm) - c) < 1e-13 * abs(c)
 
-    @pytest.mark.parametrize("tau", [0.08j, 0.5 + 0.3j, 1j, -1.4 + 1.6j])
+    @pytest.mark.parametrize("tau", [0.08j, 0.5 + 0.3j, 1j, -1.4 + 1.6j,
+                                     0.77 + 0.8j])
     def test_a_priori_tail_bound(self, tau):
-        # the table's K terms against 30-digit mpmath, on the cell boundary
-        # |Im w| = Im tau / 2 where the bound is tight.  Summed exactly, the
-        # K-term series misses jtheta by its tail, at most REL_TOL times the
-        # leading-term envelope E_d(w); the double-precision sum adds only
-        # rounding, a few ulp of the sum of the term magnitudes (terms reach
-        # 44 E_d at Im tau = 0.08, so rounding alone can exceed 2e-14 E_d)
+        # the table's K terms against 30-digit mpmath at the table's own
+        # modulus tau' (the reduced one at 0.08i and 0.5+0.3i), on the cell
+        # boundary |Im w| = Im tau' / 2 where the bound is tight.  Summed
+        # exactly, the K-term series misses jtheta by its tail, at most
+        # REL_TOL times the leading-term envelope E_d(w); the
+        # double-precision sum adds only rounding, a few ulp of the sum of
+        # the term magnitudes.  The coefficients carry the factor
+        # scale = e^lift (1 here)
         mp = pytest.importorskip("mpmath")
         from ellcm.elliptic import _table, _theta_series_at
         mp.mp.dps = 30
+        tab = _table(TorusModulus(tau))
+        assert len(tab.terms) <= 4
+        scale = mp.exp(tab.lift)
+        tau = tab.tau_r
         tau_mp = mp.mpc(tau)
         q_mp = mp.exp(1j * mp.pi * tau_mp)
         # mpmath takes the principal q^(1/4); ellcm uses exp(i pi tau / 4)
-        branch = mp.exp(1j * mp.pi * tau_mp / 4) / mp.power(q_mp, 0.25)
-        tm = TorusModulus(tau)
-        tab = _table(tm)
-        q = abs(tm.nome)
+        branch = scale * mp.exp(1j * mp.pi * tau_mp / 4) / mp.power(q_mp, 0.25)
+        q = abs(tab.nome_r)
         for a in (-0.5, -0.2, 0.0, 0.35, 0.5):
             for b in (-0.5, 0.5):
                 w = a + b * tau
                 x = mp.pi * mp.mpc(w)
-                envelope = 2 * q ** 0.25 * math.exp(math.pi * abs(w.imag))
+                envelope = (2 * q ** 0.25 * math.exp(math.pi * abs(w.imag))
+                            * float(abs(scale)))
                 for d, s in enumerate(_theta_series_at(w, tab)):
                     # d-th derivative of term k: sin^(d)(y) = sin(y + d pi/2)
-                    terms = [2 * (-1) ** k
+                    terms = [2 * (-1) ** k * scale
                              * mp.exp(1j * mp.pi * tau_mp * (k + 0.5) ** 2)
                              * ((2 * k + 1) * mp.pi) ** d
                              * mp.sin((2 * k + 1) * x + d * mp.pi / 2)
@@ -608,6 +663,10 @@ class TestSeriesTable:
         for tau in (940j, 1000j):
             with pytest.raises(SeriesRangeError, match="underflows"):
                 wp(z, TorusModulus(tau))
+        # S steps reach tau' = 1e4 i from tau = 1e-4 i, whose coefficients
+        # are lifted to e^{-_LOG_MAX/2} (module docstring)
+        assert abs(_table(TorusModulus(1e-4j)).terms[0][1]) == pytest.approx(
+            2 * math.exp(-0.5 * math.log(sys.float_info.max)))
 
 
 class TestKernelsAgainstMpmath:
@@ -686,3 +745,144 @@ class TestKernelsAgainstMpmath:
             want = complex(self._reference(tau, 0.25, z)["wp"])
             err = abs(wp_lattice_oracle(z, tm) - want) / scale
             assert err <= 1e-11, (tau, z, err)
+
+
+class TestModularReduction:
+    """The series summed at tau' = gamma tau, restored by the laws of the
+    module docstring: every kernel against 40-digit mpmath (the
+    Poisson-summed series below Im tau = 0.3, jtheta above), relative to
+    its natural scale |pi/tau|^k where it has one."""
+
+    TAUS = [0.02j, 0.01j, 0.003j, 0.45 + 0.03j, 17.3 + 0.8j]
+
+    @staticmethod
+    def points(tau, count=6):
+        """(u, z) pairs: u in the cell, z in or out of it, z - u clear of
+        the lattice."""
+        rng = SplitMix64(41)
+        out = []
+        while len(out) < count:
+            u = rng.cell_point(tau)
+            z = rng.cell_point(tau) + (len(out) % 3 - 1) * (1 + tau)
+            if lattice_distance(z - u, tau) > 0.1 * abs(tau):
+                out.append((u, z))
+        return out
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_kernels_against_mpmath(self, tau):
+        pytest.importorskip("mpmath")
+        tm = TorusModulus(tau)
+        assert len(_table(tm).terms) <= 4
+        scale = abs(math.pi / tau)
+        d0 = theta1_mp(0.0, tau)
+        wp_c = d0[3] / (3 * d0[1])
+        us, zs = zip(*self.points(tau))
+        x_all, *ratios = lame_array(zs, us, tm, True)
+        for i, (u, z) in enumerate(zip(us, zs)):
+            t = theta1_mp(z, tau)
+            r, b, c = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+            tu, tzu = theta1_mp(u, tau, 2), theta1_mp(z - u, tau, 3)
+            ru, rzu, bzu = tu[1] / tu[0], tzu[1] / tzu[0], tzu[2] / tzu[0]
+            x = complex(tzu[0] * d0[1] / (t[0] * tu[0]))
+            want = {
+                theta1: (complex(t[0]), abs(complex(t[0]))),
+                theta1_dz: (complex(t[1]), abs(complex(t[1]))),
+                rho: (complex(r), scale),
+                wp: (complex(r * r - b + wp_c), scale ** 2),
+                wp_dz: (complex(3 * r * b - c - 2 * r ** 3), scale ** 3),
+            }
+            for fn, (value, size) in want.items():
+                size = max(size, abs(value))
+                assert abs(fn(z, tm) - value) <= 1e-12 * size, (fn, z)
+            y = complex(-x * (ru + rzu))
+            assert abs(lame_x(u, z, tm) - x) <= 1e-12 * abs(x)
+            assert abs(lame_y(u, z, tm) - y) <= 1e-12 * (abs(y) + abs(x)
+                                                         * scale)
+            # lame_array: x, then rho, rho', rho'' at u, z - u and z
+            assert abs(x_all[i, i] - x) <= 1e-12 * abs(x)
+            (_, rho_zu, rho_z), (_, rho_dz_zu, _), (_, _, rho_d2z_z) = ratios
+            assert abs(rho_z[i, 0] - complex(r)) <= 1e-12 * scale
+            assert abs(rho_zu[i, i] - complex(rzu)) <= 1e-12 * scale
+            assert abs(rho_dz_zu[i, i] - complex(bzu - rzu * rzu)) <= (
+                1e-12 * scale ** 2)
+            assert abs(rho_d2z_z[i, 0] + want[wp_dz][0]) <= 1e-12 * max(
+                scale ** 3, abs(want[wp_dz][0]))
+        assert abs(weierstrass_constant(tm) - complex(wp_c)) <= (
+            1e-12 * scale ** 2)
+        assert abs(theta1_dz_at_0(tm) - complex(d0[1])) <= 1e-12 * abs(
+            complex(d0[1]))
+
+    @pytest.mark.parametrize("im", [0.05, 0.02, 0.005])
+    def test_wp_dz_at_small_tau(self, im):
+        """wp' within 1e-10 of its scale |pi/tau|^3 over the whole cell,
+        where the unreduced series lost up to every digit."""
+        pytest.importorskip("mpmath")
+        tau = complex(0.0, im)
+        tm = TorusModulus(tau)
+        rng = SplitMix64(7)
+        for _ in range(12):
+            z = rng.cell_point(tau, margin=0.0) - 0.5 - 0.5 * tau
+            t = theta1_mp(z, tau)
+            r, b, c = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+            want = complex(3 * r * b - c - 2 * r ** 3)
+            assert abs(wp_dz(z, tm) - want) <= 1e-10 * abs(math.pi / tau) ** 3
+
+    @pytest.mark.parametrize("tau", [123.456 + 0.003j,
+                                     0.61803398875 + 1e-5j])
+    def test_skewed_moduli(self, tau):
+        """Where gamma has entries in the hundreds or thousands, c tau + d
+        and a tau + b cancel to Im tau: they are rounded once, from exact
+        integers, or tau' would carry an error that grows with every
+        B-period of the reduced point (1.7e-8 at 123.456+0.003i).  wp
+        against the theta-free lattice oracle, z up to two cells out."""
+        tm = TorusModulus(tau)
+        assert max(map(abs, _table(tm).gamma)) > 100
+        rng = SplitMix64(17)
+        for k in range(20):
+            z = rng.cell_point(tau) + (k % 5 - 2) + (k % 3 - 1) * tau
+            want = wp_lattice_oracle(z, tm)
+            assert abs(wp(z, tm) - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_identity_near_i(self):
+        """gamma is the identity where the reduction saves no term: on
+        Re tau in [-0.05, 0.05], Im tau in [0.95, 1.05], among others."""
+        for re in np.linspace(-0.05, 0.05, 11):
+            for im in np.linspace(0.95, 1.05, 11):
+                tab = _table(TorusModulus(complex(re, im)))
+                assert tab.gamma == (1, 0, 0, 1) and tab.w == 1
+                assert len(tab.terms) == 4
+        for tau in (0.5 + 0.8j, 17.3 + 0.8j, 2j, 880j):
+            assert _table(TorusModulus(tau)).gamma == (1, 0, 0, 1)
+
+    @pytest.mark.parametrize("tau", [0.45 + 0.03j, 0.3 + 0.5j, 0.01 + 0.08j,
+                                     -1.2 + 0.4j])
+    def test_laws(self, tau):
+        """(*) with an eighth root of unity, and the rho, wp, wp' and Lame
+        laws, each against the kernels at tau' itself."""
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        a, b, c, d = tab.gamma
+        assert a * d - b * c == 1 and c != 0
+        w = c * tau + d
+        prime = TorusModulus((a * tau + b) / w)
+        assert _table(prime).gamma == (1, 0, 0, 1)
+        assert abs(prime.tau.real) <= 0.5 + 1e-12 and abs(prime.tau) >= 1.0
+        # C sqrt(w) is an eighth root of unity
+        big_c = theta1_dz_at_0(tm) * w / theta1_dz_at_0(prime)
+        eps = 1.0 / (big_c * cmath.sqrt(w))
+        assert abs(eps ** 8 - 1) < 1e-12
+        assert abs(round(cmath.phase(eps) * 4 / math.pi) * math.pi / 4
+                   - cmath.phase(eps)) < 1e-12
+        u, z = 0.13 + 0.2 * tau, 0.37 + 0.71 * tau + 2
+        scale = abs(math.pi / tau)
+        pairs = [
+            (theta1(z, tm), big_c * cmath.exp(-1j * math.pi * c * z * z / w)
+             * theta1(z / w, prime), 0.0),
+            (rho(z, tm), rho(z / w, prime) / w - TWO_PI_I * c * z / w, scale),
+            (wp(z, tm), wp(z / w, prime) / w ** 2, scale ** 2),
+            (wp_dz(z, tm), wp_dz(z / w, prime) / w ** 3, scale ** 3),
+            (lame_x(u, z, tm), cmath.exp(TWO_PI_I * c * u * z / w) / w
+             * lame_x(u / w, z / w, prime), 0.0),
+        ]
+        for got, law, size in pairs:
+            assert abs(got - law) <= 1e-12 * max(size, abs(got))
