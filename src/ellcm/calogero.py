@@ -24,21 +24,20 @@ with both -dH/dq_j of the Hamiltonian below and the zero-curvature
 equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation
 is the authoritative check and vanishes to rounding by this choice.
 
-Pair sums take one of two paths, chosen by the body count alone.  Below
-ARRAY_PAIRS_FROM bodies, eom, hamiltonian_cm, min_separation and the
-collision check loop over the pairs with one scalar kernel call each.  From
-ARRAY_PAIRS_FROM on they read `_pair_arrays`: rho, rho' or rho'' at all
-n(n-1)/2 separations from one `elliptic._rho_array` pass, the evaluation
-`lame_array` makes for the Lax entries, so wp = c - rho' and wp' = -rho''
-(each sum forms only the ratio it reads, from the series rows it needs):
-a fixed ~40 us of numpy calls, against ~7 us per pair for the scalar path.
-local_expansion and `_wp_dtau_pair_sum` read `_pair_arrays` at every n.
-Measured on whole 16-step tau-flows at tau = 0.02+i (2-CPU x86 host with
-AVX-512, numpy 2.4), array over scalar time is 1.75 at n = 3, 1.22 at
-n = 4, 1.05 at n = 5, 0.83 at n = 6 and 0.54 at n = 8; on t-flows at fixed
-tau it is 1.21 at n = 4 and 0.85 at n = 5.  The two paths agree to
-rounding: at Im tau = 0.08, where wp' cancels terms about 10^3 times its
-size, they differ by ~1e-12 relative, as each does from mpmath.
+Pair sums take one of two paths, chosen by the body count alone, with one
+set of ratio laws (`elliptic._rho_ratios`: wp = c - rho', wp' = -rho'') and
+one order of pole checks (every pair, in row order, before any sum).  Below
+ARRAY_PAIRS_FROM bodies eom and H loop over the pairs (`_pair_points`), each
+reduced once; from it on they read `_pair_arrays`, one `elliptic._rho_array`
+pass like the one `lame_array` makes for the Lax entries.  One pair costs
+~40 us on that pass (reduce 12, sums 18, ratios 8, row sums 5), ~5 us in
+the loop.  On whole 16-sample tau-flows at tau = 0.02+i (2-CPU x86 host
+with AVX-512, numpy 2.4) array over scalar time is 1.31-1.38 at n = 4,
+1.08-1.15 at 5, 0.87-0.96 at 6 and 0.73-0.74 at 7; on t-flows 1.34-1.36,
+0.99-1.07, 0.78-0.80 and 0.63-0.65: the crossover lies between 5 and 6.
+The paths agree to rounding: at Im tau = 0.08, where wp' cancels terms
+~10^3 times its size, they differ by ~1e-12 relative, as each does from
+mpmath.
 """
 
 from __future__ import annotations
@@ -57,13 +56,13 @@ from .elliptic import (
     _lattice_distance_array,
     _reduce_checked_array,
     _rho_array,
+    _rho_points,
     lame_array,
     lattice_distance,
     weierstrass_constant,
     wp,
-    wp_dz,
 )
-from .errors import GaugeSingularityError, PoleProximityError
+from .errors import GaugeSingularityError
 
 Gauge = Literal["quasi_periodic", "periodic"]
 
@@ -149,32 +148,41 @@ def _pairs(ph: PhasePoint):
 
 
 def _separations(ph: PhasePoint):
-    """(j, k, q_j - q_k) of _pairs as arrays, and the name of pair i in a
-    pole error, worded as by the scalar loop."""
-    j, k = _pair_index(ph.n)
-    return j, k, ph.q[j] - ph.q[k], lambda i: f"q[{j[i]}] - q[{k[i]}]"
+    """(j, k, q_j - q_k) of _pairs as arrays, and name(i) of pair i."""
+    j, k, names = _pair_index(ph.n)
+    return j, k, ph.q[j] - ph.q[k], names.__getitem__
 
 
 def _pair_arrays(cfg: CMConfig, ph: PhasePoint, orders=(0, 1, 2)):
     """(j, k, ...) with [rho, rho', rho''][d] for each d in ``orders`` at
     u = q_j - q_k for all pairs of _pairs at once.  Only the theta series
     rows they need are summed: rho needs 2, rho' 3 and rho'' 4.  A pair
-    within POLE_EXCLUSION_RADIUS raises PoleProximityError first, as in
-    _check_separations."""
+    within POLE_EXCLUSION_RADIUS raises PoleProximityError first."""
     j, k, d, name = _separations(ph)
     return (j, k, *_rho_array(d, cfg.tm, name, orders))
 
 
+def _pair_points(cfg: CMConfig, ph: PhasePoint, orders) -> list:
+    """_pair_arrays pair by pair in scalar arithmetic, from
+    `elliptic._rho_points`: (j, k, ...) for each pair of _pairs."""
+    pairs = _pairs(ph)
+    values = _rho_points([d for _, _, d in pairs], cfg.tm,
+                         _pair_index(ph.n)[2].__getitem__, orders)
+    return [(j, k, *v) for (j, k, _), v in zip(pairs, values)]
+
+
 @functools.cache
 def _pair_index(n: int):
-    """(j, k) of the unordered pairs j < k in row order, as index arrays."""
-    return np.triu_indices(n, 1)
+    """(j, k) of the unordered pairs j < k in row order, as index arrays,
+    and the name of each pair in a pole error."""
+    j, k = np.triu_indices(n, 1)
+    return j, k, tuple(f"q[{a}] - q[{b}]" for a, b in zip(j, k))
 
 
 @functools.cache
 def _entry_index(n: int):
     """(rows, cols) of (j, k), then (k, j), for each pair j < k in order."""
-    j, k = _pair_index(n)
+    j, k, _ = _pair_index(n)
     return np.stack([j, k], 1).ravel(), np.stack([k, j], 1).ravel()
 
 
@@ -189,18 +197,11 @@ def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
 
 
 def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
-    # interaction-free configurations have no pole structure to protect
+    """_pair_arrays' pole checks, for the Lax matrices (none at g = 0)."""
     if cfg.g == 0 or ph.n == 1:
         return
-    if ph.n >= ARRAY_PAIRS_FROM:
-        _, _, d, name = _separations(ph)
-        _reduce_checked_array(d, cfg.tm, name)
-        return
-    tau = cfg.tm.tau
-    for j, k, d in _pairs(ph):
-        dist = lattice_distance(d, tau)
-        if dist < POLE_EXCLUSION_RADIUS:
-            raise PoleProximityError(d, f"q[{j}] - q[{k}]", dist)
+    _, _, d, name = _separations(ph)
+    _reduce_checked_array(d, cfg.tm, name)
 
 
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
@@ -272,7 +273,7 @@ def _lax_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
         cfg, z, ph.q[rows] - ph.q[cols])
     ig = 1j * cfg.g
     wp_u = weierstrass_constant(cfg.tm) - rho_dz_u
-    A[np.diag_indices(n)] = ig * _row_sums(n, *_pair_index(n), wp_u[::2],
+    A[np.diag_indices(n)] = ig * _row_sums(n, *_pair_index(n)[:2], wp_u[::2],
                                            wp_u[1::2])
     L[rows, cols] = ig * x
     A[rows, cols] = ig * (-x * (rho_u + rho_zu))
@@ -452,14 +453,13 @@ def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs:
     g^2 times the sum over j < k, as wp is even."""
     total = 0.5 * complex(np.sum(ph.p * ph.p))
-    if cfg.g == 0:
+    if cfg.g == 0 or ph.n == 1:
         return total
+    c = weierstrass_constant(cfg.tm)  # wp = c - rho'
     if ph.n >= ARRAY_PAIRS_FROM:
-        pairs = np.sum(weierstrass_constant(cfg.tm)
-                       - _pair_arrays(cfg, ph, (1,))[2])
+        pairs = np.sum(c - _pair_arrays(cfg, ph, (1,))[2])
     else:
-        _check_separations(cfg, ph)
-        pairs = sum((wp(d, cfg.tm) for _, _, d in _pairs(ph)), 0j)
+        pairs = sum((c - r for _, _, r in _pair_points(cfg, ph, (1,))), 0j)
     return total + cfg.g * cfg.g * complex(pairs)
 
 
@@ -470,18 +470,16 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     tau-flow or use directly for the isospectral t-flow.
     """
     dq = ph.p.copy()
-    if cfg.g == 0:
+    if cfg.g == 0 or ph.n == 1:
         return dq, np.zeros(ph.n, dtype=complex)
     if ph.n >= ARRAY_PAIRS_FROM:
         j, k, rho_d2z = _pair_arrays(cfg, ph, (2,))
         force = _row_sums(ph.n, j, k, -rho_d2z, rho_d2z)  # wp' = -rho''
         return dq, -(cfg.g * cfg.g) * force
-    _check_separations(cfg, ph)
     force = [0j] * ph.n
-    for j, k, d in _pairs(ph):
-        f = wp_dz(d, cfg.tm)  # wp' is odd
-        force[j] += f
-        force[k] -= f
+    for j, k, rho_d2z in _pair_points(cfg, ph, (2,)):
+        force[j] -= rho_d2z  # wp' = -rho'' is odd
+        force[k] += rho_d2z
     return dq, -(cfg.g * cfg.g) * np.array(force)
 
 

@@ -83,10 +83,10 @@ R_K <= a_K / (1 - r_K) once r_K < 1.  K is the smallest integer with
 a_K / (1 - r_K) <= REL_TOL = 1e-14; it depends on tau alone, never on the
 evaluation point (K = 4 for Im tau in [0.7725, 1.3466), 13 at Im tau = 0.08,
 27 at 0.02).  In the fundamental domain Im tau' >= sqrt(3)/2, so
-q <= e^{-pi sqrt(3)/2} ~ 0.066 and K <= 4 at every modulus.  Near tau = i
-the reduction gains nothing (Im tau' <= 1/Im tau < 1.347 there), so
-gamma = 1 and the sums, and every output, are those of the unreduced
-series.
+q <= e^{-pi sqrt(3)/2} ~ 0.066 and K' <= 4.  So tau is reduced exactly
+where Im tau < 0.7725 (`_TERMS_FROM[3]`), as K > 4 there; from that line
+on K <= 4, and Im tau' = Im tau / |c tau + d|^2 is Im tau (c = 0) or at
+most 1 / Im tau < 1.3466, so K' >= K.  Near tau = i, gamma = 1.
 
 The K coefficients 2 (-1)^k nu'^{(k+1/2)^2} ((2k+1) pi)^d (d = 0..3) at
 tau' form a table that is built lazily once per modulus and kept on the
@@ -108,7 +108,8 @@ points are first reduced and pole-checked (`_reduce_checked_array`), and
 `_rho_ratios` turns the sums into rho, rho' and rho''.  That pass serves
 the n-body pair sums (`_rho_array`) and `lame_array`, which gives x(u, z)
 and the same ratios over a grid of nodes z and arguments u: every Lax
-matrix entry is built from it.
+matrix entry is built from it.  Its one-point twin `_rho_points`, for the
+scalar pair loops, pole-checks every point before `_theta_series_at` sums.
 
 Derived kernels:
 
@@ -283,12 +284,6 @@ def _im_for_terms(k: int) -> float:
 _TERMS_FROM = tuple(_im_for_terms(k) for k in (1, 2, 3, 4))
 
 
-def _term_count(im: float) -> int:
-    """K at Im tau = im, and 5 for every K above 4 (Im tau below 0.7725)."""
-    t1, t2, t3, t4 = _TERMS_FROM
-    return 1 + (im < t1) + (im < t2) + (im < t3) + (im < t4)
-
-
 def _affine(k: int, x: float, l: int) -> float:
     """k x + l for integers k, l, correctly rounded (exact in integers)."""
     num, den = x.as_integer_ratio()
@@ -352,17 +347,13 @@ class _SeriesTable:
 
     def __init__(self, tm: TorusModulus):
         tau = tm.tau
-        gamma, log_c = _modular_image(tau)
-        a, b, c, d = gamma
-        w = c * tau + d
-        terms = _term_count(tau.imag)
-        reduced = _term_count(tau.imag / abs(w) ** 2)  # at Im tau'
-        if reduced >= terms:
-            # the reduction saves no term: keep tau as it is
+        if tau.imag >= _TERMS_FROM[3]:
+            # no image needs fewer terms (module docstring): keep tau
             gamma, w, tau_r, nome_r = (1, 0, 0, 1), 1 + 0j, tau, tm.nome
             log_c = 0j
         else:
-            terms = reduced
+            gamma, log_c = _modular_image(tau)
+            a, b, c, d = gamma
             # c tau + d and a tau + b to the last bit: their real parts
             # cancel to |w| ~ Im tau, and an error in tau' would grow with
             # every B-period a point is reduced by
@@ -372,6 +363,8 @@ class _SeriesTable:
             # C sqrt(w) is an eighth root of unity, e^{i pi j/4}
             j = round((log_c + 0.5 * cmath.log(w)).imag * 4.0 / math.pi) % 8
             log_c = 0.25j * math.pi * j - 0.5 * cmath.log(w)
+        t1, t2, t3, _ = _TERMS_FROM  # K <= 4 at tau_r
+        terms = 1 + (tau_r.imag < t1) + (tau_r.imag < t2) + (tau_r.imag < t3)
         self.tau, self.tau_r, self.nome_r, self.gamma, self.w = (
             tau, tau_r, nome_r, gamma, w)
         self.w_inv = 1.0 / w
@@ -620,6 +613,15 @@ def _rho_array(z: np.ndarray, tm: TorusModulus, name, orders=(0, 1, 2)):
                        orders)
 
 
+def _rho_points(z, tm: TorusModulus, name, orders=(0, 1, 2)) -> list:
+    """`_rho_array` one point at a time: each point of the sequence z is
+    reduced once and pole-checked under name(i), all before any sum."""
+    tab = _table(tm)
+    at = [_reduce_checked(p, tab, name(i)) for i, p in enumerate(z)]
+    return [_rho_ratios(_theta_series_at(v, tab), n, zw, tab, orders)
+            for v, _, n, zw in at]
+
+
 def _theta_bundle(z: complex, tm: TorusModulus):
     """(theta1, theta1') at z: theta1(v | tau') times `_theta_factor`, and
     theta1' = theta1 rho."""
@@ -633,9 +635,8 @@ def _theta_bundle(z: complex, tm: TorusModulus):
 
 
 def _reduced_ratios(z: complex, tm: TorusModulus):
-    """The series sums at the reduced v of z (`_reduce_checked`, pole
-    check under "z"), with n, z / w and the table: `_rho_ratios` turns them
-    into rho, rho' and rho''."""
+    """The series sums at the reduced v of z, pole-checked under "z", with
+    n, z / w and the table: what `_rho_ratios` reads."""
     tab = _table(tm)
     v, _, n, zw = _reduce_checked(z, tab, "z")
     return _theta_series_at(v, tab), n, zw, tab

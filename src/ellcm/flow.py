@@ -414,7 +414,7 @@ def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
     differences give the complex derivative).  Closedness of the extended
     form shows up as symplecticity of this parallel transport.
     """
-    n = cfg.n
+    n = ph0.n
 
     def flow_map(y0: np.ndarray) -> np.ndarray:
         traj = integrate_isomonodromic(cfg, _unpack(y0, n), tau_path, icfg,

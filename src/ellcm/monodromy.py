@@ -210,7 +210,7 @@ def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
     on the deep levels that only a tolerance out of reach gets to, so that
     memory stays bounded.
     """
-    n = cfg.n
+    n = ph.n
     h = (b - a) / panels
     starts = (a[:, None] + h[:, None] * np.arange(panels)).reshape(-1)
     steps = np.repeat(h, panels)
@@ -272,7 +272,7 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     """
     for path in paths:
         path.validate(cfg.tm.tau)
-    n = cfg.n
+    n = ph.n
     w = [np.array(path.waypoints) for path in paths]
     a = np.concatenate([x[:-1] for x in w])
     b = np.concatenate([x[1:] for x in w])

@@ -689,16 +689,22 @@ class TestPairArrays:
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_threshold(self, monkeypatch, offset):
-        """One body short of ARRAY_PAIRS_FROM the scalar kernels of eom,
-        H and min_separation run, once per pair; from it on, none of them.
-        local_expansion takes the array path at every n."""
+        """One body short of ARRAY_PAIRS_FROM eom and H reduce and sum each
+        pair once, in scalar arithmetic (`elliptic._rho_points`); from it
+        on, none of them.  lattice_distance runs only in min_separation,
+        once per pair on the scalar path.  local_expansion takes the array
+        path at every n."""
         n = calogero.ARRAY_PAIRS_FROM + offset
         cfg, ph = self.case(n, 1.3 + 0.6j, 7)
         calls = []
-        for name in ("wp", "wp_dz", "lattice_distance"):
-            kernel = getattr(calogero, name)
+        for module, name in ((elliptic, "_reduce_checked"),
+                             (elliptic, "_theta_series_at"),
+                             (elliptic, "lattice_distance"),
+                             (calogero, "lattice_distance"),
+                             (calogero, "wp")):
+            kernel = getattr(module, name)
             monkeypatch.setattr(
-                calogero, name,
+                module, name,
                 lambda *a, kernel=kernel, name=name: (calls.append(name),
                                                       kernel(*a))[1])
         eom(cfg, ph)
@@ -706,9 +712,75 @@ class TestPairArrays:
         local_expansion(cfg, ph)
         min_separation(cfg, ph)
         pairs = n * (n - 1) // 2
-        expect = ({"wp_dz": pairs, "wp": pairs,
-                   "lattice_distance": 3 * pairs} if offset < 0 else {})
+        expect = ({"_reduce_checked": 2 * pairs,
+                   "_theta_series_at": 2 * pairs,
+                   "lattice_distance": pairs} if offset < 0 else {})
         assert {k: calls.count(k) for k in set(calls)} == expect
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("tau", [1j, 1.45 + 0.8j, 0.02 + 0.97j])
+    def test_scalar_pairs_same_bits_as_kernels(self, n, tau):
+        """Below ARRAY_PAIRS_FROM, at moduli the series keeps (gamma = 1),
+        eom is -g^2 times the pair sums of wp' and H is g^2 times those of
+        wp, bit for bit: -rho'' and c - rho' are the kernels' own values."""
+        assert n < calogero.ARRAY_PAIRS_FROM
+        cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag) + 1)
+        assert elliptic._table(cfg.tm).gamma == (1, 0, 0, 1)
+        force, pairs = [0j] * n, 0j
+        for j in range(n):
+            for k in range(j + 1, n):
+                d = complex(ph.q[j] - ph.q[k])
+                f = wp_dz(d, cfg.tm)
+                force[j] += f
+                force[k] -= f
+                pairs += wp(d, cfg.tm)
+        g2 = cfg.g * cfg.g
+        assert np.array_equal(eom(cfg, ph)[1], -g2 * np.array(force))
+        assert hamiltonian_cm(cfg, ph) == (
+            0.5 * complex(np.sum(ph.p * ph.p)) + g2 * pairs)
+
+    @pytest.mark.parametrize("fn", [eom, hamiltonian_cm])
+    def test_scalar_pairs_reduced_once(self, monkeypatch, fn):
+        """Below ARRAY_PAIRS_FROM, eom and H reduce each pair to the cell
+        once: the pole check and the series read the same reduction."""
+        n = calogero.ARRAY_PAIRS_FROM - 1
+        cfg, ph = self.case(n, 1.3 + 0.6j, 11)
+        calls = []
+        reduce = elliptic.reduce_to_cell
+        monkeypatch.setattr(elliptic, "reduce_to_cell",
+                            lambda *a: (calls.append(a), reduce(*a))[1])
+        fn(cfg, ph)
+        assert len(calls) == n * (n - 1) // 2
+
+    def test_one_body_evaluates_nothing(self):
+        """One body has no pairs: eom and H evaluate no series, so a modulus
+        whose table would raise SeriesRangeError (Im tau above ~885) is
+        fine."""
+        cfg = CMConfig(1, 0.5, TorusModulus(1000j))
+        ph = PhasePoint([0.1], [0.3])
+        dq, dp = eom(cfg, ph)
+        assert dq == ph.p and dp == 0
+        assert hamiltonian_cm(cfg, ph) == 0.5 * 0.3 ** 2
+
+    def test_pole_before_overflow(self, monkeypatch):
+        """At tau = 500i a pair whose series overflows comes, in row order,
+        before a pair within POLE_EXCLUSION_RADIUS: every pair is checked
+        before any is summed, so both paths raise the near pair's
+        PoleProximityError, and the same one."""
+        cfg = CMConfig(4, 0.5, TorusModulus(500j))
+        ph = PhasePoint([0.0, 0.3 + 230j, 0.5, 0.5 + 4e-7], np.zeros(4))
+        for fn in (eom, hamiltonian_cm):
+            errors = []
+            for thr in (10**9, 2):
+                monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
+                with pytest.raises(PoleProximityError) as info:
+                    fn(cfg, ph)
+                errors.append(info.value)
+            scalar, array = errors
+            assert scalar.variable == "q[2] - q[3]"
+            assert str(array) == str(scalar)
+            with pytest.raises(SeriesRangeError):
+                fn(cfg, PhasePoint(ph.q[:3], np.zeros(3)))
 
     def test_collision_same_as_scalar(self, monkeypatch):
         """At n = 8 the first near pair in row order raises, with the scalar

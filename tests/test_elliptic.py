@@ -31,7 +31,7 @@ from ellcm.elliptic import (
     wp_general,
     wp_lattice_oracle,
 )
-from ellcm.elliptic import _series_sums, _table
+from ellcm.elliptic import _TERMS_FROM, _modular_image, _series_sums, _table
 from ellcm.errors import (
     DegenerateLatticeError,
     PoleProximityError,
@@ -853,6 +853,27 @@ class TestModularReduction:
                 assert len(tab.terms) == 4
         for tau in (0.5 + 0.8j, 17.3 + 0.8j, 2j, 880j):
             assert _table(TorusModulus(tau)).gamma == (1, 0, 0, 1)
+
+    def test_gamma_by_im_tau_alone(self):
+        """gamma by Im tau alone is the rule that reduces tau where its
+        image in the fundamental domain needs fewer terms: on a seeded grid
+        of moduli that spans the line Im tau = _TERMS_FROM[3], a third of
+        them within 1e-9 of it."""
+        def terms(im):  # K, and 5 for every K above 4
+            return 1 + sum(im < t for t in _TERMS_FROM)
+
+        line = _TERMS_FROM[3]
+        rng = np.random.default_rng(15)
+        ims = np.concatenate([rng.uniform(0.001, 3.0, 2000),
+                              line + rng.uniform(-1e-9, 1e-9, 1000),
+                              [line, math.nextafter(line, 0.0)]])
+        for tau in rng.uniform(-20.0, 20.0, ims.size) + 1j * ims:
+            tau = complex(tau)
+            gamma, _ = _modular_image(tau)
+            a, b, c, d = gamma
+            if terms(tau.imag / abs(c * tau + d) ** 2) >= terms(tau.imag):
+                gamma = (1, 0, 0, 1)
+            assert _table(TorusModulus(tau)).gamma == gamma, tau
 
     @pytest.mark.parametrize("tau", [0.45 + 0.03j, 0.3 + 0.5j, 0.01 + 0.08j,
                                      -1.2 + 0.4j])

@@ -397,6 +397,14 @@ class TestSymplecticJacobian:
                                            (1j + 0.025, 1j + 0.05))
         assert max(first, second) < 10 * max(full, 1e-9)
 
+    def test_size_from_phase_point(self):
+        """The Jacobian takes n from the phase point, as the flow does, not
+        from the configuration."""
+        ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
+        res = [symplectic_jacobian_check(CMConfig(n, 0.35, TM_I), ph,
+                                         (1j, 1.01j)) for n in (3, 2)]
+        assert res[0] == res[1] < 1e-5
+
     def test_canonical_pairing_shape(self):
         omega = canonical_pairing(2)
         u = np.array([1.0, 0.0, 0.0, 0.0])

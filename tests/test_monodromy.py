@@ -265,6 +265,14 @@ class TestCycleMonodromies:
         Mt = monodromy_B(CFG, PH, icfg=TIGHT)
         assert np.isfinite(np.linalg.cond(Mt))
 
+    def test_size_from_phase_point(self):
+        """The transports take n from the phase point, as calogero does,
+        not from the configuration."""
+        got = monodromy_data(CMConfig(3, CFG.g, TM_I), PH)
+        want = monodromy_data(CFG, PH)
+        for name in ("M0", "M1", "Mtau"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestPoleMonodromy:
     def test_g0_identity(self):
