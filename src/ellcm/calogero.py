@@ -10,9 +10,13 @@ G = diag(x(q_1, z), ..., x(q_n, z)), plus a connection diagonal,
 
     L~ = G^{-1} L G - G^{-1} dG/dz,    A~ = G^{-1} A G + 2 pi i G^{-1} dG/dtau.
 
-Every entry of L, A, dA/dz, G and the connection comes from one
-`elliptic.lame_array` evaluation per matrix: at u = q_j - q_k off the
-diagonal (wp(u) = c - rho'(u) on it), at u = q_j for the gauge.
+One builder, `_lax_quasi`, makes the quasi-periodic pair at any set of
+spectral nodes z with one `elliptic.lame_array` call per node set, at
+u = q_j - q_k: L alone (monodromy transport, `lax_L_quasi_batch`), or L,
+A and dA/dz with the A diagonal wp(u) = c - rho'(u) summed once.
+lax_L_quasi, lax_A_quasi and zero_curvature_residual are its one-node
+cases, and quasi_periodicity_check passes z, z+1 and z+tau in one call.
+G and the connections come from one more call, at u = q_j.
 
 Equations of motion (the tau-flow right-hand sides, i.e. 2 pi i dq/dtau
 and 2 pi i dp/dtau):
@@ -218,68 +222,60 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 # Lax matrices, quasi-periodic gauge
 # ----------------------------------------------------------------------
 
-def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """P + i g sum_{j != k} x(q_j - q_k, z) E_jk."""
-    return lax_L_quasi_batch(cfg, ph, [z])[0]
-
-
-def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
-    """lax_L_quasi at every node of the 1-D array z, shape (m, n, n), from
-    one `lame_array` evaluation.  As by lame_x, z - u at a lattice point is
-    a zero of the entry, not a pole: a node within POLE_EXCLUSION_RADIUS of
-    the lattice raises PoleProximityError for "z" before any series sum."""
-    _check_separations(cfg, ph)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    n = ph.n
-    L = np.zeros((z.size, n, n), dtype=complex)
-    L[:, np.arange(n), np.arange(n)] = ph.p
-    if cfg.g == 0 or n == 1:
-        return L
-    rows, cols = _entry_index(n)
-    L[:, rows, cols] = 1j * cfg.g * lame_array(z, ph.q[rows] - ph.q[cols],
-                                               cfg.tm)
-    return L
-
-
-def _lame_at(cfg: CMConfig, z: complex, u: np.ndarray):
-    """lame_array with its ratios at the one node z, as arrays over u: x and
-    the lists rho, rho', rho'' of values at u, z - u and z."""
-    x, *ratios = lame_array([z], u, cfg.tm, True)
-    return x[0], *([v[0] for v in at] for at in ratios)
-
-
-def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
-    """D + i g sum_{j != k} y(q_j - q_k, z) E_jk with
-    D = i g diag(sum_{k != j} wp(q_j - q_k))."""
-    return _lax_quasi_dz(cfg, ph, z)[1]
-
-
-def _lax_quasi_dz(cfg: CMConfig, ph: PhasePoint, z: complex):
-    """(lax_L_quasi, lax_A_quasi, dA/dz) from one `lame_array` evaluation,
-    z - u, u and z pole-checked in that order as by lame_y.  wp(u) =
-    c - rho'(u), and D is z-independent, so only y = -x (rho(u) + rho(z-u))
+def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
+    """L of the quasi-periodic gauge at every node of the 1-D array z, shape
+    (m, n, n), from one `lame_array` evaluation; with ``ratios``, (L, A,
+    dA/dz), each of that shape.  As by lame_x, z - u at a lattice point is
+    a zero of an L entry, not a pole: without ``ratios`` only the nodes are
+    pole-checked, with them z - u, u and z in that order as by lame_y, all
+    before any series sum.  wp(u) = c - rho'(u), and the A diagonal D is
+    z-independent, so it is summed once and only y = -x (rho(u) + rho(z-u))
     differentiates:
 
         dy/dz = -x (rho(z-u) - rho(z)) (rho(u) + rho(z-u)) - x rho'(z-u).
     """
     _check_separations(cfg, ph)
+    z = np.asarray(z, dtype=complex).reshape(-1)
     n = ph.n
-    L, A, dA = np.zeros((3, n, n), dtype=complex)
-    L[np.diag_indices(n)] = ph.p
+    diag = (slice(None), *np.diag_indices(n))
+    L = np.zeros((z.size, n, n), dtype=complex)
+    L[diag] = ph.p
     if cfg.g == 0 or n == 1:
-        return L, A, dA
+        return (L, *np.zeros((2, *L.shape), dtype=complex)) if ratios else L
     rows, cols = _entry_index(n)
-    x, (rho_u, rho_zu, rho_z), (rho_dz_u, rho_dz_zu, _), _ = _lame_at(
-        cfg, z, ph.q[rows] - ph.q[cols])
     ig = 1j * cfg.g
-    wp_u = weierstrass_constant(cfg.tm) - rho_dz_u
-    A[np.diag_indices(n)] = ig * _row_sums(n, *_pair_index(n)[:2], wp_u[::2],
-                                           wp_u[1::2])
-    L[rows, cols] = ig * x
-    A[rows, cols] = ig * (-x * (rho_u + rho_zu))
-    dA[rows, cols] = ig * (-x * (rho_zu - rho_z) * (rho_u + rho_zu)
-                           - x * rho_dz_zu)
+    at = lame_array(z, ph.q[rows] - ph.q[cols], cfg.tm, ratios)
+    if not ratios:
+        L[:, rows, cols] = ig * at
+        return L
+    x, (rho_u, rho_zu, rho_z), (rho_dz_u, rho_dz_zu, _), _ = at
+    A, dA = np.zeros((2, *L.shape), dtype=complex)
+    wp_u = weierstrass_constant(cfg.tm) - rho_dz_u[0]
+    A[diag] = ig * _row_sums(n, *_pair_index(n)[:2], wp_u[::2], wp_u[1::2])
+    L[:, rows, cols] = ig * x
+    A[:, rows, cols] = ig * (-x * (rho_u + rho_zu))
+    dA[:, rows, cols] = ig * (-x * (rho_zu - rho_z) * (rho_u + rho_zu)
+                              - x * rho_dz_zu)
     return L, A, dA
+
+
+def lax_L_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
+    """P + i g sum_{j != k} x(q_j - q_k, z) E_jk."""
+    return _lax_quasi(cfg, ph, [z])[0]
+
+
+def lax_L_quasi_batch(cfg: CMConfig, ph: PhasePoint, z) -> np.ndarray:
+    """lax_L_quasi at every node of the 1-D array z, shape (m, n, n): the
+    L-only case of `_lax_quasi`, one `lame_array` evaluation without
+    ratios, so a node within POLE_EXCLUSION_RADIUS of the lattice raises
+    PoleProximityError for "z" before any series sum."""
+    return _lax_quasi(cfg, ph, z)
+
+
+def lax_A_quasi(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
+    """D + i g sum_{j != k} y(q_j - q_k, z) E_jk with
+    D = i g diag(sum_{k != j} wp(q_j - q_k))."""
+    return _lax_quasi(cfg, ph, [z], True)[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +299,8 @@ def _conjugate(M: np.ndarray, gauge: np.ndarray,
 def _connections(cfg: CMConfig, ph: PhasePoint, z: complex):
     """(g, ell, kappa, y/x, rho, rho', rho'') from one `lame_array`
     evaluation at u = q_j: G's diagonal, the connections ell = -d_z g / g
-    of L~ and kappa of A~ (lax_A_periodic), y/x, and the lists of `_lame_at`
-    at q_j, z - q_j and z.
+    of L~ and kappa of A~ (lax_A_periodic), y/x, and the lists of ratios
+    at q_j, z - q_j and z, each of the one node z.
 
     G must be invertible to change gauge, and x(q_j, z) vanishes where
     z - q_j is a lattice point: before any sum, the first body with z - q_j
@@ -318,11 +314,12 @@ def _connections(cfg: CMConfig, ph: PhasePoint, z: complex):
             raise GaugeSingularityError(
                 f"x(q[{j}], z) vanishes: z - q[{j}] is {dist:.3e} from the "
                 "lattice; the Lame gauge is singular at this spectral point")
-    gauge, rho, rho_dz, rho_d2z = _lame_at(cfg, z, ph.q)
+    x, *at = lame_array([z], ph.q, cfg.tm, True)
+    rho, rho_dz, rho_d2z = ([v[0] for v in r] for r in at)
     y_x = -(rho[0] + rho[1])
     ell = rho[2] - rho[1]
     kappa = rho_dz[1] + y_x * (ph.p + ell)
-    return gauge, ell, kappa, y_x, rho, rho_dz, rho_d2z
+    return x[0], ell, kappa, y_x, rho, rho_dz, rho_d2z
 
 
 def lax_L_periodic(cfg: CMConfig, ph: PhasePoint, z: complex) -> np.ndarray:
@@ -365,11 +362,8 @@ def quasi_periodicity_check(cfg: CMConfig, ph: PhasePoint, z: complex
         A(z+1) = A(z)
         A(z+tau) = E (A(z) + 2 pi i L(z)) E^{-1} - 2 pi i P
     """
-    tau = cfg.tm.tau
-    L0, L1, Lt = lax_L_quasi_batch(cfg, ph, [z, z + 1, z + tau])
-    A0 = lax_A_quasi(cfg, ph, z)
-    A1 = lax_A_quasi(cfg, ph, z + 1)
-    At = lax_A_quasi(cfg, ph, z + tau)
+    (L0, L1, Lt), (A0, A1, At), _ = _lax_quasi(
+        cfg, ph, [z, z + 1, z + cfg.tm.tau], True)
     # E M E^{-1} is M conjugated by diag(exp(-2 pi i q))
     e_inv = np.exp(-TWO_PI_I * ph.q)
     res_L_b = Lt - _conjugate(L0, e_inv, 0.0)
@@ -432,23 +426,6 @@ def residue_eigen(cfg: CMConfig) -> tuple[np.ndarray, np.ndarray]:
 # Hamiltonians and equations of motion
 # ----------------------------------------------------------------------
 
-def _wp_dtau_pair_sum(cfg: CMConfig, ph: PhasePoint) -> complex:
-    """sum_{j < k} d_tau wp(q_j - q_k) at fixed q (flow.hamiltonian_dtau),
-    from `_pair_arrays` at every n."""
-    if ph.n == 1:
-        return 0j
-    _, _, rho, rho_dz, rho_d2z = _pair_arrays(cfg, ph)
-    tau, c = cfg.tm.tau, weierstrass_constant(cfg.tm)
-    g2 = 2.0 * sum(wp(h, cfg.tm) ** 2 for h in (0.5, tau / 2, (1 + tau) / 2))
-    wp_u = c - rho_dz
-    wp_dz2 = 6.0 * wp_u * wp_u - g2 / 2.0
-    # c_tau with E2 = -3 c / pi^2 and E4 = 3 g2 / (4 pi^4)
-    c_tau = -1j * (12.0 * c * c - g2) / (24.0 * math.pi)
-    rho_wp_dz = rho * -rho_d2z
-    return complex(np.sum(c_tau - (2.0 * (c - wp_u) ** 2 - wp_dz2
-                                   - 2.0 * rho_wp_dz) / (2.0 * TWO_PI_I)))
-
-
 def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     """(1/2) sum p_j^2 + (g^2/2) sum_{k != j} wp(q_k - q_j), ordered pairs:
     g^2 times the sum over j < k, as wp is even."""
@@ -461,6 +438,32 @@ def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
     else:
         pairs = sum((c - r for _, _, r in _pair_points(cfg, ph, (1,))), 0j)
     return total + cfg.g * cfg.g * complex(pairs)
+
+
+def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint) -> complex:
+    """dH/dtau at frozen (q, p) in closed form, g^2 sum_{j < k} d_tau wp(u)
+    at u = q_j - q_k from `_pair_arrays` at every n, where by the heat
+    equation 4 pi i d_tau rho = rho'' + 2 rho rho' (rho unreduced),
+    wp = c - rho' and wp'' = 6 wp^2 - g2/2,
+
+        d_tau wp = c_tau - (2 (c - wp)^2 - wp'' - 2 rho wp') / (4 pi i),
+
+    g2 = 2 (e1^2 + e2^2 + e3^2) from wp at the half-periods, and the
+    constant c = -pi^2 E2 / 3 moves by c_tau = -(pi^2 / 3) 2 pi i
+    (E2^2 - E4) / 12 (Ramanujan's dE2/dtau), E4 = 3 g2 / (4 pi^4).
+    """
+    if cfg.g == 0 or ph.n == 1:
+        return 0j
+    _, _, rho, rho_dz, rho_d2z = _pair_arrays(cfg, ph)
+    tau, c = cfg.tm.tau, weierstrass_constant(cfg.tm)
+    g2 = 2.0 * sum(wp(h, cfg.tm) ** 2 for h in (0.5, tau / 2, (1 + tau) / 2))
+    wp_u = c - rho_dz
+    wp_dz2 = 6.0 * wp_u * wp_u - g2 / 2.0
+    c_tau = -1j * (12.0 * c * c - g2) / (24.0 * math.pi)
+    rho_wp_dz = rho * -rho_d2z
+    return cfg.g * cfg.g * complex(np.sum(
+        c_tau - (2.0 * (c - wp_u) ** 2 - wp_dz2 - 2.0 * rho_wp_dz)
+        / (2.0 * TWO_PI_I)))
 
 
 def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -510,7 +513,7 @@ def zero_curvature_residual(cfg: CMConfig, ph: PhasePoint, z: complex,
     """
     if gauge not in ("quasi_periodic", "periodic"):
         raise ValueError(f"unknown gauge {gauge!r}")
-    L, A, dA = _lax_quasi_dz(cfg, ph, z)
+    L, A, dA = (M[0] for M in _lax_quasi(cfg, ph, [z], True))
     dq, dp = eom(cfg, ph)
     L_dot = A * (dq[:, None] - dq) - dA  # 2 pi i dL/dtau
     L_dot[np.diag_indices(ph.n)] = dp

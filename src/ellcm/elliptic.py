@@ -719,10 +719,10 @@ def weierstrass_constant(tm: TorusModulus) -> complex:
 
 
 def wp(z: complex, tm: TorusModulus) -> complex:
-    """Weierstrass wp(z, tau), theta fast path: -rho'(z) + theta1'''(0)/(3 theta1'(0))."""
+    """Weierstrass wp(z, tau) = c - rho'(z), c = theta1'''(0)/(3 theta1'(0)),
+    formed as the pair sums and the A diagonal form it."""
     (s0, s1, s2, _), _, _, tab = _reduced_ratios(z, tm)
-    r, B = s1 / s0, s2 / s0
-    return (r * r - B + _constants(tab)[1]) * tab.w_inv2
+    return _wp_const(tab) - _rho_dz_law(s1 / s0, s2 / s0, tab)
 
 
 def wp_dz(z: complex, tm: TorusModulus) -> complex:

@@ -39,8 +39,8 @@ import numpy as np
 from .calogero import (
     CMConfig,
     PhasePoint,
-    _wp_dtau_pair_sum,
     eom,
+    hamiltonian_dtau,
     min_separation,
 )
 from .elliptic import TWO_PI_I
@@ -354,22 +354,6 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
 # ----------------------------------------------------------------------
 # Extended symplectic 2-form
 # ----------------------------------------------------------------------
-
-def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint) -> complex:
-    """dH/dtau at frozen (q, p) in closed form, g^2 sum_{j < k} d_tau wp(u)
-    at u = q_j - q_k, where by the heat equation 4 pi i d_tau rho = rho''
-    + 2 rho rho' (rho unreduced), wp = c - rho' and wp'' = 6 wp^2 - g2/2,
-
-        d_tau wp = c_tau - (2 (c - wp)^2 - wp'' - 2 rho wp') / (4 pi i),
-
-    g2 = 2 (e1^2 + e2^2 + e3^2) from wp at the half-periods, and the
-    constant c = -pi^2 E2 / 3 moves by c_tau = -(pi^2 / 3) 2 pi i
-    (E2^2 - E4) / 12 (Ramanujan's dE2/dtau), E4 = 3 g2 / (4 pi^4).
-    """
-    if cfg.g == 0:
-        return 0j
-    return cfg.g * cfg.g * _wp_dtau_pair_sum(cfg, ph)
-
 
 def extended_two_form(ph: PhasePoint, tau: complex, u: ExtendedTangent,
                       v: ExtendedTangent, cfg: CMConfig) -> complex:

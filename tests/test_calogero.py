@@ -113,6 +113,19 @@ class TestLaxQuasi:
         assert "q[0] - q[1]" in err.value.variable
 
 
+def _count_lame_array(monkeypatch) -> list:
+    """The ratios flag of each `lame_array` call calogero makes from now."""
+    calls = []
+    real = calogero.lame_array
+
+    def counting(z, u, tm, ratios=False):
+        calls.append(ratios)
+        return real(z, u, tm, ratios)
+
+    monkeypatch.setattr(calogero, "lame_array", counting)
+    return calls
+
+
 class TestQuasiPeriodicity:
     def test_generic_residuals(self):
         rep = quasi_periodicity_check(CFG2, PH2, Z0)
@@ -132,6 +145,22 @@ class TestQuasiPeriodicity:
         rep = quasi_periodicity_check(cfg, ph, Z0)
         assert rep.L_a_cycle == 0.0 and rep.L_b_cycle < 1e-14
         assert rep.max() < 1e-10
+
+    @pytest.mark.parametrize("case", ["n3", "n5-reduced"])
+    def test_one_lame_array_call(self, monkeypatch, case):
+        """The three nodes z, z+1 and z+tau share one `lame_array` call with
+        ratios, and the report equals, bit for bit, the one built from
+        separate lax_L_quasi and lax_A_quasi calls at each node."""
+        cfg, ph = ((CFG3, PH3) if case == "n3"
+                   else TestPairArrays.case(5, 1.3 + 0.6j, 17))
+        nodes = [Z0, Z0 + 1, Z0 + cfg.tm.tau]
+        L = np.stack([lax_L_quasi(cfg, ph, z) for z in nodes])
+        A = np.stack([lax_A_quasi(cfg, ph, z) for z in nodes])
+        calls = _count_lame_array(monkeypatch)
+        report = quasi_periodicity_check(cfg, ph, Z0)
+        assert calls == [True]
+        monkeypatch.setattr(calogero, "_lax_quasi", lambda *args: (L, A, None))
+        assert quasi_periodicity_check(cfg, ph, Z0) == report
 
 
 class TestGauge:
@@ -379,6 +408,12 @@ class TestLaxQuasiBatch:
             assert np.array_equal(batch[i][~nz], scalar[~nz])
             rel = np.abs(batch[i][nz] - scalar[nz]) / np.abs(scalar[nz])
             assert rel.max() <= 1e-13
+
+    def test_one_call_without_ratios(self, monkeypatch):
+        """Monodromy's hot path: one `lame_array` call, x alone."""
+        calls = _count_lame_array(monkeypatch)
+        lax_L_quasi_batch(CFG3, PH3, np.array([Z0, 0.3, 0.1 + 0.4j]))
+        assert calls == [False]
 
     def test_g_zero_and_n1_diagonal(self):
         z = np.array([Z0, 0.0])  # no kernel is evaluated, not even at 0
@@ -718,14 +753,17 @@ class TestPairArrays:
         assert {k: calls.count(k) for k in set(calls)} == expect
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("tau", [1j, 1.45 + 0.8j, 0.02 + 0.97j])
+    @pytest.mark.parametrize("tau", [1j, 1.45 + 0.8j, 0.02 + 0.97j,
+                                     0.2 + 0.6j])
     def test_scalar_pairs_same_bits_as_kernels(self, n, tau):
-        """Below ARRAY_PAIRS_FROM, at moduli the series keeps (gamma = 1),
-        eom is -g^2 times the pair sums of wp' and H is g^2 times those of
-        wp, bit for bit: -rho'' and c - rho' are the kernels' own values."""
+        """Below ARRAY_PAIRS_FROM eom is -g^2 times the pair sums of wp' and
+        H is g^2 times those of wp, bit for bit: -rho'' and c - rho' are
+        the kernels' own values, at moduli the series keeps (gamma = 1) and
+        at one it reduces (0.2+0.6i)."""
         assert n < calogero.ARRAY_PAIRS_FROM
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag) + 1)
-        assert elliptic._table(cfg.tm).gamma == (1, 0, 0, 1)
+        kept = elliptic._table(cfg.tm).gamma == (1, 0, 0, 1)
+        assert kept == (tau.imag >= 0.7725)
         force, pairs = [0j] * n, 0j
         for j in range(n):
             for k in range(j + 1, n):
@@ -880,6 +918,11 @@ def _scalar_lax(cfg, ph, z):
             "Lp": (Lp, 0.0), "Ap": (Ap, wp_scale)}
 
 
+def _lax_quasi_at(cfg, ph, z):
+    """(L, A, dA/dz) at the one node z: the Lax builder's one-node case."""
+    return tuple(M[0] for M in calogero._lax_quasi(cfg, ph, [z], True))
+
+
 def _flat(values):
     """lame_array's x and ratios, each list of ratios flattened."""
     return [values[0], *(v for at in values[1:] for v in at)]
@@ -901,7 +944,7 @@ class TestLaxEntries:
 
     @staticmethod
     def built(cfg, ph, z):
-        L, A, dA = calogero._lax_quasi_dz(cfg, ph, z)
+        L, A, dA = _lax_quasi_at(cfg, ph, z)
         return {"L": lax_L_quasi(cfg, ph, z), "L with A": L, "A": A,
                 "dA": dA, "Lp": lax_L_periodic(cfg, ph, z),
                 "Ap": lax_A_periodic(cfg, ph, z)}
@@ -945,7 +988,7 @@ class TestLaxEntries:
         z = ph.q[0] - ph.q[1] + 1.0 - 2.0 * TM_I.tau
         L = lax_L_quasi(CFG3, ph, z)
         assert abs(L[0, 1]) < 1e-14
-        for fn in (lax_A_quasi, calogero._lax_quasi_dz):
+        for fn in (lax_A_quasi, _lax_quasi_at):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, ph, z)
             assert info.value.variable == "z - u"
@@ -956,7 +999,7 @@ class TestLaxEntries:
 
     def test_node_at_pole(self):
         z = 2.0 - TM_I.tau + 0.5 * POLE_EXCLUSION_RADIUS
-        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_quasi_dz,
+        for fn in (lax_L_quasi, lax_A_quasi, _lax_quasi_at,
                    lax_L_periodic, lax_A_periodic):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, PH3, z)
@@ -965,7 +1008,7 @@ class TestLaxEntries:
 
     def test_collision_names_pair(self):
         ph = PhasePoint([0.2, 0.45 + 0.2j, 1.2 + 1j + 1e-8], [0.1, 0, -0.1])
-        for fn in (lax_L_quasi, lax_A_quasi, calogero._lax_quasi_dz,
+        for fn in (lax_L_quasi, lax_A_quasi, _lax_quasi_at,
                    lax_L_periodic, lax_A_periodic):
             with pytest.raises(PoleProximityError) as info:
                 fn(CFG3, ph, Z0)
@@ -985,7 +1028,7 @@ class TestLaxEntries:
             n = ph.n
             zero = np.zeros((n, n))
             assert np.array_equal(lax_L_quasi(cfg, ph, Z0), np.diag(ph.p))
-            _, A, dA = calogero._lax_quasi_dz(cfg, ph, Z0)
+            _, A, dA = _lax_quasi_at(cfg, ph, Z0)
             assert np.array_equal(A, zero) and np.array_equal(dA, zero)
             expect = _scalar_lax(cfg, ph, Z0)
             for name, got in self.built(cfg, ph, Z0).items():

@@ -6,14 +6,15 @@
 # PARENT_TREE is any source tree of ellcm, for example the parent commit
 # unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.  The script
 # runs the CLI commands of README.md, every verify suite at its default
-# arguments, the quasi-periodicity and zero-curvature suites at 5 bodies,
-# the zero-curvature suite at 8 bodies, the JSON output of eval, verify, flow
-# and map, the flows and the symmetry README.md does not show, three kernels
-# at small Im tau, a flow at 3 bodies and a reduced modulus, whose eom and H
-# run on the scalar pair path, and flows at 5 and 8 bodies, whose eom and H
-# run on the array pair path, once per tree, each with that tree's src/ on
-# PYTHONPATH and in an empty working directory, and compares stdout, stderr
-# and the exit code byte for byte.
+# arguments, the quasi-periodicity suite at 3 and 5 bodies, the
+# zero-curvature suite at 5 and 8 bodies, the JSON output of eval, verify,
+# flow and map, the flows and the symmetry README.md does not show, four
+# kernels at small Im tau (wp among them, at a reduced modulus), a flow at 3
+# bodies and a reduced modulus, whose eom and H run on the scalar pair path,
+# and flows at 5 and 8 bodies, whose eom and H run on the array pair path,
+# once per tree, each with that tree's src/ on PYTHONPATH and in an empty
+# working directory, and compares stdout, stderr and the exit code byte for
+# byte.
 # It prints one line per command and exits 0 when every command agrees, 1
 # when one differs (the outputs are then kept and their directory is
 # printed) and 2 on a usage error.
@@ -34,10 +35,10 @@ for suite in $(PYTHONPATH="$here/src" python3 -c \
         'from ellcm.verify import SUITES; print(*SUITES)'); do
     commands+=("verify $suite")
 done
-# the Lax pair from ARRAY_PAIRS_FROM = 5 bodies, where the pair sums run on
-# arrays, and at 8 and 9 bodies, where its entries reach ~1e3
-commands+=("verify quasi-periodicity --n 5" "verify zero-curvature --n 5"
-           "verify zero-curvature --n 8")
+# the Lax pair at 3 bodies, from ARRAY_PAIRS_FROM = 5 bodies, where the pair
+# sums run on arrays, and at 8 and 9 bodies, where its entries reach ~1e3
+commands+=("verify quasi-periodicity --n 3" "verify quasi-periodicity --n 5"
+           "verify zero-curvature --n 5" "verify zero-curvature --n 8")
 # the JSON branch of the writer
 commands+=("eval wp --z 0.3 --tau 1.0i --format json"
            "verify lame-identities --count 5 --format json"
@@ -51,7 +52,8 @@ commands+=("flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 0.05+1.0i --q 
 # gamma tau
 commands+=("eval wp-dz --z 0.23+0.0074i --tau 0.02i"
            "eval lame-y --u 0.3 --z 0.2+0.01i --tau 0.01+0.08i"
-           "eval theta1 --z 0.2+0.01i --tau 0.45+0.03i")
+           "eval theta1 --z 0.2+0.01i --tau 0.45+0.03i"
+           "eval wp --z 0.2+0.01i --tau 0.45+0.03i")
 # eom and H on the scalar pair path, below ARRAY_PAIRS_FROM = 5 bodies, at
 # a modulus the series reduces (Im tau below 0.7725)
 commands+=("flow isomonodromic --n 3 --g 0.5 --tau 0.2+0.6i --tau-end 0.2+0.62i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3,0.1")
