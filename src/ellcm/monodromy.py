@@ -6,8 +6,16 @@ at the zeros of x(q_j, z)).  With Psi(base) = identity,
 
     M1   = Psi(base + 1)                      (A cycle)
     Mtau = exp(-2 pi i Q) Psi(base + tau)     (B cycle, twist Q = diag(q))
-    M0   = transport around a positively oriented loop at the pole z = 0,
-           entered radially from the base point.
+    M0   = Psi_leg^{-1} Psi_poly Psi_leg      (pole loop)
+
+for a positively oriented loop at the pole z = 0: Psi_leg transports along
+the radial leg from the base point to the entry vertex of a polygon of
+POLE_LOOP_SEGMENTS sides around 0, and Psi_poly once around that polygon,
+from the entry vertex back to it.  The loop base -> polygon -> base returns
+along the leg reversed, whose transport is exactly Psi_leg^{-1}, so the leg
+is transported once and M0 formed by one linear solve.  At small radii
+the leg takes nearly all the panels of the loop (L ~ 1/z at its inner
+end), so this about halves the cost of M0 there.
 
 Orientation bookkeeping for the cubic relation: translating the A segment
 by tau conjugates its transport by exp(2 pi i Q), and composing the four
@@ -32,7 +40,12 @@ the three Gauss-Legendre nodes, giving A1, A2, A3, and
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240;
 
 the panel propagator exp(Omega) comes from scaling and squaring, and the
-panels are multiplied as a tree, later panels on the left.  L depends on z
+panels are multiplied as a tree, later panels on the left.  The stacks of
+panel matrices are laid out (n, n, P), the P panels on the last axis, and
+every product sums x[:, j] y[j, :] over j, n elementwise products of whole
+rows (`_mul`): numpy's batched `@` costs about 0.25 us per small matrix,
+the elementwise sums about 25 ns (2 x 2 complex, 288 panels: 73 us
+against 7 us on one core of an x86-64 host).  L depends on z
 alone, so every node is known in advance: the nodes of all open segments
 go into one `lax_L_quasi_batch` call per refinement level.  N starts at
 PANELS = 4; every segment is transported with N and 2N panels and is
@@ -44,7 +57,9 @@ estimating it.  Commutators are traceless and tr L = sum p, so
 tr Omega = h sum p exactly and det Psi = exp((b - a) sum p) up to
 rounding; the identities det M0 = 1, det M1 = exp(sum p) and
 det Mtau = exp(-2 pi i sum q) exp(tau sum p) are therefore a free monitor
-of the transport.
+of the transport.  The polygon is closed, so the steps of its sides sum to
+zero and det Psi_poly = 1; the conjugation by Psi_leg keeps the
+determinant, so det M0 = 1 holds whatever the leg's transport error.
 
 `monodromy_data` runs one refinement loop for all three cycles (pole
 loop, A, B): a triple costs as many L calls, Magnus batches and tree
@@ -79,10 +94,10 @@ _EPS = np.finfo(float).eps
 _SQRT15 = math.sqrt(15.0)
 #: Gauss-Legendre nodes of order 6 on [0, 1].
 _GL_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
-#: Taylor coefficients 1/j! of exp, j = 0..16, as rows of four (the
+#: Taylor coefficients 1/j! of exp, j = 0..15, as rows of four (the
 #: cubic blocks of the Paterson-Stockmeyer scheme in `_expm`).
-_EXP_COEFFS = np.array([[1.0 / math.factorial(4 * i + r) if 4 * i + r <= 16
-                         else 0.0 for r in range(4)] for i in range(5)])
+_EXP_COEFFS = np.array([[1.0 / math.factorial(4 * i + r) for r in range(4)]
+                        for i in range(4)])
 
 
 @dataclass(frozen=True)
@@ -156,41 +171,54 @@ def default_base(tau: complex) -> complex:
     return (1.0 + tau) / 4.0
 
 
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of each pair of matrices in the stacks x and y, laid out
+    (n, n, ...) with the stack on the trailing axes: the sum over j of
+    x[:, j] y[j, :], one elementwise product per j."""
+    z = x[:, 0, None] * y[0]
+    for j in range(1, x.shape[1]):
+        z += x[:, j, None] * y[j]
+    return z
+
+
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+    return _mul(x, y) - _mul(y, x)
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
-    """exp of each matrix in the stack x, by scaling and squaring.
+    """exp of each matrix in the stack x of shape (n, n, P), by scaling and
+    squaring.
 
     Each matrix is scaled by 2^-s to 1-norm at most 1/2, where the
     degree-16 Taylor polynomial is exact to 4e-20 relative, and then
     squared s times.  The polynomial is evaluated by Paterson-Stockmeyer,
-    as a polynomial in x^4 whose coefficients are cubics in x: seven
-    matrix products.
+    as a polynomial in x^4 whose coefficients are cubics in x, the x^16
+    term added to the last of them: six matrix products.
     """
-    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    norm = np.abs(x).sum(axis=0).max(axis=0)
     s = np.maximum(np.frexp(2.0 * norm)[1], 0)
-    x = x / np.ldexp(1.0, s)[:, None, None]
-    x2 = x @ x
-    powers = np.stack([np.broadcast_to(np.eye(x.shape[-1]), x.shape),
-                       x, x2, x2 @ x])
-    x4 = x2 @ x2
+    x = x / np.ldexp(1.0, s)
+    x2 = _mul(x, x)
+    powers = np.stack([np.broadcast_to(np.eye(len(x))[:, :, None], x.shape),
+                       x, x2, _mul(x2, x)])
+    x4 = _mul(x2, x2)
     blocks = np.tensordot(_EXP_COEFFS, powers, axes=1)
-    e = blocks[-1]
+    e = blocks[-1] + x4 / math.factorial(16)
     for block in blocks[-2::-1]:
-        e = e @ x4 + block
+        e = _mul(e, x4) + block
     for k in range(int(s.max(initial=0))):
         sq = s > k
-        e[sq] = e[sq] @ e[sq]
+        es = e[..., sq]
+        e[..., sq] = _mul(es, es)
     return e
 
 
 def _magnus(L: np.ndarray, h: np.ndarray) -> np.ndarray:
     """exp(Omega) of each panel from L at its three Gauss-Legendre nodes,
-    L of shape (P, 3, n, n), panel steps h of shape (P,)."""
-    h = h[:, None, None]
-    A1, A2, A3 = L[:, 0], L[:, 1], L[:, 2]
+    L of shape (P, 3, n, n) as `lax_L_quasi_batch` returns it, panel steps
+    h of shape (P,); the result is laid out (n, n, P)."""
+    # one copy into the layout, so that every later pass reads whole rows
+    A1, A2, A3 = np.ascontiguousarray(np.moveaxis(L, (0, 1), (-1, 0)))
     a1 = h * A2
     a2 = (_SQRT15 / 3.0) * h * (A3 - A1)
     a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
@@ -204,17 +232,18 @@ def _magnus(L: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
                         b: np.ndarray, panels: int) -> np.ndarray:
     """Magnus transport over each segment [a_i, b_i] cut into ``panels``
-    (a power of two) uniform panels.
+    (a power of two) uniform panels, shape (segments, n, n).
 
     The nodes of all segments go into one L call, or one per _CHUNK panels
     on the deep levels that only a tolerance out of reach gets to, so that
-    memory stays bounded.
+    memory stays bounded.  The panels are laid out (n, n, segments,
+    panels) for the Magnus step and the tree product.
     """
     n = ph.n
     h = (b - a) / panels
     starts = (a[:, None] + h[:, None] * np.arange(panels)).reshape(-1)
     steps = np.repeat(h, panels)
-    U = np.empty((starts.size, n, n), dtype=complex)
+    U = np.empty((n, n, starts.size), dtype=complex)
     for i in range(0, starts.size, _CHUNK):
         part = slice(i, i + _CHUNK)
         nodes = starts[part, None] + steps[part, None] * _GL_NODES
@@ -225,11 +254,11 @@ def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
             seg = (i + hit[0]) // panels if hit.size else 0
             raise PathError(f"transport truncated on segment "
                             f"[{a[seg]}, {b[seg]}]: {exc}") from exc
-        U[part] = _magnus(L.reshape(-1, 3, n, n), steps[part])
-    U = U.reshape(len(a), panels, n, n)
-    while U.shape[1] > 1:  # tree product, later panels on the left
-        U = U[:, 1::2] @ U[:, 0::2]
-    return U[:, 0]
+        U[..., part] = _magnus(L.reshape(-1, 3, n, n), steps[part])
+    U = U.reshape(n, n, len(a), panels)
+    while U.shape[-1] > 1:  # tree product, later panels on the left
+        U = _mul(U[..., 1::2], U[..., 0::2])
+    return np.moveaxis(U[..., 0], -1, 0)
 
 
 def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
@@ -247,20 +276,21 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     PathError when a node meets a pole or the bodies collide, instead of
     returning a partial Psi.
     """
-    return _transport_paths(cfg, ph, (path,), icfg)[0]
+    return _product(_transport_paths(cfg, ph, (path,), icfg)[0])
 
 
 def _transport_paths(cfg: CMConfig, ph: PhasePoint,
                      paths: tuple[PathSpec, ...],
                      icfg: IntegratorConfig) -> list[np.ndarray]:
-    """`transport` along each of the paths, in one refinement loop.
+    """The transports of every segment of each path, first segment first,
+    as one (segments, n, n) stack per path, in one refinement loop.
 
     The segments of all paths are refined together: each level transports
     every segment still open, of whichever path, in one
     `_segment_transports` call.  A segment's result, its acceptance and its
-    stagnation test do not depend on the other segments, so each Psi is
-    the one `transport` gives for its path alone; max_steps budgets the
-    panels of each path separately.
+    stagnation test do not depend on the other segments, so each stack is
+    the one the path alone gives; max_steps budgets the panels of each
+    path separately.
 
     Errors therefore come in level order, not path order: every path is
     validated before any transport, and then each level raises, in this
@@ -305,13 +335,16 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
             active, fine, last = active[~ok], fine[~ok], err[~ok]
         coarse = fine
         panels *= 2
-    psis = []
-    for p in range(len(paths)):
-        psi = np.eye(n, dtype=complex)
-        for U in done[owner == p]:
-            psi = U @ psi
-        psis.append(psi)
-    return psis
+    return [done[owner == p] for p in range(len(paths))]
+
+
+def _product(U: np.ndarray) -> np.ndarray:
+    """Psi at the end of a path from its segments' transports U, later
+    segments on the left."""
+    psi = U[0]
+    for u in U[1:]:
+        psi = u @ psi
+    return psi
 
 
 def _straight(a: complex, b: complex) -> PathSpec:
@@ -324,21 +357,33 @@ def _twisted(ph: PhasePoint, psi: np.ndarray) -> np.ndarray:
 
 
 def _pole_loop(base: complex, radius: float) -> PathSpec:
-    """base -> a positively oriented polygon of POLE_LOOP_SEGMENTS sides and
-    the given radius around z = 0, entered radially -> base."""
+    """The radial leg from the base point to the entry vertex, then the
+    positively oriented polygon of POLE_LOOP_SEGMENTS sides and the given
+    radius around z = 0, closed exactly at the entry vertex.
+
+    Leg and polygon are one path, so they share the pole cycle's panel
+    budget; `_pole_monodromy` conjugates the polygon's transport by the
+    leg's instead of transporting the leg back.
+    """
     if not (1e-3 < radius < 0.3):
         raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
-    entry = radius * base / abs(base)
-    phase0 = math.atan2(entry.imag, entry.real)
+    phase0 = math.atan2(base.imag, base.real)
     step = 2 * math.pi / POLE_LOOP_SEGMENTS
-    circle = [radius * complex(math.cos(phase0 + step * k),
-                               math.sin(phase0 + step * k))
-              for k in range(POLE_LOOP_SEGMENTS + 1)]
-    circle[-1] = entry  # close the polygon exactly
-    waypoints = [base] + circle + [base]
+    polygon = [radius * complex(math.cos(phase0 + step * k),
+                                math.sin(phase0 + step * k))
+               for k in range(POLE_LOOP_SEGMENTS)]
     # Clearance along the loop is bounded by the polygon's chord sag; use a
     # guard well below the radius.
-    return PathSpec(tuple(waypoints), pole_clearance=min(0.5 * radius, 1e-2))
+    return PathSpec((base, *polygon, polygon[0]),
+                    pole_clearance=min(0.5 * radius, 1e-2))
+
+
+def _pole_monodromy(U: np.ndarray) -> np.ndarray:
+    """M0 = Psi_leg^{-1} Psi_poly Psi_leg from the segment transports of
+    `_pole_loop`, the leg first: the loop base -> polygon -> base with the
+    return leg the inbound leg reversed."""
+    leg = U[0]
+    return np.linalg.solve(leg, _product(U[1:]) @ leg)
 
 
 def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
@@ -365,10 +410,16 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
                    base: complex | None = None,
                    icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
-    entered radially from the base point, reported in the base frame."""
+    entered radially from the base point, reported in the base frame.
+
+    The radial leg is transported once, inbound, and the polygon's
+    transport is conjugated by it (`_pole_monodromy`); this equals the
+    transport around base -> polygon -> base up to the transport error.
+    """
     if base is None:
         base = default_base(cfg.tm.tau)
-    return transport(cfg, ph, _pole_loop(base, radius), icfg)
+    return _pole_monodromy(_transport_paths(
+        cfg, ph, (_pole_loop(base, radius),), icfg)[0])
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
@@ -380,10 +431,11 @@ def monodromy_data(cfg: CMConfig, ph: PhasePoint,
     tau = cfg.tm.tau
     if base is None:
         base = default_base(tau)
-    M0, M1, psi_b = _transport_paths(
+    U0, U1, Ub = _transport_paths(
         cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
                   _straight(base, base + tau)), icfg)
-    return MonodromyData(M0=M0, M1=M1, Mtau=_twisted(ph, psi_b),
+    return MonodromyData(M0=_pole_monodromy(U0), M1=_product(U1),
+                         Mtau=_twisted(ph, _product(Ub)),
                          base_point=complex(base), Q=np.diag(ph.q))
 
 

@@ -21,8 +21,12 @@ from ellcm.errors import (
 from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     PANELS,
+    POLE_LOOP_SEGMENTS,
     MonodromyData,
     PathSpec,
+    _expm,
+    _mul,
+    _pole_loop,
     _segment_lattice_distances,
     _segment_transports,
     cubic_relation_residual,
@@ -46,6 +50,8 @@ CFG0 = CMConfig(2, 0.0, TM_I)
 PH0 = PhasePoint([0.13 + 0.04j, 0.61 - 0.09j], [0.37 - 0.21j, -0.52 + 0.33j])
 CFG = CMConfig(2, 0.35, TM_I)
 PH = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31 - 0.12j, -0.45 + 0.22j])
+#: Segments of the pole loop's path: the radial leg and the polygon.
+POLE_SEGMENTS = POLE_LOOP_SEGMENTS + 1
 
 
 class TestPathSpec:
@@ -218,8 +224,8 @@ class TestMagnusTransport:
         assert time.perf_counter() - t0 < 0.3
 
     def test_slow_convergence_is_not_stagnation(self):
-        # the radial legs of a radius-0.002 pole loop converge only at 8192
-        # panels, their difference falling at every level on the way
+        # the radial leg of a radius-0.002 pole loop converges only at 8192
+        # panels, its difference falling at every level on the way
         small = monodromy_pole(self.CFG3, self.PH3, 0.002, icfg=TIGHT)
         large = monodromy_pole(self.CFG3, self.PH3, 0.1, icfg=TIGHT)
         assert np.max(np.abs(small - large)) < 1e-10
@@ -236,6 +242,47 @@ class TestMagnusTransport:
         path = PathSpec((0.25 + 0.25j, 0.6 + 0.6j, 1.2 + 0.4j))
         with pytest.raises(PathError, match=r"segment \[\(0\.6\+0\.6j\)"):
             transport(CFG, PH, path, TIGHT)
+
+
+class TestStackProducts:
+    """The Magnus step's matrix arithmetic on stacks laid out (n, n, P)."""
+
+    #: 1-norms of the stack's matrices: scaling exponents 0, 0, 1, 3 and 5
+    NORMS = (0.05, 0.3, 0.7, 2.5, 9.0)
+    EPS = np.finfo(float).eps
+
+    def _stack(self, n, seed, size):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(n, n, *size))
+                + 1j * rng.normal(size=(n, n, *size)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_expm_against_mpmath(self, n):
+        import mpmath as mp
+        x = self._stack(n, 100 + n, (len(self.NORMS),))
+        norm = np.abs(x).sum(axis=0).max(axis=0)
+        x *= np.array(self.NORMS) / norm
+        s = np.maximum(np.frexp(2.0 * np.array(self.NORMS))[1], 0)
+        assert len(set(s)) >= 3 and s.max() >= 1  # mixed, squaring runs
+        got = _expm(x)
+        mp.mp.dps = 30
+        for k, sk in enumerate(s):
+            want = mp.expm(mp.matrix(x[:, :, k].tolist()))
+            want = np.array(want.tolist(), dtype=complex)
+            err = np.max(np.abs(got[:, :, k] - want)) / np.max(np.abs(want))
+            assert err <= 32 * (1 + sk) * self.EPS
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("size", [(7,), (3, 4)], ids=["P", "tree"])
+    def test_product_equals_matmul(self, n, size):
+        x, y = self._stack(n, n, size), self._stack(n, 10 + n, size)
+        want = np.moveaxis(np.moveaxis(x, (0, 1), (-2, -1))
+                           @ np.moveaxis(y, (0, 1), (-2, -1)),
+                           (-2, -1), (0, 1))
+        got = _mul(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 8 * n * self.EPS * np.max(
+            np.abs(x)) * np.max(np.abs(y))
 
 
 class TestCycleMonodromies:
@@ -295,6 +342,34 @@ class TestPoleMonodromy:
             monodromy_pole(CFG, PH, 0.5)
         with pytest.raises(ValueError):
             monodromy_pole(CFG, PH, 1e-4)
+
+
+class TestOneLegPoleLoop:
+    """M0 = Psi_leg^{-1} Psi_poly Psi_leg against the transport along the
+    whole loop base -> polygon -> base."""
+
+    @pytest.mark.parametrize("case", ["n2", "n3"])
+    @pytest.mark.parametrize("radius", [0.1, 0.01, 0.002])
+    def test_equals_transport_around_the_loop(self, case, radius):
+        cfg, ph = ((CFG, PH) if case == "n2"
+                   else (TestMagnusTransport.CFG3, TestMagnusTransport.PH3))
+        md = monodromy_data(cfg, ph, TIGHT, radius=radius)
+        loop = _pole_loop(md.base_point, radius)
+        assert loop.waypoints[0] == md.base_point
+        assert loop.waypoints[1] == loop.waypoints[-1]  # closed polygon
+        full = transport(cfg, ph, PathSpec(
+            loop.waypoints + (md.base_point,), loop.pole_clearance), TIGHT)
+        tol = TIGHT.abs_tol + TIGHT.rel_tol * np.max(np.abs(full))
+        assert np.max(np.abs(md.M0 - full)) <= tol
+        # det M0 = 1 and the cubic relation are no worse than along the
+        # whole loop, up to the rounding both carry (|det - 1| of either
+        # is 1e-15 to 4e-14 at these radii, its cubic residual ~1e-12)
+        det_err = abs(np.linalg.det(md.M0) - 1.0)
+        assert det_err <= max(abs(np.linalg.det(full) - 1.0),
+                              256 * np.finfo(float).eps)
+        held = MonodromyData(full, md.M1, md.Mtau, md.base_point, md.Q)
+        assert cubic_relation_residual(md) <= 2 * cubic_relation_residual(
+            held)
 
 
 class TestCubicRelation:
@@ -571,11 +646,12 @@ class TestMergedTransport:
 
     @pytest.mark.parametrize("cycle", ["A", "B"])
     def test_pole_node_names_segment_of_its_path(self, cycle, monkeypatch):
-        # the first level holds the 34 segments of the pole loop, then the
-        # A cycle's one segment, then the B cycle's: a node of the chosen
-        # cycle meets a pole
+        # the first level holds the pole loop's leg and polygon sides, then
+        # the A cycle's one segment, then the B cycle's: a node of the
+        # chosen cycle meets a pole
         import ellcm.monodromy as mono
-        first = 3 * PANELS * (34 if cycle == "A" else 35)
+        first = 3 * PANELS * (POLE_SEGMENTS if cycle == "A"
+                              else POLE_SEGMENTS + 1)
 
         def failing(cfg, ph, z):
             raise PoleProximityError(z[first], "z", 0.0)
@@ -588,19 +664,20 @@ class TestMergedTransport:
             monodromy_data(CFG, PH, TIGHT)
 
     @pytest.mark.parametrize("max_steps, error", [
-        (200, PathError), (135, IntegrationError)], ids=["pole", "budget"])
+        (200, PathError), (POLE_SEGMENTS * PANELS - 1, IntegrationError)],
+        ids=["pole", "budget"])
     def test_errors_come_in_level_order(self, max_steps, error,
                                         monkeypatch):
         # the pole loop alone runs past 200 panels on its second level,
-        # and its first level takes 34 * PANELS = 136 panels; a node of the
-        # B cycle meets a pole on the first level, before the pole loop's
-        # budget runs out, but after each level's budget check
+        # and its first level takes POLE_SEGMENTS * PANELS panels; a node
+        # of the B cycle meets a pole on the first level, before the pole
+        # loop's budget runs out, but after each level's budget check
         import ellcm.monodromy as mono
         icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
                                 max_steps=max_steps)
         with pytest.raises(IntegrationError, match="max_steps"):
             monodromy_pole(CFG, PH, icfg=icfg)
-        first = 3 * PANELS * 35
+        first = 3 * PANELS * (POLE_SEGMENTS + 1)
 
         def failing(cfg, ph, z):
             raise PoleProximityError(z[first], "z", 0.0)
