@@ -100,16 +100,20 @@ on their first read, from cancellation-free forms at tau', with x = nu'^2:
 because the alternating series at z = 0 lose every digit as Im tau -> 0.
 
 Arrays of points go through one range-checked sum of the same K terms,
-`_series_sums`, by elementwise products: on an x86 host with AVX-512 (numpy
+`_series_sums`.  It calls libm only for the first harmonic and only on real
+arrays (sin and cos of Re(pi v), sinh and cosh of Im(pi v)), and takes the
+other odd harmonics from a three-term recurrence by elementwise products.
+So no complex libm function runs there: on an x86 host with AVX-512 (numpy
 2.4, its bundled OpenBLAS) a complex matrix product leaves the upper vector
-register state dirty, and complex libm calls after it (cmath.sin, np.sin)
-run 8-20 times slower until a later numpy call clears that state.  The
-points are first reduced and pole-checked (`_reduce_checked_array`), and
-`_rho_ratios` turns the sums into rho, rho' and rho''.  That pass serves
-the n-body pair sums (`_rho_array`) and `lame_array`, which gives x(u, z)
-and the same ratios over a grid of nodes z and arguments u: every Lax
-matrix entry is built from it.  Its one-point twin `_rho_points`, for the
-scalar pair loops, pole-checks every point before `_theta_series_at` sums.
+register state dirty, and complex libm calls after it (cmath.sin, np.sin or
+np.exp of a complex array) run 8-20 times slower until a later numpy call
+clears that state.  The points are first reduced and pole-checked
+(`_reduce_checked_array`), and `_rho_ratios` turns the sums into rho,
+rho' and rho''.  That pass serves the n-body pair sums (`_rho_array`) and
+`lame_array`, which gives x(u, z) and the same ratios over a grid of nodes
+z and arguments u: every Lax matrix entry is built from it.  Its one-point
+twin `_rho_points`, for the scalar pair loops, pole-checks every point
+before `_theta_series_at` sums.
 
 Derived kernels:
 
@@ -155,6 +159,13 @@ REL_TOL = 1e-14
 
 #: |sin x| and |cos x| stay finite while |Im x| is below this.
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: Constants of `_series_sums`, complex so that no operation casts: pi,
+#: the factor taking sin a + i cos a to 2 cos a - 2i sin a, and the offsets
+#: from 4 cos^2 x of the first step's t + 1 and t - 1 and of t itself.
+_PI = np.complex128(math.pi)
+_MINUS_TWO_I = np.complex128(-2j)
+_OFFSETS = np.array([[1.0], [3.0], [2.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -322,8 +333,9 @@ class _SeriesTable:
     ``near``, ``clear``: a reduced |v| at tau' in [near, clear] is at least
     ``near`` = POLE_EXCLUSION_RADIUS / |w| away from all nine lattice
     candidates w (i + j tau') of the lattice of tau, in units of tau'.
-    ``arrays``: the coefficients as numpy arrays, built on first array use
-    (`_table_arrays`), so scalar-only callers never pay for them.
+    ``arrays``: the coefficients as numpy arrays and the overflow bound of
+    `_series_sums`, built on first array use (`_table_arrays`), so
+    scalar-only callers never pay for them.
     ``consts``: e^lift theta1'(0 | tau') / w and the Weierstrass constant
     at tau', built on first read (`_constants`).
 
@@ -411,12 +423,16 @@ def _table(tm: TorusModulus) -> _SeriesTable:
 
 
 def _table_arrays(tab: _SeriesTable):
-    """The table as arrays, built on first use: a, shape (K,), and the
-    coefficients of the sin and cos series, rows (c0, c2) and (c1, c3)."""
+    """(coefficients, bound) of `_series_sums`, built on first use.  The
+    coefficients, shape (2, K, 2, 1), are c_{2i} of harmonic k at [i, k, 0]
+    for the sine rows (theta1, theta1'') and c_{2i+1} / 2 at [i, k, 1] for
+    the cosine rows (theta1', theta1''', summed over 2 cos).  bound =
+    _LOG_MAX / (2K - 1) caps |Im(pi w)|: the last harmonic grows like
+    exp((2K - 1) |Im(pi w)|)."""
     if tab.arrays is None:
-        t = np.array(tab.terms)
-        tab.arrays = (t[:, 0].real.copy(), t[:, 1::2].T.copy(),
-                      t[:, 2::2].T.copy())
+        c = np.array([[(t[1], 0.5 * t[2]) for t in tab.terms],
+                      [(t[3], 0.5 * t[4]) for t in tab.terms]])[..., None]
+        tab.arrays = (c, _LOG_MAX / (2 * len(tab.terms) - 1))
     return tab.arrays
 
 
@@ -528,26 +544,77 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
 def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
     """The first ``rows`` of the series of `_theta_series_at` (theta1,
     theta1', theta1'', theta1''') at the reduced points of the 1-D array w,
-    shape (rows, w.size), added down the K axis in the scalar loop's order.
-    numpy keeps that order on a grid of two or more columns, not on one: a
-    lone point is summed as two copies, so no value depends on the other
-    points of the call.  A point whose series overflows raises the scalar
-    path's SeriesRangeError, never inf or nan."""
-    a, c_sin, c_cos = _table_arrays(tab)
+    shape (rows, w.size).
+
+    With x = pi w, only the first harmonic comes from libm, as real
+    functions of Re x and Im x:
+
+        sin x = sin(Re x) cosh(Im x) + i cos(Re x) sinh(Im x),
+        cos x = cos(Re x) cosh(Im x) - i sin(Re x) sinh(Im x).
+
+    The odd harmonics s_k = sin((2k+1) x), and c_k = cos((2k+1) x) alike,
+    follow from the three-term recurrence
+
+        s_{k+1} = t s_k - s_{k-1},   t = 2 cos 2x = 4 cos^2 x - 2,
+
+    started from s_{-1} = -sin x for the sine rows and c_{-1} = +cos x for
+    the cosine rows, so that its first step is s_1 = (t + 1) sin x and
+    c_1 = (t - 1) cos x.  The cosine rows run on 2 c_k: the product that
+    forms the first harmonic gives 2 cos x as readily as cos x, and 4 cos^2 x
+    is then one square; their coefficients are halved, exactly.  t is
+    formed only where K > 1, where the bound below keeps |Im x| under
+    _LOG_MAX / 3 and so cos^2 x finite; at K = 1 a point may reach
+    |Im x| = _LOG_MAX.  The harmonics are weighted by the table's
+    coefficients and added down the K axis, k = 0 first.  Every step is
+    elementwise, so no value depends on the other points of the call, and
+    no complex libm function is called (module docstring).  sinh comes
+    from libm, not from a difference of exponentials, which would lose its
+    relative accuracy near v = 0.
+
+    A point past |Im x| = _LOG_MAX / (2K - 1), where the last harmonic can
+    leave the double range, raises the scalar path's SeriesRangeError
+    before any function is evaluated, never inf or nan.  (The scalar loop
+    raises only where cmath.sin overflows, up to ln 2 / (2K - 1) further
+    out.)
+    """
+    coef, bound = _table_arrays(tab)
+    if rows < 3:
+        coef = coef[:1, :, :rows]
+    _, k_max, j, _ = coef.shape
     size = w.size
-    if size == 1:
-        w = np.repeat(w, 2)
-    x = a[:, None] * w
-    # |sin|, |cos| of a w are at most exp(a |Im w|): only points past the
-    # double range in the last row can overflow, and the scalar series
-    # raises for those that do
-    for i in np.flatnonzero(np.abs(x[-1].imag) > _LOG_MAX):
-        _theta_series_at(complex(w[i]), tab)
-    out = np.empty((rows, size), dtype=complex)
-    out[::2] = (np.sin(x) * c_sin[:(rows + 1) // 2, :, None]).sum(1)[:, :size]
-    if rows > 1:
-        out[1::2] = (np.cos(x) * c_cos[:rows // 2, :, None]).sum(1)[:, :size]
-    return out
+    x = w * _PI
+    re, im = x.real, x.imag
+    if size and np.maximum.reduce(np.abs(im)) > bound:
+        i = np.flatnonzero(np.abs(im) > bound)[0]
+        raise SeriesRangeError(f"theta1 series overflows at the reduced "
+                               f"point w = {complex(w[i])}")
+    # rows sin(re) + i cos(re), 2 cos(re) - 2i sin(re) and cosh(im) +
+    # i sinh(im): the real views of the first two times the third are
+    # sin x and 2 cos x, whose cosine rows the table halves
+    ef = np.empty((3, size), dtype=complex)
+    e0, e1, f = ef
+    np.sin(re, e0.real)
+    np.cos(re, e0.imag)
+    np.multiply(e0, _MINUS_TWO_I, e1)
+    np.cosh(im, f.real)
+    np.sinh(im, f.imag)
+    efv = ef.view(float)
+    # g[k] = (s_k, 2 c_k), or s_k alone where no cosine row is asked for
+    g = np.empty((k_max, j, size), dtype=complex)
+    np.multiply(efv[:j], efv[2], g[0].view(float))
+    if k_max > 1:
+        two_cos = (g[0, 1] if j == 2 else
+                   (efv[1] * efv[2]).view(complex))
+        # t + 1, t - 1 and t from 4 cos^2 x
+        t_rows = two_cos * two_cos - _OFFSETS
+        t = t_rows[2]
+        np.multiply(g[0], t_rows[:j], g[1])
+        for k in range(2, k_max):
+            h = g[k]
+            np.multiply(g[k - 1], t, h)
+            np.subtract(h, g[k - 2], h)
+    sums = np.add.reduce(g * coef, 1)
+    return sums.reshape(len(sums) * j, size)[:rows]
 
 
 def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,

@@ -119,7 +119,11 @@ class PathSpec:
     def validate(self, tau: complex) -> None:
         """Check every segment keeps its clearance from Z + tau Z."""
         w = np.array(self.waypoints)
-        d = _segment_lattice_distances(w[:-1], w[1:], tau)
+        self._check_clearance(_segment_lattice_distances(w[:-1], w[1:], tau))
+
+    def _check_clearance(self, d: np.ndarray) -> None:
+        """Raise PathError for the first segment whose lattice distance,
+        d[i] for segment i, is below the clearance."""
         bad = np.flatnonzero(d < self.pole_clearance)
         if bad.size:
             i = bad[0]
@@ -293,20 +297,23 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     path separately.
 
     Errors therefore come in level order, not path order: every path is
-    validated before any transport, and then each level raises, in this
+    validated before any transport (the segments of all paths in one
+    `_segment_lattice_distances` pass, the first failing path raising as
+    its `PathSpec.validate` would), and then each level raises, in this
     order, for a path past its budget, for a node at a pole or a collision
     (PathError naming the first such segment), and for the first
     stagnating segment, in path order within each test.  A later path that
     fails at a shallower level wins over an earlier path that would fail
     deeper.
     """
-    for path in paths:
-        path.validate(cfg.tm.tau)
     n = ph.n
     w = [np.array(path.waypoints) for path in paths]
     a = np.concatenate([x[:-1] for x in w])
     b = np.concatenate([x[1:] for x in w])
     owner = np.repeat(np.arange(len(paths)), [x.size - 1 for x in w])
+    d = _segment_lattice_distances(a, b, cfg.tm.tau)
+    for p, path in enumerate(paths):
+        path._check_clearance(d[owner == p])
     done = np.empty((a.size, n, n), dtype=complex)
     active = np.arange(a.size)
     last = np.full(a.size, np.inf)  # the previous level's differences

@@ -31,7 +31,13 @@ from ellcm.elliptic import (
     wp_general,
     wp_lattice_oracle,
 )
-from ellcm.elliptic import _TERMS_FROM, _modular_image, _series_sums, _table
+from ellcm.elliptic import (
+    _TERMS_FROM,
+    _modular_image,
+    _series_sums,
+    _table,
+    _theta_series_at,
+)
 from ellcm.errors import (
     DegenerateLatticeError,
     PoleProximityError,
@@ -256,6 +262,101 @@ class TestTheta1Array:
     def test_dz_at_0(self):
         assert theta1_dz_at_0(self.TM) == pytest.approx(
             theta1_dz(0.0, self.TM), rel=1e-14)
+
+
+class TestSeriesSums:
+    """The array sums: the first harmonic from real libm functions, the
+    others from the three-term recurrence."""
+
+    #: The worst relative error per row (theta1 .. theta1''') allowed
+    #: against the exact sum of the same table terms: about twice the worst
+    #: of the sums by complex sin and cos of every harmonic on these
+    #: points, 4.2e-16, 7.3e-16, 4.6e-16 and 1.2e-15.
+    BOUNDS = (1e-15, 1.5e-15, 1e-15, 2.5e-15)
+
+    @staticmethod
+    def _points(tau_r):
+        """Cell points at tau' clear of the origin, whose cosine rows have
+        no exact zero, and points at |v| = 4e-6, 1e-4 and 5e-3 around it."""
+        steps = (-0.45, -0.3, -0.15, 0.0, 0.15, 0.3, 0.45)
+        cell = [a + b * tau_r for a in steps for b in steps if a or b]
+        small = [r * cmath.exp(1j * phi) for r in (4e-6, 1e-4, 5e-3)
+                 for phi in np.linspace(0.0, 2.0 * math.pi, 12,
+                                        endpoint=False)]
+        return np.array(cell + small)
+
+    @pytest.mark.parametrize("tau", [1j, 0.1 + 1j, 0.45 + 0.03j,
+                                     0.3 + 0.8j])
+    def test_against_mpmath(self, tau):
+        # each row against a 40-digit sum of the table's own K terms at
+        # tau' (0.45+0.03i is reduced, with three terms), so only the
+        # double-precision summation is measured; relative error, which
+        # near v = 0 catches a sinh that loses its digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        tab = _table(TorusModulus(tau))
+        w = self._points(tab.tau_r)
+        got = _series_sums(w, tab, 4)
+        for d in range(4):
+            f = mp.sin if d % 2 == 0 else mp.cos
+            exact = np.array([complex(mp.fsum(
+                mp.mpc(terms[1 + d]) * f((2 * k + 1) * mp.pi * mp.mpc(v))
+                for k, terms in enumerate(tab.terms))) for v in w])
+            err = np.abs(got[d] - exact) / np.abs(exact)
+            assert err.max() <= self.BOUNDS[d], (d, w[err.argmax()])
+
+    @pytest.mark.parametrize("tau", [0.1 + 1j, 1.6j, 3j])
+    def test_overflow_bound(self, tau):
+        """At K >= 2 terms, points just inside |Im v| = _LOG_MAX / ((2K-1)
+        pi) come back finite without a floating-point warning; points just
+        past it raise the scalar path's SeriesRangeError, in array order."""
+        tab = _table(TorusModulus(tau))
+        k = len(tab.terms)
+        assert k == {0.1 + 1j: 4, 1.6j: 3, 3j: 2}[tau]
+        edge = math.log(sys.float_info.max) / ((2 * k - 1) * math.pi)
+        inside = np.array([0.3 + edge * (1 - 1e-12) * 1j,
+                           -0.2 - edge * (1 - 1e-12) * 1j, 0.5])
+        past = edge * (1 + 1e-12)
+        # 1 / ((2K-1) pi) further out, cmath.sin overflows in the scalar
+        # loop as well
+        far = edge + 1.0 / ((2 * k - 1) * math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (1, 2, 3, 4):
+                assert np.isfinite(_series_sums(inside, tab, rows)).all()
+            for w in (0.3 + past * 1j, 0.3 - past * 1j):
+                with pytest.raises(SeriesRangeError) as info:
+                    _series_sums(np.array([0.1, w, 0.2 + far * 1j]), tab, 4)
+                assert str(info.value) == (
+                    f"theta1 series overflows at the reduced point w = {w}")
+            with pytest.raises(SeriesRangeError) as scalar:
+                _theta_series_at(0.2 + far * 1j, tab)
+            with pytest.raises(SeriesRangeError) as array:
+                _series_sums(np.array([0.1, 0.2 + far * 1j]), tab, 1)
+        assert str(array.value) == str(scalar.value)
+
+    def test_one_term_forms_no_t(self):
+        """At one term (tau' = 333i from tau = 0.003i) 4 cos^2 x of a
+        reduced point would overflow: every row stays finite, without a
+        floating-point warning, and matches the scalar loop."""
+        tab = _table(TorusModulus(0.003j))
+        assert len(tab.terms) == 1
+        half = 0.49 * tab.tau_r.imag
+        w = np.array([0.3 + half * 1j, -0.1 - half * 1j, 0.2 + 0.1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _series_sums(w, tab, 4)
+        for i, v in enumerate(w):
+            expect = _theta_series_at(complex(v), tab)
+            for d in range(4):
+                assert abs(got[d, i] - expect[d]) <= 1e-15 * abs(expect[d])
+
+    @pytest.mark.parametrize("tau", [1j, 0.003j])
+    def test_empty(self, tau):
+        tab = _table(TorusModulus(tau))
+        for rows in (1, 2, 3, 4):
+            assert _series_sums(np.array([], dtype=complex), tab,
+                                rows).shape == (rows, 0)
 
 
 class TestTheta1Product:

@@ -20,6 +20,7 @@ from ellcm.errors import (
 )
 from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
+    CYCLE_CLEARANCE,
     PANELS,
     POLE_LOOP_SEGMENTS,
     MonodromyData,
@@ -563,6 +564,39 @@ class TestPathValidation:
                 f"within {dist[i]:.3e} of a lattice point (clearance 0.08)")
             failed += 1
         assert 10 < failed < 80  # both outcomes are exercised
+
+    def test_one_pass_per_triple(self, monkeypatch):
+        import ellcm.monodromy as mono
+        real = mono._segment_lattice_distances
+        calls = []
+
+        def counting(a, b, tau):
+            calls.append(a.size)
+            return real(a, b, tau)
+
+        monkeypatch.setattr(mono, "_segment_lattice_distances", counting)
+        monodromy_data(CFG, PH, TIGHT)
+        assert calls == [POLE_SEGMENTS + 2]  # pole loop, A and B cycle
+
+    def test_only_the_b_cycle_fails(self, monkeypatch):
+        # from the base 0.002 + 0.3i the pole loop and the A cycle keep
+        # their clearance, while the B cycle [base, base + i] passes 0.002
+        # from the lattice point i: its own message, before any transport
+        import ellcm.monodromy as mono
+
+        def failing(*args):
+            raise AssertionError("transported before the paths were checked")
+
+        monkeypatch.setattr(mono, "_segment_transports", failing)
+        base = 0.002 + 0.3j
+        with pytest.raises(PathError) as info:
+            monodromy_data(CFG, PH, TIGHT, base=base)
+        assert str(info.value) == (
+            "segment [(0.002+0.3j), (0.002+1.3j)] passes within 2.000e-03 "
+            "of a lattice point (clearance 0.01)")
+        with pytest.raises(PathError) as alone:
+            PathSpec((base, base + 1j), CYCLE_CLEARANCE).validate(1j)
+        assert str(alone.value) == str(info.value)
 
 
 class TestMergedTransport:

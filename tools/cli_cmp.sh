@@ -11,8 +11,9 @@
 # flow and map, the flows and the symmetry README.md does not show, four
 # kernels at small Im tau (wp among them, at a reduced modulus), a flow at 3
 # bodies and a reduced modulus, whose eom and H run on the scalar pair path,
-# flows at 5 and 8 bodies, whose eom and H run on the array pair path, and
-# the monodromy triple at 3 bodies and at a small pole loop, once per tree,
+# flows at 5, 8 and 16 bodies, whose eom and H run on the array pair path,
+# and the monodromy triple at 3 bodies (also at a reduced modulus, whose
+# series has three terms) and at a small pole loop, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -60,10 +61,14 @@ commands+=("flow isomonodromic --n 3 --g 0.5 --tau 0.2+0.6i --tau-end 0.2+0.62i 
 # eom and H on the array pair path, from ARRAY_PAIRS_FROM = 5 bodies
 commands+=("flow isomonodromic --n 8 --g 0.5 --tau 1.0i --tau-end 0.02+1.05i --q 0,0.13+0.02i,0.25-0.01i,0.37+0.03i,0.5,0.62-0.02i,0.75+0.01i,0.88 --p 0.3,-0.25,0.2,-0.3,0.28,-0.22,0.3,-0.31"
            "flow isospectral --n 5 --g 0.7 --tau 0.1+1.0i --q 0.05,0.27+0.04i,0.46-0.03i,0.63+0.02i,0.84 --p 0.2,-0.3,0.25,-0.15,0.1 --t-end 0.3")
+# 120 pairs in each array pair sum
+commands+=("flow isomonodromic --n 16 --g 0.5 --tau 1.0i --tau-end 0.004+1.0i --q 0,0.06+0.02i,0.13-0.01i,0.19+0.02i,0.25,0.31-0.02i,0.38+0.01i,0.44,0.5+0.02i,0.56-0.01i,0.63,0.69+0.02i,0.75-0.02i,0.81+0.01i,0.88,0.94-0.01i --p 0.3,-0.27,0.32,-0.25,0.34,-0.23,0.36,-0.21,0.38,-0.19,0.4,-0.17,0.42,-0.15,0.44,-0.13")
 
-# the monodromy triple at 3 bodies, and at a pole loop of radius 0.005,
-# whose radial leg takes most of the loop's panels
+# the monodromy triple at 3 bodies, at tau = 0.2+0.6i also, where the
+# series sums at gamma tau with three terms, and at a pole loop of radius
+# 0.005, whose radial leg takes most of the loop's panels
 commands+=("monodromy --n 3 --g 0.3 --tau 0.1+1.0i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
+           "monodromy --n 3 --g 0.3 --tau 0.2+0.6i --q 0.1,0.45+0.15i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
            "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.005")
 
 work=$(mktemp -d)
