@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -144,50 +144,46 @@ class QuasiPeriodicityReport:
                    self.A_a_cycle, self.A_b_cycle)
 
 
-def _pairs(ph: PhasePoint):
-    """(j, k, q_j - q_k) for each unordered pair j < k, in row order."""
-    q = ph.q.tolist()
-    n = len(q)
-    return [(j, k, q[j] - q[k]) for j in range(n) for k in range(j + 1, n)]
+class _PairIndex(NamedTuple):
+    """The pairs j < k of n bodies in row order: (j, k) as index arrays and
+    as Python int pairs, the (rows, cols) of the Lax entries, (j, k) then
+    (k, j) for each pair, and name(i), pair i's name in a pole error."""
+    j: np.ndarray
+    k: np.ndarray
+    ints: list
+    rows: np.ndarray
+    cols: np.ndarray
+    name: Callable[[int], str]
 
 
-def _separations(ph: PhasePoint):
-    """(j, k, q_j - q_k) of _pairs as arrays, and name(i) of pair i."""
-    j, k, names = _pair_index(ph.n)
-    return j, k, ph.q[j] - ph.q[k], names.__getitem__
+@functools.cache
+def _pair_index(n: int) -> _PairIndex:
+    """The pair table of n bodies, which every pair enumeration reads."""
+    j, k = np.triu_indices(n, 1)
+    ints = list(zip(j.tolist(), k.tolist()))
+    names = tuple(f"q[{a}] - q[{b}]" for a, b in ints)
+    return _PairIndex(j, k, ints, np.stack([j, k], 1).ravel(),
+                      np.stack([k, j], 1).ravel(), names.__getitem__)
 
 
 def _pair_arrays(cfg: CMConfig, ph: PhasePoint, orders=(0, 1, 2)):
     """(j, k, ...) with [rho, rho', rho''][d] for each d in ``orders`` at
-    u = q_j - q_k for all pairs of _pairs at once.  Only the theta series
-    rows they need are summed: rho needs 2, rho' 3 and rho'' 4.  A pair
-    within POLE_EXCLUSION_RADIUS raises PoleProximityError first."""
-    j, k, d, name = _separations(ph)
-    return (j, k, *_rho_array(d, cfg.tm, name, orders))
+    u = q_j - q_k for all pairs at once.  Only the theta series rows they
+    need are summed: rho needs 2, rho' 3 and rho'' 4.  A pair within
+    POLE_EXCLUSION_RADIUS raises PoleProximityError first."""
+    t = _pair_index(ph.n)
+    return (t.j, t.k, *_rho_array(ph.q[t.j] - ph.q[t.k], cfg.tm, t.name,
+                                  orders))
 
 
 def _pair_points(cfg: CMConfig, ph: PhasePoint, orders) -> list:
     """_pair_arrays pair by pair in scalar arithmetic, from
-    `elliptic._rho_points`: (j, k, ...) for each pair of _pairs."""
-    pairs = _pairs(ph)
-    values = _rho_points([d for _, _, d in pairs], cfg.tm,
-                         _pair_index(ph.n)[2].__getitem__, orders)
-    return [(j, k, *v) for (j, k, _), v in zip(pairs, values)]
-
-
-@functools.cache
-def _pair_index(n: int):
-    """(j, k) of the unordered pairs j < k in row order, as index arrays,
-    and the name of each pair in a pole error."""
-    j, k = np.triu_indices(n, 1)
-    return j, k, tuple(f"q[{a}] - q[{b}]" for a, b in zip(j, k))
-
-
-@functools.cache
-def _entry_index(n: int):
-    """(rows, cols) of (j, k), then (k, j), for each pair j < k in order."""
-    j, k, _ = _pair_index(n)
-    return np.stack([j, k], 1).ravel(), np.stack([k, j], 1).ravel()
+    `elliptic._rho_points`: (j, k, ...) for each pair in row order."""
+    t = _pair_index(ph.n)
+    q = ph.q.tolist()
+    values = _rho_points([q[j] - q[k] for j, k in t.ints], cfg.tm, t.name,
+                         orders)
+    return [(j, k, *v) for (j, k), v in zip(t.ints, values)]
 
 
 def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
@@ -200,21 +196,14 @@ def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
     return out.sum(axis=0)
 
 
-def _check_separations(cfg: CMConfig, ph: PhasePoint) -> None:
-    """_pair_arrays' pole checks, for the Lax matrices (none at g = 0)."""
-    if cfg.g == 0 or ph.n == 1:
-        return
-    _, _, d, name = _separations(ph)
-    _reduce_checked_array(d, cfg.tm, name)
-
-
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
     """Smallest reduced pairwise distance |q_j - q_k| mod the lattice."""
+    t, tau = _pair_index(ph.n), cfg.tm.tau
     if ph.n >= ARRAY_PAIRS_FROM:
-        return float(_lattice_distance_array(_separations(ph)[2],
-                                             cfg.tm.tau).min())
-    tau = cfg.tm.tau
-    return min((lattice_distance(d, tau) for _, _, d in _pairs(ph)),
+        return float(_lattice_distance_array(ph.q[t.j] - ph.q[t.k],
+                                             tau).min())
+    q = ph.q.tolist()
+    return min((lattice_distance(q[j] - q[k], tau) for j, k in t.ints),
                default=math.inf)
 
 
@@ -225,7 +214,9 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     """L of the quasi-periodic gauge at every node of the 1-D array z, shape
     (m, n, n), from one `lame_array` evaluation; with ``ratios``, (L, A,
-    dA/dz), each of that shape.  As by lame_x, z - u at a lattice point is
+    dA/dz), each of that shape.  The pair separations q_j - q_k are
+    pole-checked first, as by `_pair_arrays` (not at g = 0 or n = 1, where
+    no entry reads them).  Then, as by lame_x, z - u at a lattice point is
     a zero of an L entry, not a pole: without ``ratios`` only the nodes are
     pole-checked, with them z - u, u and z in that order as by lame_y, all
     before any series sum.  wp(u) = c - rho'(u), and the A diagonal D is
@@ -234,7 +225,6 @@ def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
 
         dy/dz = -x (rho(z-u) - rho(z)) (rho(u) + rho(z-u)) - x rho'(z-u).
     """
-    _check_separations(cfg, ph)
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = ph.n
     diag = (slice(None), *np.diag_indices(n))
@@ -242,8 +232,9 @@ def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     L[diag] = ph.p
     if cfg.g == 0 or n == 1:
         return (L, *np.zeros((2, *L.shape), dtype=complex)) if ratios else L
-    rows, cols = _entry_index(n)
-    ig = 1j * cfg.g
+    t = _pair_index(n)
+    _reduce_checked_array(ph.q[t.j] - ph.q[t.k], cfg.tm, t.name)
+    rows, cols, ig = t.rows, t.cols, 1j * cfg.g
     at = lame_array(z, ph.q[rows] - ph.q[cols], cfg.tm, ratios)
     if not ratios:
         L[:, rows, cols] = ig * at
@@ -251,7 +242,7 @@ def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     x, (rho_u, rho_zu, rho_z), (rho_dz_u, rho_dz_zu, _), _ = at
     A, dA = np.zeros((2, *L.shape), dtype=complex)
     wp_u = weierstrass_constant(cfg.tm) - rho_dz_u[0]
-    A[diag] = ig * _row_sums(n, *_pair_index(n)[:2], wp_u[::2], wp_u[1::2])
+    A[diag] = ig * _row_sums(n, t.j, t.k, wp_u[::2], wp_u[1::2])
     L[:, rows, cols] = ig * x
     A[:, rows, cols] = ig * (-x * (rho_u + rho_zu))
     dA[:, rows, cols] = ig * (-x * (rho_zu - rho_z) * (rho_u + rho_zu)

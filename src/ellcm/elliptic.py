@@ -472,13 +472,14 @@ def _dz0(tab: _SeriesTable) -> complex:
     return cmath.exp(tab.log_c) * _constants(tab)[0]
 
 
-def _reduce_checked(z: complex, tab: _SeriesTable, name: str):
+def _reduce_checked(z: complex, tab: _SeriesTable, name: str | None):
     """(v, m, n, z / w) with z / w = v + m + n tau' and v reduced at tau'
     (module docstring).  A z within POLE_EXCLUSION_RADIUS of the lattice of
-    tau raises PoleProximityError under name, with that distance."""
+    tau raises PoleProximityError under name, with that distance, unless
+    name is None (a point exempt from the check)."""
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell(zw, tab.tau_r)
-    if not (tab.near <= abs(v) <= tab.clear):
+    if name is not None and not (tab.near <= abs(v) <= tab.clear):
         d = lattice_distance(z, tab.tau)
         if d < POLE_EXCLUSION_RADIUS:
             raise PoleProximityError(z, name, d)
@@ -650,13 +651,21 @@ def _rho_dz_law(r, B, tab: _SeriesTable):
     return (B - r * r) * tab.w_inv2 - tab.shift * tab.w_inv
 
 
+def _wp_dz_law(r, B, T, tab: _SeriesTable):
+    """wp'(z | tau) = -rho''(z | tau) from r = rho(v | tau'), B and
+    T = theta1'''/theta1 at v: (3 r B - T - 2 r^3) / w^3, cubed as r r r:
+    numpy's complex r**3 differs from it in the last bit.  rho'' is its
+    negation; (T - 3 r B + 2 r^3) / w^3 negated would flip the sign of
+    some zero parts of wp' (x - x is +0 either way round)."""
+    return (3.0 * r * B - T - 2.0 * r * r * r) * tab.w_inv3
+
+
 def _rho_ratios(s: np.ndarray, n, zw, tab: _SeriesTable,
                 orders=(0, 1, 2)) -> list:
     """[rho, rho', rho''][d] for each d in ``orders``, at tau, from the
     rows of `_series_sums` (max(orders) + 2 of them) at the points v of
-    z / w = v + m + n tau', by the laws of the module docstring; cubed as
-    r r r like the scalar kernels: numpy's complex r**3 differs from it in
-    the last bit.  Scalars or arrays alike."""
+    z / w = v + m + n tau', by the laws of the module docstring.  Scalars
+    or arrays alike."""
     r = s[1] / s[0]
     out = []
     if 0 in orders:
@@ -666,8 +675,7 @@ def _rho_ratios(s: np.ndarray, n, zw, tab: _SeriesTable,
     if 1 in orders:
         out.append(_rho_dz_law(r, B, tab))
     if 2 in orders:
-        T = s[3] / s[0]
-        out.append((T - 3.0 * r * B + 2.0 * r * r * r) * tab.w_inv3)
+        out.append(-_wp_dz_law(r, B, s[3] / s[0], tab))
     return out
 
 
@@ -756,7 +764,7 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
     like the series path.
     """
     tab = _table(tm)
-    v, m, n = reduce_to_cell(z * tab.w_inv, tab.tau_r)
+    v, m, n, _ = _reduce_checked(z, tab, None)
     nu2 = tab.nome_r * tab.nome_r
     c1 = cmath.cos(math.pi * (v + 0.5))
     c2 = cmath.cos(2 * math.pi * (v + 0.5))
@@ -795,8 +803,7 @@ def wp(z: complex, tm: TorusModulus) -> complex:
 def wp_dz(z: complex, tm: TorusModulus) -> complex:
     """wp'(z, tau) = -rho''(z), fully analytic."""
     (s0, s1, s2, s3), _, _, tab = _reduced_ratios(z, tm)
-    r, B, T = s1 / s0, s2 / s0, s3 / s0
-    return (3.0 * r * B - T - 2.0 * r * r * r) * tab.w_inv3
+    return _wp_dz_law(s1 / s0, s2 / s0, s3 / s0, tab)
 
 
 # ----------------------------------------------------------------------
@@ -869,14 +876,9 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus,
     overflow at arguments where x itself is perfectly representable.
     """
     tab = _table(tm)
-    zu = z - u
-    if ratios:
-        at_zu = _reduce_checked(zu, tab, "z - u")
+    at_zu = _reduce_checked(z - u, tab, "z - u" if ratios else None)
     at_u = _reduce_checked(u, tab, "u")
     at_z = _reduce_checked(z, tab, "z")
-    if not ratios:
-        zw = zu * tab.w_inv
-        at_zu = (*reduce_to_cell(zw, tab.tau_r), zw)
     s_u = _theta_series_at(at_u[0], tab)
     s_z = _theta_series_at(at_z[0], tab)
     s_zu = _theta_series_at(at_zu[0], tab)

@@ -43,16 +43,17 @@ from .calogero import (
     hamiltonian_dtau,
     min_separation,
 )
-from .elliptic import TWO_PI_I
+from .elliptic import POLE_EXCLUSION_RADIUS, TWO_PI_I
 from .errors import IntegrationError, PathError, PoleProximityError, UsageError
 from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 
 FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 
 # Collision thresholds for the pairwise reduced separation (wp' grows like
-# separation^-3, so both FD and step control degrade below these).
+# separation^-3, so both FD and step control degrade below these); eom's own
+# pole check raises at the truncation radius.
 COLLISION_REJECT = 1e-4
-COLLISION_TRUNCATE = 1e-6
+COLLISION_TRUNCATE = POLE_EXCLUSION_RADIUS
 
 #: Step of the central differences of `symplectic_jacobian_check`.
 JACOBIAN_FD_STEP = 1e-6
