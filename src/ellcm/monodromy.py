@@ -255,7 +255,9 @@ def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
             L = lax_L_quasi_batch(cfg, ph, nodes.reshape(-1))
         except PoleProximityError as exc:
             hit = np.flatnonzero((nodes == exc.point).any(axis=1))
-            seg = (i + hit[0]) // panels if hit.size else 0
+            if not hit.size:  # two bodies collide, at every node alike
+                raise PathError(f"transport truncated: {exc}") from exc
+            seg = (i + hit[0]) // panels
             raise PathError(f"transport truncated on segment "
                             f"[{a[seg]}, {b[seg]}]: {exc}") from exc
         U[..., part] = _magnus(L.reshape(-1, 3, n, n), steps[part])
@@ -300,11 +302,11 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     validated before any transport (the segments of all paths in one
     `_segment_lattice_distances` pass, the first failing path raising as
     its `PathSpec.validate` would), and then each level raises, in this
-    order, for a path past its budget, for a node at a pole or a collision
-    (PathError naming the first such segment), and for the first
-    stagnating segment, in path order within each test.  A later path that
-    fails at a shallower level wins over an earlier path that would fail
-    deeper.
+    order, for a path past its budget, for a node at a pole (PathError
+    naming the first such segment) or a collision (naming the pair), and
+    for the first stagnating segment, in path order within each test.  A
+    later path that fails at a shallower level wins over an earlier path
+    that would fail deeper.
     """
     n = ph.n
     w = [np.array(path.waypoints) for path in paths]

@@ -722,6 +722,37 @@ class TestPairArrays:
         for got, (at_u, _, _) in zip(pair, at):
             assert np.array_equal(got, at_u[0])
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pair_table(self, n):
+        """The pair table against a brute-force enumeration in row order:
+        the index arrays, the int pairs, the Lax entries (j, k) then (k, j)
+        of each pair, and the pair names."""
+        pairs = [(j, k) for j in range(n) for k in range(n) if j < k]
+        t = calogero._pair_index(n)
+        assert t.ints == pairs
+        assert all(type(a) is int for pair in t.ints for a in pair)
+        assert t.j.tolist() == [j for j, _ in pairs]
+        assert t.k.tolist() == [k for _, k in pairs]
+        entries = [e for j, k in pairs for e in ((j, k), (k, j))]
+        assert list(zip(t.rows.tolist(), t.cols.tolist())) == entries
+        assert [t.name(i) for i in range(len(pairs))] == [
+            f"q[{j}] - q[{k}]" for j, k in pairs]
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_min_separation_brute_force(self, offset):
+        """min_separation on either side of ARRAY_PAIRS_FROM is the least
+        lattice distance over all ordered pairs j != k, across the lattice
+        too (here the pair (1, 3))."""
+        n = calogero.ARRAY_PAIRS_FROM + offset
+        cfg, ph = self.case(n, 1.3 + 0.6j, 5)
+        q = ph.q.copy()
+        q[3] = q[1] - 2 + 3 * cfg.tm.tau + 2e-3 - 1e-3j
+        ph = PhasePoint(q, ph.p)
+        want = min(elliptic.lattice_distance(q[j] - q[k], cfg.tm.tau)
+                   for j in range(n) for k in range(n) if j != k)
+        assert want < 3e-3
+        assert min_separation(cfg, ph) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_threshold(self, monkeypatch, offset):
         """One body short of ARRAY_PAIRS_FROM eom and H reduce and sum each

@@ -34,6 +34,8 @@ from ellcm.elliptic import (
 from ellcm.elliptic import (
     _TERMS_FROM,
     _modular_image,
+    _reduce_checked,
+    _rho_ratios,
     _series_sums,
     _table,
     _theta_series_at,
@@ -521,6 +523,21 @@ class TestWpDz:
             fd = fd_central(lambda w: wp(w, tm), z, 1e-5)
             assert abs(wp_dz(z, tm) - fd) < 1e-6 * max(1.0, abs(fd))
 
+    @pytest.mark.parametrize("tau", [0.1 + 1j, 0.45 + 0.03j, 1j])
+    def test_one_law_with_rho_d2z(self, tau):
+        """wp' = -rho'' bit for bit, the sign of every zero part included:
+        at tau = i a real z gives real values, whose zero imaginary parts
+        a negated rho'' law would flip."""
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        height = 0.0 if tau == 1j else 0.07j * tau.imag
+        for z in (0.05 + (0.1 + height) * k for k in range(9)):
+            v, _, n, zw = _reduce_checked(z, tab, "z")
+            rho_d2z, = _rho_ratios(_theta_series_at(v, tab), n, zw, tab, (2,))
+            got, want = wp_dz(z, tm), -rho_d2z
+            assert (np.array([got]).view(np.uint64)
+                    == np.array([want]).view(np.uint64)).all(), z
+
 
 class TestWeierstrassCubic:
     """wp and wp_dz jointly satisfy wp'^2 = 4 wp^3 - g2 wp - g3 with the
@@ -660,6 +677,22 @@ class TestLame:
         with pytest.raises(PoleProximityError) as err:
             lame_y(0.3, 0.3 + 1e-9, TM_I)  # z - u on the lattice
         assert "z - u" in err.value.variable
+
+
+class TestReduceChecked:
+    @pytest.mark.parametrize("tau", [1j, 0.45 + 0.03j])
+    def test_exempt_point(self, tau):
+        """A None name exempts the point from the pole check, as in
+        `_reduce_checked_array`: a lattice point reduces, to the same
+        values the reduction gives, and with a name it raises."""
+        tab = _table(TorusModulus(tau))
+        z = 2 - 3 * tau
+        v, m, n, zw = _reduce_checked(z, tab, None)
+        assert zw == z * tab.w_inv
+        assert (v, m, n) == reduce_to_cell(zw, tab.tau_r)
+        assert abs(v) < 1e-12
+        with pytest.raises(PoleProximityError, match="^u = "):
+            _reduce_checked(z, tab, "u")
 
 
 class TestLatticeDistance:

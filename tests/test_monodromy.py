@@ -231,6 +231,21 @@ class TestMagnusTransport:
         large = monodromy_pole(self.CFG3, self.PH3, 0.1, icfg=TIGHT)
         assert np.max(np.abs(small - large)) < 1e-10
 
+    def test_collision_names_the_pair(self):
+        """Two bodies within POLE_EXCLUSION_RADIUS: every node's L raises
+        for their separation, so the PathError names the pair, not a
+        segment, both for a path and for the triple."""
+        ph = PhasePoint([0.3, 0.3 + 1e-8j], [0.3, -0.3])
+        message = ("transport truncated: q[0] - q[1] = -1e-08j is within "
+                   "1.000e-08 of a lattice point")
+        for run in (lambda: transport(CFG, ph, PathSpec((0.25 + 0.25j,
+                                                         0.6 + 0.6j))),
+                    lambda: monodromy_data(CFG, ph, TIGHT)):
+            with pytest.raises(PathError) as info:
+                run()
+            assert str(info.value) == message
+            assert isinstance(info.value.__cause__, PoleProximityError)
+
     def test_pole_node_names_segment(self, monkeypatch):
         # a node of the second segment meets a pole: the error names it
         import ellcm.monodromy as mono

@@ -9,11 +9,13 @@
 # arguments, the quasi-periodicity suite at 3 and 5 bodies, the
 # zero-curvature suite at 5 and 8 bodies, the JSON output of eval, verify,
 # flow and map, the flows and the symmetry README.md does not show, four
-# kernels at small Im tau (wp among them, at a reduced modulus), a flow at 3
-# bodies and a reduced modulus, whose eom and H run on the scalar pair path,
-# flows at 5, 8 and 16 bodies, whose eom and H run on the array pair path,
-# and the monodromy triple at 3 bodies (also at a reduced modulus, whose
-# series has three terms) and at a small pole loop, once per tree,
+# kernels at small Im tau (wp among them, at a reduced modulus), a flow at
+# one body, whose pair table is empty, a flow at 3 bodies and a reduced
+# modulus, tau-flows at 5 and 6 bodies, one on each side of the switch of
+# the pair paths (ARRAY_PAIRS_FROM), flows at 5, 8 and 16 bodies, the
+# monodromy triple at 3 bodies (also at a reduced modulus, whose series has
+# three terms) and at a small pole loop, and the triple of two colliding
+# bodies, which exits 3 and names the pair, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -55,9 +57,14 @@ commands+=("eval wp-dz --z 0.23+0.0074i --tau 0.02i"
            "eval lame-y --u 0.3 --z 0.2+0.01i --tau 0.01+0.08i"
            "eval theta1 --z 0.2+0.01i --tau 0.45+0.03i"
            "eval wp --z 0.2+0.01i --tau 0.45+0.03i")
-# eom and H on the scalar pair path, below ARRAY_PAIRS_FROM = 5 bodies, at
-# a modulus the series reduces (Im tau below 0.7725)
+# one body: no pairs, so eom and H evaluate no series
+commands+=("flow isomonodromic --n 1 --g 0.5 --tau 1.0i --tau-end 0.05+1.0i --q 0.2+0.1i --p 0.3")
+# eom and H on the scalar pair path, below ARRAY_PAIRS_FROM bodies, at a
+# modulus the series reduces (Im tau below 0.7725)
 commands+=("flow isomonodromic --n 3 --g 0.5 --tau 0.2+0.6i --tau-end 0.2+0.62i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3,0.1")
+# at 5 and 6 bodies, either side of the measured crossover of the pair paths
+commands+=("flow isomonodromic --n 5 --g 0.5 --tau 0.02+1.0i --tau-end 0.04+1.02i --q 0.05,0.27+0.04i,0.46-0.03i,0.63+0.02i,0.84 --p 0.2,-0.3,0.25,-0.15,0.1"
+           "flow isomonodromic --n 6 --g 0.5 --tau 0.02+1.0i --tau-end 0.04+1.02i --q 0.02,0.18+0.03i,0.35-0.02i,0.51+0.02i,0.68,0.84-0.03i --p 0.25,-0.3,0.2,-0.2,0.3,-0.25")
 # eom and H on the array pair path, from ARRAY_PAIRS_FROM = 5 bodies
 commands+=("flow isomonodromic --n 8 --g 0.5 --tau 1.0i --tau-end 0.02+1.05i --q 0,0.13+0.02i,0.25-0.01i,0.37+0.03i,0.5,0.62-0.02i,0.75+0.01i,0.88 --p 0.3,-0.25,0.2,-0.3,0.28,-0.22,0.3,-0.31"
            "flow isospectral --n 5 --g 0.7 --tau 0.1+1.0i --q 0.05,0.27+0.04i,0.46-0.03i,0.63+0.02i,0.84 --p 0.2,-0.3,0.25,-0.15,0.1 --t-end 0.3")
@@ -70,6 +77,8 @@ commands+=("flow isomonodromic --n 16 --g 0.5 --tau 1.0i --tau-end 0.004+1.0i --
 commands+=("monodromy --n 3 --g 0.3 --tau 0.1+1.0i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
            "monodromy --n 3 --g 0.3 --tau 0.2+0.6i --q 0.1,0.45+0.15i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
            "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.005")
+# two bodies 1e-8 apart: the transport stops with exit 3, naming the pair
+commands+=("monodromy --n 2 --g 0.35 --tau 1.0i --q 0.3,0.3+0.00000001i --p 0.3,-0.3")
 
 work=$(mktemp -d)
 differ=0
