@@ -28,28 +28,27 @@ with both -dH/dq_j of the Hamiltonian below and the zero-curvature
 equation 2 pi i dL/dtau + dA/dz = [L, A]; the residual of that equation
 is the authoritative check and vanishes to rounding by this choice.
 
-Pair sums take one of two paths, chosen by the body count alone, with one
-set of ratio laws (`elliptic._rho_ratios`: wp = c - rho', wp' = -rho'') and
-one order of pole checks (every pair, in row order, before any sum).  Below
+Every pair enumeration reads one cached table, `_pair_index(n)`.  Pair sums
+take one of two paths, chosen by the body count alone, with one set of ratio
+laws (`elliptic._rho_ratios`: wp = c - rho', wp' = -rho'') and one order of
+pole checks (every pair, in row order, before any sum).  Below
 ARRAY_PAIRS_FROM bodies eom and H loop over the pairs (`_pair_points`), each
 reduced once; from it on they read `_pair_arrays`, one `elliptic._rho_array`
-pass like the one `lame_array` makes for the Lax entries.  One pair costs
-~40 us on that pass (reduce 12, sums 18, ratios 8, row sums 5), ~5 us in
-the loop.  On whole 16-sample tau-flows at tau = 0.02+i (2-CPU x86 host
-with AVX-512, numpy 2.4) array over scalar time is 1.31-1.38 at n = 4,
-1.08-1.15 at 5, 0.87-0.96 at 6 and 0.73-0.74 at 7; on t-flows 1.34-1.36,
-0.99-1.07, 0.78-0.80 and 0.63-0.65: the crossover lies between 5 and 6.
-The paths agree to rounding: at Im tau = 0.08, where wp' cancels terms
-~10^3 times its size, they differ by ~1e-12 relative, as each does from
-mpmath.
+pass like the one `lame_array` makes for the Lax entries.  The numpy pass
+has a larger fixed cost per call and a smaller cost per pair than the loop,
+so it wins from some body count on: whole flows put that crossover between
+5 and 6 bodies (measurements in CHANGES.md).  The paths agree to rounding:
+at Im tau = 0.08, where wp' cancels terms ~10^3 times its size, they differ
+by ~1e-12 relative, as each does from mpmath.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
@@ -144,25 +143,19 @@ class QuasiPeriodicityReport:
                    self.A_a_cycle, self.A_b_cycle)
 
 
-class _PairIndex(NamedTuple):
-    """The pairs j < k of n bodies in row order: (j, k) as index arrays and
-    as Python int pairs, the (rows, cols) of the Lax entries, (j, k) then
-    (k, j) for each pair, and name(i), pair i's name in a pole error."""
-    j: np.ndarray
-    k: np.ndarray
-    ints: list
-    rows: np.ndarray
-    cols: np.ndarray
-    name: Callable[[int], str]
+_PairIndex = collections.namedtuple("_PairIndex", "j k pairs rows cols name")
 
 
 @functools.cache
 def _pair_index(n: int) -> _PairIndex:
-    """The pair table of n bodies, which every pair enumeration reads."""
+    """The pairs j < k of n bodies in row order, the table every pair
+    enumeration reads: (j, k) as index arrays and as Python int pairs
+    (``pairs``), the (``rows``, ``cols``) of the Lax entries, (j, k) then
+    (k, j) for each pair, and ``name(i)``, pair i's name in a pole error."""
     j, k = np.triu_indices(n, 1)
-    ints = list(zip(j.tolist(), k.tolist()))
-    names = tuple(f"q[{a}] - q[{b}]" for a, b in ints)
-    return _PairIndex(j, k, ints, np.stack([j, k], 1).ravel(),
+    pairs = tuple(zip(j.tolist(), k.tolist()))
+    names = tuple(f"q[{a}] - q[{b}]" for a, b in pairs)
+    return _PairIndex(j, k, pairs, np.stack([j, k], 1).ravel(),
                       np.stack([k, j], 1).ravel(), names.__getitem__)
 
 
@@ -181,9 +174,9 @@ def _pair_points(cfg: CMConfig, ph: PhasePoint, orders) -> list:
     `elliptic._rho_points`: (j, k, ...) for each pair in row order."""
     t = _pair_index(ph.n)
     q = ph.q.tolist()
-    values = _rho_points([q[j] - q[k] for j, k in t.ints], cfg.tm, t.name,
+    values = _rho_points([q[j] - q[k] for j, k in t.pairs], cfg.tm, t.name,
                          orders)
-    return [(j, k, *v) for (j, k), v in zip(t.ints, values)]
+    return [(j, k, *v) for (j, k), v in zip(t.pairs, values)]
 
 
 def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
@@ -203,7 +196,7 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
         return float(_lattice_distance_array(ph.q[t.j] - ph.q[t.k],
                                              tau).min())
     q = ph.q.tolist()
-    return min((lattice_distance(q[j] - q[k], tau) for j, k in t.ints),
+    return min((lattice_distance(q[j] - q[k], tau) for j, k in t.pairs),
                default=math.inf)
 
 
@@ -214,14 +207,13 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     """L of the quasi-periodic gauge at every node of the 1-D array z, shape
     (m, n, n), from one `lame_array` evaluation; with ``ratios``, (L, A,
-    dA/dz), each of that shape.  The pair separations q_j - q_k are
-    pole-checked first, as by `_pair_arrays` (not at g = 0 or n = 1, where
-    no entry reads them).  Then, as by lame_x, z - u at a lattice point is
-    a zero of an L entry, not a pole: without ``ratios`` only the nodes are
-    pole-checked, with them z - u, u and z in that order as by lame_y, all
-    before any series sum.  wp(u) = c - rho'(u), and the A diagonal D is
-    z-independent, so it is summed once and only y = -x (rho(u) + rho(z-u))
-    differentiates:
+    dA/dz), each of that shape.  The separations q_j - q_k are pole-checked
+    first, as by `_pair_arrays` (unless g = 0 or n = 1).  Then, as by
+    lame_x, z - u at a lattice point is a zero of an L entry, not a pole:
+    without ``ratios`` only the nodes are pole-checked, with them z - u, u
+    and z in that order as by lame_y, all before any series sum.
+    wp(u) = c - rho'(u), and the A diagonal D is z-independent, so it is
+    summed once and only y = -x (rho(u) + rho(z-u)) differentiates:
 
         dy/dz = -x (rho(z-u) - rho(z)) (rho(u) + rho(z-u)) - x rho'(z-u).
     """

@@ -685,13 +685,13 @@ class TestPairArrays:
     @pytest.mark.parametrize("tau", [0.02j, 0.01j, 0.003j, 0.45 + 0.03j,
                                      17.3 + 0.8j])
     def test_eom_against_mpmath(self, tau):
-        """eom at n = 4 (scalar pair loop) and n = 5 (array pair path) at
-        moduli whose series runs at tau' = gamma tau, against wp' of the
-        40-digit mpmath theta1, each pair within 1e-12 of its size or of
-        wp's scale |pi/tau|^3."""
+        """eom one body short of ARRAY_PAIRS_FROM (scalar pair loop) and at
+        it (array pair path) at moduli whose series runs at tau' = gamma tau,
+        against wp' of the 40-digit mpmath theta1, each pair within 1e-12 of
+        its size or of wp's scale |pi/tau|^3."""
         pytest.importorskip("mpmath")
         scale = abs(math.pi / tau) ** 3
-        for n in (4, 5):
+        for n in (calogero.ARRAY_PAIRS_FROM - 1, calogero.ARRAY_PAIRS_FROM):
             cfg, ph = self.case(n, tau, 100 * n + 7)
             dq, dp = eom(cfg, ph)
             assert np.array_equal(dq, ph.p)
@@ -729,8 +729,8 @@ class TestPairArrays:
         of each pair, and the pair names."""
         pairs = [(j, k) for j in range(n) for k in range(n) if j < k]
         t = calogero._pair_index(n)
-        assert t.ints == pairs
-        assert all(type(a) is int for pair in t.ints for a in pair)
+        assert list(t.pairs) == pairs
+        assert all(type(a) is int for pair in t.pairs for a in pair)
         assert t.j.tolist() == [j for j, _ in pairs]
         assert t.k.tolist() == [k for _, k in pairs]
         entries = [e for j, k in pairs for e in ((j, k), (k, j))]
