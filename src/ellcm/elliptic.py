@@ -475,8 +475,7 @@ def _dz0(tab: _SeriesTable) -> complex:
 def _reduce_checked(z: complex, tab: _SeriesTable, name: str | None):
     """(v, m, n, z / w) with z / w = v + m + n tau' and v reduced at tau'
     (module docstring).  A z within POLE_EXCLUSION_RADIUS of the lattice of
-    tau raises PoleProximityError under name, with that distance, unless
-    name is None (a point exempt from the check)."""
+    tau raises PoleProximityError under name, unless name is None."""
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell(zw, tab.tau_r)
     if name is not None and not (tab.near <= abs(v) <= tab.clear):
@@ -653,10 +652,9 @@ def _rho_dz_law(r, B, tab: _SeriesTable):
 
 def _wp_dz_law(r, B, T, tab: _SeriesTable):
     """wp'(z | tau) = -rho''(z | tau) from r = rho(v | tau'), B and
-    T = theta1'''/theta1 at v: (3 r B - T - 2 r^3) / w^3, cubed as r r r:
-    numpy's complex r**3 differs from it in the last bit.  rho'' is its
-    negation; (T - 3 r B + 2 r^3) / w^3 negated would flip the sign of
-    some zero parts of wp' (x - x is +0 either way round)."""
+    T = theta1'''/theta1 at v: (3 r B - T - 2 r^3) / w^3, cubed as r r r
+    (numpy's complex r**3 differs in the last bit).  rho'' is its negation:
+    negating (T - 3 r B + 2 r^3) / w^3 instead flips zero parts' signs."""
     return (3.0 * r * B - T - 2.0 * r * r * r) * tab.w_inv3
 
 

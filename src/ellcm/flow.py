@@ -50,10 +50,9 @@ from .painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 
 # Collision thresholds for the pairwise reduced separation (wp' grows like
-# separation^-3, so both FD and step control degrade below these); eom's own
-# pole check raises at the truncation radius.
+# separation^-3, so both FD and step control degrade below these).
 COLLISION_REJECT = 1e-4
-COLLISION_TRUNCATE = POLE_EXCLUSION_RADIUS
+COLLISION_TRUNCATE = POLE_EXCLUSION_RADIUS  # where eom's pole check raises
 
 #: Step of the central differences of `symplectic_jacobian_check`.
 JACOBIAN_FD_STEP = 1e-6
