@@ -71,7 +71,7 @@ Gauge = Literal["quasi_periodic", "periodic"]
 
 #: Body count from which the pair sums run on arrays (`_pair_arrays`), the
 #: measured crossover of the two paths (module docstring).
-ARRAY_PAIRS_FROM = 5
+ARRAY_PAIRS_FROM = 6
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ for suite in $(PYTHONPATH="$here/src" python3 -c \
         'from ellcm.verify import SUITES; print(*SUITES)'); do
     commands+=("verify $suite")
 done
-# the Lax pair at 3 bodies, from ARRAY_PAIRS_FROM = 5 bodies, where the pair
-# sums run on arrays, and at 8 and 9 bodies, where its entries reach ~1e3
+# the Lax pair at 3 and 5 bodies, below ARRAY_PAIRS_FROM = 6, where eom
+# loops over the pairs (the zero-curvature suite adds n + 1 bodies, so its
+# 6 bodies take the array path), and at 8 and 9 bodies, where the Lax
+# entries reach ~1e3
 commands+=("verify quasi-periodicity --n 3" "verify quasi-periodicity --n 5"
            "verify zero-curvature --n 5" "verify zero-curvature --n 8")
 # the JSON branch of the writer
@@ -62,10 +64,10 @@ commands+=("flow isomonodromic --n 1 --g 0.5 --tau 1.0i --tau-end 0.05+1.0i --q 
 # eom and H on the scalar pair path, below ARRAY_PAIRS_FROM bodies, at a
 # modulus the series reduces (Im tau below 0.7725)
 commands+=("flow isomonodromic --n 3 --g 0.5 --tau 0.2+0.6i --tau-end 0.2+0.62i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3,0.1")
-# at 5 and 6 bodies, either side of the measured crossover of the pair paths
+# one body short of ARRAY_PAIRS_FROM = 6, on the scalar pair path, and at it
 commands+=("flow isomonodromic --n 5 --g 0.5 --tau 0.02+1.0i --tau-end 0.04+1.02i --q 0.05,0.27+0.04i,0.46-0.03i,0.63+0.02i,0.84 --p 0.2,-0.3,0.25,-0.15,0.1"
            "flow isomonodromic --n 6 --g 0.5 --tau 0.02+1.0i --tau-end 0.04+1.02i --q 0.02,0.18+0.03i,0.35-0.02i,0.51+0.02i,0.68,0.84-0.03i --p 0.25,-0.3,0.2,-0.2,0.3,-0.25")
-# eom and H on the array pair path, from ARRAY_PAIRS_FROM = 5 bodies
+# eom and H on the array pair path at 8 bodies, and on the scalar one at 5
 commands+=("flow isomonodromic --n 8 --g 0.5 --tau 1.0i --tau-end 0.02+1.05i --q 0,0.13+0.02i,0.25-0.01i,0.37+0.03i,0.5,0.62-0.02i,0.75+0.01i,0.88 --p 0.3,-0.25,0.2,-0.3,0.28,-0.22,0.3,-0.31"
            "flow isospectral --n 5 --g 0.7 --tau 0.1+1.0i --q 0.05,0.27+0.04i,0.46-0.03i,0.63+0.02i,0.84 --p 0.2,-0.3,0.25,-0.15,0.1 --t-end 0.3")
 # 120 pairs in each array pair sum
