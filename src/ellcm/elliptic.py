@@ -136,14 +136,18 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateLatticeError,
     PoleProximityError,
     SeriesRangeError,
 )
+
+if TYPE_CHECKING:
+    # numpy is imported by the array functions alone, so the scalar kernels
+    # run without it
+    import numpy as np
 
 TWO_PI_I = 2j * math.pi
 _I_PI = 1j * math.pi
@@ -160,12 +164,10 @@ REL_TOL = 1e-14
 #: |sin x| and |cos x| stay finite while |Im x| is below this.
 _LOG_MAX = math.log(sys.float_info.max)
 
-#: Constants of `_series_sums`, complex so that no operation casts: pi,
-#: the factor taking sin a + i cos a to 2 cos a - 2i sin a, and the offsets
-#: from 4 cos^2 x of the first step's t + 1 and t - 1 and of t itself.
-_PI = np.complex128(math.pi)
-_MINUS_TWO_I = np.complex128(-2j)
-_OFFSETS = np.array([[1.0], [3.0], [2.0]], dtype=complex)
+#: Constants of `_series_sums`, complex so that no operation casts: pi and
+#: the factor taking sin a + i cos a to 2 cos a - 2i sin a.
+_PI = complex(math.pi)
+_MINUS_TWO_I = -2j
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,7 @@ def reduce_to_cell_array(z, tau: complex
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """reduce_to_cell at every point of the array z; m and n come back as
     float arrays of integers."""
+    import numpy as np
     z = np.asarray(z, dtype=complex)
     b = z.imag / tau.imag
     m = np.round(z.real - b * tau.real)
@@ -248,13 +251,14 @@ def _reduced_distance(w: complex, tau: complex) -> float:
 
 
 #: Lattice coordinates (i, j) of the nine candidates i + j tau.
-_NINE_I, _NINE_J = np.array([(i, j) for i in (-1, 0, 1)
-                             for j in (-1, 0, 1)], dtype=float).T
+_NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 def _reduced_distance_array(w: np.ndarray, tau: complex) -> np.ndarray:
     """_reduced_distance at every point of the array w."""
-    return np.abs(w[..., None] - (_NINE_I + _NINE_J * tau)).min(axis=-1)
+    import numpy as np
+    nine = np.array([i + j * tau for i, j in _NINE])
+    return np.abs(w[..., None] - nine).min(axis=-1)
 
 
 def lattice_distance(z: complex, tau: complex) -> float:
@@ -333,9 +337,9 @@ class _SeriesTable:
     ``near``, ``clear``: a reduced |v| at tau' in [near, clear] is at least
     ``near`` = POLE_EXCLUSION_RADIUS / |w| away from all nine lattice
     candidates w (i + j tau') of the lattice of tau, in units of tau'.
-    ``arrays``: the coefficients as numpy arrays and the overflow bound of
-    `_series_sums`, built on first array use (`_table_arrays`), so
-    scalar-only callers never pay for them.
+    ``arrays``: the coefficients as numpy arrays, the overflow bound and the
+    recurrence offsets of `_series_sums`, built on first array use
+    (`_table_arrays`), so scalar-only callers never pay for them.
     ``consts``: e^lift theta1'(0 | tau') / w and the Weierstrass constant
     at tau', built on first read (`_constants`).
 
@@ -423,16 +427,20 @@ def _table(tm: TorusModulus) -> _SeriesTable:
 
 
 def _table_arrays(tab: _SeriesTable):
-    """(coefficients, bound) of `_series_sums`, built on first use.  The
-    coefficients, shape (2, K, 2, 1), are c_{2i} of harmonic k at [i, k, 0]
-    for the sine rows (theta1, theta1'') and c_{2i+1} / 2 at [i, k, 1] for
-    the cosine rows (theta1', theta1''', summed over 2 cos).  bound =
-    _LOG_MAX / (2K - 1) caps |Im(pi w)|: the last harmonic grows like
-    exp((2K - 1) |Im(pi w)|)."""
+    """(coefficients, bound, offsets) of `_series_sums`, built on first use.
+    The coefficients, shape (2, K, 2, 1), are c_{2i} of harmonic k at
+    [i, k, 0] for the sine rows (theta1, theta1'') and c_{2i+1} / 2 at
+    [i, k, 1] for the cosine rows (theta1', theta1''', summed over 2 cos).
+    bound = _LOG_MAX / (2K - 1) caps |Im(pi w)|: the last harmonic grows
+    like exp((2K - 1) |Im(pi w)|).  The offsets, shape (3, 1) and complex
+    so that no operation casts, are those from 4 cos^2 x of the first
+    step's t + 1 and t - 1 and of t itself."""
     if tab.arrays is None:
+        import numpy as np
         c = np.array([[(t[1], 0.5 * t[2]) for t in tab.terms],
                       [(t[3], 0.5 * t[4]) for t in tab.terms]])[..., None]
-        tab.arrays = (c, _LOG_MAX / (2 * len(tab.terms) - 1))
+        tab.arrays = (c, _LOG_MAX / (2 * len(tab.terms) - 1),
+                      np.array([[1.0], [3.0], [2.0]], dtype=complex))
     return tab.arrays
 
 
@@ -577,7 +585,8 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
     raises only where cmath.sin overflows, up to ln 2 / (2K - 1) further
     out.)
     """
-    coef, bound = _table_arrays(tab)
+    import numpy as np
+    coef, bound, offsets = _table_arrays(tab)
     if rows < 3:
         coef = coef[:1, :, :rows]
     _, k_max, j, _ = coef.shape
@@ -606,7 +615,7 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
         two_cos = (g[0, 1] if j == 2 else
                    (efv[1] * efv[2]).view(complex))
         # t + 1, t - 1 and t from 4 cos^2 x
-        t_rows = two_cos * two_cos - _OFFSETS
+        t_rows = two_cos * two_cos - offsets
         t = t_rows[2]
         np.multiply(g[0], t_rows[:j], g[1])
         for k in range(2, k_max):
@@ -624,6 +633,7 @@ def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
     in array order from ``start`` on and then from 0, raises
     PoleProximityError under name(i), unless that is None (a point exempt
     from the check)."""
+    import numpy as np
     tab = _table(tm)
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell_array(zw, tab.tau_r)
@@ -764,8 +774,13 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
     tab = _table(tm)
     v, m, n, _ = _reduce_checked(z, tab, None)
     nu2 = tab.nome_r * tab.nome_r
-    c1 = cmath.cos(math.pi * (v + 0.5))
-    c2 = cmath.cos(2 * math.pi * (v + 0.5))
+    try:
+        c1 = cmath.cos(math.pi * (v + 0.5))
+        c2 = cmath.cos(2 * math.pi * (v + 0.5))
+    except OverflowError:
+        raise SeriesRangeError(
+            f"theta1 triple product overflows at the reduced point "
+            f"v = {v}") from None
     prod = -2.0 * cmath.exp(0.25j * math.pi * tab.tau_r + tab.lift) * c1
     nu2_pow = complex(1.0)
     for _ in range(_factor_count(abs(tab.nome_r))):
@@ -811,6 +826,7 @@ def wp_dz(z: complex, tm: TorusModulus) -> complex:
 def _pi2_csc2(a: np.ndarray) -> np.ndarray:
     """pi^2 csc^2(pi a) at every point of a.  sin overflows past |Im a| of
     about 226; heights are capped at 100, where csc^2 is below 1e-270."""
+    import numpy as np
     a = a.real + 1j * np.clip(a.imag, -100.0, 100.0)
     return (math.pi / np.sin(math.pi * a)) ** 2
 
@@ -830,6 +846,7 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus) -> complex:
     which is exact and keeps the lattice.  Shares no code with the theta
     series.
     """
+    import numpy as np
     d = lattice_distance(z, tm.tau)
     if d < POLE_EXCLUSION_RADIUS:
         raise PoleProximityError(z, "z", d)
@@ -938,6 +955,7 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     z - u (only with ``ratios``: x vanishes there), u, z.  The first point
     within POLE_EXCLUSION_RADIUS raises PoleProximityError under that name.
     """
+    import numpy as np
     z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
     zu = z[:, None] - u
     a, b = u.size, u.size + z.size  # points [:a] are u, [a:b] z, [b:] z - u

@@ -83,6 +83,14 @@ class TestEval:
         assert main(["eval", "wp", "--z", "0.3+230i", "--tau", tau]) == 2
         assert word in capsys.readouterr().err
 
+    def test_triple_product_range_exit_code(self, capsys):
+        # theta1 has a value here, the triple product leaves the double range
+        point = ["--z=-1.4488323930057172+0.0032617019776511763i",
+                 "--tau", "0.003i"]
+        assert main(["eval", "theta1", *point]) == 0
+        assert main(["eval", "theta1-product", *point]) == 2
+        assert "evaluation error" in capsys.readouterr().err
+
     def test_unknown_function(self):
         assert main(["eval", "nope", "--z", "1", "--tau", "1.0i"]) == 1
 

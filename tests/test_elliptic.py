@@ -394,6 +394,16 @@ class TestTheta1Product:
             a, b = theta1(z, tm), theta1_product(z, tm)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
+    def test_overflow_raises(self):
+        # at tau = 0.003i the point reduces to Im v = 149.6 at tau' ~ 333i,
+        # where the series still sums but cos(2 pi (v + 1/2)) of the
+        # product leaves the double range
+        tm = TorusModulus(0.003j)
+        z = -1.4488323930057172 + 0.0032617019776511763j
+        assert abs(theta1(z, tm) - (1.1181 - 0.4076j)) < 1e-4
+        with pytest.raises(SeriesRangeError, match="overflows"):
+            theta1_product(z, tm)
+
 
 class TestTheta1Derivatives:
     def test_dz_even(self):

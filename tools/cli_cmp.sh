@@ -15,7 +15,9 @@
 # the pair paths (ARRAY_PAIRS_FROM), flows at 5, 8 and 16 bodies, the
 # monodromy triple at 3 bodies (also at a reduced modulus, whose series has
 # three terms) and at a small pole loop, and the triple of two colliding
-# bodies, which exits 3 and names the pair, once per tree,
+# bodies, which exits 3 and names the pair, the version and the help, the
+# error exits of eval, verify and flow, and the triple product at a point
+# where it leaves the double range, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -81,6 +83,17 @@ commands+=("monodromy --n 3 --g 0.3 --tau 0.1+1.0i --q 0.1,0.45+0.2i,0.75-0.1i -
            "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.005")
 # two bodies 1e-8 apart: the transport stops with exit 3, naming the pair
 commands+=("monodromy --n 2 --g 0.35 --tau 1.0i --q 0.3,0.3+0.00000001i --p 0.3,-0.3")
+# the parser alone (the version, and the help without a command, exit 1)
+# and the error exits of commands that import their layers when they run,
+# where a missing import would show: a pole (exit 2), an unknown suite and
+# a flow without --q (exit 1)
+commands+=("--version" ""
+           "eval wp --z 0 --tau 1.0i"
+           "verify nonsense"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --p 0.2,-0.2 --t-end 1.0")
+# the triple product where cos(2 pi (v + 1/2)) leaves the double range at
+# the reduced point: exit 2, where theta1 itself has a value
+commands+=("eval theta1-product --z=-1.4488323930057172+0.0032617019776511763i --tau 0.003i")
 
 work=$(mktemp -d)
 differ=0
