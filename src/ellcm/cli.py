@@ -14,8 +14,11 @@ plus seed produces bit-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -72,13 +75,33 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _finite(x, text: str):
+    """x, unless it is NaN or infinite: then ArgumentTypeError."""
+    if not cmath.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def parse_complex(text: str) -> complex:
-    s = str(text).strip().replace(" ", "").replace("i", "j")
+    """A finite complex number written with i or j, such as 0.2-0.4i."""
+    # the i of inf stays, so that inf parses and is then refused as such
+    s = re.sub("i(?!nf)", "j", str(text).strip().replace(" ", ""))
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex number {text!r}") from exc
+    return _finite(z, text)
+
+
+def parse_float(text: str) -> float:
+    """A finite real number."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from exc
+    return _finite(x, text)
 
 
 def parse_complex_list(text: str) -> list[complex]:
@@ -230,16 +253,15 @@ def cmd_verify(args) -> int:
 # flow
 # ----------------------------------------------------------------------
 
-def _integrator_config(args) -> IntegratorConfig:
-    """IntegratorConfig from the flags given; its own defaults otherwise."""
-    from .flow import IntegratorConfig
+def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
+    """base with the integrator flags the command has and was given."""
     given = {field: getattr(args, dest)
              for field, dest in (("abs_tol", "abs_tol"),
                                  ("rel_tol", "rel_tol"),
                                  ("initial_step", "step"),
                                  ("method", "method"))
-             if getattr(args, dest) is not None}
-    return IntegratorConfig(**given)
+             if getattr(args, dest, None) is not None}
+    return replace(base, **given)
 
 
 def _trajectory_payload(traj: Trajectory, n: int, g: complex,
@@ -298,9 +320,9 @@ def _trajectory_table(traj: Trajectory, n: int, hamiltonians: list[complex]
 
 def cmd_flow(args) -> int:
     from .calogero import PhasePoint, hamiltonian_cm
-    from .flow import (integrate_isomonodromic, integrate_isospectral,
-                       integrate_scalar_painleve)
-    icfg = _integrator_config(args)
+    from .flow import (IntegratorConfig, integrate_isomonodromic,
+                       integrate_isospectral, integrate_scalar_painleve)
+    icfg = _integrator_config(args, IntegratorConfig())
     samples = 16 if args.samples is None else args.samples
     if args.kind == "painleve-scalar":
         params = _alpha(args)
@@ -395,16 +417,13 @@ def cmd_monodromy(args) -> int:
     import numpy as np
 
     from .calogero import PhasePoint
-    from .flow import IntegratorConfig
+    from .flow import TIGHT
     from .monodromy import (check_drift_step, cubic_relation_residual,
                             isomonodromy_drift, monodromy_data)
     cfg, q, p = _nbody(args)
     tau = cfg.tm.tau
     ph = PhasePoint(q, p)
-    icfg = IntegratorConfig(
-        rel_tol=1e-11 if args.rel_tol is None else args.rel_tol,
-        abs_tol=1e-13 if args.abs_tol is None else args.abs_tol,
-    )
+    icfg = _integrator_config(args, TIGHT)
     radius = 0.1 if args.radius is None else args.radius
     if args.drift is not None:
         check_drift_step(args.drift)
@@ -537,16 +556,16 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     arg("--g", type=parse_complex)
     arg("--tau", type=parse_complex)
     arg("--tau-end", dest="tau_end", type=parse_complex)
-    arg("--t-end", dest="t_end", type=float)
+    arg("--t-end", dest="t_end", type=parse_float)
     arg("--q", type=parse_complex_list)
     arg("--p", type=parse_complex_list)
     arg("--alpha", type=parse_complex_list)
     arg("--traceless", action="store_true", default=None)
     arg("--samples", type=int)
     arg("--method", choices=("rk4_fixed", "rk45_adaptive"))
-    arg("--step", type=float)
-    arg("--rel-tol", dest="rel_tol", type=float)
-    arg("--abs-tol", dest="abs_tol", type=float)
+    arg("--step", type=parse_float)
+    arg("--rel-tol", dest="rel_tol", type=parse_float)
+    arg("--abs-tol", dest="abs_tol", type=parse_float)
 
     arg = command("monodromy", "compute the monodromy report", formats=False)
     arg("--n", type=int)
@@ -554,11 +573,11 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     arg("--tau", type=parse_complex)
     arg("--q", type=parse_complex_list)
     arg("--p", type=parse_complex_list)
-    arg("--radius", type=float)
+    arg("--radius", type=parse_float)
     arg("--drift", type=parse_complex,
         help="dtau for the isomonodromy drift block")
-    arg("--rel-tol", dest="rel_tol", type=float)
-    arg("--abs-tol", dest="abs_tol", type=float)
+    arg("--rel-tol", dest="rel_tol", type=parse_float)
+    arg("--abs-tol", dest="abs_tol", type=parse_float)
 
     arg = command("symmetry", "apply a symmetry transformation", formats=False)
     arg("transform", choices=("landin", "scaling", "s4-shift"))

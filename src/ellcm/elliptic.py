@@ -185,7 +185,7 @@ class TorusModulus:
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if not (tau.imag > 0.0):
+        if not (tau.imag > 0.0 and cmath.isfinite(tau)):
             raise ValueError(f"tau = {tau} must lie in the upper half-plane")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nome", cmath.exp(1j * math.pi * tau))
@@ -340,8 +340,8 @@ class _SeriesTable:
     ``arrays``: the coefficients as numpy arrays, the overflow bound and the
     recurrence offsets of `_series_sums`, built on first array use
     (`_table_arrays`), so scalar-only callers never pay for them.
-    ``consts``: e^lift theta1'(0 | tau') / w and the Weierstrass constant
-    at tau', built on first read (`_constants`).
+    ``consts``: e^lift theta1'(0 | tau') / w, the Weierstrass constant and
+    theta1'(0) at tau, built on first read (`_constants`).
 
     ``lift``: the coefficients, and theta1'(0) of `_constants`, carry the
     factor e^lift, and ``log_c`` = log C - lift takes it out again.  It
@@ -445,11 +445,11 @@ def _table_arrays(tab: _SeriesTable):
 
 
 def _constants(tab: _SeriesTable):
-    """(e^lift theta1'(0 | tau') / w, the Weierstrass constant at tau'),
-    built on first read from the product and Lambert forms of the module
-    docstring, x = nu'^2, to double precision: the E2 tail from factor m
-    on is at most 24 m |x|^m / (1 - |x|)^3, and the product's is
-    smaller."""
+    """(e^lift theta1'(0 | tau') / w, the Weierstrass constant, theta1'(0))
+    at tau, built on first read from the product and Lambert forms of the
+    module docstring at tau', x = nu'^2, to double precision (the E2 tail
+    from factor m on is at most 24 m |x|^m / (1 - |x|)^3, the product's is
+    smaller), then restored to tau by the laws there."""
     if tab.consts is None:
         nu2 = tab.nome_r * tab.nome_r
         q2 = abs(nu2)
@@ -464,20 +464,11 @@ def _constants(tab: _SeriesTable):
             x_abs *= q2
             m += 1
         nu4 = cmath.exp(0.25j * math.pi * tab.tau_r + tab.lift)
-        dz0 = 2.0 * math.pi * nu4 * prod ** 3
-        tab.consts = (dz0 * tab.w_inv,
-                      -math.pi ** 2 * (1.0 - 24.0 * lambert) / 3.0)
+        lame = 2.0 * math.pi * nu4 * prod ** 3 * tab.w_inv
+        c_r = -math.pi ** 2 * (1.0 - 24.0 * lambert) / 3.0
+        tab.consts = (lame, c_r * tab.w_inv2 - tab.shift * tab.w_inv,
+                      cmath.exp(tab.log_c) * lame)
     return tab.consts
-
-
-def _wp_const(tab: _SeriesTable) -> complex:
-    """The Weierstrass constant at tau: c(tau') / w^2 - 2 pi i c / w."""
-    return _constants(tab)[1] * tab.w_inv2 - tab.shift * tab.w_inv
-
-
-def _dz0(tab: _SeriesTable) -> complex:
-    """theta1'(0 | tau) = C theta1'(0 | tau') / w."""
-    return cmath.exp(tab.log_c) * _constants(tab)[0]
 
 
 def _reduce_checked(z: complex, tab: _SeriesTable, name: str | None):
@@ -741,14 +732,14 @@ def theta1_dz(z: complex, tm: TorusModulus) -> complex:
 
 def theta1_dz_at_0(tm: TorusModulus) -> complex:
     """theta1'(0) = 2 pi nu^{1/4} prod (1 - nu^{2m})^3 (module docstring)."""
-    return _dz0(_table(tm))
+    return _constants(_table(tm))[2]
 
 
 def theta1_d3z_at_0(tm: TorusModulus) -> complex:
     """theta1'''(0) = -2 pi^3 sum (-1)^k (2k+1)^3 nu^{(k+1/2)^2}, evaluated
     as -pi^2 E2 theta1'(0) (see the module docstring)."""
-    tab = _table(tm)
-    return 3.0 * _wp_const(tab) * _dz0(tab)
+    _, c, dz0 = _constants(_table(tm))
+    return 3.0 * c * dz0
 
 
 def _factor_count(q: float) -> int:
@@ -803,14 +794,14 @@ def rho(z: complex, tm: TorusModulus) -> complex:
 def weierstrass_constant(tm: TorusModulus) -> complex:
     """theta1'''(0) / (3 theta1'(0)): the constant making wp = -rho' + c
     free of a constant term in its Laurent expansion at 0."""
-    return _wp_const(_table(tm))
+    return _constants(_table(tm))[1]
 
 
 def wp(z: complex, tm: TorusModulus) -> complex:
     """Weierstrass wp(z, tau) = c - rho'(z), c = theta1'''(0)/(3 theta1'(0)),
     formed as the pair sums and the A diagonal form it."""
     (s0, s1, s2, _), _, _, tab = _reduced_ratios(z, tm)
-    return _wp_const(tab) - _rho_dz_law(s1 / s0, s2 / s0, tab)
+    return _constants(tab)[1] - _rho_dz_law(s1 / s0, s2 / s0, tab)
 
 
 def wp_dz(z: complex, tm: TorusModulus) -> complex:

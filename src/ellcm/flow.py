@@ -30,6 +30,7 @@ i_{X_H} Omega = 0 together with the canonical fiber restriction.)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
@@ -54,7 +55,7 @@ FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 COLLISION_REJECT = 1e-4
 COLLISION_TRUNCATE = POLE_EXCLUSION_RADIUS  # where eom's pole check raises
 
-#: Step of the central differences of `symplectic_jacobian_check`.
+#: Step of the central differences of `_central_differences`.
 JACOBIAN_FD_STEP = 1e-6
 
 
@@ -67,12 +68,18 @@ class IntegratorConfig:
     method: Literal["rk4_fixed", "rk45_adaptive"] = "rk45_adaptive"
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise UsageError("tolerances must be positive")
-        if self.max_steps < 1:
+        # an infinite tolerance accepts every step; not x > 0 rejects NaN
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise UsageError("tolerances must be positive and finite")
+        if not self.max_steps >= 1:
             raise UsageError("max_steps must be at least 1")
-        if self.initial_step <= 0:
+        if not self.initial_step > 0:
             raise UsageError("initial_step must be positive")
+
+
+#: The tolerances of the monodromy triple and its drift, the symplectic
+#: Jacobian and the verify suites that integrate.
+TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
 @dataclass
@@ -273,12 +280,15 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
     if samples < 1:
         raise UsageError(f"samples must be at least 1, got {samples}")
     start, end = span
+    what = "tau path" if tau is None else "time span"
+    if not (cmath.isfinite(start) and cmath.isfinite(end)):
+        raise UsageError(f"{what} [{start}, {end}] is not finite")
     if tau is None and (start.imag <= 0 or end.imag <= 0):
         raise PathError(
             f"tau path [{start}, {end}] leaves the upper half-plane")
     length = abs(end - start)
     if length == 0:
-        raise ValueError("empty tau path" if tau is None else "empty time span")
+        raise UsageError(f"empty {what}")
     direction = (end - start) / length
     n = ph0.n
     kind = "isomonodromic_tau" if tau is None else "isospectral_t"
@@ -386,17 +396,30 @@ def canonical_pairing(n: int) -> np.ndarray:
     return omega
 
 
+def _central_differences(f: Callable, x0) -> np.ndarray:
+    """The derivative of f at the complex vector x0, an oracle independent
+    of the library's own derivatives (a real step gives the complex
+    derivative of a holomorphic f): column j, in the order of x0, is
+    (f(x0 + h e_j) - f(x0 - h e_j)) / (2 h) in the type f returns,
+    h = JACOBIAN_FD_STEP.  Columns come last: a scalar f gives its gradient."""
+    x0 = np.asarray(x0, dtype=complex)
+    cols = []
+    for j in range(x0.size):
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += JACOBIAN_FD_STEP
+        xm[j] -= JACOBIAN_FD_STEP
+        cols.append((f(xp) - f(xm)) / (2.0 * JACOBIAN_FD_STEP))
+    return np.stack(cols, axis=-1)
+
+
 def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
                               tau_path: tuple[complex, complex],
-                              icfg: IntegratorConfig = IntegratorConfig(
-                                  rel_tol=1e-11, abs_tol=1e-13)) -> float:
+                              icfg: IntegratorConfig = TIGHT) -> float:
     """|| M^T Omega0 M - Omega0 ||_max for the fiber flow map Jacobian M.
 
     M is the 2n x 2n complex Jacobian of (q0, p0) -> (q(tau1), p(tau1)),
-    by central differences with step JACOBIAN_FD_STEP, an oracle independent
-    of the flow's own derivatives (the flow map is holomorphic, so real-step
-    differences give the complex derivative).  Closedness of the extended
-    form shows up as symplecticity of this parallel transport.
+    by `_central_differences`.  Closedness of the extended form shows up
+    as symplecticity of this parallel transport.
     """
     n = ph0.n
 
@@ -409,14 +432,6 @@ def symplectic_jacobian_check(cfg: CMConfig, ph0: PhasePoint,
                 traj.diagnostics.message)
         return _pack(traj.states[-1])
 
-    y0 = _pack(ph0)
-    dim = 2 * n
-    M = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        yp = y0.copy()
-        ym = y0.copy()
-        yp[j] += JACOBIAN_FD_STEP
-        ym[j] -= JACOBIAN_FD_STEP
-        M[:, j] = (flow_map(yp) - flow_map(ym)) / (2.0 * JACOBIAN_FD_STEP)
+    M = _central_differences(flow_map, _pack(ph0))
     omega0 = canonical_pairing(n)
     return float(np.max(np.abs(M.T @ omega0 @ M - omega0)))

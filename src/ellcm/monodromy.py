@@ -80,7 +80,7 @@ import numpy as np
 from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
 from .elliptic import TWO_PI_I, reduce_to_cell_array
 from .errors import IntegrationError, PathError, PoleProximityError, UsageError
-from .flow import IntegratorConfig, integrate_isomonodromic
+from .flow import TIGHT, IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4
@@ -513,15 +513,16 @@ def spectral_distance(md_a: MonodromyData, md_b: MonodromyData) -> float:
 
 
 def check_drift_step(dtau: complex) -> None:
-    """UsageError unless |dtau| <= 1e-2, the steps of the drift probe."""
-    if abs(dtau) > 1e-2 + 1e-15:
-        raise UsageError("|dtau| must be at most 1e-2 for the drift probe")
+    """UsageError unless 0 < |dtau| <= 1e-2, the steps of the drift
+    probe."""
+    if not 0.0 < abs(dtau) <= 1e-2 + 1e-15:
+        raise UsageError(
+            "|dtau| must be at most 1e-2 and nonzero for the drift probe")
 
 
 def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
                        dtau: complex,
-                       icfg: IntegratorConfig = IntegratorConfig(
-                           rel_tol=1e-11, abs_tol=1e-13),
+                       icfg: IntegratorConfig = TIGHT,
                        md0: MonodromyData | None = None,
                        radius: float = 0.1) -> float:
     """Spectral drift of (M0, M1, Mtau) across one isomonodromic step.

@@ -17,6 +17,7 @@ from ellcm.calogero import (
 )
 from ellcm.elliptic import TorusModulus, wp_dz
 from ellcm.flow import (
+    TIGHT,
     ExtendedTangent,
     IntegratorConfig,
     extended_two_form,
@@ -50,7 +51,6 @@ from ellcm.verify import (
 
 TWO_PI_I = 2j * math.pi
 TM_I = TorusModulus(1j)
-TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def report(name: str, residual: float, tol: float, extra: str = "") -> None:
@@ -268,9 +268,7 @@ def test_monodromy_criteria():
 def test_symplectic_jacobian():
     cfg = CMConfig(2, 1.0, TM_I)
     ph = PhasePoint([0.15 + 0.1j, 0.55 - 0.08j], [0.2, -0.35 + 0.1j])
-    res = symplectic_jacobian_check(cfg, ph, (1j, 1j + 0.05),
-                                    IntegratorConfig(rel_tol=1e-11,
-                                                     abs_tol=1e-13))
+    res = symplectic_jacobian_check(cfg, ph, (1j, 1j + 0.05), TIGHT)
     report("symplectic Jacobian ||M^T W M - W||, n=2", res, 1e-5)
 
 

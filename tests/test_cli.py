@@ -7,7 +7,7 @@ import pytest
 from ellcm.calogero import CMConfig, PhasePoint
 from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
-from ellcm.flow import IntegratorConfig
+from ellcm.flow import TIGHT
 from ellcm.monodromy import isomonodromy_drift, monodromy_data
 from ellcm.painleve import elliptic_to_rational
 
@@ -262,10 +262,9 @@ class TestMonodromyCommand:
         payload = json.loads(out.read_text())
         cfg = CMConfig(2, 0.35, TorusModulus(1j))
         ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
-        icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-        md = monodromy_data(cfg, ph, icfg, radius=0.05)
+        md = monodromy_data(cfg, ph, TIGHT, radius=0.05)
         assert payload["drift"]["spectral_drift"] == isomonodromy_drift(
-            cfg, ph, 1j, 0.01, icfg, md, 0.05)
+            cfg, ph, 1j, 0.01, TIGHT, md, 0.05)
 
     def test_det_residuals(self, tmp_path):
         # the README example; the three determinant identities are exact
@@ -443,7 +442,8 @@ class TestUsage:
           "--q", "0.1,0.5", "--p", "0,0"], "radius", "abc"),
         (["eval", "wp", "--z", "0.3"], "tau", "1.0q"),
         (without(UNPROJECTED, "--q"), "q", "0.1,x"),
-    ], ids=["samples", "radius", "tau", "q"])
+        (without(UNPROJECTED, "--t-end"), "t-end", "nan"),
+    ], ids=["samples", "radius", "tau", "q", "t-end-nan"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_malformed_value(self, tmp_path, capsys, command, key, value,
                              via):
@@ -502,6 +502,58 @@ class TestUsage:
         assert run(command + given(tmp_path, via, key, value), out) == 1
         assert not out.exists()
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        (without(UNPROJECTED, "--t-end") + ["--t-end", "nan"],
+         "argument --t-end: 'nan' is not a finite number"),
+        (["flow", "isomonodromic", "--n", "2", "--g", "0.5", "--tau", "1.0i",
+          "--tau-end", "nan+1i", "--q", "0.1,0.55", "--p", "0.2,-0.2"],
+         "argument --tau-end: 'nan+1i' is not a finite number"),
+        (UNPROJECTED + ["--rel-tol", "nan"],
+         "argument --rel-tol: 'nan' is not a finite number"),
+        (UNPROJECTED + ["--step", "nan"],
+         "argument --step: 'nan' is not a finite number"),
+        (without(UNPROJECTED, "--g") + ["--g", "nan"],
+         "argument --g: 'nan' is not a finite number"),
+        (["monodromy", "--n", "2", "--g", "0.35", "--tau", "1.0i",
+          "--q", "nan,0.52-0.07i", "--p", "0.31,-0.45"],
+         "argument --q: 'nan' is not a finite number"),
+        (["eval", "wp", "--z", "nan", "--tau", "1.0i"],
+         "argument --z: 'nan' is not a finite number"),
+        (["eval", "wp", "--z", "0.3", "--tau", "nan+1i"],
+         "argument --tau: 'nan+1i' is not a finite number"),
+        (["eval", "wp", "--z", "inf", "--tau", "1.0i"],
+         "argument --z: 'inf' is not a finite number"),
+        (["eval", "wp", "--z", "0.3", "--tau", "1e999i"],
+         "argument --tau: '1e999i' is not a finite number"),
+        (["map", "--q", "nan", "--tau", "0.9i"],
+         "argument --q: 'nan' is not a finite number"),
+        (MONODROMY + ["--drift", "0"],
+         "|dtau| must be at most 1e-2 and nonzero"),
+        (without(UNPROJECTED, "--t-end") + ["--t-end", "0"],
+         "empty time span"),
+    ], ids=["t-end", "tau-end", "rel-tol", "step", "g", "monodromy-q",
+            "z", "tau", "z-inf", "tau-overflow", "map-q", "drift-zero",
+            "t-end-zero"])
+    def test_non_finite_or_empty(self, tmp_path, capsys, monkeypatch,
+                                 command, message):
+        """A NaN or infinite number, a zero drift step and an empty time
+        span are usage errors, raised before any work, that write
+        nothing."""
+        import ellcm.flow as flow
+        import ellcm.monodromy as mono
+
+        def failing(*args, **kwargs):
+            raise AssertionError("worked before the check")
+
+        monkeypatch.setattr(mono, "_transport_paths", failing)
+        monkeypatch.setattr(flow, "integrate_segment", failing)
+        out = tmp_path / "out"
+        assert run(command, out) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {message}" in captured.err
 
     @pytest.mark.parametrize("command, message", [
         (UNPROJECTED + ["--q", "0.1"], "--q and --p must each have 2"),

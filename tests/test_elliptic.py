@@ -72,6 +72,14 @@ class TestTorusModulus:
         with pytest.raises(ValueError):
             TorusModulus(0.7)
 
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1.0),
+                                     complex(0.0, math.nan),
+                                     complex(0.0, math.inf),
+                                     complex(math.inf, 1.0)])
+    def test_non_finite_rejected(self, tau):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            TorusModulus(tau)
+
 
 class TestTheta1:
     def test_zero_at_origin(self):
@@ -742,6 +750,23 @@ class TestSeriesTable:
         assert abs(theta1_d3z_at_0(tm) - d3) < 1e-13 * abs(d3)
         c = d3 / (3 * d1)
         assert abs(weierstrass_constant(tm) - c) < 1e-13 * abs(c)
+
+    @pytest.mark.parametrize("tau", [0.3j, 1j])
+    def test_constants_from_one_build(self, tau):
+        # c, theta1'(0) and theta1'''(0) at tau, reduced (0.3i) or not (i),
+        # all read the table's one record: replaced by markers, it is what
+        # every reader returns, and nothing rebuilds it
+        from ellcm.elliptic import _constants, _table
+        tm = TorusModulus(tau)
+        c, dz0, w = weierstrass_constant(tm), theta1_dz_at_0(tm), wp(0.3, tm)
+        tab = _table(tm)
+        assert _constants(tab)[1:] == (c, dz0)
+        assert theta1_d3z_at_0(tm) == 3.0 * c * dz0
+        tab.consts = (5.0, 7.0, 11.0)
+        assert weierstrass_constant(tm) == 7.0
+        assert theta1_dz_at_0(tm) == 11.0
+        assert theta1_d3z_at_0(tm) == 231.0
+        assert wp(0.3, tm) - 7.0 == pytest.approx(w - c, rel=1e-14)
 
     @pytest.mark.parametrize("tau", [0.08j, 0.5 + 0.3j, 1j, -1.4 + 1.6j,
                                      0.77 + 0.8j])

@@ -11,13 +11,16 @@ from ellcm.calogero import (
     min_separation,
 )
 from ellcm.elliptic import TorusModulus, wp_dz
-from ellcm.errors import PathError
+from ellcm.errors import PathError, UsageError
 from ellcm.flow import (
     COLLISION_REJECT,
     COLLISION_TRUNCATE,
+    JACOBIAN_FD_STEP,
+    TIGHT,
     Diagnostics,
     ExtendedTangent,
     IntegratorConfig,
+    _central_differences,
     canonical_pairing,
     extended_two_form,
     hamiltonian_dtau,
@@ -33,8 +36,6 @@ from ellcm.rng import SplitMix64
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
-
-TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def random_tangent(rng, n):
@@ -405,6 +406,36 @@ class TestSymplecticJacobian:
                                          (1j, 1.01j)) for n in (3, 2)]
         assert res[0] == res[1] < 1e-5
 
+    def test_central_differences_exact_on_a_quadratic(self):
+        """A central difference of a quadratic has no truncation error: the
+        Jacobian is exact to rounding, its columns in the input's order,
+        and a scalar function gives its gradient."""
+        def f(x):
+            return np.array([x[0] * x[0] + 3.0 * x[1] - 2j * x[2] * x[0],
+                             (1 + 1j) * x[1] * x[2] + 0.5 * x[2] * x[2]])
+
+        x0 = np.array([0.3 + 0.1j, -0.7 + 0.2j, 1.1 - 0.4j])
+        exact = np.array([[2 * x0[0] - 2j * x0[2], 3.0, -2j * x0[0]],
+                          [0.0, (1 + 1j) * x0[2],
+                           (1 + 1j) * x0[1] + x0[2]]])
+        jac = _central_differences(f, x0)
+        assert jac.shape == (2, 3)
+        # rounding of O(1) values over the step 2e-6
+        assert np.max(np.abs(jac - exact)) < 1e-9
+        grad = _central_differences(lambda x: complex(f(x)[1]), list(x0))
+        assert grad.shape == (3,)
+        assert np.max(np.abs(grad - exact[1])) < 1e-9
+        assert JACOBIAN_FD_STEP == 1e-6
+
+    def test_tight_preset_is_the_default(self):
+        """The drift and the Jacobian default to the one preset itself."""
+        import inspect
+
+        from ellcm.monodromy import isomonodromy_drift
+        for fn in (symplectic_jacobian_check, isomonodromy_drift):
+            assert inspect.signature(fn).parameters["icfg"].default is TIGHT
+        assert (TIGHT.rel_tol, TIGHT.abs_tol) == (1e-11, 1e-13)
+
     def test_canonical_pairing_shape(self):
         omega = canonical_pairing(2)
         u = np.array([1.0, 0.0, 0.0, 0.0])
@@ -436,6 +467,28 @@ class TestSharedDriver:
         start = SPANS[flow][0]
         with pytest.raises(ValueError, match="empty"):
             FLOWS[flow]((start, start))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rel_tol", math.nan, "tolerances must be positive"),
+        ("abs_tol", math.nan, "tolerances must be positive"),
+        ("initial_step", math.nan, "initial_step must be positive"),
+        ("max_steps", math.nan, "max_steps must be at least 1"),
+        ("rel_tol", math.inf, "tolerances must be positive and finite"),
+        ("abs_tol", math.inf, "tolerances must be positive and finite"),
+    ])
+    def test_non_finite_config_rejected(self, field, value, message):
+        """An infinite tolerance would accept every step (a flow of unit
+        length then ends 26 away from the true one, unflagged), and a NaN
+        step budget would never run out."""
+        with pytest.raises(UsageError, match=message):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_span(self, flow, bad):
+        end = bad if flow == "isospectral" else complex(0.05, bad)
+        with pytest.raises(UsageError, match="is not finite"):
+            FLOWS[flow]((SPANS[flow][0], end))
 
     @pytest.mark.parametrize("flow", FLOWS)
     @pytest.mark.parametrize("k", [1, 3, 5])

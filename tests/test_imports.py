@@ -1,5 +1,6 @@
-"""What an import loads: `import ellcm` no layer, and the scalar commands
-no numpy; and the package's re-exports, which resolve on first access."""
+"""What an import loads: `import ellcm` no layer, and the scalar commands,
+the scalar verify suites among them, no numpy; and the package's
+re-exports, which resolve on first access."""
 
 import importlib
 import inspect
@@ -69,6 +70,8 @@ def test_import_loads_no_layer():
      "--p", "0.2", "--tau", "1.0i", "--j", "2"],
     ["symmetry", "s4-shift", "--q", "0.3", "--tau", "1.0i", "--a", "3"],
     ["map", "--q", "0.25+0.1i", "--tau", "0.9i"],
+    ["verify", "lame-identities", "--count", "2"],
+    ["verify", "theta-heat", "--count", "2"],
 ])
 def test_scalar_commands_leave_numpy_unloaded(argv):
     out = fresh("import sys\n"

@@ -18,7 +18,7 @@ from ellcm.errors import (
     PoleProximityError,
     UsageError,
 )
-from ellcm.flow import Diagnostics, IntegratorConfig, integrate_segment
+from ellcm.flow import TIGHT, Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     CYCLE_CLEARANCE,
     PANELS,
@@ -45,7 +45,6 @@ from ellcm.monodromy import (
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
-TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 CFG0 = CMConfig(2, 0.0, TM_I)
 PH0 = PhasePoint([0.13 + 0.04j, 0.61 - 0.09j], [0.37 - 0.21j, -0.52 + 0.33j])
@@ -444,6 +443,11 @@ class TestIsomonodromyDrift:
     def test_dtau_bound(self):
         with pytest.raises(ValueError):
             isomonodromy_drift(CFG, PH, 1j, 0.5, TIGHT)
+        # a zero or NaN step, which the flow cannot take, fails before the
+        # triple at tau0 is transported
+        for dtau in (0.0, complex(math.nan, 0.0)):
+            with pytest.raises(UsageError, match="nonzero"):
+                isomonodromy_drift(CFG, PH, 1j, dtau, TIGHT)
 
 
 class TestModuliDimensions:

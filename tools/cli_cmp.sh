@@ -16,8 +16,10 @@
 # monodromy triple at 3 bodies (also at a reduced modulus, whose series has
 # three terms) and at a small pole loop, and the triple of two colliding
 # bodies, which exits 3 and names the pair, the version and the help, the
-# error exits of eval, verify and flow, and the triple product at a point
-# where it leaves the double range, once per tree,
+# error exits of eval, verify and flow, the triple product at a point
+# where it leaves the double range, the hamilton-consistency suite at 5
+# bodies and the symplectic-jacobian suite at 3, and non-finite numbers, a
+# zero drift step and an empty time span, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -94,6 +96,23 @@ commands+=("--version" ""
 # the triple product where cos(2 pi (v + 1/2)) leaves the double range at
 # the reduced point: exit 2, where theta1 itself has a value
 commands+=("eval theta1-product --z=-1.4488323930057172+0.0032617019776511763i --tau 0.003i")
+# the central differences at sizes other than the suites' defaults
+commands+=("verify hamilton-consistency --n 5"
+           "verify symplectic-jacobian --n 3")
+# non-finite numbers, a zero drift step and an empty time span: usage
+# errors (exit 1) that write nothing
+commands+=("flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end nan"
+           "flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end nan+1i --q 0.1,0.55 --p 0.2,-0.2"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0 --rel-tol nan"
+           "monodromy --n 2 --g 0.35 --tau 1.0i --q nan,0.52-0.07i --p 0.31,-0.45"
+           "eval wp --z nan --tau 1.0i"
+           "eval wp --z 0.3 --tau nan+1i"
+           "eval wp --z inf --tau 1.0i"
+           "map --q nan --tau 0.9i"
+           "flow isospectral --n 2 --g nan --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0 --step nan"
+           "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --drift 0"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 0")
 
 work=$(mktemp -d)
 differ=0
