@@ -52,16 +52,13 @@ if TYPE_CHECKING:
     # them, so eval, symmetry and map start without them
     import numpy as np
 
-    from .calogero import CMConfig, PhasePoint
+    from .calogero import CMConfig
     from .flow import IntegratorConfig, Trajectory
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_INTEGRATION = 3
-
-#: Seed of `verify` when neither the command line nor a config file sets one.
-DEFAULT_SEED = 12345
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,18 +226,13 @@ def cmd_eval(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
-    if args.seed is None:
-        args.seed = DEFAULT_SEED
-    try:
-        results = run_suite(args.suite, seed=args.seed, count=args.count,
-                            n=args.n)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from exc
+    from .verify import DEFAULT_SEED, run_suite
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_suite(args.suite, seed, args.count, args.n)
     rows = [["1", r.suite, r.name, fmt(r.residual), fmt(r.tol),
              "pass" if r.passed else "FAIL"] for r in results]
     header = ["schema", "suite", "check", "residual", "tol", "status"]
-    payload = {"schema": 1, "suite": args.suite, "seed": args.seed,
+    payload = {"schema": 1, "suite": args.suite, "seed": seed,
                "checks": [{"name": r.name, "residual": float(r.residual),
                            "tol": float(r.tol), "passed": r.passed}
                           for r in results],
@@ -253,69 +245,57 @@ def cmd_verify(args) -> int:
 # flow
 # ----------------------------------------------------------------------
 
+def _given(args, **dests) -> dict:
+    """{keyword: value} for each option dest the command has and a flag or
+    config key gave a value; the library's defaults hold for the rest."""
+    return {key: getattr(args, dest) for key, dest in dests.items()
+            if getattr(args, dest, None) is not None}
+
+
 def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
     """base with the integrator flags the command has and was given."""
-    given = {field: getattr(args, dest)
-             for field, dest in (("abs_tol", "abs_tol"),
-                                 ("rel_tol", "rel_tol"),
-                                 ("initial_step", "step"),
-                                 ("method", "method"))
-             if getattr(args, dest, None) is not None}
-    return replace(base, **given)
+    return replace(base, **_given(args, abs_tol="abs_tol", rel_tol="rel_tol",
+                                  initial_step="step", method="method"))
 
 
-def _trajectory_payload(traj: Trajectory, n: int, g: complex,
-                        hamiltonians: list[complex]) -> dict:
+def _trajectory(traj: Trajectory, n: int, g: complex,
+                hamiltonians: list[complex]
+                ) -> tuple[tuple[list[str], list[list[str]]], dict]:
+    """The trajectory as a CSV table (header, rows) and as a JSON payload,
+    both from one pass over its samples."""
+    d = traj.diagnostics
+    header = (["schema", "time_re", "time_im", "tau_re", "tau_im"]
+              + [f"{v}{j}_{part}" for v in "qp" for j in range(n)
+                 for part in ("re", "im")]
+              + ["H_re", "H_im", "steps_accepted", "steps_rejected",
+                 "max_local_error"])
+    tail = [str(d.steps_accepted), str(d.steps_rejected),
+            fmt(d.max_local_error)]
+    rows, samples = [], []
+    for time, tau, ph, h in zip(traj.times, traj.tau_of_sample, traj.states,
+                                hamiltonians):
+        pairs = [cjson(v) for v in (time, tau, *ph.q, *ph.p, h)]
+        rows.append(["1"] + [fmt(x) for pair in pairs for x in pair] + tail)
+        samples.append({"time": pairs[0], "q": pairs[2:2 + n],
+                        "p": pairs[2 + n:-1], "H": pairs[-1]})
     taus = traj.tau_of_sample
-    if all(t == taus[0] for t in taus):
-        tau_field = cjson(taus[0])
-    else:
-        tau_field = [cjson(t) for t in taus]
-    return {
+    payload = {
         "kind": ("isospectral" if traj.kind == "isospectral_t"
                  else "isomonodromic"),
         "n": n,
         "g": cjson(g),
-        "tau": tau_field,
-        "samples": [
-            {"time": cjson(traj.times[i]),
-             "q": [cjson(v) for v in traj.states[i].q],
-             "p": [cjson(v) for v in traj.states[i].p],
-             "H": cjson(hamiltonians[i])}
-            for i in range(len(traj.times))
-        ],
+        "tau": (cjson(taus[0]) if all(t == taus[0] for t in taus)
+                else [cjson(t) for t in taus]),
+        "samples": samples,
         "diagnostics": {
-            "steps_accepted": traj.diagnostics.steps_accepted,
-            "steps_rejected": traj.diagnostics.steps_rejected,
-            "max_local_error": float(traj.diagnostics.max_local_error),
-            "truncated": traj.diagnostics.truncated,
-            "message": traj.diagnostics.message,
+            "steps_accepted": d.steps_accepted,
+            "steps_rejected": d.steps_rejected,
+            "max_local_error": float(d.max_local_error),
+            "truncated": d.truncated,
+            "message": d.message,
         },
     }
-
-
-def _trajectory_table(traj: Trajectory, n: int, hamiltonians: list[complex]
-                      ) -> tuple[list[str], list[list[str]]]:
-    header = ["schema", "time_re", "time_im", "tau_re", "tau_im"]
-    for j in range(n):
-        header += [f"q{j}_re", f"q{j}_im"]
-    for j in range(n):
-        header += [f"p{j}_re", f"p{j}_im"]
-    header += ["H_re", "H_im", "steps_accepted", "steps_rejected",
-               "max_local_error"]
-    d = traj.diagnostics
-    rows = []
-    for i in range(len(traj.times)):
-        row = ["1"] + cpair(traj.times[i]) + cpair(traj.tau_of_sample[i])
-        for v in traj.states[i].q:
-            row += cpair(v)
-        for v in traj.states[i].p:
-            row += cpair(v)
-        row += cpair(hamiltonians[i])
-        row += [str(d.steps_accepted), str(d.steps_rejected),
-                fmt(d.max_local_error)]
-        rows.append(row)
-    return header, rows
+    return (header, rows), payload
 
 
 def cmd_flow(args) -> int:
@@ -323,7 +303,7 @@ def cmd_flow(args) -> int:
     from .flow import (IntegratorConfig, integrate_isomonodromic,
                        integrate_isospectral, integrate_scalar_painleve)
     icfg = _integrator_config(args, IntegratorConfig())
-    samples = 16 if args.samples is None else args.samples
+    given = _given(args, samples="samples")
     if args.kind == "painleve-scalar":
         params = _alpha(args)
         tau0 = _required(args, "tau")
@@ -335,7 +315,7 @@ def cmd_flow(args) -> int:
                              "painleve-scalar")
         traj = integrate_scalar_painleve(EllipticState(q[0], p[0], tau0),
                                          params, (tau0, tau1), icfg,
-                                         samples=samples)
+                                         **given)
         hams = [hamiltonian_manin(
             EllipticState(traj.states[i].q[0], traj.states[i].p[0],
                           traj.tau_of_sample[i]), params)
@@ -347,17 +327,16 @@ def cmd_flow(args) -> int:
         if args.kind == "isospectral":
             t_end = _required(args, "t_end")
             traj = integrate_isospectral(cfg, ph, (0.0, t_end), icfg,
-                                         samples=samples)
+                                         **given)
         else:
             tau1 = _required(args, "tau_end")
             traj = integrate_isomonodromic(cfg, ph, (cfg.tm.tau, tau1), icfg,
-                                           samples=samples)
+                                           **given)
         hams = [hamiltonian_cm(cfg.with_tau(traj.tau_of_sample[i]),
                                traj.states[i])
                 for i in range(len(traj.times))]
         n, g = cfg.n, cfg.g
-    write_out(args, _trajectory_table(traj, n, hams),
-              _trajectory_payload(traj, n, g, hams))
+    write_out(args, *_trajectory(traj, n, g, hams))
     if traj.diagnostics.truncated:
         sys.stderr.write("flow truncated: " + traj.diagnostics.message + "\n")
         return EXIT_INTEGRATION
@@ -401,33 +380,22 @@ def _matrix_pairs(M: np.ndarray) -> list[list[float]]:
     return [cjson(complex(v)) for v in M.reshape(-1)]  # row-major
 
 
-def _det_residuals(md, ph: PhasePoint, tau: complex) -> dict[str, float]:
-    """Relative residuals of the exact identities det M0 = 1,
-    det M1 = e^{sum p} and det Mtau = e^{-2 pi i sum q} e^{tau sum p}: a
-    free monitor of the transport error."""
-    import numpy as np
-    sq, sp = complex(ph.q.sum()), complex(ph.p.sum())
-    expect = {"M0": 1.0, "M1": np.exp(sp),
-              "Mtau": np.exp(-2j * np.pi * sq) * np.exp(tau * sp)}
-    return {key: float(abs(np.linalg.det(getattr(md, key)) - e) / abs(e))
-            for key, e in expect.items()}
-
-
 def cmd_monodromy(args) -> int:
     import numpy as np
 
     from .calogero import PhasePoint
     from .flow import TIGHT
     from .monodromy import (check_drift_step, cubic_relation_residual,
-                            isomonodromy_drift, monodromy_data)
+                            det_residuals, isomonodromy_drift,
+                            monodromy_data)
     cfg, q, p = _nbody(args)
     tau = cfg.tm.tau
     ph = PhasePoint(q, p)
     icfg = _integrator_config(args, TIGHT)
-    radius = 0.1 if args.radius is None else args.radius
+    loop = _given(args, radius="radius")
     if args.drift is not None:
         check_drift_step(args.drift)
-    md = monodromy_data(cfg, ph, icfg, radius=radius)
+    md = monodromy_data(cfg, ph, icfg, **loop)
     report = {
         "schema": 1,
         "n": cfg.n,
@@ -443,13 +411,13 @@ def cmd_monodromy(args) -> int:
             "Mtau": [cjson(v) for v in np.linalg.eigvals(md.Mtau)],
         },
         "cubic_residual": float(cubic_relation_residual(md)),
-        "det_residuals": _det_residuals(md, ph, tau),
+        "det_residuals": det_residuals(md, ph, tau),
     }
     if args.drift is not None:
         report["drift"] = {
             "dtau": cjson(args.drift),
             "spectral_drift": float(isomonodromy_drift(
-                cfg, ph, tau, args.drift, icfg, md, radius)),
+                cfg, ph, tau, args.drift, icfg, md, **loop)),
         }
     write_out(args, payload=report)
     return EXIT_OK

@@ -55,6 +55,9 @@ FlowKind = Literal["isospectral_t", "isomonodromic_tau"]
 COLLISION_REJECT = 1e-4
 COLLISION_TRUNCATE = POLE_EXCLUSION_RADIUS  # where eom's pole check raises
 
+#: Samples of a trajectory when the caller gives no count.
+DEFAULT_SAMPLES = 16
+
 #: Step of the central differences of `_central_differences`.
 JACOBIAN_FD_STEP = 1e-6
 
@@ -320,7 +323,7 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
 def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
                           t_span: tuple[float, float],
                           icfg: IntegratorConfig = IntegratorConfig(),
-                          samples: int = 16) -> Trajectory:
+                          samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Autonomous flow d(q, p)/dt = eom at frozen tau; conserves H."""
     def dy(t, dt, ph):
         return dt * np.concatenate(eom(cfg, ph))
@@ -332,7 +335,7 @@ def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
 def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
                             tau_path: tuple[complex, complex],
                             icfg: IntegratorConfig = IntegratorConfig(),
-                            samples: int = 16) -> Trajectory:
+                            samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Non-autonomous tau-flow 2 pi i d(q, p)/dtau = eom along a straight
     segment in the upper half-plane."""
     def dy(tau, dtau, ph):
@@ -346,7 +349,7 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
                               tau_path: tuple[complex, complex],
                               icfg: IntegratorConfig = IntegratorConfig(),
                               lattice_scale: complex = 1.0,
-                              samples: int = 16) -> Trajectory:
+                              samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """The scalar flow 2 pi i q' = p, 2 pi i p' = sum_a alpha_a wp'(q+omega_a).
 
     lattice_scale feeds through to the general-lattice right-hand side used

@@ -84,8 +84,10 @@ from .flow import TIGHT, IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4
-#: Segments of the pole loop and clearance of the A and B cycles.
+#: Segments and default radius of the pole loop, and clearance of the A
+#: and B cycles.
 POLE_LOOP_SEGMENTS = 32
+POLE_LOOP_RADIUS = 0.1
 CYCLE_CLEARANCE = 1e-2
 #: Most panels whose nodes go into one L call (12288 nodes).
 _CHUNK = 4096
@@ -415,7 +417,8 @@ def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
     return _twisted(ph, psi)
 
 
-def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
+def monodromy_pole(cfg: CMConfig, ph: PhasePoint,
+                   radius: float = POLE_LOOP_RADIUS,
                    base: complex | None = None,
                    icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
@@ -433,8 +436,8 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint, radius: float = 0.1,
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
-                   base: complex | None = None, radius: float = 0.1
-                   ) -> MonodromyData:
+                   base: complex | None = None,
+                   radius: float = POLE_LOOP_RADIUS) -> MonodromyData:
     """monodromy_pole, monodromy_A and monodromy_B, transported in one
     refinement loop."""
     tau = cfg.tm.tau
@@ -460,6 +463,18 @@ def cubic_relation_residual(md: MonodromyData) -> float:
     mt_inv = np.linalg.inv(md.Mtau)
     word = md.Mtau @ md.M1 @ mt_inv @ m1_inv
     return float(np.max(np.abs(word - md.M0)))
+
+
+def det_residuals(md: MonodromyData, ph: PhasePoint, tau: complex
+                  ) -> dict[str, float]:
+    """Relative residuals of the exact identities det M0 = 1,
+    det M1 = e^{sum p} and det Mtau = e^{-2 pi i sum q} e^{tau sum p}: a
+    free monitor of the transport error."""
+    sq, sp = complex(ph.q.sum()), complex(ph.p.sum())
+    expect = {"M0": 1.0, "M1": np.exp(sp),
+              "Mtau": np.exp(-2j * np.pi * sq) * np.exp(tau * sp)}
+    return {key: float(abs(np.linalg.det(getattr(md, key)) - e) / abs(e))
+            for key, e in expect.items()}
 
 
 def _has_perfect_matching(adj: np.ndarray) -> bool:
@@ -524,7 +539,7 @@ def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
                        dtau: complex,
                        icfg: IntegratorConfig = TIGHT,
                        md0: MonodromyData | None = None,
-                       radius: float = 0.1) -> float:
+                       radius: float = POLE_LOOP_RADIUS) -> float:
     """Spectral drift of (M0, M1, Mtau) across one isomonodromic step.
 
     Integrates the tau-flow from tau0 to tau0 + dtau and compares the

@@ -20,6 +20,9 @@ from .elliptic import TWO_PI_I
 from .errors import EllcmError, UsageError
 from .rng import SplitMix64
 
+#: Seed of every suite when the caller gives none.
+DEFAULT_SEED = 12345
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -50,8 +53,8 @@ def _rel(lhs: complex, rhs: complex) -> float:
 LAME_TOL = 1e-9
 
 
-def suite_lame_identities(seed: int = 12345, count: int = 100
-                         ) -> list[CheckResult]:
+def suite_lame_identities(seed: int = DEFAULT_SEED, count: int = 100
+                          ) -> list[CheckResult]:
     """The three x/y identities at `count` random (u, v, z, tau)."""
     rng = SplitMix64(seed)
     out = []
@@ -86,8 +89,8 @@ HEAT_TOL = 1e-5
 HEAT_STEP = 1e-4
 
 
-def suite_theta_heat(seed: int = 12345, count: int = 50
-                    ) -> list[CheckResult]:
+def suite_theta_heat(seed: int = DEFAULT_SEED, count: int = 50
+                     ) -> list[CheckResult]:
     """4 pi i d_tau theta1 = d^2_z theta1 and the mixed equation for x,
     both sides by central finite differences with step 1e-4."""
     rng = SplitMix64(seed)
@@ -130,8 +133,8 @@ WP_ORACLE_TOL = 1e-8
 LANDIN_TOL = 1e-9
 
 
-def suite_quasi_periodicity(seed: int = 12345, count: int = 50, n: int = 2
-                           ) -> list[CheckResult]:
+def suite_quasi_periodicity(seed: int = DEFAULT_SEED, count: int = 50,
+                            n: int = 2) -> list[CheckResult]:
     """theta1/x quasi-periodicity, wp fast path vs lattice oracle, Landin
     and homogeneity for wp, wp', and the four (L, A) cycle relations."""
     import numpy as np
@@ -247,7 +250,8 @@ def _jittered_grid(rng: SplitMix64, cfg: cm.CMConfig, min_sep: float):
 ZC_TOL = 1e-6
 
 
-def zero_curvature_samples(seed: int = 12345, count: int = 20, n: int = 2):
+def zero_curvature_samples(seed: int = DEFAULT_SEED, count: int = 20,
+                           n: int = 2):
     """(name, cfg, ph, z) of the zero-curvature suite: `count` // 2 generic
     points for each of n and n+1 bodies."""
     for bodies in (n, n + 1):
@@ -258,8 +262,8 @@ def zero_curvature_samples(seed: int = 12345, count: int = 20, n: int = 2):
             yield f"n{bodies}[{i}]", cfg, ph, rng.cell_point(tau)
 
 
-def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2
-                        ) -> list[CheckResult]:
+def suite_zero_curvature(seed: int = DEFAULT_SEED, count: int = 20,
+                         n: int = 2) -> list[CheckResult]:
     """2 pi i dL/dtau + dA/dz - [L, A] at the `zero_curvature_samples`."""
     from . import calogero as cm
     return [CheckResult("zero-curvature", name,
@@ -274,8 +278,8 @@ def suite_zero_curvature(seed: int = 12345, count: int = 20, n: int = 2
 HAMILTON_TOL = 1e-6
 
 
-def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3
-                              ) -> list[CheckResult]:
+def suite_hamilton_consistency(seed: int = DEFAULT_SEED, count: int = 10,
+                               n: int = 3) -> list[CheckResult]:
     """eom vs central-difference gradients of the Hamiltonian, for both the
     n-body system and the scalar Manin system."""
     from . import calogero as cm
@@ -326,8 +330,8 @@ def suite_hamilton_consistency(seed: int = 12345, count: int = 10, n: int = 3
 SYMMETRY_TOL = 1e-6
 
 
-def suite_symmetry_maps(seed: int = 12345, count: int = 3
-                       ) -> list[CheckResult]:
+def suite_symmetry_maps(seed: int = DEFAULT_SEED, count: int = 3
+                        ) -> list[CheckResult]:
     """Two-trajectory comparisons for the Landin and scaling solution maps,
     plus exact lattice-shift invariance of the flow right-hand side."""
     from . import flow as fl
@@ -388,8 +392,8 @@ def suite_symmetry_maps(seed: int = 12345, count: int = 3
 SYMPLECTIC_TOL = 1e-5
 
 
-def suite_symplectic_jacobian(seed: int = 12345, count: int = 2, n: int = 2
-                             ) -> list[CheckResult]:
+def suite_symplectic_jacobian(seed: int = DEFAULT_SEED, count: int = 2,
+                              n: int = 2) -> list[CheckResult]:
     from . import flow as fl
     rng = SplitMix64(seed)
     out = []
@@ -411,8 +415,8 @@ DRIFT_TOL = 1e-5
 CONTROL_FACTOR = 10.0
 
 
-def suite_monodromy(seed: int = 12345, count: int = 1, n: int = 2
-                   ) -> list[CheckResult]:
+def suite_monodromy(seed: int = DEFAULT_SEED, count: int = 1, n: int = 2
+                    ) -> list[CheckResult]:
     """Cubic relation residual, isomonodromy drift, and the negative
     control (a non-isomonodromic perturbation must move the spectra)."""
     from . import calogero as cm
@@ -452,16 +456,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 12345, count: int | None = None,
+def run_suite(name: str, seed: int = DEFAULT_SEED, count: int | None = None,
               n: int | None = None) -> list[CheckResult]:
     """Run the suite `name`; count and n, where given, replace its defaults.
 
-    Raises KeyError for an unknown suite, and for an n given to a suite
-    whose signature has none; UsageError for a count or n below 1.
+    Raises UsageError for an unknown suite, for an n given to a suite whose
+    signature has none, and for a count or n below 1.
     """
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from "
-                       + ", ".join(sorted(SUITES)))
+        raise UsageError(f"unknown suite {name!r}; choose from "
+                         + ", ".join(sorted(SUITES)))
     for key, value in (("count", count), ("n", n)):
         if value is not None and value < 1:
             raise UsageError(f"{key} must be at least 1, got {value}")
@@ -470,6 +474,6 @@ def run_suite(name: str, seed: int = 12345, count: int | None = None,
         kwargs["count"] = count
     if n is not None:
         if "n" not in inspect.signature(SUITES[name]).parameters:
-            raise KeyError(f"suite {name!r} takes no n")
+            raise UsageError(f"suite {name!r} takes no n")
         kwargs["n"] = n
     return SUITES[name](**kwargs)

@@ -4,7 +4,7 @@ import pytest
 from ellcm import verify
 from ellcm.calogero import min_separation
 from ellcm.cli import main
-from ellcm.errors import EllcmError
+from ellcm.errors import EllcmError, UsageError
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm, suite_hamilton_consistency
 
@@ -52,3 +52,14 @@ def test_lax_suites_sample_five_and_six_bodies(capsys, argv, n):
     """A sample the suite cannot draw is an evaluation error (exit 2),
     never an uncaught exception."""
     assert main(["verify", argv[0], "--n", str(n), *argv[1:]]) in (0, 2)
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("nonsense", {}, "unknown suite 'nonsense'"),
+    ("theta-heat", {"n": 3}, "suite 'theta-heat' takes no n"),
+])
+def test_run_suite_usage_errors(name, kwargs, message):
+    """run_suite itself raises UsageError for a suite it does not know and
+    for an n the suite does not read."""
+    with pytest.raises(UsageError, match=message):
+        verify.run_suite(name, **kwargs)
