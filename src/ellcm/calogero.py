@@ -65,7 +65,7 @@ from .elliptic import (
     weierstrass_constant,
     wp,
 )
-from .errors import GaugeSingularityError
+from .errors import GaugeSingularityError, UsageError
 
 Gauge = Literal["quasi_periodic", "periodic"]
 
@@ -85,7 +85,7 @@ class CMConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise UsageError(f"n must be at least 1, got {self.n}")
         object.__setattr__(self, "g", complex(self.g))
 
     def with_tau(self, tau: complex) -> "CMConfig":

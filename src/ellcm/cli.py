@@ -62,7 +62,13 @@ EXIT_INTEGRATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1."""
+    """argparse that reports usage problems with exit code 1, and reads a
+    token that starts with '-' and a digit or '.', such as -0.1+0.2i or
+    -1e-1, as a value: no option of the parser looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):
         raise UsageError(message)
@@ -354,14 +360,13 @@ def _nbody(args) -> tuple[CMConfig, list[complex], list[complex]]:
     """The n-body inputs of flow and monodromy: the configuration from
     --n, --g and --tau, and the n entries of each of --q and --p."""
     from .calogero import CMConfig
-    n = _required(args, "n")
-    g = _required(args, "g")
-    tau = _required(args, "tau")
+    cfg = CMConfig(_required(args, "n"), _required(args, "g"),
+                   TorusModulus(_required(args, "tau")))
     q = _required(args, "q")
     p = _required(args, "p")
-    if len(q) != n or len(p) != n:
-        raise UsageError(f"--q and --p must each have {n} entries")
-    return CMConfig(n, g, TorusModulus(tau)), q, p
+    if len(q) != cfg.n or len(p) != cfg.n:
+        raise UsageError(f"--q and --p must each have {cfg.n} entries")
+    return cfg, q, p
 
 
 def _alpha(args) -> PainleveParams:
@@ -394,7 +399,7 @@ def cmd_monodromy(args) -> int:
     icfg = _integrator_config(args, TIGHT)
     loop = _given(args, radius="radius")
     if args.drift is not None:
-        check_drift_step(args.drift)
+        check_drift_step(args.drift, tau, **loop)
     md = monodromy_data(cfg, ph, icfg, **loop)
     report = {
         "schema": 1,

@@ -814,6 +814,11 @@ def wp_dz(z: complex, tm: TorusModulus) -> complex:
 # Lattice-sum oracle
 # ----------------------------------------------------------------------
 
+#: Most rows `wp_lattice_oracle` sums, 2 N + 1: about 32 MB a row array.
+#: Im tau = 1e-5 takes 1,273,243 rows; the budget ends near 6.4e-6.
+_ORACLE_ROWS = 2_000_000
+
+
 def _pi2_csc2(a: np.ndarray) -> np.ndarray:
     """pi^2 csc^2(pi a) at every point of a.  sin overflows past |Im a| of
     about 226; heights are capped at 100, where csc^2 is below 1e-270."""
@@ -835,7 +840,7 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus) -> complex:
     N = floor(40 / (2 pi Im tau)) + 2 each row left out adds less than
     about 4 pi^2 e^-40 (2e-16).  Re tau is first shifted into [-1/2, 1/2],
     which is exact and keeps the lattice.  Shares no code with the theta
-    series.
+    series.  More than _ORACLE_ROWS rows raise SeriesRangeError.
     """
     import numpy as np
     d = lattice_distance(z, tm.tau)
@@ -844,6 +849,10 @@ def wp_lattice_oracle(z: complex, tm: TorusModulus) -> complex:
     tau = tm.tau - round(tm.tau.real)
     w = reduce_to_cell(z, tau)[0]
     big_n = int(40 / (2 * math.pi * tau.imag)) + 2
+    if 2 * big_n + 1 > _ORACLE_ROWS:
+        raise SeriesRangeError(
+            f"the lattice sum at tau = {tm.tau} needs {2 * big_n + 1} rows, "
+            f"more than {_ORACLE_ROWS}")
     rows = _pi2_csc2(w + np.arange(-big_n, big_n + 1) * tau)
     const = _pi2_csc2(np.arange(1, big_n + 1) * tau)
     return complex(rows.sum() - math.pi**2 / 3 - 2 * const.sum())

@@ -193,12 +193,14 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
     separation^-3 makes both stepping and error estimates meaningless past
     that point).  The adaptive method also rejects and retries shorter a
     step ending below COLLISION_REJECT, and truncates when its step
-    collapses; RK4 takes every step at the fixed size.
+    collapses; RK4 takes every step at the fixed size.  A step collapses
+    below 1e-14 times the length, and an arc position within 1e-13 times
+    the length of a target snaps onto it, so that a span of any length
+    keeps its samples.
     """
     y = np.asarray(y0, dtype=complex)
     s = 0.0
-    targets = sorted(set(list(sample_at) + [length]))
-    targets = [t for t in targets if t > 1e-15]
+    targets = [t for t in sorted(set(list(sample_at) + [length])) if t > 0]
     step = _dp_step if icfg.method == "rk45_adaptive" else _rk4_step
     h = min(icfg.initial_step, length)
     ti = 0
@@ -232,7 +234,7 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
             else:
                 h = h_try * (min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                              if ratio > 0 else 5.0)
-            collapsed = h < 1e-14 * max(length, 1.0)
+            collapsed = h < 1e-14 * length
             local_error = float(np.max(np.abs(err)))
         if accept:
             diag.steps_accepted += 1
@@ -244,7 +246,7 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
             diag.steps_rejected += 1
         if collapsed:
             return _truncate(diag, y, f"step collapsed at s = {s:.6g}")
-        if abs(s - target) < 1e-13 * max(1.0, length):
+        if abs(s - target) < 1e-13 * length:
             if s != target:
                 k1 = None  # snapping moved s
             s = target

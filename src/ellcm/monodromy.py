@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
-from .elliptic import TWO_PI_I, reduce_to_cell_array
+from .elliptic import TWO_PI_I, _affine, _modular_image, reduce_to_cell_array
 from .errors import IntegrationError, PathError, PoleProximityError, UsageError
 from .flow import TIGHT, IntegratorConfig, integrate_isomonodromic
 
@@ -367,26 +367,53 @@ def _twisted(ph: PhasePoint, psi: np.ndarray) -> np.ndarray:
     return np.diag(np.exp(-TWO_PI_I * ph.q)) @ psi
 
 
+def _loop_clearance(radius: float) -> float:
+    """The pole loop's clearance from the lattice, no more than the
+    cycles'.  Clearance along the loop is bounded by the polygon's chord
+    sag; the guard is well below the radius."""
+    return min(0.5 * radius, CYCLE_CLEARANCE)
+
+
+def _check_radius(radius: float, tau: complex) -> None:
+    """UsageError unless 1e-3 < radius < 0.3 and the pole loop of this
+    radius, with its clearance, stays short of every lattice point but 0.
+
+    A larger loop encloses another lattice point: its M0 is wrong, and no
+    determinant identity shows it.  The shortest nonzero vector of
+    Z + tau Z has length |c tau + d| for the gamma of
+    `elliptic._modular_image`, since Z + tau Z = (c tau + d)(Z + tau' Z)
+    and 1 is the shortest vector of Z + tau' Z in the fundamental domain.
+    """
+    if not (1e-3 < radius < 0.3):
+        raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
+    (_, _, c, d), _ = _modular_image(tau)
+    shortest = abs(complex(_affine(c, tau.real, d), c * tau.imag))
+    if radius + _loop_clearance(radius) >= shortest:
+        # the inverse of radius + _loop_clearance(radius) at shortest
+        largest = max(2.0 * shortest / 3.0, shortest - CYCLE_CLEARANCE)
+        raise UsageError(
+            f"radius {radius} at tau = {tau}: the pole loop comes within its "
+            f"clearance of a lattice point {shortest:.6g} from 0; the radius "
+            f"must be below {largest:.6g}")
+
+
 def _pole_loop(base: complex, radius: float) -> PathSpec:
     """The radial leg from the base point to the entry vertex, then the
     positively oriented polygon of POLE_LOOP_SEGMENTS sides and the given
-    radius around z = 0, closed exactly at the entry vertex.
+    radius around z = 0, closed exactly at the entry vertex; its radius is
+    the caller's to check (`_check_radius`).
 
     Leg and polygon are one path, so they share the pole cycle's panel
     budget; `_pole_monodromy` conjugates the polygon's transport by the
     leg's instead of transporting the leg back.
     """
-    if not (1e-3 < radius < 0.3):
-        raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
     phase0 = math.atan2(base.imag, base.real)
     step = 2 * math.pi / POLE_LOOP_SEGMENTS
     polygon = [radius * complex(math.cos(phase0 + step * k),
                                 math.sin(phase0 + step * k))
                for k in range(POLE_LOOP_SEGMENTS)]
-    # Clearance along the loop is bounded by the polygon's chord sag; use a
-    # guard well below the radius.
     return PathSpec((base, *polygon, polygon[0]),
-                    pole_clearance=min(0.5 * radius, 1e-2))
+                    pole_clearance=_loop_clearance(radius))
 
 
 def _pole_monodromy(U: np.ndarray) -> np.ndarray:
@@ -428,6 +455,7 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint,
     transport is conjugated by it (`_pole_monodromy`); this equals the
     transport around base -> polygon -> base up to the transport error.
     """
+    _check_radius(radius, cfg.tm.tau)
     if base is None:
         base = default_base(cfg.tm.tau)
     return _pole_monodromy(_transport_paths(
@@ -441,6 +469,7 @@ def monodromy_data(cfg: CMConfig, ph: PhasePoint,
     """monodromy_pole, monodromy_A and monodromy_B, transported in one
     refinement loop."""
     tau = cfg.tm.tau
+    _check_radius(radius, tau)
     if base is None:
         base = default_base(tau)
     U0, U1, Ub = _transport_paths(
@@ -527,12 +556,16 @@ def spectral_distance(md_a: MonodromyData, md_b: MonodromyData) -> float:
     )
 
 
-def check_drift_step(dtau: complex) -> None:
+def check_drift_step(dtau: complex, tau0: complex,
+                     radius: float = POLE_LOOP_RADIUS) -> None:
     """UsageError unless 0 < |dtau| <= 1e-2, the steps of the drift
-    probe."""
+    probe, and the pole loop of the given radius is admissible at tau0 and
+    at tau0 + dtau (`_check_radius`)."""
     if not 0.0 < abs(dtau) <= 1e-2 + 1e-15:
         raise UsageError(
             "|dtau| must be at most 1e-2 and nonzero for the drift probe")
+    for tau in (tau0, tau0 + dtau):
+        _check_radius(radius, tau)
 
 
 def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
@@ -548,7 +581,7 @@ def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
     the drift at transport-error level.  Both triples are taken at the
     default base and pole loop radius; the one at tau0 is md0 if given.
     """
-    check_drift_step(dtau)
+    check_drift_step(dtau, tau0, radius)
     cfg0 = cfg.with_tau(tau0)
     if md0 is None:
         md0 = monodromy_data(cfg0, ph0, icfg, radius=radius)

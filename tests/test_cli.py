@@ -91,6 +91,13 @@ class TestEval:
         assert main(["eval", "theta1-product", *point]) == 2
         assert "evaluation error" in capsys.readouterr().err
 
+    def test_lattice_oracle_row_budget(self, capsys):
+        """Past its row budget the oracle refuses (exit 2) instead of
+        allocating rows without bound as Im tau falls."""
+        assert main(["eval", "wp-lattice-oracle", "--z", "0.3",
+                     "--tau", "6e-6i"]) == 2
+        assert "rows, more than 2000000" in capsys.readouterr().err
+
     def test_unknown_function(self):
         assert main(["eval", "nope", "--z", "1", "--tau", "1.0i"]) == 1
 
@@ -265,6 +272,32 @@ class TestMonodromyCommand:
         md = monodromy_data(cfg, ph, TIGHT, radius=0.05)
         assert payload["drift"]["spectral_drift"] == isomonodromy_drift(
             cfg, ph, 1j, 0.01, TIGHT, md, 0.05)
+
+    @pytest.mark.parametrize("argv, largest", [
+        (["--tau", "0.06i", "--q", "0.11+0.01i,0.52-0.02i"], "0.05"),
+        (["--tau", "0.25i", "--q", "0.11+0.03i,0.52-0.07i",
+          "--radius", "0.29"], "0.24"),
+        (["--tau", "0.115i", "--q", "0.11+0.03i,0.52-0.07i",
+          "--drift=-0.01i"], "0.095"),
+    ], ids=["default-radius", "radius-0.29", "drift-end"])
+    def test_loop_enclosing_a_lattice_point(self, tmp_path, capsys,
+                                            monkeypatch, argv, largest):
+        """A pole loop that would enclose another lattice point, at tau or
+        at the end of the drift step, is a usage error raised before any
+        transport."""
+        import ellcm.monodromy as mono
+
+        def failing(*args, **kwargs):
+            raise AssertionError("transported before the radius check")
+
+        monkeypatch.setattr(mono, "_transport_paths", failing)
+        out = tmp_path / "report.json"
+        argv = ["monodromy", "--n", "2", "--g", "0.35", *argv,
+                "--p", "0.31,-0.45"]
+        assert run(argv, out) == 1
+        assert not out.exists()
+        assert (f"the radius must be below {largest}\n"
+                in capsys.readouterr().err)
 
     def test_det_residuals(self, tmp_path):
         # the README example; the three determinant identities are exact
@@ -554,6 +587,36 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"usage error: {message}" in captured.err
+
+    @pytest.mark.parametrize("argv, spelled", [
+        (["eval", "wp", "--z", "-0.1+0.2i", "--tau", "1.0i"], "--z"),
+        (["eval", "wp", "--z", "-1e-1", "--tau", "1.0i"], "--z"),
+        (["eval", "wp", "--z", "-.25+0.1i", "--tau", "1.0i"], "--z"),
+        (without(UNPROJECTED, "--q") + ["--q", "-0.1,0.55"], "--q"),
+        (["symmetry", "landin", "--alpha", "-0.1,0.2,0.2,-0.1"], "--alpha"),
+    ], ids=["complex", "exponent", "leading-dot", "list", "alpha"])
+    def test_negative_number_value(self, tmp_path, argv, spelled):
+        """A value that starts with '-' and a digit or '.' is read as the
+        option's value, as its '=' spelling is."""
+        i = argv.index(spelled)
+        joined = argv[:i] + [f"{spelled}={argv[i + 1]}"] + argv[i + 2:]
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert run(argv, out) == 0
+        assert run(joined, ref) == 0
+        assert out.read_text() == ref.read_text()
+
+    @pytest.mark.parametrize("command", [
+        without(UNPROJECTED, "--n"),
+        without(MONODROMY, "--n"),
+        ["verify", "monodromy"],
+    ], ids=["flow", "monodromy", "verify"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_body_count_below_one(self, tmp_path, capsys, command, n):
+        out = tmp_path / "out"
+        assert run(command + ["--n", n], out) == 1
+        assert not out.exists()
+        assert (f"usage error: n must be at least 1, got {n}\n"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, message", [
         (UNPROJECTED + ["--q", "0.1"], "--q and --p must each have 2"),

@@ -502,6 +502,21 @@ class TestSharedDriver:
         assert tr.tau_of_sample == ([CM2.tm.tau] * (k + 1) if frozen
                                     else tr.times)
 
+    @pytest.mark.parametrize("flow, length, samples", [
+        ("isospectral", 1e-20, 2),
+        # the shortest tau path from 1j: one ulp of Im tau
+        *((flow, 2.2e-16, 2) for flow in ("isomonodromic", "painleve-scalar")),
+        *((flow, length, 16) for flow in FLOWS for length in (1e-14, 1e-13)),
+        ("isospectral", 2.0, 3)])
+    def test_short_spans_keep_their_samples(self, flow, length, samples):
+        """The collapse and snap thresholds scale with the span, so a span
+        of any length returns samples + 1 states."""
+        start = SPANS[flow][0]
+        step = length if flow == "isospectral" else 1j * length
+        tr = FLOWS[flow]((start, start + step), samples=samples)
+        assert not tr.diagnostics.truncated, tr.diagnostics.message
+        assert len(tr.states) == len(tr.times) == samples + 1
+
     def test_scalar_path_leaves_upper_half_plane(self):
         with pytest.raises(PathError, match="upper half-plane"):
             integrate_scalar_painleve(SCALAR_STATE, SCALAR_PARAMS,

@@ -359,6 +359,59 @@ class TestPoleMonodromy:
             monodromy_pole(CFG, PH, 1e-4)
 
 
+class TestPoleLoopLatticeBound:
+    """A pole loop that, with its clearance, reaches another lattice point
+    than 0 is refused before any transport: it would enclose that point,
+    and the wrong M0 it gives keeps every determinant identity."""
+
+    Q = [0.11 + 0.01j, 0.52 - 0.02j]
+
+    @staticmethod
+    def _no_transport(monkeypatch):
+        import ellcm.monodromy as mono
+
+        def failing(*args, **kwargs):
+            raise AssertionError("transported before the radius check")
+
+        monkeypatch.setattr(mono, "_transport_paths", failing)
+        monkeypatch.setattr(mono, "integrate_isomonodromic", failing)
+
+    @pytest.mark.parametrize("tau, radius, largest", [
+        (0.06j, 0.1, "0.05"),
+        (17.0 + 0.06j, 0.1, "0.05"),
+        (0.25j, 0.29, "0.24"),
+        # 2 tau - 1 = 0.2i is shorter than 1, tau and tau - 1
+        (0.5 + 0.1j, 0.2, "0.19"),
+        (0.015j, 0.011, "0.01"),
+    ], ids=["enclosing-tau", "shifted", "radius-0.29", "skew", "clearance"])
+    def test_refused_before_any_transport(self, monkeypatch, tau, radius,
+                                          largest):
+        self._no_transport(monkeypatch)
+        cfg = CMConfig(2, 0.35, TorusModulus(tau))
+        ph = PhasePoint(self.Q, PH.p)
+        message = f"radius must be below {largest}$"
+        with pytest.raises(UsageError, match=message):
+            monodromy_pole(cfg, ph, radius)
+        with pytest.raises(UsageError, match=message):
+            monodromy_data(cfg, ph, TIGHT, radius=radius)
+        with pytest.raises(UsageError, match=message):
+            isomonodromy_drift(cfg, ph, tau, 1e-3, TIGHT, radius=radius)
+
+    def test_drift_checks_the_far_triple_first(self, monkeypatch):
+        """Admissible at tau0, not at tau0 + dtau: refused before the
+        triple at tau0 is transported."""
+        self._no_transport(monkeypatch)
+        cfg = CMConfig(2, 0.35, TorusModulus(0.115j))
+        with pytest.raises(UsageError, match="below 0.095"):
+            isomonodromy_drift(cfg, PH, 0.115j, -0.01j, TIGHT)
+
+    def test_small_loop_at_small_tau(self):
+        cfg = CMConfig(2, 0.35, TorusModulus(0.06j))
+        md = monodromy_data(cfg, PhasePoint(self.Q, [0.31, -0.45]), TIGHT,
+                            radius=0.04)
+        assert cubic_relation_residual(md) < 1e-10
+
+
 class TestOneLegPoleLoop:
     """M0 = Psi_leg^{-1} Psi_poly Psi_leg against the transport along the
     whole loop base -> polygon -> base."""

@@ -18,8 +18,11 @@
 # bodies, which exits 3 and names the pair, the version and the help, the
 # error exits of eval, verify and flow, the triple product at a point
 # where it leaves the double range, the hamilton-consistency suite at 5
-# bodies and the symplectic-jacobian suite at 3, and non-finite numbers, a
-# zero drift step and an empty time span, once per tree,
+# bodies and the symplectic-jacobian suite at 3, non-finite numbers, a
+# zero drift step and an empty time span, pole loops that would enclose a
+# second lattice point, spans too short for absolute step thresholds,
+# negative numbers written without '=' and body counts below 1, once per
+# tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -113,6 +116,23 @@ commands+=("flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --
            "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0 --step nan"
            "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --drift 0"
            "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 0")
+# pole loops that would enclose a lattice point other than 0: at the
+# default radius around tau = 0.06i, and at radius 0.29 around 0.25i
+commands+=("monodromy --n 2 --g 0.35 --tau 0.06i --q 0.11+0.01i,0.52-0.02i --p 0.31,-0.45"
+           "monodromy --n 2 --g 0.35 --tau 0.25i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.29")
+# spans far below 1: every sample, with no false step collapse
+commands+=("flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1e-20 --samples 2"
+           "flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 1.0000000000000002i --q 0.1,0.55 --p 0.2,-0.2 --samples 2"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1e-14 --samples 16")
+# negative numbers written without '='
+commands+=("eval wp --z -0.1+0.2i --tau 1.0i"
+           "eval wp --z -1e-1 --tau 1.0i"
+           "flow isospectral --n 2 --g 1 --tau 1.0i --q -0.1,0.55 --p 0.2,-0.2 --t-end 1.0"
+           "symmetry landin --alpha -0.1,0.2,0.2,-0.1")
+# body counts below 1: usage errors (exit 1)
+commands+=("flow isospectral --n 0 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0"
+           "monodromy --n 0 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45"
+           "verify monodromy --n 0")
 
 work=$(mktemp -d)
 differ=0
