@@ -159,21 +159,20 @@ def _pair_index(n: int) -> _PairIndex:
                       np.stack([k, j], 1).ravel(), names.__getitem__)
 
 
-def _pair_arrays(cfg: CMConfig, ph: PhasePoint, orders=(0, 1, 2)):
+def _pair_arrays(cfg: CMConfig, q: np.ndarray, orders=(0, 1, 2)):
     """(j, k, ...) with [rho, rho', rho''][d] for each d in ``orders`` at
-    u = q_j - q_k for all pairs at once.  Only the theta series rows they
-    need are summed: rho needs 2, rho' 3 and rho'' 4.  A pair within
-    POLE_EXCLUSION_RADIUS raises PoleProximityError first."""
-    t = _pair_index(ph.n)
-    return (t.j, t.k, *_rho_array(ph.q[t.j] - ph.q[t.k], cfg.tm, t.name,
-                                  orders))
+    u = q_j - q_k for all pairs of the positions q at once.  Only the theta
+    series rows they need are summed: rho needs 2, rho' 3 and rho'' 4.  A
+    pair within POLE_EXCLUSION_RADIUS raises PoleProximityError first."""
+    t = _pair_index(q.size)
+    return (t.j, t.k, *_rho_array(q[t.j] - q[t.k], cfg.tm, t.name, orders))
 
 
-def _pair_points(cfg: CMConfig, ph: PhasePoint, orders) -> list:
+def _pair_points(cfg: CMConfig, q: np.ndarray, orders) -> list:
     """_pair_arrays pair by pair in scalar arithmetic, from
     `elliptic._rho_points`: (j, k, ...) for each pair in row order."""
-    t = _pair_index(ph.n)
-    q = ph.q.tolist()
+    t = _pair_index(q.size)
+    q = q.tolist()
     values = _rho_points([q[j] - q[k] for j, k in t.pairs], cfg.tm, t.name,
                          orders)
     return [(j, k, *v) for (j, k), v in zip(t.pairs, values)]
@@ -191,11 +190,15 @@ def _row_sums(n: int, j, k, upper, lower) -> np.ndarray:
 
 def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
     """Smallest reduced pairwise distance |q_j - q_k| mod the lattice."""
-    t, tau = _pair_index(ph.n), cfg.tm.tau
-    if ph.n >= ARRAY_PAIRS_FROM:
-        return float(_lattice_distance_array(ph.q[t.j] - ph.q[t.k],
-                                             tau).min())
-    q = ph.q.tolist()
+    return _min_separation(ph.q, cfg.tm.tau)
+
+
+def _min_separation(q: np.ndarray, tau: complex) -> float:
+    """min_separation of the positions q in the lattice Z + tau Z."""
+    t = _pair_index(q.size)
+    if q.size >= ARRAY_PAIRS_FROM:
+        return float(_lattice_distance_array(q[t.j] - q[t.k], tau).min())
+    q = q.tolist()
     return min((lattice_distance(q[j] - q[k], tau) for j, k in t.pairs),
                default=math.inf)
 
@@ -376,7 +379,7 @@ def local_expansion(cfg: CMConfig, ph: PhasePoint) -> LocalExpansion:
     residue = -1j * cfg.g * (np.ones((n, n), dtype=complex) - np.eye(n))
     constant = np.diag(ph.p.astype(complex))
     if cfg.g != 0:
-        j, k, rho = _pair_arrays(cfg, ph, (0,))
+        j, k, rho = _pair_arrays(cfg, ph.q, (0,))
         c = 1j * cfg.g * rho
         constant[j, k] = c
         constant[k, j] = -c  # rho is odd
@@ -417,9 +420,10 @@ def hamiltonian_cm(cfg: CMConfig, ph: PhasePoint) -> complex:
         return total
     c = weierstrass_constant(cfg.tm)  # wp = c - rho'
     if ph.n >= ARRAY_PAIRS_FROM:
-        pairs = np.sum(c - _pair_arrays(cfg, ph, (1,))[2])
+        pairs = np.sum(c - _pair_arrays(cfg, ph.q, (1,))[2])
     else:
-        pairs = sum((c - r for _, _, r in _pair_points(cfg, ph, (1,))), 0j)
+        pairs = sum((c - r for _, _, r in _pair_points(cfg, ph.q, (1,))),
+                    0j)
     return total + cfg.g * cfg.g * complex(pairs)
 
 
@@ -437,7 +441,7 @@ def hamiltonian_dtau(cfg: CMConfig, ph: PhasePoint) -> complex:
     """
     if cfg.g == 0 or ph.n == 1:
         return 0j
-    _, _, rho, rho_dz, rho_d2z = _pair_arrays(cfg, ph)
+    _, _, rho, rho_dz, rho_d2z = _pair_arrays(cfg, ph.q)
     tau, c = cfg.tm.tau, weierstrass_constant(cfg.tm)
     g2 = 2.0 * sum(wp(h, cfg.tm) ** 2 for h in (0.5, tau / 2, (1 + tau) / 2))
     wp_u = c - rho_dz
@@ -455,18 +459,23 @@ def eom(cfg: CMConfig, ph: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     These are the 2 pi i d/dtau right-hand sides; divide by 2 pi i for the
     tau-flow or use directly for the isospectral t-flow.
     """
-    dq = ph.p.copy()
-    if cfg.g == 0 or ph.n == 1:
-        return dq, np.zeros(ph.n, dtype=complex)
-    if ph.n >= ARRAY_PAIRS_FROM:
-        j, k, rho_d2z = _pair_arrays(cfg, ph, (2,))
-        force = _row_sums(ph.n, j, k, -rho_d2z, rho_d2z)  # wp' = -rho''
-        return dq, -(cfg.g * cfg.g) * force
-    force = [0j] * ph.n
-    for j, k, rho_d2z in _pair_points(cfg, ph, (2,)):
+    return ph.p.copy(), _force(cfg, ph.q)
+
+
+def _force(cfg: CMConfig, q: np.ndarray) -> np.ndarray:
+    """dp of eom at the positions q."""
+    n = q.size
+    if cfg.g == 0 or n == 1:
+        return np.zeros(n, dtype=complex)
+    if n >= ARRAY_PAIRS_FROM:
+        j, k, rho_d2z = _pair_arrays(cfg, q, (2,))
+        force = _row_sums(n, j, k, -rho_d2z, rho_d2z)  # wp' = -rho''
+        return -(cfg.g * cfg.g) * force
+    force = [0j] * n
+    for j, k, rho_d2z in _pair_points(cfg, q, (2,)):
         force[j] -= rho_d2z  # wp' = -rho'' is odd
         force[k] += rho_d2z
-    return dq, -(cfg.g * cfg.g) * np.array(force)
+    return -(cfg.g * cfg.g) * np.array(force)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ integrate flows, compute monodromy, and apply symmetry maps.
 
 Exit codes: 0 success, 1 usage error (errors.UsageError, also raised by the
 library for a value outside its stated range), 2 evaluation/pole error,
-3 integration/validation error (including failed verification suites).
+3 integration/validation error (including failed verification suites and
+a monodromy report off a determinant identity by more than
+monodromy.DET_RESIDUAL_BOUND, which is still written).
 
 All numbers are written with 17 significant digits so parsing the output
 reproduces the binary values exactly; complex quantities are always a pair
@@ -390,9 +392,9 @@ def cmd_monodromy(args) -> int:
 
     from .calogero import PhasePoint
     from .flow import TIGHT
-    from .monodromy import (check_drift_step, cubic_relation_residual,
-                            det_residuals, isomonodromy_drift,
-                            monodromy_data)
+    from .monodromy import (DET_RESIDUAL_BOUND, check_drift_step,
+                            cubic_relation_residual, det_residuals,
+                            isomonodromy_drift, monodromy_data)
     cfg, q, p = _nbody(args)
     tau = cfg.tm.tau
     ph = PhasePoint(q, p)
@@ -401,6 +403,7 @@ def cmd_monodromy(args) -> int:
     if args.drift is not None:
         check_drift_step(args.drift, tau, **loop)
     md = monodromy_data(cfg, ph, icfg, **loop)
+    dets = det_residuals(md, ph, tau)
     report = {
         "schema": 1,
         "n": cfg.n,
@@ -416,7 +419,7 @@ def cmd_monodromy(args) -> int:
             "Mtau": [cjson(v) for v in np.linalg.eigvals(md.Mtau)],
         },
         "cubic_residual": float(cubic_relation_residual(md)),
-        "det_residuals": det_residuals(md, ph, tau),
+        "det_residuals": dets,
     }
     if args.drift is not None:
         report["drift"] = {
@@ -425,6 +428,14 @@ def cmd_monodromy(args) -> int:
                 cfg, ph, tau, args.drift, icfg, md, **loop)),
         }
     write_out(args, payload=report)
+    failed = {key: r for key, r in dets.items()
+              if not r <= DET_RESIDUAL_BOUND}
+    if failed:
+        key = max(failed, key=failed.get)
+        sys.stderr.write(f"monodromy report fails the det {key} identity: "
+                         f"relative residual {failed[key]:.3e} above "
+                         f"{DET_RESIDUAL_BOUND:g}\n")
+        return EXIT_INTEGRATION
     return EXIT_OK
 
 
@@ -457,10 +468,7 @@ def cmd_symmetry(args) -> int:
         q = _required(args, "q")
         tau = _required(args, "tau")
         a = _required(args, "a")
-        try:
-            shifted = s4_shift(q, tau, a)
-        except IndexError as exc:
-            raise UsageError(str(exc)) from exc
+        shifted = s4_shift(q, tau, a)
         header = ["schema", "transform", "a", "q_re", "q_im"]
         row = ["1", "s4-shift", str(a)] + cpair(shifted)
     write_out(args, (header, [row]))

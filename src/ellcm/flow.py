@@ -18,6 +18,16 @@ step keeps its first stage, and a step costs six right-hand sides instead
 of seven.  Only snapping onto a sample, when it moves the arc position,
 costs one more.
 
+A step writes its seven stages into the rows of one (7, size) array k.
+Each stage state, y5 and y4 is y + h * np.add.reduce(c * k[rows], 0), c
+the column of the nonzero coefficients of its tableau row and rows the
+stages they weight.  Along axis 0 of a state of two or more components
+that reduction adds the rows left to right, from the first nonzero term,
+and so rounds as the term-by-term loop c_0 k_0 + c_2 k_2 + ... does
+(numpy sums a single column pairwise instead).  The right-hand sides of the
+flows read the packed state (q, p) directly, and only the samples become
+PhasePoints.
+
 The extended phase space (q, p, tau) carries
 
     Omega_iso(u, v) = sum_j (dq_j ^ dp_j)(u, v) + (1/(2 pi i)) (dH ^ dtau)(u, v),
@@ -40,9 +50,10 @@ import numpy as np
 from .calogero import (
     CMConfig,
     PhasePoint,
+    _force,
+    _min_separation,
     eom,
     hamiltonian_dtau,
-    min_separation,
 )
 from .elliptic import POLE_EXCLUSION_RADIUS, TWO_PI_I
 from .errors import IntegrationError, PathError, PoleProximityError, UsageError
@@ -136,29 +147,38 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
-def _combine(coeffs, k):
-    """sum of c * k_j over the nonzero c, added left to right from the
-    first such term."""
-    acc = None
-    for c, kj in zip(coeffs, k):
-        if c != 0.0:
-            acc = c * kj if acc is None else acc + c * kj
-    return acc
+def _row(coeffs):
+    """A tableau row as the column of its nonzero coefficients and the rows
+    of the stage array they weight: a slice when those are the first rows
+    (a view, cheaper to take than an index array)."""
+    idx = [j for j, c in enumerate(coeffs) if c != 0.0]
+    rows = slice(len(idx)) if idx == list(range(len(idx))) else np.array(idx)
+    return np.array([coeffs[j] for j in idx])[:, None], rows
+
+
+# the last row of _DP_A is B5 (first same as last): stage 7 is at y5
+_DP_ROWS = tuple(_row(a) for a in _DP_A[1:6])
+_DP_Y5, _DP_Y4 = _row(_DP_B5), _row(_DP_B4)
 
 
 def _dp_step(f, s, y, h, k1):
     """One Dormand-Prince step from k1 = f(s, y); returns (y5,
     error_vector, f(s + h, y5)).
 
-    The last stage is evaluated at s + h and at the state the weights B5
-    give, which is y5 itself (first same as last), so it is the next
-    step's k1.
+    The stages fill the rows of one (7, size) array k, and each state sums
+    its row's nonzero terms left to right (module docstring).  The last
+    stage is evaluated at s + h and at the state the weights B5 give, which
+    is y5 itself, so it is the next step's k1.
     """
-    k = [k1]
-    for i in range(1, 7):
-        k.append(f(s + _DP_C[i] * h, y + h * _combine(_DP_A[i], k)))
-    y5 = y + h * _combine(_DP_B5, k)
-    y4 = y + h * _combine(_DP_B4, k)
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = k1
+    for i, (c, rows) in enumerate(_DP_ROWS, 1):
+        k[i] = f(s + _DP_C[i] * h, y + h * np.add.reduce(c * k[rows], 0))
+    c, rows = _DP_Y5
+    y5 = y + h * np.add.reduce(c * k[rows], 0)
+    k[6] = f(s + h, y5)
+    c, rows = _DP_Y4
+    y4 = y + h * np.add.reduce(c * k[rows], 0)
     return y5, y5 - y4, k[6]
 
 
@@ -224,9 +244,10 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
                                       f"min separation {sep:.3e}")
         accept, collapsed, local_error = True, False, 0.0
         if err is not None:
+            abs_err = np.abs(err)
             scale = icfg.abs_tol + icfg.rel_tol * np.maximum(np.abs(y),
                                                              np.abs(y_new))
-            ratio = float(np.max(np.abs(err) / scale))
+            ratio = float(np.max(abs_err / scale))
             accept = ratio <= 1.0 and sep >= COLLISION_REJECT
             if ratio <= 1.0 and not accept:
                 # error fine but separation entering the reject band
@@ -235,7 +256,7 @@ def integrate_segment(f: Callable, y0: np.ndarray, length: float,
                 h = h_try * (min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                              if ratio > 0 else 5.0)
             collapsed = h < 1e-14 * length
-            local_error = float(np.max(np.abs(err)))
+            local_error = float(np.max(abs_err))
         if accept:
             diag.steps_accepted += 1
             diag.max_local_error = max(diag.max_local_error, local_error)
@@ -274,7 +295,7 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
                guard: CMConfig | None = None) -> Trajectory:
     """The flow from ph0 along the straight segment span = (start, end).
 
-    ``dy(time, dt, ph)`` is the increment of the packed state (q, p) at ph
+    ``dy(time, dt, y)`` is the increment of the packed state y = (q, p)
     for the time increment dt.  With ``tau`` the flow is a t-flow at that
     frozen modulus; without it the time is tau itself, and the segment must
     stay in the upper half-plane.  The trajectory records the start and the
@@ -301,7 +322,7 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
                       [start if tau is None else tau], Diagnostics())
 
     def f(s, y):
-        return dy(start + direction * s, direction, _unpack(y, n))
+        return dy(start + direction * s, direction, y)
 
     def on_sample(s, y):
         time = start + direction * s
@@ -310,8 +331,8 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
         traj.tau_of_sample.append(time if tau is None else tau)
 
     def separation(s, y):
-        at = guard if tau is not None else guard.with_tau(start + direction * s)
-        return min_separation(at, _unpack(y, n))
+        return _min_separation(y[:n], start + direction * s if tau is None
+                               else tau)
 
     guarded = guard is not None and guard.g != 0 and n > 1
     integrate_segment(f, _pack(ph0), length, icfg, traj.diagnostics,
@@ -327,8 +348,10 @@ def integrate_isospectral(cfg: CMConfig, ph0: PhasePoint,
                           icfg: IntegratorConfig = IntegratorConfig(),
                           samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Autonomous flow d(q, p)/dt = eom at frozen tau; conserves H."""
-    def dy(t, dt, ph):
-        return dt * np.concatenate(eom(cfg, ph))
+    n = ph0.n
+
+    def dy(t, dt, y):
+        return dt * np.concatenate((y[n:], _force(cfg, y[:n])))
 
     return _integrate(dy, ph0, (float(t_span[0]), float(t_span[1])), icfg,
                       samples, tau=cfg.tm.tau, guard=cfg)
@@ -340,8 +363,11 @@ def integrate_isomonodromic(cfg: CMConfig, ph0: PhasePoint,
                             samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Non-autonomous tau-flow 2 pi i d(q, p)/dtau = eom along a straight
     segment in the upper half-plane."""
-    def dy(tau, dtau, ph):
-        return dtau * np.concatenate(eom(cfg.with_tau(tau), ph)) / TWO_PI_I
+    n = ph0.n
+
+    def dy(tau, dtau, y):
+        return dtau * np.concatenate(
+            (y[n:], _force(cfg.with_tau(tau), y[:n]))) / TWO_PI_I
 
     return _integrate(dy, ph0, (complex(tau_path[0]), complex(tau_path[1])),
                       icfg, samples, guard=cfg)
@@ -357,9 +383,9 @@ def integrate_scalar_painleve(state0: EllipticState, params: PainleveParams,
     lattice_scale feeds through to the general-lattice right-hand side used
     by the extended scaling symmetry tests.
     """
-    def dy(tau, dtau, ph):
+    def dy(tau, dtau, y):
         return dtau * np.array(scalar_painleve_rhs(
-            ph.q[0], ph.p[0], tau, params, lattice_scale))
+            y[0], y[1], tau, params, lattice_scale))
 
     return _integrate(dy, PhasePoint([state0.q], [state0.p]),
                       (complex(tau_path[0]), complex(tau_path[1])),

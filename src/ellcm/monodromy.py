@@ -494,6 +494,17 @@ def cubic_relation_residual(md: MonodromyData) -> float:
     return float(np.max(np.abs(word - md.M0)))
 
 
+#: Largest determinant residual (`det_residuals`) of a report that holds.
+#: The residuals sit at rounding level whatever the transport tolerance
+#: (at most 3e-14 on the triples of tools/cli_cmp.sh, and 2e-15 on the
+#: README triple at rel_tol 0.5), until the rounding of det itself grows
+#: with the condition of M: 1.2e-5 to 2.2e-5 for M0 of n = 8 triples at
+#: g = 0.5, tau = 0.05+i, whose condition number is 8.6e10.  A cycle that
+#: breaks an identity outright reads order one (Mtau 4.8 on the 17-cell B
+#: cycle at tau = 17.3+0.8i).  1e-3 lies between the two.
+DET_RESIDUAL_BOUND = 1e-3
+
+
 def det_residuals(md: MonodromyData, ph: PhasePoint, tau: complex
                   ) -> dict[str, float]:
     """Relative residuals of the exact identities det M0 = 1,

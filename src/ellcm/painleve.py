@@ -35,7 +35,8 @@ from .elliptic import (
     wp,
     wp_dz,
 )
-from .errors import DegenerateLatticeError, SingularConfigurationError
+from .errors import (DegenerateLatticeError, SingularConfigurationError,
+                     UsageError)
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ def scaling_symmetry(state: EllipticState, params: PainleveParams,
 def s4_shift(q: complex, tau: complex, a: int) -> complex:
     """The half-period shift q -> q + omega_a, a in 0..3."""
     if a not in (0, 1, 2, 3):
-        raise IndexError(f"half-period index {a} out of range 0..3")
+        raise UsageError(f"half-period index {a} out of range 0..3")
     return q + half_periods(tau)[a]
 
 

@@ -110,3 +110,42 @@ def theta1_mp(z, tau, orders=4):
     branch = mp.exp(1j * mp.pi * mp.mpc(tau) / 4) / mp.power(q, 0.25)
     return [branch * mp.pi ** d * mp.jtheta(1, mp.pi * mp.mpc(z), q, d)
             for d in range(orders)]
+
+
+# The Dormand-Prince 5(4) tableau (Dormand & Prince 1980), a copy
+# independent of ellcm.flow's.
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+         187 / 2100, 1 / 40)
+
+
+def _combine_loop(coeffs, k):
+    """sum of c * k_j over the nonzero c, added left to right from the
+    first such term."""
+    acc = None
+    for c, kj in zip(coeffs, k):
+        if c != 0.0:
+            acc = c * kj if acc is None else acc + c * kj
+    return acc
+
+
+def dp_step_loop(f, s, y, h, k1):
+    """One Dormand-Prince step with its stages in a list and each state
+    summed term by term: (y5, y5 - y4, f(s + h, y5)), the reference for
+    flow._dp_step."""
+    k = [k1]
+    for i in range(1, 7):
+        k.append(f(s + DP_C[i] * h, y + h * _combine_loop(DP_A[i], k)))
+    y5 = y + h * _combine_loop(DP_B5, k)
+    y4 = y + h * _combine_loop(DP_B4, k)
+    return y5, y5 - y4, k[6]

@@ -672,8 +672,8 @@ class TestPairArrays:
         formed from all four rows."""
         tau, _ = self.TAUS[tau]
         cfg, ph = self.case(8, tau, 31)
-        j, k, rho_all, rho_dz_all, rho_d2z_all = calogero._pair_arrays(cfg,
-                                                                       ph)
+        j, k, rho_all, rho_dz_all, rho_d2z_all = calogero._pair_arrays(
+            cfg, ph.q)
         h = 0.5 * complex(np.sum(ph.p * ph.p)) + cfg.g * cfg.g * complex(
             np.sum(weierstrass_constant(cfg.tm) - rho_dz_all))
         assert hamiltonian_cm(cfg, ph) == h
@@ -717,7 +717,7 @@ class TestPairArrays:
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
         if tau == self.SKEWED:
             assert self.beyond_clear(cfg, ph)
-        j, k, *pair = calogero._pair_arrays(cfg, ph)
+        j, k, *pair = calogero._pair_arrays(cfg, ph.q)
         _, *at = lame_array([Z0], ph.q[j] - ph.q[k], cfg.tm, True)
         for got, (at_u, _, _) in zip(pair, at):
             assert np.array_equal(got, at_u[0])

@@ -8,7 +8,8 @@ from ellcm.calogero import CMConfig, PhasePoint
 from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
 from ellcm.flow import TIGHT
-from ellcm.monodromy import isomonodromy_drift, monodromy_data
+from ellcm.monodromy import (DET_RESIDUAL_BOUND, isomonodromy_drift,
+                             monodromy_data)
 from ellcm.painleve import elliptic_to_rational
 
 
@@ -311,6 +312,22 @@ class TestMonodromyCommand:
         assert all(0.0 <= r <= 1e-12 for r in residuals.values())
         assert payload["schema"] == 1
 
+    def test_broken_determinant_identity(self, tmp_path, capsys):
+        """At tau = 17.3+0.8i the B cycle is 17 cells long and breaks
+        det Mtau: the report is written, and one stderr line names the
+        identity, exit 3.  The README report with --drift passes."""
+        out = tmp_path / "mono.json"
+        argv = MONODROMY[:MONODROMY.index("--tau") + 1] + [
+            "17.3+0.8i"] + MONODROMY[MONODROMY.index("--tau") + 2:]
+        assert run(argv, out) == 3
+        residual = json.loads(out.read_text())["det_residuals"]["Mtau"]
+        assert residual > DET_RESIDUAL_BOUND
+        assert capsys.readouterr().err == (
+            f"monodromy report fails the det Mtau identity: relative "
+            f"residual {residual:.3e} above {DET_RESIDUAL_BOUND:g}\n")
+        assert run(MONODROMY + ["--drift", "0.01"], out) == 0
+        assert capsys.readouterr().err == ""
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -421,9 +438,11 @@ class TestSymmetryAndMap:
         row = read_csv(out)[0]
         assert float(row["q_im"]) == 0.5
 
-    def test_s4_shift_bad_index(self):
+    def test_s4_shift_bad_index(self, capsys):
         assert main(["symmetry", "s4-shift", "--q", "0.3", "--tau", "1.0i",
-                     "--a", "5"]) == 1
+                     "--a", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: half-period index 4 out of range 0..3\n")
 
     def test_map(self, tmp_path):
         out = tmp_path / "row.csv"

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import ellcm.calogero as calogero
+import ellcm.flow as flow
 from ellcm.calogero import (
     CMConfig,
     PhasePoint,
+    _force,
+    _min_separation,
     eom,
     hamiltonian_cm,
     min_separation,
@@ -21,6 +25,7 @@ from ellcm.flow import (
     ExtendedTangent,
     IntegratorConfig,
     _central_differences,
+    _dp_step,
     canonical_pairing,
     extended_two_form,
     hamiltonian_dtau,
@@ -31,8 +36,10 @@ from ellcm.flow import (
     integrate_segment,
     symplectic_jacobian_check,
 )
-from ellcm.painleve import EllipticState, PainleveParams
+from ellcm.painleve import EllipticState, PainleveParams, scalar_painleve_rhs
 from ellcm.rng import SplitMix64
+
+from _oracles import dp_step_loop
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
@@ -551,3 +558,171 @@ class TestFirstSameAsLast:
                       if b in sample_at and 0 < abs(b - a) < snap)
         steps = diag.steps_accepted + diag.steps_rejected
         assert len(calls) == 6 * steps + 1 + resnaps
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays hold the same doubles bit for bit, signed zeros
+    and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _complex_normal(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def reference_flow(monkeypatch, rhs, y0, span, icfg, samples,
+                   separation=None):
+    """A flow as the term-by-term step drove it on PhasePoints: the packed
+    states at the samples and the diagnostics of `integrate_segment` run
+    with `dp_step_loop`, ``rhs(time, dt, ph)`` on a PhasePoint of each stage
+    and ``separation(time, ph)`` on one of each step's end."""
+    monkeypatch.setattr(flow, "_dp_step", dp_step_loop)
+    start, end = span
+    length = abs(end - start)
+    direction = (end - start) / length
+    n = y0.size // 2
+    states, diag = [y0], Diagnostics()
+
+    def point(y):
+        return PhasePoint(y[:n], y[n:])
+
+    integrate_segment(
+        lambda s, y: rhs(start + direction * s, direction, point(y)),
+        y0, length, icfg, diag,
+        sample_at=[length * i / samples for i in range(1, samples)],
+        on_sample=lambda s, y: states.append(y),
+        separation=None if separation is None else
+        lambda s, y: separation(start + direction * s, point(y)))
+    return states, diag
+
+
+CM6 = CMConfig(6, 0.5, TorusModulus(0.02 + 1j))
+PH6 = PhasePoint([0.02, 0.18 + 0.03j, 0.35 - 0.02j, 0.51 + 0.02j, 0.68,
+                  0.84 - 0.03j], [0.25, -0.3, 0.2, -0.2, 0.3, -0.25])
+CM5 = CMConfig(5, 0.7, TorusModulus(0.1 + 1j))
+PH5 = PhasePoint([0.05, 0.27 + 0.04j, 0.46 - 0.03j, 0.63 + 0.02j, 0.84],
+                 [0.2, -0.3, 0.25, -0.15, 0.1])
+RK4 = IntegratorConfig(method="rk4_fixed", initial_step=0.01)
+
+
+def _isospectral_case(cfg, ph, span, icfg):
+    def rhs(t, dt, point):
+        return dt * np.concatenate(eom(cfg, point))
+
+    return (lambda: integrate_isospectral(cfg, ph, span, icfg, samples=4),
+            rhs, ph, span, icfg, lambda t, point: min_separation(cfg, point))
+
+
+def _isomonodromic_case(cfg, ph, span, icfg):
+    def rhs(tau, dtau, point):
+        return dtau * np.concatenate(eom(cfg.with_tau(tau), point)) / TWO_PI_I
+
+    return (lambda: integrate_isomonodromic(cfg, ph, span, icfg, samples=4),
+            rhs, ph, span, icfg,
+            lambda tau, point: min_separation(cfg.with_tau(tau), point))
+
+
+def _painleve_case(span, icfg):
+    def rhs(tau, dtau, point):
+        return dtau * np.array(scalar_painleve_rhs(
+            point.q[0], point.p[0], tau, SCALAR_PARAMS, 1.0))
+
+    return (lambda: integrate_scalar_painleve(SCALAR_STATE, SCALAR_PARAMS,
+                                              span, icfg, samples=4),
+            rhs, PhasePoint([SCALAR_STATE.q], [SCALAR_STATE.p]), span, icfg,
+            None)
+
+
+EXACT_FLOWS = {
+    "painleve-dp": lambda: _painleve_case(SPANS["painleve-scalar"],
+                                          IntegratorConfig()),
+    "painleve-rk4": lambda: _painleve_case(SPANS["painleve-scalar"], RK4),
+    "isospectral-rk4-n2": lambda: _isospectral_case(CM2, PH2, (0.0, 0.3),
+                                                    RK4),
+    "isospectral-dp-n5": lambda: _isospectral_case(CM5, PH5, (0.0, 0.3),
+                                                   IntegratorConfig()),
+    "isomonodromic-dp-n2": lambda: _isomonodromic_case(
+        CM2, PH2, SPANS["isomonodromic"], IntegratorConfig()),
+    "isomonodromic-rk4-n6": lambda: _isomonodromic_case(
+        CM6, PH6, (0.02 + 1j, 0.04 + 1.02j),
+        IntegratorConfig(method="rk4_fixed", initial_step=0.002)),
+}
+
+
+class TestStageArray:
+    """The step on one stage array, and the right-hand sides on the packed
+    state, round exactly as the term-by-term step on PhasePoints does."""
+
+    @pytest.mark.parametrize("size", [2, 4, 32])
+    def test_step_matches_the_loop(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(40):
+            w = _complex_normal(rng, size)
+
+            def f(s, y):
+                return w * y[::-1] * (1.0 + s) + 0.3j * y * y
+
+            y = _complex_normal(rng, size) * 10.0 ** rng.uniform(-4, 0.5)
+            h, s = 10.0 ** rng.uniform(-6, -0.5), rng.uniform(0, 2)
+            k1 = f(s, y)
+            for got, want in zip(_dp_step(f, s, y, h, k1),
+                                 dp_step_loop(f, s, y, h, k1)):
+                assert np.all(np.isfinite(want))
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("size", [2, 4, 32])
+    def test_zero_weights_skip_their_stage(self, size):
+        """B5 and B4 weight stage 2 by zero: a stage 2 of infinities and
+        NaN stays out of y5, y4 and the error, as the loop leaves it out."""
+        rng = np.random.default_rng(100 + size)
+        stages = _complex_normal(rng, (7, size))
+        stages[1, ::2] = complex(math.inf, -math.inf)
+        stages[1, 1::2] = complex(math.nan, 0.0)
+
+        def step(stepper):
+            rows = iter(stages[1:])
+            return stepper(lambda s, y: next(rows).copy(), 0.0,
+                           _complex_normal(rng, size), 0.1, stages[0])
+
+        state = rng.bit_generator.state
+        with np.errstate(invalid="ignore"):  # in the stages after stage 2
+            got = step(_dp_step)
+            rng.bit_generator.state = state
+            want = step(dp_step_loop)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("array_from", [2, 10**9],
+                             ids=["array", "scalar"])
+    def test_packed_helpers(self, monkeypatch, n, array_from):
+        """eom and min_separation equal the helpers the flows call on views
+        of the packed state, on both pair paths."""
+        monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", array_from)
+        rng = np.random.default_rng(n)
+        tau = 0.1 + 0.9j
+        cfg = CMConfig(n, 0.7 + 0.1j, TorusModulus(tau))
+        y = np.concatenate([np.arange(n) / n + 0.05 * _complex_normal(rng, n),
+                            _complex_normal(rng, n)])
+        ph = PhasePoint(y[:n], y[n:])
+        dq, dp = eom(cfg, ph)
+        assert same_bits(dq, y[n:])
+        assert same_bits(dp, _force(cfg, y[:n]))
+        assert min_separation(cfg, ph) == _min_separation(y[:n], tau)
+
+    @pytest.mark.parametrize("case", EXACT_FLOWS)
+    def test_flow_matches_the_phase_point_loop(self, monkeypatch, case):
+        """DP and RK4 flows of all three kinds, on both pair paths, give
+        the samples and diagnostics of `reference_flow` bit for bit."""
+        run, rhs, ph0, span, icfg, separation = EXACT_FLOWS[case]()
+        traj = run()
+        states, diag = reference_flow(monkeypatch, rhs,
+                                      np.concatenate([ph0.q, ph0.p]), span,
+                                      icfg, 4, separation)
+        assert traj.diagnostics == diag
+        assert len(traj.states) == len(states) == 5
+        for point, y in zip(traj.states, states):
+            assert same_bits(np.concatenate([point.q, point.p]), y)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ellcm.elliptic import GeneralLattice, TorusModulus, wp_dz, wp_dz_general
-from ellcm.errors import SingularConfigurationError
+from ellcm.errors import SingularConfigurationError, UsageError
 from ellcm.painleve import (
     EllipticState,
     PainleveParams,
@@ -218,7 +218,7 @@ class TestS4Shift:
         assert s4_shift(s4_shift(q, 1j, 1), 1j, 1) == q + 1
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(UsageError, match="out of range 0..3"):
             s4_shift(0.3, 1j, 4)
 
 

@@ -21,8 +21,10 @@
 # bodies and the symplectic-jacobian suite at 3, non-finite numbers, a
 # zero drift step and an empty time span, pole loops that would enclose a
 # second lattice point, spans too short for absolute step thresholds,
-# negative numbers written without '=' and body counts below 1, once per
-# tree,
+# negative numbers written without '=', body counts below 1, the
+# stepper's other exits (a step collapse, an RK4 collision and an RK4
+# tau-flow on the array pair path) and a monodromy report that fails its
+# determinant identities (exit 3), once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -133,6 +135,15 @@ commands+=("eval wp --z -0.1+0.2i --tau 1.0i"
 commands+=("flow isospectral --n 0 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0"
            "monodromy --n 0 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45"
            "verify monodromy --n 0")
+# the stepper's other exits: the adaptive step collapses at two bodies
+# 5e-5 apart, RK4 stops at a collision, and RK4 runs a tau-flow at
+# ARRAY_PAIRS_FROM = 6 bodies to its end
+commands+=("flow isospectral --n 2 --g 5e-6 --tau 1.0i --q 0.499975,0.500025 --p 0.1,-0.1 --t-end 1.0"
+           "flow isospectral --n 2 --g 1e-6 --tau 1.0i --q 0.499,0.501 --p 0.1,-0.1 --t-end 1.0 --method rk4_fixed --step 0.01"
+           "flow isomonodromic --n 6 --g 0.5 --tau 0.02+1.0i --tau-end 0.04+1.02i --q 0.02,0.18+0.03i,0.35-0.02i,0.51+0.02i,0.68,0.84-0.03i --p 0.25,-0.3,0.2,-0.2,0.3,-0.25 --method rk4_fixed --step 0.002")
+# a B cycle 17 cells long: the report is written, and its determinant
+# residual Mtau of order one exits 3
+commands+=("monodromy --n 2 --g 0.35 --tau 17.3+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
 
 work=$(mktemp -d)
 differ=0
