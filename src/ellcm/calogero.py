@@ -57,11 +57,11 @@ from .elliptic import (
     TWO_PI_I,
     TorusModulus,
     _lattice_distance_array,
+    _lattice_distances,
     _reduce_checked_array,
     _rho_array,
     _rho_points,
     lame_array,
-    lattice_distance,
     weierstrass_constant,
     wp,
 )
@@ -194,12 +194,13 @@ def min_separation(cfg: CMConfig, ph: PhasePoint) -> float:
 
 
 def _min_separation(q: np.ndarray, tau: complex) -> float:
-    """min_separation of the positions q in the lattice Z + tau Z."""
+    """min_separation of the positions q in the lattice Z + tau Z.  A
+    non-finite position raises EllcmError."""
     t = _pair_index(q.size)
     if q.size >= ARRAY_PAIRS_FROM:
         return float(_lattice_distance_array(q[t.j] - q[t.k], tau).min())
     q = q.tolist()
-    return min((lattice_distance(q[j] - q[k], tau) for j, k in t.pairs),
+    return min(_lattice_distances([q[j] - q[k] for j, k in t.pairs], tau),
                default=math.inf)
 
 
@@ -294,8 +295,8 @@ def _connections(cfg: CMConfig, ph: PhasePoint, z: complex):
     GaugeSingularityError (|x| is no measure: it scales by
     |exp(2 pi i q_j)| per B-period of z).
     """
-    for j, q in enumerate(ph.q):
-        dist = lattice_distance(z - q, cfg.tm.tau)
+    for j, dist in enumerate(_lattice_distances((z - ph.q).tolist(),
+                                                cfg.tm.tau)):
         if dist < POLE_EXCLUSION_RADIUS:
             raise GaugeSingularityError(
                 f"x(q[{j}], z) vanishes: z - q[{j}] is {dist:.3e} from the "

@@ -66,6 +66,12 @@ taken.  Pole checks stay in the lattice of tau: a reduced v clear of the
 nine lattice points w (i + j tau') needs no check, and otherwise the
 distance is that of `lattice_distance`, reported under the caller's name.
 
+Lattice geometry.  The distance of a point, a pair or a path segment to
+the lattice is the least over nine lattice points around a cell of a basis
+in which they include the nearest: (1, tau) itself where its Voronoi cell
+allows (`_nine_suffice`), or else the reduced basis (w, w tau') of
+`_lattice_basis`, which also gives the shortest period |w|.
+
 Truncation is fixed a priori, once per modulus.  Let q = |nu| =
 exp(-pi Im tau) and let w be reduced, so |Im w| <= Im tau / 2.  Since
 |sin|, |cos| of (2k+1) pi w are at most exp((2k+1) pi |Im w|), the k-th
@@ -133,6 +139,7 @@ extrapolation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -140,6 +147,8 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateLatticeError,
+    EllcmError,
+    PathError,
     PoleProximityError,
     SeriesRangeError,
 )
@@ -214,19 +223,29 @@ class GeneralLattice:
 
 
 # ----------------------------------------------------------------------
-# Lattice reduction
+# Lattice reduction and geometry
 # ----------------------------------------------------------------------
+
+def _unreducible(z) -> EllcmError:
+    """The error for a point without finite lattice coordinates."""
+    return EllcmError(f"cannot reduce {z} to the cell: its lattice "
+                      "coordinates are not finite")
+
 
 def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:
     """Write z = w + m + n*tau with lattice coordinates of w in [-1/2, 1/2].
 
-    Returns (w, m, n).
+    Returns (w, m, n).  A z without finite coordinates (NaN or infinite)
+    raises EllcmError.
     """
     z = complex(z)
     b = z.imag / tau.imag
     a = z.real - b * tau.real
-    m = round(a)
-    n = round(b)
+    try:
+        m = round(a)
+        n = round(b)
+    except (ValueError, OverflowError):
+        raise _unreducible(z) from None
     return z - m - n * tau, m, n
 
 
@@ -242,6 +261,85 @@ def reduce_to_cell_array(z, tau: complex
     return z - m - n * tau, m, n
 
 
+def _affine(k: int, x: float, l: int) -> float:
+    """k x + l for integers k, l, correctly rounded (exact in integers)."""
+    num, den = x.as_integer_ratio()
+    return (k * num + l * den) / den
+
+
+def _modular_image(tau: complex):
+    """(gamma, log C0) with gamma = (a, b, c, d) taking tau to the
+    fundamental domain by T^k shifts and S steps, and C0 the product of
+    their factors in (*) of the module docstring, composed in log form."""
+    a, b, c, d = 1, 0, 0, 1
+    t, log_c = tau, 0j
+    while True:
+        k = round(t.real)
+        if k:
+            t -= k
+            a, b = a - k * c, b - k * d
+            log_c += 0.25j * math.pi * k
+        if abs(t) >= 1.0:
+            return (a, b, c, d), log_c
+        log_c += 0.5j * math.pi - 0.5 * cmath.log(-1j * t)
+        a, b, c, d = -c, -d, a, b
+        t = -1.0 / t
+
+
+def _basis(tau: complex, gamma) -> tuple[complex, complex]:
+    """(w, tau') = (c tau + d, (a tau + b) / w) for gamma = (a, b, c, d), so
+    that Z + tau Z = w (Z + tau' Z).  c tau + d and a tau + b are rounded
+    once from exact integer arithmetic: their real parts cancel to about
+    Im tau, and an error in tau' would grow with every B-period a point is
+    reduced by."""
+    a, b, c, d = gamma
+    w = complex(_affine(c, tau.real, d), c * tau.imag)
+    return w, complex(_affine(a, tau.real, b), a * tau.imag) / w
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_basis(tau: complex):
+    """(gamma, w, tau', nine) with the gamma of `_modular_image`: tau' lies
+    in the fundamental domain, so |w| is the shortest nonzero period of
+    Z + tau Z and the nine candidates around a cell at tau' suffice
+    (`_nine_suffice`); ``nine`` holds them as offsets (M, N) of M + N tau
+    (`_tau_coordinates`).  Cached: the pole checks of a modulus ask at
+    each point."""
+    gamma, _ = _modular_image(tau)
+    return (gamma, *_basis(tau, gamma),
+            tuple(_tau_coordinates(i, j, gamma) for i, j in _NINE))
+
+
+@functools.lru_cache(maxsize=64)
+def _nine_suffice(tau: complex) -> bool:
+    """Whether the nine candidates i + j tau (`_NINE`) around a point
+    reduced in the basis (1, tau) include its nearest lattice point.  The
+    Voronoi cell of 0 lies between the bisectors of +-1 and +-tau,
+    |Re z| <= 1/2 and |Re(z conj(tau))| <= |tau|^2 / 2, a parallelogram
+    whose points z = a + b tau have |b| <= (|tau|^2 + |Re tau|) / (2 Im^2 tau)
+    and |a| <= 1/2 + |Re tau| |b|.  Where both bounds are below 3/2, a
+    point within coordinates 1/2 of 0 has its nearest lattice point within
+    2, one of the nine; so does every tau' of the fundamental domain.
+    Cached, as `_lattice_basis` is: a cached answer costs a third of the
+    test."""
+    x = abs(tau.real)
+    b = (x + x * x + tau.imag * tau.imag) / (2.0 * tau.imag * tau.imag)
+    return b < 1.5 and 0.5 + x * b < 1.5
+
+
+def _shortest_period(tau: complex) -> float:
+    """The length of the shortest nonzero vector of Z + tau Z."""
+    return abs(_lattice_basis(tau)[1])
+
+
+def _tau_coordinates(k, l, gamma):
+    """(M, N) with M + N tau = w (k + l tau') for lattice coordinates k, l
+    of the reduced basis: w = c tau + d and w tau' = a tau + b.  Integers
+    or arrays of them alike."""
+    a, b, c, d = gamma
+    return k * d + l * b, k * c + l * a
+
+
 def _reduced_distance(w: complex, tau: complex) -> float:
     """Distance from a reduced w to the nearest of the nine lattice points
     i + j*tau, i, j in {-1, 0, 1}."""
@@ -254,21 +352,96 @@ def _reduced_distance(w: complex, tau: complex) -> float:
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
-def _reduced_distance_array(w: np.ndarray, tau: complex) -> np.ndarray:
-    """_reduced_distance at every point of the array w."""
-    import numpy as np
-    nine = np.array([i + j * tau for i, j in _NINE])
-    return np.abs(w[..., None] - nine).min(axis=-1)
-
-
 def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the nearest point of Z + tau Z."""
-    return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
+    """Distance from z to the nearest point of Z + tau Z, as
+    `_lattice_distances` takes it."""
+    if _nine_suffice(tau):  # per point on the pole checks' slow path
+        return _reduced_distance(reduce_to_cell(z, tau)[0], tau)
+    return _lattice_distances((z,), tau)[0]
+
+
+def _lattice_distances(z, tau: complex) -> list[float]:
+    """lattice_distance at each point of the sequence z, one basis for all:
+    the least |v - M - N tau| over nine candidates M + N tau, v the point
+    reduced in the basis (1, tau).  They are v's own nine where those
+    suffice, else the nine around the cell of v / w at tau'
+    (`_lattice_basis`); a candidate in both sets gives the same bits."""
+    if _nine_suffice(tau):
+        return [_reduced_distance(reduce_to_cell(p, tau)[0], tau) for p in z]
+    gamma, w, tau_r, nine = _lattice_basis(tau)
+    inv = 1.0 / w
+    out = []
+    for p in z:
+        v = reduce_to_cell(p, tau)[0]
+        _, m, n = reduce_to_cell(v * inv, tau_r)
+        m, n = _tau_coordinates(m, n, gamma)
+        out.append(min(abs(v - (m + i) - (n + j) * tau) for i, j in nine))
+    return out
 
 
 def _lattice_distance_array(z, tau: complex) -> np.ndarray:
-    """lattice_distance at every point of the array z."""
-    return _reduced_distance_array(reduce_to_cell_array(z, tau)[0], tau)
+    """lattice_distance at every point of the 1-D array z, as
+    `_lattice_distances` takes it.  A point without finite lattice
+    coordinates raises EllcmError."""
+    import numpy as np
+    z = np.asarray(z, dtype=complex)
+    v = reduce_to_cell_array(z, tau)[0]
+    big_m, big_n = np.array(_NINE).T
+    if not _nine_suffice(tau):
+        gamma, w, tau_r, nine = _lattice_basis(tau)
+        _, m, n = reduce_to_cell_array(v * (1.0 / w), tau_r)
+        m, n = _tau_coordinates(m, n, gamma)
+        i, j = np.array(nine).T
+        big_m, big_n = m[:, None] + i, n[:, None] + j
+    d = np.abs(v[:, None] - (big_m + big_n * tau)).min(axis=1)
+    if np.isnan(np.minimum.reduce(d, initial=math.inf)):
+        raise _unreducible(complex(z[np.isnan(d)][0]))
+    return d
+
+
+#: Most samples `_segment_lattice_distances` measures in one call (about
+#: 30 MB of temporaries).
+_SEGMENT_SAMPLES = 1 << 16
+
+
+def _segment_lattice_distances(a: np.ndarray, b: np.ndarray,
+                               tau: complex) -> np.ndarray:
+    """Distance from each segment [a_i, b_i] to the lattice Z + tau Z.
+
+    In units of w (`_lattice_basis`), each segment is sampled at
+    max(8, 4 |b - a|) + 1 points less than 2/7 apart, and the nine lattice
+    points around the cell of each sample at tau' are projected onto the
+    segment.  The segment's point nearest to the lattice lies within 1/7
+    of a sample, less than (1 + 1/sqrt 3) / 7 in lattice coordinates at
+    tau', and its nearest lattice point within 1 more (`_nine_suffice`):
+    one of that sample's nine.  All samples go through one array pass;
+    more than _SEGMENT_SAMPLES of them raise PathError.
+    """
+    import numpy as np
+    gamma, w, tau_r, nine = _lattice_basis(tau)
+    a = np.asarray(a, dtype=complex)
+    d = np.asarray(b, dtype=complex) - a
+    # rounded as abs() of a Python complex, where np.abs can differ by an ulp
+    length = np.hypot(d.real, d.imag)
+    steps = np.maximum(8, (4 * length / abs(w)).astype(int))
+    total = int(steps.sum()) + steps.size
+    if total > _SEGMENT_SAMPLES:
+        raise PathError(
+            f"the path is too long for the lattice: its segments take "
+            f"{total} samples at the shortest period {abs(w):.3e}, more "
+            f"than {_SEGMENT_SAMPLES}")
+    first = np.cumsum(steps + 1) - (steps + 1)  # each segment's first sample
+    seg = np.repeat(np.arange(a.size), steps + 1)
+    a, d, k = a[seg], d[seg], np.arange(seg.size) - first[seg]
+    _, m, n = reduce_to_cell_array((a + d * k / steps[seg]) * (1.0 / w),
+                                   tau_r)
+    m, n = _tau_coordinates(m, n, gamma)
+    i, j = np.array(nine).T
+    lam = (m[:, None] + i) + (n[:, None] + j) * tau
+    a, d = a[:, None], d[:, None]
+    t = np.clip(((lam - a) * d.conjugate()).real / length[seg, None] ** 2,
+                0.0, 1.0)
+    return np.minimum.reduceat(np.abs(a + t * d - lam).min(axis=1), first)
 
 
 # ----------------------------------------------------------------------
@@ -297,31 +470,6 @@ def _im_for_terms(k: int) -> float:
 
 #: The Im tau from which 1, 2, 3 and 4 terms suffice: 4 on [0.7725, 1.3466).
 _TERMS_FROM = tuple(_im_for_terms(k) for k in (1, 2, 3, 4))
-
-
-def _affine(k: int, x: float, l: int) -> float:
-    """k x + l for integers k, l, correctly rounded (exact in integers)."""
-    num, den = x.as_integer_ratio()
-    return (k * num + l * den) / den
-
-
-def _modular_image(tau: complex):
-    """(gamma, log C0) with gamma = (a, b, c, d) taking tau to the
-    fundamental domain by T^k shifts and S steps, and C0 the product of
-    their factors in (*) of the module docstring, composed in log form."""
-    a, b, c, d = 1, 0, 0, 1
-    t, log_c = tau, 0j
-    while True:
-        k = round(t.real)
-        if k:
-            t -= k
-            a, b = a - k * c, b - k * d
-            log_c += 0.25j * math.pi * k
-        if abs(t) >= 1.0:
-            return (a, b, c, d), log_c
-        log_c += 0.5j * math.pi - 0.5 * cmath.log(-1j * t)
-        a, b, c, d = -c, -d, a, b
-        t = -1.0 / t
 
 
 class _SeriesTable:
@@ -369,12 +517,7 @@ class _SeriesTable:
             log_c = 0j
         else:
             gamma, log_c = _modular_image(tau)
-            a, b, c, d = gamma
-            # c tau + d and a tau + b to the last bit: their real parts
-            # cancel to |w| ~ Im tau, and an error in tau' would grow with
-            # every B-period a point is reduced by
-            w = complex(_affine(c, tau.real, d), c * tau.imag)
-            tau_r = complex(_affine(a, tau.real, b), a * tau.imag) / w
+            w, tau_r = _basis(tau, gamma)
             nome_r = cmath.exp(1j * math.pi * tau_r)
             # C sqrt(w) is an eighth root of unity, e^{i pi j/4}
             j = round((log_c + 0.5 * cmath.log(w)).imag * 4.0 / math.pi) % 8
@@ -623,7 +766,8 @@ def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
     table).  The first point i within POLE_EXCLUSION_RADIUS of the lattice,
     in array order from ``start`` on and then from 0, raises
     PoleProximityError under name(i), unless that is None (a point exempt
-    from the check)."""
+    from the check).  A point without finite lattice coordinates fails the
+    short cut's test and raises EllcmError (`_lattice_distance_array`)."""
     import numpy as np
     tab = _table(tm)
     zw = z * tab.w_inv

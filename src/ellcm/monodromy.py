@@ -72,13 +72,19 @@ for each path separately.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calogero import CMConfig, PhasePoint, lax_L_quasi_batch
-from .elliptic import TWO_PI_I, _affine, _modular_image, reduce_to_cell_array
+from .elliptic import (
+    POLE_EXCLUSION_RADIUS,
+    TWO_PI_I,
+    _segment_lattice_distances,
+    _shortest_period,
+)
 from .errors import IntegrationError, PathError, PoleProximityError, UsageError
 from .flow import TIGHT, IntegratorConfig, integrate_isomonodromic
 
@@ -104,7 +110,9 @@ _EXP_COEFFS = np.array([[1.0 / math.factorial(4 * i + r) for r in range(4)]
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A polyline with a minimum clearance from lattice points."""
+    """A polyline of finite waypoints with a minimum clearance from lattice
+    points, at least POLE_EXCLUSION_RADIUS: a path that keeps it brings no
+    Gauss-Legendre node of its transport within the radius of a pole."""
 
     waypoints: tuple[complex, ...]
     pole_clearance: float = 1e-3
@@ -113,9 +121,16 @@ class PathSpec:
         w = tuple(complex(p) for p in self.waypoints)
         if len(w) < 2:
             raise PathError("a path needs at least two waypoints")
+        for p in w:
+            if not cmath.isfinite(p):
+                raise PathError(f"waypoint {p} is not finite")
         for a, b in zip(w, w[1:]):
             if a == b:
                 raise PathError("consecutive waypoints must be distinct")
+        if not POLE_EXCLUSION_RADIUS <= self.pole_clearance < math.inf:
+            raise PathError(
+                f"pole clearance {self.pole_clearance} is not a finite number "
+                f"of at least {POLE_EXCLUSION_RADIUS}")
         object.__setattr__(self, "waypoints", w)
 
     def validate(self, tau: complex) -> None:
@@ -133,32 +148,6 @@ class PathSpec:
                 f"segment [{self.waypoints[i]}, {self.waypoints[i + 1]}] "
                 f"passes within {d[i]:.3e} of a lattice point "
                 f"(clearance {self.pole_clearance})")
-
-
-def _segment_lattice_distances(a: np.ndarray, b: np.ndarray,
-                               tau: complex) -> np.ndarray:
-    """Minimum distance from each segment [a_i, b_i] to the lattice.
-
-    The nine lattice points around the cell of each of max(8, 4 |b - a|) + 1
-    evenly spaced samples of a segment are projected onto that segment;
-    they include the lattice point nearest to every sample.  The samples of
-    all segments go through one array pass.
-    """
-    d = b - a
-    # rounded as abs() of a Python complex, where np.abs can differ by an ulp
-    length = np.hypot(d.real, d.imag)
-    steps = np.maximum(8, (4 * length).astype(int))
-    first = np.cumsum(steps + 1) - (steps + 1)  # each segment's first sample
-    seg = np.repeat(np.arange(a.size), steps + 1)
-    a, d, k = a[seg], d[seg], np.arange(seg.size) - first[seg]
-    _, m, n = reduce_to_cell_array(a + d * k / steps[seg], tau)
-    near = np.array([-1.0, 0.0, 1.0])
-    lam = ((m[:, None, None] + near[:, None])
-           + (n[:, None, None] + near) * tau).reshape(seg.size, 9)
-    a, d = a[:, None], d[:, None]
-    t = np.clip(((lam - a) * d.conjugate()).real / length[seg, None] ** 2,
-                0.0, 1.0)
-    return np.minimum.reduceat(np.abs(a + t * d - lam).min(axis=1), first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,13 +244,8 @@ def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
         nodes = starts[part, None] + steps[part, None] * _GL_NODES
         try:
             L = lax_L_quasi_batch(cfg, ph, nodes.reshape(-1))
-        except PoleProximityError as exc:
-            hit = np.flatnonzero((nodes == exc.point).any(axis=1))
-            if not hit.size:  # two bodies collide, at every node alike
-                raise PathError(f"transport truncated: {exc}") from exc
-            seg = (i + hit[0]) // panels
-            raise PathError(f"transport truncated on segment "
-                            f"[{a[seg]}, {b[seg]}]: {exc}") from exc
+        except PoleProximityError as exc:  # two bodies collide
+            raise PathError(f"transport truncated: {exc}") from exc
         U[..., part] = _magnus(L.reshape(-1, 3, n, n), steps[part])
     U = U.reshape(n, n, len(a), panels)
     while U.shape[-1] > 1:  # tree product, later panels on the left
@@ -281,8 +265,8 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     icfg.  Raises IntegrationError past the budget, or as soon as a
     segment's difference stops shrinking while within 2N eps ||Psi_2N||_max
     (rounding level: no refinement can meet the tolerance then), and
-    PathError when a node meets a pole or the bodies collide, instead of
-    returning a partial Psi.
+    PathError when the path leaves its clearance or two bodies collide,
+    instead of returning a partial Psi.
     """
     return _product(_transport_paths(cfg, ph, (path,), icfg)[0])
 
@@ -303,12 +287,11 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     Errors therefore come in level order, not path order: every path is
     validated before any transport (the segments of all paths in one
     `_segment_lattice_distances` pass, the first failing path raising as
-    its `PathSpec.validate` would), and then each level raises, in this
-    order, for a path past its budget, for a node at a pole (PathError
-    naming the first such segment) or a collision (naming the pair), and
-    for the first stagnating segment, in path order within each test.  A
-    later path that fails at a shallower level wins over an earlier path
-    that would fail deeper.
+    its `PathSpec.validate` would), so that no node comes near a pole, and
+    then each level raises, in this order, for a path past its budget, for
+    a collision (PathError naming the pair), and for the first stagnating
+    segment, in path order within each test.  A later path that fails at a
+    shallower level wins over an earlier path that would fail deeper.
     """
     n = ph.n
     w = [np.array(path.waypoints) for path in paths]
@@ -379,15 +362,11 @@ def _check_radius(radius: float, tau: complex) -> None:
     radius, with its clearance, stays short of every lattice point but 0.
 
     A larger loop encloses another lattice point: its M0 is wrong, and no
-    determinant identity shows it.  The shortest nonzero vector of
-    Z + tau Z has length |c tau + d| for the gamma of
-    `elliptic._modular_image`, since Z + tau Z = (c tau + d)(Z + tau' Z)
-    and 1 is the shortest vector of Z + tau' Z in the fundamental domain.
+    determinant identity shows it.
     """
     if not (1e-3 < radius < 0.3):
         raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
-    (_, _, c, d), _ = _modular_image(tau)
-    shortest = abs(complex(_affine(c, tau.real, d), c * tau.imag))
+    shortest = _shortest_period(tau)
     if radius + _loop_clearance(radius) >= shortest:
         # the inverse of radius + _loop_clearance(radius) at shortest
         largest = max(2.0 * shortest / 3.0, shortest - CYCLE_CLEARANCE)

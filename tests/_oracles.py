@@ -149,3 +149,56 @@ def dp_step_loop(f, s, y, h, k1):
     y5 = y + h * _combine_loop(DP_B5, k)
     y4 = y + h * _combine_loop(DP_B4, k)
     return y5, y5 - y4, k[6]
+
+
+#: Moduli of the lattice geometry tests: the square lattice, one in the
+#: mirror of the fundamental domain, two the series reduces, one whose basis
+#: (1, tau) is 20 times longer than its shortest period, and a small one.
+LATTICE_TAUS = (1j, -0.4 + 0.6j, 0.45 + 0.03j, 0.3 + 0.02j, 17.3 + 0.8j,
+                1e-3j)
+
+
+def lattice_points(lo, hi, tau):
+    """Every point M + N tau of Z + tau Z in the box lo.real <= Re <= hi.real,
+    lo.imag <= Im <= hi.imag, row by row: the rows N with N Im tau in the
+    box, and in each row every M with M + N Re tau in it."""
+    n = np.arange(math.ceil(lo.imag / tau.imag),
+                  math.floor(hi.imag / tau.imag) + 1)
+    m_lo = np.ceil(lo.real - n * tau.real)
+    count = np.maximum(np.floor(hi.real - n * tau.real) - m_lo + 1,
+                       0).astype(int)
+    start = np.repeat(np.cumsum(count) - count, count)
+    m = np.repeat(m_lo, count) + (np.arange(count.sum()) - start)
+    return m + np.repeat(n, count) * tau
+
+
+def segment_lattice_distance(a, b, tau):
+    """Distance from the segment [a, b] (a point where a == b) to
+    Z + tau Z by brute force.  r, the distance from a to the nearest point
+    of its nearest row, bounds the answer, so every lattice point within r
+    of the segment is in its bounding box widened by r: each of them is
+    projected onto the segment."""
+    a, b = complex(a), complex(b)
+    n = round(a.imag / tau.imag)
+    r = 1.000001 * abs(a - round((a - n * tau).real) - n * tau) + 1e-300
+    lam = lattice_points(complex(min(a.real, b.real) - r,
+                                 min(a.imag, b.imag) - r),
+                         complex(max(a.real, b.real) + r,
+                                 max(a.imag, b.imag) + r), tau)
+    d = b - a
+    t = (np.clip(((lam - a) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
+         if d else 0.0)
+    return float(np.abs(a + t * d - lam).min())
+
+
+def lattice_distance(z, tau):
+    """Distance from z to Z + tau Z by brute force."""
+    return segment_lattice_distance(z, z, tau)
+
+
+def shortest_period(tau):
+    """The length of the shortest nonzero vector of Z + tau Z by brute
+    force: 1 is a period, so every shorter one lies in the box |Re|, |Im|
+    <= 1."""
+    lam = lattice_points(complex(-1.0, -1.0), complex(1.0, 1.0), tau)
+    return float(np.abs(lam[lam != 0]).min())

@@ -37,6 +37,7 @@ from ellcm.elliptic import (
     wp_dz,
 )
 from ellcm.errors import (
+    EllcmError,
     GaugeSingularityError,
     PoleProximityError,
     SeriesRangeError,
@@ -44,6 +45,7 @@ from ellcm.errors import (
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm, zero_curvature_samples
 
+import _oracles as oracle
 from _oracles import theta1_mp
 
 TM_I = TorusModulus(1j)
@@ -579,6 +581,24 @@ def _rho_reduced(cfg, ph, power):
     return out
 
 
+class TestNonFinitePositions:
+    """A NaN position raises one EllcmError on both pair paths, never a
+    bare ValueError or a NaN."""
+
+    @pytest.mark.parametrize("n", [2, calogero.ARRAY_PAIRS_FROM + 2])
+    @pytest.mark.parametrize("call", [eom, hamiltonian_cm, min_separation])
+    def test_pair_sums(self, n, call):
+        q = np.linspace(0.0, 0.9, n) + 0.1j
+        q[1] = math.nan
+        with pytest.raises(EllcmError, match="not finite") as info:
+            call(CMConfig(n, 0.5, TM_I), PhasePoint(q, np.zeros(n)))
+        assert not isinstance(info.value, ValueError)
+
+    def test_lax_batch(self):
+        with pytest.raises(EllcmError, match="not finite"):
+            lax_L_quasi_batch(CFG2, PH2, [0.3, math.nan])
+
+
 class TestPairArrays:
     """The array pair path against the scalar pair loops it replaces from
     ARRAY_PAIRS_FROM bodies on."""
@@ -753,12 +773,28 @@ class TestPairArrays:
         assert want < 3e-3
         assert min_separation(cfg, ph) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("tau", oracle.LATTICE_TAUS)
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_min_separation_against_lattice_search(self, tau, offset):
+        """On either side of ARRAY_PAIRS_FROM, min_separation is the least
+        brute-force lattice distance over the pairs, at moduli where the
+        nine candidates of the basis (1, tau) miss the nearest point."""
+        n = calogero.ARRAY_PAIRS_FROM + offset
+        x, y = np.random.default_rng(n).uniform(-1.5, 1.5, (2, n))
+        q = x + y * tau
+        cfg = CMConfig(n, 0.5, TorusModulus(tau))
+        want = min(oracle.lattice_distance(q[j] - q[k], tau)
+                   for j in range(n) for k in range(j + 1, n))
+        assert min_separation(cfg, PhasePoint(q, np.zeros(n))) == (
+            pytest.approx(want, rel=1e-12))
+
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_threshold(self, monkeypatch, offset):
         """One body short of ARRAY_PAIRS_FROM eom and H reduce and sum each
         pair once, in scalar arithmetic (`elliptic._rho_points`); from it
-        on, none of them.  lattice_distance runs only in min_separation,
-        once per pair on the scalar path.  local_expansion takes the array
+        on, none of them.  Lattice distances are taken only in
+        min_separation, all pairs in one `_lattice_distances` call (one
+        lattice basis) on the scalar path.  local_expansion takes the array
         path at every n."""
         n = calogero.ARRAY_PAIRS_FROM + offset
         cfg, ph = self.case(n, 1.3 + 0.6j, 7)
@@ -766,7 +802,7 @@ class TestPairArrays:
         for module, name in ((elliptic, "_reduce_checked"),
                              (elliptic, "_theta_series_at"),
                              (elliptic, "lattice_distance"),
-                             (calogero, "lattice_distance"),
+                             (calogero, "_lattice_distances"),
                              (calogero, "wp")):
             kernel = getattr(module, name)
             monkeypatch.setattr(
@@ -780,7 +816,7 @@ class TestPairArrays:
         pairs = n * (n - 1) // 2
         expect = ({"_reduce_checked": 2 * pairs,
                    "_theta_series_at": 2 * pairs,
-                   "lattice_distance": pairs} if offset < 0 else {})
+                   "_lattice_distances": 1} if offset < 0 else {})
         assert {k: calls.count(k) for k in set(calls)} == expect
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -32,21 +32,30 @@ from ellcm.elliptic import (
     wp_lattice_oracle,
 )
 from ellcm.elliptic import (
+    _NINE,
     _TERMS_FROM,
+    _lattice_distance_array,
     _modular_image,
+    _nine_suffice,
     _reduce_checked,
+    _reduced_distance,
     _rho_ratios,
+    _segment_lattice_distances,
     _series_sums,
+    _shortest_period,
     _table,
     _theta_series_at,
 )
 from ellcm.errors import (
     DegenerateLatticeError,
+    EllcmError,
+    PathError,
     PoleProximityError,
     SeriesRangeError,
 )
 from ellcm.rng import SplitMix64
 
+import _oracles as oracle
 from _oracles import (
     fd6_richardson,
     fd_central,
@@ -725,6 +734,115 @@ class TestLatticeDistance:
         assert d == pytest.approx(abs(0.999 + 0.999j - (1 + 1j)), rel=1e-10)
 
 
+def _lattice_grid_points(tau, seed, size):
+    """z = x + y tau, x and y uniform in [-1.5, 1.5]: about three cells of
+    the basis (1, tau) either way."""
+    x, y = np.random.default_rng(seed).uniform(-1.5, 1.5, (2, size))
+    return x + y * tau
+
+
+class TestLatticeGeometry:
+    """Every distance to the lattice and the shortest period agree with a
+    brute-force search (`_oracles`), at moduli where the nine candidates
+    of the basis (1, tau) miss the nearest lattice point."""
+
+    @pytest.mark.parametrize("tau", oracle.LATTICE_TAUS)
+    def test_point_distances(self, tau):
+        z = _lattice_grid_points(tau, 31, 300)
+        want = np.array([oracle.lattice_distance(p, tau) for p in z])
+        for got in (np.array([lattice_distance(p, tau) for p in z]),
+                    _lattice_distance_array(z, tau)):
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("tau", oracle.LATTICE_TAUS)
+    def test_segment_distances(self, tau):
+        rng = np.random.default_rng(32)
+        for _ in range(15):
+            w = _lattice_grid_points(tau, rng, 5)
+            want = [oracle.segment_lattice_distance(a, b, tau)
+                    for a, b in zip(w[:-1], w[1:])]
+            got = _segment_lattice_distances(w[:-1], w[1:], tau)
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_nine_suffice(self):
+        """Where `_nine_suffice` says so, the nine candidates of the basis
+        (1, tau) find the nearest lattice point: seeded moduli on both
+        sides of its test, Im tau from 0.01 to 1.6, half of them with
+        |Re tau| below 1.2 Im^2 tau (nearly rectangular cells)."""
+        rng = np.random.default_rng(34)
+        kinds = set()
+        for k in range(80):
+            im = 10 ** rng.uniform(-2.0, 0.2)
+            tau = complex(rng.uniform(-1.2, 1.2) * (im * im if k % 2
+                                                     else 1.0), im)
+            kinds.add(_nine_suffice(tau))
+            if _nine_suffice(tau):
+                for p in _lattice_grid_points(tau, rng, 20):
+                    assert _reduced_distance(reduce_to_cell(p, tau)[0],
+                                             tau) == pytest.approx(
+                        oracle.lattice_distance(p, tau), rel=1e-12)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("tau", oracle.LATTICE_TAUS)
+    def test_shortest_period(self, tau):
+        assert _shortest_period(tau) == pytest.approx(
+            oracle.shortest_period(tau), rel=1e-12)
+
+    def test_skewed_lattice(self):
+        # the nearest lattice point of 8.15+0.4i, 8, is not among the nine
+        # candidates i + j tau around its cell at 17.3+0.8i, which read 7.16
+        tau = 17.3 + 0.8j
+        assert lattice_distance(8.15 + 0.4j, tau) == pytest.approx(
+            oracle.lattice_distance(8.15 + 0.4j, tau), rel=1e-12)
+        assert lattice_distance(8.15 + 0.4j, tau) < 0.43
+
+    def test_path_through_a_lattice_point(self):
+        # the straight segment from 4-5.1i to 4+4.9i at 17.3+0.8i passes
+        # through the lattice point 4
+        d = _segment_lattice_distances(np.array([4.0 - 5.1j]),
+                                       np.array([4.0 + 4.9j]), 17.3 + 0.8j)
+        assert d[0] < 1e-14
+
+    def test_sample_budget(self):
+        # a segment 100 long at a shortest period of 1e-3 takes 400,001
+        # samples
+        with pytest.raises(PathError, match="more than 65536"):
+            _segment_lattice_distances(np.array([0j]), np.array([100.0]),
+                                       1e-3j)
+
+    def test_same_bits_in_the_reduced_basis(self):
+        """A tau already in the fundamental domain is its own basis: the
+        distances are those of the nine candidates i + j tau."""
+        tau = 0.3 + 1.1j
+        z = _lattice_grid_points(tau, 33, 50)
+        want = [min(abs(v - i - j * tau) for i, j in _NINE)
+                for v in (reduce_to_cell(p, tau)[0] for p in z)]
+        assert [lattice_distance(p, tau) for p in z] == want
+
+
+class TestNonFinitePoints:
+    """A NaN or infinite point raises one EllcmError on the scalar and the
+    array path, never a bare ValueError or a NaN."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: wp(math.nan, TM_I),
+        lambda: wp(math.inf, TM_I),
+        lambda: wp(complex(0.1, math.nan), TorusModulus(0.45 + 0.03j)),
+        lambda: lame_x(0.3, math.nan, TM_I),
+        lambda: theta1(math.nan, TM_I),
+        lambda: lattice_distance(math.nan, 17.3 + 0.8j),
+        lambda: reduce_to_cell(math.inf, 1j),
+        lambda: lame_array([math.nan], [0.3], TM_I),
+        lambda: lame_array([0.2], [0.3, math.nan], TM_I, True),
+        lambda: _lattice_distance_array(np.array([0.2, math.nan]), 1j),
+    ], ids=["wp-nan", "wp-inf", "wp-reduced", "lame_x", "theta1",
+            "distance", "reduce", "lame_array", "lame_array-u", "array"])
+    def test_raises(self, call):
+        with pytest.raises(EllcmError, match="not finite") as info:
+            call()
+        assert not isinstance(info.value, ValueError)
+
+
 class TestSeriesTable:
     """The fixed-length series: one table per modulus."""
 
@@ -927,13 +1045,14 @@ class TestModularReduction:
     @staticmethod
     def points(tau, count=6):
         """(u, z) pairs: u in the cell, z in or out of it, z - u clear of
-        the lattice."""
+        the lattice by a tenth of its shortest period."""
         rng = SplitMix64(41)
         out = []
+        clear = 0.1 * _shortest_period(tau)
         while len(out) < count:
             u = rng.cell_point(tau)
             z = rng.cell_point(tau) + (len(out) % 3 - 1) * (1 + tau)
-            if lattice_distance(z - u, tau) > 0.1 * abs(tau):
+            if lattice_distance(z - u, tau) > clear:
                 out.append((u, z))
         return out
 
@@ -972,8 +1091,9 @@ class TestModularReduction:
             (_, rho_zu, rho_z), (_, rho_dz_zu, _), (_, _, rho_d2z_z) = ratios
             assert abs(rho_z[i, 0] - complex(r)) <= 1e-12 * scale
             assert abs(rho_zu[i, i] - complex(rzu)) <= 1e-12 * scale
-            assert abs(rho_dz_zu[i, i] - complex(bzu - rzu * rzu)) <= (
-                1e-12 * scale ** 2)
+            rho_dz = complex(bzu - rzu * rzu)
+            assert abs(rho_dz_zu[i, i] - rho_dz) <= 1e-12 * max(
+                scale ** 2, abs(rho_dz))
             assert abs(rho_d2z_z[i, 0] + want[wp_dz][0]) <= 1e-12 * max(
                 scale ** 3, abs(want[wp_dz][0]))
         assert abs(weierstrass_constant(tm) - complex(wp_c)) <= (

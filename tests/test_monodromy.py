@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
-from ellcm.elliptic import TorusModulus, reduce_to_cell_array
+from ellcm.elliptic import (
+    POLE_EXCLUSION_RADIUS,
+    TorusModulus,
+    _segment_lattice_distances,
+)
 from ellcm.errors import (
     IntegrationError,
     PathError,
@@ -28,7 +32,6 @@ from ellcm.monodromy import (
     _expm,
     _mul,
     _pole_loop,
-    _segment_lattice_distances,
     _segment_transports,
     cubic_relation_residual,
     default_base,
@@ -42,6 +45,8 @@ from ellcm.monodromy import (
     spectral_distance,
     transport,
 )
+
+from _oracles import segment_lattice_distance
 
 TM_I = TorusModulus(1j)
 TWO_PI_I = 2j * math.pi
@@ -62,6 +67,24 @@ class TestPathSpec:
     def test_distinct_waypoints(self):
         with pytest.raises(PathError):
             PathSpec((0.3, 0.3))
+
+    @pytest.mark.parametrize("clearance", [math.nan, math.inf, 0.0, -1.0,
+                                           1e-7])
+    def test_clearance_refused(self, clearance):
+        # below POLE_EXCLUSION_RADIUS a validated path could bring a node
+        # to a pole; a clearance of NaN, 0 or -1 would pass every path
+        with pytest.raises(PathError, match="pole clearance"):
+            PathSpec((0.25 + 0.25j, 1.25 + 0.25j), pole_clearance=clearance)
+
+    def test_least_clearance(self):
+        path = PathSpec((0.25 + 0.25j, 1.25 + 0.25j), pole_clearance=1e-6)
+        assert path.pole_clearance == POLE_EXCLUSION_RADIUS
+
+    @pytest.mark.parametrize("point", [complex(math.nan, 0.0),
+                                       complex(0.3, math.inf)])
+    def test_non_finite_waypoint_refused(self, point):
+        with pytest.raises(PathError, match="not finite"):
+            PathSpec((0.25 + 0.25j, point, 1.25 + 0.25j))
 
     def test_validation_rejects_pole_crossing(self):
         path = PathSpec((-0.5 + 0.001j, 0.5 + 0.001j), pole_clearance=1e-2)
@@ -245,18 +268,23 @@ class TestMagnusTransport:
             assert str(info.value) == message
             assert isinstance(info.value.__cause__, PoleProximityError)
 
-    def test_pole_node_names_segment(self, monkeypatch):
-        # a node of the second segment meets a pole: the error names it
+    def test_path_through_a_lattice_point_is_refused(self, monkeypatch):
+        """The segment from 4-5.1i to 4+4.9i at tau = 17.3+0.8i runs
+        through the lattice point 4, which none of the nine candidates of
+        the basis (1, tau) around its samples is: the path is refused
+        before any L is built, so no node of a validated path meets a
+        pole."""
         import ellcm.monodromy as mono
-        from ellcm.errors import PoleProximityError
 
-        def failing(cfg, ph, z):
-            raise PoleProximityError(z[3 * PANELS], "z", 0.0)
+        def failing(*args):
+            raise AssertionError("L built on a path through a pole")
 
         monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
-        path = PathSpec((0.25 + 0.25j, 0.6 + 0.6j, 1.2 + 0.4j))
-        with pytest.raises(PathError, match=r"segment \[\(0\.6\+0\.6j\)"):
-            transport(CFG, PH, path, TIGHT)
+        path = PathSpec((4.0 - 5.1j, 4.0 + 4.9j), pole_clearance=0.01)
+        cfg = CMConfig(2, 0.35, TorusModulus(17.3 + 0.8j))
+        with pytest.raises(PathError, match=re.escape(
+                "segment [(4-5.1j), (4+4.9j)] passes within ")):
+            transport(cfg, PH, path, TIGHT)
 
 
 class TestStackProducts:
@@ -574,19 +602,6 @@ class TestEigenvalueSetDistance:
         assert d > 0.0
 
 
-def _segment_distance_oracle(a, b, tau):
-    """The clearance of one segment [a, b], sampled as PathSpec.validate
-    samples it, one segment at a time."""
-    d = b - a
-    steps = max(8, int(4 * abs(d)))
-    _, m, n = reduce_to_cell_array(a + d * np.arange(steps + 1) / steps, tau)
-    near = np.array([-1.0, 0.0, 1.0])
-    lam = ((m[:, None, None] + near[:, None])
-           + (n[:, None, None] + near) * tau).reshape(-1)
-    t = np.clip(((lam - a) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
-    return float(np.abs(a + t * d - lam).min())
-
-
 def _random_polylines(seed):
     """(waypoints, tau) for seeded random polylines of 2-40 waypoints."""
     rng = np.random.default_rng(seed)
@@ -600,12 +615,13 @@ class TestPathValidation:
     """All segments of a path are measured in one array pass."""
 
     def test_distances_match_per_segment_formula(self):
+        # against the brute-force lattice search, one segment at a time
         for w, tau in _random_polylines(2024):
             got = _segment_lattice_distances(w[:-1], w[1:], tau)
-            expect = [_segment_distance_oracle(complex(a), complex(b), tau)
-                      for a, b in zip(w[:-1], w[1:])]
+            want = [segment_lattice_distance(a, b, tau)
+                    for a, b in zip(w[:-1], w[1:])]
             assert got.shape == (w.size - 1,)
-            assert np.max(np.abs(got - expect)) <= 1e-15
+            assert np.max(np.abs(got - want) / want) <= 1e-12
 
     def test_first_failing_segment_is_reported(self):
         # the third and the fifth segment pass too close to a lattice point
@@ -622,7 +638,7 @@ class TestPathValidation:
         failed = 0
         for w, tau in _random_polylines(77):
             path = PathSpec(tuple(w), pole_clearance=0.08)
-            dist = [_segment_distance_oracle(complex(a), complex(b), tau)
+            dist = [segment_lattice_distance(a, b, tau)
                     for a, b in zip(w[:-1], w[1:])]
             bad = [i for i, d in enumerate(dist) if d < 0.08]
             if not bad:
@@ -751,49 +767,41 @@ class TestMergedTransport:
             monodromy_data(self.CFG3, self.PH3, short)
 
     @pytest.mark.parametrize("cycle", ["A", "B"])
-    def test_pole_node_names_segment_of_its_path(self, cycle, monkeypatch):
-        # the first level holds the pole loop's leg and polygon sides, then
-        # the A cycle's one segment, then the B cycle's: a node of the
-        # chosen cycle meets a pole
+    def test_cycle_through_a_lattice_point_is_refused(self, cycle,
+                                                      monkeypatch):
+        # at tau = 17.3+0.8i the A cycle from -0.2+0.8i runs through the
+        # lattice point tau - 17, and the B cycle from 4 - tau/4 through 4,
+        # while the pole loop and the other cycle keep their clearance:
+        # the triple names that cycle's segment before any transport
         import ellcm.monodromy as mono
-        first = 3 * PANELS * (POLE_SEGMENTS if cycle == "A"
-                              else POLE_SEGMENTS + 1)
 
-        def failing(cfg, ph, z):
-            raise PoleProximityError(z[first], "z", 0.0)
+        def failing(*args):
+            raise AssertionError("transported before the paths were checked")
 
-        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
-        base = default_base(CFG.tm.tau)
-        end = base + (1.0 if cycle == "A" else CFG.tm.tau)
-        with pytest.raises(PathError, match="truncated on segment "
-                           + re.escape(f"[{base}, {end}]")):
-            monodromy_data(CFG, PH, TIGHT)
+        monkeypatch.setattr(mono, "_segment_transports", failing)
+        tau = 17.3 + 0.8j
+        base, step = (-0.2 + 0.8j, 1.0) if cycle == "A" else (4 - tau / 4,
+                                                               tau)
+        cfg = CMConfig(2, 0.35, TorusModulus(tau))
+        with pytest.raises(PathError, match=re.escape(
+                f"segment [{base}, {base + step}] passes within ")):
+            monodromy_data(cfg, PH, TIGHT, base=base)
 
     @pytest.mark.parametrize("max_steps, error", [
-        (200, PathError), (POLE_SEGMENTS * PANELS - 1, IntegrationError)],
-        ids=["pole", "budget"])
-    def test_errors_come_in_level_order(self, max_steps, error,
-                                        monkeypatch):
-        # the pole loop alone runs past 200 panels on its second level,
-        # and its first level takes POLE_SEGMENTS * PANELS panels; a node
-        # of the B cycle meets a pole on the first level, before the pole
-        # loop's budget runs out, but after each level's budget check
-        import ellcm.monodromy as mono
+        (POLE_SEGMENTS * PANELS, PathError),
+        (POLE_SEGMENTS * PANELS - 1, IntegrationError)],
+        ids=["collision", "budget"])
+    def test_errors_come_in_level_order(self, max_steps, error):
+        # the pole loop's first level takes POLE_SEGMENTS * PANELS panels;
+        # two colliding bodies fail every L call, but only after each
+        # level's budget check
+        ph = PhasePoint([0.3, 0.3 + 1e-8j], [0.3, -0.3])
         icfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
                                 max_steps=max_steps)
-        with pytest.raises(IntegrationError, match="max_steps"):
-            monodromy_pole(CFG, PH, icfg=icfg)
-        first = 3 * PANELS * (POLE_SEGMENTS + 1)
-
-        def failing(cfg, ph, z):
-            raise PoleProximityError(z[first], "z", 0.0)
-
-        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
-        base = default_base(CFG.tm.tau)
         match = ("max_steps" if error is IntegrationError else
-                 re.escape(f"[{base}, {base + CFG.tm.tau}]"))
+                 re.escape("transport truncated: q[0] - q[1]"))
         with pytest.raises(error, match=match):
-            monodromy_data(CFG, PH, icfg)
+            monodromy_data(CFG, ph, icfg)
 
 
 class TestDriftReuse:

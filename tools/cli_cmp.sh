@@ -23,8 +23,9 @@
 # second lattice point, spans too short for absolute step thresholds,
 # negative numbers written without '=', body counts below 1, the
 # stepper's other exits (a step collapse, an RK4 collision and an RK4
-# tau-flow on the array pair path) and a monodromy report that fails its
-# determinant identities (exit 3), once per tree,
+# tau-flow on the array pair path), a monodromy report that fails its
+# determinant identities (exit 3), and a tau-flow and a monodromy report
+# in skewed lattices, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -144,6 +145,11 @@ commands+=("flow isospectral --n 2 --g 5e-6 --tau 1.0i --q 0.499975,0.500025 --p
 # a B cycle 17 cells long: the report is written, and its determinant
 # residual Mtau of order one exits 3
 commands+=("monodromy --n 2 --g 0.35 --tau 17.3+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
+# lattice geometry in skewed lattices, whose basis (1, tau) is many times
+# longer than the shortest period: the collision guard of a tau-flow, and
+# the clearance of a 9-cell B cycle
+commands+=("flow isomonodromic --n 2 --g 0.5 --tau 17.3+0.8i --tau-end 17.32+0.82i --q 0.1,0.55+0.2i --p 0.2,-0.2"
+           "monodromy --n 2 --g 0.35 --tau 9.1+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
 
 work=$(mktemp -d)
 differ=0
