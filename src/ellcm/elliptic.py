@@ -62,9 +62,15 @@ quasi-periodicity of the lattice,
 is applied first, and (*) then maps the small p to v = p / w, so the
 Gaussian e^{-i pi c p v} stays of order one.  All these factors are kept in
 log form (`_log_factor`) and combined additively before one exponential is
-taken.  Pole checks stay in the lattice of tau: a reduced v clear of the
-nine lattice points w (i + j tau') needs no check, and otherwise the
-distance is that of `lattice_distance`, reported under the caller's name.
+taken.  Pole checks stay in the lattice of tau: z lies within the radius
+R of it where v lies within near = R / |w| of Z + tau' Z.  With
+v = a + b tau', |a|, |b| <= 1/2, every lattice point off row 0 lies at
+least Im tau' / 2 from v along Im, and a row-0 point k lies
+max(|Im v|, |Re v - k|) from it.  So where Im tau' / 2 >= 2 near (a
+factor 2 for rounding), a v with |Im v| >= near, or with Re v at least
+near from the nearest integer, needs no check, for every tau' the table
+keeps; any other point is measured by `lattice_distance`, reported under
+the caller's name.
 
 Lattice geometry.  The distance of a point, a pair or a path segment to
 the lattice is the least over nine lattice points around a cell of a basis
@@ -482,9 +488,9 @@ class _SeriesTable:
     a_k = (2k+1) pi and c_d = 2 (-1)^k nu'^{(k+1/2)^2} a_k^d times the sign
     of the d-th derivative of sin (+, +, -, -), so the d-th derivative series
     is sum c_d sin(a v) for even d and sum c_d cos(a v) for odd d.
-    ``near``, ``clear``: a reduced |v| at tau' in [near, clear] is at least
-    ``near`` = POLE_EXCLUSION_RADIUS / |w| away from all nine lattice
-    candidates w (i + j tau') of the lattice of tau, in units of tau'.
+    ``near`` = POLE_EXCLUSION_RADIUS / |w|, the radius in units of w, or
+    inf where Im tau' < 4 near: the pole checks clear a reduced v whose
+    |Im v| or distance from Z is at least ``near`` (module docstring).
     ``arrays``: the coefficients as numpy arrays, the overflow bound and the
     recurrence offsets of `_series_sums`, built on first array use
     (`_table_arrays`), so scalar-only callers never pay for them.
@@ -507,7 +513,7 @@ class _SeriesTable:
 
     __slots__ = ("tau", "tau_r", "nome_r", "gamma", "w", "w_inv", "w_inv2",
                  "w_inv3", "log_c", "lift", "shift", "gauss", "terms", "near",
-                 "clear", "arrays", "consts")
+                 "arrays", "consts")
 
     def __init__(self, tm: TorusModulus):
         tau = tm.tau
@@ -553,9 +559,8 @@ class _SeriesTable:
             self.terms.append((a_k, c0, c1, c2, c2 * a_k))
             nu2_pow *= nu2
             coef = -coef * nu2_pow  # (-1)^{k+1} nu^{(k+3/2)^2} relative update
-        shortest = min(1.0, abs(tau_r), abs(tau_r - 1), abs(tau_r + 1))
-        self.near = POLE_EXCLUSION_RADIUS / abs(w)
-        self.clear = shortest - 2.0 * self.near
+        near = POLE_EXCLUSION_RADIUS / abs(w)
+        self.near = near if tau_r.imag >= 4.0 * near else math.inf
         self.arrays = None
         self.consts = None
 
@@ -620,7 +625,8 @@ def _reduce_checked(z: complex, tab: _SeriesTable, name: str | None):
     tau raises PoleProximityError under name, unless name is None."""
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell(zw, tab.tau_r)
-    if name is not None and not (tab.near <= abs(v) <= tab.clear):
+    if name is not None and not (abs(v.imag) >= tab.near or
+                                 abs(v.real - round(v.real)) >= tab.near):
         d = lattice_distance(z, tab.tau)
         if d < POLE_EXCLUSION_RADIUS:
             raise PoleProximityError(z, name, d)
@@ -766,14 +772,19 @@ def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
     table).  The first point i within POLE_EXCLUSION_RADIUS of the lattice,
     in array order from ``start`` on and then from 0, raises
     PoleProximityError under name(i), unless that is None (a point exempt
-    from the check).  A point without finite lattice coordinates fails the
-    short cut's test and raises EllcmError (`_lattice_distance_array`)."""
+    from the check).  |Im v| is tested first and Re v only where that
+    fails, the common case's one pass.  A point without finite lattice
+    coordinates fails both and raises EllcmError
+    (`_lattice_distance_array`)."""
     import numpy as np
     tab = _table(tm)
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell_array(zw, tab.tau_r)
-    av = np.abs(v)
-    if not ((av >= tab.near) & (av <= tab.clear)).all():
+    far = np.abs(v.imag) >= tab.near
+    if not far.all():
+        re = v.real[~far]
+        far = np.abs(re - np.round(re)) >= tab.near
+    if not far.all():
         d = _lattice_distance_array(z, tm.tau)
         bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
         for i in np.roll(bad, -np.searchsorted(bad, start)):

@@ -177,10 +177,11 @@ def segment_lattice_distance(a, b, tau):
     Z + tau Z by brute force.  r, the distance from a to the nearest point
     of its nearest row, bounds the answer, so every lattice point within r
     of the segment is in its bounding box widened by r: each of them is
-    projected onto the segment."""
+    projected onto the segment.  r has a floor of 1e-9, so that a point on
+    the lattice keeps its own lattice point in the box through rounding."""
     a, b = complex(a), complex(b)
     n = round(a.imag / tau.imag)
-    r = 1.000001 * abs(a - round((a - n * tau).real) - n * tau) + 1e-300
+    r = 1.000001 * abs(a - round((a - n * tau).real) - n * tau) + 1e-9
     lam = lattice_points(complex(min(a.real, b.real) - r,
                                  min(a.imag, b.imag) - r),
                          complex(max(a.real, b.real) + r,

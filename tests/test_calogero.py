@@ -607,16 +607,14 @@ class TestPairArrays:
     #: itself cancels about 100-fold, so rho carries ~1e-14 relative
     #: rounding on either path, which wp' amplifies; each path is then
     #: ~4e-12 from mpmath, and they agree to ~1.4e-13 of the scale below.
-    #: At 0.5+0.3i the cell is so skewed that separations near its corners
-    #: reduce beyond the table's ``clear``, so the pole check measures the
-    #: distances instead of taking its short cut.
+    #: At 0.5+0.3i the series runs at a reduced modulus, at 1.45+0.8i on
+    #: a skewed cell it keeps (SKEWED).
     TAUS = [(1j, 1e-13), (1.3 + 0.6j, 1e-13), (0.01 + 0.08j, 1e-12),
             (0.5 + 0.3j, 1e-13), (1.45 + 0.8j, 1e-13)]
     TAU_IDS = ["i", "1.3+0.6i", "0.01+0.08i", "0.5+0.3i", "1.45+0.8i"]
     #: A skewed modulus the series keeps as it is (gamma = 1), where some
-    #: separations reduce past the table's clear and the pole check measures
-    #: their distances.  In the frame of a reduced modulus, such as
-    #: 0.5 + 0.3i, no reduced point lies past clear.
+    #: separations reduce beyond |v| = 1.  A pole check on |v| measured
+    #: their distances; the check on the coordinates of v clears them.
     SKEWED = 1.45 + 0.8j
 
     @staticmethod
@@ -634,13 +632,23 @@ class TestPairArrays:
         return cfg, ph
 
     @staticmethod
-    def beyond_clear(cfg, ph):
-        """Whether some separation reduces beyond the table's clear, at the
-        table's modulus tau' = gamma tau."""
+    def beyond_unit_unmeasured(monkeypatch, cfg, ph):
+        """Whether some separation reduces beyond |v| = 1 at the table's
+        modulus tau' = gamma tau, while the pole checks of all separations,
+        scalar and array, measure no distance."""
         d = np.subtract.outer(ph.q, ph.q)[np.triu_indices(ph.n, 1)]
         tab = elliptic._table(cfg.tm)
         w = elliptic.reduce_to_cell_array(d * tab.w_inv, tab.tau_r)[0]
-        return bool((np.abs(w) > tab.clear).any())
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("lattice_distance", "_lattice_distance_array"):
+                fn = getattr(elliptic, name)
+                patch.setattr(elliptic, name,
+                              lambda *a, fn=fn: calls.append(a) or fn(*a))
+            elliptic._reduce_checked_array(d, cfg.tm, str)
+            for p in d:
+                elliptic._reduce_checked(complex(p), tab, "d")
+        return bool((np.abs(w) > 1.0).any()) and not calls
 
     @pytest.mark.parametrize("n", [4, 5, 8, 16])
     @pytest.mark.parametrize("tau", range(5), ids=TAU_IDS)
@@ -650,7 +658,7 @@ class TestPairArrays:
         tau, tol = self.TAUS[tau]
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
         if tau == self.SKEWED and n >= calogero.ARRAY_PAIRS_FROM:
-            assert self.beyond_clear(cfg, ph)
+            assert self.beyond_unit_unmeasured(monkeypatch, cfg, ph)
         g2 = abs(cfg.g) ** 2
         r2, r3 = _rho_reduced(cfg, ph, 2), _rho_reduced(cfg, ph, 3)
 
@@ -728,15 +736,15 @@ class TestPairArrays:
 
     @pytest.mark.parametrize("n", [5, 8, 16])
     @pytest.mark.parametrize("tau", range(5), ids=TAU_IDS)
-    def test_one_evaluation_with_lame_array(self, n, tau):
+    def test_one_evaluation_with_lame_array(self, monkeypatch, n, tau):
         """The pair sums and the Lax entries read one elliptic evaluation:
         rho, rho' and rho'' of the pair path at u = q_j - q_k are
-        lame_array's at u, bit for bit, also where the pole check measures
-        the distances (SKEWED) and at reduced moduli."""
+        lame_array's at u, bit for bit, also where separations reduce
+        beyond |v| = 1 (SKEWED) and at reduced moduli."""
         tau, _ = self.TAUS[tau]
         cfg, ph = self.case(n, tau, 100 * n + int(100 * tau.imag))
         if tau == self.SKEWED:
-            assert self.beyond_clear(cfg, ph)
+            assert self.beyond_unit_unmeasured(monkeypatch, cfg, ph)
         j, k, *pair = calogero._pair_arrays(cfg, ph.q)
         _, *at = lame_array([Z0], ph.q[j] - ph.q[k], cfg.tm, True)
         for got, (at_u, _, _) in zip(pair, at):
@@ -890,10 +898,10 @@ class TestPairArrays:
     def test_collision_same_as_scalar(self, monkeypatch):
         """At n = 8 the first near pair in row order raises, with the scalar
         loop's pair, argument name and distance.  At SKEWED the pair
-        (0, 1) reduces near a corner of the cell, beyond the table's
-        clear: it evaluates, and the near pair still raises.  At 0.5+0.3i
-        the series runs at a reduced modulus, and the distances are still
-        those of the lattice of tau."""
+        (0, 1) reduces near a corner of the cell, beyond |v| = 1, and is
+        cleared without a distance: it evaluates, and the near pair still
+        raises.  At 0.5+0.3i the series runs at a reduced modulus, and the
+        distances are still those of the lattice of tau."""
         for tau in (1.3 + 0.6j, self.SKEWED, 0.5 + 0.3j):
             q = np.array([0.05, 0.2 + 0.1j, 0.35, 0.5 - 0.1j, 0.62,
                           0.74 + 0.2j, 0.86, 0.95 - 0.2j])
@@ -902,7 +910,7 @@ class TestPairArrays:
             cfg = CMConfig(8, 0.6, TorusModulus(tau))
             ph = PhasePoint(q, np.zeros(8))
             if tau == self.SKEWED:
-                assert self.beyond_clear(cfg, ph)
+                assert self.beyond_unit_unmeasured(monkeypatch, cfg, ph)
                 for thr in (10**9, 2):
                     monkeypatch.setattr(calogero, "ARRAY_PAIRS_FROM", thr)
                     eom(cfg, ph)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ellcm import elliptic
 from ellcm.elliptic import (
     POLE_EXCLUSION_RADIUS,
     GeneralLattice,
@@ -38,6 +39,7 @@ from ellcm.elliptic import (
     _modular_image,
     _nine_suffice,
     _reduce_checked,
+    _reduce_checked_array,
     _reduced_distance,
     _rho_ratios,
     _segment_lattice_distances,
@@ -720,6 +722,95 @@ class TestReduceChecked:
         assert abs(v) < 1e-12
         with pytest.raises(PoleProximityError, match="^u = "):
             _reduce_checked(z, tab, "u")
+
+
+class TestPoleCheckRule:
+    """The pole checks clear a reduced point v at tau' on |Im v| or the
+    distance of Re v from Z (module docstring) and measure every other
+    point: both paths raise exactly where the brute-force distance is
+    below the radius, and give the measured distance."""
+
+    TAUS = [0.005 + 0.09j, 0.01 + 0.08j, 1e-3j, 0.3 + 0.002j, 17.3 + 0.8j,
+            12.3 + 0.8j, 1.45 + 0.8j, -1.2 + 2.5j, 1j]
+
+    @staticmethod
+    def points(tau, seed):
+        """Points 0.1 to 10 radii from the lattice points M + N tau,
+        |M|, |N| <= 5, points w (k + x) on the real axis of the reduced
+        cell (Im v = 0), 40 with x 0.1 to 10 radii from 0 and 20 with x in
+        [-1/2, 1/2], the lattice points themselves and 200 cell points."""
+        rng = np.random.default_rng(seed)
+        m, n = np.mgrid[-5:6, -5:6].reshape(2, -1)
+        lam = m + n * tau
+        r = POLE_EXCLUSION_RADIUS * 10 ** rng.uniform(-1, 1, (2, lam.size))
+        near = lam + r * np.exp(2j * np.pi * rng.uniform(size=r.shape))
+        w = _table(TorusModulus(tau)).w
+        x = np.concatenate([
+            POLE_EXCLUSION_RADIUS / abs(w) * 10 ** rng.uniform(-1, 1, 40)
+            * rng.choice([-1, 1], 40), rng.uniform(-0.5, 0.5, 20)])
+        axis = w * (rng.integers(-5, 6, x.size) + x)
+        return np.concatenate([near.ravel(), axis, lam,
+                               _lattice_grid_points(tau, rng, 200)])
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_raises_exactly_within_the_radius(self, tau):
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        z = self.points(tau, 41)
+        want = np.array([oracle.lattice_distance(p, tau) for p in z])
+        array_d = _lattice_distance_array(z, tau)
+        assert np.all(np.abs(array_d - want) <= 1e-12)
+        inside = want < POLE_EXCLUSION_RADIUS
+        assert 0 < inside.sum() < z.size
+        for i, p in enumerate(z):
+            p = complex(p)
+            for path in (lambda: _reduce_checked(p, tab, "z"),
+                         lambda: _reduce_checked_array(z[i:i + 1], tm,
+                                                       lambda _: "z")):
+                if inside[i]:
+                    with pytest.raises(PoleProximityError) as info:
+                        path()
+                    assert info.value.distance in (lattice_distance(p, tau),
+                                                   array_d[i])
+                else:
+                    path()
+        # the whole array raises at its first point inside, with the
+        # distance measured there
+        with pytest.raises(PoleProximityError) as info:
+            _reduce_checked_array(z, tm, str)
+        first = np.flatnonzero(inside)[0]
+        assert info.value.variable == str(first)
+        assert info.value.distance == array_d[first]
+        _reduce_checked_array(z[~inside], tm, str)
+
+    def test_tail_points_measure_no_distance(self, monkeypatch):
+        """At the tail moduli of the kernels benchmark (Im tau 0.08 to
+        0.095), whose reduced tau' is tall, kernel calls at cell points 10
+        radii or more from the lattice clear every pole check on the
+        point's coordinates."""
+        calls = []
+        for name in ("lattice_distance", "_lattice_distance_array"):
+            fn = getattr(elliptic, name)
+            monkeypatch.setattr(elliptic, name,
+                                lambda *a, fn=fn: calls.append(a) or fn(*a))
+        rng = np.random.default_rng(42)
+        for im in (0.08, 0.083, 0.086, 0.089, 0.092, 0.095):
+            tau = complex(rng.uniform(-0.01, 0.01), im)
+            tm = TorusModulus(tau)
+            u, z = _lattice_grid_points(tau, rng, 80).reshape(2, 40)
+            keep = np.array([min(oracle.lattice_distance(p, tau)
+                                 for p in (a, b, b - a))
+                             >= 10 * POLE_EXCLUSION_RADIUS
+                             for a, b in zip(u, z)])
+            assert keep.sum() >= 35
+            for a, b in zip(u[keep], z[keep]):
+                a, b = complex(a), complex(b)
+                for fn in (rho, wp, wp_dz):
+                    fn(b, tm)
+                for fn in (lame_x, lame_y, lame_x_dz, lame_x_dtau):
+                    fn(a, b, tm)
+            lame_array(z[keep], u[keep], tm, True)
+        assert calls == []
 
 
 class TestLatticeDistance:

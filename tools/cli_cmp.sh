@@ -24,8 +24,10 @@
 # negative numbers written without '=', body counts below 1, the
 # stepper's other exits (a step collapse, an RK4 collision and an RK4
 # tau-flow on the array pair path), a monodromy report that fails its
-# determinant identities (exit 3), and a tau-flow and a monodromy report
-# in skewed lattices, once per tree,
+# determinant identities (exit 3), a tau-flow and a monodromy report in
+# skewed lattices, and wp on both sides of the pole check's radius at a
+# tail modulus and a skewed one and near an integer on the real axis,
+# once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -150,6 +152,15 @@ commands+=("monodromy --n 2 --g 0.35 --tau 17.3+0.8i --q 0.11+0.03i,0.52-0.07i -
 # the clearance of a 9-cell B cycle
 commands+=("flow isomonodromic --n 2 --g 0.5 --tau 17.3+0.8i --tau-end 17.32+0.82i --q 0.1,0.55+0.2i --p 0.2,-0.2"
            "monodromy --n 2 --g 0.35 --tau 9.1+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
+# the pole check's boundary: wp 5e-7 from a lattice point outside the
+# cell (exit 2 with the distance) and 2e-6 from it (a value), at a tail
+# modulus whose reduced tau' is tall and at a skewed one the series keeps,
+# and 1.5e-6 from an integer on the real axis
+commands+=("eval wp --z 2.015+0.2700005i --tau 0.005+0.09i"
+           "eval wp --z 2.015+0.270002i --tau 0.005+0.09i"
+           "eval wp --z=-31.6-1.6000005i --tau 17.3+0.8i"
+           "eval wp --z=-31.6-1.600002i --tau 17.3+0.8i"
+           "eval wp --z 3.0000015 --tau 0.005+0.09i")
 
 work=$(mktemp -d)
 differ=0
