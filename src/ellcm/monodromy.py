@@ -104,8 +104,8 @@ _SQRT15 = math.sqrt(15.0)
 _GL_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 #: Taylor coefficients 1/j! of exp, j = 0..15, as rows of four (the
 #: cubic blocks of the Paterson-Stockmeyer scheme in `_expm`).
-_EXP_COEFFS = np.array([[1.0 / math.factorial(4 * i + r) for r in range(4)]
-                        for i in range(4)])
+_EXP_COEFFS = tuple(tuple(1.0 / math.factorial(4 * i + r) for r in range(4))
+                    for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,24 @@ def _expm(x: np.ndarray) -> np.ndarray:
     degree-16 Taylor polynomial is exact to 4e-20 relative, and then
     squared s times.  The polynomial is evaluated by Paterson-Stockmeyer,
     as a polynomial in x^4 whose coefficients are cubics in x, the x^16
-    term added to the last of them: six matrix products.
+    term added to the last of them: six matrix products.  The cubics are
+    elementwise sums, so no complex BLAS product runs (see the `elliptic`
+    module docstring on the AVX-512 state).
     """
     norm = np.abs(x).sum(axis=0).max(axis=0)
     s = np.maximum(np.frexp(2.0 * norm)[1], 0)
     x = x / np.ldexp(1.0, s)
     x2 = _mul(x, x)
-    powers = np.stack([np.broadcast_to(np.eye(len(x))[:, :, None], x.shape),
-                       x, x2, _mul(x2, x)])
+    x3 = _mul(x2, x)
     x4 = _mul(x2, x2)
-    blocks = np.tensordot(_EXP_COEFFS, powers, axes=1)
-    e = blocks[-1] + x4 / math.factorial(16)
-    for block in blocks[-2::-1]:
-        e = _mul(e, x4) + block
+    diag = np.arange(len(x))
+    e = x4 / math.factorial(16)
+    for i, (c0, c1, c2, c3) in enumerate(_EXP_COEFFS[::-1]):
+        block = c1 * x
+        block[diag, diag] += c0
+        block += c2 * x2
+        block += c3 * x3
+        e = e + block if i == 0 else _mul(e, x4) + block
     for k in range(int(s.max(initial=0))):
         sq = s > k
         es = e[..., sq]
