@@ -764,14 +764,15 @@ class TestPoleCheckRule:
         assert 0 < inside.sum() < z.size
         for i, p in enumerate(z):
             p = complex(p)
-            for path in (lambda: _reduce_checked(p, tab, "z"),
-                         lambda: _reduce_checked_array(z[i:i + 1], tm,
-                                                       lambda _: "z")):
+            for path, d in (
+                    (lambda: _reduce_checked(p, tab, "z"),
+                     lattice_distance(p, tau)),
+                    (lambda: _reduce_checked_array(z[i:i + 1], tm, str),
+                     array_d[i])):
                 if inside[i]:
                     with pytest.raises(PoleProximityError) as info:
                         path()
-                    assert info.value.distance in (lattice_distance(p, tau),
-                                                   array_d[i])
+                    assert info.value.distance == d
                 else:
                     path()
         # the whole array raises at its first point inside, with the
