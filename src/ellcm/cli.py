@@ -298,6 +298,7 @@ def _trajectory(traj: Trajectory, n: int, g: complex,
         "diagnostics": {
             "steps_accepted": d.steps_accepted,
             "steps_rejected": d.steps_rejected,
+            "rhs_evals": d.rhs_evals,
             "max_local_error": float(d.max_local_error),
             "truncated": d.truncated,
             "message": d.message,

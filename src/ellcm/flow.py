@@ -15,8 +15,12 @@ classic fixed-step RK4 is available for convergence studies.  The pair is
 first same as last: the seventh stage is the right-hand side at the
 accepted state, so it serves as the next step's first stage, a rejected
 step keeps its first stage, and a step costs six right-hand sides instead
-of seven.  Only snapping onto a sample, when it moves the arc position,
-costs one more.
+of seven.  The steps do not stop at the samples: each sample is the
+quintic Hermite interpolant through the states and right-hand sides at the
+last three points the steps reached (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), which costs no right-hand side.  DOPRI5's own continuous extension
+is only of order 4, and misses the step tolerance at the samples of the
+tau-flows.
 
 A step writes its seven stages into the rows of one (7, size) array k.
 Each stage state, y5 and y4 is y + h * np.add.reduce(c * k[rows], 0), c
@@ -40,6 +44,7 @@ i_{X_H} Omega = 0 together with the canonical fiber restriction.)
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -103,6 +108,7 @@ class Diagnostics:
     max_local_error: float = 0.0
     truncated: bool = False
     message: str = ""
+    rhs_evals: int = 0
 
 
 @dataclass(eq=False)
@@ -197,83 +203,139 @@ def _truncate(diag: Diagnostics, y: np.ndarray, message: str) -> np.ndarray:
     return y
 
 
+def _hermite(points) -> tuple[np.ndarray, np.ndarray]:
+    """The quintic Hermite interpolant through (s, y, f) at three points,
+    oldest first: its nodes z, the newest first and each twice, and its
+    Newton coefficients c, so that it is c_0 + (t - z_0) (c_1 + (t - z_1)
+    (c_2 + ...)).  At the newest node it is y there, bit for bit."""
+    (s0, y0, f0), (s1, y1, f1), (s2, y2, f2) = points
+    z = np.array([s2, s2, s1, s1, s0, s0])
+    # first divided differences; at a doubled node, the derivative f
+    c = np.array([y2, f2, (y1 - y2) / (s1 - s2), f1, (y0 - y1) / (s0 - s1),
+                  f0])
+    for k in range(2, 6):
+        c[k:] = (c[k:] - c[k - 1:-1]) / (z[k:] - z[:-k])[:, None]
+    return z, c
+
+
+def _newton(z, c, t: Sequence[float]) -> np.ndarray:
+    """The Newton form (z, c) of `_hermite` at each position of t, one row
+    each, by Horner's rule."""
+    t = np.asarray(t, dtype=float)[:, None]
+    y = c[5]
+    for k in range(4, -1, -1):
+        y = c[k] + (t - z[k]) * y
+    return y
+
+
 def integrate_segment(f: Callable, y0: np.ndarray, length: float,
                       icfg: IntegratorConfig,
                       diag: Diagnostics,
                       sample_at: Sequence[float] = (),
                       on_sample: Callable | None = None,
                       separation: Callable | None = None) -> np.ndarray:
-    """Drive dy/ds = f(s, y) from s = 0 to s = length (real arc parameter).
+    """Drive dy/ds = f(s, y) from s = 0 to s = length (real arc parameter)
+    and return the state of the last accepted step.
 
-    ``sample_at`` lists interior arc positions the stepper must hit exactly
-    (``on_sample(s, y)`` fires there and at the endpoint).
+    The steps run free of the samples: ``on_sample(s, y)`` fires at each
+    arc position of ``sample_at`` inside (0, length), in order, with y the
+    quintic Hermite interpolant through (s, y, f) at the last three points
+    the steps reached, and at the endpoint with the state there.  After
+    accepted step m >= 2 the samples up to its end fire, and at the
+    endpoint the rest.  f at each point is a stage the stepper evaluates
+    anyway (DP5(4)'s last, RK4's next first), so samples cost no
+    right-hand side, except one for RK4 at the endpoint when samples are
+    left.  A segment with interior samples caps its first step at half its
+    length, so that three points exist; otherwise the samples do not
+    change the steps.
+
     ``separation(s, y)`` is the smallest reduced pairwise distance of the
-    state y at arc position s; a step ending below COLLISION_TRUNCATE
-    truncates the trajectory with the flag set on ``diag`` (wp' ~
-    separation^-3 makes both stepping and error estimates meaningless past
-    that point).  The adaptive method also rejects and retries shorter a
-    step ending below COLLISION_REJECT, and truncates when its step
-    collapses; RK4 takes every step at the fixed size.  A step collapses
-    below 1e-14 times the length, and an arc position within 1e-13 times
-    the length of a target snaps onto it, so that a span of any length
-    keeps its samples.
+    state y at arc position s; a step end or a sample below
+    COLLISION_TRUNCATE truncates the trajectory with the flag set on
+    ``diag`` (wp' ~ separation^-3 makes both stepping and error estimates
+    meaningless past that point), and no later sample fires.  The adaptive
+    method also rejects and retries shorter a step ending below
+    COLLISION_REJECT, and truncates when its step collapses; RK4 takes
+    every step at the fixed size.  A step collapses below 1e-14 times the
+    length, and a step ending within 1e-13 times the length of the
+    endpoint ends the segment there, so that a span of any length keeps
+    its samples.
+    ``diag.rhs_evals`` counts the calls of f.
     """
     y = np.asarray(y0, dtype=complex)
     s = 0.0
-    targets = [t for t in sorted(set(list(sample_at) + [length])) if t > 0]
+    samples = sorted(t for t in set(sample_at) if 0 < t < length)
+    ns = 0  # samples fired
     step = _dp_step if icfg.method == "rk45_adaptive" else _rk4_step
-    h = min(icfg.initial_step, length)
-    ti = 0
-    k1 = None  # f(s, y), when known
-    while ti < len(targets):
-        if diag.steps_accepted + diag.steps_rejected > icfg.max_steps:
-            raise IntegrationError(
-                f"exceeded max_steps = {icfg.max_steps} at s = {s:.6g}")
-        target = targets[ti]
-        h_try = min(h, target - s)
-        try:
-            if k1 is None:
-                k1 = f(s, y)
-            y_new, err, k_new = step(f, s, y, h_try, k1)
-        except PoleProximityError as exc:
-            return _truncate(diag, y, f"collision at s = {s:.6g}: {exc}")
-        sep = (separation(s + h_try, y_new) if separation is not None
-               else math.inf)
-        if sep < COLLISION_TRUNCATE:
-            return _truncate(diag, y, f"collision at s = {s:.6g}: "
-                                      f"min separation {sep:.3e}")
-        accept, collapsed, local_error = True, False, 0.0
-        if err is not None:
-            abs_err = np.abs(err)
-            scale = icfg.abs_tol + icfg.rel_tol * np.maximum(np.abs(y),
-                                                             np.abs(y_new))
-            ratio = float(np.max(abs_err / scale))
-            accept = ratio <= 1.0 and sep >= COLLISION_REJECT
-            if ratio <= 1.0 and not accept:
-                # error fine but separation entering the reject band
-                h = 0.5 * h_try
+    h = min(icfg.initial_step, length / 2 if samples else length)
+    if separation is None:
+        separation = lambda s, y: math.inf
+
+    def rhs(s, y):
+        diag.rhs_evals += 1
+        return f(s, y)
+
+    try:
+        k1 = rhs(s, y)
+        points = [(s, y, k1)]
+        end = length <= 0
+        while not end:
+            if diag.steps_accepted + diag.steps_rejected > icfg.max_steps:
+                raise IntegrationError(
+                    f"exceeded max_steps = {icfg.max_steps} at s = {s:.6g}")
+            h_try = min(h, length - s)
+            y_new, err, k_new = step(rhs, s, y, h_try, k1)
+            sep = separation(s + h_try, y_new)
+            if sep < COLLISION_TRUNCATE:
+                return _truncate(diag, y, f"collision at s = {s:.6g}: "
+                                          f"min separation {sep:.3e}")
+            accept, collapsed, local_error = True, False, 0.0
+            if err is not None:
+                abs_err = np.abs(err)
+                scale = icfg.abs_tol + icfg.rel_tol * np.maximum(
+                    np.abs(y), np.abs(y_new))
+                ratio = float(np.max(abs_err / scale))
+                accept = ratio <= 1.0 and sep >= COLLISION_REJECT
+                if ratio <= 1.0 and not accept:
+                    # error fine but separation entering the reject band
+                    h = 0.5 * h_try
+                else:
+                    h = h_try * (min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+                                 if ratio > 0 else 5.0)
+                collapsed = h < 1e-14 * length
+                local_error = float(np.max(abs_err))
+            if accept:
+                diag.steps_accepted += 1
+                diag.max_local_error = max(diag.max_local_error,
+                                           local_error)
+                s += h_try
+                y = y_new
+                end = abs(s - length) < 1e-13 * length
+                k1 = k_new
+                if k1 is None and not (end and ns == len(samples)):
+                    k1 = rhs(s, y)  # RK4's next first stage
+                points = points[-2:] + [(s, y, k1)]
+                due = len(samples) if end else bisect.bisect_right(samples, s)
+                if len(points) == 3 and ns < due:
+                    z, c = _hermite(points)
+                    for t, y_t in zip(samples[ns:due],
+                                      _newton(z, c, samples[ns:due])):
+                        sep = separation(t, y_t)
+                        if sep < COLLISION_TRUNCATE:
+                            return _truncate(
+                                diag, y, f"collision at sample s = {t:.6g}: "
+                                         f"min separation {sep:.3e}")
+                        if on_sample is not None:
+                            on_sample(t, y_t)
+                    ns = due
             else:
-                h = h_try * (min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-                             if ratio > 0 else 5.0)
-            collapsed = h < 1e-14 * length
-            local_error = float(np.max(abs_err))
-        if accept:
-            diag.steps_accepted += 1
-            diag.max_local_error = max(diag.max_local_error, local_error)
-            s += h_try
-            y = y_new
-            k1 = k_new
-        else:
-            diag.steps_rejected += 1
-        if collapsed:
-            return _truncate(diag, y, f"step collapsed at s = {s:.6g}")
-        if abs(s - target) < 1e-13 * length:
-            if s != target:
-                k1 = None  # snapping moved s
-            s = target
-            if on_sample is not None:
-                on_sample(s, y)
-            ti += 1
+                diag.steps_rejected += 1
+            if collapsed:
+                return _truncate(diag, y, f"step collapsed at s = {s:.6g}")
+    except PoleProximityError as exc:
+        return _truncate(diag, y, f"collision at s = {s:.6g}: {exc}")
+    if on_sample is not None:
+        on_sample(length, y)
     return y
 
 

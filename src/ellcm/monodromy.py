@@ -483,9 +483,12 @@ def cubic_relation_residual(md: MonodromyData) -> float:
 #: (at most 3e-14 on the triples of tools/cli_cmp.sh, and 2e-15 on the
 #: README triple at rel_tol 0.5), until the rounding of det itself grows
 #: with the condition of M: 1.2e-5 to 2.2e-5 for M0 of n = 8 triples at
-#: g = 0.5, tau = 0.05+i, whose condition number is 8.6e10.  A cycle that
-#: breaks an identity outright reads order one (Mtau 4.8 on the 17-cell B
-#: cycle at tau = 17.3+0.8i).  1e-3 lies between the two.
+#: g = 0.5, tau = 0.05+i, whose condition number is 8.6e10.  1e-3 lies
+#: above both.  The bound also fails a correct triple whose det is
+#: ill-conditioned: on the 17-cell B cycle at tau = 17.3+0.8i the Mtau
+#: residual reads 4.8, while the triple's inverse-free backward error is
+#: 1.4e-13.  There entries up to 5.6e7 cancel to det Mtau = 0.07, so the
+#: rounding of det Mtau alone, eps |Mtau_00 Mtau_11| / |det Mtau|, is 4.80.
 DET_RESIDUAL_BOUND = 1e-3
 
 

@@ -196,7 +196,9 @@ class TestFlow:
         sample = payload["samples"][0]
         assert set(sample) == {"time", "q", "p", "H"}
         assert len(sample["q"]) == 2 and len(sample["q"][0]) == 2
-        assert "steps_accepted" in payload["diagnostics"]
+        d = payload["diagnostics"]
+        steps = d["steps_accepted"] + d["steps_rejected"]
+        assert d["rhs_evals"] == 6 * steps + 1
 
     def test_isomonodromic_n8_matches_scalar_pairs(self, tmp_path,
                                                   monkeypatch):

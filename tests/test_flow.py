@@ -26,6 +26,8 @@ from ellcm.flow import (
     IntegratorConfig,
     _central_differences,
     _dp_step,
+    _hermite,
+    _newton,
     canonical_pairing,
     extended_two_form,
     hamiltonian_dtau,
@@ -532,12 +534,12 @@ class TestSharedDriver:
 
 class TestFirstSameAsLast:
     """A DP5(4) step reuses the last stage of the step before as its first:
-    six right-hand sides per step, one at the start, and one more wherever
-    snapping to a sample moves the arc position."""
+    six right-hand sides per step and one at the start.  The samples are
+    interpolated and cost none."""
 
-    def test_rhs_count(self):
+    @staticmethod
+    def _count(method):
         length, samples = 1.3, 7
-        sample_at = [length * i / samples for i in range(1, samples)]
         calls = []
 
         def f(s, y):
@@ -548,16 +550,106 @@ class TestFirstSameAsLast:
         diag = Diagnostics()
         integrate_segment(f, np.array([1.0 + 0j, 0.5]), length,
                           IntegratorConfig(initial_step=0.5, rel_tol=1e-9,
-                                           abs_tol=1e-12),
-                          diag, sample_at=sample_at)
-        assert diag.steps_rejected > 0
-        # a re-snap evaluates at the sample itself, right after the last
-        # stage landed within the snapping tolerance of it
-        snap = 1e-13 * max(1.0, length)
-        resnaps = sum(1 for a, b in zip(calls, calls[1:])
-                      if b in sample_at and 0 < abs(b - a) < snap)
-        steps = diag.steps_accepted + diag.steps_rejected
-        assert len(calls) == 6 * steps + 1 + resnaps
+                                           abs_tol=1e-12, method=method),
+                          diag, sample_at=[length * i / samples
+                                           for i in range(1, samples)],
+                          on_sample=lambda s, y: None)
+        assert len(calls) == diag.rhs_evals
+        return diag.steps_accepted, diag.steps_rejected, diag.rhs_evals
+
+    def test_rhs_count(self):
+        accepted, rejected, rhs_evals = self._count("rk45_adaptive")
+        assert rejected > 0
+        assert rhs_evals == 6 * (accepted + rejected) + 1
+
+    def test_rk4_rhs_count(self):
+        """RK4 evaluates three stages per step and its first at each point
+        it reaches, the endpoint too when samples remain to interpolate."""
+        accepted, rejected, rhs_evals = self._count("rk4_fixed")
+        assert (accepted, rejected) == (3, 0)  # 0.5, 0.5 and 0.3
+        assert rhs_evals == 4 * accepted + 1
+
+
+class TestDenseSamples:
+    """The steps run free of the samples, and each interior sample is the
+    quintic Hermite interpolant through the last three step ends."""
+
+    def test_hermite_reproduces_a_quintic(self):
+        rng = np.random.default_rng(5)
+        coef = _complex_normal(rng, (6, 3))
+
+        def poly(t, d=0):
+            powers = [math.perm(k, d) * t ** (k - d) if k >= d else 0.0
+                      for k in range(6)]
+            return np.array(powers) @ coef
+
+        nodes = (0.2, 0.45, 1.3)
+        z, c = _hermite([(t, poly(t), poly(t, 1)) for t in nodes])
+        assert same_bits(_newton(z, c, [1.3])[0], poly(1.3))
+        t = [0.2, 0.3, 0.45, 0.9, 1.25]
+        want = np.array([poly(x) for x in t])
+        assert np.max(np.abs(_newton(z, c, t) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n, span, max_steps", [(2, 0.05, 3),
+                                                    (8, 0.005, 5)])
+    def test_tau_flow_samples_within_tolerance(self, n, span, max_steps):
+        """Every interior sample of a tau-flow at the default tolerances
+        lies within abs_tol + rel_tol |y| of a rel 1e-13 flow that ends
+        there, while the flow takes fewer steps than it has samples."""
+        tau = 0.02 + 1.01j
+        cfg = CMConfig(n, 0.5, TorusModulus(tau))
+        k = np.arange(n)
+        ph = PhasePoint((k + 0.1) / n + 0.04j * np.sin(k + 1),
+                        0.3 * (-1.0) ** k + 0.05j * np.cos(k))
+        icfg, tight = IntegratorConfig(), IntegratorConfig(rel_tol=1e-13,
+                                                           abs_tol=1e-15)
+        tr = integrate_isomonodromic(cfg, ph, (tau, tau + 1j * span))
+        assert not tr.diagnostics.truncated
+        assert tr.diagnostics.steps_accepted <= max_steps
+        for time, point in zip(tr.times[1:-1], tr.states[1:-1]):
+            ref = integrate_isomonodromic(cfg, ph, (tau, time), tight,
+                                          samples=1).states[-1]
+            y, y_ref = (np.concatenate([x.q, x.p]) for x in (point, ref))
+            scale = icfg.abs_tol + icfg.rel_tol * np.abs(y_ref)
+            assert np.max(np.abs(y - y_ref) / scale) <= 1.0
+
+    @pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_sample_count_leaves_the_steps(self, flow, method):
+        """Over a span of at least two initial steps, 16 samples and one
+        take the same steps to the same end state, bit for bit."""
+        icfg = IntegratorConfig(method=method)
+        assert abs(SPANS[flow][1] - SPANS[flow][0]) >= 2 * icfg.initial_step
+        one, many = (FLOWS[flow](SPANS[flow], icfg=icfg, samples=k)
+                     for k in (1, 16))
+        assert len(many.states) == 17
+        for key in ("steps_accepted", "steps_rejected", "max_local_error"):
+            assert getattr(one.diagnostics, key) == getattr(many.diagnostics,
+                                                            key)
+        assert same_bits(np.concatenate([one.states[-1].q, one.states[-1].p]),
+                         np.concatenate([many.states[-1].q,
+                                         many.states[-1].p]))
+
+    def test_collision_between_step_ends_truncates_at_the_sample(self):
+        """y = s, and the guard's zero y = 0.5 falls on a sample strictly
+        between the step ends 0.31 and 1: the trajectory stops there, and
+        no later sample fires."""
+        calls, fired = [], []
+
+        def f(s, y):
+            calls.append(s)
+            return np.array([1.0 + 0j])
+
+        diag = Diagnostics()
+        integrate_segment(f, np.array([0j]), 1.0, IntegratorConfig(), diag,
+                          sample_at=[i / 10 for i in range(1, 10)],
+                          on_sample=lambda s, y: fired.append(s),
+                          separation=lambda s, y: abs(y[0] - 0.5))
+        assert 0.5 not in calls  # no stage, so no step end, at the zero
+        assert diag.truncated
+        assert diag.message == ("collision at sample s = 0.5: "
+                                "min separation 0.000e+00")
+        assert fired == [0.1, 0.2, 0.3, 0.4]
 
 
 def same_bits(a, b) -> bool:
@@ -577,7 +669,7 @@ def reference_flow(monkeypatch, rhs, y0, span, icfg, samples,
     """A flow as the term-by-term step drove it on PhasePoints: the packed
     states at the samples and the diagnostics of `integrate_segment` run
     with `dp_step_loop`, ``rhs(time, dt, ph)`` on a PhasePoint of each stage
-    and ``separation(time, ph)`` on one of each step's end."""
+    and ``separation(time, ph)`` on one of each step end and sample."""
     monkeypatch.setattr(flow, "_dp_step", dp_step_loop)
     start, end = span
     length = abs(end - start)

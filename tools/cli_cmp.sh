@@ -25,9 +25,9 @@
 # stepper's other exits (a step collapse, an RK4 collision and an RK4
 # tau-flow on the array pair path), a monodromy report that fails its
 # determinant identities (exit 3), a tau-flow and a monodromy report in
-# skewed lattices, and wp on both sides of the pole check's radius at a
-# tail modulus and a skewed one and near an integer on the real axis,
-# once per tree,
+# skewed lattices, wp on both sides of the pole check's radius at a
+# tail modulus and a skewed one and near an integer on the real axis, and
+# a JSON tau-flow shorter than two initial steps, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -161,6 +161,9 @@ commands+=("eval wp --z 2.015+0.2700005i --tau 0.005+0.09i"
            "eval wp --z=-31.6-1.6000005i --tau 17.3+0.8i"
            "eval wp --z=-31.6-1.600002i --tau 17.3+0.8i"
            "eval wp --z 3.0000015 --tau 0.005+0.09i")
+# a tau-flow 0.005 long, under two initial steps of 0.01: its samples
+# need two steps, and the JSON diagnostics count its right-hand sides
+commands+=("flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 1.005i --q 0.1,0.55 --p 0.2,-0.2 --format json")
 
 work=$(mktemp -d)
 differ=0
