@@ -421,6 +421,7 @@ def cmd_monodromy(args) -> int:
         },
         "cubic_residual": float(cubic_relation_residual(md)),
         "det_residuals": dets,
+        "transport": md.transport,
     }
     if args.drift is not None:
         report["drift"] = {

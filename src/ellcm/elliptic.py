@@ -762,6 +762,9 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
             h = g[k]
             np.multiply(g[k - 1], t, h)
             np.subtract(h, g[k - 2], h)
+    if len(coef) == 1:  # rows < 3: weight g in place, no second array
+        g *= coef[0]
+        return np.add.reduce(g, 0)
     sums = np.add.reduce(g * coef, 1)
     return sums.reshape(len(sums) * j, size)[:rows]
 

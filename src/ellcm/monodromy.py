@@ -47,9 +47,10 @@ rows (`_mul`): numpy's batched `@` costs about 0.25 us per small matrix,
 the elementwise sums about 25 ns (2 x 2 complex, 288 panels: 73 us
 against 7 us on one core of an x86-64 host).  L depends on z
 alone, so every node is known in advance: the nodes of all open segments
-go into one `lax_L_quasi_batch` call per refinement level.  N starts at
-PANELS = 4; every segment is transported with N and 2N panels and is
-accepted when ||Psi_2N - Psi_N||_max <= abs_tol + rel_tol ||Psi_2N||_max.
+go into one `lax_L_quasi_batch` call and one Magnus pass, each for a run of
+refinement levels (`_batch_levels`).  N starts at PANELS = 4; every
+segment is transported with N and 2N panels and is accepted when
+||Psi_2N - Psi_N||_max <= abs_tol + rel_tol ||Psi_2N||_max.
 The segments that fail are doubled again, together.  An accepted segment
 keeps Psi_2N, whose error is about 1/63 of that difference for a
 sixth-order method, so the criterion bounds the error rather than
@@ -62,12 +63,14 @@ zero and det Psi_poly = 1; the conjugation by Psi_leg keeps the
 determinant, so det M0 = 1 holds whatever the leg's transport error.
 
 `monodromy_data` runs one refinement loop for all three cycles (pole
-loop, A, B): a triple costs as many L calls, Magnus batches and tree
-products as its deepest cycle has levels, for example 6 where three
-separate loops take 5 + 6 + 6.  Each segment is refined, accepted and
-tested for stagnation as if its path were alone, so the triple equals the
-three separate transports exactly, and max_steps is a budget of panels
-for each path separately.
+loop, A, B).  A run of levels shares one L call when no open segment is
+expected to pass before the run's last level: the README triple at
+rel_tol 1e-11 takes 3 L calls, for the levels {4, 8}, {16, 32, 64} and
+{128}, where one call per level takes 6 (and three separate loops of
+one call per level 5 + 6 + 6).  Each level is still refined, accepted
+and tested for stagnation in turn, each segment as if its path were
+alone, so the triple equals the three separate transports exactly, and
+max_steps is a budget of panels for each path separately.
 """
 
 from __future__ import annotations
@@ -97,6 +100,13 @@ POLE_LOOP_RADIUS = 0.1
 CYCLE_CLEARANCE = 1e-2
 #: Most panels whose nodes go into one L call (12288 nodes).
 _CHUNK = 4096
+#: A later L batch (`_batch_levels`) takes another refinement level only
+#: while it keeps to _BATCH_PANELS panels and every open segment's last
+#: N/2N difference, divided by _ORDER_FALL = 2^6 (sixth order) for each
+#: level ahead, stays above _MARGIN times its tolerance.
+_BATCH_PANELS = 512
+_ORDER_FALL = 64.0
+_MARGIN = 4.0
 
 _EPS = np.finfo(float).eps
 _SQRT15 = math.sqrt(15.0)
@@ -159,6 +169,10 @@ class MonodromyData:
     Mtau: np.ndarray
     base_point: complex
     Q: np.ndarray  # diag(q), the B-cycle twist bookkeeping
+    #: What the refinement loop did, for `monodromy_data`'s triples: per
+    #: cycle ("pole", "A", "B") its `_diagnostics`, and the triple's
+    #: "l_batches" and "l_nodes".
+    transport: dict | None = None
 
 
 def default_base(tau: complex) -> complex:
@@ -230,19 +244,24 @@ def _magnus(L: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
-                        b: np.ndarray, panels: int) -> np.ndarray:
-    """Magnus transport over each segment [a_i, b_i] cut into ``panels``
-    (a power of two) uniform panels, shape (segments, n, n).
+                        b: np.ndarray, levels: list[int]) -> list[np.ndarray]:
+    """Magnus transport over each segment [a_i, b_i] cut into N uniform
+    panels, for each N (a power of two) of ``levels``: one stack of shape
+    (segments, n, n) per level.
 
-    The nodes of all segments go into one L call, or one per _CHUNK panels
-    on the deep levels that only a tolerance out of reach gets to, so that
-    memory stays bounded.  The panels are laid out (n, n, segments,
-    panels) for the Magnus step and the tree product.
+    The nodes of every level and segment go into one L call, or one per
+    _CHUNK panels on the deep levels that only a tolerance out of reach
+    gets to, so that memory stays bounded, and then through one Magnus
+    pass.  A panel's propagator depends on its own nodes alone, so each
+    level's stack is the one it gives alone.  The panels of a level are
+    laid out (n, n, segments, N) for the tree product.
     """
     n = ph.n
-    h = (b - a) / panels
-    starts = (a[:, None] + h[:, None] * np.arange(panels)).reshape(-1)
-    steps = np.repeat(h, panels)
+    h = [(b - a) / panels for panels in levels]
+    starts = np.concatenate([(a[:, None] + step[:, None] * np.arange(panels))
+                             .reshape(-1) for panels, step in zip(levels, h)])
+    steps = np.concatenate([np.repeat(step, panels)
+                            for panels, step in zip(levels, h)])
     U = np.empty((n, n, starts.size), dtype=complex)
     for i in range(0, starts.size, _CHUNK):
         part = slice(i, i + _CHUNK)
@@ -252,10 +271,14 @@ def _segment_transports(cfg: CMConfig, ph: PhasePoint, a: np.ndarray,
         except PoleProximityError as exc:  # two bodies collide
             raise PathError(f"transport truncated: {exc}") from exc
         U[..., part] = _magnus(L.reshape(-1, 3, n, n), steps[part])
-    U = U.reshape(n, n, len(a), panels)
-    while U.shape[-1] > 1:  # tree product, later panels on the left
-        U = _mul(U[..., 1::2], U[..., 0::2])
-    return np.moveaxis(U[..., 0], -1, 0)
+    out, end = [], 0
+    for panels in levels:
+        start, end = end, end + len(a) * panels
+        V = U[..., start:end].reshape(n, n, len(a), panels)
+        while V.shape[-1] > 1:  # tree product, later panels on the left
+            V = _mul(V[..., 1::2], V[..., 0::2])
+        out.append(np.moveaxis(V[..., 0], -1, 0))
+    return out
 
 
 def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
@@ -273,30 +296,69 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
     PathError when the path leaves its clearance or two bodies collide,
     instead of returning a partial Psi.
     """
-    return _product(_transport_paths(cfg, ph, (path,), icfg)[0])
+    return _product(_transport_paths(cfg, ph, (path,), icfg)[0][0])
+
+
+def _batch_levels(panels: int, last: np.ndarray, tol: np.ndarray,
+                  segments: np.ndarray, spent: np.ndarray,
+                  max_steps: int) -> list[int]:
+    """The panel counts of the next L batch: ``panels``, and each doubling
+    after it while no open segment is expected to be accepted before it.
+
+    ``last`` and ``tol`` are the open segments' last N/2N difference and
+    its tolerance, ``segments`` the open segments of each path and
+    ``spent`` each path's panels up to ``panels``.  The first batch holds
+    PANELS and 2 PANELS: PANELS alone is never accepted.  A later batch
+    takes another level while every difference, divided by _ORDER_FALL for
+    each level ahead, stays above _MARGIN times its tolerance, and while
+    the batch keeps to _BATCH_PANELS.  Where convergence is erratic the
+    prediction fails, and the cap bounds what it wastes: the B cycle at
+    tau = 17.3+0.8i falls by 0.5 to 4e5 per level, and without the cap its
+    triple takes 223,068 L nodes where one level per batch takes 112,092.
+    No level joins that would take a path past max_steps with every
+    segment open now, so no level past the budget is computed.
+    """
+    levels = [panels]
+    while True:
+        nxt = 2 * levels[-1]
+        if panels == PANELS:
+            grow = len(levels) == 1
+        else:
+            grow = (np.all(last > _MARGIN * tol * _ORDER_FALL ** len(levels))
+                    and segments.sum() * (sum(levels) + nxt) <= _BATCH_PANELS)
+        if not grow or (spent + segments * (sum(levels[1:]) + nxt)
+                        ).max() > max_steps:
+            return levels
+        levels.append(nxt)
 
 
 def _transport_paths(cfg: CMConfig, ph: PhasePoint,
                      paths: tuple[PathSpec, ...],
-                     icfg: IntegratorConfig) -> list[np.ndarray]:
+                     icfg: IntegratorConfig
+                     ) -> tuple[list[np.ndarray], list[dict], int, int]:
     """The transports of every segment of each path, first segment first,
-    as one (segments, n, n) stack per path, in one refinement loop.
+    as one (segments, n, n) stack per path, in one refinement loop; then
+    each path's `_diagnostics`, and the loop's L batches and L nodes.
 
     The segments of all paths are refined together: each level transports
-    every segment still open, of whichever path, in one
-    `_segment_transports` call.  A segment's result, its acceptance and its
-    stagnation test do not depend on the other segments, so each stack is
-    the one the path alone gives; max_steps budgets the panels of each
-    path separately.
+    every segment still open, of whichever path, and one
+    `_segment_transports` call computes a run of levels (`_batch_levels`)
+    in one L batch.  A segment's result, its acceptance and its stagnation
+    test do not depend on the other segments, nor on the levels that share
+    its batch, so each stack is the one the path alone gives, level by
+    level; max_steps budgets the panels of each path separately.
 
-    Errors therefore come in level order, not path order: every path is
-    validated before any transport (the segments of all paths in one
+    The levels of a batch are then budget-checked, compared, accepted and
+    tested for stagnation one at a time, in level order.  Errors therefore
+    come in level order, not path order: every path is validated before
+    any transport (the segments of all paths in one
     `_segment_lattice_distances` pass, the first failing path raising as
     its `PathSpec.validate` would), so that no node comes near a pole, and
-    then each level raises, in this order, for a path past its budget, for
-    a collision (PathError naming the pair), and for the first stagnating
-    segment, in path order within each test.  A later path that fails at a
-    shallower level wins over an earlier path that would fail deeper.
+    then each level raises, in this order, for a path past its budget
+    (before any L of that level is built), for a collision (PathError
+    naming the pair) and for the first stagnating segment, in path order
+    within each test.  A later path that fails at a shallower level wins
+    over an earlier path that would fail deeper.
     """
     n = ph.n
     w = [np.array(path.waypoints) for path in paths]
@@ -307,16 +369,29 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     for p, path in enumerate(paths):
         path._check_clearance(d[owner == p])
     done = np.empty((a.size, n, n), dtype=complex)
+    accepted = np.zeros(a.size, dtype=int)  # panels of each accepted result
+    ratio = np.zeros(a.size)  # its difference over its tolerance
     active = np.arange(a.size)
     last = np.full(a.size, np.inf)  # the previous level's differences
+    last_tol = np.zeros(a.size)  # and their tolerances
     spent = np.zeros(len(paths), dtype=int)  # panels per path
     panels, coarse = PANELS, None
+    pending, batches, nodes = [], 0, 0
     while active.size:
-        spent += panels * np.bincount(owner[active], minlength=len(paths))
+        segments = np.bincount(owner[active], minlength=len(paths))
+        spent += panels * segments
         if spent.max() > icfg.max_steps:
             raise IntegrationError(
                 f"transport exceeded max_steps = {icfg.max_steps} panels")
-        fine = _segment_transports(cfg, ph, a[active], b[active], panels)
+        if not pending:
+            levels = _batch_levels(panels, last, last_tol, segments, spent,
+                                   icfg.max_steps)
+            batch = active
+            pending = _segment_transports(cfg, ph, a[batch], b[batch],
+                                          levels)
+            batches += 1
+            nodes += _GL_NODES.size * batch.size * sum(levels)
+        fine = pending.pop(0)[np.searchsorted(batch, active)]
         if coarse is not None:
             err = np.abs(fine - coarse).max(axis=(1, 2))
             norm = np.abs(fine).max(axis=(1, 2))
@@ -331,10 +406,25 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
                     f"{panels} panels stopped shrinking at rounding level, "
                     f"above the tolerance {tol[i]:.3e}")
             done[active[ok]] = fine[ok]
-            active, fine, last = active[~ok], fine[~ok], err[~ok]
+            accepted[active[ok]] = panels
+            ratio[active[ok]] = err[ok] / tol[ok]
+            active, fine = active[~ok], fine[~ok]
+            last, last_tol = err[~ok], tol[~ok]
         coarse = fine
         panels *= 2
-    return [done[owner == p] for p in range(len(paths))]
+    return ([done[owner == p] for p in range(len(paths))],
+            [_diagnostics(accepted[owner == p], ratio[owner == p])
+             for p in range(len(paths))], batches, nodes)
+
+
+def _diagnostics(accepted: np.ndarray, ratio: np.ndarray) -> dict:
+    """A path's segments, largest accepted panel count, refinement levels
+    reached and largest accepted N/2N difference over the tolerance, from
+    its segments' accepted panel counts and differences over tolerance."""
+    top = int(accepted.max())
+    return {"segments": accepted.size, "max_panels": top,
+            "levels": top.bit_length() - PANELS.bit_length() + 1,
+            "max_diff_over_tol": float(ratio.max())}
 
 
 def _product(U: np.ndarray) -> np.ndarray:
@@ -443,7 +533,7 @@ def monodromy_pole(cfg: CMConfig, ph: PhasePoint,
     if base is None:
         base = default_base(cfg.tm.tau)
     return _pole_monodromy(_transport_paths(
-        cfg, ph, (_pole_loop(base, radius),), icfg)[0])
+        cfg, ph, (_pole_loop(base, radius),), icfg)[0][0])
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
@@ -456,12 +546,14 @@ def monodromy_data(cfg: CMConfig, ph: PhasePoint,
     _check_radius(radius, tau)
     if base is None:
         base = default_base(tau)
-    U0, U1, Ub = _transport_paths(
+    (U0, U1, Ub), cycles, batches, nodes = _transport_paths(
         cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
                   _straight(base, base + tau)), icfg)
     return MonodromyData(M0=_pole_monodromy(U0), M1=_product(U1),
                          Mtau=_twisted(ph, _product(Ub)),
-                         base_point=complex(base), Q=np.diag(ph.q))
+                         base_point=complex(base), Q=np.diag(ph.q),
+                         transport={**dict(zip(("pole", "A", "B"), cycles)),
+                                    "l_batches": batches, "l_nodes": nodes})
 
 
 def cubic_relation_residual(md: MonodromyData) -> float:

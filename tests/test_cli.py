@@ -8,8 +8,8 @@ from ellcm.calogero import CMConfig, PhasePoint
 from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
 from ellcm.flow import TIGHT
-from ellcm.monodromy import (DET_RESIDUAL_BOUND, isomonodromy_drift,
-                             monodromy_data)
+from ellcm.monodromy import (DET_RESIDUAL_BOUND, POLE_LOOP_SEGMENTS,
+                             isomonodromy_drift, monodromy_data)
 from ellcm.painleve import elliptic_to_rational
 
 
@@ -313,6 +313,23 @@ class TestMonodromyCommand:
         assert set(residuals) == {"M0", "M1", "Mtau"}
         assert all(0.0 <= r <= 1e-12 for r in residuals.values())
         assert payload["schema"] == 1
+
+    def test_transport_block(self, tmp_path):
+        """The report carries what the triple's refinement loop did, per
+        cycle and for its L batches."""
+        out = tmp_path / "mono.json"
+        assert run(MONODROMY, out) == 0
+        block = json.loads(out.read_text())["transport"]
+        cfg = CMConfig(2, 0.35, TorusModulus(1j))
+        ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
+        assert block == monodromy_data(cfg, ph, TIGHT).transport
+        assert [block[c]["segments"] for c in ("pole", "A", "B")] == [
+            POLE_LOOP_SEGMENTS + 1, 1, 1]
+        for cycle in ("pole", "A", "B"):
+            stats = block[cycle]
+            assert stats["max_panels"] == 4 * 2 ** (stats["levels"] - 1)
+            assert 0.0 <= stats["max_diff_over_tol"] <= 1.0
+        assert block["l_batches"] == 3 and block["l_nodes"] == 3036
 
     def test_broken_determinant_identity(self, tmp_path, capsys):
         """At tau = 17.3+0.8i the B cycle is 17 cells long and breaks

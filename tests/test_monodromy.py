@@ -26,13 +26,19 @@ from ellcm.flow import TIGHT, Diagnostics, IntegratorConfig, integrate_segment
 from ellcm.monodromy import (
     CYCLE_CLEARANCE,
     PANELS,
+    POLE_LOOP_RADIUS,
     POLE_LOOP_SEGMENTS,
     MonodromyData,
     PathSpec,
+    _batch_levels,
     _expm,
     _mul,
     _pole_loop,
+    _pole_monodromy,
+    _product,
     _segment_transports,
+    _straight,
+    _twisted,
     cubic_relation_residual,
     default_base,
     eigenvalue_set_distance,
@@ -192,8 +198,8 @@ class TestMagnusTransport:
         cfg, ph = (CFG, PH) if case == "n2" else (self.CFG3, self.PH3)
         base = default_base(cfg.tm.tau)
         a, b = np.array([base]), np.array([base + 1.0])
-        psi = [_segment_transports(cfg, ph, a, b, panels)[0]
-               for panels in (16, 32, 64)]
+        psi = [u[0] for u in _segment_transports(cfg, ph, a, b,
+                                                  [16, 32, 64])]
         ratio = (np.max(np.abs(psi[0] - psi[1]))
                  / np.max(np.abs(psi[1] - psi[2])))
         assert math.log2(ratio) >= 5.5
@@ -745,9 +751,9 @@ class TestMergedTransport:
         real = mono._segment_transports
         spent = []
 
-        def counting(cfg, ph, a, b, panels):
-            spent[-1] += a.size * panels
-            return real(cfg, ph, a, b, panels)
+        def counting(cfg, ph, a, b, levels):
+            spent[-1] += a.size * sum(levels)
+            return real(cfg, ph, a, b, levels)
 
         monkeypatch.setattr(mono, "_segment_transports", counting)
         for cycle in self.PATHS:
@@ -802,6 +808,133 @@ class TestMergedTransport:
                  re.escape("transport truncated: q[0] - q[1]"))
         with pytest.raises(error, match=match):
             monodromy_data(CFG, ph, icfg)
+
+
+def _one_level_per_call(cfg, ph, icfg, radius=POLE_LOOP_RADIUS):
+    """The triple of `monodromy_data` at the default base, refined one
+    level per `_segment_transports` call, with each path's panels, the
+    call count and the L nodes: the reference for the batched loop."""
+    tau = cfg.tm.tau
+    base = default_base(tau)
+    paths = (_pole_loop(base, radius), _straight(base, base + 1.0),
+             _straight(base, base + tau))
+    a = np.concatenate([path.waypoints[:-1] for path in paths])
+    b = np.concatenate([path.waypoints[1:] for path in paths])
+    owner = np.repeat(np.arange(3), [len(path.waypoints) - 1
+                                     for path in paths])
+    done = np.empty((a.size, cfg.n, cfg.n), dtype=complex)
+    active, last, coarse = np.arange(a.size), np.inf, None
+    panels, spent, calls = PANELS, np.zeros(3, dtype=int), 0
+    while active.size:
+        spent += panels * np.bincount(owner[active], minlength=3)
+        fine = _segment_transports(cfg, ph, a[active], b[active],
+                                   [panels])[0]
+        calls += 1
+        if coarse is not None:
+            err = np.abs(fine - coarse).max(axis=(1, 2))
+            norm = np.abs(fine).max(axis=(1, 2))
+            ok = err <= icfg.abs_tol + icfg.rel_tol * norm
+            assert not (~ok & (err >= last)
+                        & (err <= panels * np.finfo(float).eps * norm)).any()
+            done[active[ok]] = fine[ok]
+            active, fine, last = active[~ok], fine[~ok], err[~ok]
+        coarse = fine
+        panels *= 2
+    U0, U1, Ub = (done[owner == p] for p in range(3))
+    triple = (_pole_monodromy(U0), _product(U1), _twisted(ph, _product(Ub)))
+    return triple, spent, calls, 3 * int(spent.sum())
+
+
+class TestLevelBatches:
+    """A run of refinement levels shares one L batch, and every accepted
+    transport stays the one its level gives alone."""
+
+    CFG3 = TestMagnusTransport.CFG3
+    PH3 = TestMagnusTransport.PH3
+    README = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
+
+    def _case(self, case):
+        if case == "n3":
+            return self.CFG3, self.PH3
+        tau = 9.1 + 0.8j if case == "tau-9.1" else 1j
+        return CMConfig(2, 0.35, TorusModulus(tau)), self.README
+
+    @pytest.mark.parametrize("case, icfg, radius", [
+        *((case, icfg, POLE_LOOP_RADIUS) for case in ("n2", "n3")
+          for icfg in (TIGHT, IntegratorConfig(),
+                       IntegratorConfig(rel_tol=1e-11))),
+        ("n2", TIGHT, 0.005), ("n3", TIGHT, 0.005),
+        ("tau-9.1", TIGHT, POLE_LOOP_RADIUS)])
+    def test_equals_one_level_per_call(self, case, icfg, radius):
+        cfg, ph = self._case(case)
+        md = monodromy_data(cfg, ph, icfg, radius=radius)
+        triple, _, calls, nodes = _one_level_per_call(cfg, ph, icfg, radius)
+        for got, expect in zip((md.M0, md.M1, md.Mtau), triple):
+            assert np.array_equal(got, expect)
+        assert md.transport["l_nodes"] == nodes
+        assert md.transport["l_batches"] < calls
+
+    def test_readme_triple_takes_three_L_calls(self, monkeypatch):
+        import ellcm.monodromy as mono
+        cfg, ph = self._case("n2")
+        _, _, calls, nodes = _one_level_per_call(cfg, ph, TIGHT)
+        real = mono.lax_L_quasi_batch
+        sizes = []
+
+        def counting(cfg, ph, z):
+            sizes.append(z.size)
+            return real(cfg, ph, z)
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", counting)
+        md = monodromy_data(cfg, ph, TIGHT)
+        assert len(sizes) <= 3 and calls == 6
+        assert sum(sizes) == md.transport["l_nodes"] == nodes
+        assert md.transport["l_batches"] == len(sizes)
+
+    @pytest.mark.parametrize("radius", [POLE_LOOP_RADIUS, 0.005])
+    def test_budget_of_the_levels_suffices(self, radius):
+        cfg, ph = self._case("n2")
+        triple, spent, _, _ = _one_level_per_call(cfg, ph, TIGHT, radius)
+        fits = IntegratorConfig(rel_tol=TIGHT.rel_tol, abs_tol=TIGHT.abs_tol,
+                                max_steps=int(spent.max()))
+        md = monodromy_data(cfg, ph, fits, radius=radius)
+        for got, expect in zip((md.M0, md.M1, md.Mtau), triple):
+            assert np.array_equal(got, expect)
+
+    def test_no_level_past_the_budget(self):
+        # one segment open at 16 panels after 4 + 8, far from its
+        # tolerance: its batch takes levels up to the panel cap (16 + ...
+        # + 256 = 496 of 512), or as far as the budget goes
+        far = dict(panels=16, last=np.array([1e10]), tol=np.array([1.0]),
+                   segments=np.array([1]), spent=np.array([28]))
+        assert _batch_levels(**far, max_steps=10**6) == [16, 32, 64, 128,
+                                                         256]
+        assert _batch_levels(**far, max_steps=124) == [16, 32, 64]
+        assert _batch_levels(**far, max_steps=123) == [16, 32]
+        assert _batch_levels(**far, max_steps=28) == [16]
+
+    def test_levels_follow_the_prediction(self):
+        # a level joins while every open segment's difference, divided by
+        # 64 per level ahead, stays above 4 times its tolerance, and the
+        # batch keeps to 512 panels
+        def levels(last, segments=1):
+            return _batch_levels(16, np.array(last), np.ones(len(last)),
+                                 np.array([segments]),
+                                 np.array([28 * segments]), 10**6)
+
+        assert levels([256.0]) == [16]
+        assert levels([257.0]) == [16, 32]
+        assert levels([257.0 * 64, 1e10]) == [16, 32, 64]
+        assert levels([1e10, 257.0]) == [16, 32]
+        assert levels([1e10], segments=10) == [16, 32]  # 480 panels
+
+    def test_first_batch_holds_two_levels(self):
+        first = dict(panels=PANELS, last=np.array([np.inf]),
+                     tol=np.array([0.0]), segments=np.array([1]),
+                     spent=np.array([PANELS]))
+        assert _batch_levels(**first, max_steps=10**6) == [PANELS,
+                                                           2 * PANELS]
+        assert _batch_levels(**first, max_steps=3 * PANELS - 1) == [PANELS]
 
 
 class TestDriftReuse:

@@ -27,7 +27,10 @@
 # determinant identities (exit 3), a tau-flow and a monodromy report in
 # skewed lattices, wp on both sides of the pole check's radius at a
 # tail modulus and a skewed one and near an integer on the real axis, and
-# a JSON tau-flow shorter than two initial steps, once per tree,
+# a JSON tau-flow shorter than two initial steps, and the README triple
+# at rel_tol 1e-6 (accepted within its first L batch), at radius 0.002
+# (a radial leg of thousands of panels) and at rel_tol 1e-16 (stagnation),
+# once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -164,6 +167,14 @@ commands+=("eval wp --z 2.015+0.2700005i --tau 0.005+0.09i"
 # a tau-flow 0.005 long, under two initial steps of 0.01: its samples
 # need two steps, and the JSON diagnostics count its right-hand sides
 commands+=("flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 1.005i --q 0.1,0.55 --p 0.2,-0.2 --format json")
+# the README triple where its refinement levels share L batches
+# differently: accepted at the first batch's second level (rel_tol 1e-6),
+# a radial leg refined to 4096 panels (radius 0.002), and a tolerance
+# below rounding, whose stagnation error must name the same level
+readme_triple="monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45"
+commands+=("$readme_triple --rel-tol 1e-6"
+           "$readme_triple --radius 0.002"
+           "$readme_triple --rel-tol 1e-16 --abs-tol 1e-18")
 
 work=$(mktemp -d)
 differ=0
