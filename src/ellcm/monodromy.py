@@ -2,7 +2,8 @@
 
 The frame Psi solves dPsi/dz = L(z) Psi along polyline paths (quasi-periodic
 gauge: the periodic gauge would puncture paths with apparent singularities
-at the zeros of x(q_j, z)).  With Psi(base) = identity,
+at the zeros of x(q_j, z)).  The triple is built at one base only,
+base = default_base(tau) = (1 + tau)/4; with Psi(base) = identity,
 
     M1   = Psi(base + 1)                      (A cycle)
     Mtau = exp(-2 pi i Q) Psi(base + tau)     (B cycle, twist Q = diag(q))
@@ -28,7 +29,11 @@ here therefore satisfies
 
 which is the form `cubic_relation_residual` evaluates; the two commutator
 orderings printed in the literature correspond to the two cycle-orientation
-conventions and are inverse to each other.
+conventions and are inverse to each other.  It holds for the class of
+the straight cycles from (1 + tau)/4, on the lines b = 1/4 and a = 1/4 of
+the basis (1, tau) at every tau.  From other bases they can change class
+(at tau = 1.3+0.8i, base 0.4+0.35i misses by 24), so the triple takes no
+base; `transport` over a `PathSpec` reaches any other.
 
 Transport is a sixth-order Magnus method (Iserles & Norsett 1999; Blanes,
 Casas, Oteo & Ros 2009).  Each segment [a, b] of a path is cut into N
@@ -498,60 +503,52 @@ def _pole_monodromy(U: np.ndarray) -> np.ndarray:
     return np.linalg.solve(leg, _product(U[1:]) @ leg)
 
 
-def monodromy_A(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
+def monodromy_A(cfg: CMConfig, ph: PhasePoint,
                 icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """M1 = Psi(base + 1) with Psi(base) = identity (L is 1-periodic)."""
-    tau = cfg.tm.tau
-    if base is None:
-        base = default_base(tau)
+    """M1 = Psi(base + 1), Psi(base) = identity, base = (1 + tau)/4."""
+    base = default_base(cfg.tm.tau)
     return transport(cfg, ph, _straight(base, base + 1.0), icfg)
 
 
-def monodromy_B(cfg: CMConfig, ph: PhasePoint, base: complex | None = None,
+def monodromy_B(cfg: CMConfig, ph: PhasePoint,
                 icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Mtau = exp(-2 pi i Q) Psi(base + tau), from the twist relation
-    Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
+    """Mtau = exp(-2 pi i Q) Psi(base + tau) at base = (1 + tau)/4, from
+    the twist relation Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
     tau = cfg.tm.tau
-    if base is None:
-        base = default_base(tau)
-    psi = transport(cfg, ph, _straight(base, base + tau), icfg)
-    return _twisted(ph, psi)
+    base = default_base(tau)
+    return _twisted(ph, transport(cfg, ph, _straight(base, base + tau), icfg))
 
 
 def monodromy_pole(cfg: CMConfig, ph: PhasePoint,
                    radius: float = POLE_LOOP_RADIUS,
-                   base: complex | None = None,
                    icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Positively oriented polygonal loop of given radius around z = 0,
-    entered radially from the base point, reported in the base frame.
+    entered radially from base = (1 + tau)/4, reported in the base frame.
 
     The radial leg is transported once, inbound, and the polygon's
     transport is conjugated by it (`_pole_monodromy`); this equals the
     transport around base -> polygon -> base up to the transport error.
     """
-    _check_radius(radius, cfg.tm.tau)
-    if base is None:
-        base = default_base(cfg.tm.tau)
+    tau = cfg.tm.tau
+    _check_radius(radius, tau)
     return _pole_monodromy(_transport_paths(
-        cfg, ph, (_pole_loop(base, radius),), icfg)[0][0])
+        cfg, ph, (_pole_loop(default_base(tau), radius),), icfg)[0][0])
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
-                   base: complex | None = None,
                    radius: float = POLE_LOOP_RADIUS) -> MonodromyData:
     """monodromy_pole, monodromy_A and monodromy_B, transported in one
-    refinement loop."""
+    refinement loop from base = (1 + tau)/4 alone (module docstring)."""
     tau = cfg.tm.tau
     _check_radius(radius, tau)
-    if base is None:
-        base = default_base(tau)
+    base = default_base(tau)
     (U0, U1, Ub), cycles, batches, nodes = _transport_paths(
         cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
                   _straight(base, base + tau)), icfg)
     return MonodromyData(M0=_pole_monodromy(U0), M1=_product(U1),
                          Mtau=_twisted(ph, _product(Ub)),
-                         base_point=complex(base), Q=np.diag(ph.q),
+                         base_point=base, Q=np.diag(ph.q),
                          transport={**dict(zip(("pole", "A", "B"), cycles)),
                                     "l_batches": batches, "l_nodes": nodes})
 

@@ -129,13 +129,15 @@ class TestTheta1:
         # tau = 1e-4 i is summed at tau' = 1e4 i, one term, its coefficient
         # e^{-2500 pi} lifted out of the subnormal range.  theta1 is near
         # |tau|^{-1/2} = 100 on the ridge (Re z - 1/2)^2 = (Im z)^2, about
-        # 4900 B-periods out; rho, wp and wp' near the imaginary axis.
+        # 4900 B-periods out, and about -7.5e274 at -0.01+0.51i, near the
+        # top of the double range; rho, wp and wp' near the imaginary axis.
         # Against the Poisson-summed series in 40-digit mpmath
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         tau = 1e-4j
         tm = TorusModulus(tau)
-        for z in (0.01 + 0.49j, 0.005 + 0.495j, 2.005 + 0.495j - 3 * tau):
+        for z in (0.01 + 0.49j, 0.005 + 0.495j, 2.005 + 0.495j - 3 * tau,
+                  -0.01 + 0.51j):
             t0, t1 = (complex(v) for v in theta1_poisson(z, tau, 2))
             assert abs(theta1(z, tm) - t0) <= 1e-10 * abs(t0)
             assert abs(theta1_dz(z, tm) - t1) <= 1e-10 * abs(t1)
@@ -400,7 +402,8 @@ class TestTheta1Product:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         tm = TorusModulus(1e-4j)
-        for z in (0.01 + 0.49j, 0.005 + 0.495j, -0.998 + 0.502j):
+        for z in (0.01 + 0.49j, 0.005 + 0.495j, -0.998 + 0.502j,
+                  -0.01 + 0.51j):
             want = complex(theta1_poisson(z, 1e-4j, 1)[0])
             assert abs(theta1_product(z, tm) - want) <= 1e-10 * abs(want)
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -38,6 +39,7 @@ from ellcm.monodromy import (
     _product,
     _segment_transports,
     _straight,
+    _transport_paths,
     _twisted,
     cubic_relation_residual,
     default_base,
@@ -183,6 +185,13 @@ def _polygon_loop(base, radius=0.1, sides=16):
     circle = [radius * np.exp(1j * (phase + 2 * np.pi * k / sides))
               for k in range(sides)]
     return tuple([base] + circle + [circle[0], base])
+
+
+def _triple_paths(base, tau, radius=POLE_LOOP_RADIUS):
+    """The pole loop and the A and B cycles of the triple, built by hand
+    from any base; `monodromy_data` builds them from default_base(tau)."""
+    return (_pole_loop(base, radius), _straight(base, base + 1.0),
+            _straight(base, base + tau))
 
 
 class TestMagnusTransport:
@@ -346,11 +355,15 @@ class TestCycleMonodromies:
         assert np.max(np.abs(Mt - expect)) < 1e-9
 
     def test_base_change_spectral_invariance(self):
+        # the spectra of M1 and Mtau do not depend on the base: the cycles
+        # from 0.31+0.18i against the triple's at default_base(tau)
+        base = 0.31 + 0.18j
         a = monodromy_A(CFG, PH, icfg=TIGHT)
-        b = monodromy_A(CFG, PH, base=0.31 + 0.18j, icfg=TIGHT)
+        b = transport(CFG, PH, _straight(base, base + 1.0), TIGHT)
         assert eigenvalue_set_distance(a, b) < 1e-8
         a = monodromy_B(CFG, PH, icfg=TIGHT)
-        b = monodromy_B(CFG, PH, base=0.31 + 0.18j, icfg=TIGHT)
+        b = _twisted(PH, transport(CFG, PH, _straight(base, base + 1j),
+                                   TIGHT))
         assert eigenvalue_set_distance(a, b) < 1e-8
 
     def test_det_M1_liouville(self):
@@ -562,6 +575,28 @@ class TestDefaultBase:
         base = default_base(1j)
         assert base == 0.25 + 0.25j
 
+    @pytest.mark.parametrize("cycle", [monodromy_data, monodromy_pole,
+                                       monodromy_A, monodromy_B])
+    def test_triple_api_takes_no_base(self, cycle):
+        assert "base" not in inspect.signature(cycle).parameters
+
+    def test_the_triple_holds_at_its_one_base(self):
+        # at tau = 1.3+0.8i the straight cycles from 0.4+0.35i are of
+        # another class than those from (1 + tau)/4: the cubic relation
+        # holds for the triple, and misses by O(10) from the other base
+        tau = 1.3 + 0.8j
+        cfg = CMConfig(2, 0.35, TorusModulus(tau))
+        ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
+        md = monodromy_data(cfg, ph, TIGHT)
+        assert md.base_point == default_base(tau)
+        assert cubic_relation_residual(md) <= 1e-10
+        base = 0.4 + 0.35j
+        (U0, U1, Ub), *_ = _transport_paths(cfg, ph,
+                                            _triple_paths(base, tau), TIGHT)
+        off = MonodromyData(_pole_monodromy(U0), _product(U1),
+                            _twisted(ph, _product(Ub)), base, md.Q)
+        assert cubic_relation_residual(off) > 1.0
+
 
 class TestEigenvalueSetDistance:
     @staticmethod
@@ -684,7 +719,7 @@ class TestPathValidation:
         monkeypatch.setattr(mono, "_segment_transports", failing)
         base = 0.002 + 0.3j
         with pytest.raises(PathError) as info:
-            monodromy_data(CFG, PH, TIGHT, base=base)
+            _transport_paths(CFG, PH, _triple_paths(base, 1j), TIGHT)
         assert str(info.value) == (
             "segment [(0.002+0.3j), (0.002+1.3j)] passes within 2.000e-03 "
             "of a lattice point (clearance 0.01)")
@@ -714,18 +749,13 @@ class TestMergedTransport:
         assert np.array_equal(md.Q, np.diag(ph.q))
 
     @pytest.mark.parametrize("case", ["n2", "n3"])
-    @pytest.mark.parametrize("radius, base", [(0.05, None),
-                                              (0.1, 0.31 + 0.18j)],
-                             ids=["radius", "base"])
-    def test_equals_separate_calls(self, case, radius, base):
+    @pytest.mark.parametrize("radius", [0.05], ids=["radius"])
+    def test_equals_separate_calls(self, case, radius):
         cfg, ph = self._case(case)
-        md = monodromy_data(cfg, ph, TIGHT, base=base, radius=radius)
-        assert np.array_equal(md.M0, monodromy_pole(cfg, ph, radius, base,
-                                                    TIGHT))
-        assert np.array_equal(md.M1, monodromy_A(cfg, ph, base, TIGHT))
-        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph, base, TIGHT))
-        if base is not None:
-            assert md.base_point == base
+        md = monodromy_data(cfg, ph, TIGHT, radius=radius)
+        assert np.array_equal(md.M0, monodromy_pole(cfg, ph, radius, TIGHT))
+        assert np.array_equal(md.M1, monodromy_A(cfg, ph, TIGHT))
+        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph, TIGHT))
 
     def test_one_L_call_per_level(self, monkeypatch):
         import ellcm.monodromy as mono
@@ -791,7 +821,7 @@ class TestMergedTransport:
         cfg = CMConfig(2, 0.35, TorusModulus(tau))
         with pytest.raises(PathError, match=re.escape(
                 f"segment [{base}, {base + step}] passes within ")):
-            monodromy_data(cfg, PH, TIGHT, base=base)
+            _transport_paths(cfg, PH, _triple_paths(base, tau), TIGHT)
 
     @pytest.mark.parametrize("max_steps, error", [
         (POLE_SEGMENTS * PANELS, PathError),
@@ -815,9 +845,7 @@ def _one_level_per_call(cfg, ph, icfg, radius=POLE_LOOP_RADIUS):
     level per `_segment_transports` call, with each path's panels, the
     call count and the L nodes: the reference for the batched loop."""
     tau = cfg.tm.tau
-    base = default_base(tau)
-    paths = (_pole_loop(base, radius), _straight(base, base + 1.0),
-             _straight(base, base + tau))
+    paths = _triple_paths(default_base(tau), tau, radius)
     a = np.concatenate([path.waypoints[:-1] for path in paths])
     b = np.concatenate([path.waypoints[1:] for path in paths])
     owner = np.repeat(np.arange(3), [len(path.waypoints) - 1

@@ -30,7 +30,8 @@
 # a JSON tau-flow shorter than two initial steps, and the README triple
 # at rel_tol 1e-6 (accepted within its first L batch), at radius 0.002
 # (a radial leg of thousands of panels) and at rel_tol 1e-16 (stagnation),
-# once per tree,
+# and the README triple at tau = 1.3+0.8i, where the cubic relation holds
+# for the cycles from the one base (1 + tau)/4 alone, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -175,6 +176,10 @@ readme_triple="monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p
 commands+=("$readme_triple --rel-tol 1e-6"
            "$readme_triple --radius 0.002"
            "$readme_triple --rel-tol 1e-16 --abs-tol 1e-18")
+# a modulus where the straight cycles from a base other than (1 + tau)/4
+# change class (the cubic relation then misses by 24): the triple's cubic
+# residual stays at rounding
+commands+=("monodromy --n 2 --g 0.35 --tau 1.3+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
 
 work=$(mktemp -d)
 differ=0
