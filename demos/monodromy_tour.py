@@ -46,7 +46,7 @@ print("exp(2 pi i spec(residue)) =",
                       key=abs), 8))
 
 # isomonodromy: flow tau by 0.01 and compare spectra (frame-independent)
-drift = isomonodromy_drift(cfg, ph, 1j, 1e-2, icfg)
+drift = isomonodromy_drift(cfg, ph, 1j, 1e-2, icfg, md0=md)
 print(f"\nspectral drift under the isomonodromic flow (dtau = 0.01): "
       f"{drift:.2e}")
 

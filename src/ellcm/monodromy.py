@@ -67,15 +67,18 @@ of the transport.  The polygon is closed, so the steps of its sides sum to
 zero and det Psi_poly = 1; the conjugation by Psi_leg keeps the
 determinant, so det M0 = 1 holds whatever the leg's transport error.
 
-`monodromy_data` runs one refinement loop for all three cycles (pole
-loop, A, B).  A run of levels shares one L call when no open segment is
-expected to pass before the run's last level: the README triple at
-rel_tol 1e-11 takes 3 L calls, for the levels {4, 8}, {16, 32, 64} and
-{128}, where one call per level takes 6 (and three separate loops of
-one call per level 5 + 6 + 6).  Each level is still refined, accepted
-and tested for stagnation in turn, each segment as if its path were
-alone, so the triple equals the three separate transports exactly, and
-max_steps is a budget of panels for each path separately.
+`monodromy_data` is the one entry point for the triple, and `transport`
+for one path: a cycle alone is its `_straight` path (A, or B before
+`_twisted`) or `_pole_loop` with `_pole_monodromy`.  The triple runs one
+refinement loop for all three cycles (pole loop, A, B).  A run of levels
+shares one L call when no open segment is expected to pass before the
+run's last level: the README triple at rel_tol 1e-11 takes 3 L calls,
+for the levels {4, 8}, {16, 32, 64} and {128}, where one call per level
+takes 6 (and three separate loops of one call per level 5 + 6 + 6).
+Each level is still refined, accepted and tested for stagnation in turn,
+each segment as if its path were alone, so the triple equals the three
+separate transports exactly, and max_steps is a budget of panels for
+each path separately.
 """
 
 from __future__ import annotations
@@ -173,7 +176,6 @@ class MonodromyData:
     M1: np.ndarray
     Mtau: np.ndarray
     base_point: complex
-    Q: np.ndarray  # diag(q), the B-cycle twist bookkeeping
     #: What the refinement loop did, for `monodromy_data`'s triples: per
     #: cycle ("pole", "A", "B") its `_diagnostics`, and the triple's
     #: "l_batches" and "l_nodes".
@@ -503,43 +505,13 @@ def _pole_monodromy(U: np.ndarray) -> np.ndarray:
     return np.linalg.solve(leg, _product(U[1:]) @ leg)
 
 
-def monodromy_A(cfg: CMConfig, ph: PhasePoint,
-                icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """M1 = Psi(base + 1), Psi(base) = identity, base = (1 + tau)/4."""
-    base = default_base(cfg.tm.tau)
-    return transport(cfg, ph, _straight(base, base + 1.0), icfg)
-
-
-def monodromy_B(cfg: CMConfig, ph: PhasePoint,
-                icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Mtau = exp(-2 pi i Q) Psi(base + tau) at base = (1 + tau)/4, from
-    the twist relation Psi(z + tau) = exp(2 pi i Q) Psi(z) Mtau."""
-    tau = cfg.tm.tau
-    base = default_base(tau)
-    return _twisted(ph, transport(cfg, ph, _straight(base, base + tau), icfg))
-
-
-def monodromy_pole(cfg: CMConfig, ph: PhasePoint,
-                   radius: float = POLE_LOOP_RADIUS,
-                   icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Positively oriented polygonal loop of given radius around z = 0,
-    entered radially from base = (1 + tau)/4, reported in the base frame.
-
-    The radial leg is transported once, inbound, and the polygon's
-    transport is conjugated by it (`_pole_monodromy`); this equals the
-    transport around base -> polygon -> base up to the transport error.
-    """
-    tau = cfg.tm.tau
-    _check_radius(radius, tau)
-    return _pole_monodromy(_transport_paths(
-        cfg, ph, (_pole_loop(default_base(tau), radius),), icfg)[0][0])
-
-
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
                    icfg: IntegratorConfig = IntegratorConfig(),
                    radius: float = POLE_LOOP_RADIUS) -> MonodromyData:
-    """monodromy_pole, monodromy_A and monodromy_B, transported in one
-    refinement loop from base = (1 + tau)/4 alone (module docstring)."""
+    """The triple (M0, M1, Mtau) from base = (1 + tau)/4 alone: the pole
+    loop of the given radius and the A and B cycles, transported in one
+    refinement loop (module docstring).  Raises UsageError for a radius
+    that `_check_radius` refuses, and otherwise as `transport` does."""
     tau = cfg.tm.tau
     _check_radius(radius, tau)
     base = default_base(tau)
@@ -547,8 +519,7 @@ def monodromy_data(cfg: CMConfig, ph: PhasePoint,
         cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
                   _straight(base, base + tau)), icfg)
     return MonodromyData(M0=_pole_monodromy(U0), M1=_product(U1),
-                         Mtau=_twisted(ph, _product(Ub)),
-                         base_point=base, Q=np.diag(ph.q),
+                         Mtau=_twisted(ph, _product(Ub)), base_point=base,
                          transport={**dict(zip(("pole", "A", "B"), cycles)),
                                     "l_batches": batches, "l_nodes": nodes})
 

@@ -30,10 +30,7 @@ from ellcm.monodromy import (
     cubic_relation_residual,
     isomonodromy_drift,
     moduli_dimensions,
-    monodromy_A,
-    monodromy_B,
     monodromy_data,
-    monodromy_pole,
     spectral_distance,
 )
 from ellcm.painleve import (
@@ -240,7 +237,7 @@ def test_monodromy_criteria():
     md = monodromy_data(cfg, ph, TIGHT)
     report("monodromy cubic relation residual", cubic_relation_residual(md),
            1e-5)
-    drift = isomonodromy_drift(cfg, ph, 1j, 1e-2, TIGHT)
+    drift = isomonodromy_drift(cfg, ph, 1j, 1e-2, TIGHT, md0=md)
     report("isomonodromy spectral drift, |dtau| = 1e-2", drift, 1e-5)
     control = spectral_distance(
         md, monodromy_data(cfg, PhasePoint(ph.q, ph.p + 0.01), TIGHT))
@@ -252,15 +249,13 @@ def test_monodromy_criteria():
     cfg0 = CMConfig(2, 0.0, TM_I)
     ph0 = PhasePoint([0.13 + 0.04j, 0.61 - 0.09j],
                      [0.37 - 0.21j, -0.52 + 0.33j])
+    md_g0 = monodromy_data(cfg0, ph0, TIGHT)
     closed = max(
-        float(np.max(np.abs(monodromy_A(cfg0, ph0, icfg=TIGHT)
-                            - np.diag(np.exp(ph0.p))))),
+        float(np.max(np.abs(md_g0.M1 - np.diag(np.exp(ph0.p))))),
         float(np.max(np.abs(
-            monodromy_B(cfg0, ph0, icfg=TIGHT)
-            - np.diag(np.exp(-TWO_PI_I * ph0.q)) @ np.diag(
+            md_g0.Mtau - np.diag(np.exp(-TWO_PI_I * ph0.q)) @ np.diag(
                 np.exp(ph0.p * 1j))))),
-        float(np.max(np.abs(monodromy_pole(cfg0, ph0, icfg=TIGHT)
-                            - np.eye(2)))),
+        float(np.max(np.abs(md_g0.M0 - np.eye(2)))),
     )
     report("monodromy g=0 closed forms", closed, 1e-9)
 

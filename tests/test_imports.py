@@ -13,7 +13,8 @@ import pytest
 
 import ellcm
 
-#: The names `ellcm` re-exported when it imported every layer eagerly.
+#: The names `ellcm` re-exports from its layers; of the monodromy triple
+#: only `monodromy_data`, its one entry point.
 EXPORTED = {
     "GeneralLattice", "TorusModulus", "lame_x", "lame_x_dtau", "lame_x_dz",
     "lame_y", "lattice_distance", "rho", "theta1", "theta1_d3z_at_0",
@@ -32,8 +33,8 @@ EXPORTED = {
     "integrate_isospectral", "integrate_scalar_painleve",
     "symplectic_jacobian_check",
     "MonodromyData", "PathSpec", "cubic_relation_residual",
-    "isomonodromy_drift", "moduli_dimensions", "monodromy_A", "monodromy_B",
-    "monodromy_data", "monodromy_pole", "spectral_distance", "transport",
+    "isomonodromy_drift", "moduli_dimensions", "monodromy_data",
+    "spectral_distance", "transport",
     "DegenerateLatticeError", "EllcmError", "GaugeSingularityError",
     "IntegrationError", "PathError", "PoleProximityError", "SeriesRangeError",
     "SingularConfigurationError", "UsageError",

@@ -46,10 +46,7 @@ from ellcm.monodromy import (
     eigenvalue_set_distance,
     isomonodromy_drift,
     moduli_dimensions,
-    monodromy_A,
-    monodromy_B,
     monodromy_data,
-    monodromy_pole,
     spectral_distance,
     transport,
 )
@@ -158,6 +155,15 @@ class TestTransport:
         second = transport(CFG, PH, PathSpec((mid, b)), TIGHT)
         assert np.max(np.abs(second @ first - full)) < 1e-8
 
+    def test_reads_only_tolerances_and_budget(self):
+        # the stepper's method and initial step are not the transport's
+        path = PathSpec((0.25 + 0.25j, 0.75 + 0.31j, 1.25 + 0.25j))
+        want = transport(CFG, PH, path, TIGHT)
+        for other in (dict(method="rk4_fixed"), dict(initial_step=0.5)):
+            icfg = IntegratorConfig(rel_tol=TIGHT.rel_tol,
+                                    abs_tol=TIGHT.abs_tol, **other)
+            assert np.array_equal(transport(CFG, PH, path, icfg), want)
+
 
 def _dp5_transport(cfg, ph, waypoints, icfg):
     """Psi at the end of the polyline, by Dormand-Prince 5(4) on
@@ -192,6 +198,18 @@ def _triple_paths(base, tau, radius=POLE_LOOP_RADIUS):
     from any base; `monodromy_data` builds them from default_base(tau)."""
     return (_pole_loop(base, radius), _straight(base, base + 1.0),
             _straight(base, base + tau))
+
+
+def _cycle(cfg, ph, cycle, icfg=IntegratorConfig(), radius=POLE_LOOP_RADIUS):
+    """M0, M1 or Mtau ("pole", "A" or "B") transported alone, along the
+    path of that cycle in the triple of `monodromy_data`."""
+    tau = cfg.tm.tau
+    path = dict(zip(("pole", "A", "B"),
+                    _triple_paths(default_base(tau), tau, radius)))[cycle]
+    if cycle == "pole":
+        return _pole_monodromy(_transport_paths(cfg, ph, (path,), icfg)[0][0])
+    psi = transport(cfg, ph, path, icfg)
+    return _twisted(ph, psi) if cycle == "B" else psi
 
 
 class TestMagnusTransport:
@@ -258,14 +276,14 @@ class TestMagnusTransport:
         icfg = IntegratorConfig(rel_tol=1e-16, abs_tol=1e-18)
         t0 = time.perf_counter()
         with pytest.raises(IntegrationError, match="stagnated.*rounding"):
-            monodromy_A(self.CFG3, self.PH3, icfg=icfg)
+            _cycle(self.CFG3, self.PH3, "A", icfg)
         assert time.perf_counter() - t0 < 0.3
 
     def test_slow_convergence_is_not_stagnation(self):
         # the radial leg of a radius-0.002 pole loop converges only at 8192
         # panels, its difference falling at every level on the way
-        small = monodromy_pole(self.CFG3, self.PH3, 0.002, icfg=TIGHT)
-        large = monodromy_pole(self.CFG3, self.PH3, 0.1, icfg=TIGHT)
+        small = _cycle(self.CFG3, self.PH3, "pole", TIGHT, 0.002)
+        large = _cycle(self.CFG3, self.PH3, "pole", TIGHT, 0.1)
         assert np.max(np.abs(small - large)) < 1e-10
 
     def test_collision_names_the_pair(self):
@@ -345,11 +363,11 @@ class TestStackProducts:
 
 class TestCycleMonodromies:
     def test_g0_A(self):
-        M1 = monodromy_A(CFG0, PH0, icfg=TIGHT)
+        M1 = monodromy_data(CFG0, PH0, TIGHT).M1
         assert np.max(np.abs(M1 - np.diag(np.exp(PH0.p)))) < 1e-9
 
     def test_g0_B_with_twist(self):
-        Mt = monodromy_B(CFG0, PH0, icfg=TIGHT)
+        Mt = monodromy_data(CFG0, PH0, TIGHT).Mtau
         expect = np.diag(np.exp(-TWO_PI_I * PH0.q)) @ np.diag(
             np.exp(PH0.p * 1j))
         assert np.max(np.abs(Mt - expect)) < 1e-9
@@ -358,20 +376,19 @@ class TestCycleMonodromies:
         # the spectra of M1 and Mtau do not depend on the base: the cycles
         # from 0.31+0.18i against the triple's at default_base(tau)
         base = 0.31 + 0.18j
-        a = monodromy_A(CFG, PH, icfg=TIGHT)
+        md = monodromy_data(CFG, PH, TIGHT)
         b = transport(CFG, PH, _straight(base, base + 1.0), TIGHT)
-        assert eigenvalue_set_distance(a, b) < 1e-8
-        a = monodromy_B(CFG, PH, icfg=TIGHT)
+        assert eigenvalue_set_distance(md.M1, b) < 1e-8
         b = _twisted(PH, transport(CFG, PH, _straight(base, base + 1j),
                                    TIGHT))
-        assert eigenvalue_set_distance(a, b) < 1e-8
+        assert eigenvalue_set_distance(md.Mtau, b) < 1e-8
 
     def test_det_M1_liouville(self):
-        M1 = monodromy_A(CFG, PH, icfg=TIGHT)
+        M1 = monodromy_data(CFG, PH, TIGHT).M1
         assert abs(np.linalg.det(M1) - np.exp(PH.p.sum())) < 1e-7
 
     def test_B_invertible(self):
-        Mt = monodromy_B(CFG, PH, icfg=TIGHT)
+        Mt = monodromy_data(CFG, PH, TIGHT).Mtau
         assert np.isfinite(np.linalg.cond(Mt))
 
     def test_size_from_phase_point(self):
@@ -385,7 +402,7 @@ class TestCycleMonodromies:
 
 class TestPoleMonodromy:
     def test_g0_identity(self):
-        M0 = monodromy_pole(CFG0, PH0, icfg=TIGHT)
+        M0 = monodromy_data(CFG0, PH0, TIGHT).M0
         assert np.max(np.abs(M0 - np.eye(2))) < 1e-9
 
     def test_eigenvalues_near_formal_exponents(self):
@@ -395,15 +412,15 @@ class TestPoleMonodromy:
         assert eigenvalue_set_distance(md.M0, expect) < 1e-7
 
     def test_radius_independence(self):
-        a = monodromy_pole(CFG, PH, 0.05, icfg=TIGHT)
-        b = monodromy_pole(CFG, PH, 0.1, icfg=TIGHT)
+        a = monodromy_data(CFG, PH, TIGHT, radius=0.05).M0
+        b = monodromy_data(CFG, PH, TIGHT, radius=0.1).M0
         assert np.max(np.abs(a - b)) < 1e-7
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
-            monodromy_pole(CFG, PH, 0.5)
+            monodromy_data(CFG, PH, radius=0.5)
         with pytest.raises(ValueError):
-            monodromy_pole(CFG, PH, 1e-4)
+            monodromy_data(CFG, PH, radius=1e-4)
 
 
 class TestPoleLoopLatticeBound:
@@ -437,8 +454,6 @@ class TestPoleLoopLatticeBound:
         cfg = CMConfig(2, 0.35, TorusModulus(tau))
         ph = PhasePoint(self.Q, PH.p)
         message = f"radius must be below {largest}$"
-        with pytest.raises(UsageError, match=message):
-            monodromy_pole(cfg, ph, radius)
         with pytest.raises(UsageError, match=message):
             monodromy_data(cfg, ph, TIGHT, radius=radius)
         with pytest.raises(UsageError, match=message):
@@ -482,7 +497,7 @@ class TestOneLegPoleLoop:
         det_err = abs(np.linalg.det(md.M0) - 1.0)
         assert det_err <= max(abs(np.linalg.det(full) - 1.0),
                               256 * np.finfo(float).eps)
-        held = MonodromyData(full, md.M1, md.Mtau, md.base_point, md.Q)
+        held = MonodromyData(full, md.M1, md.Mtau, md.base_point)
         assert cubic_relation_residual(md) <= 2 * cubic_relation_residual(
             held)
 
@@ -502,7 +517,7 @@ class TestCubicRelation:
         C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         Cinv = np.linalg.inv(C)
         conj = MonodromyData(C @ md.M0 @ Cinv, C @ md.M1 @ Cinv,
-                             C @ md.Mtau @ Cinv, md.base_point, md.Q)
+                             C @ md.Mtau @ Cinv, md.base_point)
         a = cubic_relation_residual(md)
         b = cubic_relation_residual(conj)
         # the relation word transforms covariantly; the residual changes
@@ -575,8 +590,7 @@ class TestDefaultBase:
         base = default_base(1j)
         assert base == 0.25 + 0.25j
 
-    @pytest.mark.parametrize("cycle", [monodromy_data, monodromy_pole,
-                                       monodromy_A, monodromy_B])
+    @pytest.mark.parametrize("cycle", [monodromy_data])
     def test_triple_api_takes_no_base(self, cycle):
         assert "base" not in inspect.signature(cycle).parameters
 
@@ -594,7 +608,7 @@ class TestDefaultBase:
         (U0, U1, Ub), *_ = _transport_paths(cfg, ph,
                                             _triple_paths(base, tau), TIGHT)
         off = MonodromyData(_pole_monodromy(U0), _product(U1),
-                            _twisted(ph, _product(Ub)), base, md.Q)
+                            _twisted(ph, _product(Ub)), base)
         assert cubic_relation_residual(off) > 1.0
 
 
@@ -733,7 +747,7 @@ class TestMergedTransport:
 
     CFG3 = TestMagnusTransport.CFG3
     PH3 = TestMagnusTransport.PH3
-    PATHS = (monodromy_pole, monodromy_A, monodromy_B)
+    CYCLES = ("pole", "A", "B")
 
     def _case(self, case):
         return (CFG, PH) if case == "n2" else (self.CFG3, self.PH3)
@@ -742,20 +756,19 @@ class TestMergedTransport:
     def test_default_arguments_equal_separate_calls(self, case):
         cfg, ph = self._case(case)
         md = monodromy_data(cfg, ph)
-        assert np.array_equal(md.M0, monodromy_pole(cfg, ph))
-        assert np.array_equal(md.M1, monodromy_A(cfg, ph))
-        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph))
+        assert np.array_equal(md.M0, _cycle(cfg, ph, "pole"))
+        assert np.array_equal(md.M1, _cycle(cfg, ph, "A"))
+        assert np.array_equal(md.Mtau, _cycle(cfg, ph, "B"))
         assert md.base_point == default_base(cfg.tm.tau)
-        assert np.array_equal(md.Q, np.diag(ph.q))
 
     @pytest.mark.parametrize("case", ["n2", "n3"])
     @pytest.mark.parametrize("radius", [0.05], ids=["radius"])
     def test_equals_separate_calls(self, case, radius):
         cfg, ph = self._case(case)
         md = monodromy_data(cfg, ph, TIGHT, radius=radius)
-        assert np.array_equal(md.M0, monodromy_pole(cfg, ph, radius, TIGHT))
-        assert np.array_equal(md.M1, monodromy_A(cfg, ph, TIGHT))
-        assert np.array_equal(md.Mtau, monodromy_B(cfg, ph, TIGHT))
+        assert np.array_equal(md.M0, _cycle(cfg, ph, "pole", TIGHT, radius))
+        assert np.array_equal(md.M1, _cycle(cfg, ph, "A", TIGHT, radius))
+        assert np.array_equal(md.Mtau, _cycle(cfg, ph, "B", TIGHT, radius))
 
     def test_one_L_call_per_level(self, monkeypatch):
         import ellcm.monodromy as mono
@@ -768,9 +781,9 @@ class TestMergedTransport:
 
         monkeypatch.setattr(mono, "lax_L_quasi_batch", counting)
         levels = []
-        for cycle in self.PATHS:
+        for cycle in self.CYCLES:
             calls.clear()
-            cycle(self.CFG3, self.PH3, icfg=TIGHT)
+            _cycle(self.CFG3, self.PH3, cycle, TIGHT)
             levels.append(len(calls))
         calls.clear()
         monodromy_data(self.CFG3, self.PH3, TIGHT)
@@ -786,17 +799,16 @@ class TestMergedTransport:
             return real(cfg, ph, a, b, levels)
 
         monkeypatch.setattr(mono, "_segment_transports", counting)
-        for cycle in self.PATHS:
+        for cycle in self.CYCLES:
             spent.append(0)
-            cycle(self.CFG3, self.PH3, icfg=TIGHT)
+            _cycle(self.CFG3, self.PH3, cycle, TIGHT)
         monkeypatch.undo()
         budget = max(spent)
         assert budget < sum(spent)
         fits = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
                                 max_steps=budget)
         md = monodromy_data(self.CFG3, self.PH3, fits)
-        assert np.array_equal(md.M1, monodromy_A(self.CFG3, self.PH3,
-                                                 icfg=TIGHT))
+        assert np.array_equal(md.M1, _cycle(self.CFG3, self.PH3, "A", TIGHT))
         short = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
                                  max_steps=budget - 1)
         with pytest.raises(IntegrationError, match="max_steps"):
