@@ -44,6 +44,7 @@ by ~1e-12 relative, as each does from mpmath.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import functools
 import math
@@ -87,6 +88,8 @@ class CMConfig:
         if self.n < 1:
             raise UsageError(f"n must be at least 1, got {self.n}")
         object.__setattr__(self, "g", complex(self.g))
+        if not cmath.isfinite(self.g):
+            raise UsageError(f"g must be finite, got {self.g}")
 
     def with_tau(self, tau: complex) -> "CMConfig":
         return CMConfig(self.n, self.g, TorusModulus(tau))

@@ -400,10 +400,9 @@ def cmd_monodromy(args) -> int:
     tau = cfg.tm.tau
     ph = PhasePoint(q, p)
     icfg = _integrator_config(args, TIGHT)
-    loop = _given(args, radius="radius")
     if args.drift is not None:
-        check_drift_step(args.drift, tau, **loop)
-    md = monodromy_data(cfg, ph, icfg, **loop)
+        check_drift_step(args.drift, tau)
+    md = monodromy_data(cfg, ph, icfg)
     dets = det_residuals(md, ph, tau)
     report = {
         "schema": 1,
@@ -427,7 +426,7 @@ def cmd_monodromy(args) -> int:
         report["drift"] = {
             "dtau": cjson(args.drift),
             "spectral_drift": float(isomonodromy_drift(
-                cfg, ph, tau, args.drift, icfg, md, **loop)),
+                cfg, ph, tau, args.drift, icfg, md)),
         }
     write_out(args, payload=report)
     failed = {key: r for key, r in dets.items()
@@ -556,7 +555,6 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     arg("--tau", type=parse_complex)
     arg("--q", type=parse_complex_list)
     arg("--p", type=parse_complex_list)
-    arg("--radius", type=parse_float)
     arg("--drift", type=parse_complex,
         help="dtau for the isomonodromy drift block")
     arg("--rel-tol", dest="rel_tol", type=parse_float)

@@ -80,6 +80,14 @@ JACOBIAN_FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Settings of the flows' stepper and of the Magnus transport: method
+    "rk45_adaptive" (Dormand-Prince 5(4) under step control) or
+    "rk4_fixed" (classic RK4 at the fixed step initial_step), no other;
+    initial_step, the adaptive first step; abs_tol + rel_tol |y|, a step's
+    error bound; max_steps, the budget of steps.  `monodromy.transport`
+    reads rel_tol, abs_tol and max_steps alone, the last as each path's
+    panel budget."""
+
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     initial_step: float = 1e-2
@@ -87,6 +95,9 @@ class IntegratorConfig:
     method: Literal["rk4_fixed", "rk45_adaptive"] = "rk45_adaptive"
 
     def __post_init__(self):
+        if self.method not in ("rk4_fixed", "rk45_adaptive"):
+            raise UsageError(f"method must be 'rk4_fixed' or "
+                             f"'rk45_adaptive', got {self.method!r}")
         # an infinite tolerance accepts every step; not x > 0 rejects NaN
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise UsageError("tolerances must be positive and finite")

@@ -11,12 +11,13 @@ base = default_base(tau) = (1 + tau)/4; with Psi(base) = identity,
 
 for a positively oriented loop at the pole z = 0: Psi_leg transports along
 the radial leg from the base point to the entry vertex of a polygon of
-POLE_LOOP_SEGMENTS sides around 0, and Psi_poly once around that polygon,
-from the entry vertex back to it.  The loop base -> polygon -> base returns
-along the leg reversed, whose transport is exactly Psi_leg^{-1}, so the leg
-is transported once and M0 formed by one linear solve.  At small radii
-the leg takes nearly all the panels of the loop (L ~ 1/z at its inner
-end), so this about halves the cost of M0 there.
+POLE_LOOP_SEGMENTS sides and radius `_loop_radius(tau)` around 0, and
+Psi_poly once around that polygon, from the entry vertex back to it.  The
+loop base -> polygon -> base returns along the leg reversed, whose
+transport is exactly Psi_leg^{-1}, so the leg is transported once and M0
+formed by one linear solve.  At small radii the leg takes nearly all the
+panels of the loop (L ~ 1/z at its inner end), so this about halves the
+cost of M0 there.  Any radius below the shortest period gives this M0.
 
 Orientation bookkeeping for the cubic relation: translating the A segment
 by tau conjugates its transport by exp(2 pi i Q), and composing the four
@@ -101,8 +102,8 @@ from .flow import TIGHT, IntegratorConfig, integrate_isomonodromic
 
 #: Magnus panels per segment at the first refinement level.
 PANELS = 4
-#: Segments and default radius of the pole loop, and clearance of the A
-#: and B cycles.
+#: Segments and radius of the pole loop (where it fits, `_loop_radius`),
+#: and clearance of the A and B cycles.
 POLE_LOOP_SEGMENTS = 32
 POLE_LOOP_RADIUS = 0.1
 CYCLE_CLEARANCE = 1e-2
@@ -292,16 +293,13 @@ def transport(cfg: CMConfig, ph: PhasePoint, path: PathSpec,
               icfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Solve dPsi/dz = L(z) Psi along the polyline; Psi = identity at start.
 
-    Every segment is transported with PANELS and 2 PANELS sixth-order
-    Magnus panels; segments whose two results differ by more than
-    abs_tol + rel_tol ||Psi_2N||_max (max norms) are refined by doubling,
-    together, and each accepted segment returns its finer result.  Only
-    rel_tol, abs_tol and max_steps (the budget of panels) are read from
-    icfg.  Raises IntegrationError past the budget, or as soon as a
-    segment's difference stops shrinking while within 2N eps ||Psi_2N||_max
-    (rounding level: no refinement can meet the tolerance then), and
-    PathError when the path leaves its clearance or two bodies collide,
-    instead of returning a partial Psi.
+    Each segment doubles its Magnus panels from PANELS until its N/2N
+    difference passes (module docstring) and keeps its finer result.
+    Raises, instead of returning a partial Psi, UsageError for a
+    non-finite q or p before any L is built, PathError when the path
+    leaves its clearance or two bodies collide, and IntegrationError past
+    max_steps panels or once a segment's difference stops shrinking within
+    2N eps ||Psi_2N||_max (rounding: no refinement meets the tolerance).
     """
     return _product(_transport_paths(cfg, ph, (path,), icfg)[0][0])
 
@@ -347,26 +345,23 @@ def _transport_paths(cfg: CMConfig, ph: PhasePoint,
     as one (segments, n, n) stack per path, in one refinement loop; then
     each path's `_diagnostics`, and the loop's L batches and L nodes.
 
-    The segments of all paths are refined together: each level transports
-    every segment still open, of whichever path, and one
-    `_segment_transports` call computes a run of levels (`_batch_levels`)
-    in one L batch.  A segment's result, its acceptance and its stagnation
-    test do not depend on the other segments, nor on the levels that share
-    its batch, so each stack is the one the path alone gives, level by
-    level; max_steps budgets the panels of each path separately.
-
-    The levels of a batch are then budget-checked, compared, accepted and
-    tested for stagnation one at a time, in level order.  Errors therefore
-    come in level order, not path order: every path is validated before
-    any transport (the segments of all paths in one
+    The open segments of all paths are refined together, a run of levels
+    (`_batch_levels`) per `_segment_transports` call and L batch, each
+    stack the one its path alone gives (module docstring).  The levels of
+    a batch are budget-checked, compared, accepted and tested for
+    stagnation in level order, so errors come in level order, not path
+    order: a non-finite q or p is a UsageError first; then every path is
+    validated before any transport (the segments of all paths in one
     `_segment_lattice_distances` pass, the first failing path raising as
-    its `PathSpec.validate` would), so that no node comes near a pole, and
+    its `PathSpec.validate` would), so that no node comes near a pole;
     then each level raises, in this order, for a path past its budget
     (before any L of that level is built), for a collision (PathError
     naming the pair) and for the first stagnating segment, in path order
     within each test.  A later path that fails at a shallower level wins
     over an earlier path that would fail deeper.
     """
+    if not (np.isfinite(ph.q).all() and np.isfinite(ph.p).all()):
+        raise UsageError("q and p must be finite for a transport")
     n = ph.n
     w = [np.array(path.waypoints) for path in paths]
     a = np.concatenate([x[:-1] for x in w])
@@ -459,30 +454,28 @@ def _loop_clearance(radius: float) -> float:
     return min(0.5 * radius, CYCLE_CLEARANCE)
 
 
-def _check_radius(radius: float, tau: complex) -> None:
-    """UsageError unless 1e-3 < radius < 0.3 and the pole loop of this
-    radius, with its clearance, stays short of every lattice point but 0.
-
-    A larger loop encloses another lattice point: its M0 is wrong, and no
-    determinant identity shows it.
-    """
-    if not (1e-3 < radius < 0.3):
-        raise UsageError(f"radius {radius} outside (1e-3, 0.3)")
+def _loop_radius(tau: complex) -> float:
+    """POLE_LOOP_RADIUS where that loop with its clearance stays short of
+    every lattice point but 0 (a larger one would enclose another, with a
+    wrong M0 that keeps every det identity), else half the shortest period;
+    UsageError naming tau off the upper half-plane or if that is <= 1e-3."""
+    if not tau.imag > 0:
+        raise UsageError(f"tau = {tau} must lie in the upper half-plane")
     shortest = _shortest_period(tau)
-    if radius + _loop_clearance(radius) >= shortest:
-        # the inverse of radius + _loop_clearance(radius) at shortest
-        largest = max(2.0 * shortest / 3.0, shortest - CYCLE_CLEARANCE)
+    if POLE_LOOP_RADIUS + _loop_clearance(POLE_LOOP_RADIUS) < shortest:
+        return POLE_LOOP_RADIUS
+    if not shortest > 2e-3:
         raise UsageError(
-            f"radius {radius} at tau = {tau}: the pole loop comes within its "
-            f"clearance of a lattice point {shortest:.6g} from 0; the radius "
-            f"must be below {largest:.6g}")
+            f"no pole loop fits at tau = {tau}: its radius, half the "
+            f"shortest period {shortest:.6g}, must be above 1e-3")
+    return 0.5 * shortest
 
 
 def _pole_loop(base: complex, radius: float) -> PathSpec:
     """The radial leg from the base point to the entry vertex, then the
     positively oriented polygon of POLE_LOOP_SEGMENTS sides and the given
     radius around z = 0, closed exactly at the entry vertex; its radius is
-    the caller's to check (`_check_radius`).
+    the caller's to check (`_loop_radius`).
 
     Leg and polygon are one path, so they share the pole cycle's panel
     budget; `_pole_monodromy` conjugates the polygon's transport by the
@@ -506,17 +499,16 @@ def _pole_monodromy(U: np.ndarray) -> np.ndarray:
 
 
 def monodromy_data(cfg: CMConfig, ph: PhasePoint,
-                   icfg: IntegratorConfig = IntegratorConfig(),
-                   radius: float = POLE_LOOP_RADIUS) -> MonodromyData:
+                   icfg: IntegratorConfig = IntegratorConfig()
+                   ) -> MonodromyData:
     """The triple (M0, M1, Mtau) from base = (1 + tau)/4 alone: the pole
-    loop of the given radius and the A and B cycles, transported in one
-    refinement loop (module docstring).  Raises UsageError for a radius
-    that `_check_radius` refuses, and otherwise as `transport` does."""
+    loop of radius `_loop_radius(tau)` and the A and B cycles, transported
+    in one refinement loop (module docstring), raising as those two do."""
     tau = cfg.tm.tau
-    _check_radius(radius, tau)
     base = default_base(tau)
     (U0, U1, Ub), cycles, batches, nodes = _transport_paths(
-        cfg, ph, (_pole_loop(base, radius), _straight(base, base + 1.0),
+        cfg, ph, (_pole_loop(base, _loop_radius(tau)),
+                  _straight(base, base + 1.0),
                   _straight(base, base + tau)), icfg)
     return MonodromyData(M0=_pole_monodromy(U0), M1=_product(U1),
                          Mtau=_twisted(ph, _product(Ub)), base_point=base,
@@ -614,42 +606,37 @@ def spectral_distance(md_a: MonodromyData, md_b: MonodromyData) -> float:
     )
 
 
-def check_drift_step(dtau: complex, tau0: complex,
-                     radius: float = POLE_LOOP_RADIUS) -> None:
+def check_drift_step(dtau: complex, tau0: complex) -> None:
     """UsageError unless 0 < |dtau| <= 1e-2, the steps of the drift
-    probe, and the pole loop of the given radius is admissible at tau0 and
-    at tau0 + dtau (`_check_radius`)."""
+    probe, and a pole loop fits at tau0 and tau0 + dtau (`_loop_radius`)."""
     if not 0.0 < abs(dtau) <= 1e-2 + 1e-15:
         raise UsageError(
             "|dtau| must be at most 1e-2 and nonzero for the drift probe")
     for tau in (tau0, tau0 + dtau):
-        _check_radius(radius, tau)
+        _loop_radius(tau)
 
 
 def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
                        dtau: complex,
                        icfg: IntegratorConfig = TIGHT,
-                       md0: MonodromyData | None = None,
-                       radius: float = POLE_LOOP_RADIUS) -> float:
+                       md0: MonodromyData | None = None) -> float:
     """Spectral drift of (M0, M1, Mtau) across one isomonodromic step.
 
     Integrates the tau-flow from tau0 to tau0 + dtau and compares the
     monodromy spectra at both ends (spectra are frame-independent, so base
     point motion does not pollute the comparison).  The exact flow keeps
-    the drift at transport-error level.  Both triples are taken at the
-    default base and pole loop radius; the one at tau0 is md0 if given.
+    the drift at transport-error level; the triple at tau0 is md0 if given.
     """
-    check_drift_step(dtau, tau0, radius)
+    check_drift_step(dtau, tau0)
     cfg0 = cfg.with_tau(tau0)
     if md0 is None:
-        md0 = monodromy_data(cfg0, ph0, icfg, radius=radius)
+        md0 = monodromy_data(cfg0, ph0, icfg)
     traj = integrate_isomonodromic(cfg0, ph0, (tau0, tau0 + dtau), icfg,
                                    samples=1)
     if traj.diagnostics.truncated:
         raise PathError("isomonodromic flow truncated: "
                         + traj.diagnostics.message)
-    md1 = monodromy_data(cfg.with_tau(tau0 + dtau), traj.states[-1], icfg,
-                         radius=radius)
+    md1 = monodromy_data(cfg.with_tau(tau0 + dtau), traj.states[-1], icfg)
     return spectral_distance(md0, md1)
 
 

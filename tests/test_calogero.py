@@ -41,6 +41,7 @@ from ellcm.errors import (
     GaugeSingularityError,
     PoleProximityError,
     SeriesRangeError,
+    UsageError,
 )
 from ellcm.rng import SplitMix64
 from ellcm.verify import _random_cm, zero_curvature_samples
@@ -56,6 +57,15 @@ PH2 = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31 - 0.12j, -0.45 + 0.22j])
 CFG3 = CMConfig(3, 1.1, TM_I)
 PH3 = PhasePoint([0.1, 0.45 + 0.2j, 0.75 - 0.1j], [0.2, -0.3 + 0.1j, 0.05])
 Z0 = 0.37 + 0.11j
+
+
+class TestCMConfig:
+    @pytest.mark.parametrize("g", [math.nan, math.inf, complex(0.35, math.nan),
+                                   complex(-math.inf, 0.0)])
+    def test_non_finite_g_rejected(self, g):
+        """A NaN or infinite coupling would make eom, H and L NaN."""
+        with pytest.raises(UsageError, match="g must be finite"):
+            CMConfig(2, g, TM_I)
 
 
 class TestPhasePoint:

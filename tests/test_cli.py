@@ -9,7 +9,8 @@ from ellcm.cli import main, parse_complex
 from ellcm.elliptic import TorusModulus, wp
 from ellcm.flow import TIGHT
 from ellcm.monodromy import (DET_RESIDUAL_BOUND, POLE_LOOP_SEGMENTS,
-                             isomonodromy_drift, monodromy_data)
+                             cubic_relation_residual, isomonodromy_drift,
+                             monodromy_data)
 from ellcm.painleve import elliptic_to_rational
 
 
@@ -264,30 +265,32 @@ class TestMonodromyCommand:
         assert len(payload["spectra"]["M0"]) == 2
 
     def test_drift_uses_the_report_radius(self, tmp_path):
-        # the drift compares pole loops of the report's radius at both ends
+        # at tau = 0.06i the loop of radius 0.1 would enclose tau: the
+        # report and its drift take the radius the library derives, and
+        # the drift starts from the report's triple
         out = tmp_path / "mono.json"
-        assert run(["monodromy", "--n", "2", "--g", "0.35", "--tau", "1.0i",
-                    "--q", "0.11+0.03i,0.52-0.07i", "--p", "0.31,-0.45",
-                    "--radius", "0.05", "--drift", "0.01"], out) == 0
+        assert run(["monodromy", "--n", "2", "--g", "0.35", "--tau", "0.06i",
+                    "--q", "0.11+0.01i,0.52-0.02i", "--p", "0.31,-0.45",
+                    "--drift", "0.01"], out) == 0
         payload = json.loads(out.read_text())
-        cfg = CMConfig(2, 0.35, TorusModulus(1j))
-        ph = PhasePoint([0.11 + 0.03j, 0.52 - 0.07j], [0.31, -0.45])
-        md = monodromy_data(cfg, ph, TIGHT, radius=0.05)
+        cfg = CMConfig(2, 0.35, TorusModulus(0.06j))
+        ph = PhasePoint([0.11 + 0.01j, 0.52 - 0.02j], [0.31, -0.45])
+        md = monodromy_data(cfg, ph, TIGHT)
+        assert payload["cubic_residual"] == cubic_relation_residual(md)
         assert payload["drift"]["spectral_drift"] == isomonodromy_drift(
-            cfg, ph, 1j, 0.01, TIGHT, md, 0.05)
+            cfg, ph, 0.06j, 0.01, TIGHT, md)
 
-    @pytest.mark.parametrize("argv, largest", [
-        (["--tau", "0.06i", "--q", "0.11+0.01i,0.52-0.02i"], "0.05"),
-        (["--tau", "0.25i", "--q", "0.11+0.03i,0.52-0.07i",
-          "--radius", "0.29"], "0.24"),
-        (["--tau", "0.115i", "--q", "0.11+0.03i,0.52-0.07i",
-          "--drift=-0.01i"], "0.095"),
-    ], ids=["default-radius", "radius-0.29", "drift-end"])
+    @pytest.mark.parametrize("argv, tau, shortest", [
+        (["--tau", "0.0015i", "--q", "0.11+0.0003i,0.52-0.0002i"],
+         0.0015j, "0.0015"),
+        (["--tau", "0.012i", "--q", "0.11+0.003i,0.52-0.004i",
+          "--drift=-0.01i"], 0.012j - 0.01j, "0.002"),
+    ], ids=["default-radius", "drift-end"])
     def test_loop_enclosing_a_lattice_point(self, tmp_path, capsys,
-                                            monkeypatch, argv, largest):
-        """A pole loop that would enclose another lattice point, at tau or
-        at the end of the drift step, is a usage error raised before any
-        transport."""
+                                            monkeypatch, argv, tau, shortest):
+        """Where every pole loop of radius above 1e-3 would reach another
+        lattice point, at tau or at the end of the drift step, the command
+        is a usage error raised before any transport."""
         import ellcm.monodromy as mono
 
         def failing(*args, **kwargs):
@@ -299,8 +302,20 @@ class TestMonodromyCommand:
                 "--p", "0.31,-0.45"]
         assert run(argv, out) == 1
         assert not out.exists()
-        assert (f"the radius must be below {largest}\n"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"usage error: no pole loop fits at tau = {tau}: its radius, "
+            f"half the shortest period {shortest}, must be above 1e-3\n")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_radius_is_not_an_option(self, tmp_path, capsys, via):
+        """The pole loop's radius is the library's choice: --radius and its
+        config key are usage errors."""
+        out = tmp_path / "report.json"
+        assert run(MONODROMY + given(tmp_path, via, "radius", "0.05"),
+                   out) == 1
+        assert not out.exists()
+        assert ("unrecognized arguments: --radius 0.05" if via == "flag"
+                else "unknown config key 'radius'") in capsys.readouterr().err
 
     def test_det_residuals(self, tmp_path):
         # the README example; the three determinant identities are exact
@@ -510,11 +525,11 @@ class TestUsage:
     @pytest.mark.parametrize("command, key, value", [
         (without(UNPROJECTED, "--samples"), "samples", "1.5"),
         (["monodromy", "--n", "2", "--g", "0", "--tau", "1.0i",
-          "--q", "0.1,0.5", "--p", "0,0"], "radius", "abc"),
+          "--q", "0.1,0.5", "--p", "0,0"], "drift", "abc"),
         (["eval", "wp", "--z", "0.3"], "tau", "1.0q"),
         (without(UNPROJECTED, "--q"), "q", "0.1,x"),
         (without(UNPROJECTED, "--t-end"), "t-end", "nan"),
-    ], ids=["samples", "radius", "tau", "q", "t-end-nan"])
+    ], ids=["samples", "drift", "tau", "q", "t-end-nan"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_malformed_value(self, tmp_path, capsys, command, key, value,
                              via):
@@ -551,12 +566,10 @@ class TestUsage:
         (UNPROJECTED, "abs-tol", "-1.5", "tolerances must be positive"),
         (UNPROJECTED, "step", "0", "initial_step must be positive"),
         (MONODROMY, "rel-tol", "-1", "tolerances must be positive"),
-        (MONODROMY, "radius", "0.3", "radius 0.3 outside (1e-3, 0.3)"),
-        (MONODROMY, "radius", "1e-3", "radius 0.001 outside (1e-3, 0.3)"),
         (MONODROMY, "drift", "0.5", "|dtau| must be at most 1e-2"),
         (MONODROMY, "drift", "0.008+0.008i", "|dtau| must be at most 1e-2"),
     ], ids=["flow-rel-tol", "flow-abs-tol", "flow-step", "rel-tol",
-            "radius-high", "radius-low", "drift", "drift-complex"])
+            "drift", "drift-complex"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_out_of_range(self, tmp_path, capsys, monkeypatch, command, key,
                           value, message, via):

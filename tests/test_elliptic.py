@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellcm import elliptic
 from ellcm.elliptic import (
@@ -56,6 +58,7 @@ from ellcm.errors import (
     SeriesRangeError,
 )
 from ellcm.rng import SplitMix64
+from ellcm.verify import LANDIN_TOL
 
 import _oracles as oracle
 from _oracles import (
@@ -1291,3 +1294,32 @@ class TestModularReduction:
         ]
         for got, law, size in pairs:
             assert abs(got - law) <= 1e-12 * max(size, abs(got))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(0.5, 2.0),
+           st.lists(st.sampled_from(["S", 1, -1, 2, -2]), min_size=1,
+                    max_size=4),
+           st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    def test_wp_homogeneous_under_random_words(self, re_tau, im_tau, word,
+                                               x, y):
+        """wp(z|tau) = wp(z/w|gamma tau)/w^2 and wp'(z|tau) =
+        wp'(z/w|gamma tau)/w^3, w = c tau + d, for gamma a word of at most
+        four letters S and T^k (k = +-1, +-2): Z + tau Z is w times the
+        lattice of gamma tau.  Over these words and tau, Im gamma tau stays
+        above 0.011, where the kernels keep their digits; z = x + y tau
+        stays clear of the lattice.  Measured as the verify suite measures
+        its homogeneity rows, against its tolerance."""
+        tau = complex(re_tau, im_tau)
+        a, b, c, d = 1, 0, 0, 1
+        for letter in word:  # gamma <- letter gamma
+            if letter == "S":  # (0 -1; 1 0)
+                a, b, c, d = -c, -d, a, b
+            else:  # (1 k; 0 1)
+                a, b = a + letter * c, b + letter * d
+        w = c * tau + d
+        tm, image = TorusModulus(tau), TorusModulus((a * tau + b) / w)
+        z = x + y * tau
+        for f, k in ((wp, 2), (wp_dz, 3)):
+            lhs, rhs = f(z, tm), f(z / w, image) / w ** k
+            assert abs(lhs - rhs) <= LANDIN_TOL * max(1.0, abs(lhs),
+                                                      abs(rhs))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -491,6 +492,16 @@ class TestSharedDriver:
         step budget would never run out."""
         with pytest.raises(UsageError, match=message):
             IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("method", ["rk45", "RK4_FIXED", ""])
+    def test_unknown_method_rejected(self, method):
+        """Any method but the two would run fixed-step RK4 unannounced:
+        "rk45" took 100 steps with no error control on the README
+        isospectral flow."""
+        with pytest.raises(UsageError, match=re.escape(
+                "method must be 'rk4_fixed' or 'rk45_adaptive', "
+                f"got {method!r}")):
+            IntegratorConfig(method=method)
 
     @pytest.mark.parametrize("flow", FLOWS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -10,12 +10,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellcm.calogero import CMConfig, PhasePoint, lax_L_quasi, local_expansion
 from ellcm.elliptic import (
     POLE_EXCLUSION_RADIUS,
     TorusModulus,
     _segment_lattice_distances,
+    _shortest_period,
 )
 from ellcm.errors import (
     IntegrationError,
@@ -33,6 +36,8 @@ from ellcm.monodromy import (
     PathSpec,
     _batch_levels,
     _expm,
+    _loop_clearance,
+    _loop_radius,
     _mul,
     _pole_loop,
     _pole_monodromy,
@@ -41,6 +46,7 @@ from ellcm.monodromy import (
     _straight,
     _transport_paths,
     _twisted,
+    check_drift_step,
     cubic_relation_residual,
     default_base,
     eigenvalue_set_distance,
@@ -198,6 +204,19 @@ def _triple_paths(base, tau, radius=POLE_LOOP_RADIUS):
     from any base; `monodromy_data` builds them from default_base(tau)."""
     return (_pole_loop(base, radius), _straight(base, base + 1.0),
             _straight(base, base + tau))
+
+
+def _triple_at(cfg, ph, icfg, radius, base=None):
+    """The triple of `monodromy_data`, around a pole loop of the given
+    radius instead of `_loop_radius(tau)`, or from another base, with its
+    L batches and nodes."""
+    tau = cfg.tm.tau
+    base = default_base(tau) if base is None else base
+    (U0, U1, Ub), _, batches, nodes = _transport_paths(
+        cfg, ph, _triple_paths(base, tau, radius), icfg)
+    return MonodromyData(_pole_monodromy(U0), _product(U1),
+                         _twisted(ph, _product(Ub)), base,
+                         {"l_batches": batches, "l_nodes": nodes})
 
 
 def _cycle(cfg, ph, cycle, icfg=IntegratorConfig(), radius=POLE_LOOP_RADIUS):
@@ -412,21 +431,24 @@ class TestPoleMonodromy:
         assert eigenvalue_set_distance(md.M0, expect) < 1e-7
 
     def test_radius_independence(self):
-        a = monodromy_data(CFG, PH, TIGHT, radius=0.05).M0
-        b = monodromy_data(CFG, PH, TIGHT, radius=0.1).M0
+        a = _triple_at(CFG, PH, TIGHT, 0.05).M0
+        b = monodromy_data(CFG, PH, TIGHT).M0  # radius 0.1
         assert np.max(np.abs(a - b)) < 1e-7
 
     def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            monodromy_data(CFG, PH, radius=0.5)
-        with pytest.raises(ValueError):
-            monodromy_data(CFG, PH, radius=1e-4)
+        # no pole loop where half the shortest period is not above 1e-3
+        for tau in (0.002j, 17.0 + 0.001j):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"no pole loop fits at tau = {tau}")):
+                monodromy_data(CMConfig(2, CFG.g, TorusModulus(tau)), PH)
 
 
 class TestPoleLoopLatticeBound:
-    """A pole loop that, with its clearance, reaches another lattice point
-    than 0 is refused before any transport: it would enclose that point,
-    and the wrong M0 it gives keeps every determinant identity."""
+    """No pole loop that, with its clearance, reaches another lattice point
+    than 0 is built: it would enclose that point, and the wrong M0 it gives
+    keeps every determinant identity.  `_loop_radius` shrinks the loop
+    where the radius 0.1 would reach one, and refuses tau before any
+    transport where no loop of radius above 1e-3 fits."""
 
     Q = [0.11 + 0.01j, 0.52 - 0.02j]
 
@@ -440,38 +462,128 @@ class TestPoleLoopLatticeBound:
         monkeypatch.setattr(mono, "_transport_paths", failing)
         monkeypatch.setattr(mono, "integrate_isomonodromic", failing)
 
-    @pytest.mark.parametrize("tau, radius, largest", [
-        (0.06j, 0.1, "0.05"),
-        (17.0 + 0.06j, 0.1, "0.05"),
-        (0.25j, 0.29, "0.24"),
-        # 2 tau - 1 = 0.2i is shorter than 1, tau and tau - 1
-        (0.5 + 0.1j, 0.2, "0.19"),
-        (0.015j, 0.011, "0.01"),
-    ], ids=["enclosing-tau", "shifted", "radius-0.29", "skew", "clearance"])
-    def test_refused_before_any_transport(self, monkeypatch, tau, radius,
-                                          largest):
+    @pytest.mark.parametrize("tau, shortest", [
+        (0.0015j, "0.0015"),
+        (17.0 + 0.0015j, "0.0015"),
+        # 2 tau - 1 = 0.0018i is shorter than 1, tau and tau - 1
+        (0.5 + 0.0009j, "0.0018"),
+        # the loop would have radius 1e-3 itself, with clearance 5e-4
+        (0.002j, "0.002"),
+    ], ids=["enclosing-tau", "shifted", "skew", "clearance"])
+    def test_refused_before_any_transport(self, monkeypatch, tau, shortest):
         self._no_transport(monkeypatch)
         cfg = CMConfig(2, 0.35, TorusModulus(tau))
         ph = PhasePoint(self.Q, PH.p)
-        message = f"radius must be below {largest}$"
-        with pytest.raises(UsageError, match=message):
-            monodromy_data(cfg, ph, TIGHT, radius=radius)
-        with pytest.raises(UsageError, match=message):
-            isomonodromy_drift(cfg, ph, tau, 1e-3, TIGHT, radius=radius)
+        message = re.escape(
+            f"no pole loop fits at tau = {tau}: its radius, half the shortest "
+            f"period {shortest}, must be above 1e-3")
+        with pytest.raises(UsageError, match=message + "$"):
+            monodromy_data(cfg, ph, TIGHT)
+        with pytest.raises(UsageError, match=message + "$"):
+            isomonodromy_drift(cfg, ph, tau, 1e-3, TIGHT)
 
     def test_drift_checks_the_far_triple_first(self, monkeypatch):
-        """Admissible at tau0, not at tau0 + dtau: refused before the
+        """A loop fits at tau0, none at tau0 + dtau: refused before the
         triple at tau0 is transported."""
         self._no_transport(monkeypatch)
-        cfg = CMConfig(2, 0.35, TorusModulus(0.115j))
-        with pytest.raises(UsageError, match="below 0.095"):
-            isomonodromy_drift(cfg, PH, 0.115j, -0.01j, TIGHT)
+        tau0, dtau = 0.012j, -0.01j
+        cfg = CMConfig(2, 0.35, TorusModulus(tau0))
+        assert _loop_radius(tau0) == 0.006
+        with pytest.raises(UsageError, match=re.escape(
+                f"no pole loop fits at tau = {tau0 + dtau}")):
+            isomonodromy_drift(cfg, PH, tau0, dtau, TIGHT)
+
+    @pytest.mark.parametrize("dtau", [-0.005j, -0.008j])
+    def test_drift_end_off_the_half_plane(self, monkeypatch, dtau):
+        """A loop fits at tau0 = 0.3+0.005i; tau0 + dtau on the real axis
+        or below it is refused before any transport (on the real axis the
+        search for the shortest period would never end)."""
+        self._no_transport(monkeypatch)
+        tau0 = 0.3 + 0.005j
+        cfg = CMConfig(2, 0.35, TorusModulus(tau0))
+        with pytest.raises(UsageError, match=re.escape(
+                f"tau = {tau0 + dtau} must lie in the upper half-plane")):
+            isomonodromy_drift(cfg, PH, tau0, dtau, TIGHT)
 
     def test_small_loop_at_small_tau(self):
+        # the loop of radius 0.1 would enclose tau = 0.06i: the triple
+        # takes half the shortest period, 0.03
         cfg = CMConfig(2, 0.35, TorusModulus(0.06j))
-        md = monodromy_data(cfg, PhasePoint(self.Q, [0.31, -0.45]), TIGHT,
-                            radius=0.04)
+        ph = PhasePoint(self.Q, [0.31, -0.45])
+        md = monodromy_data(cfg, ph, TIGHT)
         assert cubic_relation_residual(md) < 1e-10
+        held = _triple_at(cfg, ph, TIGHT, 0.03)
+        for name in ("M0", "M1", "Mtau"):
+            assert np.array_equal(getattr(md, name), getattr(held, name))
+
+    @pytest.mark.parametrize("tau", [0.06j, 0.045j])
+    def test_the_radius_does_not_change_M0(self, tau):
+        """M0 at the derived radius against `transport` around the whole
+        loop base -> polygon -> base at a second radius that keeps its
+        clearance: both are the monodromy of the loop class around 0."""
+        cfg = CMConfig(2, 0.35, TorusModulus(tau))
+        ph = PhasePoint(self.Q, [0.31, -0.45])
+        md = monodromy_data(cfg, ph, TIGHT)
+        loop = _pole_loop(md.base_point, 0.6 * _loop_radius(tau))
+        full = transport(cfg, ph, PathSpec(
+            loop.waypoints + (md.base_point,), loop.pole_clearance), TIGHT)
+        assert (np.max(np.abs(full - md.M0))
+                <= 1e-10 * np.max(np.abs(md.M0)))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(-20.0, 20.0),
+           st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0 ** e))
+    @example(0.0, 0.06)  # the radius 0.1 would enclose tau
+    @example(0.0, 0.11)  # it would reach tau with its clearance
+    @example(17.0, 0.0015)  # no loop fits
+    def test_loop_radius_rule(self, re_tau, im_tau):
+        """0.1 wherever a loop of 0.1 with its clearance stays short of the
+        shortest period, else a loop that does and is above 1e-3, else a
+        UsageError naming tau, only where half that period is at most
+        1e-3 (Im tau drawn log-uniformly, so each branch is drawn)."""
+        tau = complex(re_tau, im_tau)
+        shortest = _shortest_period(tau)
+        try:
+            radius = _loop_radius(tau)
+        except UsageError as exc:
+            assert f"tau = {tau}:" in str(exc)
+            assert shortest <= 2e-3
+            return
+        if POLE_LOOP_RADIUS + _loop_clearance(POLE_LOOP_RADIUS) < shortest:
+            assert radius == POLE_LOOP_RADIUS
+        else:
+            assert 1e-3 < radius < POLE_LOOP_RADIUS
+            assert radius + _loop_clearance(radius) < shortest
+
+    @pytest.mark.parametrize("function", [monodromy_data, isomonodromy_drift,
+                                          check_drift_step])
+    def test_triple_api_takes_no_radius(self, function):
+        assert "radius" not in inspect.signature(function).parameters
+
+
+class TestNonFinitePhasePoint:
+    """A NaN or infinite q or p is a UsageError before any L is built, not
+    a panel budget spent on NaN transports and a misleading budget
+    error."""
+
+    @pytest.mark.parametrize("q, p", [
+        ([math.nan, 0.52], [0.31, -0.45]),
+        ([0.11, 0.52], [0.31, complex(0.0, math.inf)]),
+    ], ids=["q-nan", "p-inf"])
+    def test_refused_before_any_L(self, monkeypatch, q, p):
+        import ellcm.monodromy as mono
+
+        def failing(*args):
+            raise AssertionError("L built for a non-finite phase point")
+
+        monkeypatch.setattr(mono, "lax_L_quasi_batch", failing)
+        ph = PhasePoint(q, p)
+        path = PathSpec((0.25 + 0.25j, 0.6 + 0.6j))
+        for run in (lambda: monodromy_data(CFG, ph),
+                    lambda: transport(CFG, ph, path)):
+            with pytest.raises(UsageError,
+                               match="^q and p must be finite for a "):
+                run()
 
 
 class TestOneLegPoleLoop:
@@ -483,7 +595,7 @@ class TestOneLegPoleLoop:
     def test_equals_transport_around_the_loop(self, case, radius):
         cfg, ph = ((CFG, PH) if case == "n2"
                    else (TestMagnusTransport.CFG3, TestMagnusTransport.PH3))
-        md = monodromy_data(cfg, ph, TIGHT, radius=radius)
+        md = _triple_at(cfg, ph, TIGHT, radius)
         loop = _pole_loop(md.base_point, radius)
         assert loop.waypoints[0] == md.base_point
         assert loop.waypoints[1] == loop.waypoints[-1]  # closed polygon
@@ -604,11 +716,7 @@ class TestDefaultBase:
         md = monodromy_data(cfg, ph, TIGHT)
         assert md.base_point == default_base(tau)
         assert cubic_relation_residual(md) <= 1e-10
-        base = 0.4 + 0.35j
-        (U0, U1, Ub), *_ = _transport_paths(cfg, ph,
-                                            _triple_paths(base, tau), TIGHT)
-        off = MonodromyData(_pole_monodromy(U0), _product(U1),
-                            _twisted(ph, _product(Ub)), base)
+        off = _triple_at(cfg, ph, TIGHT, POLE_LOOP_RADIUS, 0.4 + 0.35j)
         assert cubic_relation_residual(off) > 1.0
 
 
@@ -765,7 +873,7 @@ class TestMergedTransport:
     @pytest.mark.parametrize("radius", [0.05], ids=["radius"])
     def test_equals_separate_calls(self, case, radius):
         cfg, ph = self._case(case)
-        md = monodromy_data(cfg, ph, TIGHT, radius=radius)
+        md = _triple_at(cfg, ph, TIGHT, radius)
         assert np.array_equal(md.M0, _cycle(cfg, ph, "pole", TIGHT, radius))
         assert np.array_equal(md.M1, _cycle(cfg, ph, "A", TIGHT, radius))
         assert np.array_equal(md.Mtau, _cycle(cfg, ph, "B", TIGHT, radius))
@@ -907,7 +1015,8 @@ class TestLevelBatches:
         ("tau-9.1", TIGHT, POLE_LOOP_RADIUS)])
     def test_equals_one_level_per_call(self, case, icfg, radius):
         cfg, ph = self._case(case)
-        md = monodromy_data(cfg, ph, icfg, radius=radius)
+        md = (monodromy_data(cfg, ph, icfg) if radius == POLE_LOOP_RADIUS
+              else _triple_at(cfg, ph, icfg, radius))
         triple, _, calls, nodes = _one_level_per_call(cfg, ph, icfg, radius)
         for got, expect in zip((md.M0, md.M1, md.Mtau), triple):
             assert np.array_equal(got, expect)
@@ -937,7 +1046,8 @@ class TestLevelBatches:
         triple, spent, _, _ = _one_level_per_call(cfg, ph, TIGHT, radius)
         fits = IntegratorConfig(rel_tol=TIGHT.rel_tol, abs_tol=TIGHT.abs_tol,
                                 max_steps=int(spent.max()))
-        md = monodromy_data(cfg, ph, fits, radius=radius)
+        md = (monodromy_data(cfg, ph, fits) if radius == POLE_LOOP_RADIUS
+              else _triple_at(cfg, ph, fits, radius))
         for got, expect in zip((md.M0, md.M1, md.Mtau), triple):
             assert np.array_equal(got, expect)
 

@@ -14,13 +14,16 @@
 # modulus, tau-flows at 5 and 6 bodies, one on each side of the switch of
 # the pair paths (ARRAY_PAIRS_FROM), flows at 5, 8 and 16 bodies, the
 # monodromy triple at 3 bodies (also at a reduced modulus, whose series has
-# three terms) and at a small pole loop, and the triple of two colliding
+# three terms) and at a small Im tau, where the pole loop shrinks to half
+# the shortest period, and the triple of two colliding
 # bodies, which exits 3 and names the pair, the version and the help, the
 # error exits of eval, verify and flow, the triple product at a point
 # where it leaves the double range, the hamilton-consistency suite at 5
 # bodies and the symplectic-jacobian suite at 3, non-finite numbers, a
-# zero drift step and an empty time span, pole loops that would enclose a
-# second lattice point, spans too short for absolute step thresholds,
+# zero drift step and an empty time span, moduli where the default pole
+# loop would enclose a second lattice point (a smaller loop, none at all,
+# and a drift step across the change of radius), spans too short for
+# absolute step thresholds,
 # negative numbers written without '=', body counts below 1, the
 # stepper's other exits (a step collapse, an RK4 collision and an RK4
 # tau-flow on the array pair path), a monodromy report that fails its
@@ -28,8 +31,8 @@
 # skewed lattices, wp on both sides of the pole check's radius at a
 # tail modulus and a skewed one and near an integer on the real axis, and
 # a JSON tau-flow shorter than two initial steps, and the README triple
-# at rel_tol 1e-6 (accepted within its first L batch), at radius 0.002
-# (a radial leg of thousands of panels) and at rel_tol 1e-16 (stagnation),
+# at rel_tol 1e-6 (accepted within its first L batch) and at rel_tol 1e-16
+# (stagnation),
 # and the README triple at tau = 1.3+0.8i, where the cubic relation holds
 # for the cycles from the one base (1 + tau)/4 alone, once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
@@ -90,11 +93,12 @@ commands+=("flow isomonodromic --n 8 --g 0.5 --tau 1.0i --tau-end 0.02+1.05i --q
 commands+=("flow isomonodromic --n 16 --g 0.5 --tau 1.0i --tau-end 0.004+1.0i --q 0,0.06+0.02i,0.13-0.01i,0.19+0.02i,0.25,0.31-0.02i,0.38+0.01i,0.44,0.5+0.02i,0.56-0.01i,0.63,0.69+0.02i,0.75-0.02i,0.81+0.01i,0.88,0.94-0.01i --p 0.3,-0.27,0.32,-0.25,0.34,-0.23,0.36,-0.21,0.38,-0.19,0.4,-0.17,0.42,-0.15,0.44,-0.13")
 
 # the monodromy triple at 3 bodies, at tau = 0.2+0.6i also, where the
-# series sums at gamma tau with three terms, and at a pole loop of radius
-# 0.005, whose radial leg takes most of the loop's panels
+# series sums at gamma tau with three terms, and at tau = 0.045i, whose
+# pole loop of radius 0.0225 has a radial leg that takes most of the
+# loop's panels
 commands+=("monodromy --n 3 --g 0.3 --tau 0.1+1.0i --q 0.1,0.45+0.2i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
            "monodromy --n 3 --g 0.3 --tau 0.2+0.6i --q 0.1,0.45+0.15i,0.75-0.1i --p 0.2,-0.3+0.1i,0.05 --drift 0.01"
-           "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.005")
+           "monodromy --n 2 --g 0.35 --tau 0.045i --q 0.11+0.003i,0.52-0.004i --p 0.31,-0.45")
 # two bodies 1e-8 apart: the transport stops with exit 3, naming the pair
 commands+=("monodromy --n 2 --g 0.35 --tau 1.0i --q 0.3,0.3+0.00000001i --p 0.3,-0.3")
 # the parser alone (the version, and the help without a command, exit 1)
@@ -125,10 +129,13 @@ commands+=("flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --
            "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1.0 --step nan"
            "monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --drift 0"
            "flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 0")
-# pole loops that would enclose a lattice point other than 0: at the
-# default radius around tau = 0.06i, and at radius 0.29 around 0.25i
+# moduli where a pole loop of radius 0.1 would enclose a lattice point
+# other than 0: at tau = 0.06i the triple takes radius 0.03, at 0.0015i no
+# loop of radius above 1e-3 fits (exit 1), and a drift step from 0.115i
+# to 0.105i compares triples at radius 0.1 and 0.0525
 commands+=("monodromy --n 2 --g 0.35 --tau 0.06i --q 0.11+0.01i,0.52-0.02i --p 0.31,-0.45"
-           "monodromy --n 2 --g 0.35 --tau 0.25i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --radius 0.29")
+           "monodromy --n 2 --g 0.35 --tau 0.0015i --q 0.11+0.0003i,0.52-0.0002i --p 0.31,-0.45"
+           "monodromy --n 2 --g 0.35 --tau 0.115i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45 --drift=-0.01i")
 # spans far below 1: every sample, with no false step collapse
 commands+=("flow isospectral --n 2 --g 1 --tau 1.0i --q 0.1,0.55 --p 0.2,-0.2 --t-end 1e-20 --samples 2"
            "flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 1.0000000000000002i --q 0.1,0.55 --p 0.2,-0.2 --samples 2"
@@ -170,11 +177,10 @@ commands+=("eval wp --z 2.015+0.2700005i --tau 0.005+0.09i"
 commands+=("flow isomonodromic --n 2 --g 0.5 --tau 1.0i --tau-end 1.005i --q 0.1,0.55 --p 0.2,-0.2 --format json")
 # the README triple where its refinement levels share L batches
 # differently: accepted at the first batch's second level (rel_tol 1e-6),
-# a radial leg refined to 4096 panels (radius 0.002), and a tolerance
-# below rounding, whose stagnation error must name the same level
+# and a tolerance below rounding, whose stagnation error must name the
+# same level
 readme_triple="monodromy --n 2 --g 0.35 --tau 1.0i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45"
 commands+=("$readme_triple --rel-tol 1e-6"
-           "$readme_triple --radius 0.002"
            "$readme_triple --rel-tol 1e-16 --abs-tol 1e-18")
 # a modulus where the straight cycles from a base other than (1 + tau)/4
 # change class (the cubic relation then misses by 24): the triple's cubic
