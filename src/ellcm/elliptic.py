@@ -157,6 +157,7 @@ from .errors import (
     PathError,
     PoleProximityError,
     SeriesRangeError,
+    UsageError,
 )
 
 if TYPE_CHECKING:
@@ -178,6 +179,11 @@ REL_TOL = 1e-14
 
 #: |sin x| and |cos x| stay finite while |Im x| is below this.
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: Im tau' up to which `lame_array` sums theta1(z - u) separably: there
+#: every product of a node's and a pair's harmonics, scaled as in
+#: `_harmonics`, stays in the double range (module docstring).
+_SEPARABLE_IM = 150.0
 
 #: Constants of `_series_sums`, complex so that no operation casts: pi and
 #: the factor taking sin a + i cos a to 2 cos a - 2i sin a.
@@ -276,9 +282,17 @@ def _affine(k: int, x: float, l: int) -> float:
 def _modular_image(tau: complex):
     """(gamma, log C0) with gamma = (a, b, c, d) taking tau to the
     fundamental domain by T^k shifts and S steps, and C0 the product of
-    their factors in (*) of the module docstring, composed in log form."""
+    their factors in (*) of the module docstring, composed in log form.
+
+    A tau that is not finite or not in the upper half-plane raises
+    UsageError, as does one so close to the real axis that an S step
+    leaves the double range; any other tau ends, each S step multiplying
+    Im tau by at least 1 / (1/4 + Im^2 tau)."""
+    t = complex(tau)
+    if not (cmath.isfinite(t) and t.imag > 0.0):
+        raise UsageError(f"tau = {tau} must lie in the upper half-plane")
     a, b, c, d = 1, 0, 0, 1
-    t, log_c = tau, 0j
+    log_c = 0j
     while True:
         k = round(t.real)
         if k:
@@ -290,6 +304,9 @@ def _modular_image(tau: complex):
         log_c += 0.5j * math.pi - 0.5 * cmath.log(-1j * t)
         a, b, c, d = -c, -d, a, b
         t = -1.0 / t
+        if not cmath.isfinite(t):
+            raise UsageError(f"tau = {tau} is too close to the real axis "
+                             "to reduce")
 
 
 def _basis(tau: complex, gamma) -> tuple[complex, complex]:
@@ -310,9 +327,20 @@ def _lattice_basis(tau: complex):
     Z + tau Z and the nine candidates around a cell at tau' suffice
     (`_nine_suffice`); ``nine`` holds them as offsets (M, N) of M + N tau
     (`_tau_coordinates`).  Cached: the pole checks of a modulus ask at
-    each point."""
+    each point.  Raises UsageError where `_modular_image` does, and where
+    Im tau is so small (about 1e-280 and below) that its float steps lose
+    the image: tau' then misses the fundamental domain by more than
+    rounding."""
     gamma, _ = _modular_image(tau)
-    return (gamma, *_basis(tau, gamma),
+    try:
+        w, tau_r = _basis(tau, gamma)
+    except (ZeroDivisionError, OverflowError):
+        tau_r = complex(math.nan)
+    if not (tau_r.imag > 0.0 and abs(tau_r.real) <= 0.5 + 1e-9
+            and abs(tau_r) >= 1.0 - 1e-9):
+        raise UsageError(f"tau = {tau} cannot be reduced in double "
+                         "precision")
+    return (gamma, w, tau_r,
             tuple(_tau_coordinates(i, j, gamma) for i, j in _NINE))
 
 
@@ -513,7 +541,7 @@ class _SeriesTable:
 
     __slots__ = ("tau", "tau_r", "nome_r", "gamma", "w", "w_inv", "w_inv2",
                  "w_inv3", "log_c", "lift", "shift", "gauss", "terms", "near",
-                 "arrays", "consts")
+                 "arrays", "separable", "consts")
 
     def __init__(self, tm: TorusModulus):
         tau = tm.tau
@@ -562,6 +590,7 @@ class _SeriesTable:
         near = POLE_EXCLUSION_RADIUS / abs(w)
         self.near = near if tau_r.imag >= 4.0 * near else math.inf
         self.arrays = None
+        self.separable = None
         self.consts = None
 
 
@@ -590,6 +619,32 @@ def _table_arrays(tab: _SeriesTable):
         tab.arrays = (c, _LOG_MAX / (2 * len(tab.terms) - 1),
                       np.array([[1.0], [3.0], [2.0]], dtype=complex))
     return tab.arrays
+
+
+def _separable_arrays(tab: _SeriesTable):
+    """(weights, powers) of the separable sums (module docstring), built on
+    first use.  weights[d, k, j], shape (4, K + 1, 2), takes the product
+    of the node's and the pair's harmonics k (`_harmonics`) to the d-th
+    derivative row: 2 (-1)^k e^lift nu'^{1/4} a_k^d (the table's c_d of
+    harmonic k over nu'^{k(k+1)}), times 1/2i and -1/2i (sine rows) or
+    1/2 and 1/2 (cosine rows), and times x's constant e^lift theta1'(0 |
+    tau') / w.  powers = (nu', nu'^2, ..., nu'^K), the steps of the
+    harmonics' recurrence."""
+    if tab.separable is None:
+        import numpy as np
+        count = len(tab.terms) + 1
+        a = (2 * np.arange(count) + 1) * math.pi
+        lead = tab.terms[0][1] * _constants(tab)[0]
+        c = lead * (-1.0) ** np.arange(count) * np.array(
+            [a ** 0, a, -a ** 2, -a ** 3])
+        halves = np.array([[-0.5j, 0.5j], [0.5, 0.5]] * 2)
+        powers, nu_k = [], complex(1.0)
+        for _ in range(count - 1):
+            nu_k *= tab.nome_r
+            powers.append(nu_k)
+        tab.separable = (c[:, :, None] * halves[:, None, :],
+                         np.array(powers))
+    return tab.separable
 
 
 def _constants(tab: _SeriesTable):
@@ -689,6 +744,26 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     return s0, s1, s2, s3
 
 
+def _first_harmonic(w: np.ndarray, tab: _SeriesTable,
+                    out: np.ndarray) -> np.ndarray:
+    """Im x of x = pi w at the 1-D array w, with sin(Re x) + i cos(Re x)
+    written to ``out``: the real libm calls of `_series_sums` and
+    `_harmonics`.  A point past |Im x| = _LOG_MAX / (2K - 1), where the
+    K-th harmonic of a K-term table can leave the double range, raises
+    the scalar path's SeriesRangeError first, never inf or nan."""
+    import numpy as np
+    bound = _table_arrays(tab)[1]
+    x = w * _PI
+    re, im = x.real, x.imag
+    if w.size and np.maximum.reduce(np.abs(im)) > bound:
+        i = np.flatnonzero(np.abs(im) > bound)[0]
+        raise SeriesRangeError(f"theta1 series overflows at the reduced "
+                               f"point w = {complex(w[i])}")
+    np.sin(re, out.real)
+    np.cos(re, out.imag)
+    return im
+
+
 def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
     """The first ``rows`` of the series of `_theta_series_at` (theta1,
     theta1', theta1'', theta1''') at the reduced points of the 1-D array w,
@@ -721,29 +796,22 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
 
     A point past |Im x| = _LOG_MAX / (2K - 1), where the last harmonic can
     leave the double range, raises the scalar path's SeriesRangeError
-    before any function is evaluated, never inf or nan.  (The scalar loop
-    raises only where cmath.sin overflows, up to ln 2 / (2K - 1) further
-    out.)
+    before any function is evaluated, never inf or nan
+    (`_first_harmonic`).  (The scalar loop raises only where cmath.sin
+    overflows, up to ln 2 / (2K - 1) further out.)
     """
     import numpy as np
-    coef, bound, offsets = _table_arrays(tab)
+    coef, _, offsets = _table_arrays(tab)
     if rows < 3:
         coef = coef[:1, :, :rows]
     _, k_max, j, _ = coef.shape
     size = w.size
-    x = w * _PI
-    re, im = x.real, x.imag
-    if size and np.maximum.reduce(np.abs(im)) > bound:
-        i = np.flatnonzero(np.abs(im) > bound)[0]
-        raise SeriesRangeError(f"theta1 series overflows at the reduced "
-                               f"point w = {complex(w[i])}")
     # rows sin(re) + i cos(re), 2 cos(re) - 2i sin(re) and cosh(im) +
     # i sinh(im): the real views of the first two times the third are
     # sin x and 2 cos x, whose cosine rows the table halves
     ef = np.empty((3, size), dtype=complex)
     e0, e1, f = ef
-    np.sin(re, e0.real)
-    np.cos(re, e0.imag)
+    im = _first_harmonic(w, tab, e0)
     np.multiply(e0, _MINUS_TWO_I, e1)
     np.cosh(im, f.real)
     np.sinh(im, f.imag)
@@ -769,31 +837,98 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
     return sums.reshape(len(sums) * j, size)[:rows]
 
 
-def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name,
-                          start: int = 0):
-    """`_reduce_checked` at every point of the 1-D array z: (v, m, n, z / w,
-    table).  The first point i within POLE_EXCLUSION_RADIUS of the lattice,
-    in array order from ``start`` on and then from 0, raises
+def _pole_check(v: np.ndarray, points, tab: _SeriesTable, name) -> None:
+    """The pole checks of `_reduce_checked` at the reduced points v at tau'
+    of a 1-D array.  |Im v| is tested first and Re v only where that
+    fails, the common case's one pass; only the points that fail both are
+    measured, at ``points()[i]``, in the lattice of tau.  The first one
+    within POLE_EXCLUSION_RADIUS, in array order, raises
     PoleProximityError under name(i), unless that is None (a point exempt
-    from the check).  |Im v| is tested first and Re v only where that
-    fails, the common case's one pass.  A point without finite lattice
-    coordinates fails both and raises EllcmError
-    (`_lattice_distance_array`)."""
+    from the check).  A point without finite lattice coordinates fails
+    both tests and raises EllcmError (`_lattice_distance_array`)."""
     import numpy as np
+    far = np.abs(v.imag) >= tab.near
+    if far.all():
+        return
+    near = np.flatnonzero(~far)
+    re = v.real[near]
+    near = near[~(np.abs(re - np.round(re)) >= tab.near)]
+    if not near.size:
+        return
+    z = points()[near]
+    d = _lattice_distance_array(z, tab.tau)
+    for i in np.flatnonzero(d < POLE_EXCLUSION_RADIUS):
+        label = name(near[i])
+        if label is not None:
+            raise PoleProximityError(complex(z[i]), label, float(d[i]))
+
+
+def _harmonics(w: np.ndarray, s0: np.ndarray, tab: _SeriesTable
+               ) -> np.ndarray:
+    """h[i, k, j] = nu'^{k(k+1)/2} e^{(-1)^j i (2k+1) pi w_i} / s0_i at the
+    reduced points of the 1-D array w, for k <= K (the table's K terms and
+    one more), shape (w.size, K + 1, 2): one factor of the separable sums
+    (module docstring), s0 being theta1 at w from `_series_sums`.
+
+    e^{+-i pi w} comes from real sin, cos and exp (`_first_harmonic`), and
+    harmonic k from harmonic k - 1 times e^{+-2 i pi w} nu'^k, so no
+    complex libm function runs."""
+    import numpy as np
+    powers = _separable_arrays(tab)[1]
+    trig = np.empty(w.size, dtype=complex)
+    im = _first_harmonic(w, tab, trig)
+    # harmonic by harmonic, each a contiguous row; node-major at the end
+    h = np.empty((powers.size + 1, 2, w.size), dtype=complex)
+    first = h[0]
+    for j, e in enumerate((np.exp(-im), np.exp(im))):
+        np.multiply(e, trig.imag, first[j].real)
+        np.multiply(e if j == 0 else -e, trig.real, first[j].imag)
+    step = first * first
+    first *= np.reciprocal(s0)
+    for k, nu_k in enumerate(powers, 1):
+        np.multiply(step, nu_k, h[k])
+        h[k] *= h[k - 1]
+    return np.ascontiguousarray(h.transpose(2, 0, 1))
+
+
+def _separable_sums(hz: np.ndarray, hu: np.ndarray, tab: _SeriesTable,
+                    first: int, stop: int) -> np.ndarray:
+    """The theta1 rows d = first .. stop - 1 (theta1 to theta1''') at
+    V = v_z - v_u, over theta1(v_z) theta1(v_u) and times x's constant,
+    from the harmonics hz of the nodes and hu of the pairs (`_harmonics`):
+    shape (stop - first, nodes, pairs).  One real matrix product
+    contracts over the 2 (K + 1) harmonics: the complex one is taken
+    through the real view of hz, against a real matrix holding each
+    complex pair factor as the 2 x 2 block of its multiplication."""
+    import numpy as np
+    weights = _separable_arrays(tab)[0]
+    nodes, count, _ = hz.shape
+    pairs, rows = hu.shape[0], stop - first
+    # the pair factor of harmonic k and sign j is hu[:, k, 1 - j]
+    cols = (weights[first:stop, :, :, None]
+            * hu[:, :, ::-1].transpose(1, 2, 0)[None])
+    cols = cols.transpose(1, 2, 0, 3).reshape(2 * count, rows * pairs)
+    block = np.empty((2 * count, 2, rows * pairs, 2))
+    block[:, 0, :, 0] = block[:, 1, :, 1] = cols.real
+    block[:, 0, :, 1] = cols.imag
+    np.negative(cols.imag, block[:, 1, :, 0])
+    # numpy takes a one-row product through a matrix-vector routine, whose
+    # sums round differently: a lone node is doubled, so that each node's
+    # entries are those it has in any batch
+    left = hz.reshape(nodes, 2 * count).view(float)
+    out = (np.repeat(left, 2, 0) if nodes == 1 else left) @ block.reshape(
+        4 * count, 2 * rows * pairs)
+    return out[:nodes].view(complex).reshape(nodes, rows, pairs).transpose(
+        1, 0, 2)
+
+
+def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name):
+    """`_reduce_checked` at every point of the 1-D array z: (v, m, n, z / w,
+    table), pole-checked by `_pole_check` under name(i)."""
     tab = _table(tm)
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell_array(zw, tab.tau_r)
-    far = np.abs(v.imag) >= tab.near
-    if not far.all():
-        re = v.real[~far]
-        far = np.abs(re - np.round(re)) >= tab.near
-    if not far.all():
-        d = _lattice_distance_array(z, tm.tau)
-        bad = np.flatnonzero(d < POLE_EXCLUSION_RADIUS)
-        for i in np.roll(bad, -np.searchsorted(bad, start)):
-            label = name(i)
-            if label is not None:
-                raise PoleProximityError(complex(z[i]), label, float(d[i]))
+    _pole_check(v, lambda: z, tab, name)
     return v, m, n, zw, tab
 
 
@@ -1100,33 +1235,89 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
     return -mixed / TWO_PI_I
 
 
+def _entry_log(z, v_z, n_z, eta, n_u, tab: _SeriesTable) -> np.ndarray:
+    """log of x(u, z | tau) / x(v_u, v_z | tau') at every node z, reduced
+    as z / w = v_z + m_z + n_z tau', and pair argument u, with
+    u / w = eta = v_u + m_u + n_u tau' (module docstring), shape
+    (nodes, pairs):
+
+        2 pi i ((c z + n_z) eta + n_u v_z)."""
+    import numpy as np
+    alpha = n_z if not tab.gamma[2] else tab.gamma[2] * z + n_z
+    return (np.multiply.outer(alpha, TWO_PI_I * eta)
+            + np.multiply.outer(TWO_PI_I * v_z, n_u))
+
+
+def _lattice_powers(z, v_z, n_z, eta, n_u, tab: _SeriesTable
+                    ) -> np.ndarray:
+    """exp of `_entry_log` where gamma = 1 (c = 0), without an exponential
+    per entry: e^{2 pi i j eta} for each j from min n_z to max n_z, taken
+    row by row at j = n_z, times e^{2 pi i n_u v_z} in each column with
+    n_u != 0."""
+    import numpy as np
+    lo = n_z.min(initial=0.0)
+    table = np.exp(np.multiply.outer(np.arange(lo, n_z.max(initial=0.0) + 1),
+                                     TWO_PI_I * eta))
+    out = table[(n_z - lo).astype(np.intp)]
+    for k in np.flatnonzero(n_u):
+        out[:, k] *= np.exp(TWO_PI_I * n_u[k] * v_z)
+    return out
+
+
 def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     """x(u, z) at every node of the 1-D array z and argument of the 1-D
     array u, shape (z.size, u.size); with ``ratios``, (x, rho, rho', rho''),
     the last three each a list of their values at u, z - u and z (rho
     unreduced, as `_lame_core` gives it), shaped to broadcast against x.
 
-    u, z and z - u are reduced together and summed in one `_series_sums`
-    pass, the rows of theta1' to theta1''' only with ``ratios``; each entry
-    combines its three log prefactors before one exponential, as lame_x
-    does.  First come the scalar kernels' pole checks, in their order:
-    z - u (only with ``ratios``: x vanishes there), u, z.  The first point
-    within POLE_EXCLUSION_RADIUS raises PoleProximityError under that name.
+    Only u and z are reduced, pole-checked and summed (one `_series_sums`
+    pass, the rows of theta1' to theta1''' only with ``ratios``).  Each
+    entry is x(v_u, v_z | tau') at their reduced points, from theta1 at
+    V = v_z - v_u by the separable sums (`_harmonics`,
+    `_separable_sums`), times the exponential of the entry's
+    quasi-periodic factor (module docstring).  Where Im tau' exceeds
+    _SEPARABLE_IM the separable products could leave the double range:
+    there V is reduced once more and summed by `_series_sums`, as the
+    scalar kernels sum z - u.  First come the scalar kernels' pole checks,
+    in their order: z - u (only with ``ratios``: x vanishes there), u, z.
+    The first point within POLE_EXCLUSION_RADIUS raises PoleProximityError
+    under that name.
     """
     import numpy as np
     z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
-    zu = z[:, None] - u
-    a, b = u.size, u.size + z.size  # points [:a] are u, [a:b] z, [b:] z - u
-    names = ("u", "z", "z - u" if ratios else None)
-    v, m, n, zw, tab = _reduce_checked_array(
-        np.concatenate([u, z, zu.ravel()]), tm,
-        lambda i: names[int(i >= a) + int(i >= b)], start=b)
-    s = _series_sums(v, tab, 4 if ratios else 1)
-    f = _log_factor(v, m, n, tab)
-    x = (np.exp(f[b:].reshape(zu.shape) - f[a:b, None] - f[:a])
-         * s[0, b:].reshape(zu.shape) * _constants(tab)[0]
-         / (s[0, a:b, None] * s[0, :a]))
+    rows, a = (4 if ratios else 1), u.size
+    tab = _table(tm)
+    points = np.concatenate([u, z])  # u first, as the pole checks go
+    zw = points * tab.w_inv
+    v, m, n = reduce_to_cell_array(zw, tab.tau_r)
+    separable = tab.tau_r.imag <= _SEPARABLE_IM
+    if ratios or not separable:
+        v_r, m_r, n_r = reduce_to_cell_array(v[a:, None] - v[:a], tab.tau_r)
+    if ratios:
+        _pole_check(v_r.ravel(), lambda: (z[:, None] - u).ravel(), tab,
+                    lambda i: "z - u")
+    _pole_check(v, lambda: points, tab, lambda i: "u" if i < a else "z")
+    s = _series_sums(v, tab, rows)
+    entry = (points[a:], v[a:], n[a:], zw[:a], n[:a], tab)
+    if separable:
+        # x in a product of its own, so that its bits do not depend on
+        # ``ratios``
+        h = _harmonics(v, s[0], tab)
+        g = _separable_sums(h[a:], h[:a], tab, 0, 1)
+        if ratios:
+            g = (g[0], *_separable_sums(h[a:], h[:a], tab, 1, rows))
+        x = g[0] * (_lattice_powers(*entry) if not tab.gamma[2]
+                    else np.exp(_entry_log(*entry)))
+    else:
+        g = _series_sums(v_r.ravel(), tab, rows).reshape(rows, *v_r.shape)
+        log_f = _entry_log(*entry) + _I_PI * (
+            (m_r + n_r) - n_r * n_r * tab.tau_r - 2 * n_r * v_r)
+        x = (np.exp(log_f) * g[0] * _constants(tab)[0]
+             / np.multiply.outer(s[0, a:], s[0, :a]))
     if not ratios:
         return x
-    return x, *([r[None, :a], r[b:].reshape(zu.shape), r[a:b, None]]
-                for r in _rho_ratios(s, n, zw, tab))
+    # the B-period of (z - u) / w from V, V reduced where summed so
+    n_zu = n[a:, None] - n[:a] + (0.0 if separable else n_r)
+    return x, *([r[None, :a], r_zu, r[a:, None]] for r, r_zu in zip(
+        _rho_ratios(s, n, zw, tab),
+        _rho_ratios(g, n_zu, zw[a:, None] - zw[:a], tab)))

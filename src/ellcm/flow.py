@@ -374,10 +374,17 @@ def _integrate(dy: Callable, ph0: PhasePoint, span: tuple,
     stay in the upper half-plane.  The trajectory records the start and the
     ends of ``samples`` equal pieces of the span.  The pairwise separations
     of the bodies of ``guard``, in the lattice of the modulus each step
-    reaches, stop the integration near a collision.
+    reaches, stop the integration near a collision.  A Calogero-Moser flow
+    (with ``guard``) refuses a non-finite q or p before its first
+    right-hand side, naming it, as the transport does.
     """
     if samples < 1:
         raise UsageError(f"samples must be at least 1, got {samples}")
+    if guard is not None:
+        for name, value in (("q", ph0.q), ("p", ph0.p)):
+            if not np.isfinite(value).all():
+                raise UsageError(f"{name} must be finite for a flow, "
+                                 f"got {value}")
     start, end = span
     what = "tau path" if tau is None else "time span"
     if not (cmath.isfinite(start) and cmath.isfinite(end)):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellcm import elliptic
@@ -37,6 +37,7 @@ from ellcm.elliptic import (
 from ellcm.elliptic import (
     _NINE,
     _TERMS_FROM,
+    _lattice_basis,
     _lattice_distance_array,
     _modular_image,
     _nine_suffice,
@@ -56,6 +57,7 @@ from ellcm.errors import (
     PathError,
     PoleProximityError,
     SeriesRangeError,
+    UsageError,
 )
 from ellcm.rng import SplitMix64
 from ellcm.verify import LANDIN_TOL
@@ -288,6 +290,180 @@ class TestTheta1Array:
     def test_dz_at_0(self):
         assert theta1_dz_at_0(self.TM) == pytest.approx(
             theta1_dz(0.0, self.TM), rel=1e-14)
+
+
+class TestSeparableLame:
+    """lame_array's x and the ratios at z - u from the separable sums of
+    node and pair harmonics (module docstring), against 40-digit mpmath
+    and the scalar kernels, both ``ratios`` settings."""
+
+    IMS = (0.05, 0.8, 2.0, 5.0, 12.0, 40.0)
+    #: Reduced Im v / Im tau' of the nodes and of the pairs.  Nodes 0-2
+    #: share the sign of Im with pairs 0-1, nodes 3-4 with pairs 2-3: the
+    #: entries where the products sin(a v_z) cos(a v_u) - cos(a v_z)
+    #: sin(a v_u) would cancel.
+    NODE_B = (0.45, 0.3, 0.12, -0.47, -0.2, 0.0)
+    PAIR_B = (0.42, 0.25, -0.38, -0.05)
+
+    @classmethod
+    def points(cls, tm):
+        """(z, u) with reduced points at the heights above, the nodes
+        shifted by lattice vectors with B-periods -1, 0 and 1 at tau'."""
+        tab = _table(tm)
+        node_a = (0.31, -0.22, 0.05, 0.4, -0.45, 0.17)
+        pair_a = (-0.36, 0.14, 0.27, -0.08)
+        shift = (0, 1, -1, 0, 1, 0)
+        z = [tab.w * (a + (b + k) * tab.tau_r) + k
+             for a, b, k in zip(node_a, cls.NODE_B, shift)]
+        u = [tab.w * (a + b * tab.tau_r) for a, b in zip(pair_a, cls.PAIR_B)]
+        return np.array(z), np.array(u)
+
+    @pytest.mark.parametrize("ratios", [False, True])
+    @pytest.mark.parametrize("im", IMS)
+    def test_against_mpmath(self, im, ratios):
+        pytest.importorskip("mpmath")
+        tau = complex(0.1 if im > 1 else 0.03, im)
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        assert (tab.tau_r.imag <= elliptic._SEPARABLE_IM
+                and (tab.gamma == (1, 0, 0, 1)) == (im > 0.7725))
+        z, u = self.points(tm)
+        v_z = reduce_to_cell_array(z * tab.w_inv, tab.tau_r)[0]
+        assert np.allclose(v_z.imag / tab.tau_r.imag, self.NODE_B)
+        got = lame_array(z, u, tm, ratios)
+        x = got[0] if ratios else got
+        scale = math.pi / abs(tab.w)
+        d0 = theta1_mp(0.0, tau, 2)[1]
+        at = {p: theta1_mp(p, tau, 4 if ratios else 1) for p in (*z, *u)}
+        for i, zi in enumerate(z):
+            for k, uk in enumerate(u):
+                t = theta1_mp(zi - uk, tau, 4 if ratios else 1)
+                want = complex(t[0] * d0 / (at[zi][0] * at[uk][0]))
+                assert abs(x[i, k] - want) <= 1e-12 * abs(want), (i, k)
+                if not ratios:
+                    continue
+                r, b, c = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+                for d, value in enumerate((r, b - r * r,
+                                           c - 3 * r * b + 2 * r ** 3)):
+                    value = complex(value)
+                    assert abs(got[1 + d][1][i, k] - value) <= 1e-12 * max(
+                        scale ** (d + 1), abs(value)), (d, i, k)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(-1.3, 1.7).map(lambda e: 10 ** e),
+           st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                              st.integers(-2, 2), st.integers(-1, 1)),
+                    min_size=3, max_size=3),
+           st.booleans())
+    def test_matches_scalar(self, re_tau, im_tau, cells, ratios):
+        """Any modulus with Im tau from 0.05 to 50, a pair argument u and
+        two nodes z given by cell coordinates and lattice shifts: x within
+        1e-12 of scalar lame_x, and rho(z - u) of scalar rho, where z, u
+        and z - u are a hundredth of the shortest period clear of the
+        lattice."""
+        tau = complex(re_tau, im_tau)
+        tm = TorusModulus(tau)
+        pts = [a + b * tau + m + n * tau for a, b, m, n in cells]
+        clear = 0.01 * _shortest_period(tau)
+        u, z = pts[0], np.array(pts[1:])
+        assume(min(lattice_distance(p, tau) for p in (u, *z, *(z - u)))
+               > clear)
+        got = lame_array(z, [u], tm, ratios)
+        x = got[0] if ratios else got
+        for i, zi in enumerate(z):
+            want = lame_x(u, zi, tm)
+            assert abs(x[i, 0] - want) <= 1e-12 * abs(want)
+            if ratios:
+                want = rho(zi - u, tm)
+                scale = max(abs(math.pi / tau), math.pi, abs(want))
+                assert abs(got[1][1][i, 0] - want) <= 1e-12 * scale
+
+    def test_tall_modulus_sums_each_entry(self, monkeypatch):
+        """Past _SEPARABLE_IM (tau' = 333i from tau = 0.003i, and 300i) the
+        entries go through `_series_sums` at the reduced z - u, as the
+        scalar kernels sum them, finite where those are; a second
+        `_series_sums` pass shows it."""
+        real = elliptic._series_sums
+        sizes = []
+        monkeypatch.setattr(elliptic, "_series_sums",
+                            lambda w, *a: sizes.append(w.size) or real(w, *a))
+        for tau in (0.003j, 300j):
+            tm = TorusModulus(tau)
+            tab = _table(tm)
+            assert tab.tau_r.imag > elliptic._SEPARABLE_IM
+            z, u = self.points(tm)
+            if tau == 300j:  # x of the shifted nodes leaves the double range
+                z, u = z[[0, 5]] - 0.3 * tau, u[[1, 3]]
+            for ratios in (False, True):
+                sizes.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = lame_array(z, u, tm, ratios)
+                assert sizes == [u.size + z.size, u.size * z.size]
+                x = got[0] if ratios else got
+                for i, zi in enumerate(z):
+                    for k, uk in enumerate(u):
+                        want = lame_x(uk, zi, tm)
+                        assert abs(x[i, k] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("im", [60.0, 150.0])
+    def test_separable_up_to_its_bound(self, monkeypatch, im):
+        """Up to Im tau' = _SEPARABLE_IM the separable sums stay in the
+        double range: at reduced heights up to 0.499 Im tau', both signs,
+        they give the per-entry sums' values, without a floating-point
+        warning.  The scaled harmonics keep every product that carries
+        digits of the sum between about e^{-pi Im tau' - 37} and
+        e^{pi Im tau' / 4}; in a scratch run the bound was first missed
+        near Im tau' = 190."""
+        tau = complex(0.1, im)
+        tm = TorusModulus(tau)
+        heights = (-0.499, -0.45, -0.2, 0.0, 0.2, 0.45, 0.499)
+        z = np.array([a + b * tau for a in (-0.47, 0.12, 0.49)
+                      for b in heights])
+        u = z[::4] + 0.013
+        for ratios in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sep = lame_array(z, u, tm, ratios)
+            monkeypatch.setattr(elliptic, "_SEPARABLE_IM", 0.0)
+            each = lame_array(z, u, tm, ratios)
+            monkeypatch.undo()
+            x, y = (sep[0], each[0]) if ratios else (sep, each)
+            assert np.all(np.abs(x - y) <= 1e-12 * np.abs(y))
+            for d in range(3 if ratios else 0):
+                got, want = sep[1 + d][1], each[1 + d][1]
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(
+                    (3 * math.pi) ** (d + 1), np.abs(want)))
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.45 + 0.03j,
+                                     123.456 + 0.003j])
+    def test_entry_factor(self, tau):
+        """The quasi-periodic factor of each entry, `_entry_log`, is the
+        scalar kernels' log factors combined at z - u, u and z,
+
+            _log_factor(V, m_z - m_u, n_z - n_u) - _log_factor(z) - _log_factor(u),
+
+        modulo 2 pi i; at gamma = 1 `_lattice_powers` is its exponential,
+        also for pairs outside the row n = 0."""
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        rng = np.random.default_rng(8)
+        pts = (rng.uniform(-2, 2, 9) + rng.uniform(-2, 2, 9) * tau)
+        zw = pts * tab.w_inv
+        v, m, n = reduce_to_cell_array(zw, tab.tau_r)
+        a = 3  # pairs first
+        entry = (pts[a:], v[a:], n[a:], zw[:a], n[:a], tab)
+        assert n[:a].any() and n[a:].any()
+        got = elliptic._entry_log(*entry)
+        f = elliptic._log_factor(v, m, n, tab)
+        want = (elliptic._log_factor(v[a:, None] - v[:a], m[a:, None] - m[:a],
+                                     n[a:, None] - n[:a], tab)
+                - f[a:, None] - f[:a])
+        turns = (got - want) / TWO_PI_I
+        assert np.abs(turns - np.round(turns)).max() < 1e-9
+        if tab.gamma == (1, 0, 0, 1):
+            powers = elliptic._lattice_powers(*entry)
+            assert np.allclose(powers, np.exp(got), rtol=1e-13, atol=0)
 
 
 class TestSeriesSums:
@@ -885,6 +1061,38 @@ class TestLatticeGeometry:
     def test_shortest_period(self, tau):
         assert _shortest_period(tau) == pytest.approx(
             oracle.shortest_period(tau), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.3 + 0j, 0.3 - 1j, complex(math.nan, 1),
+                                     complex(0.2, math.inf), 1e-320j])
+    def test_off_the_half_plane_raises(self, tau):
+        """A real tau made `_modular_image` loop forever; now it, the
+        basis and the shortest period raise UsageError, as does a tau whose
+        S steps leave the double range."""
+        for fn in (_modular_image, _lattice_basis, _shortest_period):
+            with pytest.raises(UsageError, match=r"^tau = "):
+                fn(tau)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.builds(complex, st.floats(-1e6, 1e6),
+                  st.floats(0.0, 1e-3) | st.floats(1e-300, 1e-280))))
+    def test_lattice_helpers_end_or_raise(self, tau):
+        """For any tau the lattice helpers end: with UsageError, or with a
+        reduced modulus in the upper half-plane and a finite shortest
+        period no longer than |1| and |tau| (every complex number,
+        including NaN and infinite parts and heights down to 1e-300, where
+        the float steps of the reduction lose the image)."""
+        try:
+            gamma, w, tau_r, _ = _lattice_basis(tau)
+        except UsageError:
+            with pytest.raises(UsageError):
+                _shortest_period(tau)
+            return
+        assert tau.imag > 0 and tau_r.imag > 0 and w != 0
+        shortest = _shortest_period(tau)
+        assert 0.0 < shortest <= 1.0 + 1e-12  # 1 is a period
+        assert abs(tau_r.real) <= 0.5 + 1e-12 and abs(tau_r) >= 1 - 1e-12
 
     def test_skewed_lattice(self):
         # the nearest lattice point of 8.15+0.4i, 8, is not among the nine

@@ -510,6 +510,24 @@ class TestSharedDriver:
         with pytest.raises(UsageError, match="is not finite"):
             FLOWS[flow]((SPANS[flow][0], end))
 
+    @pytest.mark.parametrize("which", ["isospectral", "isomonodromic"])
+    @pytest.mark.parametrize("name, bad", [
+        ("q", PhasePoint([0.1, math.nan], [0.2, -0.2])),
+        ("p", PhasePoint([0.1, 0.55], [math.nan, -0.2])),
+        ("p", PhasePoint([0.1, 0.55], [0.2, complex(0, math.inf)]))])
+    def test_non_finite_phase_point(self, monkeypatch, which, name, bad):
+        """A non-finite q or p is a UsageError naming it, before the first
+        right-hand side; the isospectral flow raised "cannot reduce
+        (nan+nanj) to the cell" after its first step."""
+        def force(*args):
+            raise AssertionError("right-hand side of a non-finite point")
+
+        monkeypatch.setattr(flow, "_force", force)
+        with pytest.raises(UsageError, match=f"^{name} must be finite"):
+            {"isospectral": integrate_isospectral,
+             "isomonodromic": integrate_isomonodromic}[which](
+                 CM2, bad, SPANS[which])
+
     @pytest.mark.parametrize("flow", FLOWS)
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_sample_count(self, flow, k):
