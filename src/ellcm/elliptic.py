@@ -744,13 +744,12 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     return s0, s1, s2, s3
 
 
-def _first_harmonic(w: np.ndarray, tab: _SeriesTable,
-                    out: np.ndarray) -> np.ndarray:
-    """Im x of x = pi w at the 1-D array w, with sin(Re x) + i cos(Re x)
-    written to ``out``: the real libm calls of `_series_sums` and
-    `_harmonics`.  A point past |Im x| = _LOG_MAX / (2K - 1), where the
-    K-th harmonic of a K-term table can leave the double range, raises
-    the scalar path's SeriesRangeError first, never inf or nan."""
+def _first_harmonic(w: np.ndarray, tab: _SeriesTable):
+    """(sin(Re x) + i cos(Re x), Im x) at x = pi w, w a 1-D array: the
+    real libm calls that `_series_sums` and `_harmonics` share.  A point
+    past |Im x| = _LOG_MAX / (2K - 1), where the K-th harmonic of a K-term
+    table can leave the double range, raises the scalar path's
+    SeriesRangeError first, never inf or nan."""
     import numpy as np
     bound = _table_arrays(tab)[1]
     x = w * _PI
@@ -759,15 +758,18 @@ def _first_harmonic(w: np.ndarray, tab: _SeriesTable,
         i = np.flatnonzero(np.abs(im) > bound)[0]
         raise SeriesRangeError(f"theta1 series overflows at the reduced "
                                f"point w = {complex(w[i])}")
-    np.sin(re, out.real)
-    np.cos(re, out.imag)
-    return im
+    trig = np.empty(w.size, dtype=complex)
+    np.sin(re, trig.real)
+    np.cos(re, trig.imag)
+    return trig, im
 
 
-def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
+def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int,
+                 first=None) -> np.ndarray:
     """The first ``rows`` of the series of `_theta_series_at` (theta1,
     theta1', theta1'', theta1''') at the reduced points of the 1-D array w,
-    shape (rows, w.size).
+    shape (rows, w.size); ``first``, where given, is `_first_harmonic` at
+    w.
 
     With x = pi w, only the first harmonic comes from libm, as real
     functions of Re x and Im x:
@@ -806,22 +808,22 @@ def _series_sums(w: np.ndarray, tab: _SeriesTable, rows: int) -> np.ndarray:
         coef = coef[:1, :, :rows]
     _, k_max, j, _ = coef.shape
     size = w.size
-    # rows sin(re) + i cos(re), 2 cos(re) - 2i sin(re) and cosh(im) +
+    # sin(re) + i cos(re), 2 cos(re) - 2i sin(re) and cosh(im) +
     # i sinh(im): the real views of the first two times the third are
     # sin x and 2 cos x, whose cosine rows the table halves
-    ef = np.empty((3, size), dtype=complex)
-    e0, e1, f = ef
-    im = _first_harmonic(w, tab, e0)
-    np.multiply(e0, _MINUS_TWO_I, e1)
+    e0, im = _first_harmonic(w, tab) if first is None else first
+    e1 = e0 * _MINUS_TWO_I
+    f = np.empty(size, dtype=complex)
     np.cosh(im, f.real)
     np.sinh(im, f.imag)
-    efv = ef.view(float)
+    fv = f.view(float)
     # g[k] = (s_k, 2 c_k), or s_k alone where no cosine row is asked for
     g = np.empty((k_max, j, size), dtype=complex)
-    np.multiply(efv[:j], efv[2], g[0].view(float))
+    for e, out in zip((e0, e1)[:j], g[0]):
+        np.multiply(e.view(float), fv, out.view(float))
     if k_max > 1:
         two_cos = (g[0, 1] if j == 2 else
-                   (efv[1] * efv[2]).view(complex))
+                   (e1.view(float) * fv).view(complex))
         # t + 1, t - 1 and t from 4 cos^2 x
         t_rows = two_cos * two_cos - offsets
         t = t_rows[2]
@@ -863,22 +865,22 @@ def _pole_check(v: np.ndarray, points, tab: _SeriesTable, name) -> None:
             raise PoleProximityError(complex(z[i]), label, float(d[i]))
 
 
-def _harmonics(w: np.ndarray, s0: np.ndarray, tab: _SeriesTable
-               ) -> np.ndarray:
+def _harmonics(first, s0: np.ndarray, tab: _SeriesTable) -> np.ndarray:
     """h[i, k, j] = nu'^{k(k+1)/2} e^{(-1)^j i (2k+1) pi w_i} / s0_i at the
-    reduced points of the 1-D array w, for k <= K (the table's K terms and
+    reduced points w_i of a 1-D array, for k <= K (the table's K terms and
     one more), shape (w.size, K + 1, 2): one factor of the separable sums
-    (module docstring), s0 being theta1 at w from `_series_sums`.
+    (module docstring).  ``first`` is `_first_harmonic` at w and s0 is
+    theta1 there, from `_series_sums`.
 
-    e^{+-i pi w} comes from real sin, cos and exp (`_first_harmonic`), and
-    harmonic k from harmonic k - 1 times e^{+-2 i pi w} nu'^k, so no
-    complex libm function runs."""
+    e^{+-i pi w} comes from the real sin and cos of ``first`` and real
+    exp, and harmonic k from harmonic k - 1 times the step
+    e^{+-2 i pi w} nu'^k, scaled before it multiplies: no complex libm
+    function runs, and no partial product leaves the double range."""
     import numpy as np
     powers = _separable_arrays(tab)[1]
-    trig = np.empty(w.size, dtype=complex)
-    im = _first_harmonic(w, tab, trig)
+    trig, im = first
     # harmonic by harmonic, each a contiguous row; node-major at the end
-    h = np.empty((powers.size + 1, 2, w.size), dtype=complex)
+    h = np.empty((powers.size + 1, 2, s0.size), dtype=complex)
     first = h[0]
     for j, e in enumerate((np.exp(-im), np.exp(im))):
         np.multiply(e, trig.imag, first[j].real)
@@ -908,16 +910,16 @@ def _separable_sums(hz: np.ndarray, hu: np.ndarray, tab: _SeriesTable,
     cols = (weights[first:stop, :, :, None]
             * hu[:, :, ::-1].transpose(1, 2, 0)[None])
     cols = cols.transpose(1, 2, 0, 3).reshape(2 * count, rows * pairs)
-    block = np.empty((2 * count, 2, rows * pairs, 2))
-    block[:, 0, :, 0] = block[:, 1, :, 1] = cols.real
-    block[:, 0, :, 1] = cols.imag
-    np.negative(cols.imag, block[:, 1, :, 0])
+    # the real view of (c, i c) holds the block (Re c, Im c; -Im c, Re c)
+    block = np.empty((2 * count, 2, rows * pairs), dtype=complex)
+    block[:, 0] = cols
+    np.multiply(cols, 1j, block[:, 1])
     # numpy takes a one-row product through a matrix-vector routine, whose
     # sums round differently: a lone node is doubled, so that each node's
     # entries are those it has in any batch
     left = hz.reshape(nodes, 2 * count).view(float)
-    out = (np.repeat(left, 2, 0) if nodes == 1 else left) @ block.reshape(
-        4 * count, 2 * rows * pairs)
+    out = ((np.repeat(left, 2, 0) if nodes == 1 else left)
+           @ block.view(float).reshape(4 * count, 2 * rows * pairs))
     return out[:nodes].view(complex).reshape(nodes, rows, pairs).transpose(
         1, 0, 2)
 
@@ -1297,12 +1299,13 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
         _pole_check(v_r.ravel(), lambda: (z[:, None] - u).ravel(), tab,
                     lambda i: "z - u")
     _pole_check(v, lambda: points, tab, lambda i: "u" if i < a else "z")
-    s = _series_sums(v, tab, rows)
+    first = _first_harmonic(v, tab)
+    s = _series_sums(v, tab, rows, first)
     entry = (points[a:], v[a:], n[a:], zw[:a], n[:a], tab)
     if separable:
         # x in a product of its own, so that its bits do not depend on
         # ``ratios``
-        h = _harmonics(v, s[0], tab)
+        h = _harmonics(first, s[0], tab)
         g = _separable_sums(h[a:], h[:a], tab, 0, 1)
         if ratios:
             g = (g[0], *_separable_sums(h[a:], h[:a], tab, 1, rows))
