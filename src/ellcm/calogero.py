@@ -217,8 +217,13 @@ def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     dA/dz), each of that shape.  The separations q_j - q_k are pole-checked
     first, as by `_pair_arrays` (unless g = 0 or n = 1).  Then, as by
     lame_x, z - u at a lattice point is a zero of an L entry, not a pole:
-    without ``ratios`` only the nodes are pole-checked, with them z - u, u
-    and z in that order as by lame_y, all before any series sum.
+    without ``ratios`` only the separations and the nodes are
+    pole-checked, with them z - u, u and z in that order as by lame_y, all
+    before any series sum.  `lame_array` sums the series at the nodes and
+    the separations alone and forms theta1(z - u) of every entry from
+    their harmonics by one real matrix product (the separable sums of the
+    `elliptic` module docstring), so the series work of a batch of m
+    nodes grows with m + n(n - 1), not with m n(n - 1).
     wp(u) = c - rho'(u), and the A diagonal D is z-independent, so it is
     summed once and only y = -x (rho(u) + rho(z-u)) differentiates:
 

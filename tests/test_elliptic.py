@@ -435,35 +435,59 @@ class TestSeparableLame:
                 assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(
                     (3 * math.pi) ** (d + 1), np.abs(want)))
 
-    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.45 + 0.03j,
-                                     123.456 + 0.003j])
-    def test_entry_factor(self, tau):
-        """The quasi-periodic factor of each entry, `_entry_log`, is the
-        scalar kernels' log factors combined at z - u, u and z,
+    @pytest.mark.parametrize("tau, rtol", [
+        (1j, 1e-12), (0.3 + 0.8j, 1e-12), (0.45 + 0.03j, 1e-12),
+        (123.456 + 0.003j, 1e-10)])
+    def test_entry_factors(self, tau, rtol):
+        """The factor of each entry, `_entry_factors`, is the exponential
+        of the scalar kernels' log factors combined at z - u, u and z,
 
             _log_factor(V, m_z - m_u, n_z - n_u) - _log_factor(z) - _log_factor(u),
 
-        modulo 2 pi i; at gamma = 1 `_lattice_powers` is its exponential,
-        also for pairs outside the row n = 0."""
+        at gamma = 1, from its table of powers, and at any other gamma,
+        also for pairs outside the row n = 0.  At 123.456+0.003i, where
+        z / w reaches 4,500, the two sides keep about 11 digits: each is
+        within 2.2e-11 of the factor from the unrounded points (40-digit
+        mpmath)."""
         tm = TorusModulus(tau)
         tab = _table(tm)
         rng = np.random.default_rng(8)
         pts = (rng.uniform(-2, 2, 9) + rng.uniform(-2, 2, 9) * tau)
-        zw = pts * tab.w_inv
-        v, m, n = reduce_to_cell_array(zw, tab.tau_r)
+        v, m, n = reduce_to_cell_array(pts * tab.w_inv, tab.tau_r)
         a = 3  # pairs first
-        entry = (pts[a:], v[a:], n[a:], zw[:a], n[:a], tab)
         assert n[:a].any() and n[a:].any()
-        got = elliptic._entry_log(*entry)
+        got = elliptic._entry_factors(
+            elliptic._entry_terms(v, m, n, a, tab), v, a, tab)
         f = elliptic._log_factor(v, m, n, tab)
-        want = (elliptic._log_factor(v[a:, None] - v[:a], m[a:, None] - m[:a],
-                                     n[a:, None] - n[:a], tab)
-                - f[a:, None] - f[:a])
-        turns = (got - want) / TWO_PI_I
-        assert np.abs(turns - np.round(turns)).max() < 1e-9
-        if tab.gamma == (1, 0, 0, 1):
-            powers = elliptic._lattice_powers(*entry)
-            assert np.allclose(powers, np.exp(got), rtol=1e-13, atol=0)
+        want = np.exp(elliptic._log_factor(
+            v[a:, None] - v[:a], m[a:, None] - m[:a], n[a:, None] - n[:a],
+            tab) - f[a:, None] - f[:a])
+        assert np.allclose(got, want, rtol=rtol, atol=0)
+
+    def test_factor_out_of_range_sums_each_entry(self, monkeypatch):
+        """Where the bound of an entry factor passes _LOG_MAX / 2 (a node
+        2.4 periods up a tall lattice: e^{2 pi 2 54} > e^{354}), no factor
+        is formed and the entries are summed one by one: x within 1e-12 of
+        lame_x, from 1e-278 to 1e148, and finite.  Formed, a factor of
+        e^{678} left the double range and x came out nan."""
+        tau = complex(0.1, 120)
+        tm = TorusModulus(tau)
+        tab = _table(tm)
+        z = np.array([0.3 + 2.4 * tau, 0.3 + 1.4 * tau, 0.2 + 0.1 * tau])
+        u = np.array([0.2 + 0.45 * tau, -0.35 - 0.2 * tau])
+        v, m, n = reduce_to_cell_array(np.concatenate([u, z]), tab.tau_r)
+        assert elliptic._entry_terms(v, m, n, u.size, tab) is None
+        assert elliptic._entry_terms(v[:-3], m[:-3], n[:-3], u.size,
+                                       tab) is not None  # without z[0]
+        for ratios in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = lame_array(z, u, tm, ratios)
+            x = got[0] if ratios else got
+            for i, zi in enumerate(z):
+                for k, uk in enumerate(u):
+                    want = lame_x(uk, zi, tm)
+                    assert abs(x[i, k] - want) <= 1e-12 * abs(want)
 
 
 class TestSeriesSums:

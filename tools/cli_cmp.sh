@@ -39,8 +39,40 @@
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
 # when one differs (the outputs are then kept and their directory is
-# printed) and 2 on a usage error.
+# printed) and 2 on a usage error.  Below each command that differs it
+# prints one more line: the largest relative difference |a - b| / max(|a|,
+# |b|) between the numbers the two outputs hold, stdout then stderr, taken
+# in order (a complex number is its real and imaginary parts), with the
+# two numbers, or the two counts of numbers where they differ.
 set -u
+
+# largest_rel_diff PARENT_DIR CHANGE_DIR: the extra line of a differing
+# command
+largest_rel_diff() {
+    python3 - "$1" "$2" <<'PY'
+import re
+import sys
+
+number = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numbers(side):
+    text = "".join(open(f"{side}/{name}", errors="replace").read()
+                   for name in ("stdout", "stderr"))
+    return [float(x) for x in number.findall(text)]
+
+
+a, b = (numbers(side) for side in sys.argv[1:])
+if len(a) != len(b):
+    print(f"         numbers: {len(a)} in the parent's output, "
+          f"{len(b)} in the change's")
+else:
+    rel, x, y = max(((abs(x - y) / max(abs(x), abs(y)), x, y)
+                     for x, y in zip(a, b) if x != y), default=(0.0, 0, 0))
+    print(f"         largest relative difference {rel:.3g} ({x!r} "
+          f"against {y!r}) over {len(a)} numbers")
+PY
+}
 
 here=$(cd "$(dirname "$0")/.." && pwd)
 if [ $# -ne 1 ] || [ ! -d "$1/src/ellcm" ]; then
@@ -209,6 +241,7 @@ for i in "${!commands[@]}"; do
         echo "same     ellcm ${commands[$i]}"
     else
         echo "DIFFERS  ellcm ${commands[$i]}  (${streams# }; $work/$i)"
+        largest_rel_diff "$work/$i/parent" "$work/$i/change"
         differ=$((differ + 1))
     fi
 done
