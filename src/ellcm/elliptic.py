@@ -943,12 +943,12 @@ def _harmonics(first, s0: np.ndarray, tab: _SeriesTable) -> np.ndarray:
     trig, im = first
     # harmonic by harmonic, each a contiguous row; node-major at the end
     h = np.empty((powers.size + 1, 2, s0.size), dtype=complex)
-    first = h[0]
+    h0 = h[0]
     for j, e in enumerate((np.exp(-im), np.exp(im))):
-        np.multiply(e, trig.imag, first[j].real)
-        np.multiply(e if j == 0 else -e, trig.real, first[j].imag)
-    step = first * first
-    first *= np.reciprocal(s0)
+        np.multiply(e, trig.imag, h0[j].real)
+        np.multiply(e if j == 0 else -e, trig.real, h0[j].imag)
+    step = h0 * h0
+    h0 *= np.reciprocal(s0)
     for k, nu_k in enumerate(powers, 1):
         np.multiply(step, nu_k, h[k])
         h[k] *= h[k - 1]
