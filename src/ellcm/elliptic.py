@@ -145,16 +145,17 @@ a_k = (2k+1) pi and E_k(v) = e^{i a_k v},
     cos(a_k V) = (E_k(v_z) E_k(v_u)^{-1} + E_k(v_z)^{-1} E_k(v_u)) / 2,
 
 so over the nodes and the pairs each row theta1 .. theta1''' of V is a sum
-of 2 (K + 1) products of a factor of the node and a factor of the pair:
-a matrix of rank 2 (K + 1), taken by one real matrix product
+of 2 (K + 1) products of a factor of the node and a factor of the pair: a
+matrix of rank 2 (K + 1), taken by one real matrix product
 (`_separable_sums`): the series runs at the nodes and the pairs, not at
-each of their differences.  E_0 comes from the first harmonic's real sin and cos and the real exp of
-Im(pi v), E_k from E_{k-1} times E_0^2 (`_harmonics`): as in
-`_series_sums`, no complex libm function and no complex matrix product
-runs.  As |Im V| <= Im tau', twice a reduced point's bound, the k-th term
-of the bound above is E_d(V) (2k+1)^d q'^{k(k-1)}; one term more than
-the table's K makes the tail at most E_d(V) R_K, the reduced point's
-bound, because (2K+3)^3 q'^{K(K+1)} <= (2K+1)^3 q'^{K^2} for q' <= 0.066.
+each of their differences.  E_0 comes from the first harmonic's real sin
+and cos and the real exp of Im(pi v), E_k from E_{k-1} times E_0^2
+(`_harmonics`): as in `_series_sums`, no complex libm function and no
+complex matrix product runs.  As |Im V| <= Im tau', twice a reduced
+point's bound, the k-th term of the bound above is
+E_d(V) (2k+1)^d q'^{k(k-1)}.  So one term more than the table's K keeps
+the tail at most E_d(V) R_K, the reduced point's bound: term by term,
+(2k+3)^3 q'^{k(k+1)} <= (2k+1)^3 q'^{k^2} for k >= 1 and q' <= 0.066.
 
 The exponential form, not the product form sin(a v_z) cos(a v_u) -
 cos(a v_z) sin(a v_u).  Where Im v_z and Im v_u share a sign, the two
@@ -1362,10 +1363,10 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     range, and where the factor could, it is not formed: there each z - u
     is reduced and summed by `_series_sums` like u and z, and its log
     factor combined with theirs before one exponential, as the scalar
-    kernels do.  First
-    come the scalar kernels' pole checks, in their order: z - u (only with
-    ``ratios``: x vanishes there), u, z.  The first point within
-    POLE_EXCLUSION_RADIUS raises PoleProximityError under that name.
+    kernels do.  First come the scalar kernels' pole checks, in their
+    order: z - u (only with ``ratios``: x vanishes there), u, z.  The
+    first point within POLE_EXCLUSION_RADIUS raises PoleProximityError
+    under that name.
     """
     import numpy as np
     z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
