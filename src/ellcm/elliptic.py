@@ -1395,15 +1395,16 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
             g = (g[0], *_separable_sums(h[a:], h[:a], tab, 1, rows))
         x = g[0] * _entry_factors(terms, v, a, tab)
         # (z - u) / w = V + (m_z - m_u) + (n_z - n_u) tau'
-        n_zu, zw_zu = n[a:, None] - n[:a], zw[a:, None] - zw[:a]
+        n_zu = n[a:, None] - n[:a]
     else:
         g = _series_sums(v_r, tab, rows).reshape(rows, *shape)
         f = _log_factor(v, m, n, tab)
         f_zu = _log_factor(v_r, m_r, n_r, tab).reshape(shape)
         x = (np.exp(f_zu - f[a:, None] - f[:a]) * g[0] * _constants(tab)[0]
              / (s[0, a:, None] * s[0, :a]))
-        n_zu, zw_zu = n_r.reshape(shape), zw_zu.reshape(shape)
+        n_zu = n_r.reshape(shape)
     if not ratios:
         return x
     return x, *([r[None, :a], r_zu, r[a:, None]] for r, r_zu in zip(
-        _rho_ratios(s, n, zw, tab), _rho_ratios(g, n_zu, zw_zu, tab)))
+        _rho_ratios(s, n, zw, tab),
+        _rho_ratios(g, n_zu, zw_zu.reshape(shape), tab)))
