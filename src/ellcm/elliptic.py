@@ -136,10 +136,14 @@ the Gaussian of (*) at p_u and p_z, leave the entry's factor
     x(u, z | tau) / x(v_u, v_z | tau')
         = exp(2 pi i (N_z N_u tau + N_z p_u + N_u p_z + c w v_z v_u)),
 
-in which the signs (-1)^{M+N} cancel and every term is small where the
-points lie near the cell of tau (`_entry_terms`, `_entry_factors`; at
-gamma = 1 a table of powers in N_z, with no exponential per entry).  With
-a_k = (2k+1) pi and E_k(v) = e^{i a_k v},
+in which the signs (-1)^{M+N} cancel.  `lame_array` takes its log as
+`_log_factor` at (V, m_z - m_u, n_z - n_u), which accepts an unreduced
+point, less those of z and u.  At gamma = 1 with every pair in the row
+N_u = 0 of the cell, the common case, it is e^{2 pi i N_z v_u}, taken
+once for each distinct N_z.  Against an exponential per entry, this row
+table took the `monodromy` benchmark's light_op_ms from 11.9 to 11.1 ms
+and heavy_op_ms from 17.8 to 16.8 ms (medians of 10 alternated runs on
+a shared 2-CPU x86 host).  With a_k = (2k+1) pi and E_k(v) = e^{i a_k v},
 
     sin(a_k V) = (E_k(v_z) E_k(v_u)^{-1} - E_k(v_z)^{-1} E_k(v_u)) / 2i,
     cos(a_k V) = (E_k(v_z) E_k(v_u)^{-1} + E_k(v_z)^{-1} E_k(v_u)) / 2,
@@ -181,14 +185,13 @@ and x's constant.  So every product stays in the double range up to
 Im tau' of about 190, where a scan of reduced heights up to 0.499 Im tau'
 first lost digits to underflow.  The entry factor can leave it too,
 where points lie periods away from the cell of a tall lattice (a node
-2.4 periods up at tau = 0.1+120i gives e^{678}); its real exponent is
-bounded from the nodes' and the pairs' maxima.  So past
-_SEPARABLE_IM = 150, or where that bound exceeds _LOG_MAX / 2,
-`lame_array` sums each entry as the scalar kernels do: every z - u is
-reduced and summed by `_series_sums`, and its log factor is combined
-with those of z and u before one exponential.  As Im tau' <= max(Im tau,
-1 / Im tau), the first case arises only where Im tau > 150 or
-Im tau < 1/150.
+2.4 periods up at tau = 0.1+120i gives e^{678}).  So past
+_SEPARABLE_IM = 150, or where the real part of a factor's log exceeds
+_LOG_MAX / 2, `lame_array` sums each entry as the scalar kernels do:
+every z - u is reduced and summed by `_series_sums`, and its log factor
+is combined with those of z and u before one exponential.  As
+Im tau' <= max(Im tau, 1 / Im tau), the first case arises only where
+Im tau > 150 or Im tau < 1/150.
 
 Derived kernels:
 
@@ -1300,50 +1303,14 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
     return -mixed / TWO_PI_I
 
 
-def _entry_terms(v, m, n, a: int, tab: _SeriesTable):
-    """The terms of the entry factors of `lame_array` (`_entry_factors`)
-    at its reduced points (pairs [:a], nodes [a:]): (N_z, N_u, p_z, e_u)
-    with each point z = p + M + N tau, p = w v (module docstring), and
-    e_u = N_u tau + p_u; None where a factor could leave the double range,
-    its real exponent bounded from the nodes' and the pairs' maxima past
-    _LOG_MAX / 2."""
+def _exp_parts(x: np.ndarray) -> np.ndarray:
+    """e^x at every point of the complex array x, from the real exp, cos
+    and sin of its parts: no complex libm function (module docstring)."""
     import numpy as np
-    c = tab.gamma[2]
-    big_n, p = (n, v) if not c else (m * c + n * tab.gamma[0], v * tab.w)
-    n_z, n_u, p_z = big_n[a:], big_n[:a], p[a:]
-    e_u = n_u * tab.tau + p[:a]
-    amax = np.maximum.reduce
-    bound = 2.0 * math.pi * (
-        amax(np.abs(n_z), initial=0.0) * amax(np.abs(e_u.imag), initial=0.0)
-        + amax(np.abs(p_z.imag), initial=0.0) * amax(np.abs(n_u), initial=0.0)
-        + (abs(c * tab.w) * amax(np.abs(v), initial=0.0) ** 2 if c else 0.0))
-    return (n_z, n_u, p_z, e_u) if bound <= 0.5 * _LOG_MAX else None
-
-
-def _entry_factors(terms, v, a: int, tab: _SeriesTable) -> np.ndarray:
-    """x(u, z | tau) / x(v_u, v_z | tau') at every node z and pair argument
-    u of `lame_array`, shape (nodes, pairs), from `_entry_terms`: the
-    lattice factors of z - u, z and u and the Gaussian of (*) combine to
-
-        exp(2 pi i (N_z N_u tau + N_z p_u + N_u p_z + c w v_z v_u)),
-
-    every term small where the points lie near the cell of tau.  At
-    gamma = 1 (c = 0, N = n, p = v) no exponential is taken per entry:
-    e^{2 pi i j e_u} for each j from min n_z to max n_z, taken row by row
-    at j = n_z, times e^{2 pi i n_u v_z} in each column with n_u != 0."""
-    import numpy as np
-    n_z, n_u, p_z, e_u = terms
-    c = tab.gamma[2]
-    if c:
-        return np.exp(TWO_PI_I * (
-            np.multiply.outer(n_z, e_u) + np.multiply.outer(p_z, n_u)
-            + c * tab.w * np.multiply.outer(v[a:], v[:a])))
-    lo = n_z.min(initial=0.0)
-    table = np.exp(np.multiply.outer(np.arange(lo, n_z.max(initial=0.0) + 1),
-                                     TWO_PI_I * e_u))
-    out = table[(n_z - lo).astype(np.intp)]
-    for k in np.flatnonzero(n_u):
-        out[:, k] *= np.exp(TWO_PI_I * n_u[k] * p_z)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x.imag, out.real)
+    np.sin(x.imag, out.imag)
+    out *= np.exp(x.real)
     return out
 
 
@@ -1357,8 +1324,10 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     pass, the rows of theta1' to theta1''' only with ``ratios``).  Each
     entry is x(v_u, v_z | tau') at their reduced points, from theta1 at
     V = v_z - v_u by the separable sums (`_harmonics`,
-    `_separable_sums`), times its lattice and Gaussian factor
-    (`_entry_terms`, `_entry_factors`; module docstring).  Where Im tau'
+    `_separable_sums`), times its lattice and Gaussian factor, from
+    `_log_factor` at the unreduced V or, at gamma = 1 with the pairs in
+    the row n = 0, from one row for each distinct n_z of the nodes
+    (module docstring), exponentiated by `_exp_parts`.  Where Im tau'
     exceeds _SEPARABLE_IM the separable products could leave the double
     range, and where the factor could, it is not formed: there each z - u
     is reduced and summed by `_series_sums` like u and z, and its log
@@ -1375,9 +1344,20 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     points = np.concatenate([u, z])  # u first, as the pole checks go
     zw = points * tab.w_inv
     v, m, n = reduce_to_cell_array(zw, tab.tau_r)
-    terms = (_entry_terms(v, m, n, a, tab)
-             if tab.tau_r.imag <= _SEPARABLE_IM else None)
-    if ratios or terms is None:
+    # (z - u) / w = V + (m_z - m_u) + (n_z - n_u) tau', V = v_z - v_u
+    n_zu = n[a:, None] - n[:a]
+    if not (tab.gamma[2] or n[:a].any()):
+        # the factor is e^{2 pi i n_z v_u}: one row for each distinct n_z
+        levels, row = np.unique(n[a:], return_inverse=True)
+        log_x = np.multiply.outer(levels, TWO_PI_I * v[:a])
+    else:
+        f = _log_factor(v, m, n, tab)
+        log_x = (_log_factor(v[a:, None] - v[:a], m[a:, None] - m[:a], n_zu,
+                             tab) - f[a:, None] - f[:a])
+        row = slice(None)
+    separable = (tab.tau_r.imag <= _SEPARABLE_IM and
+                 np.abs(log_x.real).max(initial=0.0) <= 0.5 * _LOG_MAX)
+    if ratios or not separable:
         zu = (z[:, None] - u).ravel()
         zw_zu = zu * tab.w_inv
         v_r, m_r, n_r = reduce_to_cell_array(zw_zu, tab.tau_r)
@@ -1386,16 +1366,14 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     _pole_check(v, lambda: points, tab, lambda i: "u" if i < a else "z")
     first = _first_harmonic(v, tab)
     s = _series_sums(v, tab, rows, first)
-    if terms is not None:
+    if separable:
         # x in a product of its own, so that its bits do not depend on
         # ``ratios``
         h = _harmonics(first, s[0], tab)
         g = _separable_sums(h[a:], h[:a], tab, 0, 1)
         if ratios:
             g = (g[0], *_separable_sums(h[a:], h[:a], tab, 1, rows))
-        x = g[0] * _entry_factors(terms, v, a, tab)
-        # (z - u) / w = V + (m_z - m_u) + (n_z - n_u) tau'
-        n_zu = n[a:, None] - n[:a]
+        x = g[0] * _exp_parts(log_x)[row]
     else:
         g = _series_sums(v_r, tab, rows).reshape(rows, *shape)
         f = _log_factor(v, m, n, tab)

@@ -438,51 +438,69 @@ class TestSeparableLame:
     @pytest.mark.parametrize("tau, rtol", [
         (1j, 1e-12), (0.3 + 0.8j, 1e-12), (0.45 + 0.03j, 1e-12),
         (123.456 + 0.003j, 1e-10)])
-    def test_entry_factors(self, tau, rtol):
-        """The factor of each entry, `_entry_factors`, is the exponential
-        of the scalar kernels' log factors combined at z - u, u and z,
-
-            _log_factor(V, m_z - m_u, n_z - n_u) - _log_factor(z) - _log_factor(u),
-
-        at gamma = 1, from its table of powers, and at any other gamma,
-        also for pairs outside the row n = 0.  At 123.456+0.003i, where
-        z / w reaches 4,500, the two sides keep about 11 digits: each is
-        within 2.2e-11 of the factor from the unrounded points (40-digit
-        mpmath)."""
+    def test_points_off_the_cell(self, tau, rtol):
+        """Nodes up to two periods from the cell, with pair arguments as
+        far off or only A-periods off, in the row n = 0 of the cell: x
+        within rtol of scalar lame_x.  At gamma = 1 the latter take their
+        factors from one row per distinct n_z, the former from the
+        unreduced V = v_z - v_u, as at any other gamma.  At
+        123.456+0.003i, where z / w reaches 4,500, the log factors keep
+        about 11 digits on either side."""
         tm = TorusModulus(tau)
         tab = _table(tm)
         rng = np.random.default_rng(8)
-        pts = (rng.uniform(-2, 2, 9) + rng.uniform(-2, 2, 9) * tau)
-        v, m, n = reduce_to_cell_array(pts * tab.w_inv, tab.tau_r)
-        a = 3  # pairs first
-        assert n[:a].any() and n[a:].any()
-        got = elliptic._entry_factors(
-            elliptic._entry_terms(v, m, n, a, tab), v, a, tab)
-        f = elliptic._log_factor(v, m, n, tab)
-        want = np.exp(elliptic._log_factor(
-            v[a:, None] - v[:a], m[a:, None] - m[:a], n[a:, None] - n[:a],
-            tab) - f[a:, None] - f[:a])
-        assert np.allclose(got, want, rtol=rtol, atol=0)
+        z = rng.uniform(-2, 2, 6) + rng.uniform(-2, 2, 6) * tau
+        n = reduce_to_cell_array(z * tab.w_inv, tab.tau_r)[2]
+        assert n.any()
+        for b in (2.0, 0.45):
+            u = rng.uniform(-2, 2, 3) + rng.uniform(-b, b, 3) * tau
+            got = lame_array(z, u, tm)
+            want = np.array([[lame_x(uk, zi, tm) for uk in u] for zi in z])
+            assert np.allclose(got, want, rtol=rtol, atol=0)
+
+    def test_far_nodes_take_no_table_per_period(self):
+        """With real pair arguments the factors of a node 10^6 B-periods up
+        are of modulus one and stay in range; the table of the row
+        n = 0 has a row for each distinct n_z, not for each period
+        between them, so the call stays small (a row per period would
+        take 32 MB).  At u = 1/4 and -3/8, 10^6 u is whole and x at that
+        node is x at the node 0.3 (quasi-periodicity), to the phase's
+        rounding."""
+        import tracemalloc
+        tm = TorusModulus(1j)
+        z = np.array([0.3, 0.3 + 1e6j])
+        u = np.array([0.25, -0.375])
+        tracemalloc.start()
+        try:
+            x = lame_array(z, u, tm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert np.allclose(x[1], x[0], rtol=1e-9, atol=0)
 
     def test_factor_out_of_range_sums_each_entry(self, monkeypatch):
-        """Where the bound of an entry factor passes _LOG_MAX / 2 (a node
-        2.4 periods up a tall lattice: e^{2 pi 2 54} > e^{354}), no factor
-        is formed and the entries are summed one by one: x within 1e-12 of
+        """Where the real exponent of an entry's factor passes
+        _LOG_MAX / 2 (a node 2.4 periods up a tall lattice), no factor is
+        formed and the entries are summed one by one: x within 1e-12 of
         lame_x, from 1e-278 to 1e148, and finite.  Formed, a factor of
         e^{678} left the double range and x came out nan."""
         tau = complex(0.1, 120)
         tm = TorusModulus(tau)
-        tab = _table(tm)
         z = np.array([0.3 + 2.4 * tau, 0.3 + 1.4 * tau, 0.2 + 0.1 * tau])
         u = np.array([0.2 + 0.45 * tau, -0.35 - 0.2 * tau])
-        v, m, n = reduce_to_cell_array(np.concatenate([u, z]), tab.tau_r)
-        assert elliptic._entry_terms(v, m, n, u.size, tab) is None
-        assert elliptic._entry_terms(v[:-3], m[:-3], n[:-3], u.size,
-                                       tab) is not None  # without z[0]
+        real = elliptic._series_sums
+        sizes = []
+        monkeypatch.setattr(elliptic, "_series_sums",
+                            lambda w, *a: sizes.append(w.size) or real(w, *a))
+        lame_array(z[1:], u, tm)
+        assert sizes == [u.size + 2]  # without z[0], the separable sums
         for ratios in (False, True):
+            sizes.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = lame_array(z, u, tm, ratios)
+            assert sizes == [u.size + z.size, u.size * z.size]
             x = got[0] if ratios else got
             for i, zi in enumerate(z):
                 for k, uk in enumerate(u):
