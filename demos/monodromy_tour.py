@@ -18,7 +18,6 @@ from ellcm import (
     cubic_relation_residual,
     isomonodromy_drift,
     local_expansion,
-    moduli_dimensions,
     monodromy_data,
     spectral_distance,
 )
@@ -55,9 +54,3 @@ perturbed = PhasePoint(ph.q, ph.p + 0.01)
 control = spectral_distance(md, monodromy_data(cfg, perturbed, icfg))
 print(f"control: perturbing p by 0.01 at fixed tau moves them by "
       f"{control:.2e}  ({control / drift:.1e} x larger)")
-
-# dimension counts of the relevant moduli spaces
-for n, s in ((1, 1), (2, 1), (2, 2), (3, 1)):
-    dim_m, dim_c, dim_1 = moduli_dimensions(n, s)
-    print(f"n={n}, s={s}: dim moduli = {dim_m}, dim character variety = "
-          f"{dim_c}, one-pole display = {dim_1}")

@@ -36,8 +36,7 @@ _EXPORTS = {name: layer for layer, names in {
         hamiltonian_vector_field integrate_isomonodromic integrate_isospectral
         integrate_scalar_painleve symplectic_jacobian_check""",
     "monodromy": """MonodromyData PathSpec cubic_relation_residual
-        isomonodromy_drift moduli_dimensions monodromy_data
-        spectral_distance transport""",
+        isomonodromy_drift monodromy_data spectral_distance transport""",
     "errors": """DegenerateLatticeError EllcmError GaugeSingularityError
         IntegrationError PathError PoleProximityError SeriesRangeError
         SingularConfigurationError UsageError""",

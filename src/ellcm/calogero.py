@@ -34,12 +34,12 @@ laws (`elliptic._rho_ratios`: wp = c - rho', wp' = -rho'') and one order of
 pole checks (every pair, in row order, before any sum).  Below
 ARRAY_PAIRS_FROM bodies eom and H loop over the pairs (`_pair_points`), each
 reduced once; from it on they read `_pair_arrays`, one `elliptic._rho_array`
-pass like the one `lame_array` makes for the Lax entries.  The numpy pass
-has a larger fixed cost per call and a smaller cost per pair than the loop,
-so it wins from some body count on: whole flows put that crossover between
-5 and 6 bodies (measurements in CHANGES.md).  The paths agree to rounding:
-at Im tau = 0.08, where wp' cancels terms ~10^3 times its size, they differ
-by ~1e-12 relative, as each does from mpmath.
+pass, the pass that also gives `lame_array` the ratios of A and dA/dz.  The
+numpy pass has a larger fixed cost per call and a smaller cost per pair than
+the loop, so it wins from some body count on: whole flows put that crossover
+between 5 and 6 bodies (measurements in CHANGES.md).  The paths agree to
+rounding: at Im tau = 0.08, where wp' cancels terms ~10^3 times its size,
+they differ by ~1e-12 relative, as each does from mpmath.
 """
 
 from __future__ import annotations
@@ -222,8 +222,10 @@ def _lax_quasi(cfg: CMConfig, ph: PhasePoint, z, ratios: bool = False):
     before any series sum.  `lame_array` sums the series at the nodes and
     the separations alone and forms theta1(z - u) of every entry from
     their harmonics by one real matrix product (the separable sums of the
-    `elliptic` module docstring), so the series work of a batch of m
-    nodes grows with m + n(n - 1), not with m n(n - 1).
+    `elliptic` module docstring), so the series work of L for a batch of
+    m nodes grows with m + n(n - 1), not with m n(n - 1); the ratios come
+    from one `_rho_array` pass over every z - u, u and z, which sums each
+    z - u.
     wp(u) = c - rho'(u), and the A diagonal D is z-independent, so it is
     summed once and only y = -x (rho(u) + rho(z-u)) differentiates:
 

@@ -121,11 +121,12 @@ register state dirty, and complex libm calls after it (cmath.sin, np.sin or
 np.exp of a complex array) run 8-20 times slower until a later numpy call
 clears that state.  The points are first reduced and pole-checked
 (`_reduce_checked_array`), and `_rho_ratios` turns the sums into rho,
-rho' and rho''.  That pass serves the n-body pair sums (`_rho_array`) and
-`lame_array`, which gives x(u, z) and the same ratios over a grid of nodes
-z and arguments u: every Lax matrix entry is built from it.  Its one-point
-twin `_rho_points`, for the scalar pair loops, pole-checks every point
-before `_theta_series_at` sums.
+rho' and rho''.  That pass, `_rho_array`, is the one array rule for the
+ratios: it serves the n-body pair sums and, at z - u, u and z, the ratios
+of `lame_array`, which gives x(u, z) over a grid of nodes z and arguments
+u: every Lax matrix entry is built from the two.  Its one-point twin
+`_rho_points`, for the scalar pair loops, pole-checks every point before
+`_theta_series_at` sums.
 
 Separable sums.  An entry of `lame_array` needs theta1 at z - u for a node
 z and a pair argument u.  Only z and u are reduced, z = p_z + M_z + N_z tau
@@ -146,20 +147,19 @@ and heavy_op_ms from 17.8 to 16.8 ms (medians of 10 alternated runs on
 a shared 2-CPU x86 host).  With a_k = (2k+1) pi and E_k(v) = e^{i a_k v},
 
     sin(a_k V) = (E_k(v_z) E_k(v_u)^{-1} - E_k(v_z)^{-1} E_k(v_u)) / 2i,
-    cos(a_k V) = (E_k(v_z) E_k(v_u)^{-1} + E_k(v_z)^{-1} E_k(v_u)) / 2,
 
-so over the nodes and the pairs each row theta1 .. theta1''' of V is a sum
-of 2 (K + 1) products of a factor of the node and a factor of the pair: a
-matrix of rank 2 (K + 1), taken by one real matrix product
-(`_separable_sums`): the series runs at the nodes and the pairs, not at
-each of their differences.  E_0 comes from the first harmonic's real sin
+so over the nodes and the pairs theta1 of V is a sum of 2 (K + 1) products
+of a factor of the node and a factor of the pair: a matrix of rank
+2 (K + 1), taken by one real matrix product (`_separable_sums`): the
+series runs at the nodes and the pairs, not at each of their
+differences.  E_0 comes from the first harmonic's real sin
 and cos and the real exp of Im(pi v), E_k from E_{k-1} times E_0^2
 (`_harmonics`): as in `_series_sums`, no complex libm function and no
 complex matrix product runs.  As |Im V| <= Im tau', twice a reduced
-point's bound, the k-th term of the bound above is
-E_d(V) (2k+1)^d q'^{k(k-1)}.  So one term more than the table's K keeps
-the tail at most E_d(V) R_K, the reduced point's bound: term by term,
-(2k+3)^3 q'^{k(k+1)} <= (2k+1)^3 q'^{k^2} for k >= 1 and q' <= 0.066.
+point's bound, the k-th term of theta1's bound above is
+E_0(V) q'^{k(k-1)}.  So one term more than the table's K keeps the tail
+at most E_0(V) R_K, the reduced point's bound: term by term,
+q'^{k(k+1)} <= (2k+1)^3 q'^{k^2}.
 
 The exponential form, not the product form sin(a v_z) cos(a v_u) -
 cos(a v_z) sin(a v_u).  Where Im v_z and Im v_u share a sign, the two
@@ -188,8 +188,9 @@ where points lie periods away from the cell of a tall lattice (a node
 2.4 periods up at tau = 0.1+120i gives e^{678}).  So past
 _SEPARABLE_IM = 150, or where the real part of a factor's log exceeds
 _LOG_MAX / 2, `lame_array` sums each entry as the scalar kernels do:
-every z - u is reduced and summed by `_series_sums`, and its log factor
-is combined with those of z and u before one exponential.  As
+every z - u is reduced and summed by `_series_sums`, and x is formed as
+`_lame_core` forms it, each theta value scaled by its binary exponent,
+so that only an x past the double range raises SeriesRangeError.  As
 Im tau' <= max(Im tau, 1 / Im tau), the first case arises only where
 Im tau > 150 or Im tau < 1/150.
 
@@ -689,27 +690,18 @@ def _table_arrays(tab: _SeriesTable):
 
 def _separable_arrays(tab: _SeriesTable):
     """(weights, powers) of the separable sums (module docstring), built on
-    first use.  weights[d, k, j], shape (4, K + 1, 2), takes the product
-    of the node's and the pair's harmonics k (`_harmonics`) to the d-th
-    derivative row: 2 (-1)^k e^lift nu'^{1/4} a_k^d (the table's c_d of
-    harmonic k over nu'^{k(k+1)}), times 1/2i and -1/2i (sine rows) or
-    1/2 and 1/2 (cosine rows), and times x's constant e^lift theta1'(0 |
-    tau') / w.  powers = (nu', nu'^2, ..., nu'^K), the steps of the
-    harmonics' recurrence."""
+    first use.  weights[k, j], shape (K + 1, 2), takes the product of the
+    node's and the pair's harmonics k (`_harmonics`) to theta1:
+    2 (-1)^k e^lift nu'^{1/4} (the table's c_0 of harmonic k over
+    nu'^{k(k+1)}), times 1/2i and -1/2i, and times x's constant
+    e^lift theta1'(0 | tau') / w.  powers = (nu', nu'^2, ..., nu'^K), the
+    steps of the harmonics' recurrence."""
     if tab.separable is None:
         import numpy as np
         count = len(tab.terms) + 1
-        a = (2 * np.arange(count) + 1) * math.pi
-        lead = tab.terms[0][1] * _constants(tab)[0]
-        c = lead * (-1.0) ** np.arange(count) * np.array(
-            [a ** 0, a, -a ** 2, -a ** 3])
-        halves = np.array([[-0.5j, 0.5j], [0.5, 0.5]] * 2)
-        powers, nu_k = [], complex(1.0)
-        for _ in range(count - 1):
-            nu_k *= tab.nome_r
-            powers.append(nu_k)
-        tab.separable = (c[:, :, None] * halves[:, None, :],
-                         np.array(powers))
+        c = tab.terms[0][1] * _constants(tab)[0] * (-1.0) ** np.arange(count)
+        tab.separable = (c[:, None] * np.array([-0.5j, 0.5j]),
+                         np.cumprod(np.full(count - 1, tab.nome_r)))
     return tab.separable
 
 
@@ -959,25 +951,22 @@ def _harmonics(first, s0: np.ndarray, tab: _SeriesTable) -> np.ndarray:
     return np.ascontiguousarray(h.transpose(2, 0, 1))
 
 
-def _separable_sums(hz: np.ndarray, hu: np.ndarray, tab: _SeriesTable,
-                    first: int, stop: int) -> np.ndarray:
-    """The theta1 rows d = first .. stop - 1 (theta1 to theta1''') at
-    V = v_z - v_u, over theta1(v_z) theta1(v_u) and times x's constant,
-    from the harmonics hz of the nodes and hu of the pairs (`_harmonics`):
-    shape (stop - first, nodes, pairs).  One real matrix product
+def _separable_sums(hz: np.ndarray, hu: np.ndarray,
+                    tab: _SeriesTable) -> np.ndarray:
+    """theta1 at V = v_z - v_u, over theta1(v_z) theta1(v_u) and times x's
+    constant, from the harmonics hz of the nodes and hu of the pairs
+    (`_harmonics`): shape (nodes, pairs).  One real matrix product
     contracts over the 2 (K + 1) harmonics: the complex one is taken
     through the real view of hz, against a real matrix holding each
     complex pair factor as the 2 x 2 block of its multiplication."""
     import numpy as np
     weights = _separable_arrays(tab)[0]
     nodes, count, _ = hz.shape
-    pairs, rows = hu.shape[0], stop - first
     # the pair factor of harmonic k and sign j is hu[:, k, 1 - j]
-    cols = (weights[first:stop, :, :, None]
-            * hu[:, :, ::-1].transpose(1, 2, 0)[None])
-    cols = cols.transpose(1, 2, 0, 3).reshape(2 * count, rows * pairs)
+    cols = (weights[:, :, None] * hu[:, :, ::-1].transpose(1, 2, 0)).reshape(
+        2 * count, -1)
     # the real view of (c, i c) holds the block (Re c, Im c; -Im c, Re c)
-    block = np.empty((2 * count, 2, rows * pairs), dtype=complex)
+    block = np.empty((2 * count, 2, len(hu)), dtype=complex)
     block[:, 0] = cols
     np.multiply(cols, 1j, block[:, 1])
     # numpy takes a one-row product through a matrix-vector routine, whose
@@ -985,9 +974,8 @@ def _separable_sums(hz: np.ndarray, hu: np.ndarray, tab: _SeriesTable,
     # entries are those it has in any batch
     left = hz.reshape(nodes, 2 * count).view(float)
     out = ((np.repeat(left, 2, 0) if nodes == 1 else left)
-           @ block.view(float).reshape(4 * count, 2 * rows * pairs))
-    return out[:nodes].view(complex).reshape(nodes, rows, pairs).transpose(
-        1, 0, 2)
+           @ block.view(float).reshape(4 * count, -1))
+    return out[:nodes].view(complex)
 
 
 def _reduce_checked_array(z: np.ndarray, tm: TorusModulus, name):
@@ -1241,15 +1229,28 @@ def wp_dz_general(z: complex, lat: GeneralLattice) -> complex:
 # Lame functions
 # ----------------------------------------------------------------------
 
+def _x_range_error(u, z, tab: _SeriesTable) -> SeriesRangeError:
+    """The error for an x(u, z) past the double range."""
+    return SeriesRangeError(f"x(u, z) at tau = {tab.tau} leaves the double "
+                            f"range at u = {complex(u)}, z = {complex(z)}")
+
+
 def _lame_core(u: complex, z: complex, tm: TorusModulus,
                ratios: bool = True):
     """x(u, z); with ``ratios``, (x, rho(u), rho(z - u), rho(z),
     rho'(z - u)).
 
     Each point is reduced and pole-checked once: z - u (only with
-    ``ratios``: x itself vanishes there), then u, then z.  The three
-    log factors are combined additively: their individual exponentials can
-    overflow at arguments where x itself is perfectly representable.
+    ``ratios``: x itself vanishes there), then u, then z.  x = e^F
+    theta1(z - u) c / (theta1(z) theta1(u)), c = `_constants`[0], F the
+    log factors of z - u less those of z and u.  e^F and the theta values
+    can leave the double range where x does not (e^{782} at
+    tau = 0.1+250i, x about e^{1.8}), so each value is scaled by its
+    binary exponent and e^F by 2^{-512 h}, h = Re F / (512 ln 2) rounded
+    toward 0 (_LOG_MAX / 2 is 512 ln 2 to rounding), and the powers of two
+    are applied last: SeriesRangeError only where x is past the double
+    range.  Where |Re F| < 512 ln 2 (h = 0) x has the plain quotient's
+    bits.
     """
     tab = _table(tm)
     at_zu = _reduce_checked(z - u, tab, "z - u" if ratios else None)
@@ -1261,8 +1262,18 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus,
     log_f = (_log_factor(at_zu[0], at_zu[1], at_zu[2], tab)
              - _log_factor(at_z[0], at_z[1], at_z[2], tab)
              - _log_factor(at_u[0], at_u[1], at_u[2], tab))
-    x = (cmath.exp(log_f) * s_zu[0] * _constants(tab)[0]
-         / (s_z[0] * s_u[0]))
+    c, frexp, ldexp = _constants(tab)[0], math.frexp, math.ldexp
+    i, j = frexp(abs(s_zu[0]))[1], frexp(abs(c))[1]
+    k, m = frexp(abs(s_z[0]))[1], frexp(abs(s_u[0]))[1]
+    h = int(log_f.real / (0.5 * _LOG_MAX))
+    y = (cmath.exp(log_f - 0.5 * _LOG_MAX * h) * (s_zu[0] * ldexp(1.0, -i))
+         * (c * ldexp(1.0, -j)) / (s_z[0] * ldexp(1.0, -k)
+                                   * (s_u[0] * ldexp(1.0, -m))))
+    e = 512 * h + i + j - k - m
+    try:
+        x = complex(ldexp(y.real, e), ldexp(y.imag, e))
+    except OverflowError:
+        raise _x_range_error(u, z, tab) from None
     if not ratios:
         return x
     r_zu = s_zu[1] / s_zu[0]
@@ -1314,75 +1325,78 @@ def _exp_parts(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lame_x_folded(log_x, s_zu, s_z, s_u, tab: _SeriesTable):
+    """x = e^log_x s_zu c / (s_z s_u) at every entry of the broadcast
+    arrays, scaled as by `_lame_core`: inf or nan past the double range."""
+    import numpy as np
+    values = (s_zu, _constants(tab)[0], s_z, s_u)
+    e = [np.frexp(np.abs(t))[1] for t in values]
+    a, b, c, d = (t * np.ldexp(1.0, -k) for t, k in zip(values, e))
+    h = (log_x.real / (0.5 * _LOG_MAX)).astype(int)
+    y = _exp_parts(log_x - 0.5 * _LOG_MAX * h) * a * b / (c * d)
+    e = 512 * h + e[0] + e[1] - e[2] - e[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ldexp(y.real, e) + 1j * np.ldexp(y.imag, e)
+
+
 def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     """x(u, z) at every node of the 1-D array z and argument of the 1-D
     array u, shape (z.size, u.size); with ``ratios``, (x, rho, rho', rho''),
     the last three each a list of their values at u, z - u and z (rho
     unreduced, as `_lame_core` gives it), shaped to broadcast against x.
 
-    Only u and z are reduced, pole-checked and summed (one `_series_sums`
-    pass, the rows of theta1' to theta1''' only with ``ratios``).  Each
-    entry is x(v_u, v_z | tau') at their reduced points, from theta1 at
-    V = v_z - v_u by the separable sums (`_harmonics`,
-    `_separable_sums`), times its lattice and Gaussian factor, from
-    `_log_factor` at the unreduced V or, at gamma = 1 with the pairs in
-    the row n = 0, from one row for each distinct n_z of the nodes
-    (module docstring), exponentiated by `_exp_parts`.  Where Im tau'
-    exceeds _SEPARABLE_IM the separable products could leave the double
-    range, and where the factor could, it is not formed: there each z - u
-    is reduced and summed by `_series_sums` like u and z, and its log
-    factor combined with theirs before one exponential, as the scalar
-    kernels do.  First come the scalar kernels' pole checks, in their
-    order: z - u (only with ``ratios``: x vanishes there), u, z.  The
-    first point within POLE_EXCLUSION_RADIUS raises PoleProximityError
-    under that name.
+    The ratios come first, from one `_rho_array` pass over z - u
+    (node-major), u and z, pole-checked in that order, the scalar kernels'
+    order, under those names.  x pole-checks and sums only u and z (z - u
+    is a zero of x), by one `_series_sums` pass.  Each entry is
+    x(v_u, v_z | tau') at their reduced points, from theta1 at
+    V = v_z - v_u by the separable sums (`_harmonics`, `_separable_sums`),
+    times its lattice and Gaussian factor, from `_log_factor` at the
+    unreduced V or, at gamma = 1 with the pairs in the row n = 0, from one
+    row for each distinct n_z of the nodes (module docstring),
+    exponentiated by `_exp_parts`.  Where Im tau' exceeds _SEPARABLE_IM
+    the separable products could leave the double range, and where the
+    factor could, it is not formed: there each z - u is reduced and summed
+    like u and z, and x formed as the scalar kernels form it
+    (`_lame_x_folded`).
     """
     import numpy as np
     z, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, u))
-    rows, a, shape = (4 if ratios else 1), u.size, (z.size, u.size)
+    k, a = z.size * u.size, u.size
+    if ratios:
+        at = _rho_array(np.concatenate([(z[:, None] - u).ravel(), u, z]),
+                        tm, lambda i: ("z - u" if i < k else
+                                       "u" if i < k + a else "z"))
     tab = _table(tm)
     points = np.concatenate([u, z])  # u first, as the pole checks go
-    zw = points * tab.w_inv
-    v, m, n = reduce_to_cell_array(zw, tab.tau_r)
-    # (z - u) / w = V + (m_z - m_u) + (n_z - n_u) tau', V = v_z - v_u
-    n_zu = n[a:, None] - n[:a]
+    v, m, n = reduce_to_cell_array(points * tab.w_inv, tab.tau_r)
     if not (tab.gamma[2] or n[:a].any()):
         # the factor is e^{2 pi i n_z v_u}: one row for each distinct n_z
         levels, row = np.unique(n[a:], return_inverse=True)
         log_x = np.multiply.outer(levels, TWO_PI_I * v[:a])
     else:
         f = _log_factor(v, m, n, tab)
-        log_x = (_log_factor(v[a:, None] - v[:a], m[a:, None] - m[:a], n_zu,
-                             tab) - f[a:, None] - f[:a])
+        log_x = (_log_factor(v[a:, None] - v[:a], m[a:, None] - m[:a],
+                             n[a:, None] - n[:a], tab) - f[a:, None] - f[:a])
         row = slice(None)
-    separable = (tab.tau_r.imag <= _SEPARABLE_IM and
-                 np.abs(log_x.real).max(initial=0.0) <= 0.5 * _LOG_MAX)
-    if ratios or not separable:
-        zu = (z[:, None] - u).ravel()
-        zw_zu = zu * tab.w_inv
-        v_r, m_r, n_r = reduce_to_cell_array(zw_zu, tab.tau_r)
-    if ratios:
-        _pole_check(v_r, lambda: zu, tab, lambda i: "z - u")
     _pole_check(v, lambda: points, tab, lambda i: "u" if i < a else "z")
     first = _first_harmonic(v, tab)
-    s = _series_sums(v, tab, rows, first)
-    if separable:
-        # x in a product of its own, so that its bits do not depend on
-        # ``ratios``
-        h = _harmonics(first, s[0], tab)
-        g = _separable_sums(h[a:], h[:a], tab, 0, 1)
-        if ratios:
-            g = (g[0], *_separable_sums(h[a:], h[:a], tab, 1, rows))
-        x = g[0] * _exp_parts(log_x)[row]
+    s = _series_sums(v, tab, 1, first)[0]
+    if (tab.tau_r.imag <= _SEPARABLE_IM and
+            np.abs(log_x.real).max(initial=0.0) <= 0.5 * _LOG_MAX):
+        h = _harmonics(first, s, tab)
+        x = _separable_sums(h[a:], h[:a], tab) * _exp_parts(log_x)[row]
     else:
-        g = _series_sums(v_r, tab, rows).reshape(rows, *shape)
+        zu = (z[:, None] - u).ravel()
+        v_r, m_r, n_r = reduce_to_cell_array(zu * tab.w_inv, tab.tau_r)
         f = _log_factor(v, m, n, tab)
-        f_zu = _log_factor(v_r, m_r, n_r, tab).reshape(shape)
-        x = (np.exp(f_zu - f[a:, None] - f[:a]) * g[0] * _constants(tab)[0]
-             / (s[0, a:, None] * s[0, :a]))
-        n_zu = n_r.reshape(shape)
+        x = _lame_x_folded(
+            _log_factor(v_r, m_r, n_r, tab).reshape(z.size, a) - f[a:, None]
+            - f[:a], _series_sums(v_r, tab, 1)[0].reshape(z.size, a),
+            s[a:, None], s[:a], tab)
+        for i, j in np.argwhere(~np.isfinite(x))[:1]:
+            raise _x_range_error(u[j], z[i], tab)
     if not ratios:
         return x
-    return x, *([r[None, :a], r_zu, r[a:, None]] for r, r_zu in zip(
-        _rho_ratios(s, n, zw, tab),
-        _rho_ratios(g, n_zu, zw_zu.reshape(shape), tab)))
+    return x, *([r[None, k:k + a], r[:k].reshape(z.size, a), r[k + a:, None]]
+                for r in at)

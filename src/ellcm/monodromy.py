@@ -638,20 +638,3 @@ def isomonodromy_drift(cfg: CMConfig, ph0: PhasePoint, tau0: complex,
                         + traj.diagnostics.message)
     md1 = monodromy_data(cfg.with_tau(tau0 + dtau), traj.states[-1], icfg)
     return spectral_distance(md0, md1)
-
-
-def moduli_dimensions(n: int, s: int) -> tuple[int, int, int]:
-    """(dim of the moduli space, dim of the character variety, and the
-    displayed one-pole count).
-
-    Returns (s n^2 + s n + s + 1, n (s n + 1), n^2 + n + 1).  Note the two
-    displayed counts disagree by one at s = 1 (n^2 + n + 2 from the general
-    formula vs n^2 + n + 1 for the one-pole display); both are reported
-    verbatim, no reconciliation is attempted.
-    """
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be at least 1")
-    dim_moduli = s * n * n + s * n + s + 1
-    dim_char = n * (s * n + 1)
-    dim_single = n * n + n + 1
-    return dim_moduli, dim_char, dim_single

@@ -29,7 +29,6 @@ from ellcm.flow import (
 from ellcm.monodromy import (
     cubic_relation_residual,
     isomonodromy_drift,
-    moduli_dimensions,
     monodromy_data,
     spectral_distance,
 )
@@ -265,20 +264,6 @@ def test_symplectic_jacobian():
     ph = PhasePoint([0.15 + 0.1j, 0.55 - 0.08j], [0.2, -0.35 + 0.1j])
     res = symplectic_jacobian_check(cfg, ph, (1j, 1j + 0.05), TIGHT)
     report("symplectic Jacobian ||M^T W M - W||, n=2", res, 1e-5)
-
-
-def test_dimension_formulas():
-    expected = {
-        (1, 1): (4, 2, 3),
-        (2, 1): (8, 6, 7),
-        (2, 2): (15, 10, 7),
-        (3, 1): (14, 12, 13),
-    }
-    for (n, s), want in expected.items():
-        got = moduli_dimensions(n, s)
-        assert got == want, f"(n={n}, s={s}): {got} != {want}"
-    print("ACCEPTANCE dimension formulas at (1,1),(2,1),(2,2),(3,1): "
-          "exact -> PASS")
 
 
 def test_extended_two_form_criteria():

@@ -44,6 +44,7 @@ from ellcm.elliptic import (
     _reduce_checked,
     _reduce_checked_array,
     _reduced_distance,
+    _rho_array,
     _rho_ratios,
     _segment_lattice_distances,
     _series_sums,
@@ -287,6 +288,24 @@ class TestTheta1Array:
         assert str(array.value) == str(scalar.value) == (
             "theta1 series overflows at the reduced point w = (0.3+230j)")
 
+    @pytest.mark.parametrize("tau", [0.3 + 0.8j, 0.45 + 0.03j])
+    def test_ratios_are_x_and_one_rho_pass(self, tau):
+        """With ``ratios`` x has the bits of the call without them, and each
+        list of ratios those of `_rho_array` at u, z - u (node-major) and
+        z, at a modulus kept (gamma = 1) and at a reduced one."""
+        tm = TorusModulus(tau)
+        assert (_table(tm).gamma == (1, 0, 0, 1)) == (tau == 0.3 + 0.8j)
+        rng = np.random.default_rng(21)
+        z = rng.uniform(-2, 2, 7) + rng.uniform(-2, 2, 7) * tau
+        u = rng.uniform(-1, 1, 4) + rng.uniform(-1, 1, 4) * tau
+        x, *ratios = lame_array(z, u, tm, True)
+        assert np.array_equal(x, lame_array(z, u, tm))
+        zu = (z[:, None] - u).ravel()
+        at = [_rho_array(p, tm, lambda i: None) for p in (u, zu, z)]
+        for got, want in zip(ratios, zip(*at)):
+            for r, w, shape in zip(got, want, [(1, 4), (7, 4), (7, 1)]):
+                assert np.array_equal(r, w.reshape(shape))
+
     def test_dz_at_0(self):
         assert theta1_dz_at_0(self.TM) == pytest.approx(
             theta1_dz(0.0, self.TM), rel=1e-14)
@@ -382,7 +401,8 @@ class TestSeparableLame:
         """Past _SEPARABLE_IM (tau' = 333i from tau = 0.003i, and 300i) the
         entries go through `_series_sums` at the reduced z - u, as the
         scalar kernels sum them, finite where those are; a second
-        `_series_sums` pass shows it."""
+        `_series_sums` pass of x shows it.  With the ratios, one
+        `_rho_array` pass over z - u, u and z comes first."""
         real = elliptic._series_sums
         sizes = []
         monkeypatch.setattr(elliptic, "_series_sums",
@@ -399,7 +419,9 @@ class TestSeparableLame:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = lame_array(z, u, tm, ratios)
-                assert sizes == [u.size + z.size, u.size * z.size]
+                # with the ratios, `_rho_array` at z - u, u and z first
+                rho_pass = [z.size * u.size + u.size + z.size] * ratios
+                assert sizes == rho_pass + [u.size + z.size, u.size * z.size]
                 x = got[0] if ratios else got
                 for i, zi in enumerate(z):
                     for k, uk in enumerate(u):
@@ -500,12 +522,69 @@ class TestSeparableLame:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = lame_array(z, u, tm, ratios)
-            assert sizes == [u.size + z.size, u.size * z.size]
+            # with the ratios, `_rho_array` at z - u, u and z comes first
+            rho_pass = [z.size * u.size + u.size + z.size] * ratios
+            assert sizes == rho_pass + [u.size + z.size, u.size * z.size]
             x = got[0] if ratios else got
             for i, zi in enumerate(z):
                 for k, uk in enumerate(u):
                     want = lame_x(uk, zi, tm)
                     assert abs(x[i, k] - want) <= 1e-12 * abs(want)
+
+
+class TestTallLatticeLame:
+    """x where the factors of its quotient leave the double range: at
+    tau = 0.1+250i a node half a period up and an argument half a period
+    down give e^{782} for the lattice factor and the inverse for the theta
+    quotient, with x about e^{1.8}."""
+
+    TAU = 0.1 + 250j
+    #: a + b tau, a in (-0.47, 0.12, 0.49), b in (+-0.499, +-0.45, +-0.2, 0)
+    POINTS = np.add.outer([-0.47, 0.12, 0.49], TAU * np.array(
+        [-0.499, -0.45, -0.2, 0.0, 0.2, 0.45, 0.499])).ravel()
+
+    def test_both_kernels_against_mpmath(self):
+        """The 21 points a + b tau as the nodes and the arguments: both
+        kernels within 2e-13 of 40-digit mpmath, where |x| ranges from
+        e^{-783} (below the double range: 0) to e^{2.1}, and 0 at z = u.
+        The exponent reaches 782, whose rounding alone is 782 * 2^-53 =
+        8.7e-14 relative; the worst error seen was 6.2e-14 for either
+        kernel."""
+        pytest.importorskip("mpmath")
+        tau, z = self.TAU, self.POINTS
+        tm = TorusModulus(tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = lame_array(z, z, tm)
+        d0 = theta1_mp(0.0, tau, 2)[1]
+        at = [theta1_mp(p, tau, 1)[0] for p in z]
+        for i, zi in enumerate(z):
+            for k, uk in enumerate(z):
+                got = (x[i, k], lame_x(uk, zi, tm))
+                if i == k:  # theta1(0) = 0 exactly
+                    assert got == (0, 0)
+                    continue
+                want = theta1_mp(zi - uk, tau, 1)[0] * d0 / (at[i] * at[k])
+                w = complex(want)
+                for g in got:
+                    assert abs(g - w) <= 2e-13 * abs(w) + 5e-324, (i, k)
+
+    def test_past_the_double_range_raises(self):
+        """Where x itself leaves the double range (a node two periods up,
+        an argument nearly half a period down), both kernels raise
+        SeriesRangeError, without a floating-point warning."""
+        tau = self.TAU
+        tm = TorusModulus(tau)
+        z, u = 0.3 + 2.2 * tau, -0.2 - 0.45 * tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesRangeError) as array:
+                lame_array([0.1, z], [0.2, u], tm)
+            with pytest.raises(SeriesRangeError) as scalar:
+                lame_x(u, z, tm)
+        assert str(array.value) == str(scalar.value) == (
+            f"x(u, z) at tau = {tau} leaves the double range at u = "
+            f"{complex(u)}, z = {complex(z)}")
 
 
 class TestSeriesSums:

@@ -33,7 +33,7 @@ EXPORTED = {
     "integrate_isospectral", "integrate_scalar_painleve",
     "symplectic_jacobian_check",
     "MonodromyData", "PathSpec", "cubic_relation_residual",
-    "isomonodromy_drift", "moduli_dimensions", "monodromy_data",
+    "isomonodromy_drift", "monodromy_data",
     "spectral_distance", "transport",
     "DegenerateLatticeError", "EllcmError", "GaugeSingularityError",
     "IntegrationError", "PathError", "PoleProximityError", "SeriesRangeError",

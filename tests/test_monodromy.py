@@ -51,7 +51,6 @@ from ellcm.monodromy import (
     default_base,
     eigenvalue_set_distance,
     isomonodromy_drift,
-    moduli_dimensions,
     monodromy_data,
     spectral_distance,
     transport,
@@ -675,26 +674,6 @@ class TestIsomonodromyDrift:
         for dtau in (0.0, complex(math.nan, 0.0)):
             with pytest.raises(UsageError, match="nonzero"):
                 isomonodromy_drift(CFG, PH, 1j, dtau, TIGHT)
-
-
-class TestModuliDimensions:
-    def test_displayed_values(self):
-        assert moduli_dimensions(2, 1) == (8, 6, 7)
-        assert moduli_dimensions(1, 1) == (4, 2, 3)
-        assert moduli_dimensions(2, 2) == (15, 10, 7)
-        assert moduli_dimensions(3, 1) == (14, 12, 13)
-
-    def test_displayed_discrepancy_surfaced(self):
-        # the general formula at s = 1 exceeds the one-pole display by one;
-        # both are returned verbatim
-        dim_moduli, _, dim_single = moduli_dimensions(2, 1)
-        assert dim_moduli == dim_single + 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            moduli_dimensions(0, 1)
-        with pytest.raises(ValueError):
-            moduli_dimensions(2, 0)
 
 
 class TestDefaultBase:
