@@ -189,7 +189,7 @@ where points lie periods away from the cell of a tall lattice (a node
 _SEPARABLE_IM = 150, or where the real part of a factor's log exceeds
 _LOG_MAX / 2, `lame_array` sums each entry as the scalar kernels do:
 every z - u is reduced and summed by `_series_sums`, and x is formed as
-`_lame_core` forms it, each theta value scaled by its binary exponent,
+`_lame_scaled` forms it, each theta value scaled by its binary exponent,
 so that only an x past the double range raises SeriesRangeError.  As
 Im tau' <= max(Im tau, 1 / Im tau), the first case arises only where
 Im tau > 150 or Im tau < 1/150.
@@ -763,6 +763,15 @@ def _log_factor(v, m, n, tab: _SeriesTable):
             + tab.gauss * p * v)
 
 
+def _range_error(name: str, tab: _SeriesTable, **at) -> SeriesRangeError:
+    """The error for a value of ``name`` past the double range at the
+    points ``at``, e.g. "x(u, z) at tau = ... leaves the double range at
+    u = ..., z = ..."."""
+    points = ", ".join(f"{k} = {complex(p)}" for k, p in at.items())
+    return SeriesRangeError(f"{name} at tau = {tab.tau} leaves the double "
+                            f"range at {points}")
+
+
 def _theta_factor(v, m, n, tab: _SeriesTable) -> complex:
     """theta1(z | tau) / theta1(v | tau'): C exp(`_log_factor`), with the
     sign (-1)^{M+N} taken outside the exponential.  A factor past the
@@ -776,18 +785,37 @@ def _theta_factor(v, m, n, tab: _SeriesTable) -> complex:
             -_I_PI * (big_n * big_n * tab.tau + 2 * big_n * p)
             + tab.gauss * p * v + tab.log_c)
     except OverflowError:
-        raise SeriesRangeError(
-            f"theta1 at tau = {tab.tau} leaves the double range at "
-            f"z = {p + big_m + big_n * tab.tau}") from None
+        raise _range_error("theta1", tab,
+                           z=p + big_m + big_n * tab.tau) from None
 
 
-def _theta_series_at(w: complex, tab: _SeriesTable):
-    """theta1 and its first three z-derivatives at a reduced w, summed over
-    the table's K terms.  A term past the double range (|Im w| beyond about
-    226 / (2k+1)) raises SeriesRangeError."""
-    sin, cos = cmath.sin, cmath.cos
-    s0 = s1 = s2 = s3 = 0j
+def _theta_series_at(w: complex, tab: _SeriesTable, rows: int):
+    """The first ``rows`` of theta1 and its first three z-derivatives at a
+    reduced w, summed over the table's K terms, as `_series_sums` gives
+    them for arrays.  One row (theta1 alone) takes the sines only, two
+    rows (theta1, theta1') the sines and cosines, three or four every
+    product.  Each row is summed term by term in the same operations
+    whatever the others, so a row has the same bits at any ``rows`` that
+    includes it.  A term past the double range (|Im w| beyond about
+    226 / (2k+1)) raises SeriesRangeError; sin and cos of one x overflow
+    together there, as |sinh| and cosh agree to rounding past |Im x| of
+    about 19."""
+    sin = cmath.sin
     try:
+        if rows == 1:
+            s0 = 0j
+            for a, c0, _, _, _ in tab.terms:
+                s0 += c0 * sin(a * w)
+            return (s0,)
+        cos = cmath.cos
+        s0 = s1 = 0j
+        if rows == 2:
+            for a, c0, c1, _, _ in tab.terms:
+                x = a * w
+                s0 += c0 * sin(x)
+                s1 += c1 * cos(x)
+            return s0, s1
+        s2 = s3 = 0j
         for a, c0, c1, c2, c3 in tab.terms:
             x = a * w
             sn = sin(x)
@@ -799,7 +827,7 @@ def _theta_series_at(w: complex, tab: _SeriesTable):
     except OverflowError:
         raise SeriesRangeError(
             f"theta1 series overflows at the reduced point w = {w}") from None
-    return s0, s1, s2, s3
+    return (s0, s1, s2, s3)[:rows]
 
 
 def _first_harmonic(w: np.ndarray, tab: _SeriesTable):
@@ -1041,28 +1069,36 @@ def _rho_points(z, tm: TorusModulus, name, orders=(0, 1, 2)) -> list:
     reduced once and pole-checked under name(i), all before any sum."""
     tab = _table(tm)
     at = [_reduce_checked(p, tab, name(i)) for i, p in enumerate(z)]
-    return [_rho_ratios(_theta_series_at(v, tab), n, zw, tab, orders)
+    rows = max(orders) + 2
+    return [_rho_ratios(_theta_series_at(v, tab, rows), n, zw, tab, orders)
             for v, _, n, zw in at]
 
 
-def _theta_bundle(z: complex, tm: TorusModulus):
-    """(theta1, theta1') at z: theta1(v | tau') times `_theta_factor`, and
-    theta1' = theta1 rho."""
+def _theta_bundle(z: complex, tm: TorusModulus, rows: int) -> complex:
+    """theta1 (``rows`` = 1) or theta1' (``rows`` = 2) at z: theta1(v | tau')
+    times `_theta_factor`, and theta1' = theta1 rho, summing only the rows
+    it reads.  A value past the double range raises SeriesRangeError."""
     tab = _table(tm)
     zw = z * tab.w_inv
     v, m, n = reduce_to_cell(zw, tab.tau_r)
-    s0, s1, _, _ = _theta_series_at(v, tab)
+    s = _theta_series_at(v, tab, rows)
     f = _theta_factor(v, m, n, tab)
-    mu = -TWO_PI_I * n * tab.w_inv - tab.shift * zw
-    return f * s0, f * (s1 * tab.w_inv + mu * s0)
+    if rows == 1:
+        value = f * s[0]
+    else:
+        mu = -TWO_PI_I * n * tab.w_inv - tab.shift * zw
+        value = f * (s[1] * tab.w_inv + mu * s[0])
+    if cmath.isfinite(value):
+        return value
+    raise _range_error("theta1'" if rows == 2 else "theta1", tab, z=z)
 
 
-def _reduced_ratios(z: complex, tm: TorusModulus):
-    """The series sums at the reduced v of z, pole-checked under "z", with
-    n, z / w and the table: what `_rho_ratios` reads."""
+def _reduced_ratios(z: complex, tm: TorusModulus, rows: int):
+    """The first ``rows`` series sums at the reduced v of z, pole-checked
+    under "z", with n, z / w and the table: what `_rho_ratios` reads."""
     tab = _table(tm)
     v, _, n, zw = _reduce_checked(z, tab, "z")
-    return _theta_series_at(v, tab), n, zw, tab
+    return _theta_series_at(v, tab, rows), n, zw, tab
 
 
 # ----------------------------------------------------------------------
@@ -1071,17 +1107,12 @@ def _reduced_ratios(z: complex, tm: TorusModulus):
 
 def theta1(z: complex, tm: TorusModulus) -> complex:
     """theta1(z), summed symmetrically (terms k and -k-1 are paired)."""
-    return _theta_bundle(z, tm)[0]
+    return _theta_bundle(z, tm, 1)
 
 
 def theta1_dz(z: complex, tm: TorusModulus) -> complex:
     """theta1'(z) by term-wise differentiation of the series."""
-    return _theta_bundle(z, tm)[1]
-
-
-def theta1_dz_at_0(tm: TorusModulus) -> complex:
-    """theta1'(0) = 2 pi nu^{1/4} prod (1 - nu^{2m})^3 (module docstring)."""
-    return _constants(_table(tm))[2]
+    return _theta_bundle(z, tm, 2)
 
 
 def theta1_d3z_at_0(tm: TorusModulus) -> complex:
@@ -1127,7 +1158,10 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
         nu2_pow *= nu2
         prod *= ((1.0 - nu2_pow)
                  * (1.0 + 2.0 * c2 * nu2_pow + nu2_pow * nu2_pow))
-    return _theta_factor(v, m, n, tab) * prod
+    value = _theta_factor(v, m, n, tab) * prod
+    if cmath.isfinite(value):
+        return value
+    raise _range_error("theta1", tab, z=z)
 
 
 # ----------------------------------------------------------------------
@@ -1136,7 +1170,7 @@ def theta1_product(z: complex, tm: TorusModulus) -> complex:
 
 def rho(z: complex, tm: TorusModulus) -> complex:
     """rho(z) = theta1'(z)/theta1(z)."""
-    (s0, s1, _, _), n, zw, tab = _reduced_ratios(z, tm)
+    (s0, s1), n, zw, tab = _reduced_ratios(z, tm, 2)
     return _rho_law(s1 / s0, n, zw, tab)
 
 
@@ -1149,13 +1183,13 @@ def weierstrass_constant(tm: TorusModulus) -> complex:
 def wp(z: complex, tm: TorusModulus) -> complex:
     """Weierstrass wp(z, tau) = c - rho'(z), c = theta1'''(0)/(3 theta1'(0)),
     formed as the pair sums and the A diagonal form it."""
-    (s0, s1, s2, _), _, _, tab = _reduced_ratios(z, tm)
+    (s0, s1, s2), _, _, tab = _reduced_ratios(z, tm, 3)
     return _constants(tab)[1] - _rho_dz_law(s1 / s0, s2 / s0, tab)
 
 
 def wp_dz(z: complex, tm: TorusModulus) -> complex:
     """wp'(z, tau) = -rho''(z), fully analytic."""
-    (s0, s1, s2, s3), _, _, tab = _reduced_ratios(z, tm)
+    (s0, s1, s2, s3), _, _, tab = _reduced_ratios(z, tm, 4)
     return _wp_dz_law(s1 / s0, s2 / s0, s3 / s0, tab)
 
 
@@ -1229,10 +1263,27 @@ def wp_dz_general(z: complex, lat: GeneralLattice) -> complex:
 # Lame functions
 # ----------------------------------------------------------------------
 
-def _x_range_error(u, z, tab: _SeriesTable) -> SeriesRangeError:
-    """The error for an x(u, z) past the double range."""
-    return SeriesRangeError(f"x(u, z) at tau = {tab.tau} leaves the double "
-                            f"range at u = {complex(u)}, z = {complex(z)}")
+#: Where every theta value and x's constant lie between 2^-100 and 2^100
+#: and |Re F| < 512 ln 2, `_lame_core` forms x as the plain quotient.
+_LAME_LO, _LAME_HI = 2.0 ** -100, 2.0 ** 100
+
+
+def _lame_scaled(log_f: complex, s_zu: complex, c: complex, s_z: complex,
+                 s_u: complex) -> complex:
+    """e^log_f s_zu c / (s_z s_u) with each value scaled by its binary
+    exponent (`math.frexp`, exact) and e^log_f by 2^{-512 h},
+    h = Re log_f / (512 ln 2) rounded toward 0 (_LOG_MAX / 2 is 512 ln 2
+    to rounding), and the powers of two applied last by `math.ldexp`:
+    OverflowError only where the quotient itself leaves the double range."""
+    frexp, ldexp = math.frexp, math.ldexp
+    i, j = frexp(abs(s_zu))[1], frexp(abs(c))[1]
+    k, m = frexp(abs(s_z))[1], frexp(abs(s_u))[1]
+    h = int(log_f.real / (0.5 * _LOG_MAX))
+    y = (cmath.exp(log_f - 0.5 * _LOG_MAX * h) * (s_zu * ldexp(1.0, -i))
+         * (c * ldexp(1.0, -j)) / (s_z * ldexp(1.0, -k)
+                                   * (s_u * ldexp(1.0, -m))))
+    e = 512 * h + i + j - k - m
+    return complex(ldexp(y.real, e), ldexp(y.imag, e))
 
 
 def _lame_core(u: complex, z: complex, tm: TorusModulus,
@@ -1241,39 +1292,48 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus,
     rho'(z - u)).
 
     Each point is reduced and pole-checked once: z - u (only with
-    ``ratios``: x itself vanishes there), then u, then z.  x = e^F
-    theta1(z - u) c / (theta1(z) theta1(u)), c = `_constants`[0], F the
-    log factors of z - u less those of z and u.  e^F and the theta values
-    can leave the double range where x does not (e^{782} at
-    tau = 0.1+250i, x about e^{1.8}), so each value is scaled by its
-    binary exponent and e^F by 2^{-512 h}, h = Re F / (512 ln 2) rounded
-    toward 0 (_LOG_MAX / 2 is 512 ln 2 to rounding), and the powers of two
-    are applied last: SeriesRangeError only where x is past the double
-    range.  Where |Re F| < 512 ln 2 (h = 0) x has the plain quotient's
-    bits.
+    ``ratios``: x itself vanishes there), then u, then z, and each series
+    sums only the rows read: theta1 alone for x, and with ``ratios`` two
+    rows at u and z and three at z - u.  x = e^F theta1(z - u) c /
+    (theta1(z) theta1(u)), c = `_constants`[0], F the log factors of z - u
+    less those of z and u.
+
+    e^F and the theta values can leave the double range where x does not
+    (e^{782} at tau = 0.1+250i, x about e^{1.8}), which `_lame_scaled`
+    handles at the cost of four exponent scalings.  They are needed only
+    where a value can leave the normal range: where |Re F| < 512 ln 2 and
+    |theta1(z - u)|, |c|, |theta1(z)| and |theta1(u)| lie in
+    (2^-100, 2^100), x is the plain quotient, with the scaled form's bits.
+    There every partial product and quotient has a magnitude in
+    (2^-912, 2^912), `_lame_scaled` takes the same steps on the same values
+    times powers of two (h = 0), and rounding in the normal range commutes
+    with such powers.  Only a real or imaginary part more than 2^110 below
+    its value's magnitude can reach the subnormal range in one form and not
+    the other, and so round apart.  Outside the window the scaled form
+    runs, and SeriesRangeError is raised only where x is past the double
+    range.
     """
     tab = _table(tm)
     at_zu = _reduce_checked(z - u, tab, "z - u" if ratios else None)
     at_u = _reduce_checked(u, tab, "u")
     at_z = _reduce_checked(z, tab, "z")
-    s_u = _theta_series_at(at_u[0], tab)
-    s_z = _theta_series_at(at_z[0], tab)
-    s_zu = _theta_series_at(at_zu[0], tab)
+    rows = 2 if ratios else 1
+    s_u = _theta_series_at(at_u[0], tab, rows)
+    s_z = _theta_series_at(at_z[0], tab, rows)
+    s_zu = _theta_series_at(at_zu[0], tab, 3 if ratios else 1)
     log_f = (_log_factor(at_zu[0], at_zu[1], at_zu[2], tab)
              - _log_factor(at_z[0], at_z[1], at_z[2], tab)
              - _log_factor(at_u[0], at_u[1], at_u[2], tab))
-    c, frexp, ldexp = _constants(tab)[0], math.frexp, math.ldexp
-    i, j = frexp(abs(s_zu[0]))[1], frexp(abs(c))[1]
-    k, m = frexp(abs(s_z[0]))[1], frexp(abs(s_u[0]))[1]
-    h = int(log_f.real / (0.5 * _LOG_MAX))
-    y = (cmath.exp(log_f - 0.5 * _LOG_MAX * h) * (s_zu[0] * ldexp(1.0, -i))
-         * (c * ldexp(1.0, -j)) / (s_z[0] * ldexp(1.0, -k)
-                                   * (s_u[0] * ldexp(1.0, -m))))
-    e = 512 * h + i + j - k - m
-    try:
-        x = complex(ldexp(y.real, e), ldexp(y.imag, e))
-    except OverflowError:
-        raise _x_range_error(u, z, tab) from None
+    a, c, b, d = s_zu[0], _constants(tab)[0], s_z[0], s_u[0]
+    lo, hi, half = _LAME_LO, _LAME_HI, 0.5 * _LOG_MAX
+    if (-half < log_f.real < half and lo < abs(a) < hi and lo < abs(c) < hi
+            and lo < abs(b) < hi and lo < abs(d) < hi):
+        x = cmath.exp(log_f) * a * c / (b * d)
+    else:
+        try:
+            x = _lame_scaled(log_f, a, c, b, d)
+        except OverflowError:
+            raise _range_error("x(u, z)", tab, u=u, z=z) from None
     if not ratios:
         return x
     r_zu = s_zu[1] / s_zu[0]
@@ -1281,6 +1341,15 @@ def _lame_core(u: complex, z: complex, tm: TorusModulus,
             _rho_law(r_zu, at_zu[2], at_zu[3], tab),
             _rho_law(s_z[1] / s_z[0], at_z[2], at_z[3], tab),
             _rho_dz_law(r_zu, s_zu[2] / s_zu[0], tab))
+
+
+def _lame_finite(value: complex, name: str, u: complex, z: complex,
+                 tm: TorusModulus) -> complex:
+    """value, or SeriesRangeError where a Lame kernel's product of x and
+    its ratios has left the double range."""
+    if cmath.isfinite(value):
+        return value
+    raise _range_error(name, _table(tm), u=u, z=z)
 
 
 def lame_x(u: complex, z: complex, tm: TorusModulus) -> complex:
@@ -1291,13 +1360,13 @@ def lame_x(u: complex, z: complex, tm: TorusModulus) -> complex:
 def lame_y(u: complex, z: complex, tm: TorusModulus) -> complex:
     """y(u, z) = d/du x(u, z) = -x(u, z) (rho(u) + rho(z-u))."""
     x, rho_u, rho_zu, _, _ = _lame_core(u, z, tm)
-    return -x * (rho_u + rho_zu)
+    return _lame_finite(-x * (rho_u + rho_zu), "y(u, z)", u, z, tm)
 
 
 def lame_x_dz(u: complex, z: complex, tm: TorusModulus) -> complex:
     """d/dz x(u, z) = x(u, z) (rho(z-u) - rho(z))."""
     x, _, rho_zu, rho_z, _ = _lame_core(u, z, tm)
-    return x * (rho_zu - rho_z)
+    return _lame_finite(x * (rho_zu - rho_z), "dx/dz(u, z)", u, z, tm)
 
 
 def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
@@ -1311,7 +1380,7 @@ def lame_x_dtau(u: complex, z: complex, tm: TorusModulus) -> complex:
     x, rho_u, rho_zu, rho_z, rho_dz_zu = _lame_core(u, z, tm)
     y = -x * (rho_u + rho_zu)
     mixed = y * (rho_zu - rho_z) - x * rho_dz_zu
-    return -mixed / TWO_PI_I
+    return _lame_finite(-mixed / TWO_PI_I, "dx/dtau(u, z)", u, z, tm)
 
 
 def _exp_parts(x: np.ndarray) -> np.ndarray:
@@ -1327,7 +1396,7 @@ def _exp_parts(x: np.ndarray) -> np.ndarray:
 
 def _lame_x_folded(log_x, s_zu, s_z, s_u, tab: _SeriesTable):
     """x = e^log_x s_zu c / (s_z s_u) at every entry of the broadcast
-    arrays, scaled as by `_lame_core`: inf or nan past the double range."""
+    arrays, scaled as by `_lame_scaled`: inf or nan past the double range."""
     import numpy as np
     values = (s_zu, _constants(tab)[0], s_z, s_u)
     e = [np.frexp(np.abs(t))[1] for t in values]
@@ -1357,7 +1426,7 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
     exponentiated by `_exp_parts`.  Where Im tau' exceeds _SEPARABLE_IM
     the separable products could leave the double range, and where the
     factor could, it is not formed: there each z - u is reduced and summed
-    like u and z, and x formed as the scalar kernels form it
+    like u and z, and x formed as `_lame_scaled` forms it
     (`_lame_x_folded`).
     """
     import numpy as np
@@ -1395,7 +1464,7 @@ def lame_array(z, u, tm: TorusModulus, ratios: bool = False):
             - f[:a], _series_sums(v_r, tab, 1)[0].reshape(z.size, a),
             s[a:, None], s[:a], tab)
         for i, j in np.argwhere(~np.isfinite(x))[:1]:
-            raise _x_range_error(u[j], z[i], tab)
+            raise _range_error("x(u, z)", tab, u=u[j], z=z[i])
     if not ratios:
         return x
     return x, *([r[None, k:k + a], r[:k].reshape(z.size, a), r[k + a:, None]]

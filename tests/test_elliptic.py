@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellcm import elliptic
@@ -25,7 +25,6 @@ from ellcm.elliptic import (
     theta1,
     theta1_d3z_at_0,
     theta1_dz,
-    theta1_dz_at_0,
     theta1_product,
     weierstrass_constant,
     wp,
@@ -35,10 +34,15 @@ from ellcm.elliptic import (
     wp_lattice_oracle,
 )
 from ellcm.elliptic import (
+    _LOG_MAX,
     _NINE,
     _TERMS_FROM,
+    _constants,
+    _lame_core,
+    _lame_scaled,
     _lattice_basis,
     _lattice_distance_array,
+    _log_factor,
     _modular_image,
     _nine_suffice,
     _reduce_checked,
@@ -307,7 +311,8 @@ class TestTheta1Array:
                 assert np.array_equal(r, w.reshape(shape))
 
     def test_dz_at_0(self):
-        assert theta1_dz_at_0(self.TM) == pytest.approx(
+        # theta1'(0) of the constants record, against the series at 0
+        assert _constants(_table(self.TM))[2] == pytest.approx(
             theta1_dz(0.0, self.TM), rel=1e-14)
 
 
@@ -587,6 +592,88 @@ class TestTallLatticeLame:
             f"{complex(u)}, z = {complex(z)}")
 
 
+def _bits(v: complex) -> tuple:
+    """The exact bits of a complex value, the signs of zeros included."""
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestLameQuotient:
+    """`_lame_core` forms x as the plain quotient where every theta value
+    and x's constant lie in (2^-100, 2^100) and |Re F| < 512 ln 2, and by
+    `_lame_scaled` elsewhere: the two agree bit for bit inside that
+    window, and the edges of the window take the scaled form."""
+
+    @staticmethod
+    def parts(u, z, tm):
+        """(log F, theta1(z - u), c, theta1(z), theta1(u)) of x(u, z)."""
+        tab = _table(tm)
+        at = [_reduce_checked(p, tab, None) for p in (z - u, z, u)]
+        log_f = (_log_factor(*at[0][:3], tab) - _log_factor(*at[1][:3], tab)
+                 - _log_factor(*at[2][:3], tab))
+        s = [_theta_series_at(a[0], tab, 1)[0] for a in at]
+        return log_f, s[0], _constants(tab)[0], s[1], s[2]
+
+    @staticmethod
+    def inside(log_f, *values):
+        return abs(log_f.real) < 0.5 * _LOG_MAX and all(
+            2.0 ** -100 < abs(v) < 2.0 ** 100 for v in values)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.01 + 0.08j, 0.45 + 0.03j,
+                                     0.1 + 40j, 17.3 + 0.8j])
+    def test_direct_has_the_scaled_bits(self, tau):
+        """At 200 seeded pairs up to two periods out, at a band, a tail, a
+        reduced, a tall and a skewed modulus, x of lame_x and of the
+        ratios path equals `_lame_scaled` of the same parts bit for bit,
+        or raises where that overflows.  At least 140 pairs of each
+        modulus lie inside the window."""
+        tm = TorusModulus(tau)
+        rng = np.random.default_rng(33)
+        a, b = rng.uniform(-2, 2, (2, 200, 2))
+        inside = 0
+        for (ua, za), (ub, zb) in zip(a, b):
+            u, z = complex(ua + ub * tau), complex(za + zb * tau)
+            parts = self.parts(u, z, tm)
+            inside += self.inside(*parts)
+            try:
+                want = _bits(_lame_scaled(*parts))
+            except OverflowError:  # x past the double range
+                with pytest.raises(SeriesRangeError):
+                    lame_x(u, z, tm)
+                continue
+            assert _bits(lame_x(u, z, tm)) == want
+            assert _bits(_lame_core(u, z, tm)[0]) == want
+        assert inside >= 140
+
+    @pytest.mark.parametrize("u, z, edge, scaled", [
+        # |Re F| = 512 ln 2 + 0.36, and 1.2 below it
+        (0.38 - 16.83j, -0.66 - 216.05j, "F", True),
+        (0.24 - 14.62j, -0.72 - 222.49j, "F", False),
+        # |theta1(z - u)| = 2^-100.9, and 2^-98.6
+        (0.3, 0.3 + 2e-11, "theta", True),
+        (0.3, 0.3 + 1e-10, "theta", False),
+    ])
+    def test_window_edges(self, monkeypatch, u, z, edge, scaled):
+        """At tau = 0.1+60i, a pair just outside the window by |Re F|, and
+        one by |theta1(z - u)|, take `_lame_scaled`; a pair just inside
+        takes the plain quotient.  Both give the scaled form's bits."""
+        tm = TorusModulus(0.1 + 60j)
+        parts = self.parts(u, z, tm)
+        log_f, s_zu = parts[:2]
+        assert self.inside(*parts) != scaled
+        if edge == "F":
+            assert self.inside(0.0, *parts[1:])
+            assert abs(abs(log_f.real) - 0.5 * _LOG_MAX) < 1.5
+        else:
+            assert log_f == 0 and self.inside(0.0, 1.0, *parts[2:])
+            assert 2.0 ** -101 < abs(s_zu) < 2.0 ** -98
+        calls = []
+        monkeypatch.setattr(elliptic, "_lame_scaled",
+                            lambda *a: calls.append(a) or _lame_scaled(*a))
+        assert _bits(lame_x(u, z, tm)) == _bits(_lame_scaled(*parts))
+        assert len(calls) == scaled
+
+
 class TestSeriesSums:
     """The array sums: the first harmonic from real libm functions, the
     others from the three-term recurrence."""
@@ -653,10 +740,33 @@ class TestSeriesSums:
                 assert str(info.value) == (
                     f"theta1 series overflows at the reduced point w = {w}")
             with pytest.raises(SeriesRangeError) as scalar:
-                _theta_series_at(0.2 + far * 1j, tab)
+                _theta_series_at(0.2 + far * 1j, tab, 1)
             with pytest.raises(SeriesRangeError) as array:
                 _series_sums(np.array([0.1, 0.2 + far * 1j]), tab, 1)
         assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("tau, terms", [
+        (1j, 4), (1.5j, 3), (3j, 2), (12j, 1), (0.45 + 0.03j, 3),
+        (0.003j, 1)])
+    def test_scalar_rows_are_leading_rows(self, tau, terms):
+        """`_theta_series_at` at one and two rows gives the leading rows
+        of its four-row sum bit for bit, at K = 4, 3, 2 and 1 and at two
+        reduced moduli (gamma != 1), on seeded reduced points, the real
+        line and the cell's edges included."""
+        tab = _table(TorusModulus(tau))
+        assert len(tab.terms) == terms
+        assert (tab.gamma != (1, 0, 0, 1)) == (tau.real == 0.45
+                                               or tau == 0.003j)
+        rng = np.random.default_rng(7)
+        height = 0.5 * tab.tau_r.imag
+        w = rng.uniform(-0.5, 0.5, 60) + 1j * rng.uniform(-height, height, 60)
+        points = [*w.tolist(), 0.3, -0.2 + 0j, 0.1 + 0.99 * height * 1j,
+                  0.5 - 0.99 * height * 1j]
+        for v in points:
+            full = [_bits(t) for t in _theta_series_at(v, tab, 4)]
+            for rows in (1, 2, 3):
+                got = _theta_series_at(v, tab, rows)
+                assert [_bits(t) for t in got] == full[:rows], (v, rows)
 
     def test_one_term_forms_no_t(self):
         """At one term (tau' = 333i from tau = 0.003i) 4 cos^2 x of a
@@ -670,7 +780,7 @@ class TestSeriesSums:
             warnings.simplefilter("error")
             got = _series_sums(w, tab, 4)
         for i, v in enumerate(w):
-            expect = _theta_series_at(complex(v), tab)
+            expect = _theta_series_at(complex(v), tab, 4)
             for d in range(4):
                 assert abs(got[d, i] - expect[d]) <= 1e-15 * abs(expect[d])
 
@@ -865,7 +975,8 @@ class TestWpDz:
         height = 0.0 if tau == 1j else 0.07j * tau.imag
         for z in (0.05 + (0.1 + height) * k for k in range(9)):
             v, _, n, zw = _reduce_checked(z, tab, "z")
-            rho_d2z, = _rho_ratios(_theta_series_at(v, tab), n, zw, tab, (2,))
+            rho_d2z, = _rho_ratios(_theta_series_at(v, tab, 4), n, zw, tab,
+                                   (2,))
             got, want = wp_dz(z, tm), -rho_d2z
             assert (np.array([got]).view(np.uint64)
                     == np.array([want]).view(np.uint64)).all(), z
@@ -1270,6 +1381,40 @@ class TestNonFinitePoints:
         assert not isinstance(info.value, ValueError)
 
 
+class TestKernelsFiniteOrRaise:
+    """Every scalar kernel returns a finite value or raises a structured
+    error, on the whole range the library serves."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.floats(-20.0, 20.0),
+           st.floats(-3.0, math.log10(500.0)).map(lambda e: 10.0 ** e),
+           *[st.floats(-3.0, 3.0)] * 4)
+    # theta1 = inf + nan i, theta1' = nan - inf i, and y = -inf + nan i
+    # next to a pole of x: complex products past the double range
+    @example(0.0, 10.0 ** 1.625, 0.0, 2.328125, 0.0, 0.0)
+    @example(1.0426933982334932, 41.30569774812472, 2.2234613607685887,
+             -2.3417489162234584, 0.0, 0.0)
+    @example(-0.45410542957295963, 105.27645796845862, -0.30177451806575606,
+             -1.0479104968296473, -7.10979259693767e-06, 0.9999999701923279)
+    def test_finite_or_raises(self, re_tau, im_tau, za, zb, ua, ub):
+        """theta1, theta1', rho, wp, wp', lame_x and lame_y at tau with
+        Im tau from 1e-3 to 500 and |Re tau| <= 20, at z = za + zb tau and
+        u = ua + ub tau up to three periods out: a finite value, or
+        PoleProximityError or SeriesRangeError, never inf, nan or a bare
+        OverflowError."""
+        tau = complex(re_tau, im_tau)
+        tm = TorusModulus(tau)
+        z, u = za + zb * tau, ua + ub * tau
+        for kernel, args in ((theta1, (z,)), (theta1_dz, (z,)), (rho, (z,)),
+                             (wp, (z,)), (wp_dz, (z,)), (lame_x, (u, z)),
+                             (lame_y, (u, z))):
+            try:
+                value = kernel(*args, tm)
+            except (PoleProximityError, SeriesRangeError):
+                continue
+            assert cmath.isfinite(value), (kernel.__name__, args, tau)
+
+
 class TestSeriesTable:
     """The fixed-length series: one table per modulus."""
 
@@ -1291,25 +1436,23 @@ class TestSeriesTable:
         d1 = complex(branch * mp.pi * mp.jtheta(1, 0, q, 1))
         d3 = complex(branch * mp.pi ** 3 * mp.jtheta(1, 0, q, 3))
         tm = TorusModulus(tau)
-        assert abs(theta1_dz_at_0(tm) - d1) < 1e-13 * abs(d1)
+        assert abs(_constants(_table(tm))[2] - d1) < 1e-13 * abs(d1)
         assert abs(theta1_d3z_at_0(tm) - d3) < 1e-13 * abs(d3)
         c = d3 / (3 * d1)
         assert abs(weierstrass_constant(tm) - c) < 1e-13 * abs(c)
 
     @pytest.mark.parametrize("tau", [0.3j, 1j])
     def test_constants_from_one_build(self, tau):
-        # c, theta1'(0) and theta1'''(0) at tau, reduced (0.3i) or not (i),
-        # all read the table's one record: replaced by markers, it is what
-        # every reader returns, and nothing rebuilds it
-        from ellcm.elliptic import _constants, _table
+        # c and theta1'''(0) at tau, reduced (0.3i) or not (i), both read
+        # the table's one record: replaced by markers, it is what every
+        # reader returns, and nothing rebuilds it
         tm = TorusModulus(tau)
-        c, dz0, w = weierstrass_constant(tm), theta1_dz_at_0(tm), wp(0.3, tm)
+        c, w = weierstrass_constant(tm), wp(0.3, tm)
         tab = _table(tm)
-        assert _constants(tab)[1:] == (c, dz0)
-        assert theta1_d3z_at_0(tm) == 3.0 * c * dz0
+        assert _constants(tab)[1] == c
+        assert theta1_d3z_at_0(tm) == 3.0 * c * _constants(tab)[2]
         tab.consts = (5.0, 7.0, 11.0)
         assert weierstrass_constant(tm) == 7.0
-        assert theta1_dz_at_0(tm) == 11.0
         assert theta1_d3z_at_0(tm) == 231.0
         assert wp(0.3, tm) - 7.0 == pytest.approx(w - c, rel=1e-14)
 
@@ -1342,7 +1485,7 @@ class TestSeriesTable:
                 x = mp.pi * mp.mpc(w)
                 envelope = (2 * q ** 0.25 * math.exp(math.pi * abs(w.imag))
                             * float(abs(scale)))
-                for d, s in enumerate(_theta_series_at(w, tab)):
+                for d, s in enumerate(_theta_series_at(w, tab, 4)):
                     # d-th derivative of term k: sin^(d)(y) = sin(y + d pi/2)
                     terms = [2 * (-1) ** k * scale
                              * mp.exp(1j * mp.pi * tau_mp * (k + 0.5) ** 2)
@@ -1525,7 +1668,7 @@ class TestModularReduction:
                 scale ** 3, abs(want[wp_dz][0]))
         assert abs(weierstrass_constant(tm) - complex(wp_c)) <= (
             1e-12 * scale ** 2)
-        assert abs(theta1_dz_at_0(tm) - complex(d0[1])) <= 1e-12 * abs(
+        assert abs(_constants(_table(tm))[2] - complex(d0[1])) <= 1e-12 * abs(
             complex(d0[1]))
 
     @pytest.mark.parametrize("im", [0.05, 0.02, 0.005])
@@ -1605,7 +1748,8 @@ class TestModularReduction:
         assert _table(prime).gamma == (1, 0, 0, 1)
         assert abs(prime.tau.real) <= 0.5 + 1e-12 and abs(prime.tau) >= 1.0
         # C sqrt(w) is an eighth root of unity
-        big_c = theta1_dz_at_0(tm) * w / theta1_dz_at_0(prime)
+        big_c = (_constants(_table(tm))[2] * w
+                 / _constants(_table(prime))[2])
         eps = 1.0 / (big_c * cmath.sqrt(w))
         assert abs(eps ** 8 - 1) < 1e-12
         assert abs(round(cmath.phase(eps) * 4 / math.pi) * math.pi / 4

@@ -34,7 +34,11 @@
 # at rel_tol 1e-6 (accepted within its first L batch) and at rel_tol 1e-16
 # (stagnation),
 # and the README triple at tau = 1.3+0.8i, where the cubic relation holds
-# for the cycles from the one base (1 + tau)/4 alone, once per tree,
+# for the cycles from the one base (1 + tau)/4 alone, and the Lame kernels
+# x and y on both sides of the window of the plain quotient: at a band
+# modulus (the plain quotient) and at a tall lattice, where the factors of
+# the quotient leave the double range and x does not (exit 0) or x does
+# (exit 2), once per tree,
 # each with that tree's src/ on PYTHONPATH and in an empty working
 # directory, and compares stdout, stderr and the exit code byte for byte.
 # It prints one line per command and exits 0 when every command agrees, 1
@@ -218,6 +222,15 @@ commands+=("$readme_triple --rel-tol 1e-6"
 # change class (the cubic relation then misses by 24): the triple's cubic
 # residual stays at rounding
 commands+=("monodromy --n 2 --g 0.35 --tau 1.3+0.8i --q 0.11+0.03i,0.52-0.07i --p 0.31,-0.45")
+# the Lame kernels inside the window of the plain quotient (a band
+# modulus), outside it where x is an ordinary number (the tall-lattice
+# pair, whose lattice factor is e^{782}), and where x itself leaves the
+# double range (exit 2)
+commands+=("eval lame-x --u 0.31+0.2i --z 0.77+0.45i --tau 0.3+1.1i"
+           "eval lame-y --u 0.31+0.2i --z 0.77+0.45i --tau 0.3+1.1i"
+           "eval lame-x --u 0.5529+124.75i --z=-0.5199-124.75i --tau 0.1+250i"
+           "eval lame-y --u 0.5529+124.75i --z=-0.5199-124.75i --tau 0.1+250i"
+           "eval lame-x --u=-0.245-112.5i --z 0.52+550i --tau 0.1+250i")
 
 work=$(mktemp -d)
 differ=0
